@@ -78,6 +78,7 @@ from .model import (
 )
 from .oracle import (
     PathResult,
+    chunk_lengths,
     route_length,
     route_positions,
     sample_D,
@@ -86,11 +87,13 @@ from .oracle import (
 )
 from .quadrature import QuadSpec, gauss_legendre, integrate_1d, integrate_nested
 from .sampler import (
+    ChunkSample,
     Realization,
     crossings_within,
     realization_from_json,
     realization_to_json,
     rotate,
+    sample_chunk,
     sample_palm,
 )
 
@@ -112,6 +115,7 @@ __all__ = [
     "Realization", "sample_palm", "crossings_within", "realization_to_json",
     "realization_from_json", "rotate", "PathResult", "shortest_path",
     "sample_path", "sample_D", "route_positions", "route_length",
+    "ChunkSample", "sample_chunk", "chunk_lengths",
     # experiments
     "EcdfEstimate", "run_mc", "compare", "ComparisonReport", "SweepSpec",
     "figure_sweep", "default_grid", "dkw_halfwidth",

@@ -10,13 +10,16 @@ artifact can be reproduced from its own files.
 Options resolve in three layers: hard defaults, then a ``--config`` file of
 ``key = value`` lines, then explicit flags. Exit codes: 0 success, 2 bad
 configuration or parameters, 3 quadrature tolerance not reached, 4 runtime
-failures (IO and the rest).
+failures (IO and the rest). ``-v`` (before the subcommand) logs progress,
+such as the Monte Carlo throughput, to stderr; it never changes an output.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import logging
 import math
 import sys
 from dataclasses import dataclass
@@ -72,6 +75,8 @@ from .experiments import compare as compare_curves
 from .experiments import run_mc
 
 __all__ = ["main", "RunConfig", "parse_grid"]
+
+_log = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -215,6 +220,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="linecox",
         description="Street-distance distributions on Poisson line Cox networks.")
     parser.add_argument("--version", action="version", version=f"linecox {__version__}")
+    parser.add_argument("-v", "--verbose", action="store_true",
+                        help="log progress (INFO) to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(sp, *names, **kw):
@@ -294,6 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
     explicit = dict(vars(args))
+    explicit.pop("verbose")
     command = explicit.pop("command")
     if command == "app":
         command = explicit.pop("app_command")
@@ -441,24 +449,41 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def _load_curve(path: str) -> DistributionCurve:
+    """A curve CSV written by ``analytic`` or ``simulate``, with the meta of
+    its JSON sidecar when one exists. A file without data rows, with rows of
+    the wrong width or with non-numeric cells raises ValueError naming it."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        data = [[float(v) for v in line.split(",")]
-                for line in fh if line.strip()]
-    arr = np.asarray(data, dtype=float)
-    if header == ["t", "F", "err_est"]:
+        rows = [line.split(",") for line in fh if line.strip()]
+    widths = {("t", "F", "err_est"): 3, ("t", "F", "ci_lo", "ci_hi"): 4}
+    width = widths.get(tuple(header))
+    if width is None:
+        raise ValueError(f"{path}: unrecognized curve header {header!r}")
+    if not rows:
+        raise ValueError(f"{path}: no data rows below the header")
+    if any(len(row) != width for row in rows):
+        raise ValueError(f"{path}: every row needs {width} columns")
+    try:
+        arr = np.array([[float(v) for v in row] for row in rows])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if width == 3:
         grid, values, hw = arr[:, 0], arr[:, 1], arr[:, 2]
-    elif header == ["t", "F", "ci_lo", "ci_hi"]:
+    else:
         grid, values = arr[:, 0], arr[:, 1]
         hw = (arr[:, 3] - arr[:, 2]) / 2.0
-    else:
-        raise ValueError(f"{path}: unrecognized curve header {header!r}")
     meta = {}
+    sidecar = _sidecar_path(path)
     try:
-        with open(_sidecar_path(path)) as fh:
+        with open(sidecar) as fh:
             meta = json.load(fh)
-    except (OSError, json.JSONDecodeError):
+    except FileNotFoundError:
         pass
+    except (OSError, ValueError) as exc:
+        _log.warning("ignoring the unreadable sidecar %s: %s", sidecar, exc)
+    if not isinstance(meta, dict):
+        _log.warning("ignoring the sidecar %s: not a JSON object", sidecar)
+        meta = {}
     return DistributionCurve(grid, values, hw, meta)
 
 
@@ -521,9 +546,34 @@ def cmd_app(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+@contextlib.contextmanager
+def _logging_to_stderr(verbose: bool):
+    """With ``verbose``, INFO records of the package go to the current
+    stderr for the duration of one command."""
+    if not verbose:
+        yield
+        return
+    logger = logging.getLogger("linecox")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("linecox: %(message)s"))
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    with _logging_to_stderr(args.verbose):
+        return _run(args)
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         cfg = _resolve(args)
         if cfg.command == "analytic":

@@ -4,13 +4,16 @@ Determinism contract: trial i of a run draws from a counter-based stream
 keyed (master seed, i), chunks have a fixed size, and chunk results are
 merged in submission order, so the estimate is bit-identical no matter how
 many worker processes execute it. Curve metadata deliberately excludes the
-worker count and any timestamps.
+worker count and any timestamps; ``run_mc`` reports its wall time and
+throughput through ``logging`` instead.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -27,7 +30,8 @@ from .model import (
     TurnPolicy,
     validate,
 )
-from .oracle import sample_D
+from .oracle import _budget, chunk_lengths, sample_D
+from .sampler import sample_chunk
 from .analytic import (
     DEFAULT_VARIANT,
     IntersectionVariant,
@@ -55,6 +59,8 @@ __all__ = [
 
 _CHUNK = 512  # fixed regardless of worker count, part of the determinism contract
 WORKERS_ENV = "LINECOX_WORKERS"
+
+_log = logging.getLogger(__name__)
 
 
 def dkw_halfwidth(n: int, alpha: float = 0.05) -> float:
@@ -124,8 +130,17 @@ class EcdfEstimate:
         return DistributionCurve(grid, values, hw, m)
 
 
+def _batched(policy: TurnPolicy) -> bool:
+    """The named budgets solve a whole chunk as flat arrays; K_TURN runs the
+    label-setting search trial by trial."""
+    return policy.kind is not PolicyKind.K_TURN
+
+
 def _mc_chunk(task) -> np.ndarray:
     params, scenario, policy, t_max, master, start, stop = task
+    if _batched(policy):
+        chunk = sample_chunk(params, scenario, t_max, master, start, stop)
+        return chunk_lengths(chunk, policy, t_max)
     out = np.empty(stop - start)
     for i in range(start, stop):
         out[i - start] = sample_D(params, scenario, policy, t_max, (master, i))
@@ -139,9 +154,13 @@ def run_mc(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
 
     Returns a curve on ``grid`` (default 0..t_max step 0.01) with a DKW
     simultaneous band at level 1 - alpha. Identical (seed, trials) give a
-    bit-identical curve for any worker count.
+    bit-identical curve for any worker count. Logs one INFO line with the
+    trial count, the path taken, the wall time, the throughput and the
+    censored fraction; none of it enters the curve.
     """
+    started = time.perf_counter()
     validate(params)
+    k = _budget(policy)
     trials = int(trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -170,17 +189,18 @@ def run_mc(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
         "params": {"lambda": params.lam, "mu": params.mu},
         "scenario": {"kind": scenario.kind.value,
                      "angle_law": scenario.angle_law.value},
-        "policy": {"kind": policy.kind.value, "k": _fixed_k(policy),
+        "policy": {"kind": policy.kind.value, "k": k,
                    "include_lower_turn_paths": policy.include_lower_turn_paths,
                    "first_hop_positive_x": policy.first_hop_positive_x},
         "seed": master,
     }
-    return est.curve(grid, alpha, meta)
-
-
-def _fixed_k(policy: TurnPolicy) -> int:
-    return {PolicyKind.ZERO_TURN: 0, PolicyKind.ONE_TURN: 1,
-            PolicyKind.TWO_TURN_DIRECTED: 2}.get(policy.kind, policy.k)
+    curve = est.curve(grid, alpha, meta)
+    wall = time.perf_counter() - started
+    _log.info("run_mc: %d trials, %s path, %.3f s, %.0f trials/s, "
+              "censored fraction %.4f", trials,
+              "batched" if _batched(policy) else "per-trial", wall,
+              trials / wall if wall > 0 else math.inf, est.n_censored / trials)
+    return curve
 
 
 @dataclass(frozen=True)

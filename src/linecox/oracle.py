@@ -9,7 +9,10 @@ Two implementations exist on purpose: closed-form enumerators for the small
 named budgets (zero, one, two-turn-directed) and a label-setting search on
 the crossing graph for general K_TURN. Both take every crossing arc from
 the same pairwise routine and add hop lengths in the same left-to-right
-order, so the two agree bit for bit; the tests rely on that.
+order, so the two agree bit for bit; the tests rely on that. The named
+budgets also have length-only batched enumerators (``chunk_lengths``) that
+solve every trial of a ChunkSample at once with the same arithmetic, so they
+agree bit for bit with ``shortest_path`` on each trial.
 
 The ``first_hop_positive_x`` restriction (forced for TWO_TURN_DIRECTED)
 makes the first leg run along the positive arc direction of the first
@@ -33,10 +36,10 @@ from .model import (
     PolicyKind,
     TurnPolicy,
 )
-from .sampler import Realization, _pair_arcs, sample_palm
+from .sampler import ChunkSample, Realization, _pair_arcs, sample_palm
 
 __all__ = ["PathResult", "shortest_path", "sample_path", "sample_D",
-           "route_positions", "route_length"]
+           "chunk_lengths", "route_positions", "route_length"]
 
 
 @dataclass(frozen=True)
@@ -289,6 +292,113 @@ def _route_of(parent, state, lids, node_arc):
     return build
 
 
+# ---- batched length-only enumerators ----------------------------------------
+
+_PAIR_BLOCK = 8192  # two-turn (first line, second line) pairs solved at once
+
+
+def _segment_searchsorted(a, lo, hi, x):
+    """``lo + np.searchsorted(a[lo:hi], x, side="left")`` for every query at
+    once, as a binary search over each query's sorted segment of ``a``."""
+    lo, hi = lo.copy(), hi.copy()
+    for _ in range(int(np.max(hi - lo, initial=0)).bit_length()):
+        active = lo < hi
+        mid = (lo + hi) >> 1
+        right = active & (a[np.minimum(mid, a.size - 1)] < x)
+        lo = np.where(right, mid + 1, lo)
+        hi = np.where(active & ~right, mid, hi)
+    return lo
+
+
+def _nearest_dist(chunk: ChunkSample, lines, refs, nonneg_only=False):
+    """Smallest |arc - ref| over the points of each line (inf without
+    points), as ``_nearest`` computes it: by monotone rounding the minimum
+    sits next to where ref sorts in. ``nonneg_only`` (used with ref 0) keeps
+    only arcs >= 0."""
+    arcs = chunk.arcs
+    lo, hi = chunk.arc_start[lines], chunk.arc_start[lines + 1]
+    idx = _segment_searchsorted(arcs, lo, hi, refs)
+    d = np.full(refs.shape, np.inf)
+    above = idx < hi
+    d[above] = np.abs(arcs[idx[above]] - refs[above])
+    if not nonneg_only:
+        below = idx > lo
+        d[below] = np.minimum(d[below], np.abs(arcs[idx[below] - 1] - refs[below]))
+    return d
+
+
+def _offer(best, trials, lengths, t_max):
+    keep = lengths <= t_max
+    np.minimum.at(best, trials[keep], lengths[keep])
+
+
+def _origin_lines(chunk: ChunkSample, directed: bool):
+    """Origin line indices of every trial, the first origin line of each
+    trial first; only the first with ``directed``."""
+    firsts = chunk.line_start[:-1]
+    count = 1 if directed else chunk.n_origin
+    return [firsts + s for s in range(count)]
+
+
+def _batch_zero(best, chunk, t_max, directed):
+    for lines in _origin_lines(chunk, directed):
+        refs = np.zeros(lines.size)
+        length = 0.0 + _nearest_dist(chunk, lines, refs, nonneg_only=directed)
+        _offer(best, np.arange(lines.size), length, t_max)
+
+
+def _first_hops(chunk, t_max, directed):
+    """Crossings of origin lines with background lines of the same trial
+    that a first hop of at most t_max reaches: (trial, other line, hop
+    length, arc on the other line)."""
+    bg = np.flatnonzero(~chunk.through_origin)
+    out = []
+    for origin in _origin_lines(chunk, directed):
+        s_o, u_j = _pair_arcs(chunk.angle, chunk.offset, origin[chunk.trial[bg]], bg)
+        ok = np.isfinite(s_o)
+        if directed:
+            ok &= s_o > 0.0
+        ok[ok] = np.abs(s_o[ok]) <= t_max
+        out.append((chunk.trial[bg][ok], bg[ok], np.abs(s_o[ok]), u_j[ok]))
+    return [np.concatenate(parts) for parts in zip(*out)]
+
+
+def _batch_one(best, chunk, t_max, directed):
+    trials, j, base, u = _first_hops(chunk, t_max, directed)
+    _offer(best, trials, base + _nearest_dist(chunk, j, u), t_max)
+
+
+def _batch_two_directed(best, chunk, t_max):
+    trials, first, base1, u = _first_hops(chunk, t_max, True)
+    # as in _enum_two_directed, a leg no shorter than the trial's incumbent
+    # cannot improve it
+    keep = base1 < best[trials]
+    trials, first, base1, u = trials[keep], first[keep], base1[keep], u[keep]
+    # second lines: every line of the trial but the first origin line and
+    # the first-turn line itself, in blocks of about _PAIR_BLOCK pairs
+    n_second = np.diff(chunk.line_start)[trials] - 2
+    ends = np.cumsum(n_second)
+    cuts = np.searchsorted(ends, np.arange(0, ends[-1] if ends.size else 0,
+                                           _PAIR_BLOCK))
+    for a, b in zip(cuts, np.append(cuts[1:], trials.size)):
+        reps = n_second[a:b]
+        f = a + np.repeat(np.arange(reps.size), reps)  # first hop of each pair
+        t, i = trials[f], first[f]
+        m = chunk.line_start[t] + 1 + (np.arange(f.size)
+                                       - np.repeat(np.cumsum(reps) - reps, reps))
+        m += m >= i
+        arc_lo, arc_hi = _pair_arcs(chunk.angle, chunk.offset,
+                                    np.minimum(i, m), np.maximum(i, m))
+        a_i = np.where(i < m, arc_lo, arc_hi)
+        a_m = np.where(i < m, arc_hi, arc_lo)
+        ok = np.isfinite(a_i)
+        base2 = np.full(f.size, np.inf)
+        base2[ok] = base1[f][ok] + np.abs(a_i[ok] - u[f][ok])
+        near = (base2 <= t_max) & (base2 < best[t])
+        _offer(best, t[near],
+               base2[near] + _nearest_dist(chunk, m[near], a_m[near]), t_max)
+
+
 # ---- public API --------------------------------------------------------------
 
 def _budget(policy: TurnPolicy) -> int:
@@ -300,6 +410,20 @@ def _budget(policy: TurnPolicy) -> int:
     return int(k)
 
 
+def _horizon(t_max, clip_radius: float) -> float:
+    t_max = float(t_max)
+    if t_max < 0:
+        raise ValueError(f"t_max must be >= 0, got {t_max}")
+    if t_max > clip_radius:
+        raise TBeyondClip(f"t_max={t_max} exceeds clip_radius={clip_radius}")
+    return t_max
+
+
+def _directed(policy: TurnPolicy) -> bool:
+    return (policy.first_hop_positive_x
+            or policy.kind is PolicyKind.TWO_TURN_DIRECTED)
+
+
 def shortest_path(real: Realization, policy: TurnPolicy,
                   t_max: float) -> PathResult:
     """Exact shortest admissible street distance on one realization.
@@ -308,13 +432,8 @@ def shortest_path(real: Realization, policy: TurnPolicy,
     Ties in length are broken by (line id, arc) of the target.
     """
     k = _budget(policy)
-    t_max = float(t_max)
-    if t_max < 0:
-        raise ValueError(f"t_max must be >= 0, got {t_max}")
-    if t_max > real.clip_radius:
-        raise TBeyondClip(f"t_max={t_max} exceeds clip_radius={real.clip_radius}")
-    directed = (policy.first_hop_positive_x
-                or policy.kind is PolicyKind.TWO_TURN_DIRECTED)
+    t_max = _horizon(t_max, real.clip_radius)
+    directed = _directed(policy)
 
     best = _Best()
     if policy.kind is PolicyKind.ZERO_TURN:
@@ -360,6 +479,34 @@ def sample_D(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
              t_max: float, seed) -> float:
     """Shortest-distance draw; inf means censored at t_max."""
     return sample_path(params, scenario, policy, t_max, seed).length
+
+
+def chunk_lengths(chunk: ChunkSample, policy: TurnPolicy,
+                  t_max: float) -> np.ndarray:
+    """Shortest admissible length of every trial of a chunk (inf when
+    censored at ``t_max``) for the named policies ZERO_TURN, ONE_TURN and
+    TWO_TURN_DIRECTED; K_TURN is solved per trial by ``shortest_path``.
+    Each entry equals ``shortest_path(chunk.realization(t), policy,
+    t_max).length`` bit for bit."""
+    t_max = _horizon(t_max, chunk.clip_radius)
+    directed = _directed(policy)
+
+    best = np.full(chunk.n_trials, math.inf)
+    if policy.kind is PolicyKind.ZERO_TURN:
+        _batch_zero(best, chunk, t_max, directed)
+    elif policy.kind is PolicyKind.ONE_TURN:
+        if policy.include_lower_turn_paths:
+            _batch_zero(best, chunk, t_max, directed)
+        _batch_one(best, chunk, t_max, directed)
+    elif policy.kind is PolicyKind.TWO_TURN_DIRECTED:
+        if policy.include_lower_turn_paths:
+            _batch_zero(best, chunk, t_max, True)
+            _batch_one(best, chunk, t_max, True)
+        _batch_two_directed(best, chunk, t_max)
+    else:
+        raise ValueError(f"no batched enumerator for {policy.kind!r}; "
+                         "use shortest_path per trial")
+    return best
 
 
 # ---- route helpers (used by tests and applications) --------------------------

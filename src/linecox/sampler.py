@@ -20,13 +20,17 @@ Conventions (shared with the oracle):
 
 Randomness is a counter-based Philox stream keyed (master seed, stream), so
 trial i of a run is reproducible in isolation and independent of how trials
-are batched across workers.
+are batched across workers. ``sample_chunk`` draws consecutive trials into
+one flat layout for the batched oracle; ``sample_palm`` draws one trial as a
+Realization. Both make the same draws.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -45,7 +49,9 @@ from .model import (
 
 __all__ = [
     "Realization",
+    "ChunkSample",
     "sample_palm",
+    "sample_chunk",
     "crossings_within",
     "realization_to_json",
     "realization_from_json",
@@ -54,11 +60,6 @@ __all__ = [
 
 _PI = math.pi
 _MIN_ANGLE_GAP = 1e-12
-
-
-def _make_rng(master: int, stream: int) -> np.random.Generator:
-    key = np.array([master % 2**64, stream % 2**64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _norm_seed(seed) -> tuple[int, int]:
@@ -208,56 +209,237 @@ def _respace_angles(rng, origin_angles, angles):
     raise RuntimeError("could not separate line angles")
 
 
-def sample_palm(params: ModelParams, scenario: PalmScenario,
-                clip_radius: float, seed) -> Realization:
-    """Draw one realization conditioned per ``scenario``.
+# one bit generator per thread, reused by every _TrialDraws: building one
+# costs ~15 us, as much as a sparse trial's draws. Each draw first resets
+# its whole state, so no draw depends on the one before it.
+_philox = threading.local()
+# up to this many lines a trial draws its point counts one scalar call per
+# line: the same draws as one array call, without its ~10 us fixed cost
+_SCALAR_COUNTS_MAX = 16
 
-    ``seed`` is an int or an (int master, int stream) pair; equal seeds give
-    bit-identical realizations.
+
+def _half_chords(offsets: np.ndarray, R: float) -> np.ndarray:
+    """Half lengths of the chords at these offsets in the disk of radius R."""
+    return np.sqrt(np.maximum(R * R - offsets * offsets, 0.0))
+
+
+class _TrialDraws:
+    """Draws trials of one run, trial ``i`` from the Philox stream keyed
+    (master, i). One bit generator per thread is reset to each trial's key
+    instead of building a new generator per trial; the draws are the same.
+
+    ``draw`` holds the one copy of the draw order: the origin angles, the
+    background line count, their angles and offsets, the respacing of
+    near-parallel angles, the point count of every line (rate 2 mu times
+    its half chord) and the point positions."""
+
+    def __init__(self, params: ModelParams, scenario: PalmScenario, R: float,
+                 master: int):
+        self._scenario = scenario
+        self._R = R
+        self._mean_lines = params.lam * _PI * R
+        self._two_mu = 2.0 * params.mu
+        self._master = master % 2**64
+        if not hasattr(_philox, "rng"):
+            _philox.key = np.zeros(2, dtype=np.uint64)
+            _philox.bitgen = np.random.Philox(key=_philox.key)
+            _philox.rng = np.random.Generator(_philox.bitgen)
+            _philox.fresh = {"bit_generator": "Philox",
+                             "state": {"counter": np.zeros(4, dtype=np.uint64),
+                                       "key": _philox.key},
+                             "buffer": np.zeros(4, dtype=np.uint64),
+                             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        self._key, self._bitgen = _philox.key, _philox.bitgen
+        self._rng, self._fresh = _philox.rng, _philox.fresh
+
+    def draw(self, stream: int, respace: bool = True):
+        """(origin angles, background angles, background offsets, point
+        count per line, point positions in [-1, 1] per unit half chord).
+        With ``respace`` False the respacing step is skipped; the draws are
+        then exact only when no two angles lie within 1e-12 of each other
+        (see ``_crowded_trials``)."""
+        self._key[0] = self._master
+        self._key[1] = stream % 2**64
+        self._bitgen.state = self._fresh
+        rng, R, two_mu = self._rng, self._R, self._two_mu
+        origin = _draw_origin_angles(rng, self._scenario)
+        n_bg = int(rng.poisson(self._mean_lines))
+        angles = rng.uniform(0.0, _PI, size=n_bg)
+        offsets = rng.uniform(-R, R, size=n_bg)
+        if respace:
+            angles = _respace_angles(rng, np.asarray(origin), angles)
+        if len(origin) + n_bg <= _SCALAR_COUNTS_MAX:
+            # _half_chords in scalar arithmetic, rounded the same
+            rates = [two_mu * R] * len(origin) + [
+                two_mu * math.sqrt(max(R * R - p * p, 0.0))
+                for p in offsets.tolist()]
+            counts = [int(rng.poisson(r)) for r in rates]
+        else:
+            counts = rng.poisson(two_mu * np.concatenate(
+                (np.full(len(origin), R), _half_chords(offsets, R)))).tolist()
+        u = rng.uniform(-1.0, 1.0, size=sum(counts))
+        return origin, angles, offsets, counts, u
+
+
+def _sort_within(groups: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Permutation sorting ``values`` within runs of equal, nondecreasing
+    ``groups``."""
+    order = np.argsort(values)
+    g = groups[order]
+    if g.size and groups[-1] < 2**16:
+        g = g.astype(np.uint16)  # numpy radix-sorts 16-bit keys
+    return order[np.argsort(g, kind="stable")]
+
+
+def _crowded_trials(angle, trial, line_start) -> np.ndarray:
+    """Trials holding two angles closer than 1e-12 (mod pi): a superset of
+    the trials whose draws ``_respace_angles`` would change."""
+    n_lines = np.diff(line_start)
+    s = angle[_sort_within(trial, angle)]
+    close = np.diff(s) < _MIN_ANGLE_GAP
+    close &= trial[1:] == trial[:-1]
+    many = n_lines > 1
+    first, last = line_start[:-1][many], line_start[1:][many] - 1
+    wrap = (s[first] + _PI) - s[last] < _MIN_ANGLE_GAP
+    return np.union1d(trial[1:][close], np.flatnonzero(many)[wrap])
+
+
+@dataclass(frozen=True)
+class ChunkSample:
+    """Consecutive trials of one run as flat arrays (a ragged layout).
+
+    Line arrays hold one entry per line, trial by trial, the origin lines of
+    a trial first: ``angle``, ``offset``, ``half`` (chord half length),
+    ``through_origin`` and ``trial`` (0-based within the chunk). The lines
+    of trial t are ``line_start[t]:line_start[t + 1]``. ``arcs`` holds the
+    point positions sorted within each line, ``arc_line`` their line, and
+    the arcs of line k are ``arcs[arc_start[k]:arc_start[k + 1]]``. Trial t
+    drew from the stream (master, first_stream + t).
     """
+
+    angle: np.ndarray
+    offset: np.ndarray
+    half: np.ndarray
+    through_origin: np.ndarray
+    trial: np.ndarray
+    line_start: np.ndarray
+    arcs: np.ndarray
+    arc_line: np.ndarray
+    arc_start: np.ndarray
+    n_origin: int
+    scenario: PalmScenario
+    clip_radius: float
+    master: int
+    first_stream: int
+
+    @property
+    def n_trials(self) -> int:
+        return self.line_start.size - 1
+
+    def realization(self, t: int) -> Realization:
+        """Trial t as a Realization, for inspecting one trial."""
+        lo, hi = int(self.line_start[t]), int(self.line_start[t + 1])
+        return _realization(self.angle[lo:hi], self.offset[lo:hi],
+                            self.n_origin, self.arcs,
+                            self.arc_start[lo:hi + 1], self.scenario,
+                            self.clip_radius,
+                            (self.master, self.first_stream + t))
+
+
+def _realization(angles, offsets, n_origin, arcs, cuts, scenario, R,
+                 seed) -> Realization:
+    """Lines k = 0, 1, ... with the points arcs[cuts[k]:cuts[k + 1]]."""
+    lines = tuple(Line(id=k, angle=a, signed_offset=p,
+                       through_origin=k < n_origin)
+                  for k, (a, p) in enumerate(zip(angles.tolist(),
+                                                 offsets.tolist())))
+    cuts = cuts.tolist()
+    return Realization(lines, tuple(arcs[a:b] for a, b in zip(cuts[:-1], cuts[1:])),
+                       scenario, R, seed)
+
+
+def _check_inputs(params, scenario, clip_radius) -> float:
     validate(params)
     if not isinstance(scenario, PalmScenario):
         raise TypeError(f"scenario must be a PalmScenario, got {type(scenario).__name__}")
     if not (isinstance(clip_radius, (int, float)) and math.isfinite(clip_radius)
             and clip_radius > 0):
         raise NonPositiveRadius(f"clip_radius must be finite and > 0, got {clip_radius!r}")
+    return float(clip_radius)
 
-    R = float(clip_radius)
+
+def sample_chunk(params: ModelParams, scenario: PalmScenario,
+                 clip_radius: float, master: int, start: int,
+                 stop: int) -> ChunkSample:
+    """Draw trials ``start..stop-1`` of a run, trial i from the stream
+    (master, i), as one ChunkSample. Every trial is bit-identical to
+    ``sample_palm(params, scenario, clip_radius, (master, i))``."""
+    R = _check_inputs(params, scenario, clip_radius)
+    master, start, stop = int(master), int(start), int(stop)
+    if stop <= start:
+        raise ValueError(f"need start < stop, got {start}, {stop}")
+    draws = _TrialDraws(params, scenario, R, master)
+    trials = [draws.draw(i, respace=False) for i in range(start, stop)]
+    angle, through_origin, trial, line_start = _line_layout(trials)
+    # speculative draws skipped the respacing step; redraw the (measure
+    # zero) trials it could have touched with the full draw order
+    crowded = _crowded_trials(angle, trial, line_start)
+    if crowded.size:
+        for t in crowded:
+            trials[t] = draws.draw(start + int(t))
+        angle, through_origin, trial, line_start = _line_layout(trials)
+
+    bg = ~through_origin
+    offset = np.zeros(angle.size)
+    offset[bg] = np.concatenate([rec[2] for rec in trials])
+    half = np.full(angle.size, R)
+    half[bg] = _half_chords(offset[bg], R)
+    counts = np.fromiter(itertools.chain.from_iterable(rec[3] for rec in trials),
+                         dtype=np.int64, count=angle.size)
+    arcs = np.concatenate([rec[4] for rec in trials]) * np.repeat(half, counts)
+    arc_line = np.repeat(np.arange(angle.size), counts)
+    order = _sort_within(arc_line, arcs)
+    return ChunkSample(angle, offset, half, through_origin, trial, line_start,
+                       arcs[order], arc_line,
+                       np.concatenate(([0], np.cumsum(counts))),
+                       len(trials[0][0]), scenario, R, master, start)
+
+
+def _line_layout(trials):
+    """Angle, through-origin flag and trial of every line, and the line
+    offsets of the trials, from per-trial draws."""
+    n_origin = len(trials[0][0])
+    n_lines = n_origin + np.fromiter((rec[1].size for rec in trials),
+                                     dtype=np.int64, count=len(trials))
+    line_start = np.concatenate(([0], np.cumsum(n_lines)))
+    trial = np.repeat(np.arange(len(trials)), n_lines)
+    through_origin = np.arange(trial.size) - line_start[trial] < n_origin
+    angle = np.empty(trial.size)
+    angle[through_origin] = list(itertools.chain.from_iterable(rec[0] for rec in trials))
+    angle[~through_origin] = np.concatenate([rec[1] for rec in trials])
+    return angle, through_origin, trial, line_start
+
+
+def sample_palm(params: ModelParams, scenario: PalmScenario,
+                clip_radius: float, seed) -> Realization:
+    """Draw one realization conditioned per ``scenario``: one trial of
+    ``sample_chunk``, drawn by the same per-trial draw, without the chunk's
+    flat layout.
+
+    ``seed`` is an int or an (int master, int stream) pair; equal seeds give
+    bit-identical realizations.
+    """
+    R = _check_inputs(params, scenario, clip_radius)
     master, stream = _norm_seed(seed)
-    rng = _make_rng(master, stream)
-
-    origin_angles = _draw_origin_angles(rng, scenario)
-    n_origin = len(origin_angles)
-
-    n_bg = int(rng.poisson(params.lam * _PI * R))
-    bg_angles = rng.uniform(0.0, _PI, size=n_bg)
-    bg_offsets = rng.uniform(-R, R, size=n_bg)
-    bg_angles = _respace_angles(rng, np.asarray(origin_angles), bg_angles)
-
-    angles = np.concatenate([origin_angles, bg_angles])
-    offsets = np.concatenate([np.zeros(n_origin), bg_offsets])
-
-    # chord half lengths inside the disk; origin lines pass through center
-    half = np.empty(n_origin + n_bg)
-    half[:n_origin] = R
-    half[n_origin:] = np.sqrt(np.maximum(R * R - bg_offsets * bg_offsets, 0.0))
-    counts = rng.poisson(2.0 * params.mu * half)
-    total = int(counts.sum())
-    u = rng.uniform(-1.0, 1.0, size=total)
-    arcs_flat = u * np.repeat(half, counts)
-
-    lines = []
-    arcs_by_line = []
-    start = 0
-    for k in range(n_origin + n_bg):
-        lines.append(Line(id=k, angle=float(angles[k]),
-                          signed_offset=float(offsets[k]),
-                          through_origin=k < n_origin))
-        arcs_by_line.append(arcs_flat[start:start + counts[k]])
-        start += counts[k]
-
-    return Realization(tuple(lines), tuple(arcs_by_line), scenario, R,
-                       (master, stream))
+    origin, angles, offsets, counts, u = _TrialDraws(
+        params, scenario, R, master).draw(stream)
+    n_origin = len(origin)
+    half = np.concatenate((np.full(n_origin, R), _half_chords(offsets, R)))
+    return _realization(np.concatenate((origin, angles)),
+                        np.concatenate((np.zeros(n_origin), offsets)), n_origin,
+                        u * np.repeat(half, counts),
+                        np.concatenate(([0], np.cumsum(counts))), scenario, R,
+                        (master, stream))
 
 
 def crossings_within(real: Realization, line_id: int, t: float):

@@ -1,0 +1,190 @@
+"""The batched Monte Carlo kernel: chunk sampler plus length-only
+enumerators, checked bit for bit against the per-trial sampler and oracle."""
+
+import hashlib
+import json
+import logging
+
+import numpy as np
+import pytest
+
+from linecox import (
+    AngleLaw,
+    ModelParams,
+    PolicyKind,
+    TBeyondClip,
+    TurnPolicy,
+    chunk_lengths,
+    realization_to_json,
+    run_mc,
+    sample_D,
+    sample_chunk,
+    sample_palm,
+    shortest_path,
+    typical_intersection,
+    typical_point,
+)
+from linecox import sampler
+from linecox.experiments import EcdfEstimate, default_grid
+from linecox.oracle import _segment_searchsorted
+
+T_MAX = 3.0
+SCENARIOS = {
+    "point": typical_point(),
+    "intersection": typical_intersection(),
+    "intersection-sin": typical_intersection(AngleLaw.SIN_WEIGHTED),
+}
+POLICIES = {
+    "zero-turn": TurnPolicy.zero_turn(),
+    "one-turn": TurnPolicy.one_turn(),
+    "one-turn-exact": TurnPolicy.one_turn(include_lower_turn_paths=False),
+    "one-turn-directed": TurnPolicy(PolicyKind.ONE_TURN, k=1,
+                                    first_hop_positive_x=True),
+    "two-turn-directed": TurnPolicy.two_turn_directed(),
+    "two-turn-directed-exact": TurnPolicy.two_turn_directed(False),
+}
+
+
+def _curve_md5(curve) -> str:
+    h = hashlib.md5()
+    for arr in (curve.grid, curve.values, curve.ci_halfwidth):
+        h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("mu", [0.05, 2.0])
+@pytest.mark.parametrize("lam", [0.0, 0.5, 2.0])
+def test_chunk_lengths_equal_shortest_path_bit_for_bit(lam, mu):
+    """Every trial, every named policy, point and both intersection laws;
+    mu = 0.05 leaves most lines without points and censors trials, lam = 0
+    leaves no background lines."""
+    params, n = ModelParams(lam, mu), 96
+    censored = 0
+    for scenario in SCENARIOS.values():
+        chunk = sample_chunk(params, scenario, T_MAX, 41, 5, 5 + n)
+        reals = [sample_palm(params, scenario, T_MAX, (41, 5 + t)) for t in range(n)]
+        for t, real in enumerate(reals):
+            assert realization_to_json(chunk.realization(t)) == realization_to_json(real)
+        for name, policy in POLICIES.items():
+            batched = chunk_lengths(chunk, policy, T_MAX)
+            per_trial = np.array([shortest_path(r, policy, T_MAX).length for r in reals])
+            assert batched.tobytes() == per_trial.tobytes(), (name, scenario)
+            censored += int(np.isinf(batched).sum())
+        if lam == 0.0:
+            assert not np.any(~chunk.through_origin)
+    if mu == 0.05:
+        assert censored > 0
+
+
+def test_run_mc_curve_equals_per_trial_sample_D():
+    """1,100 trials: two full 512-trial chunks and a partial one, at one and
+    two workers, against a curve built from per-trial sample_D calls."""
+    params, grid = ModelParams(1.2, 0.9), default_grid(T_MAX)
+    for scenario in (typical_point(), typical_intersection()):
+        for policy in (TurnPolicy.zero_turn(), TurnPolicy.one_turn(),
+                       TurnPolicy.two_turn_directed()):
+            lengths = np.array([sample_D(params, scenario, policy, T_MAX, (8, i))
+                                for i in range(1100)])
+            finite = lengths[np.isfinite(lengths)]
+            ref = EcdfEstimate(finite, 1100, 1100 - finite.size, T_MAX).curve(grid)
+            for workers in (1, 2):
+                curve = run_mc(params, scenario, policy, 1100, T_MAX, 8,
+                               workers=workers)
+                assert _curve_md5(curve) == _curve_md5(ref), (policy, workers)
+
+
+# md5 of run_mc(ModelParams(1.5, 0.8), scenario, policy, 600, 2.5, 2024),
+# recorded with the per-trial implementation that preceded the batched one
+FROZEN_MD5 = {
+    ("point", "zero-turn"): "1c5065c67378b3d0095fabb3fb9359ed",
+    ("point", "one-turn"): "b94d278fb81b3af3f2868a6b46d6db20",
+    ("point", "two-turn-directed"): "9f4c5b693cf65309eae9dab7e5da6ca4",
+    ("intersection", "zero-turn"): "0bf47f0deccd64cc03c3d88bcdbb2419",
+    ("intersection", "one-turn"): "8d3e9c81abf532024096ca9b4967417e",
+    ("intersection", "two-turn-directed"): "41d9fe2a55e9e1d29045bab8763601cf",
+    ("intersection-sin", "zero-turn"): "0bf47f0deccd64cc03c3d88bcdbb2419",
+    ("intersection-sin", "one-turn"): "e8aaace07a524d4bd7f8f6b50bada950",
+    ("intersection-sin", "two-turn-directed"): "5d4f369d09452a0bc49e24419b8264ed",
+}
+# md5 of the JSON of sample_palm(ModelParams(1.5, 0.8), scenario, 2.5,
+# (2024, i)) for the three scenarios in turn and i < 200, same origin
+FROZEN_REALIZATIONS_MD5 = "e86e7462ac782de314f0f0a6c694e654"
+
+
+def test_curves_and_draws_match_frozen_digests():
+    params = ModelParams(1.5, 0.8)
+    for (scen, pol), digest in FROZEN_MD5.items():
+        curve = run_mc(params, SCENARIOS[scen], POLICIES[pol], 600, 2.5, 2024)
+        assert _curve_md5(curve) == digest, (scen, pol)
+    h = hashlib.md5()
+    for scenario in SCENARIOS.values():
+        for i in range(200):
+            real = sample_palm(params, scenario, 2.5, (2024, i))
+            h.update(json.dumps(realization_to_json(real)).encode())
+    assert h.hexdigest() == FROZEN_REALIZATIONS_MD5
+
+
+def test_crowded_trials_take_the_full_draw_order(monkeypatch):
+    """Flagging every trial as crowded sends each through the draw with the
+    respacing step; the chunk must not change."""
+    params = ModelParams(2.0, 1.0)
+    scenario = typical_intersection()
+    plain = sample_chunk(params, scenario, T_MAX, 3, 0, 40)
+    monkeypatch.setattr(sampler, "_crowded_trials",
+                        lambda angle, trial, line_start: np.arange(line_start.size - 1))
+    redrawn = sample_chunk(params, scenario, T_MAX, 3, 0, 40)
+    for name in ("angle", "offset", "half", "line_start", "arcs", "arc_start"):
+        assert np.array_equal(getattr(plain, name), getattr(redrawn, name)), name
+
+
+def test_crowded_trials_detects_close_and_wrapped_angles():
+    angle = np.array([0.0, 1.0, 1.0 + 1e-13,  # trial 0: a close pair
+                      0.0, 2.0,                # trial 1: well apart
+                      0.0, np.pi - 1e-13,      # trial 2: close across 0 = pi
+                      0.0])                    # trial 3: one line
+    line_start = np.array([0, 3, 5, 7, 8])
+    trial = np.repeat(np.arange(4), np.diff(line_start))
+    assert sampler._crowded_trials(angle, trial, line_start).tolist() == [0, 2]
+
+
+def test_segment_searchsorted_matches_numpy():
+    rng = np.random.default_rng(5)
+    counts = rng.integers(0, 9, size=60)
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    a = np.concatenate([np.sort(rng.choice([-1.0, 0.0, 0.5, 2.0], size=c))
+                        for c in counts])
+    seg = rng.integers(0, counts.size, size=500)
+    x = rng.choice([-2.0, -1.0, 0.0, 0.25, 0.5, 2.0, 3.0], size=500)
+    got = _segment_searchsorted(a, starts[seg], starts[seg + 1], x)
+    want = [starts[s] + np.searchsorted(a[starts[s]:starts[s + 1]], v)
+            for s, v in zip(seg, x)]
+    assert got.tolist() == want
+
+
+def test_chunk_lengths_rejects_k_turn_and_bad_horizon():
+    chunk = sample_chunk(ModelParams(1.0, 1.0), typical_point(), 2.0, 1, 0, 4)
+    with pytest.raises(ValueError):
+        chunk_lengths(chunk, TurnPolicy.k_turn(2), 2.0)
+    with pytest.raises(ValueError):
+        chunk_lengths(chunk, TurnPolicy.one_turn(), -1.0)
+    with pytest.raises(TBeyondClip):
+        chunk_lengths(chunk, TurnPolicy.one_turn(), 2.5)
+
+
+def test_run_mc_logs_one_line_outside_the_curve(caplog):
+    params, scenario = ModelParams(1.0, 1.0), typical_point()
+    with caplog.at_level(logging.INFO, logger="linecox"):
+        quiet = run_mc(params, scenario, TurnPolicy.one_turn(), 300, 2.0, 4)
+        slow = run_mc(params, scenario, TurnPolicy.k_turn(1), 20, 2.0, 4)
+    lines = [r.getMessage() for r in caplog.records if r.name == "linecox.experiments"]
+    assert len(lines) == 2
+    assert "300 trials, batched path" in lines[0]
+    assert "20 trials, per-trial path" in lines[1]
+    for line in lines:
+        assert "trials/s" in line and "censored fraction" in line
+    caplog.clear()
+    again = run_mc(params, scenario, TurnPolicy.one_turn(), 300, 2.0, 4)
+    assert _curve_md5(again) == _curve_md5(quiet) and again.meta == quiet.meta
+    assert set(quiet.meta) == set(slow.meta) == {
+        "alpha", "censored", "estimator", "params", "policy", "scenario",
+        "seed", "t_max", "trials"}

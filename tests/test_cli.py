@@ -1,10 +1,16 @@
 """End-to-end CLI tests, driven in process through main(argv)."""
 
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linecox.cli import EXIT_CONFIG, EXIT_OK, EXIT_QUADRATURE, EXIT_RUNTIME, main, parse_grid
 
@@ -286,3 +292,86 @@ def test_argparse_surface(capsys):
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main(["analytic", "--which", "thm9"])
+
+
+def _write_curve(path, header, rows):
+    path.write_text(header + "\n" + "".join(",".join(r) + "\n" for r in rows))
+
+
+def test_compare_rejects_empty_and_ragged_curves(tmp_path, capsys):
+    good = tmp_path / "good.csv"
+    _write_curve(good, "t,F,err_est", [("0.0", "0.0", "0.0"), ("1.0", "0.5", "0.0")])
+    cases = {
+        "header-only.csv": "t,F,err_est\n",
+        "empty.csv": "",
+        "ragged.csv": "t,F,ci_lo,ci_hi\n0.0,0.0,0.0,0.0\n1.0,0.5,0.4\n",
+        "words.csv": "t,F,err_est\n0.0,zero,0.0\n",
+    }
+    for name, text in cases.items():
+        bad = tmp_path / name
+        bad.write_text(text)
+        for argv in (["compare", str(bad), str(good)], ["compare", str(good), str(bad)]):
+            rc, _, err = _run(capsys, *argv)
+            assert rc == EXIT_CONFIG, name
+            assert str(bad) in err and "Traceback" not in err
+
+
+def test_compare_sidecar_warnings(tmp_path, capsys, caplog):
+    a = tmp_path / "a.csv"
+    _write_curve(a, "t,F,err_est", [("0.0", "0.0", "0.0"), ("1.0", "0.5", "0.0")])
+    with caplog.at_level("WARNING", logger="linecox"):
+        rc, _, _ = _run(capsys, "compare", str(a), str(a))
+    assert rc == EXIT_OK and not caplog.records  # no sidecar: silent
+    for text in ("{not json", "[1, 2]"):
+        (tmp_path / "a.json").write_text(text)
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="linecox"):
+            rc, _, _ = _run(capsys, "compare", str(a), str(a))
+        assert rc == EXIT_OK
+        assert any(str(tmp_path / "a.json") in r.getMessage() for r in caplog.records)
+
+
+def test_verbose_logs_to_stderr_and_leaves_outputs_alone(tmp_path, capsys):
+    base = ["simulate", "--lambda", "1", "--mu", "1", "--policy", "one-turn",
+            "--trials", "700", "--grid", "0:2:0.1", "--seed", "33"]
+    quiet, loud = tmp_path / "quiet.csv", tmp_path / "loud.csv"
+    rc, _, err = _run(capsys, *base, "--out", str(quiet))
+    assert rc == EXIT_OK and err == ""
+    rc, _, err = _run(capsys, "-v", *base, "--out", str(loud))
+    assert rc == EXIT_OK
+    assert "700 trials, batched path" in err and "trials/s" in err
+    assert quiet.read_bytes() == loud.read_bytes()
+    assert (tmp_path / "quiet.json").read_bytes() == (tmp_path / "loud.json").read_bytes()
+    rc, _, err = _run(capsys, *base, "--out", str(quiet))
+    assert err == ""  # the handler went away with the command
+
+
+_CELLS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["", "abc", "nan", "-inf", " 1 ", "1e999", "0", "0.5", "1"]),
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=4),
+)
+_CURVE_FILES = st.tuples(
+    st.sampled_from(["t,F,err_est", "t,F,ci_lo,ci_hi", "t,F", "", "x,y,z"]),
+    st.lists(st.lists(_CELLS, min_size=1, max_size=5), max_size=6),
+    st.sampled_from([None, "{}", "{broken", "[1]", '{"k": 1}']),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_CURVE_FILES, b=st.one_of(st.none(), _CURVE_FILES))
+def test_compare_fuzzed_curve_files_exit_with_a_documented_code(a, b):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name, spec in (("a", a), ("b", b if b is not None else a)):
+            header, rows, sidecar = spec
+            path = Path(tmp) / f"{name}.csv"
+            with open(path, "w") as fh:
+                fh.write(header + "\n" + "".join(",".join(r) + "\n" for r in rows))
+            if sidecar is not None:
+                (Path(tmp) / f"{name}.json").write_text(sidecar)
+            paths.append(str(path))
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            rc = main(["compare", *paths])
+    assert rc in (EXIT_OK, EXIT_CONFIG, EXIT_QUADRATURE, EXIT_RUNTIME)
