@@ -14,6 +14,12 @@ Z = 2*(t - x)), an outer regime cutting both sides far out, and a
 transition regime; the breakpoints are inverse-trig thresholds in
 (x, omega1, omega, t).
 
+The breakpoints depend on x and t only through x/t, and Z is t times a
+function of (x/t, omega1, omega); so Tx = t*fx(mu*t) and Ty = t*fy(mu*t).
+Each rung of the quadrature ladder therefore builds its nodes, weights
+and Z/t once per call, at unit reach, and serves every t of the call
+(``_rung_terms``).
+
 Three details of that recipe admit two readings each (a sign joining the
 two angle sines in the outer regime, whether out-of-window angles on the
 second street still contribute unit survival, and which length enters the
@@ -40,7 +46,7 @@ from ..errors import (
     QuadratureFailure,
 )
 from ..model import ModelParams, validate
-from ..quadrature import gauss_legendre
+from ..quadrature import gauss_legendre, settle_ladder
 
 __all__ = [
     "IntersectionVariant",
@@ -108,30 +114,32 @@ def _safe_arccos(val, tol=_ACOS_TOL):
     return np.arccos(np.clip(arr, -1.0, 1.0))
 
 
-def _thresholds_arrays(x, omega, t, edge_arg):
-    """Vectorized thresholds; x may be an array, omega and t scalars.
+def _thresholds(xr, sin_w, cos_w, edge_arg):
+    """The four regime breakpoints at unit reach: xr = x/t, and sin_w, cos_w
+    of the crossing angle omega, all broadcast together. The thresholds
+    depend on x and t only through x/t, so one call serves every reach.
 
     Returns (outer_lo, win_lo, win_hi, outer_hi): the outer regime covers
     [0, outer_lo] and [outer_hi, pi], the window [win_lo, win_hi]. The two
     window arctans are sorted because their printed order flips once
     t*cos(omega) < x.
     """
-    x = np.asarray(x, dtype=float)
-    sw, cw = math.sin(omega), math.cos(omega)
-    first_num = t * cw - (t if edge_arg == "t" else x)
-    win_a = np.arctan2(t * sw, first_num) % _PI
-    win_b = np.arctan2(t * sw, t * cw + x) % _PI
+    xr, sin_w, cos_w = np.broadcast_arrays(
+        np.asarray(xr, dtype=float), sin_w, cos_w)
+    first_num = cos_w - (1.0 if edge_arg == "t" else xr)
+    win_a = np.arctan2(sin_w, first_num) % _PI
+    win_b = np.arctan2(sin_w, cos_w + xr) % _PI
     win_lo = np.minimum(win_a, win_b)
     win_hi = np.maximum(win_a, win_b)
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        rho = (2.0 * t - x) / x
+        rho = (2.0 - xr) / xr
         r2 = rho * rho + 1.0
-        arg_lo = (r2 * cw + 2.0 * rho) / (2.0 * rho * cw + r2)
-        arg_hi = (r2 * cw - 2.0 * rho) / (r2 - 2.0 * rho * cw)
+        arg_lo = (r2 * cos_w + 2.0 * rho) / (2.0 * rho * cos_w + r2)
+        arg_hi = (r2 * cos_w - 2.0 * rho) / (r2 - 2.0 * rho * cos_w)
     # x -> 0 collapses both outer thresholds onto omega (rho -> inf)
-    arg_lo = np.where(x == 0.0, cw, arg_lo)
-    arg_hi = np.where(x == 0.0, cw, arg_hi)
+    arg_lo = np.where(xr == 0.0, cos_w, arg_lo)
+    arg_hi = np.where(xr == 0.0, cos_w, arg_hi)
     outer_lo = _safe_arccos(arg_lo)
     outer_hi = _safe_arccos(arg_hi)
     return outer_lo, win_lo, win_hi, outer_hi
@@ -150,8 +158,8 @@ def angle_thresholds(x: float, omega: float, t: float,
         raise DomainError(f"x must lie in [0, t], got x={x}, t={t}")
     if not (0.0 < omega < _PI):
         raise DomainError(f"omega must lie strictly inside (0, pi), got {omega}")
-    outer_lo, win_lo, win_hi, outer_hi = (
-        float(v) for v in _thresholds_arrays(x, omega, t, variant.edge_arg))
+    outer_lo, win_lo, win_hi, outer_hi = (float(v) for v in _thresholds(
+        x / t, math.sin(omega), math.cos(omega), variant.edge_arg))
     if outer_lo > win_lo + 1e-9 or win_hi > outer_hi + 1e-9:
         log.warning("threshold nesting violated at x=%g omega=%g t=%g: "
                     "%.12g, %.12g, %.12g, %.12g",
@@ -159,20 +167,40 @@ def angle_thresholds(x: float, omega: float, t: float,
     return outer_lo, win_lo, win_hi, outer_hi
 
 
-def _z_outer(x, omega1, omega, t, z_sign):
-    s = np.sin(omega1 - omega)
-    sw = math.sin(omega) if np.isscalar(omega) else np.sin(omega)
-    if z_sign == "minus":
-        c = (sw - np.sin(omega1)) / s
+def _regimes(z_sign):
+    """Coefficients (a0, a1, a2, b, d) of ``_zeta`` on the four omega1
+    segments, one row each: outer below, outer above, transition below,
+    transition above."""
+    if z_sign == "plus":
+        outer = [2.0, 1.0, 1.0, 1.0, 0.0]
     else:
-        c = (sw + np.sin(omega1)) / s
-    return np.clip(2.0 * t - x * (c + 1.0), 0.0, 4.0 * t)
+        outer = [2.0, 1.0, -1.0, 0.0, 1.0]
+    transition = [4.0, 2.0, 4.0, 2.0, -2.0]
+    return np.array([outer, outer, transition, transition])
 
 
-def _z_transition(x, omega1, omega, t):
-    s = np.sin(omega1 - omega)
-    return np.clip(4.0 * t - 2.0 * x * (1.0 + 2.0 * np.sin(omega1) / s),
-                   0.0, 4.0 * t)
+def _zeta(xr, v, sin_w, cos_w, a0, a1, a2, b, d):
+    """Z/t off the window, in the half gap v = tan((omega1 - omega)/2).
+
+    With phi = omega1 - omega, (1 + cos(phi))/sin(phi) = 1/v,
+    (1 - cos(phi))/sin(phi) = v and sin(omega1) = sin(phi)*cos_w +
+    cos(phi)*sin_w, the outer length 2 - xr*(1 + (sin_w +- sin(omega1))/
+    sin(phi)) and the transition length 4 - 2*xr*(1 + 2*sin(omega1)/sin(phi))
+    both read
+
+        Z/t = clip(a0 - xr*(a1 + a2*cos_w) - xr*sin_w*(b/v + d*v), 0, 4)
+
+    with (a0, a1, a2, b, d) = (2, 1, 1, 1, 0) for the outer "plus" sign,
+    (2, 1, -1, 0, 1) for "minus" and (4, 2, 4, 2, -2) in the transition.
+    v is an array whose last axis matches the other arguments, which are
+    constant along omega1.
+    """
+    xs = xr * sin_w
+    with np.errstate(divide="ignore", invalid="ignore"):
+        zeta = (b * xs) / v
+        zeta += (d * xs) * v
+    np.subtract(a0 - xr * (a1 + a2 * cos_w), zeta, out=zeta)
+    return np.clip(zeta, 0.0, 4.0, out=zeta)
 
 
 def z_length(x: float, omega1: float, omega: float, t: float,
@@ -192,62 +220,87 @@ def z_length(x: float, omega1: float, omega: float, t: float,
             f"omega1={omega1} and omega={omega} are parallel within 1e-12")
     outer_lo, win_lo, win_hi, outer_hi = angle_thresholds(x, omega, t, variant)
     if omega1 <= outer_lo or omega1 >= outer_hi:
-        z = _z_outer(x, omega1, omega, t, variant.z_sign)
+        regime = 0
     elif win_lo <= omega1 <= win_hi:
-        z = 2.0 * (t - x)
-        z = min(max(z, 0.0), 4.0 * t)
+        return min(max(2.0 * (t - x), 0.0), 4.0 * t)
     else:
-        z = _z_transition(x, omega1, omega, t)
-    return float(z)
+        regime = 2
+    v = np.array([math.tan(0.5 * (omega1 - omega))])
+    zeta = _zeta(x / t, v, math.sin(omega), math.cos(omega),
+                 *_regimes(variant.z_sign)[regime])
+    return float(t * zeta[0])
 
 
-def _survival_terms(mu, t, variant, nw, nx, n1):
-    """Fixed tensor rule for (Tx, Ty): outer Gauss-Legendre in omega, then
-    x, with the omega1 axis integrated per regime segment so no panel
-    straddles a breakpoint."""
-    xg, xw = gauss_legendre(nx)
-    og, ow = gauss_legendre(nw)
-    sg, swt = gauss_legendre(n1)
-
-    x = (t * xg)[:, None]  # (nx, 1)
-    Tx = 0.0
-    Ty = 0.0
-    for j in range(nw):
-        omega = _PI * og[j]
-        outer_lo, win_lo, win_hi, outer_hi = _thresholds_arrays(
-            x, omega, t, variant.edge_arg)
-
-        def seg(a, b, zfun):
-            width = np.maximum(b - a, 0.0)
-            om1 = a + width * sg[None, :]  # (nx, n1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                z = zfun(x, om1, omega, t)
-            val = np.exp(-mu * z)
-            val = np.where(np.abs(np.sin(om1 - omega)) < _GUARD, 0.0, val)
-            return width * (val * swt[None, :]).sum(axis=1, keepdims=True)
-
-        z_out = lambda x_, o1, om, t_: _z_outer(x_, o1, om, t_, variant.z_sign)
-        i_outer = seg(np.zeros_like(outer_lo), outer_lo, z_out) \
-            + seg(outer_hi, np.full_like(outer_hi, _PI), z_out)
-        window = np.maximum(win_hi - win_lo, 0.0)
-        i_window = window * np.exp(-2.0 * mu * (t - x))
-        i_trans = seg(outer_lo, win_lo, _z_transition) \
-            + seg(win_hi, outer_hi, _z_transition)
-
-        inner_x = i_outer + i_window + i_trans  # (nx, 1)
-        wx = xw[:, None]
-        Tx += float((inner_x * wx).sum()) * t * _PI * ow[j]
-
-        if variant.y_weighting == "window-only":
-            inner_y = i_window
-        else:
-            inner_y = i_window + (_PI - window)
-        Ty += float((inner_y * wx).sum()) * t * _PI * ow[j]
-
-    return Tx / _PI**2, Ty / _PI**2
-
-
+# the ladder's rungs (nw, nx, n1): Gauss-Legendre orders in omega, in x and
+# on each of the four omega1 segments
 _LADDER = ((48, 48, 32), (96, 96, 64), (192, 192, 128))
+# omega1 nodes built at once: a rung's (omega, x) pairs are taken, omega
+# by omega, in chunks of _CHUNK_NODES // (4 * n1) pairs
+_CHUNK_NODES = 2**15
+
+
+def _rung_terms(s, variant, nw, nx, n1):
+    """(Tx/t, Ty/t) at every s = mu*t of the array s, from one rung's fixed
+    tensor rule: Gauss-Legendre in omega and x, the omega1 axis integrated
+    per regime segment so no panel straddles a breakpoint.
+
+    Z/t depends on (x/t, omega1, omega) alone, so the nodes, weights and
+    Z/t are built once at unit reach and summed as w*exp(-s*Z/t) for every
+    s. In the window Z/t = 2*(1 - x/t) whatever the angles, so the window
+    folds into one weight per x node.
+    """
+    og, ow = gauss_legendre(nw)
+    xg, xw = gauss_legendre(nx)
+    sg, sgw = gauss_legendre(n1)
+    omega = np.repeat(_PI * og, nx)  # (omega, x) pairs, omega-major
+    xr = np.tile(xg, nw)
+    weight = np.outer(ow, xw).ravel() / _PI
+    sin_w, cos_w = np.sin(omega), np.cos(omega)
+    outer_lo, win_lo, win_hi, outer_hi = _thresholds(xr, sin_w, cos_w,
+                                                     variant.edge_arg)
+    window = np.maximum(win_hi - win_lo, 0.0)
+    # segments per pair: outer below, outer above, transition below,
+    # transition above
+    lo = np.stack([np.zeros_like(outer_lo), outer_hi, outer_lo, win_hi], axis=1)
+    width = np.maximum(np.stack(
+        [outer_lo, np.full_like(outer_hi, _PI), win_lo, outer_hi], axis=1) - lo, 0.0)
+    # |sin(omega1 - omega)| < _GUARD needs omega1 within about _GUARD of
+    # omega (mod pi): only segments reaching that close get the mask
+    gap = lo - omega[:, None]
+    near = np.zeros(lo.shape, dtype=bool)
+    for shift in (-_PI, 0.0, _PI):
+        near |= (gap - 1e-8 <= shift) & (shift <= gap + width + 1e-8)
+
+    fx = np.zeros(s.size)
+    step = max(1, _CHUNK_NODES // (4 * n1))
+    coef = np.tile(_regimes(variant.z_sign).T, step)  # (5, rows)
+    col = sg[:, None]
+    for a in range(0, omega.size, step):
+        b = slice(a, a + step)
+        # one row per (pair, segment)
+        half_gap, half_width = 0.5 * gap[b].ravel(), 0.5 * width[b].ravel()
+        v = np.tan(half_gap + half_width * col)  # (n1, rows)
+        zeta = _zeta(np.repeat(xr[b], 4), v, np.repeat(sin_w[b], 4),
+                     np.repeat(cos_w[b], 4), *coef[:, :half_gap.size])
+        w = (width[b] * weight[b, None]).ravel() * sgw[:, None]
+        if near[b].any():  # |sin(omega1 - omega)| = |2v/(1 + v^2)|
+            guard = np.abs(2.0 * v) < _GUARD * (1.0 + v * v)
+            w[guard] = 0.0
+            zeta[guard] = 0.0
+        for k, sk in enumerate(s):
+            # multiply and sum rather than np.dot: BLAS would wake its
+            # threads for every chunk
+            e = np.exp(zeta * -sk)
+            e *= w
+            fx[k] += e.sum()
+
+    win_weight = (window * weight).reshape(nw, nx).sum(axis=0)
+    win = np.array([(win_weight * np.exp(-2.0 * sk * (1.0 - xg))).sum()
+                    for sk in s])
+    fy = win
+    if variant.y_weighting == "full-angle":
+        fy = win + float(((_PI - window) * weight).sum())
+    return fx + win, fy
 
 
 def one_turn_intersection_terms(mu: float, t: float,
@@ -255,20 +308,22 @@ def one_turn_intersection_terms(mu: float, t: float,
                                 tol: float = 1e-6):
     """(Tx, Ty) with the resolution ladder refined until both move by at
     most tol; raises QuadratureFailure otherwise. Exposed because the terms
-    are useful on their own (they only depend on mu and t) and because the
-    cross-check tests compare them against brute-force Riemann sums."""
+    are useful on their own (they only depend on mu and t, as t times a
+    function of mu*t) and because the cross-check tests compare them
+    against brute-force Riemann sums."""
     if not (t > 0):
         raise ValueError(f"t must be > 0, got {t}")
-    prev = _survival_terms(mu, t, variant, *_LADDER[0])
-    for level in _LADDER[1:]:
-        cur = _survival_terms(mu, t, variant, *level)
-        err = max(abs(cur[0] - prev[0]), abs(cur[1] - prev[1]))
-        if err <= tol:
-            return cur
-        prev = cur
-    raise QuadratureFailure(
-        f"(Tx, Ty) did not settle to {tol} at mu={mu}, t={t}, "
-        f"variant={variant.label()}", value=prev, error_estimate=err)
+
+    def rung(r, tv):
+        fx, fy = _rung_terms(mu * tv, variant, *_LADDER[r])
+        return np.stack([tv * fx, tv * fy], axis=1)
+
+    values, _ = settle_ladder(
+        rung, len(_LADDER), [t], tol,
+        lambda tv: (f"(Tx, Ty) did not settle to {tol} at mu={mu}, t={tv}, "
+                    f"variant={variant.label()}"),
+        log, "(Tx, Ty)")
+    return float(values[0, 0]), float(values[0, 1])
 
 
 def cdf_one_turn_intersection(params: ModelParams, t,
@@ -278,9 +333,11 @@ def cdf_one_turn_intersection(params: ModelParams, t,
 
     Scalar or array t. The refinement ladder doubles the tensor rule until
     the probability moves by at most tol; QuadratureFailure (with the last
-    value attached) if three levels cannot agree. lam = 0 short-circuits to
-    the exact zero-turn form 1 - exp(-4*mu*t). ``with_err`` additionally
-    returns the last ladder increment as the error estimate.
+    value attached) if three levels cannot agree. All points of a call share
+    each rung's geometry, and only the points not yet settled climb to the
+    next rung. lam = 0 short-circuits to the exact zero-turn form
+    1 - exp(-4*mu*t). ``with_err`` additionally returns the last ladder
+    increment as the error estimate.
     """
     validate(params)
     arr = np.asarray(t, dtype=float)
@@ -298,29 +355,20 @@ def cdf_one_turn_intersection(params: ModelParams, t,
             return (out, 0.0) if scalar else (out, np.zeros_like(arr))
         return out
 
-    results = []
-    errors = []
-    for tv in arr.reshape(-1):
-        if tv == 0.0:
-            results.append(0.0)
-            errors.append(0.0)
-            continue
-        ladder = []
-        for level in _LADDER:
-            tx, ty = _survival_terms(mu, tv, variant, *level)
-            ladder.append(-math.expm1(
-                -4.0 * mu * tv - 2.0 * lam * (2.0 * tv - tx - ty)))
-            if len(ladder) >= 2 and abs(ladder[-1] - ladder[-2]) <= tol:
-                break
-        else:
-            raise QuadratureFailure(
-                f"one-turn intersection CDF did not settle to {tol} at t={tv}",
-                value=ladder[-1], error_estimate=abs(ladder[-1] - ladder[-2]))
-        results.append(ladder[-1])
-        errors.append(abs(ladder[-1] - ladder[-2]))
+    def rung(r, tv):
+        fx, fy = _rung_terms(mu * tv, variant, *_LADDER[r])
+        return -np.expm1(-4.0 * mu * tv - 2.0 * lam * (2.0 * tv - tv * fx - tv * fy))
+
+    flat = arr.reshape(-1)
+    values, errors = np.zeros(flat.size), np.zeros(flat.size)
+    pos = flat > 0.0
+    values[pos], errors[pos] = settle_ladder(
+        rung, len(_LADDER), flat[pos], tol,
+        lambda tv: f"one-turn intersection CDF did not settle to {tol} at t={tv}",
+        log, "one-turn intersection CDF")
     if scalar:
-        return (float(results[0]), float(errors[0])) if with_err else float(results[0])
-    values = np.array(results).reshape(arr.shape)
+        return (float(values[0]), float(errors[0])) if with_err else float(values[0])
+    values = values.reshape(arr.shape)
     if with_err:
-        return values, np.array(errors).reshape(arr.shape)
+        return values, errors.reshape(arr.shape)
     return values

@@ -25,15 +25,18 @@ are used as the cross-check oracle in the tests.
 
 from __future__ import annotations
 
+import logging
 import math
 
 import numpy as np
 
 from ..errors import DomainError, QuadratureFailure
 from ..model import ModelParams, validate
-from ..quadrature import gauss_legendre
+from ..quadrature import gauss_legendre, settle_ladder
 
 __all__ = ["two_turn_T", "cdf_two_turn_bound"]
+
+log = logging.getLogger(__name__)
 
 _PI = math.pi
 _HALF_PI = 0.5 * math.pi
@@ -154,27 +157,19 @@ def cdf_two_turn_bound(params: ModelParams, t, tol: float = 1e-5,
         raise DomainError("t must be finite and >= 0")
     lam, mu = params.lam, params.mu
 
-    results = []
-    errors = []
-    for tv in arr.reshape(-1):
-        if tv == 0.0 or lam == 0.0:
-            results.append(0.0)
-            errors.append(0.0)
-            continue
-        ladder = []
-        for level in _B_LADDER:
-            ladder.append(_bound_eval(lam, mu, float(tv), *level))
-            if len(ladder) >= 2 and abs(ladder[-1] - ladder[-2]) <= tol:
-                break
-        else:
-            raise QuadratureFailure(
-                f"two-turn bound did not settle to {tol} at t={tv}",
-                value=ladder[-1], error_estimate=abs(ladder[-1] - ladder[-2]))
-        results.append(ladder[-1])
-        errors.append(abs(ladder[-1] - ladder[-2]))
+    def rung(r, tv):
+        return np.array([_bound_eval(lam, mu, float(v), *_B_LADDER[r]) for v in tv])
+
+    flat = arr.reshape(-1)
+    values, errors = np.zeros(flat.size), np.zeros(flat.size)
+    pos = flat > 0.0 if lam != 0.0 else np.zeros(flat.size, dtype=bool)
+    values[pos], errors[pos] = settle_ladder(
+        rung, len(_B_LADDER), flat[pos], tol,
+        lambda tv: f"two-turn bound did not settle to {tol} at t={tv}",
+        log, "two-turn bound")
     if scalar:
-        return (float(results[0]), float(errors[0])) if with_err else float(results[0])
-    values = np.array(results).reshape(arr.shape)
+        return (float(values[0]), float(errors[0])) if with_err else float(values[0])
+    values = values.reshape(arr.shape)
     if with_err:
-        return values, np.array(errors).reshape(arr.shape)
+        return values, errors.reshape(arr.shape)
     return values

@@ -6,18 +6,22 @@ integrals whose inner bounds may depend on the outer variables. These are
 the general, slow, trustworthy path; the production evaluators in
 ``linecox.analytic`` use fixed tensor rules for speed and are cross-checked
 against this module (and against plain Riemann sums) in the tests.
+``settle_ladder`` runs those fixed rules up a resolution ladder.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
+import numpy as np
 from scipy import integrate
 
 from .errors import BudgetExhausted, QuadratureFailure
 
-__all__ = ["QuadSpec", "integrate_1d", "integrate_nested", "gauss_legendre"]
+__all__ = ["QuadSpec", "integrate_1d", "integrate_nested", "gauss_legendre",
+           "settle_ladder"]
 
 
 @dataclass(frozen=True)
@@ -149,8 +153,6 @@ def _nested(f, region, spec, hints, outer):
 def gauss_legendre(n: int):
     """Nodes and weights on [0, 1]; cached. The fixed tensor rules in
     linecox.analytic are built from these."""
-    import numpy as np
-
     nodes, weights = _GL_CACHE.get(n, (None, None))
     if nodes is None:
         x, w = np.polynomial.legendre.leggauss(int(n))
@@ -163,3 +165,52 @@ def gauss_legendre(n: int):
 
 
 _GL_CACHE: dict = {}
+
+
+def settle_ladder(evaluate, rungs: int, t, tol: float, failure, log, name: str):
+    """Run a resolution ladder of ``rungs`` rungs over the points t (all > 0).
+
+    ``evaluate(r, t)`` returns rung r's values at the points t, one entry
+    (or one row) per point. A point settles at the first rung r >= 1 whose
+    increment, the largest change of its entry against rung r - 1, is at
+    most tol; only the points not yet settled go on to the next rung.
+    Returns (values, increments). The first point, in the order of t, still
+    unsettled after the last rung raises QuadratureFailure with the message
+    ``failure(t_point)`` and that point's last value and increment. Each run
+    logs one INFO line on ``log``: the points, how many settled at each rung,
+    the largest last increment and the wall time.
+    """
+    start = time.perf_counter()
+    t = np.asarray(t, dtype=float)
+    active = np.arange(t.size)
+    settled = [0] * rungs
+    if t.size:
+        prev = evaluate(0, t)
+        values = np.empty_like(prev)
+        increments = np.empty(t.size)
+    else:
+        values = increments = np.zeros(0)
+    for r in range(1, rungs):
+        if not active.size:
+            break
+        cur = evaluate(r, t[active])
+        inc = np.abs(cur - prev)
+        if inc.ndim > 1:
+            inc = inc.max(axis=1)
+        done = inc <= tol
+        values[active[done]] = cur[done]
+        increments[active[done]] = inc[done]
+        settled[r] = int(done.sum())
+        active, prev, last = active[~done], cur[~done], inc[~done]
+    if active.size:
+        value = prev[0]
+        raise QuadratureFailure(
+            failure(t[active[0]]),
+            value=tuple(value.tolist()) if value.ndim else float(value),
+            error_estimate=float(last[0]))
+    log.info("%s: %d points, settled per rung %s, largest increment %.3g, "
+             "%.1f ms", name, t.size,
+             " ".join(f"{r + 1}:{n}" for r, n in enumerate(settled) if r),
+             float(increments.max()) if increments.size else 0.0,
+             1e3 * (time.perf_counter() - start))
+    return values, increments

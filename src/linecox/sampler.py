@@ -96,6 +96,18 @@ class Realization:
         if len(set(ids)) != len(ids):
             raise ValueError("line ids must be unique")
 
+    @classmethod
+    def _presorted(cls, lines, arcs_by_line, scenario, clip_radius, seed):
+        """A realization from the sampler's own arrays: lines with ids
+        0..n-1 and read-only float arcs already sorted per line, so the
+        copy, the sort and the checks of ``__post_init__`` are skipped."""
+        real = object.__new__(cls)
+        for name, value in (("lines", lines), ("arcs_by_line", arcs_by_line),
+                            ("scenario", scenario), ("clip_radius", clip_radius),
+                            ("seed", seed)):
+            object.__setattr__(real, name, value)
+        return real
+
     @cached_property
     def _id_to_idx(self) -> dict:
         return {ln.id: k for k, ln in enumerate(self.lines)}
@@ -348,14 +360,18 @@ class ChunkSample:
 
 def _realization(angles, offsets, n_origin, arcs, cuts, scenario, R,
                  seed) -> Realization:
-    """Lines k = 0, 1, ... with the points arcs[cuts[k]:cuts[k + 1]]."""
+    """Lines k = 0, 1, ... with the points arcs[cuts[k]:cuts[k + 1]], which
+    must be sorted within each line; each line gets a read-only view."""
     lines = tuple(Line(id=k, angle=a, signed_offset=p,
                        through_origin=k < n_origin)
                   for k, (a, p) in enumerate(zip(angles.tolist(),
                                                  offsets.tolist())))
+    arcs = arcs.view()
+    arcs.setflags(write=False)
     cuts = cuts.tolist()
-    return Realization(lines, tuple(arcs[a:b] for a, b in zip(cuts[:-1], cuts[1:])),
-                       scenario, R, seed)
+    return Realization._presorted(
+        lines, tuple(arcs[a:b] for a, b in zip(cuts[:-1], cuts[1:])),
+        scenario, R, seed)
 
 
 def _check_inputs(params, scenario, clip_radius) -> float:
@@ -435,11 +451,12 @@ def sample_palm(params: ModelParams, scenario: PalmScenario,
         params, scenario, R, master).draw(stream)
     n_origin = len(origin)
     half = np.concatenate((np.full(n_origin, R), _half_chords(offsets, R)))
+    arcs = u * np.repeat(half, counts)
+    arcs = arcs[_sort_within(np.repeat(np.arange(half.size), counts), arcs)]
     return _realization(np.concatenate((origin, angles)),
                         np.concatenate((np.zeros(n_origin), offsets)), n_origin,
-                        u * np.repeat(half, counts),
-                        np.concatenate(([0], np.cumsum(counts))), scenario, R,
-                        (master, stream))
+                        arcs, np.concatenate(([0], np.cumsum(counts))), scenario,
+                        R, (master, stream))
 
 
 def crossings_within(real: Realization, line_id: int, t: float):

@@ -346,6 +346,21 @@ def test_verbose_logs_to_stderr_and_leaves_outputs_alone(tmp_path, capsys):
     assert err == ""  # the handler went away with the command
 
 
+def test_verbose_analytic_logs_the_ladder_and_leaves_outputs_alone(tmp_path, capsys):
+    for which, grid in (("thm2", "0:1:0.25"), ("thm3-bound", "0:0.4:0.2")):
+        base = ["analytic", "--which", which, "--lambda", "1", "--mu", "1",
+                "--grid", grid]
+        quiet, loud = tmp_path / f"{which}-quiet.csv", tmp_path / f"{which}-loud.csv"
+        rc, _, err = _run(capsys, *base, "--out", str(quiet))
+        assert rc == EXIT_OK and err == ""
+        rc, _, err = _run(capsys, "-v", *base, "--out", str(loud))
+        assert rc == EXIT_OK
+        assert "points, settled per rung" in err and "largest increment" in err
+        assert quiet.read_bytes() == loud.read_bytes()
+        assert (quiet.with_suffix(".json").read_bytes()
+                == loud.with_suffix(".json").read_bytes())
+
+
 _CELLS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.sampled_from(["", "abc", "nan", "-inf", " 1 ", "1e999", "0", "0.5", "1"]),

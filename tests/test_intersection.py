@@ -1,4 +1,6 @@
+import itertools
 import json
+import logging
 import math
 import pathlib
 
@@ -20,6 +22,7 @@ from linecox import (
     one_turn_intersection_terms,
     z_length,
 )
+from linecox.analytic import intersection
 from linecox.analytic.intersection import _safe_arccos
 
 DATA = pathlib.Path(__file__).parent / "data" / "riemann_oracle.json"
@@ -198,3 +201,128 @@ def test_cdf_validation():
     with pytest.raises(QuadratureFailure) as exc:
         cdf_one_turn_intersection(P11, 1.0, tol=1e-15)
     assert 0.0 < exc.value.value < 1.0
+
+
+# (Tx, Ty) of one_turn_intersection_terms recorded with the per-omega
+# reference loop this kernel replaced; one row per variant, (mu, t) pairs
+# in the order of _TERM_PAIRS
+_TERM_PAIRS = ((1.0, 1.0), (0.3, 2.5), (2.0, 0.4), (0.05, 1.7), (4.0, 0.9))
+_TERMS_RECORDED = {
+    "minus/window-only/x": (
+        (0.32435480585235676, 0.1271459638047464),
+        (1.017556623313459, 0.3580880240293272),
+        (0.15517218670505992, 0.055899693168088765),
+        (1.5071713784084098, 0.35291073050430566),
+        (0.09724823775541658, 0.050004239759055866)),
+    "minus/window-only/t": (
+        (0.34698118898028324, 0.17165606860353189),
+        (1.1071824518632827, 0.5027397713839338),
+        (0.16831018172347983, 0.07783131305168678),
+        (1.683449650085688, 0.5672933188412209),
+        (0.08452218536481772, 0.05622878646776496)),
+    "minus/full-angle/x": (
+        (0.32435480585235676, 0.9080679287171795),
+        (1.017556623313459, 2.3103929363104103),
+        (0.15517218670505992, 0.3682684791330622),
+        (1.5071713784084098, 1.680478070855443),
+        (0.09724823775541658, 0.7528340081802462)),
+    "minus/full-angle/t": (
+        (0.34698118898028324, 0.812117053953835),
+        (1.1071824518632827, 2.1038922347596904),
+        (0.16831018172347983, 0.3340157071918081),
+        (1.683449650085688, 1.6560769939367361),
+        (0.08452218536481772, 0.6326436732830375)),
+    "plus/window-only/x": (
+        (0.3585005653644993, 0.12714595801621628),
+        (1.0837198438466529, 0.35808800955822523),
+        (0.16645493605900333, 0.055899693168088765),
+        (1.5086333660067412, 0.35291073050430566),
+        (0.12952508161399334, 0.05000423454855169)),
+    "plus/window-only/t": (
+        (0.38112700194057286, 0.17165606860353189),
+        (1.173345771793566, 0.5027397713839338),
+        (0.1795929696755359, 0.07783131305168678),
+        (1.6849116430908262, 0.5672933188412209),
+        (0.1167992094339477, 0.05622878646776496)),
+    "plus/full-angle/x": (
+        (0.3585005653644993, 0.9080679287168227),
+        (1.0837198438466529, 2.310392936309738),
+        (0.16645493605900333, 0.3682684791330622),
+        (1.5086333660067412, 1.680478070855443),
+        (0.12952508161399334, 0.7528340081790967)),
+    "plus/full-angle/t": (
+        (0.38112700194057286, 0.812117053953835),
+        (1.173345771793566, 2.1038922347596904),
+        (0.1795929696755359, 0.3340157071918081),
+        (1.6849116430908262, 1.6560769939367361),
+        (0.1167992094339477, 0.6326436732830375)),
+}
+
+
+def test_terms_of_every_variant_match_the_recorded_reference():
+    variants = [IntersectionVariant(*combo) for combo in itertools.product(
+        ("minus", "plus"), ("window-only", "full-angle"), ("x", "t"))]
+    assert {v.label() for v in variants} == set(_TERMS_RECORDED)
+    for variant in variants:
+        for (mu, t), (tx, ty) in zip(_TERM_PAIRS, _TERMS_RECORDED[variant.label()]):
+            got = one_turn_intersection_terms(mu, t, variant)
+            assert got[0] == pytest.approx(tx, abs=1e-12, rel=0)
+            assert got[1] == pytest.approx(ty, abs=1e-12, rel=0)
+
+
+def test_batch_equals_one_point_calls_bit_for_bit():
+    grid = np.linspace(0.0, 3.0, 31)
+    values, errs = cdf_one_turn_intersection(P11, grid, with_err=True)
+    for i, t in enumerate(grid):
+        v, e = cdf_one_turn_intersection(P11, float(t), with_err=True)
+        assert values[i] == v and errs[i] == e
+
+
+def test_terms_depend_on_mu_times_t_alone():
+    # mu*t = 1.5 in all three; every one settles at the same rung
+    scaled = [np.array(one_turn_intersection_terms(mu, t)) / t
+              for mu, t in ((1.0, 1.5), (0.5, 3.0), (3.0, 0.5))]
+    for other in scaled[1:]:
+        assert np.allclose(other, scaled[0], rtol=0, atol=1e-12)
+
+
+def test_one_unsettled_point_fails_the_batch_with_its_payload():
+    # at tol 1e-9 the point t = 0.3 still moves by ~1.9e-9 at the last
+    # rung; t = 0.05 and 1.0 settle at rung 3, t = 2.5 at rung 2
+    grid = np.array([0.0, 0.05, 0.3, 1.0, 2.5])
+    with pytest.raises(QuadratureFailure) as batch:
+        cdf_one_turn_intersection(P11, grid, tol=1e-9)
+    assert "at t=0.3" in str(batch.value)
+    assert 0.0 < batch.value.value < 1.0
+    assert batch.value.error_estimate > 1e-9
+    with pytest.raises(QuadratureFailure) as alone:
+        cdf_one_turn_intersection(P11, 0.3, tol=1e-9)
+    assert (batch.value.value, batch.value.error_estimate) == (
+        alone.value.value, alone.value.error_estimate)
+    settled = cdf_one_turn_intersection(P11, grid[[0, 1, 3, 4]], tol=1e-9)
+    assert np.all(np.diff(settled) > 0)
+
+
+def test_chunking_does_not_change_the_terms(monkeypatch):
+    s = np.array([0.05, 1.0, 6.0])
+    nw, nx, n1 = intersection._LADDER[0]
+    pairs = nw * nx
+    ref = intersection._rung_terms(s, DEFAULT_VARIANT, nw, nx, n1)
+    assert pairs % 256 == 0 and pairs % 100 != 0  # 100 leaves a partial chunk
+    for step in (1, 100, 256, pairs):
+        monkeypatch.setattr(intersection, "_CHUNK_NODES", 4 * n1 * step)
+        got = intersection._rung_terms(s, DEFAULT_VARIANT, nw, nx, n1)
+        assert np.allclose(got[0], ref[0], rtol=1e-13, atol=0)
+        assert np.array_equal(got[1], ref[1])  # the window is not chunked
+
+
+def test_each_curve_call_logs_its_ladder(caplog):
+    grid = np.array([0.0, 0.05, 0.5, 2.5])
+    with caplog.at_level(logging.INFO, logger="linecox"):
+        quiet = cdf_one_turn_intersection(P11, grid)
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "linecox.analytic.intersection"]
+    assert len(lines) == 1
+    assert lines[0].startswith("one-turn intersection CDF: 3 points, settled per rung 2:")
+    assert "largest increment" in lines[0] and lines[0].endswith(" ms")
+    assert np.array_equal(quiet, cdf_one_turn_intersection(P11, grid))

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -11,6 +12,9 @@ from linecox import (
     integrate_1d,
     integrate_nested,
 )
+from linecox.quadrature import settle_ladder
+
+_LOG = logging.getLogger("linecox.test")
 
 
 def test_polynomial_and_trig():
@@ -101,3 +105,34 @@ def test_gauss_legendre_rule():
     assert x2 is x and w2 is w
     with pytest.raises(ValueError):
         x[0] = 0.0
+
+
+def test_settle_ladder_climbs_with_the_unsettled_points_only(caplog):
+    # rows: rungs; columns: points t = 0, 1, 2 (used as indices)
+    table = np.array([[0.0, 0.0, 0.0], [1e-9, 1.0, 1.0], [5.0, 1.0 + 1e-9, 2.0]])
+    seen = []
+
+    def evaluate(r, t):
+        seen.append((r, t.tolist()))
+        return table[r, t.astype(int)]
+
+    def failure(t):
+        return f"no settling at t={t}"
+
+    with pytest.raises(QuadratureFailure) as exc:
+        settle_ladder(evaluate, 3, np.array([0.0, 1.0, 2.0]), 1e-6, failure,
+                      _LOG, "toy")
+    assert seen == [(0, [0.0, 1.0, 2.0]), (1, [0.0, 1.0, 2.0]), (2, [1.0, 2.0])]
+    assert str(exc.value) == "no settling at t=2.0"
+    assert (exc.value.value, exc.value.error_estimate) == (2.0, 1.0)
+
+    with caplog.at_level(logging.INFO, logger="linecox"):
+        values, inc = settle_ladder(evaluate, 3, np.array([0.0, 1.0]), 1e-6,
+                                    failure, _LOG, "toy")
+    assert values.tolist() == [1e-9, 1.0 + 1e-9]
+    assert inc == pytest.approx([1e-9, 1e-9], rel=1e-6)
+    (line,) = [r.getMessage() for r in caplog.records]
+    assert line.startswith("toy: 2 points, settled per rung 2:1 3:1, largest increment 1e-09")
+    with caplog.at_level(logging.INFO, logger="linecox"):
+        empty = settle_ladder(evaluate, 3, np.zeros(0), 1e-6, failure, _LOG, "toy")
+    assert [a.size for a in empty] == [0, 0]

@@ -183,3 +183,17 @@ def test_realization_rejects_duplicate_ids():
     lines = (Line(0, 0.0, 0.0, True), Line(0, 1.0, 0.5))
     with pytest.raises(ValueError):
         Realization(lines, (np.array([]), np.array([])), typical_point(), 1.0)
+
+
+def test_sampled_arcs_are_sorted_and_read_only_and_hand_built_get_sorted():
+    real = sample_palm(ModelParams(16.0, 2.0), typical_intersection(), 2.0,
+                       seed=(3, 1))
+    assert sum(a.size for a in real.arcs_by_line) > 100
+    for arcs in real.arcs_by_line:
+        assert not arcs.flags.writeable
+        assert np.all(np.diff(arcs) >= 0)
+    shuffled = tuple(a[::-1].copy() for a in real.arcs_by_line)
+    rebuilt = Realization(real.lines, shuffled, real.scenario,
+                          real.clip_radius, real.seed)
+    for a, b in zip(real.arcs_by_line, rebuilt.arcs_by_line):
+        assert np.array_equal(a, b) and not b.flags.writeable

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import pathlib
 
@@ -129,3 +130,18 @@ def test_bound_sits_above_small_mc():
     bound = cdf_two_turn_bound(P11, grid)
     slack = dkw_halfwidth(n, 1e-3)
     assert np.all(ecdf <= bound + slack), (ecdf, bound)
+
+
+def test_bound_values_and_log_line(caplog):
+    # values and increments recorded from the per-point ladder loop that
+    # the shared settle driver replaced; they must not move by one bit
+    with caplog.at_level(logging.INFO, logger="linecox"):
+        vals, errs = cdf_two_turn_bound(P11, np.array([0.0, 0.3, 1.2]),
+                                        with_err=True)
+    assert vals.tolist() == [0.0, 0.29261020049469905, 0.8360441967712434]
+    assert errs.tolist() == [0.0, 3.254531102947489e-07, 7.815305069769352e-09]
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "linecox.analytic.twoturn"]
+    assert len(lines) == 1
+    assert lines[0].startswith("two-turn bound: 2 points, settled per rung 2:")
+    assert "largest increment 3.25e-07" in lines[0]
