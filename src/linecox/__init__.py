@@ -48,6 +48,7 @@ from .errors import (
     PolicyBudgetNegative,
     QuadratureFailure,
     TBeyondClip,
+    TooManyLines,
     UnknownLine,
     ZeroMu,
 )
@@ -128,7 +129,7 @@ __all__ = [
     # errors
     "LineCoxError", "NonFinite", "NegativeIntensity", "ZeroMu",
     "NonPositiveScale", "NegativeT", "NonPositiveParameter",
-    "NonPositiveRadius", "UnknownLine", "TBeyondClip", "PolicyBudgetNegative",
-    "DegenerateAngles", "DomainError", "QuadratureFailure", "BudgetExhausted",
-    "GridMismatch", "NoBracket",
+    "NonPositiveRadius", "UnknownLine", "TBeyondClip", "TooManyLines",
+    "PolicyBudgetNegative", "DegenerateAngles", "DomainError",
+    "QuadratureFailure", "BudgetExhausted", "GridMismatch", "NoBracket",
 ]

@@ -61,6 +61,7 @@ from .errors import (
     PolicyBudgetNegative,
     QuadratureFailure,
     TBeyondClip,
+    TooManyLines,
     ZeroMu,
 )
 from .model import (
@@ -102,7 +103,7 @@ _POLICIES = ("zero-turn", "one-turn", "two-turn-directed", "k-turn")
 _ERRORS_CONFIG = (
     NonFinite, NegativeIntensity, ZeroMu, NonPositiveScale, NegativeT,
     NonPositiveParameter, NonPositiveRadius, PolicyBudgetNegative,
-    GridMismatch, TBeyondClip, DomainError,
+    GridMismatch, TBeyondClip, DomainError, TooManyLines,
 )
 
 

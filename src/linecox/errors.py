@@ -51,6 +51,12 @@ class TBeyondClip(LineCoxError):
     would silently miss geometry."""
 
 
+class TooManyLines(LineCoxError):
+    """The expected line count per trial, lam * pi * clip_radius, exceeds
+    ``sampler.MAX_EXPECTED_LINES``; such a run is rejected before it draws
+    rather than left to exhaust memory."""
+
+
 class PolicyBudgetNegative(LineCoxError):
     """Turn budget k must be >= 0."""
 

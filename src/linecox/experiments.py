@@ -30,8 +30,8 @@ from .model import (
     TurnPolicy,
     validate,
 )
-from .oracle import _budget, chunk_lengths, sample_D
-from .sampler import sample_chunk
+from .oracle import _budget, chunk_lengths, shortest_path
+from .sampler import _check_inputs, sample_chunk, sample_palm
 from .analytic import (
     DEFAULT_VARIANT,
     IntersectionVariant,
@@ -136,15 +136,20 @@ def _batched(policy: TurnPolicy) -> bool:
     return policy.kind is not PolicyKind.K_TURN
 
 
-def _mc_chunk(task) -> np.ndarray:
+def _mc_chunk(task) -> tuple[np.ndarray, int]:
+    """Shortest lengths of trials start..stop-1 (inf when censored) and the
+    number of lines they drew, clipped at t_max as ``sample_D`` clips."""
     params, scenario, policy, t_max, master, start, stop = task
     if _batched(policy):
         chunk = sample_chunk(params, scenario, t_max, master, start, stop)
-        return chunk_lengths(chunk, policy, t_max)
+        return chunk_lengths(chunk, policy, t_max), int(chunk.angle.size)
     out = np.empty(stop - start)
+    n_lines = 0
     for i in range(start, stop):
-        out[i - start] = sample_D(params, scenario, policy, t_max, (master, i))
-    return out
+        real = sample_palm(params, scenario, t_max, (master, i))
+        out[i - start] = shortest_path(real, policy, t_max).length
+        n_lines += len(real.lines)
+    return out, n_lines
 
 
 def run_mc(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
@@ -154,9 +159,11 @@ def run_mc(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
 
     Returns a curve on ``grid`` (default 0..t_max step 0.01) with a DKW
     simultaneous band at level 1 - alpha. Identical (seed, trials) give a
-    bit-identical curve for any worker count. Logs one INFO line with the
-    trial count, the path taken, the wall time, the throughput and the
-    censored fraction; none of it enters the curve.
+    bit-identical curve for any worker count. Inputs denser than
+    ``sampler.MAX_EXPECTED_LINES`` lines per trial raise ``TooManyLines``
+    before any trial is drawn. Logs one INFO line with the trial count, the
+    path taken, the wall time, the throughput, the mean lines per trial and
+    the censored fraction; none of it enters the curve.
     """
     started = time.perf_counter()
     validate(params)
@@ -167,6 +174,7 @@ def run_mc(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
     t_max = float(t_max)
     if not (t_max > 0 and math.isfinite(t_max)):
         raise ValueError(f"t_max must be finite and > 0, got {t_max}")
+    _check_inputs(params, scenario, t_max)
     grid = default_grid(t_max) if grid is None else np.asarray(grid, dtype=float)
     if grid.size == 0 or grid[0] < 0 or grid[-1] > t_max + 1e-12:
         raise ValueError("grid must lie within [0, t_max]")
@@ -180,7 +188,8 @@ def run_mc(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_mc_chunk, tasks))
-    lengths = np.concatenate(chunks)
+    lengths = np.concatenate([c[0] for c in chunks])
+    n_lines = sum(c[1] for c in chunks)
 
     finite = lengths[np.isfinite(lengths)]
     est = EcdfEstimate(finite, trials, int(trials - finite.size), t_max)
@@ -197,9 +206,10 @@ def run_mc(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
     curve = est.curve(grid, alpha, meta)
     wall = time.perf_counter() - started
     _log.info("run_mc: %d trials, %s path, %.3f s, %.0f trials/s, "
-              "censored fraction %.4f", trials,
+              "%.1f lines/trial, censored fraction %.4f", trials,
               "batched" if _batched(policy) else "per-trial", wall,
-              trials / wall if wall > 0 else math.inf, est.n_censored / trials)
+              trials / wall if wall > 0 else math.inf, n_lines / trials,
+              est.n_censored / trials)
     return curve
 
 

@@ -9,7 +9,12 @@ Two implementations exist on purpose: closed-form enumerators for the small
 named budgets (zero, one, two-turn-directed) and a label-setting search on
 the crossing graph for general K_TURN. Both take every crossing arc from
 the same pairwise routine and add hop lengths in the same left-to-right
-order, so the two agree bit for bit; the tests rely on that. The named
+order, so the two agree bit for bit; the tests rely on that. Neither builds
+the whole graph: the search computes a line's crossings the first time it
+expands that line and pushes only hops that end within min(t_max,
+incumbent), and the two-turn enumerator filters second lines against the
+same bound as one array before its loop. A query thus costs about what the
+lines near the origin hold, not the square of the line count. The named
 budgets also have length-only batched enumerators (``chunk_lengths``) that
 solve every trial of a ChunkSample at once with the same arithmetic, so they
 agree bit for bit with ``shortest_path`` on each trial.
@@ -141,6 +146,20 @@ def _origin_crossings(real: Realization, oi: int, directed: bool):
     return recs
 
 
+def _crossings(real: Realization, li: int):
+    """Crossings of line ``li`` with every other line, in other-line order:
+    (arc on li, arc on the other line, other line index) as arrays. A
+    near-parallel pair gives nan arcs, which every length bound rejects.
+    Each pair goes to ``_pair_arcs`` lower index first, so a crossing has
+    the same two arcs whichever of its lines asks for it."""
+    other = np.arange(len(real.lines) - 1)
+    other[li:] += 1
+    a_lo, a_hi = _pair_arcs(real._angles, real._offsets,
+                            np.minimum(other, li), np.maximum(other, li))
+    return (np.concatenate((a_hi[:li], a_lo[li:])),
+            np.concatenate((a_lo[:li], a_hi[li:])), other)
+
+
 def _enum_zero(best, real, t_max, directed):
     for oi in _origin_indices(real, directed):
         lid = real.lines[oi].id
@@ -161,71 +180,54 @@ def _enum_one(best, real, t_max, directed):
 
 
 def _enum_two_directed(best, real, t_max):
-    angles, offsets = real._angles, real._offsets
-    n = len(real.lines)
     oi = _origin_indices(real, True)[0]
     olid = real.lines[oi].id
     for base1, s, u, i in _origin_crossings(real, oi, True):
         if base1 >= best.length or base1 > t_max:
             break
         ilid = real.lines[i].id
-        mm = np.array([m for m in range(n) if m != i and m != oi], dtype=int)
-        if mm.size == 0:
-            continue
-        a_i, a_m = _pair_arcs(angles, offsets, np.full_like(mm, i), mm)
-        for m, ai, am in zip(mm, a_i, a_m):
-            if not math.isfinite(ai):
-                continue
-            base2 = base1 + abs(ai - u)
-            if base2 >= best.length or base2 > t_max:
+        a_i, a_m, mm = _crossings(real, i)
+        base2 = base1 + np.abs(a_i - u)
+        # only second lines that can beat the incumbent as it stands now go
+        # through the loop, which tests each against the incumbent again
+        near = (base2 < best.length) & (base2 <= t_max) & (mm != oi)
+        for b2, ai, am, m in zip(base2[near].tolist(), a_i[near].tolist(),
+                                 a_m[near].tolist(), mm[near].tolist()):
+            if b2 >= best.length:
                 continue
             mlid = real.lines[m].id
-            prefix = ((olid, 0.0), (olid, s), (ilid, u), (ilid, float(ai)),
-                      (mlid, float(am)))
-            _scan_targets(best, real.arcs_by_line[m], float(am), base2,
-                          mlid, 2, t_max, prefix)
+            prefix = ((olid, 0.0), (olid, s), (ilid, u), (ilid, ai),
+                      (mlid, am))
+            _scan_targets(best, real.arcs_by_line[m], am, b2, mlid, 2,
+                          t_max, prefix)
 
 
 # ---- general K-turn search --------------------------------------------------
 
-_ORIGIN = -1  # pseudo node
+_ORIGIN = -1  # pseudo node, keyed below every crossing
 
 
+# The search runs on states (node, line, turns used): a node is a crossing,
+# keyed lower*n + higher by its two line indices, or _ORIGIN. A line's
+# crossing table is built by ``_crossings`` the first time the search
+# expands that line and kept for the rest of the query, so lines the search
+# never reaches cost nothing. An expansion pushes only the hops whose length
+# stays within min(t_max, incumbent): a longer one could only be popped
+# after the pop-time break below. The key orders nodes as the index into
+# the list of all line pairs would, so heap ties pop in pair order.
 def _k_turn(best, real, t_max, k, include_lower, directed):
-    angles, offsets = real._angles, real._offsets
     n = len(real.lines)
     lids = [ln.id for ln in real.lines]
-
-    # crossing graph: node = index into the pair list; adj[line] holds
-    # (arc on that line, node, other line index)
-    adj = [[] for _ in range(n)]
-    node_arc = {}  # (node, line idx) -> arc of the node on that line
-    origin_pair_nodes = set()  # crossings of two origin lines: the origin itself
-    if n >= 2:
-        ii, jj = np.triu_indices(n, k=1)
-        arc_i, arc_j = _pair_arcs(angles, offsets, ii, jj)
-        node = 0
-        for a, b, u, v in zip(ii, jj, arc_i, arc_j):
-            if not math.isfinite(u):
-                continue
-            adj[a].append((float(u), node, int(b)))
-            adj[b].append((float(v), node, int(a)))
-            node_arc[(node, int(a))] = float(u)
-            node_arc[(node, int(b))] = float(v)
-            if real.lines[a].through_origin and real.lines[b].through_origin:
-                origin_pair_nodes.add(node)
-            node += 1
-
-    origin_idx = _origin_indices(real, directed)
-    for oi in origin_idx:
-        node_arc[(_ORIGIN, oi)] = 0.0
+    on_origin = np.array([ln.through_origin for ln in real.lines])
+    tables = {}  # line index -> (arcs here, arcs there, other, key, mutual)
 
     dist = {}
-    parent = {}
+    via = {}  # state -> (previous state, arc on its line, arc on this line)
     heap = []
-    for oi in origin_idx:
+    for oi in _origin_indices(real, directed):
         state = (_ORIGIN, oi, 0)
         dist[state] = 0.0
+        via[state] = (None, None, 0.0)
         heapq.heappush(heap, (0.0, 0, _ORIGIN, oi))
 
     while heap:
@@ -236,57 +238,55 @@ def _k_turn(best, real, t_max, k, include_lower, directed):
         if length > best.length:
             break  # every remaining candidate is strictly longer
 
-        ref = node_arc[(node, li)]
+        ref = via[state][2]
+        at_start = node == _ORIGIN
         if include_lower or turns == k:
-            start_state = node == _ORIGIN and turns == 0
             _scan_targets(
                 best, real.arcs_by_line[li], ref, length, lids[li], turns,
-                t_max, _route_of(parent, state, lids, node_arc),
-                nonneg_only=directed and start_state,
+                t_max, _route_of(via, state, lids),
+                nonneg_only=directed and at_start,
             )
 
         if turns == k:
             continue
-        at_start = node == _ORIGIN and turns == 0
-        restrict_pos = directed and at_start
-        for arc_w, w, other in adj[li]:
-            if w == node:
-                continue
-            if at_start and w in origin_pair_nodes:
-                # the mutual crossing of the origin lines is the start point
-                # itself; switching lines there is not a turn, it is covered
-                # by the start states
-                continue
-            if restrict_pos and arc_w <= 0.0:
-                continue
-            length2 = length + abs(arc_w - ref)
-            if length2 > t_max:
-                continue
-            nstate = (w, other, turns + 1)
-            if length2 < dist.get(nstate, math.inf):
-                dist[nstate] = length2
-                parent[nstate] = state
-                heapq.heappush(heap, (length2, turns + 1, w, other))
+        if li not in tables:
+            here, there, other = _crossings(real, li)
+            key = np.minimum(other, li) * n + np.maximum(other, li)
+            tables[li] = (here, there, other, key, on_origin[other] & on_origin[li])
+        here, there, other, key, mutual = tables[li]
+        length2 = length + np.abs(here - ref)
+        ok = (length2 <= min(t_max, best.length)) & (key != node)
+        if at_start:
+            # the mutual crossing of the origin lines is the start point
+            # itself; switching lines there is not a turn, it is covered by
+            # the start states
+            ok &= ~mutual
+            if directed:
+                ok &= here > 0.0
+        for l2, w, o, a_from, a_to in zip(
+                length2[ok].tolist(), key[ok].tolist(), other[ok].tolist(),
+                here[ok].tolist(), there[ok].tolist()):
+            nstate = (w, o, turns + 1)
+            if l2 < dist.get(nstate, math.inf):
+                dist[nstate] = l2
+                via[nstate] = (state, a_from, a_to)
+                heapq.heappush(heap, (l2, turns + 1, w, o))
 
 
-def _route_of(parent, state, lids, node_arc):
+def _route_of(via, state, lids):
     """Route prefix (vertex list) for a state, built lazily only when a
     candidate actually improves the incumbent."""
 
     def build():
-        chain = []
+        verts = []
         s = state
         while s is not None:
-            chain.append(s)
-            s = parent.get(s)
-        chain.reverse()
-        verts = []
-        for prev, cur in zip([None] + chain[:-1], chain):
-            node, li, _ = cur
+            prev, arc_from, arc_to = via[s]
+            verts.append((lids[s[1]], arc_to))
             if prev is not None:
-                pnode, pli, _ = prev
-                verts.append((lids[pli], node_arc[(node, pli)]))
-            verts.append((lids[li], node_arc[(node, li)]))
+                verts.append((lids[prev[1]], arc_from))
+            s = prev
+        verts.reverse()
         return tuple(verts)
 
     return build

@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NonPositiveRadius, TBeyondClip, UnknownLine
+from .errors import NonPositiveRadius, TBeyondClip, TooManyLines, UnknownLine
 from .model import (
     AngleLaw,
     Line,
@@ -48,6 +48,7 @@ from .model import (
 )
 
 __all__ = [
+    "MAX_EXPECTED_LINES",
     "Realization",
     "ChunkSample",
     "sample_palm",
@@ -60,6 +61,10 @@ __all__ = [
 
 _PI = math.pi
 _MIN_ANGLE_GAP = 1e-12
+# Largest accepted expected line count per trial, lam * pi * clip_radius.
+# A 512-trial chunk holds about 300 bytes per line at mu * clip_radius = 3
+# (its points included), so a chunk at the cap peaks near 310 MB.
+MAX_EXPECTED_LINES = 2000.0
 
 
 def _norm_seed(seed) -> tuple[int, int]:
@@ -381,6 +386,11 @@ def _check_inputs(params, scenario, clip_radius) -> float:
     if not (isinstance(clip_radius, (int, float)) and math.isfinite(clip_radius)
             and clip_radius > 0):
         raise NonPositiveRadius(f"clip_radius must be finite and > 0, got {clip_radius!r}")
+    expected = params.lam * _PI * clip_radius
+    if expected > MAX_EXPECTED_LINES:
+        raise TooManyLines(
+            f"lam * pi * clip_radius = {expected:.6g} expected lines per trial "
+            f"exceeds the cap of {MAX_EXPECTED_LINES:g}")
     return float(clip_radius)
 
 

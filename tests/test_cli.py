@@ -332,18 +332,31 @@ def test_compare_sidecar_warnings(tmp_path, capsys, caplog):
 
 
 def test_verbose_logs_to_stderr_and_leaves_outputs_alone(tmp_path, capsys):
-    base = ["simulate", "--lambda", "1", "--mu", "1", "--policy", "one-turn",
-            "--trials", "700", "--grid", "0:2:0.1", "--seed", "33"]
-    quiet, loud = tmp_path / "quiet.csv", tmp_path / "loud.csv"
-    rc, _, err = _run(capsys, *base, "--out", str(quiet))
-    assert rc == EXIT_OK and err == ""
-    rc, _, err = _run(capsys, "-v", *base, "--out", str(loud))
-    assert rc == EXIT_OK
-    assert "700 trials, batched path" in err and "trials/s" in err
-    assert quiet.read_bytes() == loud.read_bytes()
-    assert (tmp_path / "quiet.json").read_bytes() == (tmp_path / "loud.json").read_bytes()
-    rc, _, err = _run(capsys, *base, "--out", str(quiet))
-    assert err == ""  # the handler went away with the command
+    runs = (
+        (["--policy", "one-turn", "--trials", "700"], "700 trials, batched path"),
+        (["--policy", "k-turn", "--k", "2", "--trials", "40"],
+         "40 trials, per-trial path"),
+    )
+    for policy, logged in runs:
+        base = ["simulate", "--lambda", "1", "--mu", "1", *policy,
+                "--grid", "0:2:0.1", "--seed", "33"]
+        quiet, loud = tmp_path / "quiet.csv", tmp_path / "loud.csv"
+        rc, _, err = _run(capsys, *base, "--out", str(quiet))
+        assert rc == EXIT_OK and err == ""
+        rc, _, err = _run(capsys, "-v", *base, "--out", str(loud))
+        assert rc == EXIT_OK
+        assert logged in err and "trials/s" in err and "lines/trial" in err
+        assert quiet.read_bytes() == loud.read_bytes()
+        assert (tmp_path / "quiet.json").read_bytes() == (tmp_path / "loud.json").read_bytes()
+        rc, _, err = _run(capsys, *base, "--out", str(quiet))
+        assert err == ""  # the handler went away with the command
+
+
+def test_simulate_rejects_dense_streets_with_config_exit(capsys):
+    rc, out, err = _run(capsys, "simulate", "--lambda", "1e9", "--mu", "1",
+                        "--policy", "k-turn", "--k", "2", "--trials", "1000000")
+    assert rc == EXIT_CONFIG and out == ""
+    assert "expected lines per trial" in err and "Traceback" not in err
 
 
 def test_verbose_analytic_logs_the_ladder_and_leaves_outputs_alone(tmp_path, capsys):

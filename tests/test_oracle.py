@@ -1,3 +1,5 @@
+import hashlib
+import heapq
 import math
 
 import numpy as np
@@ -12,6 +14,7 @@ from linecox import (
     TurnPolicy,
     route_length,
     route_positions,
+    run_mc,
     sample_D,
     sample_path,
     sample_palm,
@@ -20,6 +23,8 @@ from linecox import (
     typical_point,
 )
 from linecox.model import Line
+from linecox.oracle import _Best, _origin_indices, _scan_targets
+from linecox.sampler import _pair_arcs
 
 HPI = math.pi / 2
 
@@ -200,3 +205,187 @@ def test_route_residual_on_sampled_realizations():
                 ln.signed_offset * ca + res.target.arc_coord * sa)
         assert (tx, ty) == pytest.approx(want, abs=1e-12)
     assert checked >= 20
+
+
+# ---- the lazy k-turn search against the eager one it replaced ----------------
+
+def _eager_graph(real):
+    """The whole crossing graph, built before any search, as the k-turn
+    search once did: adjacency per line, arcs per (node, line) and the
+    crossings of two origin lines. Built once per realization here so the
+    reference can serve every (k, flags) query of it."""
+    n = len(real.lines)
+    adj = [[] for _ in range(n)]
+    node_arc = {(-1, k): 0.0 for k in range(n) if real.lines[k].through_origin}
+    origin_pair_nodes = set()
+    if n >= 2:
+        ii, jj = np.triu_indices(n, k=1)
+        arc_i, arc_j = _pair_arcs(real._angles, real._offsets, ii, jj)
+        node = 0
+        for a, b, u, v in zip(ii, jj, arc_i, arc_j):
+            if not math.isfinite(u):
+                continue
+            adj[a].append((float(u), node, int(b)))
+            adj[b].append((float(v), node, int(a)))
+            node_arc[(node, int(a))] = float(u)
+            node_arc[(node, int(b))] = float(v)
+            if real.lines[a].through_origin and real.lines[b].through_origin:
+                origin_pair_nodes.add(node)
+            node += 1
+    return adj, node_arc, origin_pair_nodes
+
+
+def _eager_k_turn(real, graph, t_max, k, include_lower, directed):
+    """Label-setting search over the eager graph, pushing every hop within
+    t_max; returns (length, turns, target, route) or None if censored."""
+    adj, node_arc, origin_pair_nodes = graph
+    lids = [ln.id for ln in real.lines]
+    best = _Best()
+    dist, parent, heap = {}, {}, []
+    for oi in _origin_indices(real, directed):
+        dist[(-1, oi, 0)] = 0.0
+        heapq.heappush(heap, (0.0, 0, -1, oi))
+
+    def route_of(state):
+        def build():
+            chain, s = [], state
+            while s is not None:
+                chain.append(s)
+                s = parent.get(s)
+            chain.reverse()
+            verts = []
+            for prev, cur in zip([None] + chain[:-1], chain):
+                if prev is not None:
+                    verts.append((lids[prev[1]], node_arc[(cur[0], prev[1])]))
+                verts.append((lids[cur[1]], node_arc[(cur[0], cur[1])]))
+            return tuple(verts)
+        return build
+
+    while heap:
+        length, turns, node, li = heapq.heappop(heap)
+        state = (node, li, turns)
+        if length > dist.get(state, math.inf):
+            continue
+        if length > best.length:
+            break
+        ref = node_arc[(node, li)]
+        at_start = node == -1 and turns == 0
+        if include_lower or turns == k:
+            _scan_targets(best, real.arcs_by_line[li], ref, length, lids[li],
+                          turns, t_max, route_of(state),
+                          nonneg_only=directed and at_start)
+        if turns == k:
+            continue
+        for arc_w, w, other in adj[li]:
+            if w == node or (at_start and w in origin_pair_nodes):
+                continue
+            if directed and at_start and arc_w <= 0.0:
+                continue
+            length2 = length + abs(arc_w - ref)
+            if length2 > t_max:
+                continue
+            nstate = (w, other, turns + 1)
+            if length2 < dist.get(nstate, math.inf):
+                dist[nstate] = length2
+                parent[nstate] = state
+                heapq.heappush(heap, (length2, turns + 1, w, other))
+    if best.key is None:
+        return None
+    return best.key[0], best.turns, best.key[1:], best.route
+
+
+@pytest.mark.parametrize("lam", [1.0, 4.0, 16.0])
+def test_lazy_k_turn_equals_eager_graph_search(lam):
+    """Length, turns, target and route, bit for bit, for k 0..3 and every
+    flag combination, from the typical point and the typical intersection."""
+    t_max, params = 2.0, ModelParams(lam, 1.0)
+    censored = 0
+    for scenario in (typical_point(), typical_intersection()):
+        for s in range(40):
+            real = sample_palm(params, scenario, t_max, seed=(404, s))
+            graph = _eager_graph(real)
+            for k in range(4):
+                for lower in (True, False):
+                    for directed in (False, True):
+                        want = _eager_k_turn(real, graph, t_max, k, lower, directed)
+                        res = shortest_path(real, TurnPolicy.k_turn(
+                            k, include_lower_turn_paths=lower,
+                            first_hop_positive_x=directed), t_max)
+                        if want is None:
+                            assert res.censored
+                            censored += 1
+                            continue
+                        got = (res.length, res.turns_used,
+                               (res.target.line_id, res.target.arc_coord), res.route)
+                        assert got == want, (scenario, s, k, lower, directed)
+    if lam == 1.0:
+        assert censored > 0
+
+
+def test_hops_tied_with_the_incumbent_or_t_max_are_kept():
+    """Ties are never pruned: a hop exactly as long as the incumbent is
+    still taken (a point at its crossing on a lower line id wins the tie),
+    and a route exactly as long as t_max is not censored."""
+    lines = [Line(5, 0.0, 0.0, True), Line(1, HPI, -1.0)]
+    arc5, arc1 = _pair_arcs(np.array([0.0, HPI]), np.array([0.0, -1.0]),
+                            np.array([0]), np.array([1]))
+    real = build(lines, [arc5, arc1])
+    res = shortest_path(real, TurnPolicy.k_turn(1), 3.0)
+    assert (res.length, res.turns_used) == (arc5[0], 1)
+    assert (res.target.line_id, res.target.arc_coord) == (1, arc1[0])
+
+    lines = [Line(0, 0.0, 0.0, True), Line(1, HPI, -0.5), Line(2, 0.0, 0.25)]
+    _, arc2 = _pair_arcs(np.array([0.0, HPI, 0.0]), np.array([0.0, -0.5, 0.25]),
+                         np.array([1]), np.array([2]))
+    real = build(lines, [[], [], arc2])
+    for policy in (TurnPolicy.two_turn_directed(),
+                   TurnPolicy.k_turn(2, first_hop_positive_x=True)):
+        free = shortest_path(real, policy, 3.0)
+        assert free.length == pytest.approx(0.75, abs=1e-15)
+        tight = shortest_path(real, policy, free.length)
+        assert (tight.length, tight.route) == (free.length, free.route)
+
+
+@pytest.mark.parametrize("lam", [4.0, 16.0])
+def test_enumerators_match_k_turn_search_on_dense_streets(lam):
+    """Criterion 7's specialized-vs-generic cross-check on denser streets."""
+    pairs = (
+        (TurnPolicy.zero_turn(), TurnPolicy.k_turn(0)),
+        (TurnPolicy.one_turn(), TurnPolicy.k_turn(1)),
+        (TurnPolicy.one_turn(include_lower_turn_paths=False),
+         TurnPolicy.k_turn(1, include_lower_turn_paths=False)),
+        (TurnPolicy.two_turn_directed(),
+         TurnPolicy.k_turn(2, first_hop_positive_x=True)),
+        (TurnPolicy.two_turn_directed(include_lower_turn_paths=False),
+         TurnPolicy.k_turn(2, include_lower_turn_paths=False,
+                           first_hop_positive_x=True)),
+    )
+    t_max, params = 2.5, ModelParams(lam, 1.0)
+    mismatches = 0
+    for s in range(100):
+        scenario = typical_point() if s % 2 else typical_intersection()
+        real = sample_palm(params, scenario, t_max, seed=(902, s))
+        for special, generic in pairs:
+            mismatches += (shortest_path(real, special, t_max).length
+                           != shortest_path(real, generic, t_max).length)
+    assert mismatches == 0
+
+
+# md5 of run_mc(ModelParams(lam, 1.0), scenario, k_turn(k), 32, 3.0, 2026),
+# recorded with the eager crossing graph that preceded the lazy one
+FROZEN_K_TURN_MD5 = {
+    (4.0, 2, "point"): "562a91b5a236c86030ffc29456b9b682",
+    (16.0, 3, "point"): "aeeeee75e68481186e014e9c1091d3af",
+    (8.0, 2, "intersection"): "2cd7388c51a9080669ed72e5fc49d654",
+}
+
+
+def test_k_turn_curves_match_frozen_digests():
+    scenarios = {"point": typical_point(), "intersection": typical_intersection()}
+    for (lam, k, scen), digest in FROZEN_K_TURN_MD5.items():
+        curve = run_mc(ModelParams(lam, 1.0), scenarios[scen],
+                       TurnPolicy.k_turn(k), 32, 3.0, 2026)
+        h = hashlib.md5()
+        for arr in (curve.grid, curve.values, curve.ci_halfwidth):
+            h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        assert h.hexdigest() == digest, (lam, k, scen)

@@ -11,18 +11,22 @@ from linecox import (
     NonPositiveRadius,
     Realization,
     TBeyondClip,
+    TooManyLines,
     TurnPolicy,
     UnknownLine,
+    run_mc,
     crossings_within,
     realization_from_json,
     realization_to_json,
     rotate,
+    sample_chunk,
     sample_palm,
     shortest_path,
     typical_intersection,
     typical_point,
 )
 from linecox.model import Line
+from linecox.sampler import MAX_EXPECTED_LINES, _check_inputs
 
 # point process intensity that keeps realizations almost point-free when a
 # test only cares about the line geometry
@@ -197,3 +201,21 @@ def test_sampled_arcs_are_sorted_and_read_only_and_hand_built_get_sorted():
                           real.clip_radius, real.seed)
     for a, b in zip(real.arcs_by_line, rebuilt.arcs_by_line):
         assert np.array_equal(a, b) and not b.flags.writeable
+
+
+def test_dense_inputs_are_rejected_before_drawing():
+    """Above the cap on expected lines per trial every entry point raises
+    before it draws; just below the cap the inputs are accepted."""
+    R = 3.0
+    cap_lam = MAX_EXPECTED_LINES / (math.pi * R)
+    assert MAX_EXPECTED_LINES >= 10 * 16.0 * math.pi * 3.0
+    dense = ModelParams(cap_lam * 1.001, 1.0)
+    with pytest.raises(TooManyLines, match="expected lines per trial"):
+        sample_palm(dense, typical_point(), R, seed=1)
+    with pytest.raises(TooManyLines):
+        sample_chunk(dense, typical_point(), R, 1, 0, 512)
+    with pytest.raises(TooManyLines):
+        run_mc(ModelParams(1e12, 1.0), typical_point(), TurnPolicy.k_turn(2),
+               10, R, 1, workers=2)
+    below = ModelParams(cap_lam * (1 - 1e-9), 1.0)
+    assert _check_inputs(below, typical_intersection(), R) == R
