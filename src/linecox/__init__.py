@@ -33,7 +33,6 @@ from .applications import (
     reach_quantile,
 )
 from .errors import (
-    BudgetExhausted,
     DegenerateAngles,
     DomainError,
     GridMismatch,
@@ -49,6 +48,7 @@ from .errors import (
     QuadratureFailure,
     TBeyondClip,
     TooManyLines,
+    TooManyPoints,
     UnknownLine,
     ZeroMu,
 )
@@ -86,7 +86,7 @@ from .oracle import (
     sample_path,
     shortest_path,
 )
-from .quadrature import QuadSpec, gauss_legendre, integrate_1d, integrate_nested
+from .quadrature import gauss_legendre
 from .sampler import (
     ChunkSample,
     Realization,
@@ -125,11 +125,11 @@ __all__ = [
     "farfield_threshold_distance", "farfield_success_lower_bound",
     "reach_quantile", "db_to_linear",
     # quadrature
-    "QuadSpec", "integrate_1d", "integrate_nested", "gauss_legendre",
+    "gauss_legendre",
     # errors
     "LineCoxError", "NonFinite", "NegativeIntensity", "ZeroMu",
     "NonPositiveScale", "NegativeT", "NonPositiveParameter",
     "NonPositiveRadius", "UnknownLine", "TBeyondClip", "TooManyLines",
-    "PolicyBudgetNegative", "DegenerateAngles", "DomainError",
-    "QuadratureFailure", "BudgetExhausted", "GridMismatch", "NoBracket",
+    "TooManyPoints", "PolicyBudgetNegative", "DegenerateAngles",
+    "DomainError", "QuadratureFailure", "GridMismatch", "NoBracket",
 ]

@@ -21,6 +21,15 @@ activates, and cuts off at the reachability threshold. The evaluator splits
 every row at those three abscissae and applies Gauss-Legendre per piece, so
 the tensor rule converges fast; plain Riemann sums over the same integrand
 are used as the cross-check oracle in the tests.
+
+Ttilde depends on (w, u, t, mu) only through q = (u - w)/(t - w) and
+m = mu*(t - w): the thresholds depend on q alone and mu*z = m*zeta with
+zeta = max(0, 1 - q/den). Between the pole and the kink zeta is 0, so that
+segment of every row survives whole and folds into the unit mass. The
+bound's nested rule puts u = t*gu and w = u*gw at Gauss-Legendre nodes, so
+q and (t - w)/t depend on the node indices only: each rung builds its
+geometry once per call, at unit reach, and serves every t of the call
+(``_ttilde``).
 """
 
 from __future__ import annotations
@@ -40,73 +49,95 @@ log = logging.getLogger(__name__)
 
 _PI = math.pi
 _HALF_PI = 0.5 * math.pi
+# theta_1 nodes built at once: a rung's (pair, theta_i, segment) rows are
+# taken in chunks of _CHUNK_NODES // n1 rows
+_CHUNK_NODES = 2**15
 
 
-def _ttilde_vec(w, u, t, mu, ni, n1):
-    """Ttilde(w, u) for an array of w values at fixed u <= t.
+def _ttilde(q, c, s, ni, n1):
+    """Ttilde at every pair and every s, one row per s.
 
-    Rows with t == w have no reach left: survival 1.
+    Pair p has q[p] = (u - w)/(t - w) and c[p] = t - w in some unit of
+    length, and s is mu in the inverse unit, so mu*z = s*c[p]*zeta. Every
+    pair has two rows per theta_i node: the theta_1 segment from A to the
+    pole or the kink, whichever comes first, and the one from the other
+    to B. Between pole and kink q/den >= 1, so zeta == 0 there and that
+    segment adds its width to the unit mass pi - (B - A). The rows are
+    built in chunks of _CHUNK_NODES // n1, and each chunk serves every s.
     """
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    left = t - w
-    safe = left > 0.0
-    q = np.where(safe, (u - w) / np.where(safe, left, 1.0), 0.0)[:, None]
-
+    q, c, s = (np.asarray(a, dtype=float) for a in (q, c, s))
     # the theta_i rule is applied per half because the threshold formula
     # switches branch at pi/2 and a rule across the switch converges slowly
     tg, tw_half = gauss_legendre(ni // 2)
-    sg, swt = gauss_legendre(n1)
+    sg, swt = (col[:, None] for col in gauss_legendre(n1))  # (n1, 1)
     ti = np.concatenate([_HALF_PI * tg, _HALF_PI + _HALF_PI * tg])
     tw = np.concatenate([tw_half, tw_half]) * 0.5
-    cos_i, sin_i = np.cos(ti), np.sin(ti)
-    lower_half = ti <= _HALF_PI
+    cos_ti, sin_ti = np.cos(ti), np.sin(ti)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        thr_arg = np.where(lower_half, cos_i - q / sin_i, (q - cos_i) / sin_i)
-    thr = _HALF_PI - np.arctan(thr_arg)  # arccot, mapped into (0, pi)
-    A = np.where(lower_half, 0.0, thr)
-    B = np.where(lower_half, thr, _PI)
+    acc = np.zeros((s.size, q.size))
+    unit = np.zeros(q.size)
+    n_rows = 2 * ni * q.size
+    step = max(1, _CHUNK_NODES // n1)
+    buf = np.empty((3, n1 * min(step, n_rows)))
+    for a in range(0, n_rows, step):
+        group, upper = np.divmod(np.arange(a, min(a + step, n_rows)), 2)
+        pair, i = np.divmod(group, ni)
+        qr, cos_i, sin_i = q[pair], cos_ti[i], sin_ti[i]
+        lower_half = i < ni // 2
+        thr = _HALF_PI - np.arctan(  # arccot, mapped into (0, pi)
+            np.where(lower_half, cos_i - qr / sin_i, (qr - cos_i) / sin_i))
+        A = np.where(lower_half, 0.0, thr)
+        B = np.where(lower_half, thr, _PI)
+        # interior breakpoints: the y pole at theta_1 = theta_i and the
+        # clamp kink where y + w = t, i.e. cot(theta_1) = (cos_i - q)/sin_i
+        kink = _HALF_PI - np.arctan((cos_i - qr) / sin_i)
+        s1 = np.minimum(np.maximum(np.minimum(ti[i], kink), A), B)
+        s2 = np.minimum(np.maximum(np.maximum(ti[i], kink), A), B)
+        lo = np.where(upper, s2, A)
+        width = np.where(upper, B, s1) - lo
 
-    # interior breakpoints: the y pole at theta_1 = theta_i and the clamp
-    # kink where y + w = t, i.e. cot(theta_1) = (cos(theta_i) - q)/sin(theta_i)
-    kink = _HALF_PI - np.arctan((cos_i - q) / sin_i)
-    pole = np.broadcast_to(ti, kink.shape)
-    s1 = np.clip(np.minimum(pole, kink), A, B)
-    s2 = np.clip(np.maximum(pole, kink), A, B)
+        # nodes (n1, rows): theta_1 = lo + width*sg, then zeta
+        x, den, g = (part[:n1 * lo.size].reshape(n1, lo.size) for part in buf)
+        np.multiply(sg, width, out=x)
+        x += lo
+        np.tan(x, out=x)
+        np.multiply(x, cos_i, out=den)
+        den -= sin_i
+        cr = c[pair]
+        x *= cr * qr
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x /= den  # c*q/den with den = cos_i - sin_i*cot(theta_1)
+        if not qr.all():
+            x[np.isnan(x)] = 0.0  # 0/0 only when u == w; y -> 0
+        x -= cr
+        np.minimum(x, 0.0, out=x)  # -zeta*m/s
 
-    lo = np.stack([A, s1, s2], axis=-1)  # (nw, ni, 3)
-    hi = np.stack([s1, s2, B], axis=-1)
-    width = hi - lo
-    th1 = lo[..., None] + width[..., None] * sg  # (nw, ni, 3, n1)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cot1 = np.cos(th1) / np.sin(th1)
-        den = cos_i[None, :, None, None] - sin_i[None, :, None, None] * cot1
-        y = (u - w)[:, None, None, None] / den
-    y = np.where(np.isnan(y), 0.0, y)  # 0/0 only when u == w; the limit is 0
-    z = np.maximum(left[:, None, None, None] - y, 0.0)
-    g = np.exp(-mu * z)
-
-    seg = (g * swt).sum(axis=-1) * width  # (nw, ni, 3)
-    rows = seg.sum(axis=-1) + (_PI - (B - A))  # unreachable angles survive as 1
-    val = (rows * tw).sum(axis=-1) * _PI / _PI**2
-    return np.where(safe, val, 1.0)
-
-
-def _T_of_u(u, t, mu, lam, nw, ni, n1):
-    """Survival factor of one first-turn street entered at arc u."""
-    if u <= 0.0:
-        return 1.0
-    g, wt = gauss_legendre(nw)
-    tt = _ttilde_vec(u * g, u, t, mu, ni, n1)
-    return math.exp(-lam * u * float(((2.0 - tt) * wt).sum()))
+        local = pair - pair[0]
+        span = slice(pair[0], pair[-1] + 1)
+        rw = tw[i] * width
+        unit[span] += np.bincount(
+            local, np.where(upper, 0.0, tw[i] * (_PI - (B - A) + (s2 - s1))))
+        for k, sk in enumerate(s):
+            np.multiply(x, sk, out=g)
+            np.exp(g, out=g)
+            g *= swt
+            acc[k, span] += np.bincount(local, g.sum(axis=0) * rw)
+    return (acc + unit) * _PI / _PI**2
 
 
-def _bound_eval(lam, mu, t, nu, nw, ni, n1):
-    g, wt = gauss_legendre(nu)
-    u_nodes = t * g
-    tu = np.array([_T_of_u(float(uv), t, mu, lam, nw, ni, n1) for uv in u_nodes])
-    return -math.expm1(-lam * t * float(((2.0 - tu) * wt).sum()))
+def _bound_rung(lam, mu, t, nu, nw, ni, n1):
+    """B at every point of t from one rung of the nested rule."""
+    gu, wu = gauss_legendre(nu)
+    gw, ww = gauss_legendre(nw)
+    w = np.outer(gu, gw).ravel()  # (u, w) pairs at unit reach, u-major
+    u = np.repeat(gu, nw)
+    tt = _ttilde((u - w) / (1.0 - w), 1.0 - w, mu * t, ni, n1)
+    out = np.empty(t.size)
+    for k, (tk, rows) in enumerate(zip(t, tt.reshape(t.size, nu, nw))):
+        tu = np.array([math.exp(-lam * float(uv) * float(((2.0 - row) * ww).sum()))
+                       for uv, row in zip(tk * gu, rows)])
+        out[k] = -math.expm1(-lam * float(tk) * float(((2.0 - tu) * wu).sum()))
+    return out
 
 
 # the last rungs are only reached near w = u = t corners, where the
@@ -130,9 +161,12 @@ def two_turn_T(w: float, u: float, t: float, params: ModelParams,
     validate(params)
     if not (0.0 <= w <= u <= t) or not math.isfinite(t):
         raise DomainError(f"need 0 <= w <= u <= t finite, got w={w}, u={u}, t={t}")
+    if w == t:
+        return 1.0  # no reach left
+    q, c = [(u - w) / (t - w)], [t - w]
     prev = None
     for ni, n1 in _T_LADDER:
-        cur = float(_ttilde_vec(np.array([w]), u, t, params.mu, ni, n1)[0])
+        cur = float(_ttilde(q, c, [params.mu], ni, n1)[0, 0])
         if prev is not None and abs(cur - prev) <= tol:
             return cur
         prev = cur
@@ -147,8 +181,9 @@ def cdf_two_turn_bound(params: ModelParams, t, tol: float = 1e-5,
 
     Scalar or array t. Resolution ladder as in the one-turn intersection
     evaluator; QuadratureFailure when three levels cannot agree to tol.
-    B(0) = 0 and lam = 0 gives identically 0 (no streets to turn onto).
-    ``with_err`` additionally returns the last ladder increment.
+    All points of a call share each rung's geometry. B(0) = 0 and lam = 0
+    gives identically 0 (no streets to turn onto). ``with_err``
+    additionally returns the last ladder increment.
     """
     validate(params)
     arr = np.asarray(t, dtype=float)
@@ -158,7 +193,7 @@ def cdf_two_turn_bound(params: ModelParams, t, tol: float = 1e-5,
     lam, mu = params.lam, params.mu
 
     def rung(r, tv):
-        return np.array([_bound_eval(lam, mu, float(v), *_B_LADDER[r]) for v in tv])
+        return _bound_rung(lam, mu, tv, *_B_LADDER[r])
 
     flat = arr.reshape(-1)
     values, errors = np.zeros(flat.size), np.zeros(flat.size)

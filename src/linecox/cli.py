@@ -62,6 +62,7 @@ from .errors import (
     QuadratureFailure,
     TBeyondClip,
     TooManyLines,
+    TooManyPoints,
     ZeroMu,
 )
 from .model import (
@@ -103,7 +104,7 @@ _POLICIES = ("zero-turn", "one-turn", "two-turn-directed", "k-turn")
 _ERRORS_CONFIG = (
     NonFinite, NegativeIntensity, ZeroMu, NonPositiveScale, NegativeT,
     NonPositiveParameter, NonPositiveRadius, PolicyBudgetNegative,
-    GridMismatch, TBeyondClip, DomainError, TooManyLines,
+    GridMismatch, TBeyondClip, DomainError, TooManyLines, TooManyPoints,
 )
 
 

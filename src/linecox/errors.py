@@ -57,6 +57,12 @@ class TooManyLines(LineCoxError):
     rather than left to exhaust memory."""
 
 
+class TooManyPoints(LineCoxError):
+    """The expected point count per line, 2 * mu * clip_radius, exceeds
+    ``sampler.MAX_EXPECTED_POINTS``; such a run is rejected before it
+    draws rather than left to exhaust memory."""
+
+
 class PolicyBudgetNegative(LineCoxError):
     """Turn budget k must be >= 0."""
 
@@ -76,19 +82,13 @@ class DomainError(LineCoxError):
 class QuadratureFailure(LineCoxError):
     """An integral could not be evaluated to the requested tolerance.
 
-    Carries the best value and error estimate seen, plus an optional
-    location for nested integrands.
+    Carries the best value and error estimate seen.
     """
 
-    def __init__(self, message, value=None, error_estimate=None, where=None):
+    def __init__(self, message, value=None, error_estimate=None):
         super().__init__(message)
         self.value = value
         self.error_estimate = error_estimate
-        self.where = where
-
-
-class BudgetExhausted(QuadratureFailure):
-    """The subdivision budget ran out before the tolerance was met."""
 
 
 class GridMismatch(LineCoxError):

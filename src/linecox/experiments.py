@@ -160,10 +160,12 @@ def run_mc(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
     Returns a curve on ``grid`` (default 0..t_max step 0.01) with a DKW
     simultaneous band at level 1 - alpha. Identical (seed, trials) give a
     bit-identical curve for any worker count. Inputs denser than
-    ``sampler.MAX_EXPECTED_LINES`` lines per trial raise ``TooManyLines``
-    before any trial is drawn. Logs one INFO line with the trial count, the
-    path taken, the wall time, the throughput, the mean lines per trial and
-    the censored fraction; none of it enters the curve.
+    ``sampler.MAX_EXPECTED_LINES`` lines per trial raise ``TooManyLines``,
+    and more than ``sampler.MAX_EXPECTED_POINTS`` points per line
+    ``TooManyPoints``, before any trial is drawn. Logs one INFO line with
+    the trial count, the path taken, the wall time, the throughput, the
+    mean lines per trial and the censored fraction; none of it enters the
+    curve.
     """
     started = time.perf_counter()
     validate(params)

@@ -1,153 +1,20 @@
-"""Adaptive quadrature wrappers used by the analytic evaluators.
+"""Fixed-rule quadrature shared by the analytic evaluators.
 
-``integrate_1d`` fronts the QUADPACK driver in scipy with break-point hints
-and a hard subdivision budget; ``integrate_nested`` composes it for iterated
-integrals whose inner bounds may depend on the outer variables. These are
-the general, slow, trustworthy path; the production evaluators in
-``linecox.analytic`` use fixed tensor rules for speed and are cross-checked
-against this module (and against plain Riemann sums) in the tests.
-``settle_ladder`` runs those fixed rules up a resolution ladder.
+``gauss_legendre`` gives the cached rules that the tensor rules in
+``linecox.analytic`` are built from, and ``settle_ladder`` runs those rules
+up a resolution ladder. The evaluators are cross-checked against plain
+Riemann sums in the tests.
 """
 
 from __future__ import annotations
 
-import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
-from .errors import BudgetExhausted, QuadratureFailure
+from .errors import QuadratureFailure
 
-__all__ = ["QuadSpec", "integrate_1d", "integrate_nested", "gauss_legendre",
-           "settle_ladder"]
-
-
-@dataclass(frozen=True)
-class QuadSpec:
-    """Tolerance and budget for one integration task.
-
-    ``hints`` are interior abscissae where the integrand is known to kink or
-    jump; they are forwarded to QUADPACK as break points so the adaptive
-    rule never straddles them.
-    """
-
-    rel_tol: float = 1e-6
-    abs_tol: float = 1e-9
-    max_subdivisions: int = 200
-    hints: tuple = ()
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0 and math.isfinite(self.rel_tol)):
-            raise ValueError(f"rel_tol must be finite and > 0, got {self.rel_tol}")
-        if not (self.abs_tol > 0 and math.isfinite(self.abs_tol)):
-            raise ValueError(f"abs_tol must be finite and > 0, got {self.abs_tol}")
-        if int(self.max_subdivisions) < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-
-
-_DEFAULT = QuadSpec()
-
-
-def integrate_1d(f, a: float, b: float, spec: QuadSpec | None = None):
-    """Integrate f on [a, b]; returns (value, error_estimate).
-
-    Raises BudgetExhausted (carrying the best value and estimate) when the
-    tolerance is not met within the subdivision budget.
-    """
-    spec = spec or _DEFAULT
-    a = float(a)
-    b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"finite bounds required, got [{a}, {b}]")
-    if a > b:
-        raise ValueError(f"lower bound exceeds upper bound: [{a}, {b}]")
-    if a == b:
-        return 0.0, 0.0
-    pts = sorted(p for p in spec.hints if a < p < b)
-    out = integrate.quad(
-        f, a, b,
-        epsabs=spec.abs_tol,
-        epsrel=spec.rel_tol,
-        limit=int(spec.max_subdivisions),
-        points=pts if pts else None,
-        full_output=1,
-    )
-    if len(out) >= 4:
-        # QUADPACK attached a warning message: budget or roundoff trouble.
-        value, err = float(out[0]), float(out[1])
-        raise BudgetExhausted(str(out[3]), value=value, error_estimate=err)
-    return float(out[0]), float(out[1])
-
-
-def _resolve(bound, outer):
-    return float(bound(*outer)) if callable(bound) else float(bound)
-
-
-def integrate_nested(f, region, spec: QuadSpec | None = None, hints=None):
-    """Iterated integral of f over a (possibly curvilinear) box.
-
-    ``region`` is a sequence of (lower, upper) pairs, outermost first; each
-    bound is a number or a callable of the outer coordinates gathered so
-    far. ``f`` takes the full coordinate vector as positional arguments.
-    ``hints`` optionally gives per-level break points, each entry a tuple or
-    a callable of the outer coordinates returning one.
-
-    Returns (value, error_estimate). An empty level (upper <= lower) clips
-    to zero mass. Inner failures propagate as QuadratureFailure with the
-    coordinates of the failing panel attached.
-    """
-    spec = spec or _DEFAULT
-    region = list(region)
-    if not region:
-        raise ValueError("region must have at least one level")
-    hints = list(hints) if hints is not None else [None] * len(region)
-    if len(hints) != len(region):
-        raise ValueError("hints must align with region levels")
-    return _nested(f, region, spec, hints, ())
-
-
-def _nested(f, region, spec, hints, outer):
-    lo = _resolve(region[0][0], outer)
-    hi = _resolve(region[0][1], outer)
-    if hi <= lo:
-        return 0.0, 0.0
-    level_hints = hints[0]
-    if callable(level_hints):
-        level_hints = level_hints(*outer)
-    level_spec = spec if not level_hints else QuadSpec(
-        spec.rel_tol, spec.abs_tol, spec.max_subdivisions, tuple(level_hints))
-
-    if len(region) == 1:
-        def leaf(x):
-            return f(*outer, x)
-        try:
-            return integrate_1d(leaf, lo, hi, level_spec)
-        except BudgetExhausted as exc:
-            raise QuadratureFailure(
-                f"innermost integral failed on [{lo}, {hi}] at outer={outer}: {exc}",
-                value=exc.value, error_estimate=exc.error_estimate, where=outer,
-            ) from exc
-
-    inner_err = [0.0]
-
-    def shell(x):
-        val, err = _nested(f, region[1:], spec, hints[1:], outer + (x,))
-        if err > inner_err[0]:
-            inner_err[0] = err
-        return val
-
-    try:
-        value, err = integrate_1d(shell, lo, hi, level_spec)
-    except BudgetExhausted as exc:
-        raise QuadratureFailure(
-            f"integral failed on [{lo}, {hi}] at outer={outer}: {exc}",
-            value=exc.value, error_estimate=exc.error_estimate, where=outer,
-        ) from exc
-    # Propagated inner noise: each shell evaluation is itself only accurate
-    # to its own estimate, so widen by the worst one times the width.
-    return value, err + inner_err[0] * (hi - lo)
+__all__ = ["gauss_legendre", "settle_ladder"]
 
 
 def gauss_legendre(n: int):

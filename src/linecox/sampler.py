@@ -36,7 +36,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NonPositiveRadius, TBeyondClip, TooManyLines, UnknownLine
+from .errors import (
+    NonPositiveRadius,
+    TBeyondClip,
+    TooManyLines,
+    TooManyPoints,
+    UnknownLine,
+)
 from .model import (
     AngleLaw,
     Line,
@@ -49,6 +55,7 @@ from .model import (
 
 __all__ = [
     "MAX_EXPECTED_LINES",
+    "MAX_EXPECTED_POINTS",
     "Realization",
     "ChunkSample",
     "sample_palm",
@@ -65,6 +72,11 @@ _MIN_ANGLE_GAP = 1e-12
 # A 512-trial chunk holds about 300 bytes per line at mu * clip_radius = 3
 # (its points included), so a chunk at the cap peaks near 310 MB.
 MAX_EXPECTED_LINES = 2000.0
+# Largest accepted expected point count per line, 2 * mu * clip_radius.
+# A chunk holds about 50 bytes per point, so a 512-trial chunk of the
+# intersection scenario (two full-length streets) at lam = 0 and the cap
+# peaks near 260 MB.
+MAX_EXPECTED_POINTS = 5000.0
 
 
 def _norm_seed(seed) -> tuple[int, int]:
@@ -391,6 +403,11 @@ def _check_inputs(params, scenario, clip_radius) -> float:
         raise TooManyLines(
             f"lam * pi * clip_radius = {expected:.6g} expected lines per trial "
             f"exceeds the cap of {MAX_EXPECTED_LINES:g}")
+    expected = 2.0 * params.mu * clip_radius
+    if expected > MAX_EXPECTED_POINTS:
+        raise TooManyPoints(
+            f"2 * mu * clip_radius = {expected:.6g} expected points per line "
+            f"exceeds the cap of {MAX_EXPECTED_POINTS:g}")
     return float(clip_radius)
 
 

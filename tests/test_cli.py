@@ -359,6 +359,13 @@ def test_simulate_rejects_dense_streets_with_config_exit(capsys):
     assert "expected lines per trial" in err and "Traceback" not in err
 
 
+def test_simulate_rejects_dense_points_with_config_exit(capsys):
+    rc, out, err = _run(capsys, "simulate", "--lambda", "0", "--mu", "1e13",
+                        "--trials", "1", "--policy", "one-turn")
+    assert rc == EXIT_CONFIG and out == ""
+    assert "expected points per line" in err and "Traceback" not in err
+
+
 def test_verbose_analytic_logs_the_ladder_and_leaves_outputs_alone(tmp_path, capsys):
     for which, grid in (("thm2", "0:1:0.25"), ("thm3-bound", "0:0.4:0.2")):
         base = ["analytic", "--which", which, "--lambda", "1", "--mu", "1",

@@ -12,6 +12,7 @@ from linecox import (
     Realization,
     TBeyondClip,
     TooManyLines,
+    TooManyPoints,
     TurnPolicy,
     UnknownLine,
     run_mc,
@@ -26,7 +27,7 @@ from linecox import (
     typical_point,
 )
 from linecox.model import Line
-from linecox.sampler import MAX_EXPECTED_LINES, _check_inputs
+from linecox.sampler import MAX_EXPECTED_LINES, MAX_EXPECTED_POINTS, _check_inputs
 
 # point process intensity that keeps realizations almost point-free when a
 # test only cares about the line geometry
@@ -218,4 +219,23 @@ def test_dense_inputs_are_rejected_before_drawing():
         run_mc(ModelParams(1e12, 1.0), typical_point(), TurnPolicy.k_turn(2),
                10, R, 1, workers=2)
     below = ModelParams(cap_lam * (1 - 1e-9), 1.0)
+    assert _check_inputs(below, typical_intersection(), R) == R
+
+
+def test_dense_points_are_rejected_before_drawing():
+    """Above the cap on expected points per line every entry point raises
+    before it draws; just below the cap the inputs are accepted."""
+    R = 3.0
+    cap_mu = MAX_EXPECTED_POINTS / (2.0 * R)
+    assert MAX_EXPECTED_POINTS >= 100 * 2.0 * 2.0 * R
+    for mu in (cap_mu * 1.001, 1e13):
+        dense = ModelParams(0.0, mu)
+        with pytest.raises(TooManyPoints, match="expected points per line"):
+            sample_palm(dense, typical_point(), R, seed=1)
+        with pytest.raises(TooManyPoints):
+            sample_chunk(dense, typical_intersection(), R, 1, 0, 512)
+        for policy in (TurnPolicy.one_turn(), TurnPolicy.k_turn(2)):
+            with pytest.raises(TooManyPoints):
+                run_mc(dense, typical_point(), policy, 1, R, 1)
+    below = ModelParams(1.0, cap_mu * (1 - 1e-9))
     assert _check_inputs(below, typical_intersection(), R) == R

@@ -2,6 +2,7 @@ import json
 import logging
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from linecox import (
     two_turn_T,
     typical_point,
 )
+from linecox.analytic import twoturn
+from linecox.quadrature import gauss_legendre
 
 DATA = pathlib.Path(__file__).parent / "data" / "riemann_oracle.json"
 P11 = ModelParams(1.0, 1.0)
@@ -145,3 +148,143 @@ def test_bound_values_and_log_line(caplog):
     assert len(lines) == 1
     assert lines[0].startswith("two-turn bound: 2 points, settled per rung 2:")
     assert "largest increment 3.25e-07" in lines[0]
+
+
+# Reference for ``twoturn._ttilde``: the kernel evaluated per u node, in
+# (t, mu) rather than (q, m), with cos and sin of every theta_1 node and
+# every segment integrated, the one between pole and kink too.
+def _ttilde_vec(w, u, t, mu, ni, n1):
+    w = np.atleast_1d(np.asarray(w, dtype=float))
+    left = t - w
+    safe = left > 0.0
+    q = np.where(safe, (u - w) / np.where(safe, left, 1.0), 0.0)[:, None]
+    tg, tw_half = gauss_legendre(ni // 2)
+    sg, swt = gauss_legendre(n1)
+    ti = np.concatenate([math.pi / 2 * tg, math.pi / 2 + math.pi / 2 * tg])
+    tw = np.concatenate([tw_half, tw_half]) * 0.5
+    cos_i, sin_i = np.cos(ti), np.sin(ti)
+    lower_half = ti <= math.pi / 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        thr_arg = np.where(lower_half, cos_i - q / sin_i, (q - cos_i) / sin_i)
+    thr = math.pi / 2 - np.arctan(thr_arg)
+    A = np.where(lower_half, 0.0, thr)
+    B = np.where(lower_half, thr, math.pi)
+    kink = math.pi / 2 - np.arctan((cos_i - q) / sin_i)
+    pole = np.broadcast_to(ti, kink.shape)
+    s1 = np.clip(np.minimum(pole, kink), A, B)
+    s2 = np.clip(np.maximum(pole, kink), A, B)
+    lo = np.stack([A, s1, s2], axis=-1)
+    hi = np.stack([s1, s2, B], axis=-1)
+    width = hi - lo
+    th1 = lo[..., None] + width[..., None] * sg
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cot1 = np.cos(th1) / np.sin(th1)
+        den = cos_i[None, :, None, None] - sin_i[None, :, None, None] * cot1
+        y = (u - w)[:, None, None, None] / den
+    y = np.where(np.isnan(y), 0.0, y)
+    z = np.maximum(left[:, None, None, None] - y, 0.0)
+    g = np.exp(-mu * z)
+    seg = (g * swt).sum(axis=-1) * width
+    rows = seg.sum(axis=-1) + (math.pi - (B - A))
+    val = (rows * tw).sum(axis=-1) * math.pi / math.pi**2
+    return np.where(safe, val, 1.0)
+
+
+def _bound_eval(lams, mu, t, nu, nw, ni, n1):
+    """The per-u bound at every lam of ``lams``; Ttilde does not depend on
+    lam, so its rows are computed once and shared by the lams."""
+    g, wt = gauss_legendre(nu)
+    gw, ww = gauss_legendre(nw)
+    rows = [_ttilde_vec(float(uv) * gw, float(uv), t, mu, ni, n1) for uv in t * g]
+    out = []
+    for lam in lams:
+        tu = np.array([math.exp(-lam * float(uv) * float(((2.0 - tt) * ww).sum()))
+                       for uv, tt in zip(t * g, rows)])
+        out.append(-math.expm1(-lam * t * float(((2.0 - tu) * wt).sum())))
+    return out
+
+
+_REF_LAMS = (0.3, 0.8, 1.0, 1.7, 2.5, 4.0)
+_REF_POINTS = {0.7: (0.05, 1.1, 3.0), 1.8: (0.4, 2.2)}
+
+
+@pytest.mark.parametrize("rung", range(len(twoturn._B_LADDER)))
+def test_every_bound_rung_matches_the_per_u_reference(rung):
+    # 6 lams x 5 (mu, t) = 30 points per rung
+    spec = twoturn._B_LADDER[rung]
+    for mu, ts in _REF_POINTS.items():
+        want = np.array([_bound_eval(_REF_LAMS, mu, t, *spec) for t in ts]).T
+        for lam, row in zip(_REF_LAMS, want):
+            got = twoturn._bound_rung(lam, mu, np.array(ts), *spec)
+            assert np.allclose(got, row, rtol=0, atol=1e-13), (lam, mu, ts)
+
+
+@pytest.mark.parametrize("w, u, t, mu", [
+    (0.3, 0.3, 1.0, 1.0),         # w == u
+    (0.0, 0.0, 1.0, 2.0),
+    (0.2, 1.0, 1.0, 0.7),         # u == t
+    (0.25, 0.8, 1.2, 0.7),
+    (0.999, 1.0, 1.0, 3.0),       # w -> t
+    (1.0 - 1e-9, 1.0, 1.0, 1.0),
+])
+def test_every_kernel_rung_matches_the_per_u_reference(w, u, t, mu):
+    for ni, n1 in twoturn._T_LADDER:
+        want = float(_ttilde_vec([w], u, t, mu, ni, n1)[0])
+        got = float(twoturn._ttilde([(u - w) / (t - w)], [t - w], [mu], ni, n1)[0, 0])
+        assert got == pytest.approx(want, abs=1e-13, rel=0), (ni, n1)
+
+
+def test_one_point_equals_its_value_in_the_61_point_grid():
+    grid = np.linspace(0.0, 3.0, 61)
+    values, errs = cdf_two_turn_bound(P11, grid, with_err=True)
+    for k in (0, 1, 17, 30, 44, 60):
+        v, e = cdf_two_turn_bound(P11, float(grid[k]), with_err=True)
+        assert values[k] == v and errs[k] == e
+
+
+def test_chunking_does_not_change_the_kernel(monkeypatch):
+    ni, n1 = twoturn._B_LADDER[0][2:]
+    gu, _ = gauss_legendre(20)
+    w = np.outer(gu, gu).ravel()
+    u = np.repeat(gu, 20)
+    q, c, s = (u - w) / (1.0 - w), 1.0 - w, np.array([0.05, 1.0, 6.0])
+    rows = 2 * ni * q.size
+    ref = twoturn._ttilde(q, c, s, ni, n1)
+    assert rows % 1000 != 0  # 1000 rows leave a partial last chunk
+    for step in (1000, rows):
+        monkeypatch.setattr(twoturn, "_CHUNK_NODES", n1 * step)
+        got = twoturn._ttilde(q, c, s, ni, n1)
+        assert np.allclose(got, ref, rtol=0, atol=1e-13)
+    # one row per chunk, on a few pairs, u == w among them
+    monkeypatch.setattr(twoturn, "_CHUNK_NODES", n1)
+    few = [0, 7, 211, 399]
+    qf, cf = np.append(q[few], 0.0), np.append(c[few], 0.4)
+    got = twoturn._ttilde(qf, cf, s, ni, n1)
+    monkeypatch.undo()
+    assert np.allclose(got, twoturn._ttilde(qf, cf, s, ni, n1), rtol=0, atol=1e-13)
+    assert np.allclose(got[:, :-1], ref[:, few], rtol=0, atol=1e-13)
+
+
+def test_one_unsettled_point_fails_the_batch_with_its_payload():
+    grid = np.array([0.0, 0.5, 1.0, 2.0])
+    with pytest.raises(QuadratureFailure) as batch:
+        cdf_two_turn_bound(P11, grid, tol=1e-14)
+    assert "at t=0.5" in str(batch.value)
+    with pytest.raises(QuadratureFailure) as alone:
+        cdf_two_turn_bound(P11, 0.5, tol=1e-14)
+    assert (batch.value.value, batch.value.error_estimate) == (
+        alone.value.value, alone.value.error_estimate)
+
+
+def test_one_point_call_memory_is_bounded():
+    # the rows are built in chunks of 2**15 theta_1 nodes, so the peak is
+    # a few such buffers (0.26 MB each) whatever the rung
+    cdf_two_turn_bound(P11, 1.0)  # rules cached
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuadratureFailure):  # climbs all three rungs
+            cdf_two_turn_bound(P11, 2.5, tol=1e-14)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
