@@ -179,7 +179,7 @@ def _regimes(z_sign):
     return np.array([outer, outer, transition, transition])
 
 
-def _zeta(xr, v, sin_w, cos_w, a0, a1, a2, b, d):
+def _zeta(xr, v, sin_w, cos_w, a0, a1, a2, b, d, out=None, scratch=None):
     """Z/t off the window, in the half gap v = tan((omega1 - omega)/2).
 
     With phi = omega1 - omega, (1 + cos(phi))/sin(phi) = 1/v,
@@ -193,12 +193,13 @@ def _zeta(xr, v, sin_w, cos_w, a0, a1, a2, b, d):
     with (a0, a1, a2, b, d) = (2, 1, 1, 1, 0) for the outer "plus" sign,
     (2, 1, -1, 0, 1) for "minus" and (4, 2, 4, 2, -2) in the transition.
     v is an array whose last axis matches the other arguments, which are
-    constant along omega1.
+    constant along omega1. ``out`` and ``scratch``, arrays of v's shape,
+    take the result and a temporary in place of new arrays.
     """
     xs = xr * sin_w
     with np.errstate(divide="ignore", invalid="ignore"):
-        zeta = (b * xs) / v
-        zeta += (d * xs) * v
+        zeta = np.divide(b * xs, v, out=out)
+        zeta += np.multiply(d * xs, v, out=scratch)
     np.subtract(a0 - xr * (a1 + a2 * cos_w), zeta, out=zeta)
     return np.clip(zeta, 0.0, 4.0, out=zeta)
 
@@ -275,22 +276,39 @@ def _rung_terms(s, variant, nw, nx, n1):
     step = max(1, _CHUNK_NODES // (4 * n1))
     coef = np.tile(_regimes(variant.z_sign).T, step)  # (5, rows)
     col = sg[:, None]
+    # the chunk arrays (n1, rows), allocated once per call: v, zeta, w, e
+    buf = np.empty((4, n1 * 4 * min(step, omega.size)))
+    guard = np.empty(buf.shape[1], dtype=bool)
     for a in range(0, omega.size, step):
         b = slice(a, a + step)
         # one row per (pair, segment)
         half_gap, half_width = 0.5 * gap[b].ravel(), 0.5 * width[b].ravel()
-        v = np.tan(half_gap + half_width * col)  # (n1, rows)
-        zeta = _zeta(np.repeat(xr[b], 4), v, np.repeat(sin_w[b], 4),
-                     np.repeat(cos_w[b], 4), *coef[:, :half_gap.size])
-        w = (width[b] * weight[b, None]).ravel() * sgw[:, None]
-        if near[b].any():  # |sin(omega1 - omega)| = |2v/(1 + v^2)|
-            guard = np.abs(2.0 * v) < _GUARD * (1.0 + v * v)
-            w[guard] = 0.0
-            zeta[guard] = 0.0
+        shape = (n1, half_gap.size)
+        v, zeta, w, e = (part[:shape[0] * shape[1]].reshape(shape) for part in buf)
+        np.multiply(half_width, col, out=v)
+        v += half_gap
+        np.tan(v, out=v)
+        masked = near[b].any()
+        if masked:  # |sin(omega1 - omega)| = |2v/(1 + v^2)|
+            g = guard[:v.size].reshape(shape)
+            np.multiply(v, 2.0, out=zeta)
+            np.abs(zeta, out=zeta)
+            np.multiply(v, v, out=e)
+            e += 1.0
+            e *= _GUARD
+            np.less(zeta, e, out=g)
+        _zeta(np.repeat(xr[b], 4), v, np.repeat(sin_w[b], 4),
+              np.repeat(cos_w[b], 4), *coef[:, :half_gap.size],
+              out=zeta, scratch=e)
+        np.multiply((width[b] * weight[b, None]).ravel(), sgw[:, None], out=w)
+        if masked:
+            np.copyto(w, 0.0, where=g)
+            np.copyto(zeta, 0.0, where=g)
         for k, sk in enumerate(s):
             # multiply and sum rather than np.dot: BLAS would wake its
             # threads for every chunk
-            e = np.exp(zeta * -sk)
+            np.multiply(zeta, -sk, out=e)
+            np.exp(e, out=e)
             e *= w
             fx[k] += e.sum()
 

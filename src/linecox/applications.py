@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from scipy.optimize import brentq
-
 from .analytic import (
     DEFAULT_VARIANT,
     IntersectionVariant,
@@ -162,4 +160,64 @@ def reach_quantile(model: ModelParams, p: float, policy: str = "one-turn-point",
         if hi > cap:
             raise NoBracket(
                 f"F(t) stays below p={p} up to the search cap {cap} for policy {policy}")
-    return float(brentq(lambda t: cdf(t) - p, 0.0, hi, xtol=1e-12, rtol=1e-9))
+    return _brent(lambda t: cdf(t) - p, 0.0, hi, xtol=1e-12, rtol=1e-9)
+
+
+def _brent(f, a: float, b: float, xtol: float, rtol: float,
+           maxiter: int = 100) -> float:
+    """Root of f in the bracket [a, b] by Brent's method (Brent, Algorithms
+    for Minimization without Derivatives, 1973, ch. 4).
+
+    A port of scipy.optimize.brentq, step for step: the same evaluations in
+    the same order, the same choice between secant interpolation, inverse
+    quadratic extrapolation and bisection, and the same stop once half the
+    bracket is below delta = (xtol + rtol*|x|)/2; so it returns brentq's
+    root bit for bit. ValueError when f(a) and f(b) have the same sign or f
+    gives nan; RuntimeError when maxiter steps do not converge.
+    """
+    def call(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"f({x!r}) is nan; the root solve cannot go on")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError(f"f({xpre!r}) and f({xcur!r}) must differ in sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre  # the root lies between xcur and xblk
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # xcur holds the best iterate
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless a short step is found
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:  # a zero divisor gives inf or nan in C: bisect there too
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"no convergence in {maxiter} steps, last x {xcur!r}")

@@ -258,7 +258,9 @@ def compare(curve_a: DistributionCurve, curve_b: DistributionCurve) -> Compariso
         if hi < lo:
             raise GridMismatch(
                 f"curves do not overlap: [{ga[0]}, {ga[-1]}] vs [{gb[0]}, {gb[-1]}]")
-        pts = np.union1d(ga, gb)
+        # sorted union, as np.union1d gives it without loading numpy.ma
+        pts = np.sort(np.concatenate((ga, gb)))
+        pts = pts[np.append(True, pts[1:] != pts[:-1])]
         common = pts[(pts >= lo) & (pts <= hi)]
         if common.size < 2:
             raise GridMismatch("fewer than two common grid points")

@@ -136,7 +136,7 @@ def _origin_crossings(real: Realization, oi: int, directed: bool):
     if jj.size == 0:
         return []
     ii = np.full_like(jj, oi)
-    s_o, u_j = _pair_arcs(real._angles, real._offsets, ii, jj)
+    s_o, u_j = _pair_arcs(real._trig, real._offsets, ii, jj)
     ok = np.isfinite(s_o)
     if directed:
         ok &= s_o > 0.0
@@ -154,7 +154,7 @@ def _crossings(real: Realization, li: int):
     the same two arcs whichever of its lines asks for it."""
     other = np.arange(len(real.lines) - 1)
     other[li:] += 1
-    a_lo, a_hi = _pair_arcs(real._angles, real._offsets,
+    a_lo, a_hi = _pair_arcs(real._trig, real._offsets,
                             np.minimum(other, li), np.maximum(other, li))
     return (np.concatenate((a_hi[:li], a_lo[li:])),
             np.concatenate((a_lo[:li], a_hi[li:])), other)
@@ -354,7 +354,7 @@ def _first_hops(chunk, t_max, directed):
     bg = np.flatnonzero(~chunk.through_origin)
     out = []
     for origin in _origin_lines(chunk, directed):
-        s_o, u_j = _pair_arcs(chunk.angle, chunk.offset, origin[chunk.trial[bg]], bg)
+        s_o, u_j = _pair_arcs(chunk._trig, chunk.offset, origin[chunk.trial[bg]], bg)
         ok = np.isfinite(s_o)
         if directed:
             ok &= s_o > 0.0
@@ -387,7 +387,7 @@ def _batch_two_directed(best, chunk, t_max):
         m = chunk.line_start[t] + 1 + (np.arange(f.size)
                                        - np.repeat(np.cumsum(reps) - reps, reps))
         m += m >= i
-        arc_lo, arc_hi = _pair_arcs(chunk.angle, chunk.offset,
+        arc_lo, arc_hi = _pair_arcs(chunk._trig, chunk.offset,
                                     np.minimum(i, m), np.maximum(i, m))
         a_i = np.where(i < m, arc_lo, arc_hi)
         a_m = np.where(i < m, arc_hi, arc_lo)

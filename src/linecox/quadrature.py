@@ -11,6 +11,9 @@ from __future__ import annotations
 import time
 
 import numpy as np
+# numpy loads its polynomial submodule lazily; import it here so that the
+# cost falls on `import linecox` and not on the first quadrature call
+from numpy.polynomial.legendre import leggauss
 
 from .errors import QuadratureFailure
 
@@ -22,7 +25,7 @@ def gauss_legendre(n: int):
     linecox.analytic are built from these."""
     nodes, weights = _GL_CACHE.get(n, (None, None))
     if nodes is None:
-        x, w = np.polynomial.legendre.leggauss(int(n))
+        x, w = leggauss(int(n))
         nodes = 0.5 * (x + 1.0)
         weights = 0.5 * w
         nodes.setflags(write=False)

@@ -35,6 +35,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+# numpy loads its random submodule lazily; import it here so that the cost
+# falls on `import linecox` and not on a run's first draw
+from numpy.random import Generator, Philox
 
 from .errors import (
     NonPositiveRadius,
@@ -141,6 +144,11 @@ class Realization:
         p.setflags(write=False)
         return p
 
+    @cached_property
+    def _trig(self) -> tuple[np.ndarray, np.ndarray]:
+        """(sin, cos) of every line's angle, for ``_pair_arcs``."""
+        return _sin_cos(self._angles)
+
     @property
     def origin_ids(self) -> tuple[int, ...]:
         return tuple(ln.id for ln in self.lines if ln.through_origin)
@@ -169,10 +177,10 @@ class Realization:
         if n < 2:
             return ()
         ii, jj = np.triu_indices(n, k=1)
-        s_i, s_j = _pair_arcs(self._angles, self._offsets, ii, jj)
+        s_i, s_j = _pair_arcs(self._trig, self._offsets, ii, jj)
         keep = np.isfinite(s_i)
         out = []
-        ca, sa = np.cos(self._angles), np.sin(self._angles)
+        sa, ca = self._trig
         for a, b, u, v in zip(ii[keep], jj[keep], s_i[keep], s_j[keep]):
             x = self._offsets[a] * (-sa[a]) + u * ca[a]
             y = self._offsets[a] * ca[a] + u * sa[a]
@@ -182,14 +190,24 @@ class Realization:
         return tuple(out)
 
 
-def _pair_arcs(angles, offsets, ii, jj):
+def _sin_cos(angles) -> tuple[np.ndarray, np.ndarray]:
+    """(sin, cos) of the angles, read-only."""
+    sa, ca = np.sin(angles), np.cos(angles)
+    sa.setflags(write=False)
+    ca.setflags(write=False)
+    return sa, ca
+
+
+def _pair_arcs(trig, offsets, ii, jj):
     """Arc coordinates of the crossing of line pairs (ii[k], jj[k]): returns
     (arc on line ii[k], arc on line jj[k]). Near-parallel pairs give nan.
+    ``trig`` is ``_sin_cos`` of the line angles, which a Realization or a
+    ChunkSample computes once and keeps.
 
     This is the single crossing formula used everywhere (sampler queries and
     oracle graph alike) so arcs agree bit for bit across code paths.
     """
-    sa, ca = np.sin(angles), np.cos(angles)
+    sa, ca = trig
     det = sa[jj] * ca[ii] - ca[jj] * sa[ii]
     bx = -offsets[jj] * sa[jj] + offsets[ii] * sa[ii]
     by = offsets[jj] * ca[jj] - offsets[ii] * ca[ii]
@@ -271,8 +289,8 @@ class _TrialDraws:
         self._master = master % 2**64
         if not hasattr(_philox, "rng"):
             _philox.key = np.zeros(2, dtype=np.uint64)
-            _philox.bitgen = np.random.Philox(key=_philox.key)
-            _philox.rng = np.random.Generator(_philox.bitgen)
+            _philox.bitgen = Philox(key=_philox.key)
+            _philox.rng = Generator(_philox.bitgen)
             _philox.fresh = {"bit_generator": "Philox",
                              "state": {"counter": np.zeros(4, dtype=np.uint64),
                                        "key": _philox.key},
@@ -330,7 +348,10 @@ def _crowded_trials(angle, trial, line_start) -> np.ndarray:
     many = n_lines > 1
     first, last = line_start[:-1][many], line_start[1:][many] - 1
     wrap = (s[first] + _PI) - s[last] < _MIN_ANGLE_GAP
-    return np.union1d(trial[1:][close], np.flatnonzero(many)[wrap])
+    crowded = np.zeros(n_lines.size, dtype=bool)
+    crowded[trial[1:][close]] = True
+    crowded[np.flatnonzero(many)[wrap]] = True
+    return np.flatnonzero(crowded)
 
 
 @dataclass(frozen=True)
@@ -364,6 +385,11 @@ class ChunkSample:
     @property
     def n_trials(self) -> int:
         return self.line_start.size - 1
+
+    @cached_property
+    def _trig(self) -> tuple[np.ndarray, np.ndarray]:
+        """(sin, cos) of every line's angle, for ``_pair_arcs``."""
+        return _sin_cos(self.angle)
 
     def realization(self, t: int) -> Realization:
         """Trial t as a Realization, for inspecting one trial."""
@@ -503,7 +529,7 @@ def crossings_within(real: Realization, line_id: int, t: float):
     if jj.size == 0:
         return []
     ii = np.full_like(jj, i)
-    s_i, _ = _pair_arcs(real._angles, real._offsets, ii, jj)
+    s_i, _ = _pair_arcs(real._trig, real._offsets, ii, jj)
     out = []
     for k, s in zip(jj, s_i):
         if not math.isfinite(s) or abs(s) > t:

@@ -7,6 +7,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from linecox import (
     AngleLaw,
@@ -145,6 +147,39 @@ def test_crowded_trials_detects_close_and_wrapped_angles():
     line_start = np.array([0, 3, 5, 7, 8])
     trial = np.repeat(np.arange(4), np.diff(line_start))
     assert sampler._crowded_trials(angle, trial, line_start).tolist() == [0, 2]
+
+
+def _crowded_by_union1d(angle, trial, line_start):
+    """``_crowded_trials`` as it was written with np.union1d."""
+    n_lines = np.diff(line_start)
+    s = angle[sampler._sort_within(trial, angle)]
+    close = (np.diff(s) < 1e-12) & (trial[1:] == trial[:-1])
+    many = n_lines > 1
+    first, last = line_start[:-1][many], line_start[1:][many] - 1
+    wrap = (s[first] + np.pi) - s[last] < 1e-12
+    return np.union1d(trial[1:][close], np.flatnonzero(many)[wrap])
+
+
+# angles that often sit within 1e-12 of each other, also across 0 = pi
+_ANGLE = st.one_of(st.sampled_from([0.0, 1e-13, 1.0, 1.0 + 1e-13, 2.0,
+                                    np.pi - 1e-13]),
+                   st.floats(0.0, np.pi, exclude_max=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(trials=st.lists(st.lists(_ANGLE, min_size=1, max_size=6),
+                       min_size=1, max_size=12))
+@example(trials=[[0.0, 1.0], [0.0, 2.0]])              # none crowded
+@example(trials=[[0.0, 1e-13], [1.0, 1.0], [0.0, np.pi - 1e-13]])  # all
+@example(trials=[[0.0], [1.0], [2.0]])                 # one line each
+def test_crowded_trials_match_union1d(trials):
+    line_start = np.concatenate(([0], np.cumsum([len(t) for t in trials])))
+    angle = np.concatenate([np.asarray(t, dtype=float) for t in trials])
+    trial = np.repeat(np.arange(len(trials)), np.diff(line_start))
+    got = sampler._crowded_trials(angle, trial, line_start)
+    want = _crowded_by_union1d(angle, trial, line_start)
+    assert got.dtype.kind == "i"
+    assert got.tolist() == want.tolist()
 
 
 def test_segment_searchsorted_matches_numpy():

@@ -1,0 +1,63 @@
+"""The runtime needs numpy alone: importing linecox loads no scipy, and no
+numpy submodule is left for a first job to load (numpy 2 loads some of
+them lazily, on first attribute access)."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import linecox
+
+SRC = Path(linecox.__file__).resolve().parent.parent
+
+SCRIPT = """
+import contextlib, io, sys
+
+def loaded(name):
+    return sorted(m for m in sys.modules if m == name or m.startswith(name + "."))
+
+import linecox
+assert not loaded("scipy"), loaded("scipy")
+numpy_at_import = set(loaded("numpy"))
+
+from linecox import (ModelParams, RisLinkParams, TurnPolicy, cdf_one_turn_intersection,
+                     cdf_two_turn_bound, cli, compare, farfield_success_lower_bound,
+                     nearfield_success, reach_quantile, run_mc, typical_intersection,
+                     typical_point)
+
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        cli.main(["--help"])
+    except SystemExit:
+        pass
+model = ModelParams(1.0, 1.0)
+batched = run_mc(model, typical_point(), TurnPolicy.two_turn_directed(), 64, 2.0, 1,
+                 workers=1)
+k_turn = run_mc(model, typical_intersection(), TurnPolicy.k_turn(2), 16, 2.0, 1,
+                grid=[0.0, 0.3, 1.0, 2.0], workers=1)
+compare(batched, k_turn)  # unequal grids: compared on their union
+cdf_one_turn_intersection(model, 1.0)
+cdf_two_turn_bound(model, 1.0)
+for policy in ("one-turn-point", "zero-turn-intersection", "one-turn-intersection"):
+    reach_quantile(model, 0.5, policy)
+link = RisLinkParams(1.0, 1.0, 1.0, 0.01, 0.1, 10.0, 10.0, 0.005, 0.005, 1.0,
+                     1e-10, 10.0)
+nearfield_success(link, model)
+farfield_success_lower_bound(link, model)
+
+assert not loaded("scipy"), loaded("scipy")
+late = sorted(set(loaded("numpy")) - numpy_at_import)
+assert not late, late
+print("ok")
+"""
+
+
+def test_runtime_loads_no_scipy_and_no_late_numpy_module():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    proc = subprocess.run([sys.executable, "-c", SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"

@@ -24,7 +24,7 @@ from linecox import (
 )
 from linecox.model import Line
 from linecox.oracle import _Best, _origin_indices, _scan_targets
-from linecox.sampler import _pair_arcs
+from linecox.sampler import _pair_arcs, _sin_cos
 
 HPI = math.pi / 2
 
@@ -220,7 +220,7 @@ def _eager_graph(real):
     origin_pair_nodes = set()
     if n >= 2:
         ii, jj = np.triu_indices(n, k=1)
-        arc_i, arc_j = _pair_arcs(real._angles, real._offsets, ii, jj)
+        arc_i, arc_j = _pair_arcs(real._trig, real._offsets, ii, jj)
         node = 0
         for a, b, u, v in zip(ii, jj, arc_i, arc_j):
             if not math.isfinite(u):
@@ -327,16 +327,16 @@ def test_hops_tied_with_the_incumbent_or_t_max_are_kept():
     still taken (a point at its crossing on a lower line id wins the tie),
     and a route exactly as long as t_max is not censored."""
     lines = [Line(5, 0.0, 0.0, True), Line(1, HPI, -1.0)]
-    arc5, arc1 = _pair_arcs(np.array([0.0, HPI]), np.array([0.0, -1.0]),
-                            np.array([0]), np.array([1]))
+    arc5, arc1 = _pair_arcs(_sin_cos(np.array([0.0, HPI])),
+                            np.array([0.0, -1.0]), np.array([0]), np.array([1]))
     real = build(lines, [arc5, arc1])
     res = shortest_path(real, TurnPolicy.k_turn(1), 3.0)
     assert (res.length, res.turns_used) == (arc5[0], 1)
     assert (res.target.line_id, res.target.arc_coord) == (1, arc1[0])
 
     lines = [Line(0, 0.0, 0.0, True), Line(1, HPI, -0.5), Line(2, 0.0, 0.25)]
-    _, arc2 = _pair_arcs(np.array([0.0, HPI, 0.0]), np.array([0.0, -0.5, 0.25]),
-                         np.array([1]), np.array([2]))
+    _, arc2 = _pair_arcs(_sin_cos(np.array([0.0, HPI, 0.0])),
+                         np.array([0.0, -0.5, 0.25]), np.array([1]), np.array([2]))
     real = build(lines, [[], [], arc2])
     for policy in (TurnPolicy.two_turn_directed(),
                    TurnPolicy.k_turn(2, first_hop_positive_x=True)):
