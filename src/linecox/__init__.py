@@ -9,7 +9,6 @@ link-budget and reachability questions.
 
 from .analytic import (
     DEFAULT_VARIANT,
-    IntersectionVariant,
     angle_thresholds,
     cdf_naive_recursion,
     cdf_one_turn_intersection,
@@ -110,8 +109,7 @@ __all__ = [
     "cdf_one_turn_point", "cdf_naive_recursion", "cdf_zero_turn_intersection",
     "cdf_upper_intersection", "cdf_one_turn_intersection",
     "one_turn_intersection_terms", "cdf_two_turn_bound", "two_turn_T",
-    "cdf_ppp2d_reference", "equivalent_ppp_density", "IntersectionVariant",
-    "DEFAULT_VARIANT", "angle_thresholds", "z_length",
+    "cdf_ppp2d_reference", "equivalent_ppp_density", "DEFAULT_VARIANT", "angle_thresholds", "z_length",
     # sampling and oracle
     "Realization", "sample_palm", "crossings_within", "realization_to_json",
     "realization_from_json", "rotate", "PathResult", "shortest_path",

@@ -1,8 +1,9 @@
 """Analytic distance distributions and bounds.
 
 Closed forms live in ``closed_forms``; the quadrature-backed one-turn
-distribution seen from a typical intersection (with its variant mechanism)
-in ``intersection``; the directed two-turn upper bound in ``twoturn``.
+distribution seen from a typical intersection in ``intersection``; the
+directed two-turn upper bound in ``twoturn``. Every curve checks its t
+with ``closed_forms._check_t``.
 """
 
 from .closed_forms import (
@@ -15,7 +16,6 @@ from .closed_forms import (
 )
 from .intersection import (
     DEFAULT_VARIANT,
-    IntersectionVariant,
     angle_thresholds,
     cdf_one_turn_intersection,
     one_turn_intersection_terms,
@@ -30,7 +30,6 @@ __all__ = [
     "cdf_upper_intersection",
     "cdf_ppp2d_reference",
     "equivalent_ppp_density",
-    "IntersectionVariant",
     "DEFAULT_VARIANT",
     "angle_thresholds",
     "z_length",

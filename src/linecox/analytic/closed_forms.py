@@ -25,16 +25,26 @@ __all__ = [
 
 
 def _check_t(t):
+    """The t check of every curve in ``linecox.analytic``: t as a float
+    array, and whether t was a scalar. NonFinite for nan or inf, NegativeT
+    for t < 0."""
     arr = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise NonFinite("t must be finite")
     if np.any(arr < 0):
         raise NegativeT("t must be >= 0")
-    return arr, np.isscalar(t) or getattr(t, "ndim", 0) == 0
+    return arr, np.ndim(t) == 0
 
 
 def _ret(values, scalar):
     return float(values) if scalar else values
+
+
+def _ret_err(values, errors, scalar, with_err):
+    """``_ret`` for the quadrature curves, with their error estimates
+    when ``with_err``."""
+    values = _ret(values, scalar)
+    return (values, _ret(errors, scalar)) if with_err else values
 
 
 def cdf_naive_recursion(params: ModelParams, t):

@@ -20,36 +20,28 @@ Each rung of the quadrature ladder therefore builds its nodes, weights
 and Z/t once per call, at unit reach, and serves every t of the call
 (``_rung_terms``).
 
-Three details of that recipe admit two readings each (a sign joining the
-two angle sines in the outer regime, whether out-of-window angles on the
-second street still contribute unit survival, and which length enters the
-first window arctan). All eight combinations are implemented behind
-``IntersectionVariant``; the default was selected once by the committed
-calibration experiment (demos/calibrate_variant.py, table in
-docs/variant_calibration.json) as the variant matching exact Monte Carlo
-best, and it is also the only one passing the acceptance gate.
+The recipe reads three details one way: the outer-regime length joins
+the two angle sines with a plus, out-of-window angles on the second
+street contribute unit survival, and the first window arctan is offset
+by the entry distance x. This reading, labelled ``plus/full-angle/x``
+(``DEFAULT_VARIANT``), was selected by a calibration of all eight
+readings against exact Monte Carlo (table in docs/variant_calibration.json),
+and it is the only one that passes the acceptance gate.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import (
-    DegenerateAngles,
-    DomainError,
-    NegativeT,
-    NonFinite,
-    QuadratureFailure,
-)
+from ..errors import DegenerateAngles, DomainError
 from ..model import ModelParams, validate
 from ..quadrature import gauss_legendre, settle_ladder
+from .closed_forms import _check_t, _ret_err
 
 __all__ = [
-    "IntersectionVariant",
     "DEFAULT_VARIANT",
     "angle_thresholds",
     "z_length",
@@ -59,45 +51,16 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-_Z_SIGNS = ("minus", "plus")
-_Y_WEIGHTINGS = ("window-only", "full-angle")
-_EDGE_ARGS = ("x", "t")
+
+class _Recipe:
+    """The one recipe, as a record for the outputs that name it."""
+
+    @staticmethod
+    def label() -> str:
+        return "plus/full-angle/x"
 
 
-@dataclass(frozen=True)
-class IntersectionVariant:
-    """One concrete reading of the three ambiguous recipe details.
-
-    z_sign        sign joining sin(omega) and sin(omega1) in the outer
-                  regime length: "minus" or "plus".
-    y_weighting   second-street average: "window-only" integrates the
-                  window alone, "full-angle" adds unit survival for angles
-                  outside the window (a per-angle probability reading).
-    edge_arg      numerator offset of the first window arctan: the entry
-                  distance "x" or the reach "t".
-    """
-
-    z_sign: str = "plus"
-    y_weighting: str = "full-angle"
-    edge_arg: str = "x"
-
-    def __post_init__(self):
-        if self.z_sign not in _Z_SIGNS:
-            raise ValueError(f"z_sign must be one of {_Z_SIGNS}, got {self.z_sign!r}")
-        if self.y_weighting not in _Y_WEIGHTINGS:
-            raise ValueError(
-                f"y_weighting must be one of {_Y_WEIGHTINGS}, got {self.y_weighting!r}")
-        if self.edge_arg not in _EDGE_ARGS:
-            raise ValueError(f"edge_arg must be one of {_EDGE_ARGS}, got {self.edge_arg!r}")
-
-    def label(self) -> str:
-        return f"{self.z_sign}/{self.y_weighting}/{self.edge_arg}"
-
-
-# Winner of the committed calibration run against exact Monte Carlo
-# (demos/calibrate_variant.py; per-variant KS table in
-# docs/variant_calibration.json).
-DEFAULT_VARIANT = IntersectionVariant("plus", "full-angle", "x")
+DEFAULT_VARIANT = _Recipe()
 
 _PI = math.pi
 _GUARD = 1e-9  # angle gap below which exp(-mu*Z) is extended by 0
@@ -114,7 +77,7 @@ def _safe_arccos(val, tol=_ACOS_TOL):
     return np.arccos(np.clip(arr, -1.0, 1.0))
 
 
-def _thresholds(xr, sin_w, cos_w, edge_arg):
+def _thresholds(xr, sin_w, cos_w):
     """The four regime breakpoints at unit reach: xr = x/t, and sin_w, cos_w
     of the crossing angle omega, all broadcast together. The thresholds
     depend on x and t only through x/t, so one call serves every reach.
@@ -126,8 +89,7 @@ def _thresholds(xr, sin_w, cos_w, edge_arg):
     """
     xr, sin_w, cos_w = np.broadcast_arrays(
         np.asarray(xr, dtype=float), sin_w, cos_w)
-    first_num = cos_w - (1.0 if edge_arg == "t" else xr)
-    win_a = np.arctan2(sin_w, first_num) % _PI
+    win_a = np.arctan2(sin_w, cos_w - xr) % _PI
     win_b = np.arctan2(sin_w, cos_w + xr) % _PI
     win_lo = np.minimum(win_a, win_b)
     win_hi = np.maximum(win_a, win_b)
@@ -145,8 +107,7 @@ def _thresholds(xr, sin_w, cos_w, edge_arg):
     return outer_lo, win_lo, win_hi, outer_hi
 
 
-def angle_thresholds(x: float, omega: float, t: float,
-                     variant: IntersectionVariant = DEFAULT_VARIANT):
+def angle_thresholds(x: float, omega: float, t: float):
     """The four regime breakpoints in (0, pi) for entry distance x, crossing
     angle omega and reach t; see the module docstring. Returns
     (outer_lo, win_lo, win_hi, outer_hi). The expected nesting
@@ -159,7 +120,7 @@ def angle_thresholds(x: float, omega: float, t: float,
     if not (0.0 < omega < _PI):
         raise DomainError(f"omega must lie strictly inside (0, pi), got {omega}")
     outer_lo, win_lo, win_hi, outer_hi = (float(v) for v in _thresholds(
-        x / t, math.sin(omega), math.cos(omega), variant.edge_arg))
+        x / t, math.sin(omega), math.cos(omega)))
     if outer_lo > win_lo + 1e-9 or win_hi > outer_hi + 1e-9:
         log.warning("threshold nesting violated at x=%g omega=%g t=%g: "
                     "%.12g, %.12g, %.12g, %.12g",
@@ -167,16 +128,11 @@ def angle_thresholds(x: float, omega: float, t: float,
     return outer_lo, win_lo, win_hi, outer_hi
 
 
-def _regimes(z_sign):
-    """Coefficients (a0, a1, a2, b, d) of ``_zeta`` on the four omega1
-    segments, one row each: outer below, outer above, transition below,
-    transition above."""
-    if z_sign == "plus":
-        outer = [2.0, 1.0, 1.0, 1.0, 0.0]
-    else:
-        outer = [2.0, 1.0, -1.0, 0.0, 1.0]
-    transition = [4.0, 2.0, 4.0, 2.0, -2.0]
-    return np.array([outer, outer, transition, transition])
+# coefficients (a0, a1, a2, b, d) of ``_zeta`` on the four omega1
+# segments, one row each: outer below, outer above, transition below,
+# transition above
+_REGIMES = np.array([[2.0, 1.0, 1.0, 1.0, 0.0]] * 2
+                    + [[4.0, 2.0, 4.0, 2.0, -2.0]] * 2)
 
 
 def _zeta(xr, v, sin_w, cos_w, a0, a1, a2, b, d, out=None, scratch=None):
@@ -184,14 +140,14 @@ def _zeta(xr, v, sin_w, cos_w, a0, a1, a2, b, d, out=None, scratch=None):
 
     With phi = omega1 - omega, (1 + cos(phi))/sin(phi) = 1/v,
     (1 - cos(phi))/sin(phi) = v and sin(omega1) = sin(phi)*cos_w +
-    cos(phi)*sin_w, the outer length 2 - xr*(1 + (sin_w +- sin(omega1))/
+    cos(phi)*sin_w, the outer length 2 - xr*(1 + (sin_w + sin(omega1))/
     sin(phi)) and the transition length 4 - 2*xr*(1 + 2*sin(omega1)/sin(phi))
     both read
 
         Z/t = clip(a0 - xr*(a1 + a2*cos_w) - xr*sin_w*(b/v + d*v), 0, 4)
 
-    with (a0, a1, a2, b, d) = (2, 1, 1, 1, 0) for the outer "plus" sign,
-    (2, 1, -1, 0, 1) for "minus" and (4, 2, 4, 2, -2) in the transition.
+    with (a0, a1, a2, b, d) = (2, 1, 1, 1, 0) in the outer regime and
+    (4, 2, 4, 2, -2) in the transition.
     v is an array whose last axis matches the other arguments, which are
     constant along omega1. ``out`` and ``scratch``, arrays of v's shape,
     take the result and a temporary in place of new arrays.
@@ -204,22 +160,17 @@ def _zeta(xr, v, sin_w, cos_w, a0, a1, a2, b, d, out=None, scratch=None):
     return np.clip(zeta, 0.0, 4.0, out=zeta)
 
 
-def z_length(x: float, omega1: float, omega: float, t: float,
-             variant: IntersectionVariant = DEFAULT_VARIANT) -> float:
+def z_length(x: float, omega1: float, omega: float, t: float) -> float:
     """Arc length within reach on a crossing line entering the first street
     at distance x under angle omega1, the two streets crossing at angle
     omega; clamped to [0, 4t]. Raises DegenerateAngles when omega1 and
     omega are parallel to within 1e-12."""
-    if not (t > 0 and math.isfinite(t)):
-        raise DomainError(f"t must be finite and > 0, got {t}")
-    if not (0.0 <= x <= t):
-        raise DomainError(f"x must lie in [0, t], got x={x}, t={t}")
     if not (0.0 < omega < _PI) or not (0.0 <= omega1 <= _PI):
         raise DomainError("angles must lie in (0, pi) / [0, pi]")
     if abs(math.sin(omega1 - omega)) < 1e-12:
         raise DegenerateAngles(
             f"omega1={omega1} and omega={omega} are parallel within 1e-12")
-    outer_lo, win_lo, win_hi, outer_hi = angle_thresholds(x, omega, t, variant)
+    outer_lo, win_lo, win_hi, outer_hi = angle_thresholds(x, omega, t)
     if omega1 <= outer_lo or omega1 >= outer_hi:
         regime = 0
     elif win_lo <= omega1 <= win_hi:
@@ -228,7 +179,7 @@ def z_length(x: float, omega1: float, omega: float, t: float,
         regime = 2
     v = np.array([math.tan(0.5 * (omega1 - omega))])
     zeta = _zeta(x / t, v, math.sin(omega), math.cos(omega),
-                 *_regimes(variant.z_sign)[regime])
+                 *_REGIMES[regime])
     return float(t * zeta[0])
 
 
@@ -240,7 +191,7 @@ _LADDER = ((48, 48, 32), (96, 96, 64), (192, 192, 128))
 _CHUNK_NODES = 2**15
 
 
-def _rung_terms(s, variant, nw, nx, n1):
+def _rung_terms(s, nw, nx, n1):
     """(Tx/t, Ty/t) at every s = mu*t of the array s, from one rung's fixed
     tensor rule: Gauss-Legendre in omega and x, the omega1 axis integrated
     per regime segment so no panel straddles a breakpoint.
@@ -257,8 +208,7 @@ def _rung_terms(s, variant, nw, nx, n1):
     xr = np.tile(xg, nw)
     weight = np.outer(ow, xw).ravel() / _PI
     sin_w, cos_w = np.sin(omega), np.cos(omega)
-    outer_lo, win_lo, win_hi, outer_hi = _thresholds(xr, sin_w, cos_w,
-                                                     variant.edge_arg)
+    outer_lo, win_lo, win_hi, outer_hi = _thresholds(xr, sin_w, cos_w)
     window = np.maximum(win_hi - win_lo, 0.0)
     # segments per pair: outer below, outer above, transition below,
     # transition above
@@ -274,7 +224,7 @@ def _rung_terms(s, variant, nw, nx, n1):
 
     fx = np.zeros(s.size)
     step = max(1, _CHUNK_NODES // (4 * n1))
-    coef = np.tile(_regimes(variant.z_sign).T, step)  # (5, rows)
+    coef = np.tile(_REGIMES.T, step)  # (5, rows)
     col = sg[:, None]
     # the chunk arrays (n1, rows), allocated once per call: v, zeta, w, e
     buf = np.empty((4, n1 * 4 * min(step, omega.size)))
@@ -315,38 +265,30 @@ def _rung_terms(s, variant, nw, nx, n1):
     win_weight = (window * weight).reshape(nw, nx).sum(axis=0)
     win = np.array([(win_weight * np.exp(-2.0 * sk * (1.0 - xg))).sum()
                     for sk in s])
-    fy = win
-    if variant.y_weighting == "full-angle":
-        fy = win + float(((_PI - window) * weight).sum())
-    return fx + win, fy
+    return fx + win, win + float(((_PI - window) * weight).sum())
 
 
-def one_turn_intersection_terms(mu: float, t: float,
-                                variant: IntersectionVariant = DEFAULT_VARIANT,
-                                tol: float = 1e-6):
+def one_turn_intersection_terms(mu: float, t: float, *, tol: float = 1e-6):
     """(Tx, Ty) with the resolution ladder refined until both move by at
     most tol; raises QuadratureFailure otherwise. Exposed because the terms
     are useful on their own (they only depend on mu and t, as t times a
     function of mu*t) and because the cross-check tests compare them
     against brute-force Riemann sums."""
-    if not (t > 0):
-        raise ValueError(f"t must be > 0, got {t}")
+    _check_t(t)
 
     def rung(r, tv):
-        fx, fy = _rung_terms(mu * tv, variant, *_LADDER[r])
+        fx, fy = _rung_terms(mu * tv, *_LADDER[r])
         return np.stack([tv * fx, tv * fy], axis=1)
 
     values, _ = settle_ladder(
         rung, len(_LADDER), [t], tol,
-        lambda tv: (f"(Tx, Ty) did not settle to {tol} at mu={mu}, t={tv}, "
-                    f"variant={variant.label()}"),
+        lambda tv: f"(Tx, Ty) did not settle to {tol} at mu={mu}, t={tv}",
         log, "(Tx, Ty)")
     return float(values[0, 0]), float(values[0, 1])
 
 
-def cdf_one_turn_intersection(params: ModelParams, t,
-                              variant: IntersectionVariant = DEFAULT_VARIANT,
-                              tol: float = 1e-6, with_err: bool = False):
+def cdf_one_turn_intersection(params: ModelParams, t, *, tol: float = 1e-6,
+                              with_err: bool = False):
     """One-turn street distance CDF from a typical intersection.
 
     Scalar or array t. The refinement ladder doubles the tensor rule until
@@ -358,35 +300,21 @@ def cdf_one_turn_intersection(params: ModelParams, t,
     increment as the error estimate.
     """
     validate(params)
-    arr = np.asarray(t, dtype=float)
-    scalar = np.isscalar(t) or getattr(t, "ndim", 0) == 0
-    if not np.all(np.isfinite(arr)):
-        raise NonFinite("t must be finite")
-    if np.any(arr < 0):
-        raise NegativeT("t must be >= 0")
+    arr, scalar = _check_t(t)
     lam, mu = params.lam, params.mu
 
     if lam == 0.0:
-        out = -np.expm1(-4.0 * mu * arr)
-        out = float(out) if scalar else out
-        if with_err:
-            return (out, 0.0) if scalar else (out, np.zeros_like(arr))
-        return out
+        return _ret_err(-np.expm1(-4.0 * mu * arr), np.zeros_like(arr),
+                        scalar, with_err)
 
     def rung(r, tv):
-        fx, fy = _rung_terms(mu * tv, variant, *_LADDER[r])
+        fx, fy = _rung_terms(mu * tv, *_LADDER[r])
         return -np.expm1(-4.0 * mu * tv - 2.0 * lam * (2.0 * tv - tv * fx - tv * fy))
 
-    flat = arr.reshape(-1)
-    values, errors = np.zeros(flat.size), np.zeros(flat.size)
-    pos = flat > 0.0
+    values, errors = np.zeros(arr.shape), np.zeros(arr.shape)
+    pos = arr > 0.0
     values[pos], errors[pos] = settle_ladder(
-        rung, len(_LADDER), flat[pos], tol,
+        rung, len(_LADDER), arr[pos], tol,
         lambda tv: f"one-turn intersection CDF did not settle to {tol} at t={tv}",
         log, "one-turn intersection CDF")
-    if scalar:
-        return (float(values[0]), float(errors[0])) if with_err else float(values[0])
-    values = values.reshape(arr.shape)
-    if with_err:
-        return values, errors.reshape(arr.shape)
-    return values
+    return _ret_err(values, errors, scalar, with_err)

@@ -42,6 +42,7 @@ import numpy as np
 from ..errors import DomainError, QuadratureFailure
 from ..model import ModelParams, validate
 from ..quadrature import gauss_legendre, settle_ladder
+from .closed_forms import _check_t, _ret_err
 
 __all__ = ["two_turn_T", "cdf_two_turn_bound"]
 
@@ -78,10 +79,13 @@ def _ttilde(q, c, s, ni, n1):
     unit = np.zeros(q.size)
     n_rows = 2 * ni * q.size
     step = max(1, _CHUNK_NODES // n1)
-    buf = np.empty((3, n1 * min(step, n_rows)))
+    # a chunk sums the rows [a, b) but builds whole (pair, theta_i) groups,
+    # so it may build one row more at either end
+    buf = np.empty((3, n1 * (min(step, n_rows) + 2)))
     for a in range(0, n_rows, step):
-        group, upper = np.divmod(np.arange(a, min(a + step, n_rows)), 2)
-        pair, i = np.divmod(group, ni)
+        b = min(a + step, n_rows)
+        rows = slice(a % 2, a % 2 + b - a)
+        pair, i = np.divmod(np.arange(a // 2, (b + 1) // 2), ni)
         qr, cos_i, sin_i = q[pair], cos_ti[i], sin_ti[i]
         lower_half = i < ni // 2
         thr = _HALF_PI - np.arctan(  # arccot, mapped into (0, pi)
@@ -93,35 +97,40 @@ def _ttilde(q, c, s, ni, n1):
         kink = _HALF_PI - np.arctan((cos_i - qr) / sin_i)
         s1 = np.minimum(np.maximum(np.minimum(ti[i], kink), A), B)
         s2 = np.minimum(np.maximum(np.maximum(ti[i], kink), A), B)
-        lo = np.where(upper, s2, A)
-        width = np.where(upper, B, s1) - lo
+        # two rows per group: theta_1 in [A, s1] and in [s2, B]
+        lo, width = np.empty((2, 2 * pair.size))
+        lo[0::2], lo[1::2] = A, s2
+        width[0::2], width[1::2] = s1, B
+        width -= lo
 
         # nodes (n1, rows): theta_1 = lo + width*sg, then zeta
         x, den, g = (part[:n1 * lo.size].reshape(n1, lo.size) for part in buf)
         np.multiply(sg, width, out=x)
         x += lo
         np.tan(x, out=x)
-        np.multiply(x, cos_i, out=den)
-        den -= sin_i
         cr = c[pair]
-        x *= cr * qr
+        np.multiply(x, np.repeat(cos_i, 2), out=den)
+        den -= np.repeat(sin_i, 2)
+        x *= np.repeat(cr * qr, 2)
         with np.errstate(divide="ignore", invalid="ignore"):
             x /= den  # c*q/den with den = cos_i - sin_i*cot(theta_1)
         if not qr.all():
             x[np.isnan(x)] = 0.0  # 0/0 only when u == w; y -> 0
-        x -= cr
+        x -= np.repeat(cr, 2)
         np.minimum(x, 0.0, out=x)  # -zeta*m/s
 
         local = pair - pair[0]
         span = slice(pair[0], pair[-1] + 1)
-        rw = tw[i] * width
-        unit[span] += np.bincount(
-            local, np.where(upper, 0.0, tw[i] * (_PI - (B - A) + (s2 - s1))))
+        mass = tw[i] * (_PI - (B - A) + (s2 - s1))
+        mass[:a % 2] = 0.0  # that group's first row is in the chunk before
+        unit[span] += np.bincount(local, mass)
+        row_local = np.repeat(local, 2)[rows]
+        rw = (np.repeat(tw[i], 2) * width)[rows]
         for k, sk in enumerate(s):
             np.multiply(x, sk, out=g)
             np.exp(g, out=g)
             g *= swt
-            acc[k, span] += np.bincount(local, g.sum(axis=0) * rw)
+            acc[k, span] += np.bincount(row_local, g.sum(axis=0)[rows] * rw)
     return (acc + unit) * _PI / _PI**2
 
 
@@ -186,25 +195,16 @@ def cdf_two_turn_bound(params: ModelParams, t, tol: float = 1e-5,
     additionally returns the last ladder increment.
     """
     validate(params)
-    arr = np.asarray(t, dtype=float)
-    scalar = np.isscalar(t) or getattr(t, "ndim", 0) == 0
-    if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-        raise DomainError("t must be finite and >= 0")
+    arr, scalar = _check_t(t)
     lam, mu = params.lam, params.mu
 
     def rung(r, tv):
         return _bound_rung(lam, mu, tv, *_B_LADDER[r])
 
-    flat = arr.reshape(-1)
-    values, errors = np.zeros(flat.size), np.zeros(flat.size)
-    pos = flat > 0.0 if lam != 0.0 else np.zeros(flat.size, dtype=bool)
+    values, errors = np.zeros(arr.shape), np.zeros(arr.shape)
+    pos = arr > 0.0 if lam != 0.0 else np.zeros(arr.shape, dtype=bool)
     values[pos], errors[pos] = settle_ladder(
-        rung, len(_B_LADDER), flat[pos], tol,
+        rung, len(_B_LADDER), arr[pos], tol,
         lambda tv: f"two-turn bound did not settle to {tol} at t={tv}",
         log, "two-turn bound")
-    if scalar:
-        return (float(values[0]), float(errors[0])) if with_err else float(values[0])
-    values = values.reshape(arr.shape)
-    if with_err:
-        return values, errors.reshape(arr.shape)
-    return values
+    return _ret_err(values, errors, scalar, with_err)

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, fields
 
 from .analytic import (
-    DEFAULT_VARIANT,
-    IntersectionVariant,
     cdf_one_turn_intersection,
     cdf_one_turn_point,
     cdf_zero_turn_intersection,
@@ -129,20 +127,18 @@ _QUAD_CAP = 64.0
 _CLOSED_CAP = 2.0**60
 
 
-def _reach_cdf(policy: str, model: ModelParams,
-               variant: IntersectionVariant, tol: float):
+def _reach_cdf(policy: str, model: ModelParams, tol: float):
     if policy == "one-turn-point":
         return (lambda t: cdf_one_turn_point(model, t)), _CLOSED_CAP
     if policy == "zero-turn-intersection":
         return (lambda t: cdf_zero_turn_intersection(model, t)), _CLOSED_CAP
     if policy == "one-turn-intersection":
-        return (lambda t: cdf_one_turn_intersection(model, t, variant, tol)), _QUAD_CAP
+        return (lambda t: cdf_one_turn_intersection(model, t, tol=tol)), _QUAD_CAP
     raise ValueError(f"policy must be one of {REACH_POLICIES}, got {policy!r}")
 
 
 def reach_quantile(model: ModelParams, p: float, policy: str = "one-turn-point",
-                   variant: IntersectionVariant = DEFAULT_VARIANT,
-                   tol: float = 1e-6) -> float:
+                   *, tol: float = 1e-6) -> float:
     """Smallest street distance t with F(t) >= p (e.g. the radius an
     electric vehicle must be able to cover so it finds a charging point
     with probability p). Bracketed root solve to 1e-9 relative; NoBracket
@@ -152,7 +148,7 @@ def reach_quantile(model: ModelParams, p: float, policy: str = "one-turn-point",
         raise ValueError(f"p must lie in [0, 1), got {p!r}")
     if p == 0.0:
         return 0.0
-    cdf, cap = _reach_cdf(policy, model, variant, tol)
+    cdf, cap = _reach_cdf(policy, model, tol)
 
     hi = 1.0
     while cdf(hi) < p:

@@ -30,7 +30,6 @@ import numpy as np
 from . import __version__
 from .analytic import (
     DEFAULT_VARIANT,
-    IntersectionVariant,
     cdf_naive_recursion,
     cdf_one_turn_intersection,
     cdf_one_turn_point,
@@ -152,14 +151,6 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _parse_variant(text: str) -> IntersectionVariant:
-    parts = text.split("/")
-    if len(parts) != 3:
-        raise ValueError(
-            f"variant must be z_sign/y_weighting/edge_arg, got {text!r}")
-    return IntersectionVariant(*parts)
-
-
 def _read_config_file(path: str) -> dict:
     """Plain ``key = value`` lines; ``#`` starts a comment."""
     opts = {}
@@ -184,7 +175,6 @@ _CONVERTERS: dict[str, Callable[[str], Any]] = {
     "t_max": float, "ks_threshold": float, "p": float,
     "trials": int, "seed": int, "workers": int, "k": int,
     "exact_turns": _parse_bool, "db": _parse_bool,
-    "variant": _parse_variant,
     "g_t": float, "g_r": float, "g": float, "wavelength": float, "area": float,
     "m": float, "n": float, "d_x": float, "d_y": float, "p_t": float,
     "n0": float, "gamma": float,
@@ -193,8 +183,7 @@ _CONVERTERS: dict[str, Callable[[str], Any]] = {
 _DEFAULTS: dict[str, dict[str, Any]] = {
     "analytic": {
         "which": "thm1", "lam": 1.0, "mu": 1.0, "density": None,
-        "grid": "0:3:0.01", "variant": DEFAULT_VARIANT, "tol": None,
-        "out": None,
+        "grid": "0:3:0.01", "tol": None, "out": None,
     },
     "simulate": {
         "lam": 1.0, "mu": 1.0, "scenario": "point", "angle_law": "uniform",
@@ -211,7 +200,7 @@ _DEFAULTS: dict[str, dict[str, Any]] = {
     },
     "ev-quantile": {
         "lam": 1.0, "mu": 1.0, "p": 0.5, "policy": "one-turn-point",
-        "variant": DEFAULT_VARIANT, "tol": 1e-6,
+        "tol": 1e-6,
     },
 }
 _DEFAULTS["ris-farfield"] = dict(_DEFAULTS["ris-nearfield"])
@@ -238,8 +227,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add(pa, "--density", type=float,
         help="planar intensity for --which ppp (default: equivalent PLCP density)")
     add(pa, "--grid", help="start:stop:step")
-    add(pa, "--variant", type=_parse_variant,
-        help="intersection recipe as z_sign/y_weighting/edge_arg")
     add(pa, "--tol", type=float, help="quadrature tolerance")
     add(pa, "--out", help="CSV path; metadata goes to a .json sidecar")
 
@@ -296,7 +283,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add(pq, "--mu", type=float)
     add(pq, "--p", type=float, help="target probability in [0, 1)")
     add(pq, "--policy", choices=REACH_POLICIES)
-    add(pq, "--variant", type=_parse_variant)
     add(pq, "--tol", type=float)
     return parser
 
@@ -396,8 +382,8 @@ def cmd_analytic(cfg: RunConfig) -> int:
         elif which == "thm2":
             tol = cfg.tol if cfg.tol is not None else 1e-6
             values, err = cdf_one_turn_intersection(
-                params, grid, cfg.variant, tol=tol, with_err=True)
-            meta["variant"] = cfg.variant.label()
+                params, grid, tol=tol, with_err=True)
+            meta["variant"] = DEFAULT_VARIANT.label()
             meta["tol"] = tol
         elif which == "thm3-bound":
             tol = cfg.tol if cfg.tol is not None else 1e-5
@@ -521,7 +507,7 @@ def _link_from(cfg: RunConfig) -> RisLinkParams:
 def cmd_app(cfg: RunConfig) -> int:
     model = ModelParams(cfg.lam, cfg.mu)
     if cfg.command == "ev-quantile":
-        t_star = reach_quantile(model, cfg.p, cfg.policy, cfg.variant, cfg.tol)
+        t_star = reach_quantile(model, cfg.p, cfg.policy, tol=cfg.tol)
         _print_json({
             "command": "ev-quantile", "p": cfg.p, "policy": cfg.policy,
             "quantile": t_star,

@@ -34,7 +34,6 @@ from .oracle import _budget, chunk_lengths, shortest_path
 from .sampler import _check_inputs, sample_chunk, sample_palm
 from .analytic import (
     DEFAULT_VARIANT,
-    IntersectionVariant,
     cdf_naive_recursion,
     cdf_one_turn_intersection,
     cdf_one_turn_point,
@@ -297,7 +296,6 @@ class SweepSpec:
     trials: int = 0
     seed: int = 1
     workers: int | None = None
-    variant: IntersectionVariant = DEFAULT_VARIANT
     tol: float = 1e-6
     bound_stride: int = 5
     include_two_turn_bound: bool = True
@@ -325,8 +323,8 @@ def figure_sweep(spec: SweepSpec) -> dict:
         out[f"one-turn-point{tag}"] = _analytic_curve(
             grid, cdf_one_turn_point(params, grid), kind="one-turn-point", **pmeta)
         out[f"one-turn-intersection{tag}"] = _analytic_curve(
-            grid, cdf_one_turn_intersection(params, grid, spec.variant, spec.tol),
-            kind="one-turn-intersection", variant=spec.variant.label(), **pmeta)
+            grid, cdf_one_turn_intersection(params, grid, tol=spec.tol),
+            kind="one-turn-intersection", variant=DEFAULT_VARIANT.label(), **pmeta)
         out[f"zero-turn-intersection{tag}"] = _analytic_curve(
             grid, cdf_zero_turn_intersection(params, grid),
             kind="zero-turn-intersection", **pmeta)

@@ -38,7 +38,7 @@ _GL_CACHE: dict = {}
 
 
 def settle_ladder(evaluate, rungs: int, t, tol: float, failure, log, name: str):
-    """Run a resolution ladder of ``rungs`` rungs over the points t (all > 0).
+    """Run a resolution ladder of ``rungs`` rungs over the points t (all >= 0).
 
     ``evaluate(r, t)`` returns rung r's values at the points t, one entry
     (or one row) per point. A point settles at the first rung r >= 1 whose

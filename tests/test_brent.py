@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from linecox import applications
-from linecox.analytic import DEFAULT_VARIANT
 from linecox.applications import _brent, reach_quantile
 from linecox.model import ModelParams
 
@@ -17,7 +16,7 @@ XTOL, RTOL = 1e-12, 1e-9  # reach_quantile's tolerances
 
 def _brentq_quantile(model, p, policy):
     """reach_quantile's bracket, solved by brentq."""
-    cdf, _ = applications._reach_cdf(policy, model, DEFAULT_VARIANT, 1e-6)
+    cdf, _ = applications._reach_cdf(policy, model, 1e-6)
     hi = 1.0
     while cdf(hi) < p:
         hi *= 2.0

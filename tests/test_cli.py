@@ -282,6 +282,22 @@ def test_config_file_layering(tmp_path, capsys):
     assert rc == EXIT_CONFIG and "unknown config key" in err
 
 
+def test_variant_option_is_gone(tmp_path, capsys):
+    for argv in (["analytic", "--which", "thm2", "--variant", "plus/full-angle/x"],
+                 ["app", "ev-quantile", "--policy", "one-turn-intersection",
+                  "--variant", "plus/full-angle/x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
+        assert "--variant" in capsys.readouterr().err
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("variant = plus/full-angle/x\n")
+    for command in (["analytic", "--which", "thm2"], ["app", "ev-quantile"]):
+        rc, _, err = _run(capsys, *command, "--config", str(cfg))
+        assert rc == EXIT_CONFIG and "unknown config key 'variant'" in err
+
+
 def test_argparse_surface(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

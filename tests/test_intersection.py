@@ -1,4 +1,3 @@
-import itertools
 import json
 import logging
 import math
@@ -11,7 +10,6 @@ from linecox import (
     DEFAULT_VARIANT,
     DegenerateAngles,
     DomainError,
-    IntersectionVariant,
     ModelParams,
     NonFinite,
     QuadratureFailure,
@@ -20,6 +18,7 @@ from linecox import (
     cdf_upper_intersection,
     cdf_zero_turn_intersection,
     one_turn_intersection_terms,
+    reach_quantile,
     z_length,
 )
 from linecox.analytic import intersection
@@ -123,25 +122,6 @@ def test_safe_arccos_guard():
         _safe_arccos(1.0 + 1e-6)
 
 
-def test_variant_labels_and_validation():
-    assert DEFAULT_VARIANT.label() == "plus/full-angle/x"
-    v = IntersectionVariant("minus", "window-only", "t")
-    assert v.label() == "minus/window-only/t"
-    with pytest.raises(ValueError):
-        IntersectionVariant("bogus", "full-angle", "x")
-    with pytest.raises(ValueError):
-        IntersectionVariant("plus", "sideways", "x")
-    with pytest.raises(ValueError):
-        IntersectionVariant("plus", "full-angle", "q")
-
-
-def test_variant_changes_the_answer():
-    base = one_turn_intersection_terms(1.0, 1.0)
-    other = one_turn_intersection_terms(
-        1.0, 1.0, IntersectionVariant("minus", "full-angle", "x"))
-    assert base[0] != pytest.approx(other[0], abs=1e-6)
-
-
 def test_terms_match_riemann_oracle():
     data = json.loads(DATA.read_text())
     assert data["cells_per_axis"] >= 2000
@@ -204,70 +184,41 @@ def test_cdf_validation():
 
 
 # (Tx, Ty) of one_turn_intersection_terms recorded with the per-omega
-# reference loop this kernel replaced; one row per variant, (mu, t) pairs
-# in the order of _TERM_PAIRS
+# reference loop this kernel replaced, (mu, t) pairs in the order of
+# _TERM_PAIRS
 _TERM_PAIRS = ((1.0, 1.0), (0.3, 2.5), (2.0, 0.4), (0.05, 1.7), (4.0, 0.9))
-_TERMS_RECORDED = {
-    "minus/window-only/x": (
-        (0.32435480585235676, 0.1271459638047464),
-        (1.017556623313459, 0.3580880240293272),
-        (0.15517218670505992, 0.055899693168088765),
-        (1.5071713784084098, 0.35291073050430566),
-        (0.09724823775541658, 0.050004239759055866)),
-    "minus/window-only/t": (
-        (0.34698118898028324, 0.17165606860353189),
-        (1.1071824518632827, 0.5027397713839338),
-        (0.16831018172347983, 0.07783131305168678),
-        (1.683449650085688, 0.5672933188412209),
-        (0.08452218536481772, 0.05622878646776496)),
-    "minus/full-angle/x": (
-        (0.32435480585235676, 0.9080679287171795),
-        (1.017556623313459, 2.3103929363104103),
-        (0.15517218670505992, 0.3682684791330622),
-        (1.5071713784084098, 1.680478070855443),
-        (0.09724823775541658, 0.7528340081802462)),
-    "minus/full-angle/t": (
-        (0.34698118898028324, 0.812117053953835),
-        (1.1071824518632827, 2.1038922347596904),
-        (0.16831018172347983, 0.3340157071918081),
-        (1.683449650085688, 1.6560769939367361),
-        (0.08452218536481772, 0.6326436732830375)),
-    "plus/window-only/x": (
-        (0.3585005653644993, 0.12714595801621628),
-        (1.0837198438466529, 0.35808800955822523),
-        (0.16645493605900333, 0.055899693168088765),
-        (1.5086333660067412, 0.35291073050430566),
-        (0.12952508161399334, 0.05000423454855169)),
-    "plus/window-only/t": (
-        (0.38112700194057286, 0.17165606860353189),
-        (1.173345771793566, 0.5027397713839338),
-        (0.1795929696755359, 0.07783131305168678),
-        (1.6849116430908262, 0.5672933188412209),
-        (0.1167992094339477, 0.05622878646776496)),
-    "plus/full-angle/x": (
-        (0.3585005653644993, 0.9080679287168227),
-        (1.0837198438466529, 2.310392936309738),
-        (0.16645493605900333, 0.3682684791330622),
-        (1.5086333660067412, 1.680478070855443),
-        (0.12952508161399334, 0.7528340081790967)),
-    "plus/full-angle/t": (
-        (0.38112700194057286, 0.812117053953835),
-        (1.173345771793566, 2.1038922347596904),
-        (0.1795929696755359, 0.3340157071918081),
-        (1.6849116430908262, 1.6560769939367361),
-        (0.1167992094339477, 0.6326436732830375)),
-}
+_TERMS_RECORDED = (
+    (0.3585005653644993, 0.9080679287168227),
+    (1.0837198438466529, 2.310392936309738),
+    (0.16645493605900333, 0.3682684791330622),
+    (1.5086333660067412, 1.680478070855443),
+    (0.12952508161399334, 0.7528340081790967))
 
 
-def test_terms_of_every_variant_match_the_recorded_reference():
-    variants = [IntersectionVariant(*combo) for combo in itertools.product(
-        ("minus", "plus"), ("window-only", "full-angle"), ("x", "t"))]
-    assert {v.label() for v in variants} == set(_TERMS_RECORDED)
-    for variant in variants:
-        for (mu, t), (tx, ty) in zip(_TERM_PAIRS, _TERMS_RECORDED[variant.label()]):
-            got = one_turn_intersection_terms(mu, t, variant)
-            assert got[0] == pytest.approx(tx, abs=1e-12, rel=0)
-            assert got[1] == pytest.approx(ty, abs=1e-12, rel=0)
+def test_terms_match_the_recorded_reference():
+    assert DEFAULT_VARIANT.label() == "plus/full-angle/x"
+    for (mu, t), (tx, ty) in zip(_TERM_PAIRS, _TERMS_RECORDED):
+        got = one_turn_intersection_terms(mu, t)
+        assert got[0] == pytest.approx(tx, abs=1e-12, rel=0)
+        assert got[1] == pytest.approx(ty, abs=1e-12, rel=0)
+
+
+def test_the_recipe_is_not_a_choice():
+    import linecox
+    import linecox.analytic
+    assert not hasattr(linecox, "IntersectionVariant")
+    assert not hasattr(linecox.analytic, "IntersectionVariant")
+    # a stale positional variant is refused, not read as a tolerance
+    with pytest.raises(TypeError):
+        cdf_one_turn_intersection(P11, 1.0, DEFAULT_VARIANT)
+    with pytest.raises(TypeError):
+        one_turn_intersection_terms(1.0, 1.0, DEFAULT_VARIANT)
+    with pytest.raises(TypeError):
+        reach_quantile(P11, 0.5, "one-turn-intersection", DEFAULT_VARIANT)
+    with pytest.raises(TypeError):
+        angle_thresholds(0.5, 1.0, 1.0, DEFAULT_VARIANT)
+    with pytest.raises(TypeError):
+        z_length(0.5, 0.3, 1.0, 1.0, DEFAULT_VARIANT)
 
 
 def test_batch_equals_one_point_calls_bit_for_bit():
@@ -307,11 +258,11 @@ def test_chunking_does_not_change_the_terms(monkeypatch):
     s = np.array([0.05, 1.0, 6.0])
     nw, nx, n1 = intersection._LADDER[0]
     pairs = nw * nx
-    ref = intersection._rung_terms(s, DEFAULT_VARIANT, nw, nx, n1)
+    ref = intersection._rung_terms(s, nw, nx, n1)
     assert pairs % 256 == 0 and pairs % 100 != 0  # 100 leaves a partial chunk
     for step in (1, 100, 256, pairs):
         monkeypatch.setattr(intersection, "_CHUNK_NODES", 4 * n1 * step)
-        got = intersection._rung_terms(s, DEFAULT_VARIANT, nw, nx, n1)
+        got = intersection._rung_terms(s, nw, nx, n1)
         assert np.allclose(got[0], ref[0], rtol=1e-13, atol=0)
         assert np.array_equal(got[1], ref[1])  # the window is not chunked
 

@@ -11,6 +11,8 @@ from scipy.integrate import quad
 from linecox import (
     DomainError,
     ModelParams,
+    NegativeT,
+    NonFinite,
     QuadratureFailure,
     TurnPolicy,
     cdf_two_turn_bound,
@@ -112,9 +114,9 @@ def test_bound_contract():
 
 
 def test_bound_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(NegativeT):
         cdf_two_turn_bound(P11, -0.5)
-    with pytest.raises(DomainError):
+    with pytest.raises(NonFinite):
         cdf_two_turn_bound(P11, float("nan"))
     with pytest.raises(QuadratureFailure) as exc:
         cdf_two_turn_bound(P11, 1.0, tol=1e-14)

@@ -15,7 +15,9 @@ the coarse cross-check and 16000 (feasible because that integral is 2-D)
 for a comparison tight enough to see real implementation drift.
 
 Definitions duplicated here on purpose: the test compares two independent
-implementations of the same formulas, so this file must not import linecox.
+implementations of the same formulas, so this file takes none of them from
+linecox. It imports only the label of the recipe the sums follow, so that
+the JSON records the name the package gives it.
 """
 
 import json
@@ -25,6 +27,8 @@ import sys
 import time
 
 import numpy as np
+
+from linecox.analytic import DEFAULT_VARIANT
 
 N = 2000          # cells per axis for the triple integrals
 N_TTILDE = 16000  # finer axis for the 2-D kernel
@@ -42,9 +46,9 @@ TTILDE_POINTS = [(0.2, 0.5, 1.0, 1.0), (0.3, 0.7, 1.0, 1.0),
 
 
 def tx_ty_riemann(mu, t, n=N):
-    """Triple/double midpoint sums for (Tx, Ty), default recipe variant:
-    plus-sign outer lengths, full-angle second-street weighting, entry
-    distance in the first window arctan."""
+    """Triple/double midpoint sums for (Tx, Ty), by the package's recipe
+    (DEFAULT_VARIANT): plus-sign outer lengths, full-angle second-street
+    weighting, entry distance in the first window arctan."""
     x = (np.arange(n) + 0.5) * (t / n)          # (n,)
     om1 = (np.arange(n) + 0.5) * (PI / n)       # (n,)
     sin1 = np.sin(om1)[None, :]
@@ -133,7 +137,7 @@ def main(part="all"):
             print(f"Tx/Ty(mu={mu}, t={t}) = {tx:.8f}, {ty:.8f}"
                   f"  [{time.time() - t0:.0f}s]")
             out["tx"].append({"mu": mu, "t": t, "tx": tx, "ty": ty,
-                              "variant": "plus/full-angle/x"})
+                              "variant": DEFAULT_VARIANT.label()})
     if part in ("all", "ttilde"):
         for w, u, t, mu in TTILDE_POINTS:
             t0 = time.time()
