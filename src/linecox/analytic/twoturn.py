@@ -39,7 +39,7 @@ import math
 
 import numpy as np
 
-from ..errors import DomainError, QuadratureFailure
+from ..errors import DomainError
 from ..model import ModelParams, validate
 from ..quadrature import gauss_legendre, settle_ladder
 from .closed_forms import _check_t, _ret_err
@@ -165,7 +165,8 @@ def two_turn_T(w: float, u: float, t: float, params: ModelParams,
     unreachable orientations counting as survival 1.
 
     Near-parallel orientations are integrable limits and are folded in by
-    continuity rather than raised.
+    continuity rather than raised. The value settles up ``_T_LADDER``;
+    QuadratureFailure when no two consecutive rungs agree to tol.
     """
     validate(params)
     if not (0.0 <= w <= u <= t) or not math.isfinite(t):
@@ -173,15 +174,12 @@ def two_turn_T(w: float, u: float, t: float, params: ModelParams,
     if w == t:
         return 1.0  # no reach left
     q, c = [(u - w) / (t - w)], [t - w]
-    prev = None
-    for ni, n1 in _T_LADDER:
-        cur = float(_ttilde(q, c, [params.mu], ni, n1)[0, 0])
-        if prev is not None and abs(cur - prev) <= tol:
-            return cur
-        prev = cur
-    raise QuadratureFailure(
-        f"Ttilde did not settle to {tol} at w={w}, u={u}, t={t}",
-        value=cur, error_estimate=abs(cur - prev))
+    values, _ = settle_ladder(
+        lambda r, tv: _ttilde(q, c, [params.mu], *_T_LADDER[r])[0],
+        len(_T_LADDER), [t], tol,
+        lambda tv: f"Ttilde did not settle to {tol} at w={w}, u={u}, t={t}",
+        log, "Ttilde")
+    return float(values[0])
 
 
 def cdf_two_turn_bound(params: ModelParams, t, tol: float = 1e-5,

@@ -26,12 +26,11 @@ from .model import (
     ModelParams,
     PalmKind,
     PalmScenario,
-    PolicyKind,
     TurnPolicy,
     validate,
 )
-from .oracle import _budget, chunk_lengths, shortest_path
-from .sampler import _check_inputs, sample_chunk, sample_palm
+from .oracle import _budget, chunk_lengths
+from .sampler import _check_inputs, sample_chunk
 from .analytic import (
     DEFAULT_VARIANT,
     cdf_naive_recursion,
@@ -129,26 +128,12 @@ class EcdfEstimate:
         return DistributionCurve(grid, values, hw, m)
 
 
-def _batched(policy: TurnPolicy) -> bool:
-    """The named budgets solve a whole chunk as flat arrays; K_TURN runs the
-    label-setting search trial by trial."""
-    return policy.kind is not PolicyKind.K_TURN
-
-
 def _mc_chunk(task) -> tuple[np.ndarray, int]:
     """Shortest lengths of trials start..stop-1 (inf when censored) and the
     number of lines they drew, clipped at t_max as ``sample_D`` clips."""
     params, scenario, policy, t_max, master, start, stop = task
-    if _batched(policy):
-        chunk = sample_chunk(params, scenario, t_max, master, start, stop)
-        return chunk_lengths(chunk, policy, t_max), int(chunk.angle.size)
-    out = np.empty(stop - start)
-    n_lines = 0
-    for i in range(start, stop):
-        real = sample_palm(params, scenario, t_max, (master, i))
-        out[i - start] = shortest_path(real, policy, t_max).length
-        n_lines += len(real.lines)
-    return out, n_lines
+    chunk = sample_chunk(params, scenario, t_max, master, start, stop)
+    return chunk_lengths(chunk, policy, t_max), int(chunk.angle.size)
 
 
 def run_mc(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
@@ -161,10 +146,12 @@ def run_mc(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
     bit-identical curve for any worker count. Inputs denser than
     ``sampler.MAX_EXPECTED_LINES`` lines per trial raise ``TooManyLines``,
     and more than ``sampler.MAX_EXPECTED_POINTS`` points per line
-    ``TooManyPoints``, before any trial is drawn. Logs one INFO line with
-    the trial count, the path taken, the wall time, the throughput, the
-    mean lines per trial and the censored fraction; none of it enters the
-    curve.
+    ``TooManyPoints``, before any trial is drawn. Every policy runs the
+    same way: each chunk of trials is drawn as one ``sample_chunk`` and
+    solved at once by ``chunk_lengths``, with up to ``workers`` processes
+    (never more than there are chunks). Logs one INFO line with the trial
+    count, the wall time, the throughput, the mean lines per trial and the
+    censored fraction; none of it enters the curve.
     """
     started = time.perf_counter()
     validate(params)
@@ -187,7 +174,9 @@ def run_mc(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
     if workers == 1 or len(tasks) == 1:
         chunks = [_mc_chunk(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the fork start method starts every worker up front, so ask for
+        # no more than there are chunks
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             chunks = list(pool.map(_mc_chunk, tasks))
     lengths = np.concatenate([c[0] for c in chunks])
     n_lines = sum(c[1] for c in chunks)
@@ -206,9 +195,8 @@ def run_mc(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
     }
     curve = est.curve(grid, alpha, meta)
     wall = time.perf_counter() - started
-    _log.info("run_mc: %d trials, %s path, %.3f s, %.0f trials/s, "
-              "%.1f lines/trial, censored fraction %.4f", trials,
-              "batched" if _batched(policy) else "per-trial", wall,
+    _log.info("run_mc: %d trials, %.3f s, %.0f trials/s, "
+              "%.1f lines/trial, censored fraction %.4f", trials, wall,
               trials / wall if wall > 0 else math.inf, n_lines / trials,
               est.n_censored / trials)
     return curve

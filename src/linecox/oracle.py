@@ -5,19 +5,23 @@ along the current line, and may switch ("turn") to the other line at any
 crossing, at most ``k`` times per the policy. The oracle returns the exact
 shortest admissible distance to any point of the process.
 
-Two implementations exist on purpose: closed-form enumerators for the small
-named budgets (zero, one, two-turn-directed) and a label-setting search on
-the crossing graph for general K_TURN. Both take every crossing arc from
-the same pairwise routine and add hop lengths in the same left-to-right
-order, so the two agree bit for bit; the tests rely on that. Neither builds
-the whole graph: the search computes a line's crossings the first time it
-expands that line and pushes only hops that end within min(t_max,
-incumbent), and the two-turn enumerator filters second lines against the
-same bound as one array before its loop. A query thus costs about what the
-lines near the origin hold, not the square of the line count. The named
-budgets also have length-only batched enumerators (``chunk_lengths``) that
-solve every trial of a ChunkSample at once with the same arithmetic, so they
-agree bit for bit with ``shortest_path`` on each trial.
+Two solvers exist on purpose. Both take every crossing arc from the same
+pairwise routine, lower line index first, and add hop lengths in the same
+left-to-right order, so they agree bit for bit; the tests rely on that.
+
+* ``shortest_path`` solves one Realization and also returns the route. The
+  named budgets (zero, one, two-turn-directed) run closed-form enumerators
+  (``_enum_*``), and K_TURN runs a label-setting search (``_k_turn``) that
+  computes a line's crossings the first time it expands that line and
+  pushes only hops that end within min(t_max, incumbent). These are the
+  slow references the batched kernel is checked against.
+* ``chunk_lengths`` solves every trial of a ChunkSample at once, lengths
+  only, for every policy: one kernel walks the turn layers (Bellman-Ford by
+  hop count) as flat arrays of rows, each row a line reached with some
+  number of turns, its entry arc and its length. A row turns onto every
+  other line of its trial, and keeps the hop while it ends within t_max and
+  below the trial's incumbent. Without lower-turn paths the kernel bounds
+  each trial by a reach that doubles until it holds the trial's best.
 
 The ``first_hop_positive_x`` restriction (forced for TWO_TURN_DIRECTED)
 makes the first leg run along the positive arc direction of the first
@@ -292,9 +296,11 @@ def _route_of(via, state, lids):
     return build
 
 
-# ---- batched length-only enumerators ----------------------------------------
+# ---- batched length-only layer kernel ---------------------------------------
 
-_PAIR_BLOCK = 8192  # two-turn (first line, second line) pairs solved at once
+_PAIR_BLOCK = 8192  # (row, next line) pairs solved at once
+# first reach of an exactly-k search, as a share of t_max (see chunk_lengths)
+_FIRST_REACH = 1 / 16
 
 
 def _segment_searchsorted(a, lo, hi, x):
@@ -332,71 +338,69 @@ def _offer(best, trials, lengths, t_max):
     np.minimum.at(best, trials[keep], lengths[keep])
 
 
-def _origin_lines(chunk: ChunkSample, directed: bool):
-    """Origin line indices of every trial, the first origin line of each
-    trial first; only the first with ``directed``."""
-    firsts = chunk.line_start[:-1]
-    count = 1 if directed else chunk.n_origin
-    return [firsts + s for s in range(count)]
-
-
-def _batch_zero(best, chunk, t_max, directed):
-    for lines in _origin_lines(chunk, directed):
-        refs = np.zeros(lines.size)
-        length = 0.0 + _nearest_dist(chunk, lines, refs, nonneg_only=directed)
-        _offer(best, np.arange(lines.size), length, t_max)
-
-
-def _first_hops(chunk, t_max, directed):
-    """Crossings of origin lines with background lines of the same trial
-    that a first hop of at most t_max reaches: (trial, other line, hop
-    length, arc on the other line)."""
-    bg = np.flatnonzero(~chunk.through_origin)
-    out = []
-    for origin in _origin_lines(chunk, directed):
-        s_o, u_j = _pair_arcs(chunk._trig, chunk.offset, origin[chunk.trial[bg]], bg)
-        ok = np.isfinite(s_o)
-        if directed:
-            ok &= s_o > 0.0
-        ok[ok] = np.abs(s_o[ok]) <= t_max
-        out.append((chunk.trial[bg][ok], bg[ok], np.abs(s_o[ok]), u_j[ok]))
-    return [np.concatenate(parts) for parts in zip(*out)]
-
-
-def _batch_one(best, chunk, t_max, directed):
-    trials, j, base, u = _first_hops(chunk, t_max, directed)
-    _offer(best, trials, base + _nearest_dist(chunk, j, u), t_max)
-
-
-def _batch_two_directed(best, chunk, t_max):
-    trials, first, base1, u = _first_hops(chunk, t_max, True)
-    # as in _enum_two_directed, a leg no shorter than the trial's incumbent
-    # cannot improve it
-    keep = base1 < best[trials]
-    trials, first, base1, u = trials[keep], first[keep], base1[keep], u[keep]
-    # second lines: every line of the trial but the first origin line and
-    # the first-turn line itself, in blocks of about _PAIR_BLOCK pairs
-    n_second = np.diff(chunk.line_start)[trials] - 2
-    ends = np.cumsum(n_second)
-    cuts = np.searchsorted(ends, np.arange(0, ends[-1] if ends.size else 0,
-                                           _PAIR_BLOCK))
-    for a, b in zip(cuts, np.append(cuts[1:], trials.size)):
-        reps = n_second[a:b]
-        f = a + np.repeat(np.arange(reps.size), reps)  # first hop of each pair
-        t, i = trials[f], first[f]
-        m = chunk.line_start[t] + 1 + (np.arange(f.size)
-                                       - np.repeat(np.cumsum(reps) - reps, reps))
+def _turn(best, chunk, rows, reach, first, directed):
+    """The rows one turn further, in blocks of at most _PAIR_BLOCK pairs
+    (or one row's). A row is (trial, line, line it came from, arc on its
+    line, length). Each row still shorter than its trial's best pairs with
+    every other line of its trial but the one it came from, and keeps the
+    hop when it ends within the trial's reach and below the trial's best.
+    The first turn leaves from the origin, so it skips the other origin
+    line (their crossing is the start point) and, ``directed``, every hop
+    that does not run to a positive arc."""
+    live = rows[4] < best[rows[0]]
+    trial, line, prev, ref, length = (col[live] for col in rows)
+    reps = np.diff(chunk.line_start)[trial] - 1
+    ends = np.cumsum(reps)
+    cuts = np.searchsorted(ends, np.arange(_PAIR_BLOCK, ends[-1] if ends.size
+                                           else 0, _PAIR_BLOCK), side="right")
+    cuts = [0, *cuts.tolist(), trial.size]
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        r = reps[a:b]
+        f = a + np.repeat(np.arange(r.size), r)  # row of each pair
+        t, i = trial[f], line[f]
+        m = chunk.line_start[t] + (np.arange(f.size)
+                                   - np.repeat(np.cumsum(r) - r, r))
         m += m >= i
         arc_lo, arc_hi = _pair_arcs(chunk._trig, chunk.offset,
                                     np.minimum(i, m), np.maximum(i, m))
-        a_i = np.where(i < m, arc_lo, arc_hi)
-        a_m = np.where(i < m, arc_hi, arc_lo)
-        ok = np.isfinite(a_i)
-        base2 = np.full(f.size, np.inf)
-        base2[ok] = base1[f][ok] + np.abs(a_i[ok] - u[f][ok])
-        near = (base2 <= t_max) & (base2 < best[t])
-        _offer(best, t[near],
-               base2[near] + _nearest_dist(chunk, m[near], a_m[near]), t_max)
+        here = np.where(i < m, arc_lo, arc_hi)
+        there = np.where(i < m, arc_hi, arc_lo)
+        new = length[f] + np.abs(here - ref[f])
+        keep = (new <= reach[t]) & (new < best[t]) & (m != prev[f])
+        if first:
+            keep &= ~chunk.through_origin[m]
+            if directed:
+                keep &= here > 0.0
+        yield t[keep], m[keep], i[keep], there[keep], new[keep]
+
+
+def _search(best, chunk, trials, reach, t_max, k, lower, directed):
+    """Offer every path of at most k turns (exactly k unless ``lower``)
+    of the given trials. Layer 0 holds the origin lines (only the first
+    with ``directed``) at arc 0 and length 0, and the blocks of layer j + 1
+    are ``_turn`` of a block of layer j. The layers are walked depth first,
+    one block at a time, so at most k + 1 blocks are held at once however
+    many rows a layer has, and every block is offered before the next one
+    is built. Lengths add up hop by hop as ``_k_turn`` adds them, so each
+    offer is the length the search gives that path."""
+    n0 = 1 if directed else chunk.n_origin
+    trial = np.repeat(trials, n0)
+    zeros = np.zeros(trial.size)
+    stack = [iter([(trial, chunk.line_start[trial]
+                    + np.tile(np.arange(n0), trials.size),
+                    np.full(trial.size, -1), zeros, zeros)])]
+    while stack:
+        rows = next(stack[-1], None)
+        if rows is None:
+            stack.pop()
+            continue
+        j = len(stack) - 1
+        if lower or j == k:
+            t, m, _, ref, length = rows
+            _offer(best, t, length + _nearest_dist(
+                chunk, m, ref, nonneg_only=directed and j == 0), t_max)
+        if j < k:
+            stack.append(_turn(best, chunk, rows, reach, j == 0, directed))
 
 
 # ---- public API --------------------------------------------------------------
@@ -484,28 +488,25 @@ def sample_D(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
 def chunk_lengths(chunk: ChunkSample, policy: TurnPolicy,
                   t_max: float) -> np.ndarray:
     """Shortest admissible length of every trial of a chunk (inf when
-    censored at ``t_max``) for the named policies ZERO_TURN, ONE_TURN and
-    TWO_TURN_DIRECTED; K_TURN is solved per trial by ``shortest_path``.
-    Each entry equals ``shortest_path(chunk.realization(t), policy,
-    t_max).length`` bit for bit."""
+    censored at ``t_max``), for every policy. Each entry equals
+    ``shortest_path(chunk.realization(t), policy, t_max).length`` bit for
+    bit."""
+    k = _budget(policy)
     t_max = _horizon(t_max, chunk.clip_radius)
-    directed = _directed(policy)
+    lower, directed = policy.include_lower_turn_paths, _directed(policy)
 
     best = np.full(chunk.n_trials, math.inf)
-    if policy.kind is PolicyKind.ZERO_TURN:
-        _batch_zero(best, chunk, t_max, directed)
-    elif policy.kind is PolicyKind.ONE_TURN:
-        if policy.include_lower_turn_paths:
-            _batch_zero(best, chunk, t_max, directed)
-        _batch_one(best, chunk, t_max, directed)
-    elif policy.kind is PolicyKind.TWO_TURN_DIRECTED:
-        if policy.include_lower_turn_paths:
-            _batch_zero(best, chunk, t_max, True)
-            _batch_one(best, chunk, t_max, True)
-        _batch_two_directed(best, chunk, t_max)
-    else:
-        raise ValueError(f"no batched enumerator for {policy.kind!r}; "
-                         "use shortest_path per trial")
+    # without lower-turn paths no incumbent bounds the layers below k, so
+    # from k = 2 on each trial is searched within a reach that doubles
+    # until it holds the trial's best: a search within reach h offers
+    # every path of length <= h
+    reach = np.full(chunk.n_trials,
+                    t_max if lower or k < 2 else _FIRST_REACH * t_max)
+    todo = np.arange(chunk.n_trials)
+    while todo.size:
+        _search(best, chunk, todo, reach, t_max, k, lower, directed)
+        todo = todo[(best[todo] > reach[todo]) & (reach[todo] < t_max)]
+        reach[todo] = np.minimum(2.0 * reach[todo], t_max)
     return best
 
 

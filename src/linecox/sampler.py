@@ -21,8 +21,8 @@ Conventions (shared with the oracle):
 Randomness is a counter-based Philox stream keyed (master seed, stream), so
 trial i of a run is reproducible in isolation and independent of how trials
 are batched across workers. ``sample_chunk`` draws consecutive trials into
-one flat layout for the batched oracle; ``sample_palm`` draws one trial as a
-Realization. Both make the same draws.
+one flat layout for the batched oracle; ``sample_palm`` is the one trial of
+a ``sample_chunk`` call, as a Realization.
 """
 
 from __future__ import annotations
@@ -441,8 +441,9 @@ def sample_chunk(params: ModelParams, scenario: PalmScenario,
                  clip_radius: float, master: int, start: int,
                  stop: int) -> ChunkSample:
     """Draw trials ``start..stop-1`` of a run, trial i from the stream
-    (master, i), as one ChunkSample. Every trial is bit-identical to
-    ``sample_palm(params, scenario, clip_radius, (master, i))``."""
+    (master, i), as one ChunkSample. ``realization(i - start)`` is trial i
+    as ``sample_palm(params, scenario, clip_radius, (master, i))`` gives
+    it, whatever chunk it was drawn in."""
     R = _check_inputs(params, scenario, clip_radius)
     master, start, stop = int(master), int(start), int(stop)
     if stop <= start:
@@ -491,25 +492,15 @@ def _line_layout(trials):
 
 def sample_palm(params: ModelParams, scenario: PalmScenario,
                 clip_radius: float, seed) -> Realization:
-    """Draw one realization conditioned per ``scenario``: one trial of
-    ``sample_chunk``, drawn by the same per-trial draw, without the chunk's
-    flat layout.
+    """Draw one realization conditioned per ``scenario``: the one trial of
+    a ``sample_chunk`` call on the seed's stream.
 
     ``seed`` is an int or an (int master, int stream) pair; equal seeds give
     bit-identical realizations.
     """
-    R = _check_inputs(params, scenario, clip_radius)
     master, stream = _norm_seed(seed)
-    origin, angles, offsets, counts, u = _TrialDraws(
-        params, scenario, R, master).draw(stream)
-    n_origin = len(origin)
-    half = np.concatenate((np.full(n_origin, R), _half_chords(offsets, R)))
-    arcs = u * np.repeat(half, counts)
-    arcs = arcs[_sort_within(np.repeat(np.arange(half.size), counts), arcs)]
-    return _realization(np.concatenate((origin, angles)),
-                        np.concatenate((np.zeros(n_origin), offsets)), n_origin,
-                        arcs, np.concatenate(([0], np.cumsum(counts))), scenario,
-                        R, (master, stream))
+    return sample_chunk(params, scenario, clip_radius, master, stream,
+                        stream + 1).realization(0)
 
 
 def crossings_within(real: Realization, line_id: int, t: float):

@@ -1,9 +1,10 @@
-"""The batched Monte Carlo kernel: chunk sampler plus length-only
-enumerators, checked bit for bit against the per-trial sampler and oracle."""
+"""The batched Monte Carlo kernel: chunk sampler plus the length-only turn
+layer kernel, checked bit for bit against the per-trial sampler and oracle."""
 
 import hashlib
 import json
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from linecox import (
     AngleLaw,
     ModelParams,
+    PolicyBudgetNegative,
     PolicyKind,
     TBeyondClip,
     TurnPolicy,
@@ -44,6 +46,9 @@ POLICIES = {
                                     first_hop_positive_x=True),
     "two-turn-directed": TurnPolicy.two_turn_directed(),
     "two-turn-directed-exact": TurnPolicy.two_turn_directed(False),
+    **{f"k-turn({k}, lower={lower}, directed={directed})":
+       TurnPolicy.k_turn(k, lower, directed)
+       for k in range(4) for lower in (True, False) for directed in (False, True)},
 }
 
 
@@ -55,12 +60,13 @@ def _curve_md5(curve) -> str:
 
 
 @pytest.mark.parametrize("mu", [0.05, 2.0])
-@pytest.mark.parametrize("lam", [0.0, 0.5, 2.0])
+@pytest.mark.parametrize("lam", [0.0, 0.5, 2.0, 16.0])
 def test_chunk_lengths_equal_shortest_path_bit_for_bit(lam, mu):
-    """Every trial, every named policy, point and both intersection laws;
+    """Every trial, every policy, point and both intersection laws;
     mu = 0.05 leaves most lines without points and censors trials, lam = 0
-    leaves no background lines."""
-    params, n = ModelParams(lam, mu), 96
+    leaves no background lines, and lam = 16 (about 150 lines a trial, so
+    fewer trials) crowds many crossings within each path's reach."""
+    params, n = ModelParams(lam, mu), 96 if lam <= 2.0 else 8
     censored = 0
     for scenario in SCENARIOS.values():
         chunk = sample_chunk(params, scenario, T_MAX, 41, 5, 5 + n)
@@ -198,8 +204,8 @@ def test_segment_searchsorted_matches_numpy():
 
 def test_chunk_lengths_rejects_k_turn_and_bad_horizon():
     chunk = sample_chunk(ModelParams(1.0, 1.0), typical_point(), 2.0, 1, 0, 4)
-    with pytest.raises(ValueError):
-        chunk_lengths(chunk, TurnPolicy.k_turn(2), 2.0)
+    with pytest.raises(PolicyBudgetNegative):
+        chunk_lengths(chunk, TurnPolicy.k_turn(-1), 2.0)
     with pytest.raises(ValueError):
         chunk_lengths(chunk, TurnPolicy.one_turn(), -1.0)
     with pytest.raises(TBeyondClip):
@@ -213,13 +219,54 @@ def test_run_mc_logs_one_line_outside_the_curve(caplog):
         slow = run_mc(params, scenario, TurnPolicy.k_turn(1), 20, 2.0, 4)
     lines = [r.getMessage() for r in caplog.records if r.name == "linecox.experiments"]
     assert len(lines) == 2
-    assert "300 trials, batched path" in lines[0]
-    assert "20 trials, per-trial path" in lines[1]
+    assert "300 trials, " in lines[0]
+    assert "20 trials, " in lines[1]
     for line in lines:
         assert "trials/s" in line and "censored fraction" in line
+        assert "lines/trial" in line and "path" not in line
     caplog.clear()
     again = run_mc(params, scenario, TurnPolicy.one_turn(), 300, 2.0, 4)
     assert _curve_md5(again) == _curve_md5(quiet) and again.meta == quiet.meta
     assert set(quiet.meta) == set(slow.meta) == {
         "alpha", "censored", "estimator", "params", "policy", "scenario",
         "seed", "t_max", "trials"}
+
+
+def test_run_mc_never_builds_a_realization(monkeypatch):
+    """Every policy runs through sample_chunk and chunk_lengths alone."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_mc built a Realization")
+
+    monkeypatch.setattr(sampler, "_realization", refuse)
+    with pytest.raises(AssertionError):
+        sample_palm(ModelParams(1.0, 1.0), typical_point(), T_MAX, 1)
+    for scenario in (typical_point(), typical_intersection()):
+        for policy in POLICIES.values():
+            run_mc(ModelParams(2.0, 1.0), scenario, policy, 40, T_MAX, 6)
+
+
+# The kernel walks its turn layers depth first, one block of at most
+# oracle._PAIR_BLOCK (row, line) pairs per layer at a time, so its memory
+# does not grow with the rows a layer holds: it peaks near 2.5 MiB here and
+# on 512-trial chunks alike. Holding whole layers instead, from a first
+# reach of t_max / 4, peaked at 120 MB (point) and 264 MB (intersection)
+# on 512 trials. The bound leaves room for numpy's own buffers.
+DENSE_PEAK_BYTES = 16 * 2**20
+
+
+@pytest.mark.parametrize("scenario", [typical_point(), typical_intersection()],
+                         ids=["point", "intersection"])
+def test_exact_three_turns_at_lam_16_are_exact_and_bounded(scenario):
+    params, n = ModelParams(16.0, 1.0), 64
+    policy = TurnPolicy.k_turn(3, include_lower_turn_paths=False)
+    chunk = sample_chunk(params, scenario, T_MAX, 12, 0, n)
+    tracemalloc.start()
+    try:
+        batched = chunk_lengths(chunk, policy, T_MAX)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    per_trial = np.array([shortest_path(chunk.realization(t), policy,
+                                        T_MAX).length for t in range(n)])
+    assert batched.tobytes() == per_trial.tobytes()
+    assert peak < DENSE_PEAK_BYTES, peak

@@ -349,9 +349,8 @@ def test_compare_sidecar_warnings(tmp_path, capsys, caplog):
 
 def test_verbose_logs_to_stderr_and_leaves_outputs_alone(tmp_path, capsys):
     runs = (
-        (["--policy", "one-turn", "--trials", "700"], "700 trials, batched path"),
-        (["--policy", "k-turn", "--k", "2", "--trials", "40"],
-         "40 trials, per-trial path"),
+        (["--policy", "one-turn", "--trials", "700"], "700 trials, "),
+        (["--policy", "k-turn", "--k", "2", "--trials", "40"], "40 trials, "),
     )
     for policy, logged in runs:
         base = ["simulate", "--lambda", "1", "--mu", "1", *policy,

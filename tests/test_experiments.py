@@ -1,10 +1,12 @@
 """Monte Carlo driver, ECDF bookkeeping, and curve comparison."""
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+from linecox import experiments
 from linecox.analytic import (
     cdf_one_turn_point,
     cdf_upper_intersection,
@@ -109,19 +111,31 @@ def test_ecdf_curve_band_and_metadata():
     assert curve.values[0] == 0.0 and curve.values[-1] <= 0.8 + 1e-12
 
 
-def test_run_mc_bit_identical_across_worker_counts():
+def test_run_mc_bit_identical_across_worker_counts(monkeypatch):
     """Same (seed, trials) must give the same curve no matter how the
     chunks are farmed out, and the metadata must not leak the worker
-    count (700 trials spans two chunks)."""
+    count (700 trials spans two chunks). The pool never asks for more
+    processes than there are chunks: with the fork start method every
+    one of them is started up front."""
     params = ModelParams(1.0, 1.0)
     scenario = PalmScenario(PalmKind.TYPICAL_POINT)
     policy = TurnPolicy.one_turn()
     kw = dict(trials=700, t_max=2.0, seed=11)
+    asked = []
+
+    def pool(max_workers):
+        asked.append(max_workers)
+        return ProcessPoolExecutor(max_workers=max_workers)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", pool)
     a = run_mc(params, scenario, policy, workers=1, **kw)
     b = run_mc(params, scenario, policy, workers=2, **kw)
+    c = run_mc(params, scenario, policy, workers=8, **kw)
+    assert asked == [2, 2]
     assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a.values, c.values)
     assert np.array_equal(a.grid, b.grid)
-    assert a.meta == b.meta
+    assert a.meta == b.meta == c.meta
     assert set(a.meta) == {"alpha", "censored", "estimator", "params",
                            "policy", "scenario", "seed", "t_max", "trials"}
 

@@ -98,6 +98,23 @@ def test_kernel_validation():
             two_turn_T(w, u, t, P11)
 
 
+def test_kernel_ladder_values_and_failure():
+    # values recorded from the kernel's own ladder loop, which the shared
+    # settle driver replaced
+    assert two_turn_T(0.2, 0.6, 1.0, P11) == 0.6256633529159507
+    assert two_turn_T(0.2, 0.6, 1.0, P11, tol=1e-9) == 0.625663359092723
+    # no two rungs agree to 1e-300: the failure carries the last rung's
+    # value and its increment over the rung before
+    with pytest.raises(QuadratureFailure) as exc:
+        two_turn_T(0.2, 0.6, 1.0, P11, tol=1e-300)
+    assert str(exc.value) == "Ttilde did not settle to 1e-300 at w=0.2, u=0.6, t=1.0"
+    q, c = [(0.6 - 0.2) / (1.0 - 0.2)], [1.0 - 0.2]
+    last, before = (float(twoturn._ttilde(q, c, [1.0], *twoturn._T_LADDER[r])[0, 0])
+                    for r in (-1, -2))
+    assert exc.value.value == last == 0.6256633591160439
+    assert exc.value.error_estimate == abs(last - before) > 0.0
+
+
 def test_bound_contract():
     assert cdf_two_turn_bound(P11, 0.0) == 0.0
     assert cdf_two_turn_bound(ModelParams(0.0, 1.0), 1.5) == 0.0
