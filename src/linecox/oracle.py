@@ -16,12 +16,14 @@ left-to-right order, so they agree bit for bit; the tests rely on that.
   pushes only hops that end within min(t_max, incumbent). These are the
   slow references the batched kernel is checked against.
 * ``chunk_lengths`` solves every trial of a ChunkSample at once, lengths
-  only, for every policy: one kernel walks the turn layers (Bellman-Ford by
-  hop count) as flat arrays of rows, each row a line reached with some
-  number of turns, its entry arc and its length. A row turns onto every
-  other line of its trial, and keeps the hop while it ends within t_max and
-  below the trial's incumbent. Without lower-turn paths the kernel bounds
-  each trial by a reach that doubles until it holds the trial's best.
+  only, for every policy, by one kernel: Bellman-Ford by hop count over
+  flat arrays of labels. Layer j holds one label per (trial, line,
+  came-from line), the shortest length that reaches it with j turns, so a
+  layer never holds more labels than a trial has line pairs. A label
+  turns onto every other line of its trial, and keeps the hop while it
+  ends within t_max and below the trial's incumbent. Without lower-turn
+  paths the kernel bounds each trial by a reach that doubles until it
+  holds the trial's best.
 
 The ``first_hop_positive_x`` restriction (forced for TWO_TURN_DIRECTED)
 makes the first leg run along the positive arc direction of the first
@@ -298,9 +300,20 @@ def _route_of(via, state, lids):
 
 # ---- batched length-only layer kernel ---------------------------------------
 
-_PAIR_BLOCK = 8192  # (row, next line) pairs solved at once
+_PAIR_BLOCK = 8192  # (label, next line) pairs solved at once
+_LABEL_BLOCK = 1 << 16  # label slots of the trials one pass searches at once
 # first reach of an exactly-k search, as a share of t_max (see chunk_lengths)
 _FIRST_REACH = 1 / 16
+
+
+def _runs(sizes, cap):
+    """Cuts (a, b) of ``sizes`` into consecutive runs that sum to at most
+    ``cap``, or hold one size that alone exceeds it."""
+    ends, a = np.cumsum(sizes), 0
+    while a < sizes.size:
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] - sizes[a] + cap, "right")))
+        yield a, b
+        a = b
 
 
 def _segment_searchsorted(a, lo, hi, x):
@@ -339,24 +352,21 @@ def _offer(best, trials, lengths, t_max):
 
 
 def _turn(best, chunk, rows, reach, first, directed):
-    """The rows one turn further, in blocks of at most _PAIR_BLOCK pairs
-    (or one row's). A row is (trial, line, line it came from, arc on its
-    line, length). Each row still shorter than its trial's best pairs with
-    every other line of its trial but the one it came from, and keeps the
-    hop when it ends within the trial's reach and below the trial's best.
-    The first turn leaves from the origin, so it skips the other origin
-    line (their crossing is the start point) and, ``directed``, every hop
-    that does not run to a positive arc."""
+    """The hops one turn further from the labels ``rows``, in blocks of at
+    most _PAIR_BLOCK pairs (or one label's). A label or hop is (trial,
+    line, line it came from, arc on its line, length). Each label shorter
+    than its trial's best pairs with every other line of its trial but the
+    one it came from, and keeps the hops that end within the trial's reach
+    and below its best. The first turn skips the other origin line (their
+    crossing is the start point) and, ``directed``, every hop to an arc
+    that is not positive."""
+    n_lines = np.diff(chunk.line_start)
     live = rows[4] < best[rows[0]]
     trial, line, prev, ref, length = (col[live] for col in rows)
-    reps = np.diff(chunk.line_start)[trial] - 1
-    ends = np.cumsum(reps)
-    cuts = np.searchsorted(ends, np.arange(_PAIR_BLOCK, ends[-1] if ends.size
-                                           else 0, _PAIR_BLOCK), side="right")
-    cuts = [0, *cuts.tolist(), trial.size]
-    for a, b in zip(cuts[:-1], cuts[1:]):
+    reps = n_lines[trial] - 1
+    for a, b in _runs(reps, _PAIR_BLOCK):
         r = reps[a:b]
-        f = a + np.repeat(np.arange(r.size), r)  # row of each pair
+        f = a + np.repeat(np.arange(r.size), r)  # label of each pair
         t, i = trial[f], line[f]
         m = chunk.line_start[t] + (np.arange(f.size)
                                    - np.repeat(np.cumsum(r) - r, r))
@@ -374,33 +384,56 @@ def _turn(best, chunk, rows, reach, first, directed):
         yield t[keep], m[keep], i[keep], there[keep], new[keep]
 
 
+def _labels(chunk, hops, slots):
+    """The shortest of the hops onto each (trial, line, came-from line): the
+    arc a hop reaches depends on the two lines alone, so every later length
+    grows with this one. ``slots`` (trials, end slots, first slot per trial)
+    put (m, i) of trial t at first[t] + lines[t] * m' + i', with m' and i'
+    the lines' places in the trial."""
+    group, ends, slot0 = slots
+    n_lines = np.diff(chunk.line_start)
+    label, arc = np.full(ends[-1], np.inf), np.empty(ends[-1])
+    for t, m, i, there, new in hops:
+        start = chunk.line_start[t]
+        s = slot0[t] + (m - start) * n_lines[t] + i - start
+        np.minimum.at(label, s, new)
+        arc[s] = there
+    s = np.flatnonzero(label < np.inf)
+    t = group[np.searchsorted(ends, s, side="right")]
+    start, local = chunk.line_start[t], s - slot0[t]
+    return (t, start + local // n_lines[t], start + local % n_lines[t],
+            arc[s], label[s])
+
+
 def _search(best, chunk, trials, reach, t_max, k, lower, directed):
-    """Offer every path of at most k turns (exactly k unless ``lower``)
-    of the given trials. Layer 0 holds the origin lines (only the first
-    with ``directed``) at arc 0 and length 0, and the blocks of layer j + 1
-    are ``_turn`` of a block of layer j. The layers are walked depth first,
-    one block at a time, so at most k + 1 blocks are held at once however
-    many rows a layer has, and every block is offered before the next one
-    is built. Lengths add up hop by hop as ``_k_turn`` adds them, so each
-    offer is the length the search gives that path."""
+    """Offer every path of at most k turns (exactly k unless ``lower``) of
+    the given trials, in runs of at most _LABEL_BLOCK label slots (or one
+    trial's). Layer 0 holds the origin lines (only the first, ``directed``)
+    at arc 0 and length 0; layer j + 1 the ``_labels`` of the hops ``_turn``
+    takes from layer j, but layer k is offered block by block, unlabelled.
+    Lengths add up hop by hop as in ``_k_turn``, so each offer is the
+    length the search gives that path."""
+    n_lines = np.diff(chunk.line_start)[trials]
+    size = n_lines * n_lines
     n0 = 1 if directed else chunk.n_origin
-    trial = np.repeat(trials, n0)
-    zeros = np.zeros(trial.size)
-    stack = [iter([(trial, chunk.line_start[trial]
-                    + np.tile(np.arange(n0), trials.size),
-                    np.full(trial.size, -1), zeros, zeros)])]
-    while stack:
-        rows = next(stack[-1], None)
-        if rows is None:
-            stack.pop()
-            continue
-        j = len(stack) - 1
-        if lower or j == k:
-            t, m, _, ref, length = rows
-            _offer(best, t, length + _nearest_dist(
-                chunk, m, ref, nonneg_only=directed and j == 0), t_max)
-        if j < k:
-            stack.append(_turn(best, chunk, rows, reach, j == 0, directed))
+    for a, b in _runs(size, _LABEL_BLOCK):
+        group, ends = trials[a:b], np.cumsum(size[a:b])
+        slot0 = np.zeros(chunk.n_trials, dtype=np.int64)
+        slot0[group] = ends - size[a:b]
+        t = np.repeat(group, n0)
+        zeros = np.zeros(t.size)
+        layer = [(t, chunk.line_start[t] + np.tile(np.arange(n0), group.size),
+                  np.full(t.size, -1), zeros, zeros)]
+        for j in range(k + 1):
+            if j:
+                hops = _turn(best, chunk, rows, reach, j == 1, directed)
+                layer = hops if j == k else [
+                    _labels(chunk, hops, (group, ends, slot0))]
+            for rows in layer:
+                if lower or j == k:
+                    t, m, _, ref, length = rows
+                    _offer(best, t, length + _nearest_dist(
+                        chunk, m, ref, nonneg_only=directed and j == 0), t_max)
 
 
 # ---- public API --------------------------------------------------------------

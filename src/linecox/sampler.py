@@ -449,21 +449,20 @@ def sample_chunk(params: ModelParams, scenario: PalmScenario,
     if stop <= start:
         raise ValueError(f"need start < stop, got {start}, {stop}")
     draws = _TrialDraws(params, scenario, R, master)
-    trials = [draws.draw(i, respace=False) for i in range(start, stop)]
+    one = stop - start == 1  # a lone trial takes the full draw order at once
+    trials = [draws.draw(i, respace=one) for i in range(start, stop)]
     angle, through_origin, trial, line_start = _line_layout(trials)
     # speculative draws skipped the respacing step; redraw the (measure
     # zero) trials it could have touched with the full draw order
-    crowded = _crowded_trials(angle, trial, line_start)
-    if crowded.size:
+    crowded = () if one else _crowded_trials(angle, trial, line_start)
+    if len(crowded):
         for t in crowded:
             trials[t] = draws.draw(start + int(t))
         angle, through_origin, trial, line_start = _line_layout(trials)
 
-    bg = ~through_origin
     offset = np.zeros(angle.size)
-    offset[bg] = np.concatenate([rec[2] for rec in trials])
-    half = np.full(angle.size, R)
-    half[bg] = _half_chords(offset[bg], R)
+    offset[~through_origin] = np.concatenate([rec[2] for rec in trials])
+    half = np.where(through_origin, R, _half_chords(offset, R))
     counts = np.fromiter(itertools.chain.from_iterable(rec[3] for rec in trials),
                          dtype=np.int64, count=angle.size)
     arcs = np.concatenate([rec[4] for rec in trials]) * np.repeat(half, counts)

@@ -28,9 +28,9 @@ from linecox import (
     typical_intersection,
     typical_point,
 )
-from linecox import sampler
+from linecox import oracle, sampler
 from linecox.experiments import EcdfEstimate, default_grid
-from linecox.oracle import _segment_searchsorted
+from linecox.oracle import _runs, _segment_searchsorted
 
 T_MAX = 3.0
 SCENARIOS = {
@@ -202,7 +202,21 @@ def test_segment_searchsorted_matches_numpy():
     assert got.tolist() == want
 
 
-def test_chunk_lengths_rejects_k_turn_and_bad_horizon():
+def test_runs_cut_at_most_cap_or_one_size():
+    """Each run starts where the last one ended and holds at most ``cap``,
+    or a single size that alone exceeds it; no longer run would fit."""
+    rng = np.random.default_rng(8)
+    for sizes in [rng.integers(0, 40, size=n) for n in (0, 1, 7, 300)] + [
+            np.array([0, 25, 3, 0, 0, 17, 9]), np.array([5, 5, 5, 5])]:
+        runs = list(_runs(sizes, 20))
+        cuts = [0] + [b for _, b in runs]
+        assert [a for a, _ in runs] == cuts[:-1] and cuts[-1] == sizes.size
+        for a, b in runs:
+            assert sizes[a:b].sum() <= 20 or b == a + 1
+            assert b == sizes.size or sizes[a:b + 1].sum() > 20
+
+
+def test_chunk_lengths_rejects_negative_budget_and_bad_horizon():
     chunk = sample_chunk(ModelParams(1.0, 1.0), typical_point(), 2.0, 1, 0, 4)
     with pytest.raises(PolicyBudgetNegative):
         chunk_lengths(chunk, TurnPolicy.k_turn(-1), 2.0)
@@ -245,12 +259,13 @@ def test_run_mc_never_builds_a_realization(monkeypatch):
             run_mc(ModelParams(2.0, 1.0), scenario, policy, 40, T_MAX, 6)
 
 
-# The kernel walks its turn layers depth first, one block of at most
-# oracle._PAIR_BLOCK (row, line) pairs per layer at a time, so its memory
-# does not grow with the rows a layer holds: it peaks near 2.5 MiB here and
-# on 512-trial chunks alike. Holding whole layers instead, from a first
-# reach of t_max / 4, peaked at 120 MB (point) and 264 MB (intersection)
-# on 512 trials. The bound leaves room for numpy's own buffers.
+# The kernel holds one label per (trial, line, came-from line) in a layer,
+# and searches runs of trials of at most oracle._LABEL_BLOCK label slots at
+# once, so its memory stays bounded however many paths a layer reaches: it
+# peaks near 1.5 MiB here and 3 MiB on 512-trial chunks. Holding every path
+# of whole layers instead, from a first reach of t_max / 4, peaked at
+# 120 MB (point) and 264 MB (intersection) on 512 trials. The bound leaves
+# room for numpy's own buffers.
 DENSE_PEAK_BYTES = 16 * 2**20
 
 
@@ -270,3 +285,37 @@ def test_exact_three_turns_at_lam_16_are_exact_and_bounded(scenario):
                                         T_MAX).length for t in range(n)])
     assert batched.tobytes() == per_trial.tobytes()
     assert peak < DENSE_PEAK_BYTES, peak
+
+
+@pytest.mark.parametrize("scenario", [typical_point(), typical_intersection()],
+                         ids=["point", "intersection"])
+def test_high_budgets_on_sparse_points_keep_one_label_per_state(scenario, monkeypatch):
+    """At k 4-6 with few points, most hops find no target and some trials
+    stay censored, so the number of paths grows as (crossings)^k. Each
+    layer must hold one label per (trial, line, came-from line), and the
+    lengths must still equal the per-trial search bit for bit."""
+    layers = []
+    labels = oracle._labels
+
+    def spy(*args):
+        rows = labels(*args)
+        layers.append(rows)
+        return rows
+
+    monkeypatch.setattr(oracle, "_labels", spy)
+    chunk = sample_chunk(ModelParams(4.0, 0.005), scenario, T_MAX, 5, 0, 6)
+    reals = [chunk.realization(t) for t in range(chunk.n_trials)]
+    censored = 0
+    for k in (4, 6):
+        for lower in (True, False):
+            policy = TurnPolicy.k_turn(k, lower)
+            batched = chunk_lengths(chunk, policy, T_MAX)
+            per_trial = np.array([shortest_path(r, policy, T_MAX).length
+                                  for r in reals])
+            assert batched.tobytes() == per_trial.tobytes(), (k, lower)
+            censored += int(np.isinf(batched).sum())
+    assert censored > 0
+    assert sum(rows[0].size for rows in layers) > 1000
+    for t, m, prev, _, _ in layers:
+        states = np.stack((t, m, prev))
+        assert np.unique(states, axis=1).shape[1] == t.size
