@@ -11,7 +11,8 @@ radius, giving a lower bound on success.
 Second the reach question for electric vehicles: how far must a driver
 be able to travel so that, with probability p, some charging point is
 reachable with at most one turn? That is the quantile of the same
-distribution, solved by bracketed root finding.
+distribution, solved by bracketed root finding, from a typical point and
+from a typical intersection side by side.
 """
 
 import math
@@ -48,12 +49,18 @@ def main():
     print(f"  at a 20 dB threshold the near-field success drops to "
           f"{nearfield_success(tough, model):.4f}")
 
-    print("\ncharging reach radius r(p): F(r) = p for the one-turn distance")
-    print("  p      lambda=1,mu=1   lambda=1,mu=0.2   lambda=0.3,mu=1")
+    print("\ncharging reach radius r(p): F(r) = p for the one-turn distance,")
+    print("from a typical point / from a typical intersection")
     models = [ModelParams(1.0, 1.0), ModelParams(1.0, 0.2), ModelParams(0.3, 1.0)]
+    print("  p    " + "   ".join(f"{f'lambda={m.lam:g},mu={m.mu:g}':>15s}"
+                                 for m in models))
     for p in (0.5, 0.9, 0.95, 0.99):
-        row = "   ".join(f"{reach_quantile(m, p):13.3f}" for m in models)
+        row = "   ".join(
+            f"{reach_quantile(m, p):6.3f} / {reach_quantile(m, p, 'one-turn-intersection'):6.3f}"
+            for m in models)
         print(f"  {p:4.2f} {row}")
+    print("  (a crossing offers two streets to search and two to turn onto, so")
+    print("  its one-turn radius is the shorter one at every p)")
 
     r = reach_quantile(models[1], 0.9, "zero-turn-intersection")
     print(f"\n  starting at a crossing and refusing to turn, the 90% radius "

@@ -9,15 +9,19 @@ the CLI converts dB at the boundary.
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass, fields
+
+import numpy as np
 
 from .analytic import (
     cdf_one_turn_intersection,
     cdf_one_turn_point,
     cdf_zero_turn_intersection,
 )
-from .errors import NoBracket, NonFinite, NonPositiveParameter
+from .errors import NoBracket, NonFinite, NonPositiveParameter, QuadratureFailure
 from .model import ModelParams, validate
 
 __all__ = [
@@ -31,6 +35,8 @@ __all__ = [
     "db_to_linear",
     "REACH_POLICIES",
 ]
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -125,6 +131,9 @@ REACH_POLICIES = ("one-turn-point", "zero-turn-intersection", "one-turn-intersec
 
 _QUAD_CAP = 64.0
 _CLOSED_CAP = 2.0**60
+_XTOL, _RTOL = 1e-12, 1e-9  # the root's tolerances, as brentq reads them
+# Chebyshev points of the one-turn-intersection fit, ends included
+_FIT_NODES = 12
 
 
 def _reach_cdf(policy: str, model: ModelParams, tol: float):
@@ -142,25 +151,113 @@ def reach_quantile(model: ModelParams, p: float, policy: str = "one-turn-point",
     """Smallest street distance t with F(t) >= p (e.g. the radius an
     electric vehicle must be able to cover so it finds a charging point
     with probability p). Bracketed root solve to 1e-9 relative; NoBracket
-    when p is not reached below the policy's search cap."""
+    when p is not reached below the policy's search cap.
+
+    The one-turn-intersection curve is first inverted from one fit call and
+    one two-point certificate (``_fitted_root``); where that root is not
+    certified, it is solved like the closed forms. Each such quantile logs
+    one INFO line: the path taken, the curve calls and points, the wall time.
+    """
     validate(model)
     if not (isinstance(p, (int, float)) and 0.0 <= p < 1.0):
         raise ValueError(f"p must lie in [0, 1), got {p!r}")
     if p == 0.0:
         return 0.0
     cdf, cap = _reach_cdf(policy, model, tol)
+    if policy != "one-turn-intersection":
+        return _bracketed_root(cdf, p, cap, policy)
 
+    start, points = time.perf_counter(), []
+
+    def counted(t):
+        points.append(np.size(t))
+        return cdf(t)
+
+    path = "fallback"
+    try:
+        root, path = _fitted_root(counted, model, p)
+        return root if root is not None else _bracketed_root(counted, p, cap, policy)
+    finally:
+        _log.info("reach quantile (%s) p=%r: %s, %d curve calls, %d points, %.1f ms",
+                 policy, p, path, len(points), sum(points),
+                 1e3 * (time.perf_counter() - start))
+
+
+def _bracketed_root(cdf, p: float, cap: float, policy: str) -> float:
+    """Double the bracket from t = 1 until F(t) >= p, then solve F(t) = p in
+    [0, t] with ``_brent``, which reuses the value at the bracket's top."""
+    f = lambda t: cdf(t) - p
     hi = 1.0
-    while cdf(hi) < p:
+    f_hi = f(hi)
+    while f_hi < 0.0:
         hi *= 2.0
         if hi > cap:
             raise NoBracket(
                 f"F(t) stays below p={p} up to the search cap {cap} for policy {policy}")
-    return _brent(lambda t: cdf(t) - p, 0.0, hi, xtol=1e-12, rtol=1e-9)
+        f_hi = f(hi)
+    return _brent(f, 0.0, hi, _XTOL, _RTOL, f_b=f_hi)
+
+
+def _fitted_root(cdf, model: ModelParams, p: float):
+    """The one-turn-intersection quantile from two curve calls, and the
+    path taken.
+
+    As 0 <= Tx, Ty <= t, the CDF's exponent g(t) = -log(1 - F(t)) lies
+    between 4*mu*t and 4*(mu + lam)*t, so g(t) = L = -log(1 - p) has its
+    root in [L/(4*(mu + lam)), L/(4*mu)]. One call evaluates F at
+    _FIT_NODES Chebyshev points of that bracket (every point shares each
+    rung's geometry); the root of the interpolant of g through them is
+    solved a hundred times finer than brentq's stop. A second call
+    certifies it: F(t - d) < p <= F(t + d), d = (xtol + rtol*t)/2 being
+    brentq's stopping half-width, puts the curve's root within d of t.
+
+    Returns (root, "certified"), or (None, "fallback (why)") when lam is 0,
+    the bracket reaches past the cap, the fitted values do not bracket L,
+    the certificate fails or a call raises QuadratureFailure.
+    """
+    big_l = -math.log1p(-p)
+    lo, hi = big_l / (4.0 * (model.mu + model.lam)), big_l / (4.0 * model.mu)
+    if model.lam == 0.0 or hi > _QUAD_CAP:
+        return None, "fallback (no fit)"
+    nodes = 0.5 * (lo + hi) - 0.5 * (hi - lo) * np.cos(
+        np.pi * np.arange(_FIT_NODES) / (_FIT_NODES - 1))
+    try:
+        with np.errstate(divide="ignore"):
+            g = -np.log1p(-cdf(nodes))
+        if not (np.isfinite(g).all() and g[0] <= big_l <= g[-1]):
+            return None, "fallback (fit ends)"
+        fit = _chebyshev_interpolant(nodes, g)
+        root = _brent(lambda t: fit(t) - big_l, nodes[0], nodes[-1],
+                      _XTOL / 100, _RTOL / 100)
+        d = (_XTOL + _RTOL * root) / 2
+        f_lo, f_hi = cdf(np.array([max(root - d, 0.0), root + d]))
+    except QuadratureFailure:
+        return None, "fallback (quadrature)"
+    if f_lo < p <= f_hi:
+        return root, "certified"
+    return None, "fallback (certificate)"
+
+
+def _chebyshev_interpolant(nodes, values):
+    """The polynomial through values at the Chebyshev points of the second
+    kind ``nodes`` (ascending, ends included), in barycentric form
+    (Berrut and Trefethen, SIAM Review 46, 2004)."""
+    weights = np.ones(nodes.size)
+    weights[1::2] = -1.0
+    weights[[0, -1]] *= 0.5
+
+    def fit(t):
+        gap = t - nodes
+        if not gap.all():
+            return float(values[np.argmin(np.abs(gap))])
+        c = weights / gap
+        return float((c * values).sum() / c.sum())
+
+    return fit
 
 
 def _brent(f, a: float, b: float, xtol: float, rtol: float,
-           maxiter: int = 100) -> float:
+           maxiter: int = 100, f_b: float | None = None) -> float:
     """Root of f in the bracket [a, b] by Brent's method (Brent, Algorithms
     for Minimization without Derivatives, 1973, ch. 4).
 
@@ -168,17 +265,18 @@ def _brent(f, a: float, b: float, xtol: float, rtol: float,
     the same order, the same choice between secant interpolation, inverse
     quadratic extrapolation and bisection, and the same stop once half the
     bracket is below delta = (xtol + rtol*|x|)/2; so it returns brentq's
-    root bit for bit. ValueError when f(a) and f(b) have the same sign or f
-    gives nan; RuntimeError when maxiter steps do not converge.
+    root bit for bit. ``f_b``, when the caller already has f(b), stands in
+    for that evaluation. ValueError when f(a) and f(b) have the same sign or
+    f gives nan; RuntimeError when maxiter steps do not converge.
     """
-    def call(x):
-        fx = float(f(x))
+    def call(x, fx=None):
+        fx = float(f(x) if fx is None else fx)
         if math.isnan(fx):
             raise ValueError(f"f({x!r}) is nan; the root solve cannot go on")
         return fx
 
     xpre, xcur = float(a), float(b)
-    fpre, fcur = call(xpre), call(xcur)
+    fpre, fcur = call(xpre), call(xcur, f_b)
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:

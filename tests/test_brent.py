@@ -1,14 +1,19 @@
-"""The in-package Brent solver against scipy.optimize.brentq, bit for bit."""
+"""The in-package Brent solver against scipy.optimize.brentq, bit for bit,
+and the certified inversion of the one-turn-intersection curve against it."""
 
+import logging
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from linecox import applications
+from linecox.analytic import cdf_one_turn_intersection
 from linecox.applications import _brent, reach_quantile
+from linecox.errors import QuadratureFailure
 from linecox.model import ModelParams
 
 XTOL, RTOL = 1e-12, 1e-9  # reach_quantile's tolerances
@@ -36,10 +41,132 @@ def test_closed_form_quantiles_equal_brentq(lam, mu, p):
         assert reach_quantile(model, p, policy) == _brentq_quantile(model, p, policy)
 
 
-def test_intersection_quantile_equals_brentq():
-    model = ModelParams(1.0, 0.5)
-    policy = "one-turn-intersection"
-    assert reach_quantile(model, 0.7, policy) == _brentq_quantile(model, 0.7, policy)
+INTERSECTION = "one-turn-intersection"
+
+
+def _spy_curve(monkeypatch, stub=None):
+    """Record the t of every curve call reach_quantile makes; ``stub(t)``,
+    when given, answers a call in place of the curve if it returns a value."""
+    calls = []
+    real = applications.cdf_one_turn_intersection
+
+    def spy(model, t, **kw):
+        calls.append(np.array(t, dtype=float))
+        got = None if stub is None else stub(t)
+        return real(model, t, **kw) if got is None else got
+
+    monkeypatch.setattr(applications, "cdf_one_turn_intersection", spy)
+    return calls
+
+
+def _half_width(q):
+    """brentq's stopping half-width at q: the certificate's distance."""
+    return (XTOL + RTOL * q) / 2
+
+
+# (lam, mu, p): the benchmark's quantile jobs (lam, mu in [0.8, 1.25],
+# p in [0.5, 0.6]), then lam/mu from 0.01 to 100 and p from 1e-6 to 1 - 1e-9
+GRID = [
+    (0.8, 1.25, 0.5), (1.25, 0.8, 0.6), (1.0, 1.0, 0.55), (1.25, 1.25, 0.5),
+    (0.01, 1.0, 1e-6), (0.01, 1.0, 0.5), (0.01, 1.0, 1.0 - 1e-9),
+    (100.0, 1.0, 1e-6), (100.0, 1.0, 0.5), (100.0, 1.0, 1.0 - 1e-9),
+    (1.0, 1.0, 0.999), (3.0, 1.0, 0.99), (10.0, 1.0, 0.9), (1.0, 100.0, 0.5),
+    (1.0, 0.01, 0.5),
+]
+
+
+@pytest.mark.parametrize("lam, mu, p", GRID)
+def test_intersection_quantile_is_certified_or_brentq(monkeypatch, lam, mu, p):
+    """A certified root brackets the curve's root within brentq's half-width
+    d on the direct curve, so it lies within 3d of brentq's root (which
+    stops with the root within 2d). A root that is not certified is
+    brentq's, bit for bit."""
+    model = ModelParams(lam, mu)
+    calls = _spy_curve(monkeypatch)
+    q = reach_quantile(model, p, INTERSECTION)
+    monkeypatch.undo()
+    want = _brentq_quantile(model, p, INTERSECTION)
+    d = _half_width(q)
+    assert abs(q - want) <= 3 * d
+    if 0.8 <= min(lam, mu) and max(lam, mu) <= 1.25 and 0.5 <= p <= 0.6:
+        assert len(calls) == 2  # the benchmark's range certifies
+    if len(calls) == 2:
+        assert (cdf_one_turn_intersection(model, max(q - d, 0.0)) < p
+                <= cdf_one_turn_intersection(model, q + d))
+    else:
+        assert q == want
+
+
+def test_certified_quantile_makes_two_curve_calls(monkeypatch, caplog):
+    calls = _spy_curve(monkeypatch)
+    with caplog.at_level(logging.INFO, logger="linecox.applications"):
+        q = reach_quantile(ModelParams(1.0, 1.0), 0.55, INTERSECTION)
+    assert [c.size for c in calls] == [applications._FIT_NODES, 2]
+    assert calls[1].tolist() == [q - _half_width(q), q + _half_width(q)]
+    lines = [r.getMessage() for r in caplog.records if r.name == "linecox.applications"]
+    assert len(lines) == 1
+    assert "certified, 2 curve calls, 14 points, " in lines[0] and lines[0].endswith(" ms")
+
+
+@pytest.mark.parametrize("shift", [0.0, -0.1, 0.1])
+def test_failed_certificate_falls_back_to_brentq_bit_for_bit(monkeypatch, caplog, shift):
+    """The certificate answers F(t - d) = F(t + d) = p + shift: at shift 0
+    the strict side fails, below it the upper side, above it the lower."""
+    model, p = ModelParams(1.0, 1.0), 0.55
+    calls = _spy_curve(monkeypatch,
+                       lambda t: np.full(2, p + shift) if np.size(t) == 2 else None)
+    with caplog.at_level(logging.INFO, logger="linecox.applications"):
+        q = reach_quantile(model, p, INTERSECTION)
+    monkeypatch.undo()
+    assert len(calls) > 2
+    assert q == _brentq_quantile(model, p, INTERSECTION)
+    assert "fallback (certificate)" in caplog.text
+
+
+def test_quadrature_failure_in_the_fit_falls_back(monkeypatch):
+    model, p = ModelParams(1.0, 1.0), 0.55
+
+    def fail_the_fit(t):
+        if np.size(t) == applications._FIT_NODES:
+            raise QuadratureFailure("injected", value=0.0, error_estimate=1.0)
+
+    calls = _spy_curve(monkeypatch, fail_the_fit)
+    q = reach_quantile(model, p, INTERSECTION)
+    monkeypatch.undo()
+    assert np.ndim(calls[1]) == 0 and float(calls[1]) == 1.0  # the generic bracket
+    assert q == _brentq_quantile(model, p, INTERSECTION)
+
+
+def test_quadrature_failure_everywhere_raises_as_the_generic_path():
+    """No rung pair agrees to 1e-300: the fit fails, and the generic path
+    raises at its first bracket end, t = 1, as it does on its own."""
+    with pytest.raises(QuadratureFailure, match=r"did not settle to 1e-300 at t=1\.0$"):
+        reach_quantile(ModelParams(1.0, 1.0), 0.5, INTERSECTION, tol=1e-300)
+
+
+@pytest.mark.parametrize("lam, mu", [(0.0, 1.0), (1.0, 1e-3)])
+def test_no_lam_or_a_bracket_past_the_cap_takes_the_generic_path(monkeypatch, lam, mu):
+    """lam = 0 leaves no bracket to fit; at mu = 1e-3 the bracket's top,
+    log(2)/(4*mu), lies past _QUAD_CAP."""
+    model = ModelParams(lam, mu)
+    calls = _spy_curve(monkeypatch)
+    q = reach_quantile(model, 0.5, INTERSECTION)
+    monkeypatch.undo()
+    assert float(calls[0]) == 1.0 and all(np.ndim(t) == 0 for t in calls)
+    assert q == _brentq_quantile(model, 0.5, INTERSECTION)
+
+
+@pytest.mark.parametrize("policy, curve", [
+    ("one-turn-point", "cdf_one_turn_point"),
+    ("zero-turn-intersection", "cdf_zero_turn_intersection"),
+])
+def test_the_bracket_top_is_evaluated_once(monkeypatch, policy, curve):
+    seen = []
+    real = getattr(applications, curve)
+    monkeypatch.setattr(applications, curve,
+                        lambda model, t: seen.append(t) or real(model, t))
+    reach_quantile(ModelParams(1.0, 1.0), 0.55, policy)
+    assert seen[:2] == [1.0, 0.0] and seen.count(1.0) == 1
 
 
 def _outcome(solve):

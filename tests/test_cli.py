@@ -396,6 +396,18 @@ def test_verbose_analytic_logs_the_ladder_and_leaves_outputs_alone(tmp_path, cap
                 == loud.with_suffix(".json").read_bytes())
 
 
+def test_verbose_quantile_logs_its_path_and_leaves_stdout_alone(capsys):
+    base = ["app", "ev-quantile", "--policy", "one-turn-intersection",
+            "--lambda", "1", "--mu", "1", "--p", "0.55"]
+    rc, quiet, err = _run(capsys, *base)
+    assert rc == EXIT_OK and err == ""
+    rc, loud, err = _run(capsys, "-v", *base)
+    assert rc == EXIT_OK
+    assert loud.encode() == quiet.encode()
+    assert "reach quantile (one-turn-intersection) p=0.55: certified, " in err
+    assert "2 curve calls, 14 points, " in err
+
+
 _CELLS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.sampled_from(["", "abc", "nan", "-inf", " 1 ", "1e999", "0", "0.5", "1"]),
