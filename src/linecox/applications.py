@@ -211,13 +211,17 @@ def _fitted_root(cdf, model: ModelParams, p: float):
     certifies it: F(t - d) < p <= F(t + d), d = (xtol + rtol*t)/2 being
     brentq's stopping half-width, puts the curve's root within d of t.
 
+    The bracket is cut at _QUAD_CAP, past which the curve is not searched;
+    a root beyond the cap then fails the bracket check on the fitted values.
+
     Returns (root, "certified"), or (None, "fallback (why)") when lam is 0,
-    the bracket reaches past the cap, the fitted values do not bracket L,
-    the certificate fails or a call raises QuadratureFailure.
+    the fitted values do not bracket L, the certificate fails or a call
+    raises QuadratureFailure.
     """
     big_l = -math.log1p(-p)
     lo, hi = big_l / (4.0 * (model.mu + model.lam)), big_l / (4.0 * model.mu)
-    if model.lam == 0.0 or hi > _QUAD_CAP:
+    hi = min(hi, _QUAD_CAP)
+    if model.lam == 0.0:
         return None, "fallback (no fit)"
     nodes = 0.5 * (lo + hi) - 0.5 * (hi - lo) * np.cos(
         np.pi * np.arange(_FIT_NODES) / (_FIT_NODES - 1))

@@ -7,11 +7,17 @@ reach calculators. Curves travel as CSV (one header row, full round-trip
 float precision, ``\\n`` newlines) with a JSON metadata sidecar so every
 artifact can be reproduced from its own files.
 
+``_OPTIONS`` is the single list of each subcommand's options: key, flag,
+default, type, choices, aliases and help, each declared once. The argparse
+flags, the ``--config`` conversion and the defaults are all built from it.
 Options resolve in three layers: hard defaults, then a ``--config`` file of
-``key = value`` lines, then explicit flags. Exit codes: 0 success, 2 bad
-configuration or parameters, 3 quadrature tolerance not reached, 4 runtime
-failures (IO and the rest). ``-v`` (before the subcommand) logs progress,
-such as the Monte Carlo throughput, to stderr; it never changes an output.
+``key = value`` lines, then explicit flags. A file value goes through the
+same type, aliases and choices as its flag, so a value outside a choice set
+exits 2 naming its key, and every alias resolves to its canonical value.
+Exit codes: 0 success, 2 bad configuration or parameters, 3 quadrature
+tolerance not reached, 4 runtime failures (IO and the rest). ``-v`` (before
+the subcommand) logs progress, such as the Monte Carlo throughput, to
+stderr; it never changes an output.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -84,21 +90,28 @@ EXIT_CONFIG = 2
 EXIT_QUADRATURE = 3
 EXIT_RUNTIME = 4
 
-# canonical curve names plus the descriptive aliases
-_WHICH_CANONICAL = ("thm1", "thm2", "cor1", "cor2", "thm3-bound", "naive", "ppp")
-_WHICH_ALIASES = {
-    "one-turn-point": "thm1",
-    "one-turn-intersection": "thm2",
-    "zero-turn-intersection": "cor1",
-    "upper-intersection": "cor2",
-    "two-turn-bound": "thm3-bound",
-    "single-ray": "naive",
-    "ppp-reference": "ppp",
+# curve token -> (curve, default quadrature tol; None for a closed form)
+_CURVES = {
+    "thm1": (cdf_one_turn_point, None),
+    "thm2": (cdf_one_turn_intersection, 1e-6),
+    "cor1": (cdf_zero_turn_intersection, None),
+    "cor2": (cdf_upper_intersection, None),
+    "thm3-bound": (cdf_two_turn_bound, 1e-5),
+    "naive": (cdf_naive_recursion, None),
+    "ppp": (cdf_ppp2d_reference, None),
 }
-
-_SCENARIOS = ("point", "intersection")
-_SCENARIO_ALIASES = {"typical-point": "point", "typical-intersection": "intersection"}
-_POLICIES = ("zero-turn", "one-turn", "two-turn-directed", "k-turn")
+_SCENARIOS = {
+    "point": lambda law: typical_point(),
+    "intersection": typical_intersection,
+}
+# policy token -> TurnPolicy from (k, include_lower_turn_paths)
+_POLICIES = {
+    "zero-turn": lambda k, include: TurnPolicy.zero_turn(),
+    "one-turn": lambda k, include: TurnPolicy.one_turn(include),
+    "two-turn-directed": lambda k, include: TurnPolicy.two_turn_directed(include),
+    "k-turn": TurnPolicy.k_turn,
+}
+_DB_FIELDS = ("g_t", "g_r", "g", "gamma")  # the link gains --db reads in dB
 
 _ERRORS_CONFIG = (
     NonFinite, NegativeIntensity, ZeroMu, NonPositiveScale, NegativeT,
@@ -163,47 +176,115 @@ def _read_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key = value, got {raw!r}")
             key, value = line.split("=", 1)
             opts[key.strip().replace("-", "_")] = value.strip()
-    if "lambda" in opts:  # flag is --lambda, attribute is lam
-        opts["lam"] = opts.pop("lambda")
     return opts
 
 
-# converters applied to config-file strings; explicit flags are converted
-# by argparse itself
-_CONVERTERS: dict[str, Callable[[str], Any]] = {
-    "lam": float, "mu": float, "density": float, "tol": float, "alpha": float,
-    "t_max": float, "ks_threshold": float, "p": float,
-    "trials": int, "seed": int, "workers": int, "k": int,
-    "exact_turns": _parse_bool, "db": _parse_bool,
-    "g_t": float, "g_r": float, "g": float, "wavelength": float, "area": float,
-    "m": float, "n": float, "d_x": float, "d_y": float, "p_t": float,
-    "n0": float, "gamma": float,
-}
+@dataclass(frozen=True)
+class _Option:
+    """One option of a subcommand. ``key`` is its config-file key and its
+    ``RunConfig`` attribute; its flag is ``--key`` with ``-`` for ``_``
+    unless ``flag`` names another. ``_parse_bool`` as the type makes a
+    store_true flag. An alias is accepted wherever a choice is, and
+    resolves to the canonical choice it maps to."""
 
-_DEFAULTS: dict[str, dict[str, Any]] = {
-    "analytic": {
-        "which": "thm1", "lam": 1.0, "mu": 1.0, "density": None,
-        "grid": "0:3:0.01", "tol": None, "out": None,
-    },
-    "simulate": {
-        "lam": 1.0, "mu": 1.0, "scenario": "point", "angle_law": "uniform",
-        "policy": "one-turn", "k": 2, "exact_turns": False,
-        "trials": 10000, "t_max": None, "grid": "0:3:0.01",
-        "seed": 1, "workers": None, "alpha": 0.05, "out": None,
-    },
-    "compare": {"ks_threshold": 1.0, "out": None},
-    "ris-nearfield": {
-        "lam": 1.0, "mu": 1.0, "db": False,
-        "g_t": 1.0, "g_r": 1.0, "g": 1.0, "wavelength": 1.0, "area": 1.0,
-        "m": 1.0, "n": 1.0, "d_x": 1.0, "d_y": 1.0, "p_t": 1.0, "n0": 1.0,
-        "gamma": 1.0,
-    },
-    "ev-quantile": {
-        "lam": 1.0, "mu": 1.0, "p": 0.5, "policy": "one-turn-point",
-        "tol": 1e-6,
-    },
+    key: str
+    default: Any = None
+    type: Callable[[str], Any] = str
+    choices: tuple = ()
+    aliases: Mapping[str, str] = field(default_factory=dict)
+    help: str | None = None
+    flag: str | None = None
+
+    def __post_init__(self):
+        if self.flag is None:
+            object.__setattr__(self, "flag", "--" + self.key.replace("_", "-"))
+
+    @property
+    def accepted(self) -> tuple:
+        return self.choices + tuple(self.aliases)
+
+    def add_to(self, parser: argparse.ArgumentParser) -> None:
+        kw: dict[str, Any] = {"dest": self.key, "default": argparse.SUPPRESS,
+                              "help": self.help}
+        if self.type is _parse_bool:
+            kw["action"] = "store_true"
+        else:
+            kw.update(type=self.type, choices=self.accepted or None)
+        parser.add_argument(self.flag, **kw)
+
+    def from_text(self, raw: str) -> Any:
+        """A config-file value, through the flag's type and choices."""
+        try:
+            value = self.type(raw)
+        except ValueError as exc:
+            raise ValueError(f"config key {self.key!r}: {exc}") from None
+        if self.choices and value not in self.accepted:
+            raise ValueError(f"config key {self.key!r}: invalid choice {value!r} "
+                             f"(choose from {', '.join(self.accepted)})")
+        return value
+
+
+_LAM = _Option("lam", 1.0, float, help="line intensity", flag="--lambda")
+_MU = _Option("mu", 1.0, float, help="on-line point intensity")
+_GRID = _Option("grid", "0:3:0.01", help="start:stop:step")
+_CURVE_OUT = _Option("out", help="CSV path; metadata goes to a .json sidecar")
+
+_OPTIONS: dict[str, tuple[_Option, ...]] = {
+    "analytic": (
+        _Option("which", "thm1", choices=tuple(_CURVES), aliases={
+            "one-turn-point": "thm1",
+            "one-turn-intersection": "thm2",
+            "zero-turn-intersection": "cor1",
+            "upper-intersection": "cor2",
+            "two-turn-bound": "thm3-bound",
+            "single-ray": "naive",
+            "ppp-reference": "ppp",
+        }),
+        _LAM,
+        _MU,
+        _Option("density", None, float, help="planar intensity for --which "
+                "ppp (default: equivalent PLCP density)"),
+        _GRID,
+        _Option("tol", None, float, help="quadrature tolerance"),
+        _CURVE_OUT,
+    ),
+    "simulate": (
+        _LAM,
+        _MU,
+        _Option("scenario", "point", choices=tuple(_SCENARIOS), aliases={
+            "typical-point": "point", "typical-intersection": "intersection"}),
+        _Option("angle_law", "uniform", choices=tuple(law.value for law in AngleLaw)),
+        _Option("policy", "one-turn", choices=tuple(_POLICIES)),
+        _Option("k", 2, int, help="turn budget for --policy k-turn"),
+        _Option("exact_turns", False, _parse_bool,
+                help="count only paths using the full turn budget"),
+        _Option("trials", 10000, int),
+        _Option("t_max", None, float, help="censoring horizon"),
+        _GRID,
+        _Option("seed", 1, int),
+        _Option("workers", None, int, help="process count (default: env or 1)"),
+        _Option("alpha", 0.05, float, help="DKW band level"),
+        _CURVE_OUT,
+    ),
+    "compare": (
+        _Option("ks_threshold", 1.0, float, help="verdict is pass iff ks <= this"),
+        _Option("out", help="report JSON path (default: stdout)"),
+    ),
+    "ev-quantile": (
+        _LAM,
+        _MU,
+        _Option("p", 0.5, float, help="target probability in [0, 1)"),
+        _Option("policy", "one-turn-point", choices=REACH_POLICIES),
+        _Option("tol", 1e-6, float),
+    ),
 }
-_DEFAULTS["ris-farfield"] = dict(_DEFAULTS["ris-nearfield"])
+_OPTIONS["ris-nearfield"] = _OPTIONS["ris-farfield"] = (
+    _LAM,
+    _MU,
+    _Option("db", False, _parse_bool, help="read {} as dB".format(
+        "/".join("--" + name.replace("_", "-") for name in _DB_FIELDS))),
+    *(_Option(f.name, 1.0, float) for f in fields(RisLinkParams)),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -214,76 +295,21 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="log progress (INFO) to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(sp, *names, **kw):
-        kw.setdefault("default", argparse.SUPPRESS)
-        sp.add_argument(*names, **kw)
-
-    pa = sub.add_parser("analytic", help="evaluate an analytic curve onto a grid")
-    add(pa, "--config")
-    add(pa, "--which", choices=_WHICH_CANONICAL + tuple(_WHICH_ALIASES))
-    add(pa, "--lambda", dest="lam", type=float, help="line intensity")
-    add(pa, "--mu", type=float, help="on-line point intensity")
-    add(pa, "--density", type=float,
-        help="planar intensity for --which ppp (default: equivalent PLCP density)")
-    add(pa, "--grid", help="start:stop:step")
-    add(pa, "--tol", type=float, help="quadrature tolerance")
-    add(pa, "--out", help="CSV path; metadata goes to a .json sidecar")
-
-    ps = sub.add_parser("simulate", help="Monte Carlo ECDF of the path length")
-    add(ps, "--config")
-    add(ps, "--lambda", dest="lam", type=float)
-    add(ps, "--mu", type=float)
-    add(ps, "--scenario", choices=_SCENARIOS + tuple(_SCENARIO_ALIASES))
-    add(ps, "--angle-law", dest="angle_law", choices=("uniform", "sin"))
-    add(ps, "--policy", choices=_POLICIES)
-    add(ps, "--k", type=int, help="turn budget for --policy k-turn")
-    add(ps, "--exact-turns", dest="exact_turns", action="store_true",
-        help="count only paths using the full turn budget")
-    add(ps, "--trials", type=int)
-    add(ps, "--t-max", dest="t_max", type=float, help="censoring horizon")
-    add(ps, "--grid", help="start:stop:step")
-    add(ps, "--seed", type=int)
-    add(ps, "--workers", type=int, help="process count (default: env or 1)")
-    add(ps, "--alpha", type=float, help="DKW band level")
-    add(ps, "--out", help="CSV path; metadata goes to a .json sidecar")
-
-    pc = sub.add_parser("compare", help="score two exported curves")
-    pc.add_argument("a", help="first curve CSV")
-    pc.add_argument("b", help="second curve CSV")
-    add(pc, "--config")
-    add(pc, "--ks-threshold", dest="ks_threshold", type=float,
-        help="verdict is pass iff ks <= this")
-    add(pc, "--out", help="report JSON path (default: stdout)")
-
-    pp = sub.add_parser("app", help="link-budget and reach calculators")
-    app_sub = pp.add_subparsers(dest="app_command", required=True)
-    for name in ("ris-nearfield", "ris-farfield"):
-        px = app_sub.add_parser(name)
-        add(px, "--config")
-        add(px, "--lambda", dest="lam", type=float)
-        add(px, "--mu", type=float)
-        add(px, "--db", action="store_true",
-            help="read --g-t/--g-r/--g/--gamma as dB")
-        add(px, "--g-t", dest="g_t", type=float)
-        add(px, "--g-r", dest="g_r", type=float)
-        add(px, "--g", type=float)
-        add(px, "--wavelength", type=float)
-        add(px, "--area", type=float)
-        add(px, "--m", type=float)
-        add(px, "--n", type=float)
-        add(px, "--d-x", dest="d_x", type=float)
-        add(px, "--d-y", dest="d_y", type=float)
-        add(px, "--p-t", dest="p_t", type=float)
-        add(px, "--n0", type=float)
-        add(px, "--gamma", type=float)
-    pq = app_sub.add_parser("ev-quantile")
-    add(pq, "--config")
-    add(pq, "--lambda", dest="lam", type=float)
-    add(pq, "--mu", type=float)
-    add(pq, "--p", type=float, help="target probability in [0, 1)")
-    add(pq, "--policy", choices=REACH_POLICIES)
-    add(pq, "--tol", type=float)
+    parsers = {
+        "analytic": sub.add_parser("analytic", help="evaluate an analytic curve onto a grid"),
+        "simulate": sub.add_parser("simulate", help="Monte Carlo ECDF of the path length"),
+        "compare": sub.add_parser("compare", help="score two exported curves"),
+    }
+    parsers["compare"].add_argument("a", help="first curve CSV")
+    parsers["compare"].add_argument("b", help="second curve CSV")
+    app_sub = sub.add_parser("app", help="link-budget and reach calculators").add_subparsers(
+        dest="app_command", required=True)
+    for name in ("ris-nearfield", "ris-farfield", "ev-quantile"):
+        parsers[name] = app_sub.add_parser(name)
+    for name, sp in parsers.items():
+        sp.add_argument("--config", default=argparse.SUPPRESS)
+        for opt in _OPTIONS[name]:
+            opt.add_to(sp)
     return parser
 
 
@@ -297,18 +323,21 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     for positional in ("a", "b"):
         explicit.pop(positional, None)
 
-    options = dict(_DEFAULTS[command])
+    table = {opt.key: opt for opt in _OPTIONS[command]}
+    options = {key: opt.default for key, opt in table.items()}
     provided = set(explicit)
     if config_path is not None:
-        for key, raw in _read_config_file(config_path).items():
-            if key not in options:
-                raise ValueError(f"unknown config key {key!r} for {command}")
-            options[key] = _CONVERTERS.get(key, str)(raw)
-            provided.add(key)
-    unknown = provided - set(options)
-    if unknown:
-        raise ValueError(f"unknown options {sorted(unknown)} for {command}")
+        # a file names an option by its key or by its flag (lambda for lam)
+        names = {opt.flag[2:].replace("-", "_"): opt for opt in table.values()}
+        names.update(table)
+        for name, raw in _read_config_file(config_path).items():
+            opt = names.get(name)
+            if opt is None:
+                raise ValueError(f"unknown config key {name!r} for {command}")
+            options[opt.key] = opt.from_text(raw)
+            provided.add(opt.key)
     options.update(explicit)  # flags win over the file
+    options = {key: table[key].aliases.get(v, v) for key, v in options.items()}
     return RunConfig(command, options, frozenset(provided))
 
 
@@ -317,47 +346,42 @@ def _format_float(x: float) -> str:
     return repr(float(x) + 0.0)
 
 
-def _write_csv(out: str | None, header: tuple, rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_format_float(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
+def _write(text: str, out: str | None = None) -> None:
+    """``text`` to stdout, or to the file ``out`` when one is given."""
     if out is None:
         sys.stdout.write(text)
     else:
         with open(out, "w", newline="") as fh:
             fh.write(text)
+
+
+def _json(obj: dict) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def _sidecar_path(out: str) -> str:
     return (out[:-4] if out.endswith(".csv") else out) + ".json"
 
 
-def _write_sidecar(out: str | None, meta: dict) -> None:
-    if out is None:
-        return
-    with open(_sidecar_path(out), "w", newline="") as fh:
-        fh.write(json.dumps(meta, sort_keys=True, indent=2) + "\n")
-
-
-def _print_json(obj: dict, out: str | None = None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
+def _write_curve(out: str | None, header: tuple, rows, meta: dict) -> None:
+    """The curve CSV to ``out`` (stdout when None), and with a path ``meta``
+    to its JSON sidecar."""
+    lines = [",".join(header)]
+    lines.extend(",".join(_format_float(v) for v in row) for row in rows)
+    _write("\n".join(lines) + "\n", out)
+    if out is not None:
+        _write(_json(meta), _sidecar_path(out))
 
 
 def cmd_analytic(cfg: RunConfig) -> int:
-    which = _WHICH_ALIASES.get(cfg.which, cfg.which)
     grid = parse_grid(cfg.grid)
     err = np.zeros_like(grid)
     meta: dict[str, Any] = {
-        "command": "analytic", "which": which, "grid": cfg.grid,
+        "command": "analytic", "which": cfg.which, "grid": cfg.grid,
         "version": __version__,
     }
-
-    if which == "ppp":
+    curve, default_tol = _CURVES[cfg.which]
+    if cfg.which == "ppp":
         if cfg.density is not None:
             density = cfg.density
         elif "lam" in cfg.provided and "mu" in cfg.provided:
@@ -366,59 +390,30 @@ def cmd_analytic(cfg: RunConfig) -> int:
             raise ValueError(
                 "ppp needs --density, or --lambda and --mu to derive the "
                 "equivalent planar density")
-        values = cdf_ppp2d_reference(density, grid)
+        values = curve(density, grid)
         meta["params"] = {"density": density}
     else:
         params = ModelParams(cfg.lam, cfg.mu)
         meta["params"] = {"lambda": cfg.lam, "mu": cfg.mu}
-        if which == "thm1":
-            values = cdf_one_turn_point(params, grid)
-        elif which == "naive":
-            values = cdf_naive_recursion(params, grid)
-        elif which == "cor1":
-            values = cdf_zero_turn_intersection(params, grid)
-        elif which == "cor2":
-            values = cdf_upper_intersection(params, grid)
-        elif which == "thm2":
-            tol = cfg.tol if cfg.tol is not None else 1e-6
-            values, err = cdf_one_turn_intersection(
-                params, grid, tol=tol, with_err=True)
-            meta["variant"] = DEFAULT_VARIANT.label()
-            meta["tol"] = tol
-        elif which == "thm3-bound":
-            tol = cfg.tol if cfg.tol is not None else 1e-5
-            values, err = cdf_two_turn_bound(params, grid, tol=tol, with_err=True)
-            meta["tol"] = tol
+        if default_tol is None:
+            values = curve(params, grid)
         else:
-            raise ValueError(f"unknown curve {cfg.which!r}")
+            tol = cfg.tol if cfg.tol is not None else default_tol
+            values, err = curve(params, grid, tol=tol, with_err=True)
+            meta["tol"] = tol
+        if cfg.which == "thm2":
+            meta["variant"] = DEFAULT_VARIANT.label()
 
     values = np.atleast_1d(np.asarray(values, dtype=float))
     err = np.atleast_1d(np.asarray(err, dtype=float))
-    _write_csv(cfg.out, ("t", "F", "err_est"), zip(grid, values, err))
-    _write_sidecar(cfg.out, meta)
+    _write_curve(cfg.out, ("t", "F", "err_est"), zip(grid, values, err), meta)
     return EXIT_OK
-
-
-def _policy_from(cfg: RunConfig) -> TurnPolicy:
-    include = not cfg.exact_turns
-    if cfg.policy == "zero-turn":
-        return TurnPolicy.zero_turn()
-    if cfg.policy == "one-turn":
-        return TurnPolicy.one_turn(include_lower_turn_paths=include)
-    if cfg.policy == "two-turn-directed":
-        return TurnPolicy.two_turn_directed(include_lower_turn_paths=include)
-    return TurnPolicy.k_turn(cfg.k, include_lower_turn_paths=include)
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
     params = ModelParams(cfg.lam, cfg.mu)
-    kind = _SCENARIO_ALIASES.get(cfg.scenario, cfg.scenario)
-    if kind == "point":
-        scenario = typical_point()
-    else:
-        law = AngleLaw.UNIFORM if cfg.angle_law == "uniform" else AngleLaw.SIN_WEIGHTED
-        scenario = typical_intersection(law)
-    policy = _policy_from(cfg)
+    scenario = _SCENARIOS[cfg.scenario](AngleLaw(cfg.angle_law))
+    policy = _POLICIES[cfg.policy](cfg.k, not cfg.exact_turns)
     grid = parse_grid(cfg.grid)
     t_max = cfg.t_max if cfg.t_max is not None else float(grid[-1])
     if grid[-1] > t_max + 1e-12:
@@ -429,10 +424,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
                    grid=grid, workers=cfg.workers, alpha=cfg.alpha)
     hw = curve.ci_halfwidth
     rows = zip(curve.grid, curve.values, curve.values - hw, curve.values + hw)
-    _write_csv(cfg.out, ("t", "F", "ci_lo", "ci_hi"), rows)
     meta = dict(curve.meta)
     meta.update({"command": "simulate", "grid": cfg.grid, "version": __version__})
-    _write_sidecar(cfg.out, meta)
+    _write_curve(cfg.out, ("t", "F", "ci_lo", "ci_hi"), rows, meta)
     return EXIT_OK
 
 
@@ -478,7 +472,7 @@ def _load_curve(path: str) -> DistributionCurve:
 def cmd_compare(cfg: RunConfig, a_path: str, b_path: str) -> int:
     report = compare_curves(_load_curve(a_path), _load_curve(b_path))
     verdict = "pass" if report.ks_distance <= cfg.ks_threshold else "fail"
-    _print_json({
+    _write(_json({
         "a": a_path,
         "b": b_path,
         "ks": report.ks_distance,
@@ -490,16 +484,14 @@ def cmd_compare(cfg: RunConfig, a_path: str, b_path: str) -> int:
         "ks_threshold": cfg.ks_threshold,
         "n_grid": int(report.grid.size),
         "verdict": verdict,
-    }, cfg.out)
+    }), cfg.out)
     return EXIT_OK
 
 
 def _link_from(cfg: RunConfig) -> RisLinkParams:
-    vals = {name: getattr(cfg, name)
-            for name in ("g_t", "g_r", "g", "wavelength", "area", "m", "n",
-                         "d_x", "d_y", "p_t", "n0", "gamma")}
+    vals = {f.name: getattr(cfg, f.name) for f in fields(RisLinkParams)}
     if cfg.db:
-        for key in ("g_t", "g_r", "g", "gamma"):
+        for key in _DB_FIELDS:
             vals[key] = db_to_linear(vals[key])
     return RisLinkParams(**vals)
 
@@ -508,12 +500,12 @@ def cmd_app(cfg: RunConfig) -> int:
     model = ModelParams(cfg.lam, cfg.mu)
     if cfg.command == "ev-quantile":
         t_star = reach_quantile(model, cfg.p, cfg.policy, tol=cfg.tol)
-        _print_json({
+        _write(_json({
             "command": "ev-quantile", "p": cfg.p, "policy": cfg.policy,
             "quantile": t_star,
             "model": {"lambda": cfg.lam, "mu": cfg.mu},
             "version": __version__,
-        })
+        }))
         return EXIT_OK
 
     link = _link_from(cfg)
@@ -523,14 +515,14 @@ def cmd_app(cfg: RunConfig) -> int:
     else:
         d_star = farfield_threshold_distance(link)
         key = "probability_lower_bound"
-    _print_json({
+    _write(_json({
         "command": cfg.command,
         "threshold_distance": d_star,
         key: cdf_one_turn_point(model, d_star),
         "model": {"lambda": cfg.lam, "mu": cfg.mu},
         "db_inputs": bool(cfg.db),
         "version": __version__,
-    })
+    }))
     return EXIT_OK
 
 

@@ -52,7 +52,6 @@ from .model import (
     ModelParams,
     PalmKind,
     PalmScenario,
-    PointOnLine,
     validate,
 )
 
@@ -158,13 +157,6 @@ class Realization:
             return self._id_to_idx[line_id]
         except KeyError:
             raise UnknownLine(f"no line with id {line_id}") from None
-
-    @cached_property
-    def points(self) -> tuple[PointOnLine, ...]:
-        out = []
-        for ln, arcs in zip(self.lines, self.arcs_by_line):
-            out.extend(PointOnLine(ln.id, float(s)) for s in arcs)
-        return tuple(out)
 
     @cached_property
     def intersections(self) -> tuple:

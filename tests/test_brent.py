@@ -13,7 +13,7 @@ from scipy.optimize import brentq
 from linecox import applications
 from linecox.analytic import cdf_one_turn_intersection
 from linecox.applications import _brent, reach_quantile
-from linecox.errors import QuadratureFailure
+from linecox.errors import NoBracket, QuadratureFailure
 from linecox.model import ModelParams
 
 XTOL, RTOL = 1e-12, 1e-9  # reach_quantile's tolerances
@@ -144,16 +144,42 @@ def test_quadrature_failure_everywhere_raises_as_the_generic_path():
         reach_quantile(ModelParams(1.0, 1.0), 0.5, INTERSECTION, tol=1e-300)
 
 
-@pytest.mark.parametrize("lam, mu", [(0.0, 1.0), (1.0, 1e-3)])
-def test_no_lam_or_a_bracket_past_the_cap_takes_the_generic_path(monkeypatch, lam, mu):
-    """lam = 0 leaves no bracket to fit; at mu = 1e-3 the bracket's top,
-    log(2)/(4*mu), lies past _QUAD_CAP."""
-    model = ModelParams(lam, mu)
+def test_no_lam_takes_the_generic_path(monkeypatch):
+    """lam = 0 leaves no bracket to fit."""
+    model = ModelParams(0.0, 1.0)
     calls = _spy_curve(monkeypatch)
     q = reach_quantile(model, 0.5, INTERSECTION)
     monkeypatch.undo()
     assert float(calls[0]) == 1.0 and all(np.ndim(t) == 0 for t in calls)
     assert q == _brentq_quantile(model, 0.5, INTERSECTION)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.9, 0.999])
+def test_a_bracket_past_the_cap_is_cut_there_and_certifies(monkeypatch, caplog, p):
+    """At mu = 1e-3 the bracket's top, L/(4*mu), lies past _QUAD_CAP while
+    the root lies below it: the fit runs on the bracket cut at the cap."""
+    model = ModelParams(1.0, 1e-3)
+    calls = _spy_curve(monkeypatch)
+    with caplog.at_level(logging.INFO, logger="linecox.applications"):
+        q = reach_quantile(model, p, INTERSECTION)
+    monkeypatch.undo()
+    assert [c.size for c in calls] == [applications._FIT_NODES, 2]
+    assert calls[0].max() == applications._QUAD_CAP
+    assert f"p={p!r}: certified, " in caplog.text
+    assert abs(q - _brentq_quantile(model, p, INTERSECTION)) <= 3 * _half_width(q)
+
+
+def test_a_root_past_the_cap_falls_back_and_finds_no_bracket(monkeypatch, caplog):
+    """At lam = mu = 1e-3 the bracket's bottom, log(2)/0.008 = 86.6, lies
+    past the cap: the fitted values cannot bracket L, and the generic path
+    raises NoBracket at the cap as it does on its own."""
+    calls = _spy_curve(monkeypatch)
+    with caplog.at_level(logging.INFO, logger="linecox.applications"):
+        with pytest.raises(NoBracket, match="search cap 64.0"):
+            reach_quantile(ModelParams(1e-3, 1e-3), 0.5, INTERSECTION)
+    assert calls[0].size == applications._FIT_NODES
+    assert [float(t) for t in calls[1:]] == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
+    assert "fallback (fit ends)" in caplog.text
 
 
 @pytest.mark.parametrize("policy, curve", [

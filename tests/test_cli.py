@@ -1,5 +1,6 @@
 """End-to-end CLI tests, driven in process through main(argv)."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linecox import cli
 from linecox.cli import EXIT_CONFIG, EXIT_OK, EXIT_QUADRATURE, EXIT_RUNTIME, main, parse_grid
 
 
@@ -280,6 +282,96 @@ def test_config_file_layering(tmp_path, capsys):
     bad.write_text("trials = 5\n")
     rc, _, err = _run(capsys, "analytic", "--which", "thm1", "--config", str(bad))
     assert rc == EXIT_CONFIG and "unknown config key" in err
+
+
+def test_config_values_go_through_the_flag_checks(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    simulate = ["simulate", "--trials", "50", "--seed", "3", "--grid", "0:1:0.5"]
+    analytic = ["analytic", "--grid", "0:1:0.5"]
+    for argv, key, value in ((simulate, "policy", "bogus"),
+                             (simulate, "scenario", "nowhere"),
+                             (simulate, "angle_law", "tilted"),
+                             (analytic, "which", "thm9")):
+        cfg.write_text(f"{key} = {value}\n")
+        rc, out, err = _run(capsys, *argv, "--config", str(cfg))
+        assert rc == EXIT_CONFIG and out == ""
+        assert f"config key {key!r}: invalid choice {value!r}" in err
+
+    # an alias in the file is the same run as the alias on the command line
+    for argv, key, value in ((simulate, "scenario", "typical-intersection"),
+                             (analytic, "which", "one-turn-point")):
+        cfg.write_text(f"{key} = {value}\n")
+        via_file, via_flag = tmp_path / "file.csv", tmp_path / "flag.csv"
+        rc, _, _ = _run(capsys, *argv, "--config", str(cfg), "--out", str(via_file))
+        assert rc == EXIT_OK
+        rc, _, _ = _run(capsys, *argv, f"--{key}", value, "--out", str(via_flag))
+        assert rc == EXIT_OK
+        assert via_file.read_bytes() == via_flag.read_bytes()
+        assert (tmp_path / "file.json").read_bytes() == (tmp_path / "flag.json").read_bytes()
+
+
+# every flag of every subcommand, as the CLI has offered them
+_FLAGS = {
+    "analytic": "--which --lambda --mu --density --grid --tol --out",
+    "simulate": "--lambda --mu --scenario --angle-law --policy --k --exact-turns "
+                "--trials --t-max --grid --seed --workers --alpha --out",
+    "compare": "--ks-threshold --out",
+    "ris-nearfield": "--lambda --mu --db --g-t --g-r --g --wavelength --area --m --n "
+                     "--d-x --d-y --p-t --n0 --gamma",
+    "ev-quantile": "--lambda --mu --p --policy --tol",
+}
+_FLAGS["ris-farfield"] = _FLAGS["ris-nearfield"]
+
+
+def _command_argv(command):
+    return [command] if command in ("analytic", "simulate", "compare") else ["app", command]
+
+
+def _subparsers(parser):
+    found = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                found[name] = sub
+                found.update(_subparsers(sub))
+    return found
+
+
+@pytest.mark.parametrize("command", sorted(_FLAGS))
+def test_each_subcommand_offers_the_table_s_flags(capsys, command):
+    sub = _subparsers(cli._build_parser())[command]
+    strings = {s for action in sub._actions for s in action.option_strings}
+    table = {opt.flag for opt in cli._OPTIONS[command]}
+    assert strings - {"-h", "--help", "--config"} == table == set(_FLAGS[command].split())
+    with pytest.raises(SystemExit) as exc:
+        main([*_command_argv(command), "--help"])
+    assert exc.value.code == 0
+    shown = capsys.readouterr().out
+    assert all(flag in shown for flag in table)
+
+
+_TABLE = [(command, opt) for command, options in cli._OPTIONS.items() for opt in options]
+_SAMPLES = {float: "0.25", int: "3", str: "0:1:0.5"}
+
+
+@pytest.mark.parametrize("command, opt", _TABLE,
+                         ids=[f"{command}-{opt.key}" for command, opt in _TABLE])
+def test_each_option_resolves_the_same_from_a_file_and_its_flag(tmp_path, command, opt):
+    """A config line, under the option's key or its flag's name, resolves to
+    the same options as the flag; a choice or alias to its canonical choice."""
+    parser = cli._build_parser()
+    argv = _command_argv(command) + (["a.csv", "b.csv"] if command == "compare" else [])
+    cfg = tmp_path / "run.cfg"
+    values = opt.choices + tuple(opt.aliases) or (_SAMPLES.get(opt.type, "true"),)
+    for value in values:
+        flag = [opt.flag] if opt.type is cli._parse_bool else [opt.flag, value]
+        via_flag = cli._resolve(parser.parse_args(argv + flag))
+        assert via_flag.provided == {opt.key}
+        if opt.choices:
+            assert via_flag.options[opt.key] in opt.choices
+        for name in (opt.key, opt.flag[2:]):
+            cfg.write_text(f"{name} = {value}\n")
+            assert cli._resolve(parser.parse_args(argv + ["--config", str(cfg)])) == via_flag
 
 
 def test_variant_option_is_gone(tmp_path, capsys):
