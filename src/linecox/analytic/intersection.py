@@ -129,14 +129,24 @@ def angle_thresholds(x: float, omega: float, t: float):
 
 
 # coefficients (a0, a1, a2, b, d) of ``_zeta`` on the four omega1
-# segments, one row each: outer below, outer above, transition below,
-# transition above
-_REGIMES = np.array([[2.0, 1.0, 1.0, 1.0, 0.0]] * 2
-                    + [[4.0, 2.0, 4.0, 2.0, -2.0]] * 2)
+# segments: outer below, outer above, transition below, transition above
+_REGIMES = ((2.0, 1.0, 1.0, 1.0, 0.0),) * 2 + ((4.0, 2.0, 4.0, 2.0, -2.0),) * 2
+# margin by which both ends of a row must pass a clip bound for the row to
+# fold (``_segment_rows``)
+_FOLD_TOL = 1e-12
 
 
-def _zeta(xr, v, sin_w, cos_w, a0, a1, a2, b, d, out=None, scratch=None):
-    """Z/t off the window, in the half gap v = tan((omega1 - omega)/2).
+def _coefficients(xr, sin_w, cos_w, regime):
+    """(c, p, q) of ``_zeta`` in one regime, per row; q is None in the
+    outer regime, where d = 0."""
+    a0, a1, a2, b, d = regime
+    xs = xr * sin_w
+    return a0 - xr * (a1 + a2 * cos_w), b * xs, (d * xs if d else None)
+
+
+def _zeta(v, c, p, q=None, out=None, scratch=None):
+    """Z/t off the window before the clip, in the half gap
+    v = tan((omega1 - omega)/2).
 
     With phi = omega1 - omega, (1 + cos(phi))/sin(phi) = 1/v,
     (1 - cos(phi))/sin(phi) = v and sin(omega1) = sin(phi)*cos_w +
@@ -144,20 +154,21 @@ def _zeta(xr, v, sin_w, cos_w, a0, a1, a2, b, d, out=None, scratch=None):
     sin(phi)) and the transition length 4 - 2*xr*(1 + 2*sin(omega1)/sin(phi))
     both read
 
-        Z/t = clip(a0 - xr*(a1 + a2*cos_w) - xr*sin_w*(b/v + d*v), 0, 4)
+        Z/t = clip(c - (p/v + q*v), 0, 4),
+        c = a0 - xr*(a1 + a2*cos_w),  p = b*xr*sin_w,  q = d*xr*sin_w
 
     with (a0, a1, a2, b, d) = (2, 1, 1, 1, 0) in the outer regime and
-    (4, 2, 4, 2, -2) in the transition.
-    v is an array whose last axis matches the other arguments, which are
-    constant along omega1. ``out`` and ``scratch``, arrays of v's shape,
-    take the result and a temporary in place of new arrays.
+    (4, 2, 4, 2, -2) in the transition (``_coefficients``); q = None stands
+    for d = 0. This returns c - (p/v + q*v); the callers clip. v is an array
+    whose last axis matches c, p and q, which are constant along omega1.
+    ``out`` and ``scratch``, arrays of v's shape, take the result and a
+    temporary in place of new arrays.
     """
-    xs = xr * sin_w
     with np.errstate(divide="ignore", invalid="ignore"):
-        zeta = np.divide(b * xs, v, out=out)
-        zeta += np.multiply(d * xs, v, out=scratch)
-    np.subtract(a0 - xr * (a1 + a2 * cos_w), zeta, out=zeta)
-    return np.clip(zeta, 0.0, 4.0, out=zeta)
+        zeta = np.divide(p, v, out=out)
+        if q is not None:
+            zeta += np.multiply(q, v, out=scratch)
+    return np.subtract(c, zeta, out=zeta)
 
 
 def z_length(x: float, omega1: float, omega: float, t: float) -> float:
@@ -178,16 +189,43 @@ def z_length(x: float, omega1: float, omega: float, t: float) -> float:
     else:
         regime = 2
     v = np.array([math.tan(0.5 * (omega1 - omega))])
-    zeta = _zeta(x / t, v, math.sin(omega), math.cos(omega),
-                 *_REGIMES[regime])
-    return float(t * zeta[0])
+    zeta = _zeta(v, *_coefficients(x / t, math.sin(omega), math.cos(omega),
+                                   _REGIMES[regime]))
+    return float(t * np.clip(zeta[0], 0.0, 4.0))
+
+
+def _segment_rows(lo, hi, omega, weight, c, p, q):
+    """The rows of one omega1 segment [lo, hi], one per (omega, x) pair,
+    with c, p, q of ``_zeta`` per row: (gap, width, mass, near, below,
+    above). The row's nodes lie at omega1 = lo + width*u; gap = lo - omega,
+    and mass = width*weight is the row's weight.
+
+    ``near`` marks the rows reaching within about _GUARD of omega (mod pi),
+    the only ones where |sin(omega1 - omega)| < _GUARD can hold. Elsewhere
+    v keeps its sign along the row and the unclipped Z/t, c - (p/v + q*v)
+    with p >= 0 >= q, rises with v and so with omega1. So a row that is not
+    near and whose two ends both lie below 0 (``below``) or both above 4
+    (``above``), by _FOLD_TOL, clips to that bound at every node.
+    """
+    width = np.maximum(hi - lo, 0.0)
+    gap = lo - omega
+    near = np.zeros(omega.size, dtype=bool)
+    for shift in (-_PI, 0.0, _PI):
+        near |= (gap - 1e-8 <= shift) & (shift <= gap + width + 1e-8)
+    first, last = (_zeta(np.tan(0.5 * end), c, p, q)
+                   for end in (gap, gap + width))
+    mass = width * weight
+    foldable = (mass > 0.0) & ~near
+    below = foldable & (np.maximum(first, last) < -_FOLD_TOL)
+    above = foldable & (np.minimum(first, last) > 4.0 + _FOLD_TOL)
+    return gap, width, mass, near, below, above
 
 
 # the ladder's rungs (nw, nx, n1): Gauss-Legendre orders in omega, in x and
 # on each of the four omega1 segments
 _LADDER = ((48, 48, 32), (96, 96, 64), (192, 192, 128))
-# omega1 nodes built at once: a rung's (omega, x) pairs are taken, omega
-# by omega, in chunks of _CHUNK_NODES // (4 * n1) pairs
+# omega1 nodes built at once: a segment's unfolded rows are taken in chunks
+# of _CHUNK_NODES // n1 rows
 _CHUNK_NODES = 2**15
 
 
@@ -200,6 +238,14 @@ def _rung_terms(s, nw, nx, n1):
     Z/t are built once at unit reach and summed as w*exp(-s*Z/t) for every
     s. In the window Z/t = 2*(1 - x/t) whatever the angles, so the window
     folds into one weight per x node.
+
+    Off the window the four segments are taken one at a time, one row per
+    (omega, x) pair. Z/t is monotone along a row that does not pass omega,
+    so the ends of the row tell whether it clips at every node
+    (``_segment_rows``): such a row adds its weight to one constant, or to
+    one constant times exp(-4*s), and no node is built on it. The other
+    rows are built in chunks of _CHUNK_NODES nodes, each chunk serving
+    every s.
     """
     og, ow = gauss_legendre(nw)
     xg, xw = gauss_legendre(nx)
@@ -210,57 +256,61 @@ def _rung_terms(s, nw, nx, n1):
     sin_w, cos_w = np.sin(omega), np.cos(omega)
     outer_lo, win_lo, win_hi, outer_hi = _thresholds(xr, sin_w, cos_w)
     window = np.maximum(win_hi - win_lo, 0.0)
-    # segments per pair: outer below, outer above, transition below,
-    # transition above
-    lo = np.stack([np.zeros_like(outer_lo), outer_hi, outer_lo, win_hi], axis=1)
-    width = np.maximum(np.stack(
-        [outer_lo, np.full_like(outer_hi, _PI), win_lo, outer_hi], axis=1) - lo, 0.0)
-    # |sin(omega1 - omega)| < _GUARD needs omega1 within about _GUARD of
-    # omega (mod pi): only segments reaching that close get the mask
-    gap = lo - omega[:, None]
-    near = np.zeros(lo.shape, dtype=bool)
-    for shift in (-_PI, 0.0, _PI):
-        near |= (gap - 1e-8 <= shift) & (shift <= gap + width + 1e-8)
 
     fx = np.zeros(s.size)
-    step = max(1, _CHUNK_NODES // (4 * n1))
-    coef = np.tile(_REGIMES.T, step)  # (5, rows)
-    col = sg[:, None]
-    # the chunk arrays (n1, rows), allocated once per call: v, zeta, w, e
-    buf = np.empty((4, n1 * 4 * min(step, omega.size)))
+    clipped_0 = clipped_4 = 0.0  # weight of the rows clipped to 0 / to 4
+    step = max(1, _CHUNK_NODES // n1)
+    col, col_w = sg[:, None], sgw[:, None]
+    # the chunk arrays (n1, rows), allocated once per call: v (then w),
+    # zeta, e
+    buf = np.empty((3, n1 * min(step, omega.size)))
     guard = np.empty(buf.shape[1], dtype=bool)
-    for a in range(0, omega.size, step):
-        b = slice(a, a + step)
-        # one row per (pair, segment)
-        half_gap, half_width = 0.5 * gap[b].ravel(), 0.5 * width[b].ravel()
-        shape = (n1, half_gap.size)
-        v, zeta, w, e = (part[:shape[0] * shape[1]].reshape(shape) for part in buf)
-        np.multiply(half_width, col, out=v)
-        v += half_gap
-        np.tan(v, out=v)
-        masked = near[b].any()
-        if masked:  # |sin(omega1 - omega)| = |2v/(1 + v^2)|
-            g = guard[:v.size].reshape(shape)
-            np.multiply(v, 2.0, out=zeta)
-            np.abs(zeta, out=zeta)
-            np.multiply(v, v, out=e)
-            e += 1.0
-            e *= _GUARD
-            np.less(zeta, e, out=g)
-        _zeta(np.repeat(xr[b], 4), v, np.repeat(sin_w[b], 4),
-              np.repeat(cos_w[b], 4), *coef[:, :half_gap.size],
-              out=zeta, scratch=e)
-        np.multiply((width[b] * weight[b, None]).ravel(), sgw[:, None], out=w)
-        if masked:
-            np.copyto(w, 0.0, where=g)
-            np.copyto(zeta, 0.0, where=g)
-        for k, sk in enumerate(s):
-            # multiply and sum rather than np.dot: BLAS would wake its
-            # threads for every chunk
-            np.multiply(zeta, -sk, out=e)
-            np.exp(e, out=e)
-            e *= w
-            fx[k] += e.sum()
+    segments = ((0.0, outer_lo), (outer_hi, _PI), (outer_lo, win_lo),
+                (win_hi, outer_hi))
+    for (lo, hi), regime in zip(segments, _REGIMES):
+        c, p, q = _coefficients(xr, sin_w, cos_w, regime)
+        gap, width, mass, near, below, above = _segment_rows(
+            lo, hi, omega, weight, c, p, q)
+        clipped_0 += mass[below].sum()
+        clipped_4 += mass[above].sum()
+        rows = np.flatnonzero((mass > 0.0) & ~below & ~above)
+        half_gap, half_width = 0.5 * gap[rows], 0.5 * width[rows]
+        c, p, mass, near = c[rows], p[rows], mass[rows], near[rows]
+        if q is not None:
+            q = q[rows]
+        for a in range(0, rows.size, step):
+            b = slice(a, a + step)
+            shape = (n1, half_gap[b].size)
+            v, zeta, e = (part[:shape[0] * shape[1]].reshape(shape)
+                          for part in buf)
+            np.multiply(half_width[b], col, out=v)
+            v += half_gap[b]
+            np.tan(v, out=v)
+            masked = near[b].any()
+            if masked:  # |sin(omega1 - omega)| = |2v/(1 + v^2)|
+                g = guard[:v.size].reshape(shape)
+                np.multiply(v, 2.0, out=zeta)
+                np.abs(zeta, out=zeta)
+                np.multiply(v, v, out=e)
+                e += 1.0
+                e *= _GUARD
+                np.less(zeta, e, out=g)
+            _zeta(v, c[b], p[b], None if q is None else q[b],
+                  out=zeta, scratch=e)
+            np.clip(zeta, 0.0, 4.0, out=zeta)
+            w = np.multiply(mass[b], col_w, out=v)
+            if masked:
+                np.copyto(w, 0.0, where=g)
+                np.copyto(zeta, 0.0, where=g)
+            for k, sk in enumerate(s):
+                # multiply and sum rather than np.dot: BLAS would wake its
+                # threads for every chunk
+                np.multiply(zeta, -sk, out=e)
+                np.exp(e, out=e)
+                e *= w
+                fx[k] += e.sum()
+    # one exp per s, as for a one-point s, so a batch is bit for bit its points
+    fx += [sgw.sum() * (clipped_0 + clipped_4 * math.exp(-4.0 * sk)) for sk in s]
 
     win_weight = (window * weight).reshape(nw, nx).sum(axis=0)
     win = np.array([(win_weight * np.exp(-2.0 * sk * (1.0 - xg))).sum()

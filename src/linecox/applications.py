@@ -212,17 +212,20 @@ def _fitted_root(cdf, model: ModelParams, p: float):
     brentq's stopping half-width, puts the curve's root within d of t.
 
     The bracket is cut at _QUAD_CAP, past which the curve is not searched;
-    a root beyond the cap then fails the bracket check on the fitted values.
+    a bracket that starts at or past the cap holds no root below it, and no
+    curve call is made.
 
     Returns (root, "certified"), or (None, "fallback (why)") when lam is 0,
-    the fitted values do not bracket L, the certificate fails or a call
-    raises QuadratureFailure.
+    the bracket lies past the cap, the fitted values do not bracket L, the
+    certificate fails or a call raises QuadratureFailure.
     """
     big_l = -math.log1p(-p)
     lo, hi = big_l / (4.0 * (model.mu + model.lam)), big_l / (4.0 * model.mu)
     hi = min(hi, _QUAD_CAP)
     if model.lam == 0.0:
         return None, "fallback (no fit)"
+    if lo >= _QUAD_CAP:
+        return None, "fallback (past cap)"
     nodes = 0.5 * (lo + hi) - 0.5 * (hi - lo) * np.cos(
         np.pi * np.arange(_FIT_NODES) / (_FIT_NODES - 1))
     try:

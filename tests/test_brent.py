@@ -171,15 +171,15 @@ def test_a_bracket_past_the_cap_is_cut_there_and_certifies(monkeypatch, caplog, 
 
 def test_a_root_past_the_cap_falls_back_and_finds_no_bracket(monkeypatch, caplog):
     """At lam = mu = 1e-3 the bracket's bottom, log(2)/0.008 = 86.6, lies
-    past the cap: the fitted values cannot bracket L, and the generic path
-    raises NoBracket at the cap as it does on its own."""
+    past the cap: no fit call is made, and the generic path raises
+    NoBracket at the cap as it does on its own, in 7 curve calls where a
+    wasted 12-point fit made it 8."""
     calls = _spy_curve(monkeypatch)
     with caplog.at_level(logging.INFO, logger="linecox.applications"):
         with pytest.raises(NoBracket, match="search cap 64.0"):
             reach_quantile(ModelParams(1e-3, 1e-3), 0.5, INTERSECTION)
-    assert calls[0].size == applications._FIT_NODES
-    assert [float(t) for t in calls[1:]] == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
-    assert "fallback (fit ends)" in caplog.text
+    assert [float(t) for t in calls] == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
+    assert "p=0.5: fallback (past cap), 7 curve calls, 7 points, " in caplog.text
 
 
 @pytest.mark.parametrize("policy, curve", [

@@ -2,6 +2,7 @@ import json
 import logging
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from linecox import (
 )
 from linecox.analytic import intersection
 from linecox.analytic.intersection import _safe_arccos
+from linecox.quadrature import gauss_legendre
 
 DATA = pathlib.Path(__file__).parent / "data" / "riemann_oracle.json"
 P11 = ModelParams(1.0, 1.0)
@@ -265,6 +267,70 @@ def test_chunking_does_not_change_the_terms(monkeypatch):
         got = intersection._rung_terms(s, nw, nx, n1)
         assert np.allclose(got[0], ref[0], rtol=1e-13, atol=0)
         assert np.array_equal(got[1], ref[1])  # the window is not chunked
+
+
+@pytest.mark.parametrize("rung", [0, 1])
+def test_the_fold_matches_the_all_node_sum(monkeypatch, rung):
+    """Brute force over every Gauss node of every row: a folded row clips
+    to its bound at every node, no near row is folded, a row left unfolded
+    though every node clips crosses the bound between its outermost node
+    and its segment's end, and the kernel equals the sum over all nodes."""
+    nw, nx, n1 = intersection._LADDER[rung]
+    seen = []
+    real = intersection._segment_rows
+
+    def spy(lo, hi, omega, weight, c, p, q):
+        rows = real(lo, hi, omega, weight, c, p, q)
+        seen.append(((c, p, q), rows))
+        return rows
+
+    monkeypatch.setattr(intersection, "_segment_rows", spy)
+    s = np.array([0.05, 1.0, 6.0, 20.0])
+    fx, _ = intersection._rung_terms(s, nw, nx, n1)
+    assert len(seen) == 4
+
+    sg, sgw = gauss_legendre(n1)
+    off_window = np.zeros(s.size)
+    folded = 0
+    for coef, (gap, width, mass, near, below, above) in seen:
+        v = np.tan(0.5 * (gap + width * sg[:, None]))
+        zeta = intersection._zeta(v, *coef)
+        assert not (near & (below | above)).any()
+        assert (zeta[:, below] <= 0.0).all() and (zeta[:, above] >= 4.0).all()
+        ends = np.stack([intersection._zeta(np.tan(0.5 * end), *coef)
+                         for end in (gap, gap + width)])
+        kept = (mass > 0.0) & ~near & ~below & ~above
+        tol = intersection._FOLD_TOL
+        assert (ends[:, kept & (zeta <= 0.0).all(axis=0)].max(axis=0) >= -tol).all()
+        assert (ends[:, kept & (zeta >= 4.0).all(axis=0)].min(axis=0) <= 4.0 + tol).all()
+        folded += below.sum() + above.sum()
+
+        w = mass * sgw[:, None]
+        guard = np.abs(2.0 * v) < intersection._GUARD * (1.0 + v * v)
+        w[guard] = 0.0
+        zeta = np.clip(np.where(guard, 0.0, zeta), 0.0, 4.0)
+        off_window += [(w * np.exp(-sk * zeta)).sum() for sk in s]
+    assert folded > 0.2 * 4 * nw * nx
+
+    og, ow = gauss_legendre(nw)
+    xg, xw = gauss_legendre(nx)
+    omega, xr = np.repeat(np.pi * og, nx), np.tile(xg, nw)
+    _, win_lo, win_hi, _ = intersection._thresholds(xr, np.sin(omega), np.cos(omega))
+    win_mass = np.maximum(win_hi - win_lo, 0.0) * np.outer(ow, xw).ravel() / np.pi
+    window = [(win_mass * np.exp(-2.0 * sk * (1.0 - xr))).sum() for sk in s]
+    assert np.allclose(fx, off_window + window, rtol=1e-13, atol=0)
+
+
+def test_a_two_point_call_stays_small():
+    t = np.array([0.7, 1.3])
+    cdf_one_turn_intersection(P11, t)  # caches the rules; settles on rung 2
+    tracemalloc.start()
+    try:
+        cdf_one_turn_intersection(P11, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * 2**20
 
 
 def test_each_curve_call_logs_its_ladder(caplog):
