@@ -38,7 +38,7 @@ import numpy as np
 
 from ..errors import DegenerateAngles, DomainError
 from ..model import ModelParams, validate
-from ..quadrature import gauss_legendre, settle_ladder
+from ..quadrature import check_tol, gauss_legendre, settle_ladder
 from .closed_forms import _check_t, _ret_err
 
 __all__ = [
@@ -325,6 +325,7 @@ def one_turn_intersection_terms(mu: float, t: float, *, tol: float = 1e-6):
     function of mu*t) and because the cross-check tests compare them
     against brute-force Riemann sums."""
     _check_t(t)
+    check_tol(tol)
 
     def rung(r, tv):
         fx, fy = _rung_terms(mu * tv, *_LADDER[r])
@@ -351,6 +352,7 @@ def cdf_one_turn_intersection(params: ModelParams, t, *, tol: float = 1e-6,
     """
     validate(params)
     arr, scalar = _check_t(t)
+    check_tol(tol)
     lam, mu = params.lam, params.mu
 
     if lam == 0.0:

@@ -41,7 +41,7 @@ import numpy as np
 
 from ..errors import DomainError
 from ..model import ModelParams, validate
-from ..quadrature import gauss_legendre, settle_ladder
+from ..quadrature import check_tol, gauss_legendre, settle_ladder
 from .closed_forms import _check_t, _ret_err
 
 __all__ = ["two_turn_T", "cdf_two_turn_bound"]
@@ -169,6 +169,7 @@ def two_turn_T(w: float, u: float, t: float, params: ModelParams,
     QuadratureFailure when no two consecutive rungs agree to tol.
     """
     validate(params)
+    check_tol(tol)
     if not (0.0 <= w <= u <= t) or not math.isfinite(t):
         raise DomainError(f"need 0 <= w <= u <= t finite, got w={w}, u={u}, t={t}")
     if w == t:
@@ -194,6 +195,7 @@ def cdf_two_turn_bound(params: ModelParams, t, tol: float = 1e-5,
     """
     validate(params)
     arr, scalar = _check_t(t)
+    check_tol(tol)
     lam, mu = params.lam, params.mu
 
     def rung(r, tv):

@@ -8,13 +8,15 @@ shortest admissible distance to any point of the process.
 Two solvers exist on purpose. Both take every crossing arc from the same
 pairwise routine, lower line index first, and add hop lengths in the same
 left-to-right order, so they agree bit for bit; the tests rely on that.
+Every policy reduces to a turn budget k (``_budget``), a lower-turn flag
+and a first-hop direction (``_directed``), and both solvers take just
+these three.
 
-* ``shortest_path`` solves one Realization and also returns the route. The
-  named budgets (zero, one, two-turn-directed) run closed-form enumerators
-  (``_enum_*``), and K_TURN runs a label-setting search (``_k_turn``) that
-  computes a line's crossings the first time it expands that line and
-  pushes only hops that end within min(t_max, incumbent). These are the
-  slow references the batched kernel is checked against.
+* ``shortest_path`` solves one Realization and also returns the route, by
+  one label-setting search (``_k_turn``) that computes a line's crossings
+  the first time it expands that line and pushes only hops that end
+  within min(t_max, incumbent). It is the slow reference the batched
+  kernel is checked against.
 * ``chunk_lengths`` solves every trial of a ChunkSample at once, lengths
   only, for every policy, by one kernel: Bellman-Ford by hop count over
   flat arrays of labels. Layer j holds one label per (trial, line,
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PolicyBudgetNegative, TBeyondClip
+from .errors import PolicyBudgetNegative
 from .model import (
     ModelParams,
     PalmScenario,
@@ -47,7 +49,7 @@ from .model import (
     PolicyKind,
     TurnPolicy,
 )
-from .sampler import ChunkSample, Realization, _pair_arcs, sample_palm
+from .sampler import ChunkSample, Realization, _horizon, _pair_arcs, sample_palm
 
 __all__ = ["PathResult", "shortest_path", "sample_path", "sample_D",
            "chunk_lengths", "route_positions", "route_length"]
@@ -110,9 +112,8 @@ def _scan_targets(best, arcs, ref, base, line_id, turns, t_max, prefix,
                   nonneg_only=False):
     """Offer the best point target on one line: length = base + min dist.
 
-    ``prefix`` is the route up to this line, either a vertex tuple or a
-    zero-argument callable producing one (kept lazy so losing candidates
-    never materialize their routes)."""
+    ``prefix`` is a zero-argument callable producing the route up to this
+    line (kept lazy so losing candidates never materialize their routes)."""
     if nonneg_only:
         arcs = arcs[np.searchsorted(arcs, 0.0, side="left"):]
     if arcs.size == 0:
@@ -121,8 +122,7 @@ def _scan_targets(best, arcs, ref, base, line_id, turns, t_max, prefix,
     length = base + d
     if length <= t_max:
         best.offer(length, line_id, arc, turns,
-                   lambda: (prefix() if callable(prefix) else prefix)
-                   + ((line_id, arc),))
+                   lambda: prefix() + ((line_id, arc),))
 
 
 def _origin_indices(real: Realization, directed: bool):
@@ -130,26 +130,6 @@ def _origin_indices(real: Realization, directed: bool):
     if not idx:
         raise ValueError("realization has no origin line to start from")
     return idx[:1] if directed else idx
-
-
-def _origin_crossings(real: Realization, oi: int, directed: bool):
-    """Crossings of origin line ``oi`` with every non-origin line, as
-    (sorted |arc|) arrays: base length, arc on origin, arc on other, index
-    of other line."""
-    n = len(real.lines)
-    jj = np.array([k for k in range(n) if not real.lines[k].through_origin],
-                  dtype=int)
-    if jj.size == 0:
-        return []
-    ii = np.full_like(jj, oi)
-    s_o, u_j = _pair_arcs(real._trig, real._offsets, ii, jj)
-    ok = np.isfinite(s_o)
-    if directed:
-        ok &= s_o > 0.0
-    recs = [(abs(float(s)), float(s), float(u), int(j))
-            for s, u, j in zip(s_o[ok], u_j[ok], jj[ok])]
-    recs.sort()
-    return recs
 
 
 def _crossings(real: Realization, li: int):
@@ -164,48 +144,6 @@ def _crossings(real: Realization, li: int):
                             np.minimum(other, li), np.maximum(other, li))
     return (np.concatenate((a_hi[:li], a_lo[li:])),
             np.concatenate((a_lo[:li], a_hi[li:])), other)
-
-
-def _enum_zero(best, real, t_max, directed):
-    for oi in _origin_indices(real, directed):
-        lid = real.lines[oi].id
-        _scan_targets(best, real.arcs_by_line[oi], 0.0, 0.0, lid, 0, t_max,
-                      ((lid, 0.0),), nonneg_only=directed)
-
-
-def _enum_one(best, real, t_max, directed):
-    for oi in _origin_indices(real, directed):
-        olid = real.lines[oi].id
-        for base, s, u, j in _origin_crossings(real, oi, directed):
-            if base >= best.length or base > t_max:
-                break  # sorted by first-hop length; nothing better follows
-            jlid = real.lines[j].id
-            prefix = ((olid, 0.0), (olid, s), (jlid, u))
-            _scan_targets(best, real.arcs_by_line[j], u, base, jlid, 1,
-                          t_max, prefix)
-
-
-def _enum_two_directed(best, real, t_max):
-    oi = _origin_indices(real, True)[0]
-    olid = real.lines[oi].id
-    for base1, s, u, i in _origin_crossings(real, oi, True):
-        if base1 >= best.length or base1 > t_max:
-            break
-        ilid = real.lines[i].id
-        a_i, a_m, mm = _crossings(real, i)
-        base2 = base1 + np.abs(a_i - u)
-        # only second lines that can beat the incumbent as it stands now go
-        # through the loop, which tests each against the incumbent again
-        near = (base2 < best.length) & (base2 <= t_max) & (mm != oi)
-        for b2, ai, am, m in zip(base2[near].tolist(), a_i[near].tolist(),
-                                 a_m[near].tolist(), mm[near].tolist()):
-            if b2 >= best.length:
-                continue
-            mlid = real.lines[m].id
-            prefix = ((olid, 0.0), (olid, s), (ilid, u), (ilid, ai),
-                      (mlid, am))
-            _scan_targets(best, real.arcs_by_line[m], am, b2, mlid, 2,
-                          t_max, prefix)
 
 
 # ---- general K-turn search --------------------------------------------------
@@ -447,15 +385,6 @@ def _budget(policy: TurnPolicy) -> int:
     return int(k)
 
 
-def _horizon(t_max, clip_radius: float) -> float:
-    t_max = float(t_max)
-    if t_max < 0:
-        raise ValueError(f"t_max must be >= 0, got {t_max}")
-    if t_max > clip_radius:
-        raise TBeyondClip(f"t_max={t_max} exceeds clip_radius={clip_radius}")
-    return t_max
-
-
 def _directed(policy: TurnPolicy) -> bool:
     return (policy.first_hop_positive_x
             or policy.kind is PolicyKind.TWO_TURN_DIRECTED)
@@ -470,26 +399,9 @@ def shortest_path(real: Realization, policy: TurnPolicy,
     """
     k = _budget(policy)
     t_max = _horizon(t_max, real.clip_radius)
-    directed = _directed(policy)
-
     best = _Best()
-    if policy.kind is PolicyKind.ZERO_TURN:
-        _enum_zero(best, real, t_max, directed)
-    elif policy.kind is PolicyKind.ONE_TURN:
-        if policy.include_lower_turn_paths:
-            _enum_zero(best, real, t_max, directed)
-        _enum_one(best, real, t_max, directed)
-    elif policy.kind is PolicyKind.TWO_TURN_DIRECTED:
-        if policy.include_lower_turn_paths:
-            _enum_zero(best, real, t_max, True)
-            _enum_one(best, real, t_max, True)
-        _enum_two_directed(best, real, t_max)
-    elif policy.kind is PolicyKind.K_TURN:
-        _k_turn(best, real, t_max, k, policy.include_lower_turn_paths,
-                directed)
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unknown policy kind {policy.kind!r}")
-
+    _k_turn(best, real, t_max, k, policy.include_lower_turn_paths,
+            _directed(policy))
     if best.key is None:
         return _censored(t_max)
     length, line_id, arc = best.key

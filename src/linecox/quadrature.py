@@ -2,8 +2,8 @@
 
 ``gauss_legendre`` gives the cached rules that the tensor rules in
 ``linecox.analytic`` are built from, and ``settle_ladder`` runs those rules
-up a resolution ladder. The evaluators are cross-checked against plain
-Riemann sums in the tests.
+up a resolution ladder, to a tolerance that ``check_tol`` admits. The
+evaluators are cross-checked against plain Riemann sums in the tests.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import QuadratureFailure
 
-__all__ = ["gauss_legendre", "settle_ladder"]
+__all__ = ["gauss_legendre", "check_tol", "settle_ladder"]
 
 
 def gauss_legendre(n: int):
@@ -35,6 +35,13 @@ def gauss_legendre(n: int):
 
 
 _GL_CACHE: dict = {}
+
+
+def check_tol(tol) -> None:
+    """ValueError unless the ladder tolerance ``tol`` is > 0 (nan is not):
+    a bad tolerance is bad input, not a quadrature that failed to settle."""
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0, got {tol!r}")
 
 
 def settle_ladder(evaluate, rungs: int, t, tol: float, failure, log, name: str):

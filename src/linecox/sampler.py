@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import threading
 from dataclasses import dataclass
 from functools import cached_property
@@ -40,6 +41,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import (
+    NonFinite,
     NonPositiveRadius,
     TBeyondClip,
     TooManyLines,
@@ -413,9 +415,10 @@ def _check_inputs(params, scenario, clip_radius) -> float:
     validate(params)
     if not isinstance(scenario, PalmScenario):
         raise TypeError(f"scenario must be a PalmScenario, got {type(scenario).__name__}")
-    if not (isinstance(clip_radius, (int, float)) and math.isfinite(clip_radius)
-            and clip_radius > 0):
+    if not (isinstance(clip_radius, numbers.Real) and not isinstance(clip_radius, bool)
+            and math.isfinite(clip_radius) and clip_radius > 0):
         raise NonPositiveRadius(f"clip_radius must be finite and > 0, got {clip_radius!r}")
+    clip_radius = float(clip_radius)
     expected = params.lam * _PI * clip_radius
     if expected > MAX_EXPECTED_LINES:
         raise TooManyLines(
@@ -426,7 +429,21 @@ def _check_inputs(params, scenario, clip_radius) -> float:
         raise TooManyPoints(
             f"2 * mu * clip_radius = {expected:.6g} expected points per line "
             f"exceeds the cap of {MAX_EXPECTED_POINTS:g}")
-    return float(clip_radius)
+    return clip_radius
+
+
+def _horizon(t, clip_radius: float, name: str = "t_max") -> float:
+    """The query distance ``t`` as a float: NonFinite for nan or inf,
+    ValueError below 0, TBeyondClip past the sampled ``clip_radius``."""
+    t = float(t)
+    if not math.isfinite(t):
+        raise NonFinite(f"{name} must be finite, got {t}")
+    if t < 0:
+        raise ValueError(f"{name} must be >= 0, got {t}")
+    if t > clip_radius:
+        raise TBeyondClip(f"{name}={t} exceeds clip_radius={clip_radius}; "
+                          "geometry beyond the clip disk was never sampled")
+    return t
 
 
 def sample_chunk(params: ModelParams, scenario: PalmScenario,
@@ -500,12 +517,7 @@ def crossings_within(real: Realization, line_id: int, t: float):
     sorted by |arc_coord| (ties by other id). For an origin line the arc
     origin is the origin, so these are the candidate first turns."""
     i = real.index_of(line_id)
-    t = float(t)
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if t > real.clip_radius:
-        raise TBeyondClip(f"t={t} exceeds clip_radius={real.clip_radius}; "
-                          "geometry beyond the clip disk was never sampled")
+    t = _horizon(t, real.clip_radius, "t")
     n = len(real.lines)
     jj = np.array([k for k in range(n) if k != i], dtype=int)
     if jj.size == 0:

@@ -35,8 +35,8 @@ from linecox.model import (
     typical_intersection,
     typical_point,
 )
-from linecox.oracle import shortest_path
-from linecox.sampler import sample_palm
+from linecox.oracle import chunk_lengths, shortest_path
+from linecox.sampler import sample_chunk, sample_palm
 
 GRID = default_grid()  # [0, 3] step 0.01
 N = 100_000
@@ -186,6 +186,9 @@ def test_criterion_6_scale_invariance():
 
 
 def test_criterion_7_oracle_cross_validation():
+    """The batched kernel of each named policy, as Monte Carlo runs it, on
+    chunks of the streams (901, s), against the per-trial search of its
+    k-turn twin on each stream's own realization."""
     pairs = (
         (TurnPolicy.zero_turn(), TurnPolicy.k_turn(0)),
         (TurnPolicy.one_turn(), TurnPolicy.k_turn(1)),
@@ -197,18 +200,23 @@ def test_criterion_7_oracle_cross_validation():
          TurnPolicy.k_turn(2, include_lower_turn_paths=False,
                            first_hop_positive_x=True)),
     )
-    t_max = 2.5
+    t_max, n = 2.5, 1000
+    # odd seeds from the typical point, even ones from the typical intersection
+    odd = np.arange(n) % 2 == 1
+    point, crossing = (sample_chunk(P11, scenario, t_max, 901, 0, n)
+                       for scenario in (typical_point(), typical_intersection()))
+    batched = [np.where(odd, chunk_lengths(point, named, t_max),
+                        chunk_lengths(crossing, named, t_max))
+               for named, _ in pairs]
     mismatches = 0
-    for s in range(1000):
+    for s in range(n):
         scenario = typical_point() if s % 2 else typical_intersection()
         real = sample_palm(P11, scenario, t_max, seed=(901, s))
-        for special, generic in pairs:
-            a = shortest_path(real, special, t_max).length
-            b = shortest_path(real, generic, t_max).length
-            mismatches += (a != b)
+        for lengths, (_, generic) in zip(batched, pairs):
+            mismatches += (lengths[s] != shortest_path(real, generic, t_max).length)
     _verdict(7, mismatches == 0,
-             f"{mismatches} length mismatches over 1000 seeds x {len(pairs)} "
-             "policy pairs (specialized vs generic search)")
+             f"{mismatches} length mismatches over {n} seeds x {len(pairs)} "
+             "policy pairs (batched kernel vs generic search)")
 
 
 def test_criterion_8_quadrature_matches_riemann_oracle():

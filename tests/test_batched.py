@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from linecox import (
     AngleLaw,
     ModelParams,
+    NonFinite,
     PolicyBudgetNegative,
     PolicyKind,
     TBeyondClip,
@@ -224,6 +225,8 @@ def test_chunk_lengths_rejects_negative_budget_and_bad_horizon():
         chunk_lengths(chunk, TurnPolicy.one_turn(), -1.0)
     with pytest.raises(TBeyondClip):
         chunk_lengths(chunk, TurnPolicy.one_turn(), 2.5)
+    with pytest.raises(NonFinite):
+        chunk_lengths(chunk, TurnPolicy.one_turn(), float("nan"))
 
 
 def test_run_mc_logs_one_line_outside_the_curve(caplog):

@@ -207,6 +207,19 @@ def test_quadrature_failure_exit_code(capsys):
     assert "quadrature" in err.lower()
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+@pytest.mark.parametrize("request_args", [
+    ("analytic", "--which", "thm2", "--grid", "0.5:0.5:1"),
+    ("analytic", "--which", "thm3-bound", "--grid", "0.5:0.5:1"),
+    ("app", "ev-quantile", "--policy", "one-turn-intersection", "--p", "0.9"),
+])
+def test_bad_tolerance_is_a_config_error(capsys, request_args, tol):
+    rc, _, err = _run(capsys, *request_args, "--lambda", "1", "--mu", "1",
+                      "--tol", tol)
+    assert rc == EXIT_CONFIG
+    assert "tol must be > 0" in err
+
+
 def test_unwritable_output_exit_code(tmp_path, capsys):
     missing = tmp_path / "no-such-dir" / "curve.csv"
     rc, _, err = _run(capsys, "analytic", "--which", "thm1", "--lambda", "1",

@@ -8,6 +8,7 @@ from scipy import stats
 
 from linecox import (
     ModelParams,
+    NonFinite,
     PolicyBudgetNegative,
     Realization,
     TBeyondClip,
@@ -142,17 +143,6 @@ def test_budget_and_horizon_monotonicity():
             assert far == near
 
 
-def test_enumeration_matches_graph_search():
-    p = ModelParams(1.0, 1.0)
-    pairs = ((TurnPolicy.zero_turn(), TurnPolicy.k_turn(0)),
-             (TurnPolicy.one_turn(), TurnPolicy.k_turn(1)))
-    for s in range(100):
-        real = sample_palm(p, typical_point(), 2.5, seed=(88, s))
-        for enum_pol, k_pol in pairs:
-            assert shortest_path(real, enum_pol, 2.5).length == \
-                shortest_path(real, k_pol, 2.5).length
-
-
 def test_lengths_on_isolated_line_are_exponential():
     # lam=0 leaves only the origin line, so the one-turn distance is the
     # nearest of a rate-mu point process on each side: 1 - exp(-2 mu t)
@@ -170,6 +160,8 @@ def test_validation_errors():
         shortest_path(real, TurnPolicy.zero_turn(), -0.5)
     with pytest.raises(TBeyondClip):
         shortest_path(real, TurnPolicy.zero_turn(), 2.5)
+    with pytest.raises(NonFinite):
+        shortest_path(real, TurnPolicy.zero_turn(), math.nan)
     with pytest.raises(PolicyBudgetNegative):
         shortest_path(real, TurnPolicy.k_turn(-1), 1.0)
     no_origin = Realization((Line(0, 0.2, 0.7),), (np.array([0.1]),),
@@ -294,30 +286,42 @@ def _eager_k_turn(real, graph, t_max, k, include_lower, directed):
     return best.key[0], best.turns, best.key[1:], best.route
 
 
+# each named policy with the (k, include_lower, directed) it searches
+NAMED_POLICIES = (
+    (TurnPolicy.zero_turn(), (0, True, False)),
+    (TurnPolicy.one_turn(), (1, True, False)),
+    (TurnPolicy.one_turn(include_lower_turn_paths=False), (1, False, False)),
+    (TurnPolicy.two_turn_directed(), (2, True, True)),
+    (TurnPolicy.two_turn_directed(include_lower_turn_paths=False),
+     (2, False, True)),
+)
+K_TURN_POLICIES = tuple(
+    (TurnPolicy.k_turn(k, include_lower_turn_paths=lower,
+                       first_hop_positive_x=directed), (k, lower, directed))
+    for k in range(4) for lower in (True, False) for directed in (False, True))
+
+
 @pytest.mark.parametrize("lam", [1.0, 4.0, 16.0])
 def test_lazy_k_turn_equals_eager_graph_search(lam):
-    """Length, turns, target and route, bit for bit, for k 0..3 and every
-    flag combination, from the typical point and the typical intersection."""
+    """Length, turns, target and route, bit for bit, for k 0..3 with every
+    flag combination and for the five named policies, from the typical
+    point and the typical intersection."""
     t_max, params = 2.0, ModelParams(lam, 1.0)
     censored = 0
     for scenario in (typical_point(), typical_intersection()):
         for s in range(40):
             real = sample_palm(params, scenario, t_max, seed=(404, s))
             graph = _eager_graph(real)
-            for k in range(4):
-                for lower in (True, False):
-                    for directed in (False, True):
-                        want = _eager_k_turn(real, graph, t_max, k, lower, directed)
-                        res = shortest_path(real, TurnPolicy.k_turn(
-                            k, include_lower_turn_paths=lower,
-                            first_hop_positive_x=directed), t_max)
-                        if want is None:
-                            assert res.censored
-                            censored += 1
-                            continue
-                        got = (res.length, res.turns_used,
-                               (res.target.line_id, res.target.arc_coord), res.route)
-                        assert got == want, (scenario, s, k, lower, directed)
+            for policy, args in K_TURN_POLICIES + NAMED_POLICIES:
+                want = _eager_k_turn(real, graph, t_max, *args)
+                res = shortest_path(real, policy, t_max)
+                if want is None:
+                    assert res.censored
+                    censored += 1
+                    continue
+                got = (res.length, res.turns_used,
+                       (res.target.line_id, res.target.arc_coord), res.route)
+                assert got == want, (scenario, s, policy)
     if lam == 1.0:
         assert censored > 0
 
@@ -344,31 +348,6 @@ def test_hops_tied_with_the_incumbent_or_t_max_are_kept():
         assert free.length == pytest.approx(0.75, abs=1e-15)
         tight = shortest_path(real, policy, free.length)
         assert (tight.length, tight.route) == (free.length, free.route)
-
-
-@pytest.mark.parametrize("lam", [4.0, 16.0])
-def test_enumerators_match_k_turn_search_on_dense_streets(lam):
-    """Criterion 7's specialized-vs-generic cross-check on denser streets."""
-    pairs = (
-        (TurnPolicy.zero_turn(), TurnPolicy.k_turn(0)),
-        (TurnPolicy.one_turn(), TurnPolicy.k_turn(1)),
-        (TurnPolicy.one_turn(include_lower_turn_paths=False),
-         TurnPolicy.k_turn(1, include_lower_turn_paths=False)),
-        (TurnPolicy.two_turn_directed(),
-         TurnPolicy.k_turn(2, first_hop_positive_x=True)),
-        (TurnPolicy.two_turn_directed(include_lower_turn_paths=False),
-         TurnPolicy.k_turn(2, include_lower_turn_paths=False,
-                           first_hop_positive_x=True)),
-    )
-    t_max, params = 2.5, ModelParams(lam, 1.0)
-    mismatches = 0
-    for s in range(100):
-        scenario = typical_point() if s % 2 else typical_intersection()
-        real = sample_palm(params, scenario, t_max, seed=(902, s))
-        for special, generic in pairs:
-            mismatches += (shortest_path(real, special, t_max).length
-                           != shortest_path(real, generic, t_max).length)
-    assert mismatches == 0
 
 
 # md5 of run_mc(ModelParams(lam, 1.0), scenario, k_turn(k), 32, 3.0, 2026),

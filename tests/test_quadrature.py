@@ -3,7 +3,13 @@ import logging
 import numpy as np
 import pytest
 
-from linecox import QuadratureFailure, gauss_legendre
+from linecox import ModelParams, QuadratureFailure, gauss_legendre
+from linecox.analytic import (
+    cdf_one_turn_intersection,
+    cdf_two_turn_bound,
+    one_turn_intersection_terms,
+    two_turn_T,
+)
 from linecox.quadrature import settle_ladder
 
 _LOG = logging.getLogger("linecox.test")
@@ -77,3 +83,21 @@ def test_settle_ladder_climbs_with_the_unsettled_points_only(caplog):
     with caplog.at_level(logging.INFO, logger="linecox"):
         empty = settle_ladder(evaluate, 3, np.zeros(0), 1e-6, failure, _LOG, "toy")
     assert [a.size for a in empty] == [0, 0]
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0])
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+def test_bad_tolerance_is_bad_input_at_any_lam(tol, lam):
+    """A tolerance that is not > 0 is bad input (ValueError, not
+    QuadratureFailure), also at lam = 0, where the curves need no rung."""
+    params = ModelParams(lam, 1.0)
+    calls = (
+        lambda: cdf_one_turn_intersection(params, [0.0, 0.5], tol=tol),
+        lambda: cdf_two_turn_bound(params, [0.0, 0.5], tol=tol),
+        lambda: one_turn_intersection_terms(1.0, 0.5, tol=tol),
+        lambda: two_turn_T(0.1, 0.2, 0.5, params, tol=tol),
+        lambda: two_turn_T(0.5, 0.5, 0.5, params, tol=tol),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            call()

@@ -8,6 +8,7 @@ from scipy import stats
 from linecox import (
     AngleLaw,
     ModelParams,
+    NonFinite,
     NonPositiveRadius,
     Realization,
     TBeyondClip,
@@ -121,6 +122,8 @@ def test_crossings_within_contract():
         crossings_within(real, 0, -0.1)
     with pytest.raises(TBeyondClip):
         crossings_within(real, 0, 2.5)
+    with pytest.raises(NonFinite):
+        crossings_within(real, 0, math.nan)
 
 
 def test_sample_palm_validation():
@@ -130,6 +133,14 @@ def test_sample_palm_validation():
             sample_palm(p, typical_point(), bad, seed=1)
     with pytest.raises(TypeError):
         sample_palm(p, "typical-point", 1.0, seed=1)
+    # numpy scalars are radii too, and draw what the equal float draws
+    for radius in (np.int64(3), np.float32(2.0)):
+        got = sample_palm(p, typical_point(), radius, seed=1)
+        want = sample_palm(p, typical_point(), float(radius), seed=1)
+        assert type(got.clip_radius) is float and got.clip_radius == want.clip_radius
+        assert got.lines == want.lines
+        assert all(np.array_equal(x, y)
+                   for x, y in zip(got.arcs_by_line, want.arcs_by_line))
 
 
 def test_json_round_trip_preserves_oracle_answers():
