@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from ..errors import NegativeIntensity, NegativeT, NonFinite
-from ..model import ModelParams, validate
+from ..model import ModelParams, _finite_real, validate
 
 __all__ = [
     "cdf_naive_recursion",
@@ -109,9 +109,10 @@ def cdf_ppp2d_reference(density, t):
     """Euclidean nearest-neighbor CDF of a planar Poisson process with the
     given intensity (points per unit area): F(t) = 1 - exp(-pi*density*t^2).
     Reference curve for "does the street geometry matter" comparisons."""
-    if not (isinstance(density, (int, float)) and math.isfinite(density)):
+    if not _finite_real(density):
         raise NonFinite(f"density must be finite, got {density!r}")
     if density < 0:
         raise NegativeIntensity(f"density must be >= 0, got {density}")
+    density = float(density)
     arr, scalar = _check_t(t)
     return _ret(-np.expm1(-math.pi * density * arr * arr), scalar)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -22,7 +22,8 @@ from .analytic import (
     cdf_zero_turn_intersection,
 )
 from .errors import NoBracket, NonFinite, NonPositiveParameter, QuadratureFailure
-from .model import ModelParams, validate
+from .model import ModelParams, _finite_real, validate
+from .quadrature import check_tol
 
 __all__ = [
     "RisLinkParams",
@@ -69,13 +70,14 @@ class RisLinkParams:
 
 
 def validate_link(link: RisLinkParams) -> RisLinkParams:
+    """Check every field; return the link with Python float fields."""
     for f in fields(link):
         v = getattr(link, f.name)
-        if not (isinstance(v, (int, float)) and math.isfinite(v)):
+        if not _finite_real(v):
             raise NonFinite(f"{f.name} must be finite, got {v!r}")
         if v <= 0:
             raise NonPositiveParameter(f"{f.name} must be > 0, got {v}")
-    return link
+    return replace(link, **{f.name: float(getattr(link, f.name)) for f in fields(link)})
 
 
 def db_to_linear(db: float) -> float:
@@ -89,7 +91,7 @@ def nearfield_threshold_distance(link: RisLinkParams) -> float:
 
         d* = sqrt(g_t*g_r*wavelength^2*area^2*p_t / (16*pi^2*gamma*n0)).
     """
-    validate_link(link)
+    link = validate_link(link)
     num = link.g_t * link.g_r * link.wavelength**2 * link.area**2 * link.p_t
     return math.sqrt(num / (16.0 * math.pi**2 * link.gamma * link.n0))
 
@@ -112,7 +114,7 @@ def farfield_threshold_distance(link: RisLinkParams) -> float:
     By AM-GM, d1*d2 <= ((d1+d2)/2)^2, so any split of a total street
     distance D <= 2*X^(1/4) succeeds.
     """
-    validate_link(link)
+    link = validate_link(link)
     num = (link.g_t * link.g_r * link.g * link.m**2 * link.n**2
            * link.d_x * link.d_y * link.wavelength**2 * link.area**2 * link.p_t)
     x = num / (64.0 * math.pi**3 * link.gamma * link.n0)
@@ -159,8 +161,10 @@ def reach_quantile(model: ModelParams, p: float, policy: str = "one-turn-point",
     one INFO line: the path taken, the curve calls and points, the wall time.
     """
     validate(model)
-    if not (isinstance(p, (int, float)) and 0.0 <= p < 1.0):
+    check_tol(tol)
+    if not (_finite_real(p) and 0.0 <= p < 1.0):
         raise ValueError(f"p must lie in [0, 1), got {p!r}")
+    p = float(p)
     if p == 0.0:
         return 0.0
     cdf, cap = _reach_cdf(policy, model, tol)

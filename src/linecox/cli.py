@@ -80,6 +80,7 @@ from .model import (
 )
 from .experiments import compare as compare_curves
 from .experiments import run_mc
+from .quadrature import check_tol
 
 __all__ = ["main", "RunConfig", "parse_grid"]
 
@@ -381,6 +382,8 @@ def cmd_analytic(cfg: RunConfig) -> int:
         "version": __version__,
     }
     curve, default_tol = _CURVES[cfg.which]
+    if cfg.tol is not None:
+        check_tol(cfg.tol)
     if cfg.which == "ppp":
         if cfg.density is not None:
             density = cfg.density

@@ -15,6 +15,7 @@ consistently by the samplers and the closed forms:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -52,6 +53,11 @@ class ModelParams:
 
     lam: float
     mu: float
+
+
+def _finite_real(x) -> bool:
+    """A finite real number (numpy scalars too) that is not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def validate(params: ModelParams) -> ModelParams:
@@ -211,7 +217,7 @@ def rescale(curve: DistributionCurve, c: float) -> DistributionCurve:
     """Rescale lengths by c: the curve of D under (lam, mu) becomes the curve
     of c*D, which is exactly the curve of D under (lam/c, mu/c). Values and
     half widths are untouched; grid and metadata params are mapped."""
-    if not (isinstance(c, (int, float)) and math.isfinite(c)) or c <= 0:
+    if not _finite_real(c) or c <= 0:
         raise NonPositiveScale(f"scale must be finite and > 0, got {c!r}")
     c = float(c)
     meta = dict(curve.meta)

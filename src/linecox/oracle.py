@@ -6,8 +6,9 @@ crossing, at most ``k`` times per the policy. The oracle returns the exact
 shortest admissible distance to any point of the process.
 
 Two solvers exist on purpose. Both take every crossing arc from the same
-pairwise routine, lower line index first, and add hop lengths in the same
-left-to-right order, so they agree bit for bit; the tests rely on that.
+pairwise routine, which gives a crossing the same two arcs whichever of
+its lines asks first, and add hop lengths in the same left-to-right
+order, so they agree bit for bit; the tests rely on that.
 Every policy reduces to a turn budget k (``_budget``), a lower-turn flag
 and a first-hop direction (``_directed``), and both solvers take just
 these three.
@@ -23,7 +24,8 @@ these three.
   came-from line), the shortest length that reaches it with j turns, so a
   layer never holds more labels than a trial has line pairs. A label
   turns onto every other line of its trial, and keeps the hop while it
-  ends within t_max and below the trial's incumbent. Without lower-turn
+  ends within t_max and below the trial's incumbent; the next layer is
+  sorted and reduced out of the hops kept. Without lower-turn
   paths the kernel bounds each trial by a reach that doubles until it
   holds the trial's best.
 
@@ -135,15 +137,10 @@ def _origin_indices(real: Realization, directed: bool):
 def _crossings(real: Realization, li: int):
     """Crossings of line ``li`` with every other line, in other-line order:
     (arc on li, arc on the other line, other line index) as arrays. A
-    near-parallel pair gives nan arcs, which every length bound rejects.
-    Each pair goes to ``_pair_arcs`` lower index first, so a crossing has
-    the same two arcs whichever of its lines asks for it."""
+    near-parallel pair gives nan arcs, which every length bound rejects."""
     other = np.arange(len(real.lines) - 1)
     other[li:] += 1
-    a_lo, a_hi = _pair_arcs(real._trig, real._offsets,
-                            np.minimum(other, li), np.maximum(other, li))
-    return (np.concatenate((a_hi[:li], a_lo[li:])),
-            np.concatenate((a_lo[:li], a_hi[li:])), other)
+    return (*_pair_arcs(real._trig, real._offsets, li, other), other)
 
 
 # ---- general K-turn search --------------------------------------------------
@@ -239,7 +236,7 @@ def _route_of(via, state, lids):
 # ---- batched length-only layer kernel ---------------------------------------
 
 _PAIR_BLOCK = 8192  # (label, next line) pairs solved at once
-_LABEL_BLOCK = 1 << 16  # label slots of the trials one pass searches at once
+_LABEL_BLOCK = 1 << 16  # most labels (lines² a trial) one pass searches at once
 # first reach of an exactly-k search, as a share of t_max (see chunk_lengths)
 _FIRST_REACH = 1 / 16
 
@@ -309,10 +306,7 @@ def _turn(best, chunk, rows, reach, first, directed):
         m = chunk.line_start[t] + (np.arange(f.size)
                                    - np.repeat(np.cumsum(r) - r, r))
         m += m >= i
-        arc_lo, arc_hi = _pair_arcs(chunk._trig, chunk.offset,
-                                    np.minimum(i, m), np.maximum(i, m))
-        here = np.where(i < m, arc_lo, arc_hi)
-        there = np.where(i < m, arc_hi, arc_lo)
+        here, there = _pair_arcs(chunk._trig, chunk.offset, i, m)
         new = length[f] + np.abs(here - ref[f])
         keep = (new <= reach[t]) & (new < best[t]) & (m != prev[f])
         if first:
@@ -322,51 +316,40 @@ def _turn(best, chunk, rows, reach, first, directed):
         yield t[keep], m[keep], i[keep], there[keep], new[keep]
 
 
-def _labels(chunk, hops, slots):
+def _labels(chunk, hops):
     """The shortest of the hops onto each (trial, line, came-from line): the
     arc a hop reaches depends on the two lines alone, so every later length
-    grows with this one. ``slots`` (trials, end slots, first slot per trial)
-    put (m, i) of trial t at first[t] + lines[t] * m' + i', with m' and i'
-    the lines' places in the trial."""
-    group, ends, slot0 = slots
-    n_lines = np.diff(chunk.line_start)
-    label, arc = np.full(ends[-1], np.inf), np.empty(ends[-1])
-    for t, m, i, there, new in hops:
-        start = chunk.line_start[t]
-        s = slot0[t] + (m - start) * n_lines[t] + i - start
-        np.minimum.at(label, s, new)
-        arc[s] = there
-    s = np.flatnonzero(label < np.inf)
-    t = group[np.searchsorted(ends, s, side="right")]
-    start, local = chunk.line_start[t], s - slot0[t]
-    return (t, start + local // n_lines[t], start + local % n_lines[t],
-            arc[s], label[s])
+    grows with this one. The hops are sorted by (line, came-from line), so
+    by trial too, and each run of equal keys reduced to its minimum. ``none``
+    gives the columns when no label is live and so no hop comes."""
+    none = (np.empty(0, np.int64),) * 3 + (np.empty(0),) * 2
+    t, m, i, there, new = map(np.concatenate, zip(none, *hops))
+    key = m * chunk.angle.size + i
+    order = np.argsort(key)
+    first = np.flatnonzero(np.diff(key[order], prepend=-1))
+    s = order[first]
+    return t[s], m[s], i[s], there[s], np.minimum.reduceat(new[order], first)
 
 
 def _search(best, chunk, trials, reach, t_max, k, lower, directed):
     """Offer every path of at most k turns (exactly k unless ``lower``) of
-    the given trials, in runs of at most _LABEL_BLOCK label slots (or one
-    trial's). Layer 0 holds the origin lines (only the first, ``directed``)
-    at arc 0 and length 0; layer j + 1 the ``_labels`` of the hops ``_turn``
-    takes from layer j, but layer k is offered block by block, unlabelled.
-    Lengths add up hop by hop as in ``_k_turn``, so each offer is the
-    length the search gives that path."""
+    the given trials, in runs of at most _LABEL_BLOCK labels (lines² a
+    trial) or one trial. Layer 0 holds the origin lines (only the first,
+    ``directed``) at arc 0 and length 0; layer j + 1 the ``_labels`` of the
+    hops ``_turn`` takes from layer j, but layer k is offered block by
+    block, unlabelled. Lengths add up hop by hop as in ``_k_turn``, so each
+    offer is the length the search gives that path."""
     n_lines = np.diff(chunk.line_start)[trials]
-    size = n_lines * n_lines
     n0 = 1 if directed else chunk.n_origin
-    for a, b in _runs(size, _LABEL_BLOCK):
-        group, ends = trials[a:b], np.cumsum(size[a:b])
-        slot0 = np.zeros(chunk.n_trials, dtype=np.int64)
-        slot0[group] = ends - size[a:b]
-        t = np.repeat(group, n0)
+    for a, b in _runs(n_lines * n_lines, _LABEL_BLOCK):
+        t = np.repeat(trials[a:b], n0)
         zeros = np.zeros(t.size)
-        layer = [(t, chunk.line_start[t] + np.tile(np.arange(n0), group.size),
+        layer = [(t, chunk.line_start[t] + np.tile(np.arange(n0), b - a),
                   np.full(t.size, -1), zeros, zeros)]
         for j in range(k + 1):
             if j:
                 hops = _turn(best, chunk, rows, reach, j == 1, directed)
-                layer = hops if j == k else [
-                    _labels(chunk, hops, (group, ends, slot0))]
+                layer = hops if j == k else [_labels(chunk, hops)]
             for rows in layer:
                 if lower or j == k:
                     t, m, _, ref, length = rows

@@ -30,7 +30,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import numbers
 import threading
 from dataclasses import dataclass
 from functools import cached_property
@@ -54,6 +53,7 @@ from .model import (
     ModelParams,
     PalmKind,
     PalmScenario,
+    _finite_real,
     validate,
 )
 
@@ -196,10 +196,12 @@ def _pair_arcs(trig, offsets, ii, jj):
     """Arc coordinates of the crossing of line pairs (ii[k], jj[k]): returns
     (arc on line ii[k], arc on line jj[k]). Near-parallel pairs give nan.
     ``trig`` is ``_sin_cos`` of the line angles, which a Realization or a
-    ChunkSample computes once and keeps.
+    ChunkSample computes once and keeps. Either index may be a scalar.
 
     This is the single crossing formula used everywhere (sampler queries and
-    oracle graph alike) so arcs agree bit for bit across code paths.
+    oracle graph alike) so arcs agree bit for bit across code paths. A swap
+    of ii and jj flips det, bx and by exactly, so it swaps the two arcs
+    (only an exact zero may change sign): pass a pair in either order.
     """
     sa, ca = trig
     det = sa[jj] * ca[ii] - ca[jj] * sa[ii]
@@ -415,8 +417,7 @@ def _check_inputs(params, scenario, clip_radius) -> float:
     validate(params)
     if not isinstance(scenario, PalmScenario):
         raise TypeError(f"scenario must be a PalmScenario, got {type(scenario).__name__}")
-    if not (isinstance(clip_radius, numbers.Real) and not isinstance(clip_radius, bool)
-            and math.isfinite(clip_radius) and clip_radius > 0):
+    if not (_finite_real(clip_radius) and clip_radius > 0):
         raise NonPositiveRadius(f"clip_radius must be finite and > 0, got {clip_radius!r}")
     clip_radius = float(clip_radius)
     expected = params.lam * _PI * clip_radius
@@ -522,8 +523,7 @@ def crossings_within(real: Realization, line_id: int, t: float):
     jj = np.array([k for k in range(n) if k != i], dtype=int)
     if jj.size == 0:
         return []
-    ii = np.full_like(jj, i)
-    s_i, _ = _pair_arcs(real._trig, real._offsets, ii, jj)
+    s_i, _ = _pair_arcs(real._trig, real._offsets, i, jj)
     out = []
     for k, s in zip(jj, s_i):
         if not math.isfinite(s) or abs(s) > t:

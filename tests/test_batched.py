@@ -263,12 +263,13 @@ def test_run_mc_never_builds_a_realization(monkeypatch):
 
 
 # The kernel holds one label per (trial, line, came-from line) in a layer,
-# and searches runs of trials of at most oracle._LABEL_BLOCK label slots at
-# once, so its memory stays bounded however many paths a layer reaches: it
-# peaks near 1.5 MiB here and 3 MiB on 512-trial chunks. Holding every path
-# of whole layers instead, from a first reach of t_max / 4, peaked at
-# 120 MB (point) and 264 MB (intersection) on 512 trials. The bound leaves
-# room for numpy's own buffers.
+# sorted out of the hops the layer keeps, and searches runs of trials of at
+# most oracle._LABEL_BLOCK labels (lines² a trial) at once, so its memory
+# stays bounded however many paths a layer reaches: it peaks near 1 MiB
+# here and on 512-trial chunks. Holding every path of whole layers instead,
+# from a first reach of t_max / 4, peaked at 120 MB (point) and 264 MB
+# (intersection) on 512 trials. The bound leaves room for numpy's own
+# buffers.
 DENSE_PEAK_BYTES = 16 * 2**20
 
 
@@ -288,6 +289,29 @@ def test_exact_three_turns_at_lam_16_are_exact_and_bounded(scenario):
                                         T_MAX).length for t in range(n)])
     assert batched.tobytes() == per_trial.tobytes()
     assert peak < DENSE_PEAK_BYTES, peak
+
+
+# A dense table of one slot per (line, came-from line) pair took 16 bytes
+# x lines² for each trial: about 37 MiB at lam 160 (some 1500 lines a
+# trial). The labels sorted out of the hops a layer keeps peak near 1 MiB.
+DENSE_STREET_PEAK_BYTES = 8 * 2**20
+
+
+def test_exact_three_turns_at_lam_160_stay_small():
+    params, n = ModelParams(160.0, 1.0), 3
+    policy = TurnPolicy.k_turn(3, include_lower_turn_paths=False)
+    chunk = sample_chunk(params, typical_point(), T_MAX, 16, 0, n)
+    tracemalloc.start()
+    try:
+        batched = chunk_lengths(chunk, policy, T_MAX)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    per_trial = np.array([shortest_path(chunk.realization(t), policy,
+                                        T_MAX).length for t in range(n)])
+    assert np.diff(chunk.line_start).min() > 1300
+    assert batched.tobytes() == per_trial.tobytes()
+    assert peak < DENSE_STREET_PEAK_BYTES, peak
 
 
 @pytest.mark.parametrize("scenario", [typical_point(), typical_intersection()],

@@ -207,17 +207,29 @@ def test_quadrature_failure_exit_code(capsys):
     assert "quadrature" in err.lower()
 
 
-@pytest.mark.parametrize("tol", ["nan", "-1"])
+@pytest.mark.parametrize("tol", ["nan", "-1", "0"])
 @pytest.mark.parametrize("request_args", [
     ("analytic", "--which", "thm2", "--grid", "0.5:0.5:1"),
     ("analytic", "--which", "thm3-bound", "--grid", "0.5:0.5:1"),
     ("app", "ev-quantile", "--policy", "one-turn-intersection", "--p", "0.9"),
+    # closed forms run no quadrature, but a bad --tol is bad input there too
+    ("analytic", "--which", "thm1", "--grid", "0:1:1"),
+    ("app", "ev-quantile", "--policy", "one-turn-point", "--p", "0.5"),
 ])
 def test_bad_tolerance_is_a_config_error(capsys, request_args, tol):
     rc, _, err = _run(capsys, *request_args, "--lambda", "1", "--mu", "1",
                       "--tol", tol)
     assert rc == EXIT_CONFIG
     assert "tol must be > 0" in err
+
+
+def test_a_valid_tolerance_leaves_a_closed_form_curve_alone(capsys):
+    args = ("analytic", "--which", "thm1", "--lambda", "1", "--mu", "1",
+            "--grid", "0:2:0.5")
+    rc, plain, _ = _run(capsys, *args)
+    assert rc == EXIT_OK
+    rc, with_tol, _ = _run(capsys, *args, "--tol", "1e-3")
+    assert rc == EXIT_OK and with_tol == plain
 
 
 def test_unwritable_output_exit_code(tmp_path, capsys):

@@ -9,11 +9,20 @@ from linecox import (
     ModelParams,
     NegativeIntensity,
     NonFinite,
+    NonPositiveRadius,
     NonPositiveScale,
     PolicyKind,
+    RisLinkParams,
     TurnPolicy,
     ZeroMu,
+    cdf_ppp2d_reference,
+    farfield_threshold_distance,
+    nearfield_threshold_distance,
+    reach_quantile,
+    realization_to_json,
     rescale,
+    sample_palm,
+    typical_point,
     validate,
 )
 
@@ -98,3 +107,40 @@ def test_rescale_round_trip(c):
     back = rescale(rescale(curve, c), 1.0 / c)
     assert np.allclose(back.grid, curve.grid, rtol=1e-12, atol=1e-15)
     assert np.array_equal(back.values, curve.values)
+
+
+def _link_of(x):
+    link = RisLinkParams(*[x] * 12)
+    return nearfield_threshold_distance(link), farfield_threshold_distance(link)
+
+
+_CURVE = DistributionCurve(np.array([0.0, 0.5, 1.7]), np.array([0.0, 0.3, 0.8]), 0.02)
+# site -> (result of one real input, an integer and a float32-exact value it
+# takes, the error it raises on input that is not a real number)
+REAL_INPUT_SITES = {
+    "rescale": (lambda c: (rescale(_CURVE, c).grid.tobytes(), rescale(_CURVE, c).meta),
+                2, 0.5, NonPositiveScale),
+    "validate_link": (_link_of, 2, 0.5, NonFinite),
+    "reach_quantile": (lambda p: reach_quantile(ModelParams(1.0, 1.0), p), 0, 0.5,
+                       ValueError),
+    "cdf_ppp2d_reference": (lambda d: cdf_ppp2d_reference(d, [0.5, 1.0]).tobytes(),
+                            2, 0.25, NonFinite),
+    "sample_palm": (lambda r: realization_to_json(
+        sample_palm(ModelParams(1.0, 1.0), typical_point(), r, seed=1)),
+        3, 2.0, NonPositiveRadius),
+}
+
+
+@pytest.mark.parametrize("site", REAL_INPUT_SITES)
+def test_real_inputs_take_numpy_scalars_and_refuse_bools(site):
+    """Every real-valued input goes through one check: numpy integers and
+    floats give what the equal Python float gives, and a bool is not a
+    number, so it raises the error a string would."""
+    result, n, v, error = REAL_INPUT_SITES[site]
+    for x in (np.int64(n), np.int32(n), n):
+        assert result(x) == result(float(n)), x
+    for x in (np.float32(v), np.float64(v)):
+        assert result(x) == result(float(v)), x
+    for bad in (True, False, "1"):
+        with pytest.raises(error):
+            result(bad)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from linecox import (
@@ -324,6 +326,49 @@ def test_lazy_k_turn_equals_eager_graph_search(lam):
                 assert got == want, (scenario, s, policy)
     if lam == 1.0:
         assert censored > 0
+
+
+# angles that often sit within 1e-12 of each other (mod pi), and offsets
+# that often put two lines through one point
+_ANGLE = st.one_of(st.sampled_from([0.0, 1e-13, 1.0, 1.0 + 1e-13, HPI,
+                                    math.pi - 1e-13]),
+                   st.floats(0.0, math.pi, exclude_max=True))
+_OFFSET = st.one_of(st.sampled_from([0.0, 1.0, -2.5]), st.floats(-5.0, 5.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(st.tuples(_ANGLE, _OFFSET), min_size=2, max_size=8))
+@example(lines=[(1.0, 0.5), (1.0 + 1e-13, -2.0), (0.0, 1.0),
+                (math.pi - 1e-13, 0.0)])            # two near-parallel pairs
+@example(lines=[(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])  # crossing at the origin
+def test_pair_arcs_in_either_order_are_swapped_bit_for_bit(lines):
+    """``_pair_arcs(j, i)`` is ``_pair_arcs(i, j)`` swapped: det, bx and by
+    flip sign exactly under round-to-nearest, and near-parallel pairs give
+    nan both ways. So both solvers ask for a crossing in whichever order
+    they meet it. An exact zero arc may differ in sign, which no length
+    reads (lengths take |here - ref|, and -0.0 > 0 is false), so the arcs
+    are compared after adding 0.0. A line asked against all others at once,
+    as ``_crossings`` asks, gives the same arcs."""
+    angle, offset = (np.array(col) for col in zip(*lines))
+    trig = _sin_cos(angle)
+    ii, jj = np.nonzero(~np.eye(len(lines), dtype=bool))
+    with np.errstate(over="ignore"):  # in the quotient a nan replaces
+        on_i, on_j = _pair_arcs(trig, offset, ii, jj)
+        back_j, back_i = _pair_arcs(trig, offset, jj, ii)
+        one_by_one = [_pair_arcs(trig, offset, i, jj[ii == i])
+                      for i in range(len(lines))]
+    assert (on_i + 0.0).tobytes() == (back_i + 0.0).tobytes()
+    assert (on_j + 0.0).tobytes() == (back_j + 0.0).tobytes()
+    for i, (here, there) in enumerate(one_by_one):
+        assert here.tobytes() == on_i[ii == i].tobytes()
+        assert there.tobytes() == on_j[ii == i].tobytes()
+
+
+def test_near_parallel_pairs_give_nan_in_either_order():
+    trig = _sin_cos(np.array([1.0, 1.0 + 1e-13, 0.0, math.pi - 1e-13]))
+    offset = np.array([0.5, -2.0, 1.0, 0.0])
+    for ii, jj in (([0, 2], [1, 3]), ([1, 3], [0, 2])):
+        assert np.isnan(_pair_arcs(trig, offset, np.array(ii), np.array(jj))).all()
 
 
 def test_hops_tied_with_the_incumbent_or_t_max_are_kept():

@@ -1,0 +1,84 @@
+#!/usr/bin/env python3
+"""Time the batched turn-layer kernel against the per-trial search.
+
+For each row it draws one chunk (point scenario, mu = 1, t_max = 3) and
+solves every trial twice: with ``chunk_lengths``, the kernel Monte Carlo
+runs, and with ``shortest_path`` on each trial's Realization, the per-trial
+reference. It checks that the two agree bit for bit, then prints lines per
+trial, the CPU ms per trial of each solver, their ratio, and the kernel's
+``tracemalloc`` peak (taken in a separate, untimed call).
+
+The "dense" rows are k_turn(3) with exact turns at lam 16, 40, 80 and 160,
+and k_turn(5) at lam 40, on a few trials each. The "chunk" rows are
+512-trial chunks at lam 4, 16 and 40, k_turn(3), with and without
+lower-turn paths. The whole scan takes about a minute on one core.
+
+    PYTHONPATH=src python tools/kernel_scan.py [--rows dense|chunk|all]
+
+Point PYTHONPATH at another checkout's ``src`` to scan that one.
+"""
+
+import argparse
+import sys
+import time
+import tracemalloc
+
+import numpy as np
+
+from linecox import (ModelParams, TurnPolicy, chunk_lengths, sample_chunk,
+                     shortest_path, typical_point)
+
+T_MAX, MU, SEED = 3.0, 1.0, 2024
+# (lam, k, include_lower_turn_paths, trials)
+ROWS = {
+    "dense": [(16.0, 3, False, 64), (40.0, 3, False, 32), (80.0, 3, False, 16),
+              (160.0, 3, False, 8), (40.0, 5, False, 16)],
+    "chunk": [(lam, 3, lower, 512) for lam in (4.0, 16.0, 40.0)
+              for lower in (True, False)],
+}
+
+
+def _cpu_ms(fn):
+    start = time.process_time()
+    out = fn()
+    return out, 1e3 * (time.process_time() - start)
+
+
+def scan_row(lam, k, lower, trials):
+    chunk = sample_chunk(ModelParams(lam, MU), typical_point(), T_MAX, SEED, 0,
+                         trials)
+    policy = TurnPolicy.k_turn(k, lower)
+    reals = [chunk.realization(t) for t in range(trials)]
+    batched, kernel_ms = _cpu_ms(lambda: chunk_lengths(chunk, policy, T_MAX))
+    per_trial, search_ms = _cpu_ms(lambda: np.array(
+        [shortest_path(r, policy, T_MAX).length for r in reals]))
+    if batched.tobytes() != per_trial.tobytes():
+        sys.exit(f"lam {lam}, k {k}, lower {lower}: chunk_lengths differs "
+                 f"from shortest_path on {np.sum(batched != per_trial)} trials")
+    tracemalloc.start()
+    try:
+        chunk_lengths(chunk, policy, T_MAX)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (lam, k, lower, trials, chunk.angle.size / trials,
+            kernel_ms / trials, search_ms / trials, kernel_ms / search_ms,
+            peak / 2**20)
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--rows", choices=("dense", "chunk", "all"), default="all")
+    args = ap.parse_args(argv)
+    names = ROWS if args.rows == "all" else [args.rows]
+    print("| lam | k | lower | trials | lines/trial | chunk_lengths ms | "
+          "shortest_path ms | ratio | kernel peak MiB |")
+    print("|---|---|---|---|---|---|---|---|---|")
+    for name in names:
+        for row in ROWS[name]:
+            print("| %g | %d | %s | %d | %.0f | %.2f | %.2f | %.2f | %.2f |"
+                  % scan_row(*row), flush=True)
+
+
+if __name__ == "__main__":
+    main()
