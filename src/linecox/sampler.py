@@ -207,7 +207,7 @@ def _pair_arcs(trig, offsets, ii, jj):
     det = sa[jj] * ca[ii] - ca[jj] * sa[ii]
     bx = -offsets[jj] * sa[jj] + offsets[ii] * sa[ii]
     by = offsets[jj] * ca[jj] - offsets[ii] * ca[ii]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         arc_i = np.where(np.abs(det) < _MIN_ANGLE_GAP, np.nan,
                          (bx * sa[jj] - by * ca[jj]) / det)
         arc_j = np.where(np.abs(det) < _MIN_ANGLE_GAP, np.nan,

@@ -1,6 +1,7 @@
 import hashlib
 import heapq
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -352,23 +353,24 @@ def test_pair_arcs_in_either_order_are_swapped_bit_for_bit(lines):
     angle, offset = (np.array(col) for col in zip(*lines))
     trig = _sin_cos(angle)
     ii, jj = np.nonzero(~np.eye(len(lines), dtype=bool))
-    with np.errstate(over="ignore"):  # in the quotient a nan replaces
-        on_i, on_j = _pair_arcs(trig, offset, ii, jj)
-        back_j, back_i = _pair_arcs(trig, offset, jj, ii)
-        one_by_one = [_pair_arcs(trig, offset, i, jj[ii == i])
-                      for i in range(len(lines))]
+    on_i, on_j = _pair_arcs(trig, offset, ii, jj)
+    back_j, back_i = _pair_arcs(trig, offset, jj, ii)
     assert (on_i + 0.0).tobytes() == (back_i + 0.0).tobytes()
     assert (on_j + 0.0).tobytes() == (back_j + 0.0).tobytes()
-    for i, (here, there) in enumerate(one_by_one):
+    for i in range(len(lines)):
+        here, there = _pair_arcs(trig, offset, i, jj[ii == i])
         assert here.tobytes() == on_i[ii == i].tobytes()
         assert there.tobytes() == on_j[ii == i].tobytes()
 
 
 def test_near_parallel_pairs_give_nan_in_either_order():
-    trig = _sin_cos(np.array([1.0, 1.0 + 1e-13, 0.0, math.pi - 1e-13]))
-    offset = np.array([0.5, -2.0, 1.0, 0.0])
-    for ii, jj in (([0, 2], [1, 3]), ([1, 3], [0, 2])):
-        assert np.isnan(_pair_arcs(trig, offset, np.array(ii), np.array(jj))).all()
+    """Also without a warning where the masked quotient overflows."""
+    trig = _sin_cos(np.array([1.0, 1.0 + 1e-13, 0.0, math.pi - 1e-13, 5e-324]))
+    offset = np.array([0.5, -2.0, 1.0, 0.0, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ii, jj in (([0, 2, 2], [1, 3, 4]), ([1, 3, 4], [0, 2, 2])):
+            assert np.isnan(_pair_arcs(trig, offset, np.array(ii), np.array(jj))).all()
 
 
 def test_hops_tied_with_the_incumbent_or_t_max_are_kept():
