@@ -27,7 +27,6 @@ from .model import (
     PalmKind,
     PalmScenario,
     TurnPolicy,
-    validate,
 )
 from .oracle import _budget, chunk_lengths
 from .sampler import _check_inputs, sample_chunk
@@ -154,7 +153,6 @@ def run_mc(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
     censored fraction; none of it enters the curve.
     """
     started = time.perf_counter()
-    validate(params)
     k = _budget(policy)
     trials = int(trials)
     if trials < 1:
@@ -166,6 +164,11 @@ def run_mc(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
     grid = default_grid(t_max) if grid is None else np.asarray(grid, dtype=float)
     if grid.size == 0 or grid[0] < 0 or grid[-1] > t_max + 1e-12:
         raise ValueError("grid must lie within [0, t_max]")
+    # the checks the finished curve makes, before any trial is drawn: the
+    # level, then the grid's order and finiteness (a curve of the grid
+    # itself fails only on the grid)
+    dkw_halfwidth(trials, alpha)
+    DistributionCurve(grid, grid, grid)
     workers = resolve_workers(workers)
     master = int(seed)
 

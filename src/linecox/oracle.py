@@ -51,7 +51,14 @@ from .model import (
     PolicyKind,
     TurnPolicy,
 )
-from .sampler import ChunkSample, Realization, _horizon, _pair_arcs, sample_palm
+from .sampler import (
+    ChunkSample,
+    Realization,
+    _crossings,
+    _horizon,
+    _pair_arcs,
+    sample_palm,
+)
 
 __all__ = ["PathResult", "shortest_path", "sample_path", "sample_D",
            "chunk_lengths", "route_positions", "route_length"]
@@ -132,15 +139,6 @@ def _origin_indices(real: Realization, directed: bool):
     if not idx:
         raise ValueError("realization has no origin line to start from")
     return idx[:1] if directed else idx
-
-
-def _crossings(real: Realization, li: int):
-    """Crossings of line ``li`` with every other line, in other-line order:
-    (arc on li, arc on the other line, other line index) as arrays. A
-    near-parallel pair gives nan arcs, which every length bound rejects."""
-    other = np.arange(len(real.lines) - 1)
-    other[li:] += 1
-    return (*_pair_arcs(real._trig, real._offsets, li, other), other)
 
 
 # ---- general K-turn search --------------------------------------------------

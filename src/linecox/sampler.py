@@ -11,7 +11,9 @@ Conventions (shared with the oracle):
   crossings along any fixed line a 1-D Poisson process of rate lam: a
   chord of half length t around a point on a line is crossed by
   Poisson(2*lam*t) others (P(cross) = (t/R) * E[sin angle] = 2t/(pi R),
-  times the mean count lam*pi*R).
+  times the mean count lam*pi*R). Angles are i.i.d. as drawn: two lines
+  within 1e-12 of parallel are kept, and ``_pair_arcs`` gives their
+  crossing as nan, which every consumer skips.
 * Conditioning is by explicit construction: TYPICAL_POINT adds the x-axis
   through the origin, TYPICAL_INTERSECTION adds the x-axis plus a second
   origin line at a random angle. Every line, added or background, carries
@@ -165,8 +167,7 @@ class Realization:
         """All pairwise crossings inside the clip disk, as tuples
         (id_i, id_j, arc_on_i, arc_on_j, x, y) with i earlier than j in
         ``lines`` order. Near-parallel pairs (|sin of angle gap| < 1e-12)
-        are skipped; the sampler redraws such angles so sampled
-        realizations never lose a crossing here."""
+        have no crossing, in sampled realizations as in hand-built ones."""
         n = len(self.lines)
         if n < 2:
             return ()
@@ -215,6 +216,15 @@ def _pair_arcs(trig, offsets, ii, jj):
     return arc_i, arc_j
 
 
+def _crossings(real: Realization, li: int):
+    """Crossings of line ``li`` with every other line, in other-line order:
+    (arc on li, arc on the other line, other line index) as arrays. A
+    near-parallel pair gives nan arcs, which every length bound rejects."""
+    other = np.arange(len(real.lines) - 1)
+    other[li:] += 1
+    return (*_pair_arcs(real._trig, real._offsets, li, other), other)
+
+
 def _draw_origin_angles(rng, scenario: PalmScenario):
     if scenario.kind is PalmKind.TYPICAL_POINT:
         return [0.0]
@@ -226,30 +236,6 @@ def _draw_origin_angles(rng, scenario: PalmScenario):
         if _MIN_ANGLE_GAP < theta < _PI - _MIN_ANGLE_GAP:
             return [0.0, float(theta)]
     raise RuntimeError("could not draw a non-degenerate intersection angle")
-
-
-def _respace_angles(rng, origin_angles, angles):
-    """Redraw background angles until all lines are pairwise non-parallel
-    (angle gap, mod pi, at least 1e-12). Collisions are measure zero; the
-    loop exists so downstream geometry can divide by sin of gaps safely."""
-    n_origin = len(origin_angles)
-    for _ in range(100):
-        allang = np.concatenate([origin_angles, angles])
-        order = np.argsort(allang, kind="stable")
-        s = allang[order]
-        gaps = np.diff(s)
-        bad = set()
-        for k in np.flatnonzero(gaps < _MIN_ANGLE_GAP):
-            bad.add(order[k])
-            bad.add(order[k + 1])
-        if s.size > 1 and (s[0] + _PI) - s[-1] < _MIN_ANGLE_GAP:
-            bad.add(order[0])
-            bad.add(order[-1])
-        redraw = sorted(k - n_origin for k in bad if k >= n_origin)
-        if not redraw:
-            return angles
-        angles[redraw] = rng.uniform(0.0, _PI, size=len(redraw))
-    raise RuntimeError("could not separate line angles")
 
 
 # one bit generator per thread, reused by every _TrialDraws: building one
@@ -272,9 +258,8 @@ class _TrialDraws:
     instead of building a new generator per trial; the draws are the same.
 
     ``draw`` holds the one copy of the draw order: the origin angles, the
-    background line count, their angles and offsets, the respacing of
-    near-parallel angles, the point count of every line (rate 2 mu times
-    its half chord) and the point positions."""
+    background line count, their angles and offsets, the point count of
+    every line (rate 2 mu times its half chord) and the point positions."""
 
     def __init__(self, params: ModelParams, scenario: PalmScenario, R: float,
                  master: int):
@@ -295,12 +280,9 @@ class _TrialDraws:
         self._key, self._bitgen = _philox.key, _philox.bitgen
         self._rng, self._fresh = _philox.rng, _philox.fresh
 
-    def draw(self, stream: int, respace: bool = True):
+    def draw(self, stream: int):
         """(origin angles, background angles, background offsets, point
-        count per line, point positions in [-1, 1] per unit half chord).
-        With ``respace`` False the respacing step is skipped; the draws are
-        then exact only when no two angles lie within 1e-12 of each other
-        (see ``_crowded_trials``)."""
+        count per line, point positions in [-1, 1] per unit half chord)."""
         self._key[0] = self._master
         self._key[1] = stream % 2**64
         self._bitgen.state = self._fresh
@@ -309,8 +291,6 @@ class _TrialDraws:
         n_bg = int(rng.poisson(self._mean_lines))
         angles = rng.uniform(0.0, _PI, size=n_bg)
         offsets = rng.uniform(-R, R, size=n_bg)
-        if respace:
-            angles = _respace_angles(rng, np.asarray(origin), angles)
         if len(origin) + n_bg <= _SCALAR_COUNTS_MAX:
             # _half_chords in scalar arithmetic, rounded the same
             rates = [two_mu * R] * len(origin) + [
@@ -332,22 +312,6 @@ def _sort_within(groups: np.ndarray, values: np.ndarray) -> np.ndarray:
     if g.size and groups[-1] < 2**16:
         g = g.astype(np.uint16)  # numpy radix-sorts 16-bit keys
     return order[np.argsort(g, kind="stable")]
-
-
-def _crowded_trials(angle, trial, line_start) -> np.ndarray:
-    """Trials holding two angles closer than 1e-12 (mod pi): a superset of
-    the trials whose draws ``_respace_angles`` would change."""
-    n_lines = np.diff(line_start)
-    s = angle[_sort_within(trial, angle)]
-    close = np.diff(s) < _MIN_ANGLE_GAP
-    close &= trial[1:] == trial[:-1]
-    many = n_lines > 1
-    first, last = line_start[:-1][many], line_start[1:][many] - 1
-    wrap = (s[first] + _PI) - s[last] < _MIN_ANGLE_GAP
-    crowded = np.zeros(n_lines.size, dtype=bool)
-    crowded[trial[1:][close]] = True
-    crowded[np.flatnonzero(many)[wrap]] = True
-    return np.flatnonzero(crowded)
 
 
 @dataclass(frozen=True)
@@ -459,17 +423,8 @@ def sample_chunk(params: ModelParams, scenario: PalmScenario,
     if stop <= start:
         raise ValueError(f"need start < stop, got {start}, {stop}")
     draws = _TrialDraws(params, scenario, R, master)
-    one = stop - start == 1  # a lone trial takes the full draw order at once
-    trials = [draws.draw(i, respace=one) for i in range(start, stop)]
+    trials = [draws.draw(i) for i in range(start, stop)]
     angle, through_origin, trial, line_start = _line_layout(trials)
-    # speculative draws skipped the respacing step; redraw the (measure
-    # zero) trials it could have touched with the full draw order
-    crowded = () if one else _crowded_trials(angle, trial, line_start)
-    if len(crowded):
-        for t in crowded:
-            trials[t] = draws.draw(start + int(t))
-        angle, through_origin, trial, line_start = _line_layout(trials)
-
     offset = np.zeros(angle.size)
     offset[~through_origin] = np.concatenate([rec[2] for rec in trials])
     half = np.where(through_origin, R, _half_chords(offset, R))
@@ -519,13 +474,9 @@ def crossings_within(real: Realization, line_id: int, t: float):
     origin is the origin, so these are the candidate first turns."""
     i = real.index_of(line_id)
     t = _horizon(t, real.clip_radius, "t")
-    n = len(real.lines)
-    jj = np.array([k for k in range(n) if k != i], dtype=int)
-    if jj.size == 0:
-        return []
-    s_i, _ = _pair_arcs(real._trig, real._offsets, i, jj)
+    s_i, _, other = _crossings(real, i)
     out = []
-    for k, s in zip(jj, s_i):
+    for k, s in zip(other, s_i):
         if not math.isfinite(s) or abs(s) > t:
             continue
         delta = (real.lines[k].angle - real.lines[i].angle) % _PI

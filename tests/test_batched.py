@@ -8,8 +8,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from linecox import (
     AngleLaw,
@@ -20,6 +18,7 @@ from linecox import (
     TBeyondClip,
     TurnPolicy,
     chunk_lengths,
+    crossings_within,
     realization_to_json,
     run_mc,
     sample_D,
@@ -133,60 +132,48 @@ def test_curves_and_draws_match_frozen_digests():
     assert h.hexdigest() == FROZEN_REALIZATIONS_MD5
 
 
-def test_crowded_trials_take_the_full_draw_order(monkeypatch):
-    """Flagging every trial as crowded sends each through the draw with the
-    respacing step; the chunk must not change."""
-    params = ModelParams(2.0, 1.0)
-    scenario = typical_intersection()
-    plain = sample_chunk(params, scenario, T_MAX, 3, 0, 40)
-    monkeypatch.setattr(sampler, "_crowded_trials",
-                        lambda angle, trial, line_start: np.arange(line_start.size - 1))
-    redrawn = sample_chunk(params, scenario, T_MAX, 3, 0, 40)
-    for name in ("angle", "offset", "half", "line_start", "arcs", "arc_start"):
-        assert np.array_equal(getattr(plain, name), getattr(redrawn, name)), name
+@pytest.mark.parametrize("scenario", [typical_point(), typical_intersection()],
+                         ids=["point", "intersection"])
+@pytest.mark.parametrize("lam", [1.0, 4.0, 16.0])
+def test_near_parallel_lines_lose_only_their_own_crossing(monkeypatch, lam,
+                                                          scenario):
+    """Sampled angles are kept as drawn, so a trial may hold lines within
+    1e-12 of parallel. Each trial here gets three more background lines
+    with points: two 1e-13 apart at one offset and one at pi - 1e-13 and
+    offset 1e-13, near-parallel to the x-axis across 0 = pi. Both pairs
+    would cross inside the disk. The batched kernel and the per-trial
+    oracle still agree bit for bit, and neither pair has a crossing."""
+    draw = sampler._TrialDraws.draw
 
+    def crowded(self, stream):
+        origin, angles, offsets, counts, u = draw(self, stream)
+        rng = np.random.default_rng(stream)
+        theta = rng.uniform(0.0, np.pi - 1.0)
+        angles = np.concatenate((angles, [theta, theta + 1e-13, np.pi - 1e-13]))
+        p = rng.uniform(-1.0, 1.0)
+        offsets = np.concatenate((offsets, [p, p, 1e-13]))
+        return (origin, angles, offsets, counts + [3, 3, 3],
+                np.concatenate((u, rng.uniform(-1.0, 1.0, size=9))))
 
-def test_crowded_trials_detects_close_and_wrapped_angles():
-    angle = np.array([0.0, 1.0, 1.0 + 1e-13,  # trial 0: a close pair
-                      0.0, 2.0,                # trial 1: well apart
-                      0.0, np.pi - 1e-13,      # trial 2: close across 0 = pi
-                      0.0])                    # trial 3: one line
-    line_start = np.array([0, 3, 5, 7, 8])
-    trial = np.repeat(np.arange(4), np.diff(line_start))
-    assert sampler._crowded_trials(angle, trial, line_start).tolist() == [0, 2]
-
-
-def _crowded_by_union1d(angle, trial, line_start):
-    """``_crowded_trials`` as it was written with np.union1d."""
-    n_lines = np.diff(line_start)
-    s = angle[sampler._sort_within(trial, angle)]
-    close = (np.diff(s) < 1e-12) & (trial[1:] == trial[:-1])
-    many = n_lines > 1
-    first, last = line_start[:-1][many], line_start[1:][many] - 1
-    wrap = (s[first] + np.pi) - s[last] < 1e-12
-    return np.union1d(trial[1:][close], np.flatnonzero(many)[wrap])
-
-
-# angles that often sit within 1e-12 of each other, also across 0 = pi
-_ANGLE = st.one_of(st.sampled_from([0.0, 1e-13, 1.0, 1.0 + 1e-13, 2.0,
-                                    np.pi - 1e-13]),
-                   st.floats(0.0, np.pi, exclude_max=True))
-
-
-@settings(max_examples=300, deadline=None)
-@given(trials=st.lists(st.lists(_ANGLE, min_size=1, max_size=6),
-                       min_size=1, max_size=12))
-@example(trials=[[0.0, 1.0], [0.0, 2.0]])              # none crowded
-@example(trials=[[0.0, 1e-13], [1.0, 1.0], [0.0, np.pi - 1e-13]])  # all
-@example(trials=[[0.0], [1.0], [2.0]])                 # one line each
-def test_crowded_trials_match_union1d(trials):
-    line_start = np.concatenate(([0], np.cumsum([len(t) for t in trials])))
-    angle = np.concatenate([np.asarray(t, dtype=float) for t in trials])
-    trial = np.repeat(np.arange(len(trials)), np.diff(line_start))
-    got = sampler._crowded_trials(angle, trial, line_start)
-    want = _crowded_by_union1d(angle, trial, line_start)
-    assert got.dtype.kind == "i"
-    assert got.tolist() == want.tolist()
+    monkeypatch.setattr(sampler._TrialDraws, "draw", crowded)
+    n = 8 if lam == 16.0 else 24
+    chunk = sample_chunk(ModelParams(lam, 1.5), scenario, T_MAX, 17, 0, n)
+    reals = [chunk.realization(t) for t in range(n)]
+    for name in ("zero-turn", "one-turn", "one-turn-exact", "one-turn-directed",
+                 "two-turn-directed", "two-turn-directed-exact",
+                 "k-turn(3, lower=False, directed=False)"):
+        policy = POLICIES[name]
+        per_trial = np.array([shortest_path(r, policy, T_MAX).length for r in reals])
+        assert chunk_lengths(chunk, policy, T_MAX).tobytes() == per_trial.tobytes(), name
+    for real in reals:
+        m = len(real.lines)
+        a, b, c = m - 3, m - 2, m - 1
+        pairs = {(i, j) for i, j, *_ in real.intersections}
+        assert (a, b) not in pairs and (0, c) not in pairs
+        assert b not in [rec[0] for rec in crossings_within(real, a, T_MAX)]
+        assert a not in [rec[0] for rec in crossings_within(real, b, T_MAX)]
+        assert c not in [rec[0] for rec in crossings_within(real, 0, T_MAX)]
+        assert 0 not in [rec[0] for rec in crossings_within(real, c, T_MAX)]
 
 
 def test_segment_searchsorted_matches_numpy():

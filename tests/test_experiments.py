@@ -167,6 +167,32 @@ def test_run_mc_validation_and_single_trial():
     assert np.all(np.diff(one.values) >= 0.0)
 
 
+@pytest.mark.parametrize("bad, message", [
+    ({"alpha": 0.0}, "alpha must be in"),
+    ({"alpha": 1.0}, "alpha must be in"),
+    ({"alpha": 1.5}, "alpha must be in"),
+    ({"alpha": math.nan}, "alpha must be in"),
+    ({"grid": [1.0, 0.5]}, "grid must be strictly increasing"),
+    ({"grid": [0.0, math.nan]}, "grid must be strictly increasing"),
+], ids=["alpha-0", "alpha-1", "alpha-1.5", "alpha-nan", "grid-decreasing",
+        "grid-nan"])
+def test_run_mc_checks_level_and_grid_before_any_trial(monkeypatch, bad, message):
+    """A bad level or grid fails before the first chunk is drawn, with the
+    error the finished curve would have raised."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return sample_chunk(*args)
+
+    sample_chunk = experiments.sample_chunk
+    monkeypatch.setattr(experiments, "sample_chunk", spy)
+    with pytest.raises(ValueError, match=message):
+        run_mc(ModelParams(1.0, 1.0), PalmScenario(PalmKind.TYPICAL_POINT),
+               TurnPolicy.zero_turn(), trials=10, t_max=1.0, seed=1, **bad)
+    assert calls == []
+
+
 def test_run_mc_band_covers_known_distribution():
     """With no crossing streets the one-street reach is Exp(2 mu), so the
     simultaneous band should contain that CDF in well over 90 percent of
