@@ -18,12 +18,21 @@ Exit codes: 0 success, 2 bad configuration or parameters, 3 quadrature
 tolerance not reached, 4 runtime failures (IO and the rest). ``-v`` (before
 the subcommand) logs progress, such as the Monte Carlo throughput, to
 stderr; it never changes an output.
+
+The argparse parser is built once per process, on the first ``main()``
+call (``import linecox`` builds none), and nothing writes to it after
+that: every option defaults to ``argparse.SUPPRESS``, so defaults come
+from ``_OPTIONS`` alone, and argparse looks up ``sys.stdout`` and
+``sys.stderr`` only when it prints. Each request only parses its argv.
+A ``--grid`` of more than ``MAX_GRID_POINTS`` points exits 2 before any
+array is allocated, and running out of memory exits 4.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import logging
 import math
@@ -91,6 +100,8 @@ EXIT_CONFIG = 2
 EXIT_QUADRATURE = 3
 EXIT_RUNTIME = 4
 
+MAX_GRID_POINTS = 1_000_000  # a longer --grid is refused before it is allocated
+
 # curve token -> (curve, default quadrature tol; None for a closed form)
 _CURVES = {
     "thm1": (cdf_one_turn_point, None),
@@ -138,7 +149,8 @@ class RunConfig:
 
 def parse_grid(text: str) -> np.ndarray:
     """Parse ``start:stop:step`` into a grid, inclusive of ``stop`` when the
-    step divides the span within 1e-12 (relative)."""
+    step divides the span within 1e-12 (relative). A grid of more than
+    ``MAX_GRID_POINTS`` points raises ValueError before it is allocated."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must be start:stop:step, got {text!r}")
@@ -149,10 +161,16 @@ def parse_grid(text: str) -> np.ndarray:
         raise ValueError(f"grid needs step > 0 and stop >= start, got {text!r}")
     if stop == start:
         return np.array([start])
-    n = int(round((stop - start) / step))
-    if n >= 1 and abs(start + n * step - stop) <= 1e-12 * max(1.0, abs(stop)):
-        return np.linspace(start, stop, n + 1)
-    count = int(math.floor((stop - start) / step + 1e-12)) + 1
+    steps = (stop - start) / step  # inf when the quotient overflows a float
+    capped = min(steps, MAX_GRID_POINTS)  # any count past the cap is refused alike
+    n = int(round(capped))
+    inclusive = n >= 1 and abs(start + n * step - stop) <= 1e-12 * max(1.0, abs(stop))
+    count = n + 1 if inclusive else int(math.floor(capped + 1e-12)) + 1
+    if count > MAX_GRID_POINTS:
+        raise ValueError(f"grid {text!r} has {steps + 1:.7g} points, more than "
+                         f"the cap of {MAX_GRID_POINTS}")
+    if inclusive:
+        return np.linspace(start, stop, count)
     return start + step * np.arange(count)
 
 
@@ -288,7 +306,9 @@ _OPTIONS["ris-nearfield"] = _OPTIONS["ris-farfield"] = (
 )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; callers only parse with it."""
     parser = argparse.ArgumentParser(
         prog="linecox",
         description="Street-distance distributions on Poisson line Cox networks.")
@@ -550,8 +570,7 @@ def _logging_to_stderr(verbose: bool):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     with _logging_to_stderr(args.verbose):
         return _run(args)
 
@@ -574,6 +593,10 @@ def _run(args: argparse.Namespace) -> int:
         return EXIT_CONFIG
     except (LineCoxError, OSError) as exc:
         print(f"linecox: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:
+        print(f"linecox: out of memory: {exc}" if str(exc) else "linecox: out of memory",
+              file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import logging
 import math
 import tempfile
 from pathlib import Path
@@ -39,6 +40,33 @@ def test_parse_grid_inclusive_and_truncated():
     for bad in ("0:1", "0:1:0", "1:0:0.5", "0:inf:1", "a:b:c"):
         with pytest.raises(ValueError):
             parse_grid(bad)
+
+
+@pytest.mark.parametrize("grid", ["0:3:1e-10", "0:3:1e-300", "0:1e308:1e-10"])
+@pytest.mark.parametrize("command", [["analytic", "--which", "thm1"],
+                                     ["simulate", "--trials", "10"]])
+def test_a_grid_over_the_cap_exits_2_before_it_is_allocated(capsys, command, grid):
+    rc, out, err = _run(capsys, *command, "--grid", grid)
+    assert rc == EXIT_CONFIG and out == ""
+    assert f"grid {grid!r} has " in err and f"cap of {cli.MAX_GRID_POINTS}" in err
+    assert "Traceback" not in err
+
+
+def test_a_grid_at_the_cap_is_accepted():
+    step = 1.0 / (cli.MAX_GRID_POINTS - 1)
+    assert parse_grid(f"0:1:{step!r}").size == cli.MAX_GRID_POINTS
+    with pytest.raises(ValueError, match="cap of"):
+        parse_grid(f"0:1:{step * 0.999!r}")
+
+
+def test_running_out_of_memory_exits_4_with_one_line(monkeypatch, capsys):
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run_mc", no_memory)
+    rc, out, err = _run(capsys, "simulate", "--trials", "1000000000000", "--grid", "0:1:0.5")
+    assert rc == EXIT_RUNTIME and out == ""
+    assert err == "linecox: out of memory\n"
 
 
 def test_analytic_closed_forms_to_stdout(capsys):
@@ -425,6 +453,41 @@ def test_argparse_surface(capsys):
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main(["analytic", "--which", "thm9"])
+
+
+def test_the_parser_is_built_once_and_never_written_to(tmp_path, capsys, monkeypatch):
+    assert cli._build_parser() is cli._build_parser()
+    export = ["analytic", "--which", "thm1", "--grid", "0:1:0.25"]
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    rc, _, _ = _run(capsys, *export, "--out", str(first))
+    assert rc == EXIT_OK
+    defaults = cli._resolve(cli._build_parser().parse_args(["analytic"]))
+    logger = logging.getLogger("linecox")
+    handlers, level = list(logger.handlers), logger.level
+
+    added = []
+    real_add = argparse.ArgumentParser.add_argument
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument",
+                        lambda self, *a, **kw: added.append(a) or real_add(self, *a, **kw))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("lambda = 3.0\nmu = 0.5\ngrid = 0:2:0.5\nwhich = naive\n")
+    rc, _, _ = _run(capsys, "analytic", "--config", str(cfg))
+    assert rc == EXIT_OK
+    for argv, code in ((["analytic", "--which", "nope"], EXIT_CONFIG), (["--version"], 0)):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+    rc, _, err = _run(capsys, "-v", "analytic", "--which", "thm2", "--grid", "0:1:0.5")
+    assert rc == EXIT_OK and "settled per rung" in err
+    rc, _, _ = _run(capsys, *export, "--out", str(second))
+    assert rc == EXIT_OK
+
+    assert added == []
+    assert first.read_bytes() == second.read_bytes()
+    assert (tmp_path / "first.json").read_bytes() == (tmp_path / "second.json").read_bytes()
+    assert logger.handlers == handlers and logger.level == level
+    assert cli._resolve(cli._build_parser().parse_args(["analytic"])) == defaults
+    assert defaults.options == {opt.key: opt.default for opt in cli._OPTIONS["analytic"]}
 
 
 def _write_curve(path, header, rows):
