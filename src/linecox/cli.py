@@ -162,7 +162,7 @@ def parse_grid(text: str) -> np.ndarray:
     if stop == start:
         return np.array([start])
     steps = (stop - start) / step  # inf when the quotient overflows a float
-    capped = min(steps, MAX_GRID_POINTS)  # any count past the cap is refused alike
+    capped = min(steps, MAX_GRID_POINTS)  # int() never sees inf; capped still fails
     n = int(round(capped))
     inclusive = n >= 1 and abs(start + n * step - stop) <= 1e-12 * max(1.0, abs(stop))
     count = n + 1 if inclusive else int(math.floor(capped + 1e-12)) + 1
