@@ -53,7 +53,6 @@ from .errors import (
 )
 from .experiments import (
     ComparisonReport,
-    EcdfEstimate,
     SweepSpec,
     compare,
     default_grid,
@@ -116,7 +115,7 @@ __all__ = [
     "sample_path", "sample_D", "route_positions", "route_length",
     "ChunkSample", "sample_chunk", "chunk_lengths",
     # experiments
-    "EcdfEstimate", "run_mc", "compare", "ComparisonReport", "SweepSpec",
+    "run_mc", "compare", "ComparisonReport", "SweepSpec",
     "figure_sweep", "default_grid", "dkw_halfwidth",
     # applications
     "RisLinkParams", "nearfield_threshold_distance", "nearfield_success",

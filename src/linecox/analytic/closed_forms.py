@@ -36,6 +36,12 @@ def _check_t(t):
     return arr, np.ndim(t) == 0
 
 
+def _rate_times(rate, arr):
+    """rate * t, which is 0 at t = 0 even for a rate that overflowed to
+    inf (where inf * 0 would be nan); bit for bit rate * t elsewhere."""
+    return np.where(arr > 0, rate, 0.0) * arr
+
+
 def _ret(values, scalar):
     return float(values) if scalar else values
 
@@ -72,7 +78,8 @@ def cdf_one_turn_point(params: ModelParams, t):
     validate(params)
     arr, scalar = _check_t(t)
     lam, mu = params.lam, params.mu
-    expo = -2.0 * mu * arr - 2.0 * lam * arr + (lam / mu) * (-np.expm1(-2.0 * mu * arr))
+    two_mu_t = _rate_times(2.0 * mu, arr)
+    expo = -two_mu_t - _rate_times(2.0 * lam, arr) + (lam / mu) * (-np.expm1(-two_mu_t))
     return _ret(-np.expm1(expo), scalar)
 
 
@@ -83,7 +90,7 @@ def cdf_zero_turn_intersection(params: ModelParams, t):
     intersection distribution."""
     validate(params)
     arr, scalar = _check_t(t)
-    return _ret(-np.expm1(-4.0 * params.mu * arr), scalar)
+    return _ret(-np.expm1(-_rate_times(4.0 * params.mu, arr)), scalar)
 
 
 def cdf_upper_intersection(params: ModelParams, t):
@@ -93,7 +100,7 @@ def cdf_upper_intersection(params: ModelParams, t):
     rays, F(t) = 1 - exp(-4*(mu + 4*lam)*t)."""
     validate(params)
     arr, scalar = _check_t(t)
-    return _ret(-np.expm1(-4.0 * (params.mu + 4.0 * params.lam) * arr), scalar)
+    return _ret(-np.expm1(-_rate_times(4.0 * (params.mu + 4.0 * params.lam), arr)), scalar)
 
 
 def equivalent_ppp_density(params: ModelParams) -> float:
@@ -115,4 +122,4 @@ def cdf_ppp2d_reference(density, t):
         raise NegativeIntensity(f"density must be >= 0, got {density}")
     density = float(density)
     arr, scalar = _check_t(t)
-    return _ret(-np.expm1(-math.pi * density * arr * arr), scalar)
+    return _ret(-np.expm1(-_rate_times(math.pi * density, arr) * arr), scalar)

@@ -81,7 +81,12 @@ def validate_link(link: RisLinkParams) -> RisLinkParams:
 
 
 def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    """10^(db/10); inf where that overflows a float, which
+    ``validate_link`` then rejects by field name."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def nearfield_threshold_distance(link: RisLinkParams) -> float:

@@ -14,6 +14,7 @@ import logging
 import math
 import os
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -43,7 +44,6 @@ from .analytic import (
 )
 
 __all__ = [
-    "EcdfEstimate",
     "ComparisonReport",
     "SweepSpec",
     "dkw_halfwidth",
@@ -86,53 +86,32 @@ def resolve_workers(workers=None) -> int:
     return w
 
 
-@dataclass(frozen=True)
-class EcdfEstimate:
-    """Sorted finite distance samples plus the censoring bookkeeping.
-
-    ``n_total`` counts every trial; censored trials (distance above t_max)
-    keep their probability mass strictly beyond t_max, so the ECDF is exact
-    on [0, t_max].
-    """
-
-    samples: np.ndarray
-    n_total: int
-    n_censored: int
-    t_max: float
-
-    def __post_init__(self):
-        s = np.sort(np.asarray(self.samples, dtype=float))
-        if s.size and not np.all(np.isfinite(s)):
-            raise ValueError("samples must be finite; censored trials are counted, not stored")
-        if self.n_total != s.size + self.n_censored:
-            raise ValueError("n_total must equal len(samples) + n_censored")
-        s.setflags(write=False)
-        object.__setattr__(self, "samples", s)
-
-    def evaluate(self, grid) -> np.ndarray:
-        grid = np.asarray(grid, dtype=float)
-        if np.any(grid > self.t_max + 1e-12):
-            raise ValueError(f"grid exceeds censoring horizon t_max={self.t_max}")
-        counts = np.searchsorted(self.samples, grid, side="right")
-        return counts / float(self.n_total)
-
-    def curve(self, grid, alpha: float = 0.05, meta=None) -> DistributionCurve:
-        grid = np.asarray(grid, dtype=float)
-        values = self.evaluate(grid)
-        hw = np.full_like(grid, dkw_halfwidth(self.n_total, alpha))
-        m = dict(meta or {})
-        m.setdefault("estimator", "ecdf")
-        m.update(trials=self.n_total, censored=self.n_censored,
-                 t_max=self.t_max, alpha=alpha)
-        return DistributionCurve(grid, values, hw, m)
-
-
 def _mc_chunk(task) -> tuple[np.ndarray, int]:
     """Shortest lengths of trials start..stop-1 (inf when censored) and the
     number of lines they drew, clipped at t_max as ``sample_D`` clips."""
     params, scenario, policy, t_max, master, start, stop = task
     chunk = sample_chunk(params, scenario, t_max, master, start, stop)
     return chunk_lengths(chunk, policy, t_max), int(chunk.angle.size)
+
+
+def _chunk_results(tasks, n_chunks: int, workers: int):
+    """``_mc_chunk`` of each task, in task order. One worker runs them in
+    this process; more keep at most two chunks per process in flight, so
+    neither the tasks nor their results pile up, however many there are."""
+    if workers == 1 or n_chunks == 1:
+        yield from map(_mc_chunk, tasks)
+        return
+    # the fork start method starts every worker up front, so ask for no
+    # more than there are chunks
+    workers = min(workers, n_chunks)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        in_flight = deque()
+        for task in tasks:
+            in_flight.append(pool.submit(_mc_chunk, task))
+            if len(in_flight) == 2 * workers:
+                yield in_flight.popleft().result()
+        while in_flight:
+            yield in_flight.popleft().result()
 
 
 def run_mc(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
@@ -148,9 +127,11 @@ def run_mc(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
     ``TooManyPoints``, before any trial is drawn. Every policy runs the
     same way: each chunk of trials is drawn as one ``sample_chunk`` and
     solved at once by ``chunk_lengths``, with up to ``workers`` processes
-    (never more than there are chunks). Logs one INFO line with the trial
-    count, the wall time, the throughput, the mean lines per trial and the
-    censored fraction; none of it enters the curve.
+    (never more than there are chunks). Each chunk's lengths are counted
+    into the grid as the chunk arrives, in chunk order, so memory does not
+    grow with ``trials``. Logs one INFO line with the trial count, the wall
+    time, the throughput, the mean lines per trial and the censored
+    fraction; none of it enters the curve.
     """
     started = time.perf_counter()
     k = _budget(policy)
@@ -167,25 +148,22 @@ def run_mc(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
     # the checks the finished curve makes, before any trial is drawn: the
     # level, then the grid's order and finiteness (a curve of the grid
     # itself fails only on the grid)
-    dkw_halfwidth(trials, alpha)
+    halfwidth = dkw_halfwidth(trials, alpha)
     DistributionCurve(grid, grid, grid)
     workers = resolve_workers(workers)
     master = int(seed)
 
-    tasks = [(params, scenario, policy, t_max, master, lo, min(lo + _CHUNK, trials))
-             for lo in range(0, trials, _CHUNK)]
-    if workers == 1 or len(tasks) == 1:
-        chunks = [_mc_chunk(t) for t in tasks]
-    else:
-        # the fork start method starts every worker up front, so ask for
-        # no more than there are chunks
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            chunks = list(pool.map(_mc_chunk, tasks))
-    lengths = np.concatenate([c[0] for c in chunks])
-    n_lines = sum(c[1] for c in chunks)
-
-    finite = lengths[np.isfinite(lengths)]
-    est = EcdfEstimate(finite, trials, int(trials - finite.size), t_max)
+    chunks = range(0, trials, _CHUNK)
+    tasks = ((params, scenario, policy, t_max, master, lo, min(lo + _CHUNK, trials))
+             for lo in chunks)
+    # counts[j] holds the finite lengths in (grid[j-1], grid[j]]; the last
+    # bin those above the grid. Integer counts, so the curve is exact.
+    counts = np.zeros(grid.size + 1, dtype=np.int64)
+    n_lines = 0
+    for lengths, lines in _chunk_results(tasks, len(chunks), workers):
+        np.add.at(counts, np.searchsorted(grid, lengths[np.isfinite(lengths)]), 1)
+        n_lines += lines
+    n_censored = trials - int(counts.sum())
     meta = {
         "estimator": "monte-carlo",
         "params": {"lambda": params.lam, "mu": params.mu},
@@ -195,13 +173,18 @@ def run_mc(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
                    "include_lower_turn_paths": policy.include_lower_turn_paths,
                    "first_hop_positive_x": policy.first_hop_positive_x},
         "seed": master,
+        "trials": trials,
+        "censored": n_censored,
+        "t_max": t_max,
+        "alpha": alpha,
     }
-    curve = est.curve(grid, alpha, meta)
+    curve = DistributionCurve(grid, np.cumsum(counts[:-1]) / float(trials),
+                              halfwidth, meta)
     wall = time.perf_counter() - started
     _log.info("run_mc: %d trials, %.3f s, %.0f trials/s, "
               "%.1f lines/trial, censored fraction %.4f", trials, wall,
               trials / wall if wall > 0 else math.inf, n_lines / trials,
-              est.n_censored / trials)
+              n_censored / trials)
     return curve
 
 

@@ -143,3 +143,4 @@ def test_db_to_linear():
     assert db_to_linear(10.0) == pytest.approx(10.0, rel=1e-15)
     assert db_to_linear(0.0) == 1.0
     assert db_to_linear(-10.0) == pytest.approx(0.1, rel=1e-15)
+    assert db_to_linear(1e308) == math.inf  # 10.0 ** 1e307 raises OverflowError

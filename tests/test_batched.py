@@ -11,6 +11,7 @@ import pytest
 
 from linecox import (
     AngleLaw,
+    DistributionCurve,
     ModelParams,
     NonFinite,
     PolicyBudgetNegative,
@@ -29,7 +30,7 @@ from linecox import (
     typical_point,
 )
 from linecox import oracle, sampler
-from linecox.experiments import EcdfEstimate, default_grid
+from linecox.experiments import default_grid, dkw_halfwidth
 from linecox.oracle import _runs, _segment_searchsorted
 
 T_MAX = 3.0
@@ -86,15 +87,17 @@ def test_chunk_lengths_equal_shortest_path_bit_for_bit(lam, mu):
 
 def test_run_mc_curve_equals_per_trial_sample_D():
     """1,100 trials: two full 512-trial chunks and a partial one, at one and
-    two workers, against a curve built from per-trial sample_D calls."""
+    two workers, against a curve built from per-trial sample_D calls: the
+    sorted finite lengths counted at each grid point, over all trials."""
     params, grid = ModelParams(1.2, 0.9), default_grid(T_MAX)
     for scenario in (typical_point(), typical_intersection()):
         for policy in (TurnPolicy.zero_turn(), TurnPolicy.one_turn(),
                        TurnPolicy.two_turn_directed()):
             lengths = np.array([sample_D(params, scenario, policy, T_MAX, (8, i))
                                 for i in range(1100)])
-            finite = lengths[np.isfinite(lengths)]
-            ref = EcdfEstimate(finite, 1100, 1100 - finite.size, T_MAX).curve(grid)
+            finite = np.sort(lengths[np.isfinite(lengths)])
+            ref = DistributionCurve(grid, np.searchsorted(finite, grid, "right") / 1100,
+                                    np.full_like(grid, dkw_halfwidth(1100)))
             for workers in (1, 2):
                 curve = run_mc(params, scenario, policy, 1100, T_MAX, 8,
                                workers=workers)

@@ -291,6 +291,34 @@ def test_app_ris_nearfield_db_matches_linear(capsys):
     assert json.loads(out)["probability"] < 1e-10
 
 
+@pytest.mark.parametrize("gains, field", [
+    (("--g-t", "1e308", "--g-r", "1e308", "--gamma", "3"), "g_t"),
+    (("--g-r", "1e308"), "g_r"),
+    (("--gamma", "1e308"), "gamma"),
+])
+def test_a_db_gain_that_overflows_is_a_config_error(capsys, gains, field):
+    """10^(1e308/10) is past the largest float: the request exits 2 and
+    names the field instead of ending in an OverflowError."""
+    rc, out, err = _run(capsys, "app", "ris-nearfield", "--db", "--lambda", "1",
+                        "--mu", "1", *gains)
+    assert rc == EXIT_CONFIG and out == ""
+    assert err.startswith(f"linecox: {field} ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("request_args", [
+    ("--which", "thm1", "--lambda", "1e308", "--mu", "1"),
+    ("--which", "cor1", "--lambda", "1", "--mu", "1e308"),
+    ("--which", "cor2", "--lambda", "1e308", "--mu", "1"),
+    ("--which", "ppp", "--density", "1e308"),
+])
+def test_a_rate_that_overflows_leaves_f_of_0_at_0(capsys, request_args):
+    """An overflowing rate times t used to be inf * 0 = nan at t = 0."""
+    rc, out, err = _run(capsys, "analytic", *request_args, "--grid", "0:3:0.5")
+    assert rc == EXIT_OK and err == ""
+    _, data = _rows(out)
+    assert data[0, 1] == 0.0 and np.all(data[1:, 1] == 1.0)
+
+
 def test_app_ris_farfield_reports_lower_bound(capsys):
     rc, out, _ = _run(capsys, "app", "ris-farfield", "--lambda", "1", "--mu", "1")
     assert rc == EXIT_OK

@@ -1,6 +1,7 @@
-"""Monte Carlo driver, ECDF bookkeeping, and curve comparison."""
+"""Monte Carlo driver, its ECDF counts, and curve comparison."""
 
 import math
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -15,7 +16,6 @@ from linecox.analytic import (
 from linecox.errors import GridMismatch
 from linecox.experiments import (
     WORKERS_ENV,
-    EcdfEstimate,
     SweepSpec,
     compare,
     default_grid,
@@ -74,49 +74,13 @@ def test_resolve_workers_precedence(monkeypatch):
         resolve_workers()
 
 
-def test_ecdf_estimate_evaluate_and_censoring():
-    """One finite sample and one censored trial: the ECDF tops out at 1/2
-    on the observable window because the censored mass sits beyond t_max."""
-    est = EcdfEstimate(samples=[0.5], n_total=2, n_censored=1, t_max=1.0)
-    got = est.evaluate([0.4, 0.5, 0.6, 1.0])
-    assert np.array_equal(got, [0.0, 0.5, 0.5, 0.5])
-
-    with pytest.raises(ValueError):
-        EcdfEstimate(samples=[0.5], n_total=3, n_censored=1, t_max=1.0)
-    with pytest.raises(ValueError):
-        EcdfEstimate(samples=[np.inf], n_total=1, n_censored=0, t_max=1.0)
-    with pytest.raises(ValueError):
-        est.evaluate([0.5, 1.2])
-
-    # stored samples come back sorted and frozen
-    est2 = EcdfEstimate(samples=[0.9, 0.1], n_total=2, n_censored=0, t_max=1.0)
-    assert np.array_equal(est2.samples, [0.1, 0.9])
-    with pytest.raises(ValueError):
-        est2.samples[0] = 0.0
-
-
-def test_ecdf_curve_band_and_metadata():
-    rng = np.random.default_rng(0)
-    s = rng.uniform(0.0, 1.0, size=40)
-    est = EcdfEstimate(samples=s, n_total=50, n_censored=10, t_max=1.0)
-    grid = np.linspace(0.0, 1.0, 21)
-    curve = est.curve(grid, alpha=0.1, meta={"tagged": True})
-    assert np.all(curve.ci_halfwidth == dkw_halfwidth(50, 0.1))
-    assert curve.meta["tagged"] is True
-    assert curve.meta["estimator"] == "ecdf"
-    assert curve.meta["trials"] == 50
-    assert curve.meta["censored"] == 10
-    assert curve.meta["alpha"] == 0.1
-    assert np.all(np.diff(curve.values) >= 0.0)
-    assert curve.values[0] == 0.0 and curve.values[-1] <= 0.8 + 1e-12
-
-
 def test_run_mc_bit_identical_across_worker_counts(monkeypatch):
     """Same (seed, trials) must give the same curve no matter how the
     chunks are farmed out, and the metadata must not leak the worker
     count (700 trials spans two chunks). The pool never asks for more
     processes than there are chunks: with the fork start method every
-    one of them is started up front."""
+    one of them is started up front. 2,600 trials are 6 chunks, more than
+    the 4 that two workers keep in flight, so that window wraps."""
     params = ModelParams(1.0, 1.0)
     scenario = PalmScenario(PalmKind.TYPICAL_POINT)
     policy = TurnPolicy.one_turn()
@@ -143,6 +107,46 @@ def test_run_mc_bit_identical_across_worker_counts(monkeypatch):
     assert np.array_equal(a.values, again.values)
     other = run_mc(params, scenario, policy, trials=700, t_max=2.0, seed=12)
     assert not np.array_equal(a.values, other.values)
+
+    kw["trials"] = 2600
+    d = run_mc(params, scenario, policy, workers=1, **kw)
+    e = run_mc(params, scenario, policy, workers=2, **kw)
+    assert asked == [2, 2, 2]
+    for arr in ("grid", "values", "ci_halfwidth"):
+        assert getattr(d, arr).tobytes() == getattr(e, arr).tobytes(), arr
+    assert d.meta == e.meta and d.meta["trials"] == 2600
+
+
+def test_run_mc_memory_does_not_grow_with_trials(monkeypatch):
+    """run_mc keeps integer counts on the grid, not every trial's length:
+    200,000 trials (391 chunks) peak at most 1.25 times as high as 2,048
+    trials (4 chunks) under tracemalloc. Each chunk replays a copy of one
+    real zero-turn chunk at sparse parameters (lam 0.5, mu 1, t_max 1,
+    some censored), because tracing the sampler itself costs about 150 us
+    a trial; what grows with the trial count is the driver's own memory."""
+    params = ModelParams(0.5, 1.0)
+    scenario = PalmScenario(PalmKind.TYPICAL_POINT)
+    policy = TurnPolicy.zero_turn()
+    lengths, lines = experiments._mc_chunk(
+        (params, scenario, policy, 1.0, 3, 0, experiments._CHUNK))
+    assert np.isinf(lengths).any() and np.isfinite(lengths).any()
+
+    def replay(task):
+        start, stop = task[-2:]
+        return lengths[:stop - start].copy(), lines
+
+    monkeypatch.setattr(experiments, "_mc_chunk", replay)
+    peaks = []
+    for trials in (2048, 200_000):
+        tracemalloc.start()
+        try:
+            curve = run_mc(params, scenario, policy, trials, 1.0, 3, workers=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert curve.meta["trials"] == trials
+    assert peaks[1] <= 1.25 * peaks[0], peaks
+
 
 
 def test_run_mc_validation_and_single_trial():
