@@ -112,8 +112,8 @@ def test_run_mc_bit_identical_across_worker_counts(monkeypatch):
     d = run_mc(params, scenario, policy, workers=1, **kw)
     e = run_mc(params, scenario, policy, workers=2, **kw)
     assert asked == [2, 2, 2]
-    for arr in ("grid", "values", "ci_halfwidth"):
-        assert getattr(d, arr).tobytes() == getattr(e, arr).tobytes(), arr
+    for name in ("grid", "values", "ci_halfwidth"):
+        assert getattr(d, name).tobytes() == getattr(e, name).tobytes(), name
     assert d.meta == e.meta and d.meta["trials"] == 2600
 
 
@@ -140,11 +140,19 @@ def test_run_mc_memory_does_not_grow_with_trials(monkeypatch):
     for trials in (2048, 200_000):
         tracemalloc.start()
         try:
-            curve = run_mc(params, scenario, policy, trials, 1.0, 3, workers=1)
+            curve = run_mc(params, scenario, policy, trials, 1.0, 3, workers=1,
+                           alpha=0.1)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert curve.meta["trials"] == trials
+        # censored trials keep their mass beyond t_max, so the curve tops
+        # out at the finite fraction
+        full, rest = divmod(trials, experiments._CHUNK)
+        censored = full * int(np.isinf(lengths).sum()) + int(np.isinf(lengths[:rest]).sum())
+        assert (curve.meta["trials"], curve.meta["censored"]) == (trials, censored)
+        assert curve.values[-1] == (trials - censored) / trials
+        assert curve.meta["alpha"] == 0.1
+        assert np.all(curve.ci_halfwidth == dkw_halfwidth(trials, 0.1))
     assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
