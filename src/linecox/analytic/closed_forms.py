@@ -74,13 +74,32 @@ def cdf_one_turn_point(params: ModelParams, t):
 
     At lam = 0 this collapses to the own-line two-sided exponential
     1 - exp(-2*mu*t).
+
+    Where lam/mu overflows, the exponent is taken in the rearranged form
+    -x - 2*lam*t * (1 - (1 - exp(-x))/x), x = 2*mu*t, whose factors stay
+    finite; at lam/mu -> inf with lam*mu fixed, F(t) -> 1 - exp(-2*lam*mu*t^2).
     """
     validate(params)
     arr, scalar = _check_t(t)
-    lam, mu = params.lam, params.mu
+    lam, mu = float(params.lam), float(params.mu)
     two_mu_t = _rate_times(2.0 * mu, arr)
-    expo = -two_mu_t - _rate_times(2.0 * lam, arr) + (lam / mu) * (-np.expm1(-two_mu_t))
+    ratio = lam / mu
+    if math.isinf(ratio):
+        with np.errstate(over="ignore"):
+            expo = -two_mu_t - 2.0 * arr * (lam * _one_minus_mean_decay(two_mu_t))
+    else:
+        expo = -two_mu_t - _rate_times(2.0 * lam, arr) + ratio * (-np.expm1(-two_mu_t))
     return _ret(-np.expm1(expo), scalar)
+
+
+def _one_minus_mean_decay(x):
+    """1 - (1 - exp(-x))/x for x >= 0, which is x/2 to first order: its
+    Taylor series below x = 1e-3, where the direct form cancels, and 0 at
+    x = 0. Always in [0, 1)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        direct = 1.0 + np.expm1(-x) / x
+    series = 0.5 * x * (1.0 - x / 3.0 * (1.0 - x / 4.0 * (1.0 - x / 5.0)))
+    return np.where(x < 1e-3, series, direct)
 
 
 def cdf_zero_turn_intersection(params: ModelParams, t):

@@ -24,7 +24,10 @@ Randomness is a counter-based Philox stream keyed (master seed, stream), so
 trial i of a run is reproducible in isolation and independent of how trials
 are batched across workers. ``sample_chunk`` draws consecutive trials into
 one flat layout for the batched oracle; ``sample_palm`` is the one trial of
-a ``sample_chunk`` call, as a Realization.
+a ``sample_chunk`` call, as a Realization. A trial draws its uniforms raw,
+as ``Generator.random`` doubles U, and ``sample_chunk`` maps them once per
+chunk to ``low + (high - low) * U``: the value ``Generator.uniform(low,
+high)`` gives for the same draw, by the same IEEE operations.
 """
 
 from __future__ import annotations
@@ -227,23 +230,27 @@ def _crossings(real: Realization, li: int):
 
 def _draw_origin_angles(rng, scenario: PalmScenario):
     if scenario.kind is PalmKind.TYPICAL_POINT:
-        return [0.0]
+        return (0.0,)
     for _ in range(100):
+        # uniform(0, pi) is 0.0 + pi * U, and adding 0.0 to pi * U >= 0
+        # changes no bit
         if scenario.angle_law is AngleLaw.UNIFORM:
-            theta = rng.uniform(0.0, _PI)
+            theta = _PI * rng.random()
         else:
-            theta = math.acos(1.0 - 2.0 * rng.uniform())
+            theta = math.acos(1.0 - 2.0 * rng.random())
         if _MIN_ANGLE_GAP < theta < _PI - _MIN_ANGLE_GAP:
-            return [0.0, float(theta)]
+            return (0.0, theta)
     raise RuntimeError("could not draw a non-degenerate intersection angle")
 
 
 # one bit generator per thread, reused by every _TrialDraws: building one
 # costs ~15 us, as much as a sparse trial's draws. Each draw first resets
-# its whole state, so no draw depends on the one before it.
+# its whole state from a dict of Python ints, which the state setter reads
+# faster than numpy arrays, so no draw depends on the one before it.
 _philox = threading.local()
 # up to this many lines a trial draws its point counts one scalar call per
 # line: the same draws as one array call, without its ~10 us fixed cost
+# (the two cost the same near 17-21 lines a trial)
 _SCALAR_COUNTS_MAX = 16
 
 
@@ -259,7 +266,9 @@ class _TrialDraws:
 
     ``draw`` holds the one copy of the draw order: the origin angles, the
     background line count, their angles and offsets, the point count of
-    every line (rate 2 mu times its half chord) and the point positions."""
+    every line (rate 2 mu times its half chord) and the point positions.
+    Each uniform field is one ``Generator.random`` call of raw doubles U,
+    which ``sample_chunk`` maps per chunk."""
 
     def __init__(self, params: ModelParams, scenario: PalmScenario, R: float,
                  master: int):
@@ -269,39 +278,42 @@ class _TrialDraws:
         self._two_mu = 2.0 * params.mu
         self._master = master % 2**64
         if not hasattr(_philox, "rng"):
-            _philox.key = np.zeros(2, dtype=np.uint64)
-            _philox.bitgen = Philox(key=_philox.key)
+            _philox.key = [0, 0]
+            _philox.bitgen = Philox(key=np.zeros(2, dtype=np.uint64))
             _philox.rng = Generator(_philox.bitgen)
             _philox.fresh = {"bit_generator": "Philox",
-                             "state": {"counter": np.zeros(4, dtype=np.uint64),
+                             "state": {"counter": [0, 0, 0, 0],
                                        "key": _philox.key},
-                             "buffer": np.zeros(4, dtype=np.uint64),
+                             "buffer": [0, 0, 0, 0],
                              "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         self._key, self._bitgen = _philox.key, _philox.bitgen
         self._rng, self._fresh = _philox.rng, _philox.fresh
 
     def draw(self, stream: int):
-        """(origin angles, background angles, background offsets, point
-        count per line, point positions in [-1, 1] per unit half chord)."""
+        """(origin angles, raw U of the background angles, raw U of their
+        offsets, point count per line, raw U of the point positions).
+        ``sample_chunk`` maps the raw U to angles in [0, pi), offsets in
+        [-R, R) and positions in [-1, 1) per unit half chord; the counts
+        take each offset mapped here by the same operations."""
         self._key[0] = self._master
         self._key[1] = stream % 2**64
         self._bitgen.state = self._fresh
         rng, R, two_mu = self._rng, self._R, self._two_mu
         origin = _draw_origin_angles(rng, self._scenario)
-        n_bg = int(rng.poisson(self._mean_lines))
-        angles = rng.uniform(0.0, _PI, size=n_bg)
-        offsets = rng.uniform(-R, R, size=n_bg)
+        n_bg = rng.poisson(self._mean_lines)
+        u = rng.random(2 * n_bg)
         if len(origin) + n_bg <= _SCALAR_COUNTS_MAX:
-            # _half_chords in scalar arithmetic, rounded the same
-            rates = [two_mu * R] * len(origin) + [
-                two_mu * math.sqrt(max(R * R - p * p, 0.0))
-                for p in offsets.tolist()]
-            counts = [int(rng.poisson(r)) for r in rates]
+            # the offsets and _half_chords in scalar arithmetic, rounded the
+            # same
+            poisson, span = rng.poisson, R - -R
+            counts = [poisson(two_mu * R) for _ in origin] + [
+                poisson(two_mu * math.sqrt(max(R * R - p * p, 0.0)))
+                for p in [-R + span * v for v in u[n_bg:].tolist()]]
         else:
             counts = rng.poisson(two_mu * np.concatenate(
-                (np.full(len(origin), R), _half_chords(offsets, R)))).tolist()
-        u = rng.uniform(-1.0, 1.0, size=sum(counts))
-        return origin, angles, offsets, counts, u
+                (np.full(len(origin), R),
+                 _half_chords(-R + (R - -R) * u[n_bg:], R)))).tolist()
+        return origin, u[:n_bg], u[n_bg:], counts, rng.random(sum(counts))
 
 
 def _sort_within(groups: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -423,35 +435,51 @@ def sample_chunk(params: ModelParams, scenario: PalmScenario,
     if stop <= start:
         raise ValueError(f"need start < stop, got {start}, {stop}")
     draws = _TrialDraws(params, scenario, R, master)
-    trials = [draws.draw(i) for i in range(start, stop)]
-    angle, through_origin, trial, line_start = _line_layout(trials)
-    offset = np.zeros(angle.size)
-    offset[~through_origin] = np.concatenate([rec[2] for rec in trials])
+    origin, angle_u, offset_u, counts, point_u = zip(
+        *[draws.draw(i) for i in range(start, stop)])
+    return _chunk_sample(
+        np.array(origin),
+        np.fromiter(map(len, angle_u), dtype=np.int64, count=stop - start),
+        _uniform(angle_u, 0.0, _PI), _uniform(offset_u, -R, R),
+        np.fromiter(itertools.chain.from_iterable(counts), dtype=np.int64),
+        _uniform(point_u, -1.0, 1.0), scenario, R, master, start)
+
+
+def _uniform(raw, low, high) -> np.ndarray:
+    """``Generator.uniform(low, high)`` of each raw double U of the arrays
+    ``raw``, in one array: low + (high - low) * U, the same operations."""
+    u = np.concatenate(raw)
+    u *= high - low
+    u += low
+    return u
+
+
+def _chunk_sample(origin, n_bg, angle_bg, offset_bg, counts, u, scenario,
+                  R, master, first_stream) -> ChunkSample:
+    """The ChunkSample of trials drawn from the streams (master,
+    first_stream + t): their origin angles (trials x origin lines), the
+    background line count of each trial, the background angles and offsets
+    trial by trial, the point count of every line (a trial's origin lines
+    first) and the point positions per unit half chord, line by line."""
+    n_origin = origin.shape[1]
+    n_lines = n_origin + n_bg
+    line_start = np.concatenate(([0], np.cumsum(n_lines)))
+    trial = np.repeat(np.arange(n_bg.size), n_lines)
+    through_origin = np.arange(trial.size) - line_start[trial] < n_origin
+    angle = np.empty(trial.size)
+    angle[through_origin] = origin.ravel()
+    angle[~through_origin] = angle_bg
+    offset = np.zeros(trial.size)
+    offset[~through_origin] = offset_bg
     half = np.where(through_origin, R, _half_chords(offset, R))
-    counts = np.fromiter(itertools.chain.from_iterable(rec[3] for rec in trials),
-                         dtype=np.int64, count=angle.size)
-    arcs = np.concatenate([rec[4] for rec in trials]) * np.repeat(half, counts)
-    arc_line = np.repeat(np.arange(angle.size), counts)
+    arcs = u
+    arcs *= np.repeat(half, counts)  # in place: u is the chunk's own array
+    arc_line = np.repeat(np.arange(trial.size), counts)
     order = _sort_within(arc_line, arcs)
     return ChunkSample(angle, offset, half, through_origin, trial, line_start,
                        arcs[order], arc_line,
                        np.concatenate(([0], np.cumsum(counts))),
-                       len(trials[0][0]), scenario, R, master, start)
-
-
-def _line_layout(trials):
-    """Angle, through-origin flag and trial of every line, and the line
-    offsets of the trials, from per-trial draws."""
-    n_origin = len(trials[0][0])
-    n_lines = n_origin + np.fromiter((rec[1].size for rec in trials),
-                                     dtype=np.int64, count=len(trials))
-    line_start = np.concatenate(([0], np.cumsum(n_lines)))
-    trial = np.repeat(np.arange(len(trials)), n_lines)
-    through_origin = np.arange(trial.size) - line_start[trial] < n_origin
-    angle = np.empty(trial.size)
-    angle[through_origin] = list(itertools.chain.from_iterable(rec[0] for rec in trials))
-    angle[~through_origin] = np.concatenate([rec[1] for rec in trials])
-    return angle, through_origin, trial, line_start
+                       n_origin, scenario, R, master, first_stream)
 
 
 def sample_palm(params: ModelParams, scenario: PalmScenario,

@@ -146,19 +146,28 @@ def test_near_parallel_lines_lose_only_their_own_crossing(monkeypatch, lam,
     offset 1e-13, near-parallel to the x-axis across 0 = pi. Both pairs
     would cross inside the disk. The batched kernel and the per-trial
     oracle still agree bit for bit, and neither pair has a crossing."""
-    draw = sampler._TrialDraws.draw
+    layout = sampler._chunk_sample
 
-    def crowded(self, stream):
-        origin, angles, offsets, counts, u = draw(self, stream)
-        rng = np.random.default_rng(stream)
-        theta = rng.uniform(0.0, np.pi - 1.0)
-        angles = np.concatenate((angles, [theta, theta + 1e-13, np.pi - 1e-13]))
-        p = rng.uniform(-1.0, 1.0)
-        offsets = np.concatenate((offsets, [p, p, 1e-13]))
-        return (origin, angles, offsets, counts + [3, 3, 3],
-                np.concatenate((u, rng.uniform(-1.0, 1.0, size=9))))
+    def crowded(origin, n_bg, angles, offsets, counts, u, *rest):
+        first_stream = rest[-1]
+        extra = []
+        for t in range(n_bg.size):
+            rng = np.random.default_rng(first_stream + t)
+            theta = rng.uniform(0.0, np.pi - 1.0)
+            p = rng.uniform(-1.0, 1.0)
+            extra.append(([theta, theta + 1e-13, np.pi - 1e-13], [p, p, 1e-13],
+                          rng.uniform(-1.0, 1.0, size=9)))
+        more_angles, more_offsets, more_u = (np.ravel(x) for x in zip(*extra))
+        # after each trial's last background line, its last point
+        line_end = np.cumsum(origin.shape[1] + n_bg)
+        at_line = np.repeat(np.cumsum(n_bg), 3)
+        at_point = np.repeat(np.cumsum(counts)[line_end - 1], 9)
+        return layout(origin, n_bg + 3, np.insert(angles, at_line, more_angles),
+                      np.insert(offsets, at_line, more_offsets),
+                      np.insert(counts, np.repeat(line_end, 3), 3),
+                      np.insert(u, at_point, more_u), *rest)
 
-    monkeypatch.setattr(sampler._TrialDraws, "draw", crowded)
+    monkeypatch.setattr(sampler, "_chunk_sample", crowded)
     n = 8 if lam == 16.0 else 24
     chunk = sample_chunk(ModelParams(lam, 1.5), scenario, T_MAX, 17, 0, n)
     reals = [chunk.realization(t) for t in range(n)]

@@ -319,6 +319,27 @@ def test_a_rate_that_overflows_leaves_f_of_0_at_0(capsys, request_args):
     assert data[0, 1] == 0.0 and np.all(data[1:, 1] == 1.0)
 
 
+def test_thm1_curve_when_lam_over_mu_overflows(capsys):
+    """lam/mu overflows to inf: the curve used to write F(0) = nan and
+    F(t > 0) = -inf."""
+    rc, out, err = _run(capsys, "analytic", "--which", "thm1", "--lambda", "1e300",
+                        "--mu", "1e-10", "--grid", "0:1:0.5")
+    assert rc == EXIT_OK and err == ""
+    _, data = _rows(out)
+    assert data[:, 1].tolist() == [0.0, 1.0, 1.0]
+
+
+def test_thm1_quantile_when_lam_over_mu_overflows(capsys):
+    """lam/mu overflows to inf: the quantile used to exit 2 on f(0.0) = nan.
+    At lam * mu = 1 the curve is 1 - exp(-2 t^2), so F = 1/2 at
+    sqrt(log(2)/2)."""
+    rc, out, err = _run(capsys, "app", "ev-quantile", "--p", "0.5", "--lambda",
+                        "1e300", "--mu", "1e-300", "--policy", "one-turn-point")
+    assert rc == EXIT_OK and err == ""
+    assert json.loads(out)["quantile"] == pytest.approx(math.sqrt(math.log(2) / 2),
+                                                        rel=1e-9)
+
+
 def test_app_ris_farfield_reports_lower_bound(capsys):
     rc, out, _ = _run(capsys, "app", "ris-farfield", "--lambda", "1", "--mu", "1")
     assert rc == EXIT_OK

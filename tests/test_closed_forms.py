@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from linecox import (
     cdf_zero_turn_intersection,
     equivalent_ppp_density,
 )
+from linecox.analytic.closed_forms import _one_minus_mean_decay
 
 # 40-digit reference evaluations of the printed formulas (frozen)
 ONE_TURN_REFS = [
@@ -112,6 +114,42 @@ def test_scalar_and_array_agree():
     for k, tv in enumerate(t):
         v = cdf_one_turn_point(p, float(tv))
         assert isinstance(v, float) and v == arr[k]
+
+
+# md5 of cdf_one_turn_point over the grid of _THM1_T at every (lam, mu) of
+# _THM1_PARAMS, recorded before the overflowing-ratio form was added
+_THM1_T = np.concatenate(([0.0, 1e-300, 1e-12], np.linspace(0.0, 6.0, 121),
+                          [50.0, 1e6]))
+_THM1_PARAMS = [(lam, mu) for lam in (0.0, 1e-9, 0.1, 1.0, 3.7, 50.0, 1e6, 1e300)
+                for mu in (1e-6, 0.01, 0.5, 1.0, 20.0, 1e6)]
+THM1_MD5 = "0d63e1d149d71c5efb4bf133ed732e70"
+
+
+def test_one_turn_point_digest_on_ordinary_inputs():
+    h = hashlib.md5()
+    for lam, mu in _THM1_PARAMS:
+        values = cdf_one_turn_point(ModelParams(lam, mu), _THM1_T)
+        h.update(np.ascontiguousarray(values, dtype="<f8").tobytes())
+    assert h.hexdigest() == THM1_MD5
+
+
+def test_one_turn_point_when_lam_over_mu_overflows():
+    """lam/mu = inf used to give F(0) = nan and F(t > 0) = -inf. The
+    rearranged exponent gives 0 at t = 0, values in [0, 1], and at
+    lam * mu = 1 the limit 1 - exp(-2*t^2)."""
+    t = np.array([0.0, 1e-200, 0.25, 0.5, 1.0, 3.0, 1e300])
+    for lam, mu in ((1e300, 1e-10), (1e300, 1e-300), (1.7e308, 1e-300)):
+        f = cdf_one_turn_point(ModelParams(lam, mu), t)
+        assert f[0] == 0.0 and np.all((f >= 0.0) & (f <= 1.0))
+        assert np.all(np.diff(f) >= 0.0) and f[-1] == 1.0
+    f = cdf_one_turn_point(ModelParams(1e300, 1e-300), t[:-1])
+    assert f == pytest.approx(-np.expm1(-2.0 * t[:-1] ** 2), rel=1e-12)
+    # the rearranged exponent is the printed one wherever both are finite
+    for lam, mu in ((0.5, 1.0), (3.0, 0.2), (100.0, 1e-4)):
+        x = 2.0 * mu * _THM1_T
+        printed = -x - 2.0 * lam * _THM1_T + (lam / mu) * -np.expm1(-x)
+        rearranged = -x - 2.0 * _THM1_T * (lam * _one_minus_mean_decay(x))
+        assert rearranged == pytest.approx(printed, rel=1e-9, abs=1e-15)
 
 
 def test_input_validation():

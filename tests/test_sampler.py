@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -27,8 +28,13 @@ from linecox import (
     typical_intersection,
     typical_point,
 )
-from linecox.model import Line
-from linecox.sampler import MAX_EXPECTED_LINES, MAX_EXPECTED_POINTS, _check_inputs
+from linecox.model import Line, PalmKind
+from linecox.sampler import (
+    _SCALAR_COUNTS_MAX,
+    MAX_EXPECTED_LINES,
+    MAX_EXPECTED_POINTS,
+    _check_inputs,
+)
 
 # point process intensity that keeps realizations almost point-free when a
 # test only cares about the line geometry
@@ -250,3 +256,95 @@ def test_dense_points_are_rejected_before_drawing():
                 run_mc(dense, typical_point(), policy, 1, R, 1)
     below = ModelParams(1.0, cap_mu * (1 - 1e-9))
     assert _check_inputs(below, typical_intersection(), R) == R
+
+
+_CHUNK_FIELDS = ("angle", "offset", "half", "through_origin", "trial",
+                 "line_start", "arcs", "arc_line", "arc_start")
+
+
+def _reference_chunk(params, scenario, R, master, start, stop):
+    """Trials start..stop-1 drawn the slow way, as a dict of ChunkSample
+    fields: a new Philox Generator per trial, one ``rng.uniform`` call per
+    field, and the point counts from one scalar ``rng.poisson`` call per
+    line up to _SCALAR_COUNTS_MAX lines, from one array call above."""
+    fields = {name: [] for name in _CHUNK_FIELDS}
+    lines_before = 0
+    for t, stream in enumerate(range(start, stop)):
+        rng = np.random.Generator(np.random.Philox(
+            key=np.array([master % 2**64, stream % 2**64], dtype=np.uint64)))
+        origin = [0.0]
+        while scenario.kind is PalmKind.TYPICAL_INTERSECTION and len(origin) < 2:
+            if scenario.angle_law is AngleLaw.UNIFORM:
+                theta = rng.uniform(0.0, math.pi)
+            else:
+                theta = math.acos(1.0 - 2.0 * rng.uniform())
+            if 1e-12 < theta < math.pi - 1e-12:
+                origin.append(theta)
+        n_bg = rng.poisson(params.lam * math.pi * R)
+        angles = rng.uniform(0.0, math.pi, size=n_bg)
+        offsets = rng.uniform(-R, R, size=n_bg)
+        half = np.concatenate((np.full(len(origin), R),
+                               np.sqrt(np.maximum(R * R - offsets * offsets, 0.0))))
+        rates = 2.0 * params.mu * half
+        if half.size <= _SCALAR_COUNTS_MAX:
+            counts = np.array([rng.poisson(r) for r in rates], dtype=np.int64)
+        else:
+            counts = rng.poisson(rates)
+        u = rng.uniform(-1.0, 1.0, size=counts.sum())
+        n_lines = half.size
+        fields["angle"].append(np.concatenate((origin, angles)))
+        fields["offset"].append(np.concatenate((np.zeros(len(origin)), offsets)))
+        fields["half"].append(half)
+        fields["through_origin"].append(np.arange(n_lines) < len(origin))
+        fields["trial"].append(np.full(n_lines, t))
+        fields["line_start"].append([n_lines])
+        cuts = np.cumsum(counts)[:-1]
+        fields["arcs"].append(np.concatenate(
+            [np.sort(a) for a in np.split(u * np.repeat(half, counts), cuts)]))
+        fields["arc_line"].append(lines_before + np.repeat(np.arange(n_lines), counts))
+        lines_before += n_lines
+        fields["arc_start"].append(counts)
+    out = {name: np.concatenate(parts) for name, parts in fields.items()}
+    out["line_start"] = np.concatenate(([0], np.cumsum(out["line_start"])))
+    out["arc_start"] = np.concatenate(([0], np.cumsum(out["arc_start"])))
+    return out
+
+
+@pytest.mark.parametrize("lam", [0.5, 2.0, 16.0])
+def test_sample_chunk_equals_slow_reference_bit_for_bit(lam):
+    """Every ChunkSample array equals the one-call-per-field reference.
+    lam 0.5 draws counts by scalar calls, lam 16 by array calls, and lam 2
+    both, with trials of exactly _SCALAR_COUNTS_MAX lines. mu 2 at radius 3
+    gives rates up to 12, so Poisson draws take both numpy branches (below
+    and from rate 10). Masters -7 and 2**64 + 3 wrap to uint64 keys."""
+    params, R = ModelParams(lam, 2.0), 3.0
+    sizes = set()
+    for scenario in (typical_point(), typical_intersection(),
+                     typical_intersection(AngleLaw.SIN_WEIGHTED)):
+        for master, start, n in ((-7, 0, 1), (2**64 + 3, 40, 3), (2024, 1000, 150)):
+            chunk = sample_chunk(params, scenario, R, master, start, start + n)
+            want = _reference_chunk(params, scenario, R, master, start, start + n)
+            for name in _CHUNK_FIELDS:
+                got = getattr(chunk, name)
+                assert got.dtype == want[name].dtype, name
+                assert got.tobytes() == want[name].tobytes(), (name, master, n)
+            sizes.update(np.diff(chunk.line_start).tolist())
+    if lam == 2.0:
+        assert {_SCALAR_COUNTS_MAX - 1, _SCALAR_COUNTS_MAX,
+                _SCALAR_COUNTS_MAX + 1} <= sizes
+
+
+# md5 of every ChunkSample array of sample_chunk(ModelParams(16, 2),
+# typical_intersection(), 3.0, 2024, 0, 6), recorded before the draws were
+# taken as raw uniforms and mapped per chunk
+DENSE_CHUNK_MD5 = "61a2fd65c1ef28a06d7868cadc9a1c6d"
+
+
+def test_dense_chunk_matches_frozen_digest():
+    chunk = sample_chunk(ModelParams(16.0, 2.0), typical_intersection(), 3.0,
+                         2024, 0, 6)
+    h = hashlib.md5()
+    for name in _CHUNK_FIELDS:
+        h.update(np.ascontiguousarray(getattr(chunk, name)).tobytes())
+    assert chunk.angle.size > 6 * 100
+    assert h.hexdigest() == DENSE_CHUNK_MD5

@@ -13,7 +13,13 @@ and k_turn(5) at lam 40, on a few trials each. The "chunk" rows are
 512-trial chunks at lam 4, 16 and 40, k_turn(3), with and without
 lower-turn paths. The whole scan takes about a minute on one core.
 
-    PYTHONPATH=src python tools/kernel_scan.py [--rows dense|chunk|all]
+The "draw" rows time the sampler alone: ``sample_chunk`` at the chunk
+shapes of the two Monte Carlo benchmark workloads (lam 0.5-2 at 150
+trials, lam 4 at 16, lam 16 at 3; mu = 1, radius 3), over DRAW_CHUNKS
+consecutive chunks per row. They print lines and points per trial and the
+CPU us per trial, and take a few seconds.
+
+    PYTHONPATH=src python tools/kernel_scan.py [--rows dense|chunk|draw|all]
 
 Point PYTHONPATH at another checkout's ``src`` to scan that one.
 """
@@ -26,7 +32,7 @@ import tracemalloc
 import numpy as np
 
 from linecox import (ModelParams, TurnPolicy, chunk_lengths, sample_chunk,
-                     shortest_path, typical_point)
+                     shortest_path, typical_intersection, typical_point)
 
 T_MAX, MU, SEED = 3.0, 1.0, 2024
 # (lam, k, include_lower_turn_paths, trials)
@@ -36,6 +42,11 @@ ROWS = {
     "chunk": [(lam, 3, lower, 512) for lam in (4.0, 16.0, 40.0)
               for lower in (True, False)],
 }
+# (lam, scenario, trials) of the "draw" rows
+DRAW_ROWS = [(0.5, "point", 150), (1.25, "point", 150), (2.0, "point", 150),
+             (1.25, "intersection", 150), (4.0, "point", 16), (16.0, "point", 3)]
+DRAW_CHUNKS = 100
+SCENARIOS = {"point": typical_point(), "intersection": typical_intersection()}
 
 
 def _cpu_ms(fn):
@@ -66,18 +77,44 @@ def scan_row(lam, k, lower, trials):
             peak / 2**20)
 
 
+def draw_row(lam, scenario, trials):
+    params, lines, points = ModelParams(lam, MU), 0, 0
+
+    def draw_all():
+        nonlocal lines, points
+        for k in range(DRAW_CHUNKS):
+            chunk = sample_chunk(params, SCENARIOS[scenario], T_MAX, SEED,
+                                 k * trials, (k + 1) * trials)
+            lines += chunk.angle.size
+            points += chunk.arcs.size
+
+    sample_chunk(params, SCENARIOS[scenario], T_MAX, SEED, 0, trials)  # warm-up
+    _, ms = _cpu_ms(draw_all)
+    n = DRAW_CHUNKS * trials
+    return lam, scenario, trials, lines / n, points / n, 1e3 * ms / n
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--rows", choices=("dense", "chunk", "all"), default="all")
+    ap.add_argument("--rows", choices=("dense", "chunk", "draw", "all"),
+                    default="all")
     args = ap.parse_args(argv)
-    names = ROWS if args.rows == "all" else [args.rows]
-    print("| lam | k | lower | trials | lines/trial | chunk_lengths ms | "
-          "shortest_path ms | ratio | kernel peak MiB |")
-    print("|---|---|---|---|---|---|---|---|---|")
+    names = [name for name in ROWS if args.rows in (name, "all")]
+    if names:
+        print("| lam | k | lower | trials | lines/trial | chunk_lengths ms | "
+              "shortest_path ms | ratio | kernel peak MiB |")
+        print("|---|---|---|---|---|---|---|---|---|")
     for name in names:
         for row in ROWS[name]:
             print("| %g | %d | %s | %d | %.0f | %.2f | %.2f | %.2f | %.2f |"
                   % scan_row(*row), flush=True)
+    if args.rows in ("draw", "all"):
+        print("| lam | scenario | trials | lines/trial | points/trial | "
+              "sample_chunk us/trial |")
+        print("|---|---|---|---|---|---|")
+        for row in DRAW_ROWS:
+            print("| %g | %s | %d | %.1f | %.1f | %.1f |" % draw_row(*row),
+                  flush=True)
 
 
 if __name__ == "__main__":
