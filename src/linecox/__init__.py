@@ -35,6 +35,7 @@ from .errors import (
     DegenerateAngles,
     DomainError,
     GridMismatch,
+    InputError,
     LineCoxError,
     NegativeIntensity,
     NegativeT,
@@ -124,7 +125,7 @@ __all__ = [
     # quadrature
     "gauss_legendre",
     # errors
-    "LineCoxError", "NonFinite", "NegativeIntensity", "ZeroMu",
+    "LineCoxError", "InputError", "NonFinite", "NegativeIntensity", "ZeroMu",
     "NonPositiveScale", "NegativeT", "NonPositiveParameter",
     "NonPositiveRadius", "UnknownLine", "TBeyondClip", "TooManyLines",
     "TooManyPoints", "PolicyBudgetNegative", "DegenerateAngles",

@@ -3,7 +3,7 @@
 Closed forms live in ``closed_forms``; the quadrature-backed one-turn
 distribution seen from a typical intersection in ``intersection``; the
 directed two-turn upper bound in ``twoturn``. Every curve checks its t
-with ``closed_forms._check_t``.
+with ``model._check_t``.
 """
 
 from .closed_forms import (

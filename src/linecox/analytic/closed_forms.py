@@ -11,8 +11,8 @@ import math
 
 import numpy as np
 
-from ..errors import NegativeIntensity, NegativeT, NonFinite
-from ..model import ModelParams, _finite_real, validate
+from ..errors import NegativeIntensity, NonFinite
+from ..model import ModelParams, _check_t, _finite_real, validate
 
 __all__ = [
     "cdf_naive_recursion",
@@ -24,33 +24,25 @@ __all__ = [
 ]
 
 
-def _check_t(t):
-    """The t check of every curve in ``linecox.analytic``: t as a float
-    array, and whether t was a scalar. NonFinite for nan or inf, NegativeT
-    for t < 0."""
-    arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise NonFinite("t must be finite")
-    if np.any(arr < 0):
-        raise NegativeT("t must be >= 0")
-    return arr, np.ndim(t) == 0
-
-
 def _rate_times(rate, arr):
     """rate * t, which is 0 at t = 0 even for a rate that overflowed to
-    inf (where inf * 0 would be nan); bit for bit rate * t elsewhere."""
-    return np.where(arr > 0, rate, 0.0) * arr
+    inf (where inf * 0 would be nan), and inf where the product overflows;
+    bit for bit rate * t elsewhere."""
+    with np.errstate(over="ignore"):
+        return np.where(arr > 0, rate, 0.0) * arr
 
 
-def _ret(values, scalar):
-    return float(values) if scalar else values
+def _ret(values, arr):
+    """``values`` as a float where t was a scalar, that is where ``arr``,
+    the checked t, is 0-d."""
+    return float(values) if arr.ndim == 0 else values
 
 
-def _ret_err(values, errors, scalar, with_err):
+def _ret_err(values, errors, arr, with_err):
     """``_ret`` for the quadrature curves, with their error estimates
     when ``with_err``."""
-    values = _ret(values, scalar)
-    return (values, _ret(errors, scalar)) if with_err else values
+    values = _ret(values, arr)
+    return (values, _ret(errors, arr)) if with_err else values
 
 
 def cdf_naive_recursion(params: ModelParams, t):
@@ -59,8 +51,8 @@ def cdf_naive_recursion(params: ModelParams, t):
     independent of lambda. Kept as the sanity floor every other curve must
     beat."""
     validate(params)
-    arr, scalar = _check_t(t)
-    return _ret(-np.expm1(-params.mu * arr), scalar)
+    arr = _check_t(t)
+    return _ret(-np.expm1(-_rate_times(params.mu, arr)), arr)
 
 
 def cdf_one_turn_point(params: ModelParams, t):
@@ -80,16 +72,16 @@ def cdf_one_turn_point(params: ModelParams, t):
     finite; at lam/mu -> inf with lam*mu fixed, F(t) -> 1 - exp(-2*lam*mu*t^2).
     """
     validate(params)
-    arr, scalar = _check_t(t)
+    arr = _check_t(t)
     lam, mu = float(params.lam), float(params.mu)
     two_mu_t = _rate_times(2.0 * mu, arr)
     ratio = lam / mu
-    if math.isinf(ratio):
-        with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # an exponent below -max is -inf: F = 1
+        if math.isinf(ratio):
             expo = -two_mu_t - 2.0 * arr * (lam * _one_minus_mean_decay(two_mu_t))
-    else:
-        expo = -two_mu_t - _rate_times(2.0 * lam, arr) + ratio * (-np.expm1(-two_mu_t))
-    return _ret(-np.expm1(expo), scalar)
+        else:
+            expo = -two_mu_t - _rate_times(2.0 * lam, arr) + ratio * (-np.expm1(-two_mu_t))
+    return _ret(-np.expm1(expo), arr)
 
 
 def _one_minus_mean_decay(x):
@@ -108,8 +100,8 @@ def cdf_zero_turn_intersection(params: ModelParams, t):
     F(t) = 1 - exp(-4*mu*t). Also the lower sandwich bound for the one-turn
     intersection distribution."""
     validate(params)
-    arr, scalar = _check_t(t)
-    return _ret(-np.expm1(-_rate_times(4.0 * params.mu, arr)), scalar)
+    arr = _check_t(t)
+    return _ret(-np.expm1(-_rate_times(4.0 * params.mu, arr)), arr)
 
 
 def cdf_upper_intersection(params: ModelParams, t):
@@ -118,8 +110,8 @@ def cdf_upper_intersection(params: ModelParams, t):
     inflates the effective ray intensity to mu + 4*lam on each of the four
     rays, F(t) = 1 - exp(-4*(mu + 4*lam)*t)."""
     validate(params)
-    arr, scalar = _check_t(t)
-    return _ret(-np.expm1(-_rate_times(4.0 * (params.mu + 4.0 * params.lam), arr)), scalar)
+    arr = _check_t(t)
+    return _ret(-np.expm1(-_rate_times(4.0 * (params.mu + 4.0 * params.lam), arr)), arr)
 
 
 def equivalent_ppp_density(params: ModelParams) -> float:
@@ -140,5 +132,6 @@ def cdf_ppp2d_reference(density, t):
     if density < 0:
         raise NegativeIntensity(f"density must be >= 0, got {density}")
     density = float(density)
-    arr, scalar = _check_t(t)
-    return _ret(-np.expm1(-_rate_times(math.pi * density, arr) * arr), scalar)
+    arr = _check_t(t)
+    with np.errstate(over="ignore"):  # pi*density*t^2 past the largest float: F = 1
+        return _ret(-np.expm1(-_rate_times(math.pi * density, arr) * arr), arr)

@@ -37,9 +37,9 @@ import math
 import numpy as np
 
 from ..errors import DegenerateAngles, DomainError
-from ..model import ModelParams, validate
+from ..model import ModelParams, _check_t, validate
 from ..quadrature import check_tol, gauss_legendre, settle_ladder
-from .closed_forms import _check_t, _ret_err
+from .closed_forms import _rate_times, _ret_err
 
 __all__ = [
     "DEFAULT_VARIANT",
@@ -323,7 +323,9 @@ def one_turn_intersection_terms(mu: float, t: float, *, tol: float = 1e-6):
     most tol; raises QuadratureFailure otherwise. Exposed because the terms
     are useful on their own (they only depend on mu and t, as t times a
     function of mu*t) and because the cross-check tests compare them
-    against brute-force Riemann sums."""
+    against brute-force Riemann sums. mu is checked as ``validate`` checks
+    a model's mu."""
+    validate(ModelParams(0.0, mu))
     _check_t(t)
     check_tol(tol)
 
@@ -347,26 +349,32 @@ def cdf_one_turn_intersection(params: ModelParams, t, *, tol: float = 1e-6,
     value attached) if three levels cannot agree. All points of a call share
     each rung's geometry, and only the points not yet settled climb to the
     next rung. lam = 0 short-circuits to the exact zero-turn form
-    1 - exp(-4*mu*t). ``with_err`` additionally returns the last ladder
+    1 - exp(-4*mu*t). F lies between that form and 1, so where the form
+    rounds to 1, F is 1 and no rung runs; that covers every t at which
+    mu*t overflows. ``with_err`` additionally returns the last ladder
     increment as the error estimate.
     """
     validate(params)
-    arr, scalar = _check_t(t)
+    arr = _check_t(t)
     check_tol(tol)
     lam, mu = params.lam, params.mu
-
+    zero_turn = -np.expm1(-_rate_times(4.0 * mu, arr))
     if lam == 0.0:
-        return _ret_err(-np.expm1(-4.0 * mu * arr), np.zeros_like(arr),
-                        scalar, with_err)
+        return _ret_err(zero_turn, np.zeros_like(arr), arr, with_err)
 
     def rung(r, tv):
         fx, fy = _rung_terms(mu * tv, *_LADDER[r])
-        return -np.expm1(-4.0 * mu * tv - 2.0 * lam * (2.0 * tv - tv * fx - tv * fy))
+        # 2t - Tx - Ty >= 0, since Tx, Ty <= t; rounding can leave it at or
+        # below 0 where mu*t is tiny, and a lam past the largest float / 2
+        # would turn that into nan or a negative F
+        gap = np.maximum(2.0 * tv - tv * fx - tv * fy, 0.0)
+        with np.errstate(over="ignore"):
+            return -np.expm1(-4.0 * mu * tv - 2.0 * (lam * gap))
 
-    values, errors = np.zeros(arr.shape), np.zeros(arr.shape)
-    pos = arr > 0.0
+    values, errors = np.where(zero_turn == 1.0, 1.0, 0.0), np.zeros(arr.shape)
+    pos = (arr > 0.0) & (zero_turn < 1.0)
     values[pos], errors[pos] = settle_ladder(
         rung, len(_LADDER), arr[pos], tol,
         lambda tv: f"one-turn intersection CDF did not settle to {tol} at t={tv}",
         log, "one-turn intersection CDF")
-    return _ret_err(values, errors, scalar, with_err)
+    return _ret_err(values, errors, arr, with_err)

@@ -40,9 +40,9 @@ import math
 import numpy as np
 
 from ..errors import DomainError
-from ..model import ModelParams, validate
+from ..model import ModelParams, _check_t, validate
 from ..quadrature import check_tol, gauss_legendre, settle_ladder
-from .closed_forms import _check_t, _ret_err
+from .closed_forms import _rate_times, _ret_err
 
 __all__ = ["two_turn_T", "cdf_two_turn_bound"]
 
@@ -53,6 +53,7 @@ _HALF_PI = 0.5 * math.pi
 # theta_1 nodes built at once: a rung's (pair, theta_i, segment) rows are
 # taken in chunks of _CHUNK_NODES // n1 rows
 _CHUNK_NODES = 2**15
+_S_MAX = np.finfo(float).max
 
 
 def _ttilde(q, c, s, ni, n1):
@@ -67,6 +68,9 @@ def _ttilde(q, c, s, ni, n1):
     built in chunks of _CHUNK_NODES // n1, and each chunk serves every s.
     """
     q, c, s = (np.asarray(a, dtype=float) for a in (q, c, s))
+    # an s past the largest float acts as the largest: exp(-s*c*zeta) is 0
+    # already there wherever zeta > 0, and inf * 0 would be nan
+    s = np.minimum(s, _S_MAX)
     # the theta_i rule is applied per half because the threshold formula
     # switches branch at pi/2 and a rule across the switch converges slowly
     tg, tw_half = gauss_legendre(ni // 2)
@@ -126,11 +130,12 @@ def _ttilde(q, c, s, ni, n1):
         unit[span] += np.bincount(local, mass)
         row_local = np.repeat(local, 2)[rows]
         rw = (np.repeat(tw[i], 2) * width)[rows]
-        for k, sk in enumerate(s):
-            np.multiply(x, sk, out=g)
-            np.exp(g, out=g)
-            g *= swt
-            acc[k, span] += np.bincount(row_local, g.sum(axis=0)[rows] * rw)
+        with np.errstate(over="ignore"):  # to -inf, whose exp is 0
+            for k, sk in enumerate(s):
+                np.multiply(x, sk, out=g)
+                np.exp(g, out=g)
+                g *= swt
+                acc[k, span] += np.bincount(row_local, g.sum(axis=0)[rows] * rw)
     return (acc + unit) * _PI / _PI**2
 
 
@@ -140,7 +145,7 @@ def _bound_rung(lam, mu, t, nu, nw, ni, n1):
     gw, ww = gauss_legendre(nw)
     w = np.outer(gu, gw).ravel()  # (u, w) pairs at unit reach, u-major
     u = np.repeat(gu, nw)
-    tt = _ttilde((u - w) / (1.0 - w), 1.0 - w, mu * t, ni, n1)
+    tt = _ttilde((u - w) / (1.0 - w), 1.0 - w, _rate_times(mu, t), ni, n1)
     out = np.empty(t.size)
     for k, (tk, rows) in enumerate(zip(t, tt.reshape(t.size, nu, nw))):
         tu = np.array([math.exp(-lam * float(uv) * float(((2.0 - row) * ww).sum()))
@@ -194,7 +199,7 @@ def cdf_two_turn_bound(params: ModelParams, t, tol: float = 1e-5,
     additionally returns the last ladder increment.
     """
     validate(params)
-    arr, scalar = _check_t(t)
+    arr = _check_t(t)
     check_tol(tol)
     lam, mu = params.lam, params.mu
 
@@ -207,4 +212,4 @@ def cdf_two_turn_bound(params: ModelParams, t, tol: float = 1e-5,
         rung, len(_B_LADDER), arr[pos], tol,
         lambda tv: f"two-turn bound did not settle to {tol} at t={tv}",
         log, "two-turn bound")
-    return _ret_err(values, errors, scalar, with_err)
+    return _ret_err(values, errors, arr, with_err)

@@ -21,7 +21,13 @@ from .analytic import (
     cdf_one_turn_point,
     cdf_zero_turn_intersection,
 )
-from .errors import NoBracket, NonFinite, NonPositiveParameter, QuadratureFailure
+from .errors import (
+    InputError,
+    NoBracket,
+    NonFinite,
+    NonPositiveParameter,
+    QuadratureFailure,
+)
 from .model import ModelParams, _finite_real, validate
 from .quadrature import check_tol
 
@@ -89,6 +95,30 @@ def db_to_linear(db: float) -> float:
         return math.inf
 
 
+def _threshold(direct, log_d: float) -> float:
+    """A threshold distance: ``direct()``, its printed form, unless a step
+    of that overflows or underflows (the result is then inf, 0, a division
+    by 0 or off its logarithm ``log_d``, taken factor by factor);
+    exp(log_d) there. InputError when the distance itself is past the
+    largest float."""
+    try:
+        d = direct()
+    except (OverflowError, ZeroDivisionError):
+        d = math.inf
+    if 0.0 < d < math.inf and abs(math.log(d) - log_d) <= 1e-9:
+        return d
+    try:
+        return math.exp(log_d)
+    except OverflowError:
+        raise InputError(f"the threshold distance, about 10^{log_d / math.log(10.0):.6g}, "
+                         "is past the largest float") from None
+
+
+def _log_product(link: RisLinkParams, **powers) -> float:
+    """log of the product of link fields, each to its power."""
+    return math.fsum(e * math.log(getattr(link, name)) for name, e in powers.items())
+
+
 def nearfield_threshold_distance(link: RisLinkParams) -> float:
     """Largest total street distance d1 + d2 at which the near-field link
     still clears the SNR threshold. The received power there falls off as
@@ -97,8 +127,14 @@ def nearfield_threshold_distance(link: RisLinkParams) -> float:
         d* = sqrt(g_t*g_r*wavelength^2*area^2*p_t / (16*pi^2*gamma*n0)).
     """
     link = validate_link(link)
-    num = link.g_t * link.g_r * link.wavelength**2 * link.area**2 * link.p_t
-    return math.sqrt(num / (16.0 * math.pi**2 * link.gamma * link.n0))
+
+    def direct():
+        num = link.g_t * link.g_r * link.wavelength**2 * link.area**2 * link.p_t
+        return math.sqrt(num / (16.0 * math.pi**2 * link.gamma * link.n0))
+
+    return _threshold(direct, 0.5 * (_log_product(
+        link, g_t=1, g_r=1, wavelength=2, area=2, p_t=1, gamma=-1, n0=-1)
+        - math.log(16.0 * math.pi**2)))
 
 
 def nearfield_success(link: RisLinkParams, model: ModelParams) -> float:
@@ -120,10 +156,16 @@ def farfield_threshold_distance(link: RisLinkParams) -> float:
     distance D <= 2*X^(1/4) succeeds.
     """
     link = validate_link(link)
-    num = (link.g_t * link.g_r * link.g * link.m**2 * link.n**2
-           * link.d_x * link.d_y * link.wavelength**2 * link.area**2 * link.p_t)
-    x = num / (64.0 * math.pi**3 * link.gamma * link.n0)
-    return 2.0 * x**0.25
+
+    def direct():
+        num = (link.g_t * link.g_r * link.g * link.m**2 * link.n**2
+               * link.d_x * link.d_y * link.wavelength**2 * link.area**2 * link.p_t)
+        x = num / (64.0 * math.pi**3 * link.gamma * link.n0)
+        return 2.0 * x**0.25
+
+    return _threshold(direct, math.log(2.0) + 0.25 * (_log_product(
+        link, g_t=1, g_r=1, g=1, m=2, n=2, d_x=1, d_y=1, wavelength=2, area=2,
+        p_t=1, gamma=-1, n0=-1) - math.log(64.0 * math.pi**3)))
 
 
 def farfield_success_lower_bound(link: RisLinkParams, model: ModelParams) -> float:

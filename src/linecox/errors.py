@@ -1,7 +1,11 @@
 """Exception types shared across the package.
 
 Everything raised on purpose derives from LineCoxError so callers can catch
-the whole family at once. The CLI maps subfamilies to exit codes.
+the whole family at once. Bad input, an argument or configuration the
+request should not have made, derives from InputError, which is also a
+ValueError; this module alone decides what counts as bad input. The CLI
+maps errors to exit codes by type: any ValueError (so every InputError)
+exits 2, QuadratureFailure exits 3, and every other LineCoxError exits 4.
 """
 
 
@@ -9,36 +13,41 @@ class LineCoxError(Exception):
     """Base class for every error this package raises deliberately."""
 
 
+class InputError(LineCoxError, ValueError):
+    """Base class for bad input: a parameter, distance, budget or curve
+    that the request should not have given."""
+
+
 # ---- parameter validation -------------------------------------------------
 
-class NonFinite(LineCoxError):
+class NonFinite(InputError):
     """A numeric input was nan or inf. The message names the field."""
 
 
-class NegativeIntensity(LineCoxError):
+class NegativeIntensity(InputError):
     """An intensity (lambda, mu, or a point density) was negative."""
 
 
-class ZeroMu(LineCoxError):
+class ZeroMu(InputError):
     """mu == 0; the on-line point process would be empty and several
     expressions divide by mu."""
 
 
-class NonPositiveScale(LineCoxError):
+class NonPositiveScale(InputError):
     """Scale factor for rescaling must be finite and > 0."""
 
 
-class NegativeT(LineCoxError):
+class NegativeT(InputError):
     """Distance argument t must be >= 0."""
 
 
-class NonPositiveParameter(LineCoxError):
+class NonPositiveParameter(InputError):
     """A physical parameter that must be strictly positive was not."""
 
 
 # ---- sampling / geometry --------------------------------------------------
 
-class NonPositiveRadius(LineCoxError):
+class NonPositiveRadius(InputError):
     """Clip radius must be > 0."""
 
 
@@ -46,24 +55,24 @@ class UnknownLine(LineCoxError):
     """A line id was requested that is not part of the realization."""
 
 
-class TBeyondClip(LineCoxError):
+class TBeyondClip(InputError):
     """A query distance exceeds the sampled clip radius; results there
     would silently miss geometry."""
 
 
-class TooManyLines(LineCoxError):
+class TooManyLines(InputError):
     """The expected line count per trial, lam * pi * clip_radius, exceeds
     ``sampler.MAX_EXPECTED_LINES``; such a run is rejected before it draws
     rather than left to exhaust memory."""
 
 
-class TooManyPoints(LineCoxError):
+class TooManyPoints(InputError):
     """The expected point count per line, 2 * mu * clip_radius, exceeds
     ``sampler.MAX_EXPECTED_POINTS``; such a run is rejected before it
     draws rather than left to exhaust memory."""
 
 
-class PolicyBudgetNegative(LineCoxError):
+class PolicyBudgetNegative(InputError):
     """Turn budget k must be >= 0."""
 
 
@@ -72,7 +81,7 @@ class DegenerateAngles(LineCoxError):
     divide by sin of their difference."""
 
 
-class DomainError(LineCoxError):
+class DomainError(InputError):
     """An inverse trig argument fell outside its domain by more than the
     rounding guard."""
 
@@ -91,7 +100,7 @@ class QuadratureFailure(LineCoxError):
         self.error_estimate = error_estimate
 
 
-class GridMismatch(LineCoxError):
+class GridMismatch(InputError):
     """Two curves share no usable common grid."""
 
 

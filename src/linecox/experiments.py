@@ -143,8 +143,10 @@ def run_mc(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
         raise ValueError(f"t_max must be finite and > 0, got {t_max}")
     _check_inputs(params, scenario, t_max)
     grid = default_grid(t_max) if grid is None else np.asarray(grid, dtype=float)
-    if grid.size == 0 or grid[0] < 0 or grid[-1] > t_max + 1e-12:
+    if grid.size == 0 or grid[0] < 0:
         raise ValueError("grid must lie within [0, t_max]")
+    if grid[-1] > t_max + 1e-12:
+        raise ValueError(f"grid reaches {grid[-1]} but t_max censors at {t_max}")
     # the checks the finished curve makes, before any trial is drawn: the
     # level, then the grid's order and finiteness (a curve of the grid
     # itself fails only on the grid)

@@ -23,8 +23,10 @@ import numpy as np
 
 from .errors import (
     NegativeIntensity,
+    NegativeT,
     NonFinite,
     NonPositiveScale,
+    TBeyondClip,
     ZeroMu,
 )
 
@@ -60,11 +62,33 @@ def _finite_real(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
+def _check_t(t, clip_radius: float | None = None, name: str = "t") -> np.ndarray:
+    """The one t check: the distance (or distances) ``t`` as a float array
+    of t's shape. NonFinite for nan or inf, NegativeT below 0, and with a
+    ``clip_radius``, TBeyondClip past it, where geometry was never
+    sampled. An array holding one bad entry fails whole; the message
+    names the first."""
+    arr = np.asarray(t, dtype=float)
+
+    def first(bad):
+        return float(arr[bad][0])
+
+    if not np.isfinite(arr).all():
+        raise NonFinite(f"{name} must be finite, got {first(~np.isfinite(arr))}")
+    if (arr < 0).any():
+        raise NegativeT(f"{name} must be >= 0, got {first(arr < 0)}")
+    if clip_radius is not None and (arr > clip_radius).any():
+        raise TBeyondClip(f"{name}={first(arr > clip_radius)} exceeds "
+                          f"clip_radius={clip_radius}; geometry beyond the "
+                          "clip disk was never sampled")
+    return arr
+
+
 def validate(params: ModelParams) -> ModelParams:
     """Check a parameter set, naming the offending field in any error."""
     for name, value in (("lambda", params.lam), ("mu", params.mu)):
-        if not math.isfinite(value):
-            raise NonFinite(f"{name} must be finite, got {value!r}")
+        if not _finite_real(value):
+            raise NonFinite(f"{name} must be a finite real number, got {value!r}")
     if params.lam < 0:
         raise NegativeIntensity(f"lambda must be >= 0, got {params.lam}")
     if params.mu < 0:

@@ -50,12 +50,12 @@ from .model import (
     PointOnLine,
     PolicyKind,
     TurnPolicy,
+    _check_t,
 )
 from .sampler import (
     ChunkSample,
     Realization,
     _crossings,
-    _horizon,
     _pair_arcs,
     sample_palm,
 )
@@ -335,8 +335,9 @@ def _search(best, chunk, trials, reach, t_max, k, lower, directed):
     trial) or one trial. Layer 0 holds the origin lines (only the first,
     ``directed``) at arc 0 and length 0; layer j + 1 the ``_labels`` of the
     hops ``_turn`` takes from layer j, but layer k is offered block by
-    block, unlabelled. Lengths add up hop by hop as in ``_k_turn``, so each
-    offer is the length the search gives that path."""
+    block, unlabelled. An empty layer below k ends the search, since no
+    later layer can hold a label. Lengths add up hop by hop as in
+    ``_k_turn``, so each offer is the length the search gives that path."""
     n_lines = np.diff(chunk.line_start)[trials]
     n0 = 1 if directed else chunk.n_origin
     for a, b in _runs(n_lines * n_lines, _LABEL_BLOCK):
@@ -348,6 +349,8 @@ def _search(best, chunk, trials, reach, t_max, k, lower, directed):
             if j:
                 hops = _turn(best, chunk, rows, reach, j == 1, directed)
                 layer = hops if j == k else [_labels(chunk, hops)]
+                if j < k and not layer[0][0].size:
+                    break
             for rows in layer:
                 if lower or j == k:
                     t, m, _, ref, length = rows
@@ -379,7 +382,7 @@ def shortest_path(real: Realization, policy: TurnPolicy,
     Ties in length are broken by (line id, arc) of the target.
     """
     k = _budget(policy)
-    t_max = _horizon(t_max, real.clip_radius)
+    t_max = float(_check_t(t_max, real.clip_radius, "t_max"))
     best = _Best()
     _k_turn(best, real, t_max, k, policy.include_lower_turn_paths,
             _directed(policy))
@@ -418,7 +421,7 @@ def chunk_lengths(chunk: ChunkSample, policy: TurnPolicy,
     ``shortest_path(chunk.realization(t), policy, t_max).length`` bit for
     bit."""
     k = _budget(policy)
-    t_max = _horizon(t_max, chunk.clip_radius)
+    t_max = float(_check_t(t_max, chunk.clip_radius, "t_max"))
     lower, directed = policy.include_lower_turn_paths, _directed(policy)
 
     best = np.full(chunk.n_trials, math.inf)

@@ -45,9 +45,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import (
-    NonFinite,
     NonPositiveRadius,
-    TBeyondClip,
     TooManyLines,
     TooManyPoints,
     UnknownLine,
@@ -58,6 +56,7 @@ from .model import (
     ModelParams,
     PalmKind,
     PalmScenario,
+    _check_t,
     _finite_real,
     validate,
 )
@@ -409,20 +408,6 @@ def _check_inputs(params, scenario, clip_radius) -> float:
     return clip_radius
 
 
-def _horizon(t, clip_radius: float, name: str = "t_max") -> float:
-    """The query distance ``t`` as a float: NonFinite for nan or inf,
-    ValueError below 0, TBeyondClip past the sampled ``clip_radius``."""
-    t = float(t)
-    if not math.isfinite(t):
-        raise NonFinite(f"{name} must be finite, got {t}")
-    if t < 0:
-        raise ValueError(f"{name} must be >= 0, got {t}")
-    if t > clip_radius:
-        raise TBeyondClip(f"{name}={t} exceeds clip_radius={clip_radius}; "
-                          "geometry beyond the clip disk was never sampled")
-    return t
-
-
 def sample_chunk(params: ModelParams, scenario: PalmScenario,
                  clip_radius: float, master: int, start: int,
                  stop: int) -> ChunkSample:
@@ -501,7 +486,7 @@ def crossings_within(real: Realization, line_id: int, t: float):
     sorted by |arc_coord| (ties by other id). For an origin line the arc
     origin is the origin, so these are the candidate first turns."""
     i = real.index_of(line_id)
-    t = _horizon(t, real.clip_radius, "t")
+    t = float(_check_t(t, real.clip_radius))
     s_i, _, other = _crossings(real, i)
     out = []
     for k, s in zip(other, s_i):

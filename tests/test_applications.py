@@ -21,7 +21,7 @@ from linecox.applications import (
     reach_quantile,
     validate_link,
 )
-from linecox.errors import NoBracket, NonFinite, NonPositiveParameter
+from linecox.errors import InputError, NoBracket, NonFinite, NonPositiveParameter
 from linecox.model import ModelParams, PalmKind, PalmScenario, TurnPolicy
 from linecox.oracle import sample_path
 
@@ -144,3 +144,39 @@ def test_db_to_linear():
     assert db_to_linear(0.0) == 1.0
     assert db_to_linear(-10.0) == pytest.approx(0.1, rel=1e-15)
     assert db_to_linear(1e308) == math.inf  # 10.0 ** 1e307 raises OverflowError
+
+
+def _printed_thresholds(link):
+    """The two threshold distances as the docstrings print them."""
+    near = math.sqrt(link.g_t * link.g_r * link.wavelength**2 * link.area**2 * link.p_t
+                     / (16.0 * math.pi**2 * link.gamma * link.n0))
+    x = (link.g_t * link.g_r * link.g * link.m**2 * link.n**2 * link.d_x * link.d_y
+         * link.wavelength**2 * link.area**2 * link.p_t
+         / (64.0 * math.pi**3 * link.gamma * link.n0))
+    return near, 2.0 * x**0.25
+
+
+def test_thresholds_keep_the_printed_form_where_no_step_overflows():
+    rng = np.random.default_rng(5)
+    for _ in range(2000):
+        link = RisLinkParams(*(10.0 ** rng.uniform(-20, 20, 12)).tolist())
+        assert (nearfield_threshold_distance(link),
+                farfield_threshold_distance(link)) == _printed_thresholds(link)
+
+
+def test_thresholds_past_an_overflowing_step():
+    """A representable distance comes back finite where a step of the
+    printed form overflows or underflows; one past the largest float is
+    an InputError, which the CLI exits 2 on."""
+    d = farfield_threshold_distance(_link(m=1e200))  # m**2 overflows
+    assert d == pytest.approx(2.0 * 1e100 / (64.0 * math.pi**3) ** 0.25, rel=1e-12)
+    d = nearfield_threshold_distance(_link(wavelength=1e200, area=1e-200, gamma=1e-300))
+    assert d == pytest.approx(1e150 / (4.0 * math.pi), rel=1e-12)
+    d = nearfield_threshold_distance(_link(wavelength=1e-200, gamma=1e-300))
+    assert d == pytest.approx(1e-50 / (4.0 * math.pi), rel=1e-12)  # num underflows
+    d = farfield_threshold_distance(_link(gamma=5e-324, n0=5e-324))  # gamma*n0 is 0
+    assert d == pytest.approx(2.0 / (64.0 * math.pi**3) ** 0.25 / 5e-324**0.5, rel=1e-12)
+    with pytest.raises(InputError, match="past the largest float"):
+        nearfield_threshold_distance(_link(wavelength=1e300, area=1e300))
+    with pytest.raises(InputError, match="past the largest float"):
+        farfield_threshold_distance(_link(m=1e300, n=1e300, area=1e300))

@@ -345,3 +345,24 @@ def test_high_budgets_on_sparse_points_keep_one_label_per_state(scenario, monkey
     for t, m, prev, _, _ in layers:
         states = np.stack((t, m, prev))
         assert np.unique(states, axis=1).shape[1] == t.size
+
+
+@pytest.mark.parametrize("lam", [1.0, 16.0])
+def test_the_kernel_stops_at_its_first_empty_layer(monkeypatch, lam):
+    """With lower-turn paths, k = 10**4 ends when a layer holds no label
+    (about 75 us a layer otherwise), and still equals the per-trial search
+    bit for bit."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2][0].size)
+        return turn(*args)
+
+    turn = oracle._turn
+    monkeypatch.setattr(oracle, "_turn", counted)
+    policy, t_max = TurnPolicy.k_turn(10**4), 2.0
+    chunk = sample_chunk(ModelParams(lam, 1.0), typical_point(), t_max, 11, 0, 8)
+    got = chunk_lengths(chunk, policy, t_max)
+    assert 0 < len(calls) < 40 and calls[-1] > 0
+    want = [shortest_path(chunk.realization(i), policy, t_max).length for i in range(8)]
+    assert np.array_equal(got, want)

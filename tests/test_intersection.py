@@ -343,3 +343,20 @@ def test_each_curve_call_logs_its_ladder(caplog):
     assert lines[0].startswith("one-turn intersection CDF: 3 points, settled per rung 2:")
     assert "largest increment" in lines[0] and lines[0].endswith(" ms")
     assert np.array_equal(quiet, cdf_one_turn_intersection(P11, grid))
+
+
+def test_cdf_is_one_where_the_zero_turn_curve_rounds_to_one():
+    """F lies between 1 - exp(-4*mu*t) and 1. Where the first rounds to 1,
+    F is 1 with a zero error and no rung runs, also where mu*t overflows
+    (which gave nan, a failed ladder or an overflow warning)."""
+    t = np.array([0.0, 0.5, 1.0, 2.0, 3.0])
+    values, err = cdf_one_turn_intersection(ModelParams(1.0, 1e308), t, with_err=True)
+    assert values.tolist() == [0.0, 1.0, 1.0, 1.0, 1.0] and not err.any()
+    assert cdf_one_turn_intersection(ModelParams(2.0, 10.0), 1.0) == 1.0  # 4*mu*t = 40
+
+
+def test_cdf_stays_a_probability_when_lam_t_is_huge_and_mu_t_tiny():
+    """2t - Tx - Ty rounds to 0 or below where mu*t is tiny; with lam past
+    the largest float / 2 that gave nan (inf * 0) and a warning."""
+    values = cdf_one_turn_intersection(ModelParams(1e308, 0.5), [1e-300, 2e-300, 3e-300])
+    assert np.all((values >= 0.0) & (values <= 1.0))

@@ -18,6 +18,7 @@ from linecox import (
     cdf_ppp2d_reference,
     farfield_threshold_distance,
     nearfield_threshold_distance,
+    one_turn_intersection_terms,
     reach_quantile,
     realization_to_json,
     rescale,
@@ -128,6 +129,9 @@ REAL_INPUT_SITES = {
     "sample_palm": (lambda r: realization_to_json(
         sample_palm(ModelParams(1.0, 1.0), typical_point(), r, seed=1)),
         3, 2.0, NonPositiveRadius),
+    "validate": (lambda x: validate(ModelParams(x, x)), 2, 0.5, NonFinite),
+    "one_turn_intersection_terms": (lambda mu: one_turn_intersection_terms(mu, 0.5),
+                                    2, 0.5, NonFinite),
 }
 
 
@@ -144,3 +148,11 @@ def test_real_inputs_take_numpy_scalars_and_refuse_bools(site):
     for bad in (True, False, "1"):
         with pytest.raises(error):
             result(bad)
+
+
+@pytest.mark.parametrize("mu, error", [(-1.0, NegativeIntensity), (0.0, ZeroMu),
+                                       (float("nan"), NonFinite), (float("inf"), NonFinite)])
+def test_terms_check_mu_as_validate_does(mu, error):
+    """A bad mu was a QuadratureFailure (and inf an overflow warning)."""
+    with pytest.raises(error, match="mu"):
+        one_turn_intersection_terms(mu, 0.5)

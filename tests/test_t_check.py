@@ -1,4 +1,5 @@
-"""Every analytic curve checks t with the one helper, the same way."""
+"""Every analytic curve, the sampler and both oracles check t with the one
+helper, the same way."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from linecox import (
     ModelParams,
     NegativeT,
     NonFinite,
+    TBeyondClip,
+    TurnPolicy,
     cdf_naive_recursion,
     cdf_one_turn_intersection,
     cdf_one_turn_point,
@@ -14,7 +17,12 @@ from linecox import (
     cdf_two_turn_bound,
     cdf_upper_intersection,
     cdf_zero_turn_intersection,
+    chunk_lengths,
+    crossings_within,
     one_turn_intersection_terms,
+    sample_chunk,
+    shortest_path,
+    typical_point,
 )
 
 P11 = ModelParams(1.0, 1.0)
@@ -51,3 +59,20 @@ def test_a_list_of_t_is_an_array_not_a_scalar(curve):
     got = _CURVES[curve]([0.0, 0.3])
     assert isinstance(got, np.ndarray) and got.shape == (2,)
     assert got[0] == 0.0 and got[1] == _CURVES[curve](0.3)
+
+
+_CHUNK = sample_chunk(P11, typical_point(), 2.0, 1, 0, 2)
+_SAMPLED = {
+    "crossings_within": lambda t: crossings_within(_CHUNK.realization(0), 0, t),
+    "shortest_path": lambda t: shortest_path(_CHUNK.realization(0), TurnPolicy.one_turn(), t),
+    "chunk_lengths": lambda t: chunk_lengths(_CHUNK, TurnPolicy.one_turn(), t),
+}
+
+
+@pytest.mark.parametrize("t, error", [(-0.5, NegativeT), (float("nan"), NonFinite),
+                                      (float("-inf"), NonFinite), (2.5, TBeyondClip)])
+@pytest.mark.parametrize("site", sorted(_SAMPLED))
+def test_sampled_sites_reject_bad_t_alike(site, t, error):
+    """The same rule, plus TBeyondClip past the clip radius (2 here)."""
+    with pytest.raises(error):
+        _SAMPLED[site](t)

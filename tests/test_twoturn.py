@@ -307,3 +307,14 @@ def test_one_point_call_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 4e6, peak
+
+
+def test_bound_where_mu_t_overflows():
+    """An s = mu*t past the largest float acts as the largest: the bound
+    takes its large-mu limit, with no overflow warning and no nan."""
+    t = [0.5, 1.0, 3.0]
+    limit = cdf_two_turn_bound(ModelParams(1.0, 1e300), t)
+    for mu in (1e308, 1.7e308):
+        got = cdf_two_turn_bound(ModelParams(1.0, mu), t)
+        assert got == pytest.approx(limit, rel=1e-12, abs=0.0)
+    assert np.all(np.diff(limit) > 0) and 0.0 < limit[0] and limit[-1] < 1.0
