@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from ..errors import NegativeIntensity, NonFinite
-from ..model import ModelParams, _check_t, _finite_real, validate
+from ..model import ModelParams, _check_t, _finite_real
 
 __all__ = [
     "cdf_naive_recursion",
@@ -50,7 +50,6 @@ def cdf_naive_recursion(params: ModelParams, t):
     direction along the starting line, crossings ignored. Exponential(mu);
     independent of lambda. Kept as the sanity floor every other curve must
     beat."""
-    validate(params)
     arr = _check_t(t)
     return _ret(-np.expm1(-_rate_times(params.mu, arr)), arr)
 
@@ -71,9 +70,8 @@ def cdf_one_turn_point(params: ModelParams, t):
     -x - 2*lam*t * (1 - (1 - exp(-x))/x), x = 2*mu*t, whose factors stay
     finite; at lam/mu -> inf with lam*mu fixed, F(t) -> 1 - exp(-2*lam*mu*t^2).
     """
-    validate(params)
     arr = _check_t(t)
-    lam, mu = float(params.lam), float(params.mu)
+    lam, mu = params.lam, params.mu
     two_mu_t = _rate_times(2.0 * mu, arr)
     ratio = lam / mu
     with np.errstate(over="ignore"):  # an exponent below -max is -inf: F = 1
@@ -99,7 +97,6 @@ def cdf_zero_turn_intersection(params: ModelParams, t):
     intersection, no turns: four independent exponential rays,
     F(t) = 1 - exp(-4*mu*t). Also the lower sandwich bound for the one-turn
     intersection distribution."""
-    validate(params)
     arr = _check_t(t)
     return _ret(-np.expm1(-_rate_times(4.0 * params.mu, arr)), arr)
 
@@ -109,7 +106,6 @@ def cdf_upper_intersection(params: ModelParams, t):
     pretend every crossing within reach carries a point immediately, which
     inflates the effective ray intensity to mu + 4*lam on each of the four
     rays, F(t) = 1 - exp(-4*(mu + 4*lam)*t)."""
-    validate(params)
     arr = _check_t(t)
     return _ret(-np.expm1(-_rate_times(4.0 * (params.mu + 4.0 * params.lam), arr)), arr)
 
@@ -119,7 +115,6 @@ def equivalent_ppp_density(params: ModelParams) -> float:
     unit area (pi*lam/2 under the crossing-rate convention) times mu. A
     planar Poisson process with this density is the natural Euclidean
     reference."""
-    validate(params)
     return math.pi * params.lam * params.mu / 2.0
 
 

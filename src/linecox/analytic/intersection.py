@@ -37,7 +37,7 @@ import math
 import numpy as np
 
 from ..errors import DegenerateAngles, DomainError
-from ..model import ModelParams, _check_t, validate
+from ..model import ModelParams, _check_t
 from ..quadrature import check_tol, gauss_legendre, settle_ladder
 from .closed_forms import _rate_times, _ret_err
 
@@ -323,9 +323,9 @@ def one_turn_intersection_terms(mu: float, t: float, *, tol: float = 1e-6):
     most tol; raises QuadratureFailure otherwise. Exposed because the terms
     are useful on their own (they only depend on mu and t, as t times a
     function of mu*t) and because the cross-check tests compare them
-    against brute-force Riemann sums. mu is checked as ``validate`` checks
-    a model's mu."""
-    validate(ModelParams(0.0, mu))
+    against brute-force Riemann sums. mu is checked, and taken as a
+    float, as ``ModelParams`` takes a model's mu."""
+    mu = ModelParams(0.0, mu).mu
     _check_t(t)
     check_tol(tol)
 
@@ -354,7 +354,6 @@ def cdf_one_turn_intersection(params: ModelParams, t, *, tol: float = 1e-6,
     mu*t overflows. ``with_err`` additionally returns the last ladder
     increment as the error estimate.
     """
-    validate(params)
     arr = _check_t(t)
     check_tol(tol)
     lam, mu = params.lam, params.mu

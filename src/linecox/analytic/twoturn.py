@@ -40,7 +40,7 @@ import math
 import numpy as np
 
 from ..errors import DomainError
-from ..model import ModelParams, _check_t, validate
+from ..model import ModelParams, _check_t
 from ..quadrature import check_tol, gauss_legendre, settle_ladder
 from .closed_forms import _rate_times, _ret_err
 
@@ -173,7 +173,6 @@ def two_turn_T(w: float, u: float, t: float, params: ModelParams,
     continuity rather than raised. The value settles up ``_T_LADDER``;
     QuadratureFailure when no two consecutive rungs agree to tol.
     """
-    validate(params)
     check_tol(tol)
     if not (0.0 <= w <= u <= t) or not math.isfinite(t):
         raise DomainError(f"need 0 <= w <= u <= t finite, got w={w}, u={u}, t={t}")
@@ -198,7 +197,6 @@ def cdf_two_turn_bound(params: ModelParams, t, tol: float = 1e-5,
     gives identically 0 (no streets to turn onto). ``with_err``
     additionally returns the last ladder increment.
     """
-    validate(params)
     arr = _check_t(t)
     check_tol(tol)
     lam, mu = params.lam, params.mu

@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .errors import (
     NonPositiveParameter,
     QuadratureFailure,
 )
-from .model import ModelParams, _finite_real, validate
+from .model import ModelParams, _finite_real
 from .quadrature import check_tol
 
 __all__ = [
@@ -48,7 +48,8 @@ _log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class RisLinkParams:
-    """Radio and surface parameters, all linear and strictly positive.
+    """Radio and surface parameters, all linear and strictly positive;
+    building one runs ``validate_link`` and stores every field as a float.
 
     g_t, g_r    transmit / receive antenna gains
     g           per-element gain of the reflecting surface
@@ -74,21 +75,26 @@ class RisLinkParams:
     n0: float
     gamma: float
 
+    def __post_init__(self):
+        validate_link(self)
+        for f in fields(self):
+            object.__setattr__(self, f.name, float(getattr(self, f.name)))
+
 
 def validate_link(link: RisLinkParams) -> RisLinkParams:
-    """Check every field; return the link with Python float fields."""
+    """Check every field, naming the first bad one; ``RisLinkParams`` runs it."""
     for f in fields(link):
         v = getattr(link, f.name)
         if not _finite_real(v):
             raise NonFinite(f"{f.name} must be finite, got {v!r}")
         if v <= 0:
             raise NonPositiveParameter(f"{f.name} must be > 0, got {v}")
-    return replace(link, **{f.name: float(getattr(link, f.name)) for f in fields(link)})
+    return link
 
 
 def db_to_linear(db: float) -> float:
     """10^(db/10); inf where that overflows a float, which
-    ``validate_link`` then rejects by field name."""
+    ``RisLinkParams`` then rejects by field name."""
     try:
         return 10.0 ** (db / 10.0)
     except OverflowError:
@@ -126,8 +132,6 @@ def nearfield_threshold_distance(link: RisLinkParams) -> float:
 
         d* = sqrt(g_t*g_r*wavelength^2*area^2*p_t / (16*pi^2*gamma*n0)).
     """
-    link = validate_link(link)
-
     def direct():
         num = link.g_t * link.g_r * link.wavelength**2 * link.area**2 * link.p_t
         return math.sqrt(num / (16.0 * math.pi**2 * link.gamma * link.n0))
@@ -140,7 +144,7 @@ def nearfield_threshold_distance(link: RisLinkParams) -> float:
 def nearfield_success(link: RisLinkParams, model: ModelParams) -> float:
     """Probability the nearest one-turn street neighbor of a typical point
     is close enough for a near-field surface-assisted link."""
-    return cdf_one_turn_point(validate(model), nearfield_threshold_distance(link))
+    return cdf_one_turn_point(model, nearfield_threshold_distance(link))
 
 
 def farfield_threshold_distance(link: RisLinkParams) -> float:
@@ -155,8 +159,6 @@ def farfield_threshold_distance(link: RisLinkParams) -> float:
     By AM-GM, d1*d2 <= ((d1+d2)/2)^2, so any split of a total street
     distance D <= 2*X^(1/4) succeeds.
     """
-    link = validate_link(link)
-
     def direct():
         num = (link.g_t * link.g_r * link.g * link.m**2 * link.n**2
                * link.d_x * link.d_y * link.wavelength**2 * link.area**2 * link.p_t)
@@ -171,7 +173,7 @@ def farfield_threshold_distance(link: RisLinkParams) -> float:
 def farfield_success_lower_bound(link: RisLinkParams, model: ModelParams) -> float:
     """Lower bound on the far-field success probability: the chance the
     one-turn street distance stays below the AM-GM guaranteed radius."""
-    return cdf_one_turn_point(validate(model), farfield_threshold_distance(link))
+    return cdf_one_turn_point(model, farfield_threshold_distance(link))
 
 
 # quantile targets: CDF factory per policy tag, plus the bracket cap (the
@@ -207,7 +209,6 @@ def reach_quantile(model: ModelParams, p: float, policy: str = "one-turn-point",
     certified, it is solved like the closed forms. Each such quantile logs
     one INFO line: the path taken, the curve calls and points, the wall time.
     """
-    validate(model)
     check_tol(tol)
     if not (_finite_real(p) and 0.0 <= p < 1.0):
         raise ValueError(f"p must lie in [0, 1), got {p!r}")

@@ -69,9 +69,10 @@ from .model import (
     AngleLaw,
     DistributionCurve,
     ModelParams,
+    PalmKind,
+    PalmScenario,
+    PolicyKind,
     TurnPolicy,
-    typical_intersection,
-    typical_point,
 )
 from .experiments import compare as compare_curves
 from .experiments import run_mc
@@ -98,17 +99,8 @@ _CURVES = {
     "naive": (cdf_naive_recursion, None),
     "ppp": (cdf_ppp2d_reference, None),
 }
-_SCENARIOS = {
-    "point": lambda law: typical_point(),
-    "intersection": typical_intersection,
-}
-# policy token -> TurnPolicy from (k, include_lower_turn_paths)
-_POLICIES = {
-    "zero-turn": lambda k, include: TurnPolicy.zero_turn(),
-    "one-turn": lambda k, include: TurnPolicy.one_turn(include),
-    "two-turn-directed": lambda k, include: TurnPolicy.two_turn_directed(include),
-    "k-turn": TurnPolicy.k_turn,
-}
+_SCENARIOS = {"point": PalmKind.TYPICAL_POINT,
+              "intersection": PalmKind.TYPICAL_INTERSECTION}
 _DB_FIELDS = ("g_t", "g_r", "g", "gamma")  # the link gains --db reads in dB
 
 
@@ -253,7 +245,7 @@ _OPTIONS: dict[str, tuple[_Option, ...]] = {
         _Option("scenario", "point", choices=tuple(_SCENARIOS), aliases={
             "typical-point": "point", "typical-intersection": "intersection"}),
         _Option("angle_law", "uniform", choices=tuple(law.value for law in AngleLaw)),
-        _Option("policy", "one-turn", choices=tuple(_POLICIES)),
+        _Option("policy", "one-turn", choices=tuple(kind.value for kind in PolicyKind)),
         _Option("k", 2, int, help="turn budget for --policy k-turn"),
         _Option("exact_turns", False, _parse_bool,
                 help="count only paths using the full turn budget"),
@@ -415,8 +407,8 @@ def cmd_analytic(cfg: RunConfig) -> int:
 
 def cmd_simulate(cfg: RunConfig) -> int:
     params = ModelParams(cfg.lam, cfg.mu)
-    scenario = _SCENARIOS[cfg.scenario](AngleLaw(cfg.angle_law))
-    policy = _POLICIES[cfg.policy](cfg.k, not cfg.exact_turns)
+    scenario = PalmScenario(_SCENARIOS[cfg.scenario], cfg.angle_law)
+    policy = TurnPolicy(cfg.policy, cfg.k, not cfg.exact_turns)
     grid = parse_grid(cfg.grid)
     t_max = cfg.t_max if cfg.t_max is not None else float(grid[-1])
     curve = run_mc(params, scenario, policy, cfg.trials, t_max, cfg.seed,

@@ -73,7 +73,7 @@ class TooManyPoints(InputError):
 
 
 class PolicyBudgetNegative(InputError):
-    """Turn budget k must be >= 0."""
+    """Turn budget k must be >= 0; raised when the TurnPolicy is built."""
 
 
 class DegenerateAngles(LineCoxError):

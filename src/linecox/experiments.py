@@ -29,7 +29,7 @@ from .model import (
     PalmScenario,
     TurnPolicy,
 )
-from .oracle import _budget, chunk_lengths
+from .oracle import chunk_lengths
 from .sampler import _check_inputs, sample_chunk
 from .analytic import (
     DEFAULT_VARIANT,
@@ -134,7 +134,6 @@ def run_mc(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
     fraction; none of it enters the curve.
     """
     started = time.perf_counter()
-    k = _budget(policy)
     trials = int(trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -171,7 +170,7 @@ def run_mc(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
         "params": {"lambda": params.lam, "mu": params.mu},
         "scenario": {"kind": scenario.kind.value,
                      "angle_law": scenario.angle_law.value},
-        "policy": {"kind": policy.kind.value, "k": k,
+        "policy": {"kind": policy.kind.value, "k": policy.k,
                    "include_lower_turn_paths": policy.include_lower_turn_paths,
                    "first_hop_positive_x": policy.first_hop_positive_x},
         "seed": master,
@@ -295,7 +294,7 @@ def figure_sweep(spec: SweepSpec) -> dict:
     for lam, mu in spec.pairs:
         params = ModelParams(lam, mu)
         tag = f"(lambda={lam:g},mu={mu:g})"
-        pmeta = {"params": {"lambda": lam, "mu": mu}}
+        pmeta = {"params": {"lambda": params.lam, "mu": params.mu}}
         out[f"one-turn-point{tag}"] = _analytic_curve(
             grid, cdf_one_turn_point(params, grid), kind="one-turn-point", **pmeta)
         out[f"one-turn-intersection{tag}"] = _analytic_curve(

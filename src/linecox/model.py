@@ -26,6 +26,7 @@ from .errors import (
     NegativeT,
     NonFinite,
     NonPositiveScale,
+    PolicyBudgetNegative,
     TBeyondClip,
     ZeroMu,
 )
@@ -50,11 +51,17 @@ class ModelParams:
     """Line intensity ``lam`` and on-line point intensity ``mu``.
 
     The attribute is spelled ``lam`` because ``lambda`` is a Python keyword;
-    file formats and the CLI accept and emit the full word.
+    file formats and the CLI accept and emit the full word. Building one
+    runs ``validate`` and stores both as Python floats, so metadata is JSON.
     """
 
     lam: float
     mu: float
+
+    def __post_init__(self):
+        validate(self)
+        object.__setattr__(self, "lam", float(self.lam))
+        object.__setattr__(self, "mu", float(self.mu))
 
 
 def _finite_real(x) -> bool:
@@ -85,7 +92,7 @@ def _check_t(t, clip_radius: float | None = None, name: str = "t") -> np.ndarray
 
 
 def validate(params: ModelParams) -> ModelParams:
-    """Check a parameter set, naming the offending field in any error."""
+    """Check a parameter set, naming the bad field; ``ModelParams`` runs it."""
     for name, value in (("lambda", params.lam), ("mu", params.mu)):
         if not _finite_real(value):
             raise NonFinite(f"{name} must be a finite real number, got {value!r}")
@@ -140,11 +147,18 @@ class PalmScenario:
     TYPICAL_POINT: origin sits on one line (the x-axis) carrying the usual
     point process; the origin itself is not a point of the process.
     TYPICAL_INTERSECTION: two lines through the origin, relative angle drawn
-    from ``angle_law`` (ignored for TYPICAL_POINT).
+    from ``angle_law`` (fixed to UNIFORM for TYPICAL_POINT, which draws no
+    angle). Both fields go through their enums, so values such as "sin" serve.
     """
 
     kind: PalmKind
     angle_law: AngleLaw = AngleLaw.UNIFORM
+
+    def __post_init__(self):
+        kind, law = PalmKind(self.kind), AngleLaw(self.angle_law)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "angle_law",
+                           AngleLaw.UNIFORM if kind is PalmKind.TYPICAL_POINT else law)
 
 
 def typical_point() -> PalmScenario:
@@ -166,12 +180,15 @@ class PolicyKind(Enum):
 class TurnPolicy:
     """Which family of street paths the oracle searches.
 
-    ``k`` is the turn budget (fixed to 0/1/2 for the named kinds).
-    ``include_lower_turn_paths`` decides whether paths spending fewer turns
-    than the budget count; with False the family is "exactly k turns".
-    ``first_hop_positive_x`` restricts the first leg to the positive arc
-    direction of line 0 (forced on for TWO_TURN_DIRECTED, optional for
-    K_TURN so the two policies can be compared like for like).
+    ``k`` is the turn budget. ``include_lower_turn_paths`` decides whether
+    paths spending fewer turns than the budget count; with False the family
+    is "exactly k turns". ``first_hop_positive_x`` restricts the first leg
+    to the positive arc direction of line 0 (optional for K_TURN so the
+    policies can be compared like for like). ``kind`` goes through
+    PolicyKind, so "one-turn" serves, and this is the one turn-budget map:
+    ZERO_TURN fixes k = 0 with lower-turn paths, ONE_TURN k = 1 and
+    TWO_TURN_DIRECTED k = 2 with the first hop directed. A negative k then
+    raises PolicyBudgetNegative; k is stored as an int, the flags as bools.
     """
 
     kind: PolicyKind
@@ -179,20 +196,36 @@ class TurnPolicy:
     include_lower_turn_paths: bool = True
     first_hop_positive_x: bool = False
 
+    def __post_init__(self):
+        kind = PolicyKind(self.kind)
+        k, lower = self.k, self.include_lower_turn_paths
+        directed = self.first_hop_positive_x
+        if kind is PolicyKind.ZERO_TURN:
+            k, lower = 0, True
+        elif kind is PolicyKind.ONE_TURN:
+            k = 1
+        elif kind is PolicyKind.TWO_TURN_DIRECTED:
+            k, directed = 2, True
+        if k < 0:
+            raise PolicyBudgetNegative(f"turn budget must be >= 0, got {k}")
+        for name, value in (("kind", kind), ("k", int(k)),
+                            ("include_lower_turn_paths", bool(lower)),
+                            ("first_hop_positive_x", bool(directed))):
+            object.__setattr__(self, name, value)
+
     @staticmethod
     def zero_turn() -> "TurnPolicy":
-        return TurnPolicy(PolicyKind.ZERO_TURN, k=0)
+        return TurnPolicy(PolicyKind.ZERO_TURN)
 
     @staticmethod
     def one_turn(include_lower_turn_paths: bool = True) -> "TurnPolicy":
-        return TurnPolicy(PolicyKind.ONE_TURN, k=1,
+        return TurnPolicy(PolicyKind.ONE_TURN,
                           include_lower_turn_paths=include_lower_turn_paths)
 
     @staticmethod
     def two_turn_directed(include_lower_turn_paths: bool = True) -> "TurnPolicy":
-        return TurnPolicy(PolicyKind.TWO_TURN_DIRECTED, k=2,
-                          include_lower_turn_paths=include_lower_turn_paths,
-                          first_hop_positive_x=True)
+        return TurnPolicy(PolicyKind.TWO_TURN_DIRECTED,
+                          include_lower_turn_paths=include_lower_turn_paths)
 
     @staticmethod
     def k_turn(k: int, include_lower_turn_paths: bool = True,

@@ -9,9 +9,9 @@ Two solvers exist on purpose. Both take every crossing arc from the same
 pairwise routine, which gives a crossing the same two arcs whichever of
 its lines asks first, and add hop lengths in the same left-to-right
 order, so they agree bit for bit; the tests rely on that.
-Every policy reduces to a turn budget k (``_budget``), a lower-turn flag
-and a first-hop direction (``_directed``), and both solvers take just
-these three.
+Every policy reduces to the three fields its record holds, a turn budget
+``k``, a lower-turn flag and a first-hop direction, and both solvers take
+just these three.
 
 * ``shortest_path`` solves one Realization and also returns the route, by
   one label-setting search (``_k_turn``) that computes a line's crossings
@@ -43,12 +43,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PolicyBudgetNegative
 from .model import (
     ModelParams,
     PalmScenario,
     PointOnLine,
-    PolicyKind,
     TurnPolicy,
     _check_t,
 )
@@ -360,20 +358,6 @@ def _search(best, chunk, trials, reach, t_max, k, lower, directed):
 
 # ---- public API --------------------------------------------------------------
 
-def _budget(policy: TurnPolicy) -> int:
-    fixed = {PolicyKind.ZERO_TURN: 0, PolicyKind.ONE_TURN: 1,
-             PolicyKind.TWO_TURN_DIRECTED: 2}
-    k = fixed.get(policy.kind, policy.k)
-    if k < 0:
-        raise PolicyBudgetNegative(f"turn budget must be >= 0, got {k}")
-    return int(k)
-
-
-def _directed(policy: TurnPolicy) -> bool:
-    return (policy.first_hop_positive_x
-            or policy.kind is PolicyKind.TWO_TURN_DIRECTED)
-
-
 def shortest_path(real: Realization, policy: TurnPolicy,
                   t_max: float) -> PathResult:
     """Exact shortest admissible street distance on one realization.
@@ -381,11 +365,10 @@ def shortest_path(real: Realization, policy: TurnPolicy,
     Censors at ``t_max`` (which must not exceed the sampled clip radius).
     Ties in length are broken by (line id, arc) of the target.
     """
-    k = _budget(policy)
     t_max = float(_check_t(t_max, real.clip_radius, "t_max"))
     best = _Best()
-    _k_turn(best, real, t_max, k, policy.include_lower_turn_paths,
-            _directed(policy))
+    _k_turn(best, real, t_max, policy.k, policy.include_lower_turn_paths,
+            policy.first_hop_positive_x)
     if best.key is None:
         return _censored(t_max)
     length, line_id, arc = best.key
@@ -420,9 +403,9 @@ def chunk_lengths(chunk: ChunkSample, policy: TurnPolicy,
     censored at ``t_max``), for every policy. Each entry equals
     ``shortest_path(chunk.realization(t), policy, t_max).length`` bit for
     bit."""
-    k = _budget(policy)
     t_max = float(_check_t(t_max, chunk.clip_radius, "t_max"))
-    lower, directed = policy.include_lower_turn_paths, _directed(policy)
+    k, lower, directed = (policy.k, policy.include_lower_turn_paths,
+                          policy.first_hop_positive_x)
 
     best = np.full(chunk.n_trials, math.inf)
     # without lower-turn paths no incumbent bounds the layers below k, so

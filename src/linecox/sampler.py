@@ -58,7 +58,6 @@ from .model import (
     PalmScenario,
     _check_t,
     _finite_real,
-    validate,
 )
 
 __all__ = [
@@ -389,7 +388,6 @@ def _realization(angles, offsets, n_origin, arcs, cuts, scenario, R,
 
 
 def _check_inputs(params, scenario, clip_radius) -> float:
-    validate(params)
     if not isinstance(scenario, PalmScenario):
         raise TypeError(f"scenario must be a PalmScenario, got {type(scenario).__name__}")
     if not (_finite_real(clip_radius) and clip_radius > 0):
@@ -522,8 +520,8 @@ def realization_from_json(obj) -> Realization:
     if isinstance(obj, str):
         obj = json.loads(obj)
     scen = obj.get("scenario", {})
-    scenario = PalmScenario(PalmKind(scen.get("kind", "typical-point")),
-                            AngleLaw(scen.get("angle_law", "uniform")))
+    scenario = PalmScenario(scen.get("kind", "typical-point"),
+                            scen.get("angle_law", "uniform"))
     lines = tuple(
         Line(id=int(rec["id"]), angle=float(rec["angle"]),
              signed_offset=float(rec["offset"]),

@@ -178,16 +178,36 @@ def test_simulate_single_trial_and_band_columns(capsys):
     assert np.all(hw > 0.0)
 
 
-def test_simulate_scenario_and_policy_matrix(capsys):
-    for extra in (["--scenario", "intersection", "--angle-law", "sin"],
-                  ["--scenario", "typical-point"],
-                  ["--policy", "k-turn", "--k", "0"],
-                  ["--policy", "two-turn-directed", "--exact-turns"]):
-        rc, out, _ = _run(capsys, "simulate", "--trials", "5",
-                          "--grid", "0:1:0.5", *extra)
+def test_simulate_scenario_and_policy_matrix(tmp_path, capsys):
+    """Each request's sidecar names the policy and scenario that ran: a
+    named policy keeps its own budget and flags whatever --k and
+    --exact-turns say, and a typical point draws no angle."""
+    one_turn = ("one-turn", 1, True, False)
+    for extra, policy, scenario in (
+            (["--scenario", "intersection", "--angle-law", "sin"], one_turn,
+             ("typical-intersection", "sin")),
+            (["--scenario", "typical-point"], one_turn, ("typical-point", "uniform")),
+            (["--policy", "k-turn", "--k", "0"], ("k-turn", 0, True, False),
+             ("typical-point", "uniform")),
+            (["--policy", "two-turn-directed", "--exact-turns"],
+             ("two-turn-directed", 2, False, True), ("typical-point", "uniform")),
+            (["--policy", "zero-turn", "--exact-turns"], ("zero-turn", 0, True, False),
+             ("typical-point", "uniform")),
+            (["--policy", "one-turn", "--k", "7"], one_turn, ("typical-point", "uniform")),
+            (["--policy", "k-turn", "--k", "0", "--exact-turns"],
+             ("k-turn", 0, False, False), ("typical-point", "uniform")),
+            (["--scenario", "point", "--angle-law", "sin"], one_turn,
+             ("typical-point", "uniform"))):
+        out = tmp_path / "curve.csv"
+        rc, _, _ = _run(capsys, "simulate", "--trials", "5",
+                        "--grid", "0:1:0.5", *extra, "--out", str(out))
         assert rc == EXIT_OK
-        header, data = _rows(out)
+        header, data = _rows(out.read_text())
         assert data.shape == (3, 4)
+        meta = json.loads((tmp_path / "curve.json").read_text())
+        assert meta["policy"] == dict(zip(
+            ("kind", "k", "include_lower_turn_paths", "first_hop_positive_x"), policy)), extra
+        assert meta["scenario"] == dict(zip(("kind", "angle_law"), scenario)), extra
 
     rc, _, err = _run(capsys, "simulate", "--trials", "5", "--grid", "0:3:1",
                       "--t-max", "2")

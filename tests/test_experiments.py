@@ -1,5 +1,6 @@
 """Monte Carlo driver, its ECDF counts, and curve comparison."""
 
+import json
 import math
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
@@ -29,6 +30,7 @@ from linecox.model import (
     ModelParams,
     PalmKind,
     PalmScenario,
+    PolicyKind,
     TurnPolicy,
 )
 
@@ -107,6 +109,21 @@ def test_run_mc_bit_identical_across_worker_counts(monkeypatch):
     assert np.array_equal(a.values, again.values)
     other = run_mc(params, scenario, policy, trials=700, t_max=2.0, seed=12)
     assert not np.array_equal(a.values, other.values)
+
+    # nor how its records are spelled: numpy-scalar intensities give the
+    # float model's JSON meta, and a hand-built two-turn-directed policy
+    # is its factory's, in meta and curve bytes
+    two = run_mc(params, scenario, TurnPolicy.two_turn_directed(), workers=1, **kw)
+    for spelled in (run_mc(ModelParams(np.int64(1), np.float32(1)), scenario,
+                           TurnPolicy.two_turn_directed(), workers=1, **kw),
+                    run_mc(params, PalmScenario("typical-point"),
+                           TurnPolicy(PolicyKind.TWO_TURN_DIRECTED), workers=1, **kw)):
+        assert json.dumps(spelled.meta) == json.dumps(two.meta)
+        for name in ("grid", "values", "ci_halfwidth"):
+            assert getattr(spelled, name).tobytes() == getattr(two, name).tobytes(), name
+    assert two.meta["policy"] == {"kind": "two-turn-directed", "k": 2,
+                                  "include_lower_turn_paths": True,
+                                  "first_hop_positive_x": True}
 
     kw["trials"] = 2600
     d = run_mc(params, scenario, policy, workers=1, **kw)

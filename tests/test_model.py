@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from linecox import (
+    AngleLaw,
     DistributionCurve,
     ModelParams,
     NegativeIntensity,
     NonFinite,
     NonPositiveRadius,
     NonPositiveScale,
+    PalmScenario,
+    PolicyBudgetNegative,
     PolicyKind,
     RisLinkParams,
     TurnPolicy,
@@ -23,6 +26,7 @@ from linecox import (
     realization_to_json,
     rescale,
     sample_palm,
+    typical_intersection,
     typical_point,
     validate,
 )
@@ -56,6 +60,27 @@ def test_policy_factories():
     assert two.first_hop_positive_x  # forced on
     kt = TurnPolicy.k_turn(5)
     assert kt.k == 5 and not kt.first_hop_positive_x
+
+    # a hand-built record is its factory's: each named kind fixes its own
+    # fields, and kinds and laws are read by value too
+    assert TurnPolicy(PolicyKind.TWO_TURN_DIRECTED) == two
+    assert TurnPolicy(PolicyKind.ONE_TURN, k=5) == TurnPolicy.one_turn()
+    assert (TurnPolicy(PolicyKind.ZERO_TURN, include_lower_turn_paths=False)
+            == TurnPolicy.zero_turn())
+    assert TurnPolicy("one-turn") == TurnPolicy.one_turn()
+    assert PalmScenario("typical-point", AngleLaw.SIN_WEIGHTED) == typical_point()
+    assert (PalmScenario("typical-intersection", "sin")
+            == typical_intersection(AngleLaw.SIN_WEIGHTED))
+    exact = TurnPolicy("k-turn", np.int64(3), 0, 1)
+    assert exact == TurnPolicy.k_turn(3, False, True)
+    assert [type(v) for v in (exact.k, exact.include_lower_turn_paths,
+                              exact.first_hop_positive_x)] == [int, bool, bool]
+    with pytest.raises(PolicyBudgetNegative):
+        TurnPolicy.k_turn(-1)
+    with pytest.raises(ValueError):
+        TurnPolicy("three-turn")
+    with pytest.raises(ValueError):
+        PalmScenario("typical-crossing")
 
 
 def test_curve_build_and_freeze():
