@@ -44,6 +44,7 @@ from .errors import (
     NonPositiveParameter,
     NonPositiveRadius,
     NonPositiveScale,
+    NotAnInteger,
     PolicyBudgetNegative,
     QuadratureFailure,
     TBeyondClip,
@@ -126,7 +127,7 @@ __all__ = [
     "gauss_legendre",
     # errors
     "LineCoxError", "InputError", "NonFinite", "NegativeIntensity", "ZeroMu",
-    "NonPositiveScale", "NegativeT", "NonPositiveParameter",
+    "NonPositiveScale", "NegativeT", "NotAnInteger", "NonPositiveParameter",
     "NonPositiveRadius", "UnknownLine", "TBeyondClip", "TooManyLines",
     "TooManyPoints", "PolicyBudgetNegative", "DegenerateAngles",
     "DomainError", "QuadratureFailure", "GridMismatch", "NoBracket",

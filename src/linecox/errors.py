@@ -41,6 +41,11 @@ class NegativeT(InputError):
     """Distance argument t must be >= 0."""
 
 
+class NotAnInteger(InputError):
+    """A count, seed, worker number or turn budget was not an integer. The
+    message names the field."""
+
+
 class NonPositiveParameter(InputError):
     """A physical parameter that must be strictly positive was not."""
 

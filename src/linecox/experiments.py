@@ -16,7 +16,7 @@ import os
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .model import (
     PalmKind,
     PalmScenario,
     TurnPolicy,
+    _check_int,
 )
 from .oracle import chunk_lengths
 from .sampler import _check_inputs, sample_chunk
@@ -77,10 +78,10 @@ def default_grid(t_max: float = 3.0, step: float = 0.01) -> np.ndarray:
 
 def resolve_workers(workers=None) -> int:
     """Explicit argument beats the LINECOX_WORKERS environment variable
-    beats 1."""
+    beats 1. A float of integral value serves; 2.5 raises NotAnInteger."""
     if workers is None:
-        workers = os.environ.get(WORKERS_ENV, "1")
-    w = int(workers)
+        workers = int(os.environ.get(WORKERS_ENV, "1"))
+    w = _check_int(workers, "workers")
     if w < 1:
         raise ValueError(f"workers must be >= 1, got {w}")
     return w
@@ -134,7 +135,7 @@ def run_mc(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
     fraction; none of it enters the curve.
     """
     started = time.perf_counter()
-    trials = int(trials)
+    trials = _check_int(trials, "trials")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     t_max = float(t_max)
@@ -152,7 +153,7 @@ def run_mc(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
     halfwidth = dkw_halfwidth(trials, alpha)
     DistributionCurve(grid, grid, grid)
     workers = resolve_workers(workers)
-    master = int(seed)
+    master = _check_int(seed, "seed")
 
     chunks = range(0, trials, _CHUNK)
     tasks = ((params, scenario, policy, t_max, master, lo, min(lo + _CHUNK, trials))
@@ -197,10 +198,8 @@ class ComparisonReport:
     ks_distance: float
     argmax_t: float
     inside_band: np.ndarray
-    band: np.ndarray
     a_le_b: bool
     b_le_a: bool
-    meta: dict = field(default_factory=dict)
 
     @property
     def inside_band_fraction(self) -> float:
@@ -242,16 +241,13 @@ def compare(curve_a: DistributionCurve, curve_b: DistributionCurve) -> Compariso
     vb, hb = _step_eval(curve_b, common)
     diff = np.abs(va - vb)
     k = int(np.argmax(diff))
-    band = ha + hb
     return ComparisonReport(
         grid=common,
         ks_distance=float(diff[k]),
         argmax_t=float(common[k]),
-        inside_band=diff <= band,
-        band=band,
+        inside_band=diff <= ha + hb,
         a_le_b=bool(np.all(va <= vb + 1e-12)),
         b_le_a=bool(np.all(vb <= va + 1e-12)),
-        meta={"a": dict(curve_a.meta), "b": dict(curve_b.meta)},
     )
 
 

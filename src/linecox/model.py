@@ -26,6 +26,7 @@ from .errors import (
     NegativeT,
     NonFinite,
     NonPositiveScale,
+    NotAnInteger,
     PolicyBudgetNegative,
     TBeyondClip,
     ZeroMu,
@@ -65,8 +66,29 @@ class ModelParams:
 
 
 def _finite_real(x) -> bool:
-    """A finite real number (numpy scalars too) that is not a bool."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    """A finite real number (numpy scalars too) that is not a bool. An int
+    past the largest float is not finite either, so its caller names it."""
+    if not isinstance(x, numbers.Real) or isinstance(x, bool):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+def _check_int(x, name: str) -> int:
+    """The one integer check: ``x`` as an int. An integral number (numpy
+    scalars too) that is not a bool serves, and so does a float of
+    integral value, such as 1e5. NonFinite for nan or inf, NotAnInteger
+    naming ``name`` for anything else."""
+    if isinstance(x, numbers.Real) and not isinstance(x, bool):
+        if isinstance(x, numbers.Integral):
+            return int(x)
+        if not _finite_real(x):
+            raise NonFinite(f"{name} must be finite, got {x!r}")
+        if float(x).is_integer():
+            return int(x)
+    raise NotAnInteger(f"{name} must be an integer, got {x!r}")
 
 
 def _check_t(t, clip_radius: float | None = None, name: str = "t") -> np.ndarray:
@@ -187,8 +209,10 @@ class TurnPolicy:
     policies can be compared like for like). ``kind`` goes through
     PolicyKind, so "one-turn" serves, and this is the one turn-budget map:
     ZERO_TURN fixes k = 0 with lower-turn paths, ONE_TURN k = 1 and
-    TWO_TURN_DIRECTED k = 2 with the first hop directed. A negative k then
-    raises PolicyBudgetNegative; k is stored as an int, the flags as bools.
+    TWO_TURN_DIRECTED k = 2 with the first hop directed. K_TURN's k goes
+    through ``_check_int``, so 2.7 or True raises NotAnInteger, and a
+    negative k then raises PolicyBudgetNegative; k is stored as an int, the
+    flags as bools.
     """
 
     kind: PolicyKind
@@ -206,9 +230,10 @@ class TurnPolicy:
             k = 1
         elif kind is PolicyKind.TWO_TURN_DIRECTED:
             k, directed = 2, True
+        k = _check_int(k, "k")
         if k < 0:
             raise PolicyBudgetNegative(f"turn budget must be >= 0, got {k}")
-        for name, value in (("kind", kind), ("k", int(k)),
+        for name, value in (("kind", kind), ("k", k),
                             ("include_lower_turn_paths", bool(lower)),
                             ("first_hop_positive_x", bool(directed))):
             object.__setattr__(self, name, value)

@@ -422,7 +422,7 @@ def chunk_lengths(chunk: ChunkSample, policy: TurnPolicy,
     return best
 
 
-# ---- route helpers (used by tests and applications) --------------------------
+# ---- route helpers (public, for inspecting a returned route) -----------------
 
 def route_positions(real: Realization, route) -> list:
     """Euclidean coordinates of the route vertices."""

@@ -23,11 +23,13 @@ Conventions (shared with the oracle):
 Randomness is a counter-based Philox stream keyed (master seed, stream), so
 trial i of a run is reproducible in isolation and independent of how trials
 are batched across workers. ``sample_chunk`` draws consecutive trials into
-one flat layout for the batched oracle; ``sample_palm`` is the one trial of
-a ``sample_chunk`` call, as a Realization. A trial draws its uniforms raw,
-as ``Generator.random`` doubles U, and ``sample_chunk`` maps them once per
-chunk to ``low + (high - low) * U``: the value ``Generator.uniform(low,
-high)`` gives for the same draw, by the same IEEE operations.
+one flat layout for the batched oracle: 25 bytes per line and 8 per point
+(4.6 MiB for 512 trials at lam 16, mu 1, radius 3). ``sample_palm`` is the
+one trial of a ``sample_chunk`` call, as a Realization. A trial draws its
+uniforms raw, as ``Generator.random`` doubles U, and ``sample_chunk`` maps
+them once per chunk to ``low + (high - low) * U``: the value
+``Generator.uniform(low, high)`` gives for the same draw, by the same IEEE
+operations.
 """
 
 from __future__ import annotations
@@ -76,13 +78,14 @@ __all__ = [
 _PI = math.pi
 _MIN_ANGLE_GAP = 1e-12
 # Largest accepted expected line count per trial, lam * pi * clip_radius.
-# A 512-trial chunk holds about 300 bytes per line at mu * clip_radius = 3
-# (its points included), so a chunk at the cap peaks near 310 MB.
+# Drawing a 512-trial chunk at mu * clip_radius = 3 peaks near 280 bytes per
+# line, its points included (measured at lam 60), so a chunk at the cap
+# peaks near 280 MB; the finished chunk keeps about 63 bytes per line.
 MAX_EXPECTED_LINES = 2000.0
 # Largest accepted expected point count per line, 2 * mu * clip_radius.
-# A chunk holds about 50 bytes per point, so a 512-trial chunk of the
-# intersection scenario (two full-length streets) at lam = 0 and the cap
-# peaks near 260 MB.
+# Drawing a chunk peaks near 42 bytes per point and the chunk keeps 8, so a
+# 512-trial chunk of the intersection scenario (two full-length streets) at
+# lam = 0 and the cap peaks near 220 MB.
 MAX_EXPECTED_POINTS = 5000.0
 
 
@@ -329,22 +332,20 @@ class ChunkSample:
     """Consecutive trials of one run as flat arrays (a ragged layout).
 
     Line arrays hold one entry per line, trial by trial, the origin lines of
-    a trial first: ``angle``, ``offset``, ``half`` (chord half length),
-    ``through_origin`` and ``trial`` (0-based within the chunk). The lines
+    a trial first: ``angle``, ``offset`` and ``through_origin``. The lines
     of trial t are ``line_start[t]:line_start[t + 1]``. ``arcs`` holds the
-    point positions sorted within each line, ``arc_line`` their line, and
-    the arcs of line k are ``arcs[arc_start[k]:arc_start[k + 1]]``. Trial t
-    drew from the stream (master, first_stream + t).
+    point positions sorted within each line, and the arcs of line k are
+    ``arcs[arc_start[k]:arc_start[k + 1]]``. Trial t drew from the stream
+    (master, first_stream + t). The chunk holds only what the oracle and
+    ``realization`` read: a line's trial, its chord half length and a
+    point's line follow from these and are not kept.
     """
 
     angle: np.ndarray
     offset: np.ndarray
-    half: np.ndarray
     through_origin: np.ndarray
-    trial: np.ndarray
     line_start: np.ndarray
     arcs: np.ndarray
-    arc_line: np.ndarray
     arc_start: np.ndarray
     n_origin: int
     scenario: PalmScenario
@@ -420,12 +421,13 @@ def sample_chunk(params: ModelParams, scenario: PalmScenario,
     draws = _TrialDraws(params, scenario, R, master)
     origin, angle_u, offset_u, counts, point_u = zip(
         *[draws.draw(i) for i in range(start, stop)])
-    return _chunk_sample(
-        np.array(origin),
-        np.fromiter(map(len, angle_u), dtype=np.int64, count=stop - start),
-        _uniform(angle_u, 0.0, _PI), _uniform(offset_u, -R, R),
-        np.fromiter(itertools.chain.from_iterable(counts), dtype=np.int64),
-        _uniform(point_u, -1.0, 1.0), scenario, R, master, start)
+    # each field in one array, the per-trial draws let go as they are read
+    n_bg = np.fromiter(map(len, angle_u), dtype=np.int64, count=stop - start)
+    angle_u, offset_u = _uniform(angle_u, 0.0, _PI), _uniform(offset_u, -R, R)
+    counts = np.fromiter(itertools.chain.from_iterable(counts), dtype=np.int64)
+    point_u = _uniform(point_u, -1.0, 1.0)
+    return _chunk_sample(np.array(origin), n_bg, angle_u, offset_u, counts,
+                         point_u, scenario, R, master, start)
 
 
 def _uniform(raw, low, high) -> np.ndarray:
@@ -445,22 +447,19 @@ def _chunk_sample(origin, n_bg, angle_bg, offset_bg, counts, u, scenario,
     trial by trial, the point count of every line (a trial's origin lines
     first) and the point positions per unit half chord, line by line."""
     n_origin = origin.shape[1]
-    n_lines = n_origin + n_bg
-    line_start = np.concatenate(([0], np.cumsum(n_lines)))
-    trial = np.repeat(np.arange(n_bg.size), n_lines)
-    through_origin = np.arange(trial.size) - line_start[trial] < n_origin
-    angle = np.empty(trial.size)
+    line_start = np.concatenate(([0], np.cumsum(n_origin + n_bg)))
+    through_origin = np.zeros(line_start[-1], dtype=bool)
+    through_origin[line_start[:-1, None] + np.arange(n_origin)] = True
+    angle = np.empty(through_origin.size)
     angle[through_origin] = origin.ravel()
     angle[~through_origin] = angle_bg
-    offset = np.zeros(trial.size)
+    offset = np.zeros(through_origin.size)
     offset[~through_origin] = offset_bg
     half = np.where(through_origin, R, _half_chords(offset, R))
     arcs = u
     arcs *= np.repeat(half, counts)  # in place: u is the chunk's own array
-    arc_line = np.repeat(np.arange(trial.size), counts)
-    order = _sort_within(arc_line, arcs)
-    return ChunkSample(angle, offset, half, through_origin, trial, line_start,
-                       arcs[order], arc_line,
+    order = _sort_within(np.repeat(np.arange(half.size), counts), arcs)
+    return ChunkSample(angle, offset, through_origin, line_start, arcs[order],
                        np.concatenate(([0], np.cumsum(counts))),
                        n_origin, scenario, R, master, first_stream)
 

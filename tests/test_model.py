@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from linecox import (
     NonFinite,
     NonPositiveRadius,
     NonPositiveScale,
+    NotAnInteger,
     PalmScenario,
     PolicyBudgetNegative,
     PolicyKind,
@@ -25,11 +27,13 @@ from linecox import (
     reach_quantile,
     realization_to_json,
     rescale,
+    run_mc,
     sample_palm,
     typical_intersection,
     typical_point,
     validate,
 )
+from linecox.experiments import resolve_workers
 
 
 def test_validate_accepts_and_returns():
@@ -164,14 +168,47 @@ REAL_INPUT_SITES = {
 def test_real_inputs_take_numpy_scalars_and_refuse_bools(site):
     """Every real-valued input goes through one check: numpy integers and
     floats give what the equal Python float gives, and a bool is not a
-    number, so it raises the error a string would."""
+    number, so it raises the error a string would. So does an int too
+    large for a float, which must not escape as an OverflowError."""
     result, n, v, error = REAL_INPUT_SITES[site]
     for x in (np.int64(n), np.int32(n), n):
         assert result(x) == result(float(n)), x
     for x in (np.float32(v), np.float64(v)):
         assert result(x) == result(float(v)), x
-    for bad in (True, False, "1"):
+    for bad in (True, False, "1", 10**400):
         with pytest.raises(error):
+            result(bad)
+
+
+# field -> (result of one integer input, an integer it takes)
+INT_INPUT_SITES = {
+    "k": (lambda k: TurnPolicy.k_turn(k), 2),
+    "trials": (lambda n: _mc_bytes(trials=n), 3),
+    "seed": (lambda seed: _mc_bytes(seed=seed), 5),
+    "workers": (resolve_workers, 2),
+}
+
+
+def _mc_bytes(trials=2, seed=1):
+    curve = run_mc(ModelParams(1.0, 1.0), typical_point(), TurnPolicy.one_turn(),
+                   trials, 1.0, seed, grid=[0.0, 0.5, 1.0])
+    return curve.values.tobytes(), json.dumps(curve.meta)
+
+
+@pytest.mark.parametrize("site", INT_INPUT_SITES)
+def test_integer_inputs_take_integral_values_and_refuse_the_rest(site):
+    """Every integer input goes through one check: numpy integers and a
+    float of integral value give what the equal int gives; a fraction, a
+    bool or a string raises NotAnInteger naming the field, and nan or inf
+    NonFinite. None of them is truncated or escapes as another error."""
+    result, n = INT_INPUT_SITES[site]
+    for x in (np.int64(n), np.int32(n), float(n), np.float64(n)):
+        assert result(x) == result(n), x
+    for bad in (n + 0.7, np.float32(n + 0.5), True, "1"):
+        with pytest.raises(NotAnInteger, match=site):
+            result(bad)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NonFinite, match=site):
             result(bad)
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,8 +259,8 @@ def test_dense_points_are_rejected_before_drawing():
     assert _check_inputs(below, typical_intersection(), R) == R
 
 
-_CHUNK_FIELDS = ("angle", "offset", "half", "through_origin", "trial",
-                 "line_start", "arcs", "arc_line", "arc_start")
+_CHUNK_FIELDS = ("angle", "offset", "through_origin", "line_start", "arcs",
+                 "arc_start")
 
 
 def _reference_chunk(params, scenario, R, master, start, stop):
@@ -268,8 +269,7 @@ def _reference_chunk(params, scenario, R, master, start, stop):
     field, and the point counts from one scalar ``rng.poisson`` call per
     line up to _SCALAR_COUNTS_MAX lines, from one array call above."""
     fields = {name: [] for name in _CHUNK_FIELDS}
-    lines_before = 0
-    for t, stream in enumerate(range(start, stop)):
+    for stream in range(start, stop):
         rng = np.random.Generator(np.random.Philox(
             key=np.array([master % 2**64, stream % 2**64], dtype=np.uint64)))
         origin = [0.0]
@@ -294,15 +294,11 @@ def _reference_chunk(params, scenario, R, master, start, stop):
         n_lines = half.size
         fields["angle"].append(np.concatenate((origin, angles)))
         fields["offset"].append(np.concatenate((np.zeros(len(origin)), offsets)))
-        fields["half"].append(half)
         fields["through_origin"].append(np.arange(n_lines) < len(origin))
-        fields["trial"].append(np.full(n_lines, t))
         fields["line_start"].append([n_lines])
         cuts = np.cumsum(counts)[:-1]
         fields["arcs"].append(np.concatenate(
             [np.sort(a) for a in np.split(u * np.repeat(half, counts), cuts)]))
-        fields["arc_line"].append(lines_before + np.repeat(np.arange(n_lines), counts))
-        lines_before += n_lines
         fields["arc_start"].append(counts)
     out = {name: np.concatenate(parts) for name, parts in fields.items()}
     out["line_start"] = np.concatenate(([0], np.cumsum(out["line_start"])))
@@ -335,9 +331,10 @@ def test_sample_chunk_equals_slow_reference_bit_for_bit(lam):
 
 
 # md5 of every ChunkSample array of sample_chunk(ModelParams(16, 2),
-# typical_intersection(), 3.0, 2024, 0, 6), recorded before the draws were
-# taken as raw uniforms and mapped per chunk
-DENSE_CHUNK_MD5 = "61a2fd65c1ef28a06d7868cadc9a1c6d"
+# typical_intersection(), 3.0, 2024, 0, 6), recorded while the chunk still
+# kept three more arrays (each line's chord half length and trial, and each
+# point's line)
+DENSE_CHUNK_MD5 = "eabeffefc952e2b45f0ae44f1fff414c"
 
 
 def test_dense_chunk_matches_frozen_digest():
@@ -348,3 +345,23 @@ def test_dense_chunk_matches_frozen_digest():
         h.update(np.ascontiguousarray(getattr(chunk, name)).tobytes())
     assert chunk.angle.size > 6 * 100
     assert h.hexdigest() == DENSE_CHUNK_MD5
+
+
+def test_chunk_keeps_and_draws_in_bounded_memory():
+    """One 512-trial chunk at lam 16 (point scenario, mu 1, radius 3: 77k
+    lines, 366k points) keeps 25 bytes per line and 8 per point, 4.7 MiB as
+    tracemalloc counts it; the bound is 6 MiB. It kept 8.7 MiB with each
+    line's chord half length and trial and each point's line. Drawing it
+    peaks at 20.4 MiB; the bound is 23 MiB. It peaked at 25.8 MiB while the
+    per-trial draws outlived their mapping."""
+    params = ModelParams(16.0, 1.0)
+    sample_chunk(params, typical_point(), 3.0, 7, 0, 2)  # warm caches untraced
+    tracemalloc.start()
+    try:
+        chunk = sample_chunk(params, typical_point(), 3.0, 7, 0, 512)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (chunk.angle.size, chunk.arcs.size) == (77416, 365683)
+    assert retained < 6 * 2**20, retained / 2**20
+    assert peak < 23 * 2**20, peak / 2**20

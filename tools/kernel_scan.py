@@ -16,8 +16,10 @@ lower-turn paths. The whole scan takes about a minute on one core.
 The "draw" rows time the sampler alone: ``sample_chunk`` at the chunk
 shapes of the two Monte Carlo benchmark workloads (lam 0.5-2 at 150
 trials, lam 4 at 16, lam 16 at 3; mu = 1, radius 3), over DRAW_CHUNKS
-consecutive chunks per row. They print lines and points per trial and the
-CPU us per trial, and take a few seconds.
+consecutive chunks per row. They print lines and points per trial, the
+CPU us per trial, and, from one more untimed call under ``tracemalloc``,
+the KiB per trial the finished chunk keeps and the call's peak. They take
+a few seconds.
 
     PYTHONPATH=src python tools/kernel_scan.py [--rows dense|chunk|draw|all]
 
@@ -91,7 +93,14 @@ def draw_row(lam, scenario, trials):
     sample_chunk(params, SCENARIOS[scenario], T_MAX, SEED, 0, trials)  # warm-up
     _, ms = _cpu_ms(draw_all)
     n = DRAW_CHUNKS * trials
-    return lam, scenario, trials, lines / n, points / n, 1e3 * ms / n
+    tracemalloc.start()
+    try:
+        chunk = sample_chunk(params, SCENARIOS[scenario], T_MAX, SEED, 0, trials)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return (lam, scenario, trials, lines / n, points / n, 1e3 * ms / n,
+            kept / trials / 2**10, peak / 2**10)
 
 
 def main(argv=None):
@@ -110,11 +119,11 @@ def main(argv=None):
                   % scan_row(*row), flush=True)
     if args.rows in ("draw", "all"):
         print("| lam | scenario | trials | lines/trial | points/trial | "
-              "sample_chunk us/trial |")
-        print("|---|---|---|---|---|---|")
+              "sample_chunk us/trial | chunk KiB/trial | draw peak KiB |")
+        print("|---|---|---|---|---|---|---|---|")
         for row in DRAW_ROWS:
-            print("| %g | %s | %d | %.1f | %.1f | %.1f |" % draw_row(*row),
-                  flush=True)
+            print("| %g | %s | %d | %.1f | %.1f | %.1f | %.2f | %.0f |"
+                  % draw_row(*row), flush=True)
 
 
 if __name__ == "__main__":
