@@ -50,7 +50,6 @@ from .errors import (
     TBeyondClip,
     TooManyLines,
     TooManyPoints,
-    UnknownLine,
     ZeroMu,
 )
 from .experiments import (
@@ -80,9 +79,6 @@ from .model import (
 from .oracle import (
     PathResult,
     chunk_lengths,
-    route_length,
-    route_positions,
-    sample_D,
     sample_path,
     shortest_path,
 )
@@ -90,10 +86,6 @@ from .quadrature import gauss_legendre
 from .sampler import (
     ChunkSample,
     Realization,
-    crossings_within,
-    realization_from_json,
-    realization_to_json,
-    rotate,
     sample_chunk,
     sample_palm,
 )
@@ -112,10 +104,8 @@ __all__ = [
     "one_turn_intersection_terms", "cdf_two_turn_bound", "two_turn_T",
     "cdf_ppp2d_reference", "equivalent_ppp_density", "DEFAULT_VARIANT", "angle_thresholds", "z_length",
     # sampling and oracle
-    "Realization", "sample_palm", "crossings_within", "realization_to_json",
-    "realization_from_json", "rotate", "PathResult", "shortest_path",
-    "sample_path", "sample_D", "route_positions", "route_length",
-    "ChunkSample", "sample_chunk", "chunk_lengths",
+    "Realization", "sample_palm", "PathResult", "shortest_path",
+    "sample_path", "ChunkSample", "sample_chunk", "chunk_lengths",
     # experiments
     "run_mc", "compare", "ComparisonReport", "SweepSpec",
     "figure_sweep", "default_grid", "dkw_halfwidth",
@@ -128,7 +118,7 @@ __all__ = [
     # errors
     "LineCoxError", "InputError", "NonFinite", "NegativeIntensity", "ZeroMu",
     "NonPositiveScale", "NegativeT", "NotAnInteger", "NonPositiveParameter",
-    "NonPositiveRadius", "UnknownLine", "TBeyondClip", "TooManyLines",
+    "NonPositiveRadius", "TBeyondClip", "TooManyLines",
     "TooManyPoints", "PolicyBudgetNegative", "DegenerateAngles",
     "DomainError", "QuadratureFailure", "GridMismatch", "NoBracket",
 ]

@@ -54,6 +54,9 @@ def cdf_naive_recursion(params: ModelParams, t):
     return _ret(-np.expm1(-_rate_times(params.mu, arr)), arr)
 
 
+_INV_EPS = 2.0**52  # 1 / machine epsilon of a double
+
+
 def cdf_one_turn_point(params: ModelParams, t):
     """Shortest one-turn street distance from a typical point on a line.
 
@@ -69,13 +72,19 @@ def cdf_one_turn_point(params: ModelParams, t):
     Where lam/mu overflows, the exponent is taken in the rearranged form
     -x - 2*lam*t * (1 - (1 - exp(-x))/x), x = 2*mu*t, whose factors stay
     finite; at lam/mu -> inf with lam*mu fixed, F(t) -> 1 - exp(-2*lam*mu*t^2).
+    The rearranged form also serves where lam/mu exceeds 1/eps while
+    lam*mu stays below it: the printed form's two lam terms, each near
+    2*lam*t, cancel there with an error near eps*2*lam*t, which can exceed
+    the exponent's true size, 2*mu*t*(1 + lam*t), and flip the sign of F.
     """
     arr = _check_t(t)
     lam, mu = params.lam, params.mu
     two_mu_t = _rate_times(2.0 * mu, arr)
     ratio = lam / mu
     with np.errstate(over="ignore"):  # an exponent below -max is -inf: F = 1
-        if math.isinf(ratio):
+        # lam*mu bounds the switch so that the printed form keeps its bits
+        # wherever THM1_MD5 pins them, lam = 1e300 (lam*mu >= 1e294) included
+        if math.isinf(ratio) or (ratio > _INV_EPS and lam * mu < _INV_EPS):
             expo = -two_mu_t - 2.0 * arr * (lam * _one_minus_mean_decay(two_mu_t))
         else:
             expo = -two_mu_t - _rate_times(2.0 * lam, arr) + ratio * (-np.expm1(-two_mu_t))

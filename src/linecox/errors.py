@@ -56,10 +56,6 @@ class NonPositiveRadius(InputError):
     """Clip radius must be > 0."""
 
 
-class UnknownLine(LineCoxError):
-    """A line id was requested that is not part of the realization."""
-
-
 class TBeyondClip(InputError):
     """A query distance exceeds the sampled clip radius; results there
     would silently miss geometry."""

@@ -1,11 +1,12 @@
 """Monte Carlo estimation, curve comparison, and parameter sweeps.
 
 Determinism contract: trial i of a run draws from a counter-based stream
-keyed (master seed, i), chunks have a fixed size, and chunk results are
-merged in submission order, so the estimate is bit-identical no matter how
-many worker processes execute it. Curve metadata deliberately excludes the
-worker count and any timestamps; ``run_mc`` reports its wall time and
-throughput through ``logging`` instead.
+keyed (master seed, i), each trial is solved on its own, and every chunk's
+lengths fold into integer counts, so the estimate is bit-identical no
+matter how many worker processes execute it or how the trials are cut
+into chunks. Curve metadata deliberately excludes the worker count and any
+timestamps; ``run_mc`` reports its wall time and throughput through
+``logging`` instead.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch
+from .errors import GridMismatch, InputError
 from .model import (
     AngleLaw,
     DistributionCurve,
@@ -55,7 +56,9 @@ __all__ = [
     "resolve_workers",
 ]
 
-_CHUNK = 512  # fixed regardless of worker count, part of the determinism contract
+# trials per chunk; the curve does not depend on it, since trial i draws
+# from stream (seed, i) and the fold adds integer counts
+_CHUNK = 512
 WORKERS_ENV = "LINECOX_WORKERS"
 
 _log = logging.getLogger(__name__)
@@ -89,7 +92,7 @@ def resolve_workers(workers=None) -> int:
 
 def _mc_chunk(task) -> tuple[np.ndarray, int]:
     """Shortest lengths of trials start..stop-1 (inf when censored) and the
-    number of lines they drew, clipped at t_max as ``sample_D`` clips."""
+    number of lines they drew, clipped at t_max as ``sample_path`` clips."""
     params, scenario, policy, t_max, master, start, stop = task
     chunk = sample_chunk(params, scenario, t_max, master, start, stop)
     return chunk_lengths(chunk, policy, t_max), int(chunk.angle.size)
@@ -138,6 +141,8 @@ def run_mc(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
     trials = _check_int(trials, "trials")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if trials >= 2**63:  # the grid counts are np.int64
+        raise InputError(f"trials must be < 2**63, got a {trials.bit_length()}-bit count")
     t_max = float(t_max)
     if not (t_max > 0 and math.isfinite(t_max)):
         raise ValueError(f"t_max must be finite and > 0, got {t_max}")

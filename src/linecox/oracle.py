@@ -13,11 +13,12 @@ Every policy reduces to the three fields its record holds, a turn budget
 ``k``, a lower-turn flag and a first-hop direction, and both solvers take
 just these three.
 
-* ``shortest_path`` solves one Realization and also returns the route, by
-  one label-setting search (``_k_turn``) that computes a line's crossings
-  the first time it expands that line and pushes only hops that end
-  within min(t_max, incumbent). It is the slow reference the batched
-  kernel is checked against.
+* ``shortest_path`` solves one Realization, a view of one trial of a
+  ChunkSample, and also returns the route, by one label-setting search
+  (``_k_turn``) over the trial's slice of the chunk's arrays. It computes
+  a line's crossings the first time it expands that line and pushes only
+  hops that end within min(t_max, incumbent). It is the slow reference
+  the batched kernel is checked against.
 * ``chunk_lengths`` solves every trial of a ChunkSample at once, lengths
   only, for every policy, by one kernel: Bellman-Ford by hop count over
   flat arrays of labels. Layer j holds one label per (trial, line,
@@ -50,16 +51,9 @@ from .model import (
     TurnPolicy,
     _check_t,
 )
-from .sampler import (
-    ChunkSample,
-    Realization,
-    _crossings,
-    _pair_arcs,
-    sample_palm,
-)
+from .sampler import ChunkSample, Realization, _pair_arcs, sample_palm
 
-__all__ = ["PathResult", "shortest_path", "sample_path", "sample_D",
-           "chunk_lengths", "route_positions", "route_length"]
+__all__ = ["PathResult", "shortest_path", "sample_path", "chunk_lengths"]
 
 
 @dataclass(frozen=True)
@@ -132,36 +126,37 @@ def _scan_targets(best, arcs, ref, base, line_id, turns, t_max, prefix,
                    lambda: prefix() + ((line_id, arc),))
 
 
-def _origin_indices(real: Realization, directed: bool):
-    idx = [k for k, ln in enumerate(real.lines) if ln.through_origin]
-    if not idx:
-        raise ValueError("realization has no origin line to start from")
-    return idx[:1] if directed else idx
-
-
 # ---- general K-turn search --------------------------------------------------
 
 _ORIGIN = -1  # pseudo node, keyed below every crossing
 
 
-# The search runs on states (node, line, turns used): a node is a crossing,
-# keyed lower*n + higher by its two line indices, or _ORIGIN. A line's
-# crossing table is built by ``_crossings`` the first time the search
-# expands that line and kept for the rest of the query, so lines the search
-# never reaches cost nothing. An expansion pushes only the hops whose length
-# stays within min(t_max, incumbent): a longer one could only be popped
-# after the pop-time break below. The key orders nodes as the index into
-# the list of all line pairs would, so heap ties pop in pair order.
+# The search runs on states (node, line, turns used) over the trial's
+# slice of the chunk's arrays; line k of the trial is line id k. A node is a
+# crossing, keyed lower*n + higher by its two line indices, or _ORIGIN. A
+# line's crossing table comes from ``_pair_arcs`` the first time the search
+# expands that line and is kept for the rest of the query, so lines the
+# search never reaches cost nothing. An expansion pushes only the hops whose
+# length stays within min(t_max, incumbent): a longer one could only be
+# popped after the pop-time break below. The key orders nodes as the index
+# into the list of all line pairs would, so heap ties pop in pair order.
 def _k_turn(best, real, t_max, k, include_lower, directed):
-    n = len(real.lines)
-    lids = [ln.id for ln in real.lines]
-    on_origin = np.array([ln.through_origin for ln in real.lines])
-    tables = {}  # line index -> (arcs here, arcs there, other, key, mutual)
+    chunk = real.chunk
+    lo, hi = real._span
+    n = hi - lo
+    trig = tuple(x[lo:hi] for x in chunk._trig)
+    offset = chunk.offset[lo:hi]
+    on_origin = chunk.through_origin[lo:hi]
+    cuts = chunk.arc_start[lo:hi + 1].tolist()
+    tables = {}  # line -> (arcs here, arcs there, other, key, mutual)
 
+    origin = np.flatnonzero(on_origin).tolist()
+    if not origin:
+        raise ValueError("realization has no origin line to start from")
     dist = {}
     via = {}  # state -> (previous state, arc on its line, arc on this line)
     heap = []
-    for oi in _origin_indices(real, directed):
+    for oi in origin[:1] if directed else origin:
         state = (_ORIGIN, oi, 0)
         dist[state] = 0.0
         via[state] = (None, None, 0.0)
@@ -179,15 +174,17 @@ def _k_turn(best, real, t_max, k, include_lower, directed):
         at_start = node == _ORIGIN
         if include_lower or turns == k:
             _scan_targets(
-                best, real.arcs_by_line[li], ref, length, lids[li], turns,
-                t_max, _route_of(via, state, lids),
+                best, chunk.arcs[cuts[li]:cuts[li + 1]], ref, length, li,
+                turns, t_max, _route_of(via, state),
                 nonneg_only=directed and at_start,
             )
 
         if turns == k:
             continue
         if li not in tables:
-            here, there, other = _crossings(real, li)
+            other = np.arange(n - 1)
+            other[li:] += 1
+            here, there = _pair_arcs(trig, offset, li, other)
             key = np.minimum(other, li) * n + np.maximum(other, li)
             tables[li] = (here, there, other, key, on_origin[other] & on_origin[li])
         here, there, other, key, mutual = tables[li]
@@ -210,7 +207,7 @@ def _k_turn(best, real, t_max, k, include_lower, directed):
                 heapq.heappush(heap, (l2, turns + 1, w, o))
 
 
-def _route_of(via, state, lids):
+def _route_of(via, state):
     """Route prefix (vertex list) for a state, built lazily only when a
     candidate actually improves the incumbent."""
 
@@ -219,9 +216,9 @@ def _route_of(via, state, lids):
         s = state
         while s is not None:
             prev, arc_from, arc_to = via[s]
-            verts.append((lids[s[1]], arc_to))
+            verts.append((s[1], arc_to))
             if prev is not None:
-                verts.append((lids[prev[1]], arc_from))
+                verts.append((prev[1], arc_from))
             s = prev
         verts.reverse()
         return tuple(verts)
@@ -391,12 +388,6 @@ def sample_path(params: ModelParams, scenario: PalmScenario,
     return shortest_path(real, policy, t_max)
 
 
-def sample_D(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
-             t_max: float, seed) -> float:
-    """Shortest-distance draw; inf means censored at t_max."""
-    return sample_path(params, scenario, policy, t_max, seed).length
-
-
 def chunk_lengths(chunk: ChunkSample, policy: TurnPolicy,
                   t_max: float) -> np.ndarray:
     """Shortest admissible length of every trial of a chunk (inf when
@@ -420,25 +411,3 @@ def chunk_lengths(chunk: ChunkSample, policy: TurnPolicy,
         todo = todo[(best[todo] > reach[todo]) & (reach[todo] < t_max)]
         reach[todo] = np.minimum(2.0 * reach[todo], t_max)
     return best
-
-
-# ---- route helpers (public, for inspecting a returned route) -----------------
-
-def route_positions(real: Realization, route) -> list:
-    """Euclidean coordinates of the route vertices."""
-    out = []
-    for lid, arc in route:
-        ln = real.lines[real.index_of(lid)]
-        ca, sa = math.cos(ln.angle), math.sin(ln.angle)
-        out.append((ln.signed_offset * -sa + arc * ca,
-                    ln.signed_offset * ca + arc * sa))
-    return out
-
-
-def route_length(route) -> float:
-    """Sum of the walked segments: consecutive vertices on the same line."""
-    total = 0.0
-    for (la, aa), (lb, ab) in zip(route[:-1], route[1:]):
-        if la == lb:
-            total += abs(ab - aa)
-    return total

@@ -23,11 +23,12 @@ Conventions (shared with the oracle):
 Randomness is a counter-based Philox stream keyed (master seed, stream), so
 trial i of a run is reproducible in isolation and independent of how trials
 are batched across workers. ``sample_chunk`` draws consecutive trials into
-one flat layout for the batched oracle: 25 bytes per line and 8 per point
-(4.6 MiB for 512 trials at lam 16, mu 1, radius 3). ``sample_palm`` is the
-one trial of a ``sample_chunk`` call, as a Realization. A trial draws its
-uniforms raw, as ``Generator.random`` doubles U, and ``sample_chunk`` maps
-them once per chunk to ``low + (high - low) * U``: the value
+one flat layout, the package's one layout of a realization: 25 bytes per
+line and 8 per point (4.6 MiB for 512 trials at lam 16, mu 1, radius 3).
+A Realization is a view of one trial of a chunk, and ``sample_palm`` is
+the one trial of a ``sample_chunk`` call. A trial draws its uniforms raw,
+as ``Generator.random`` doubles U, and ``sample_chunk`` maps them once per
+chunk to ``low + (high - low) * U``: the value
 ``Generator.uniform(low, high)`` gives for the same draw, by the same IEEE
 operations.
 """
@@ -35,7 +36,6 @@ operations.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import threading
 from dataclasses import dataclass
@@ -46,19 +46,13 @@ import numpy as np
 # falls on `import linecox` and not on a run's first draw
 from numpy.random import Generator, Philox
 
-from .errors import (
-    NonPositiveRadius,
-    TooManyLines,
-    TooManyPoints,
-    UnknownLine,
-)
+from .errors import NonPositiveRadius, TooManyLines, TooManyPoints
 from .model import (
     AngleLaw,
     Line,
     ModelParams,
     PalmKind,
     PalmScenario,
-    _check_t,
     _finite_real,
 )
 
@@ -69,10 +63,6 @@ __all__ = [
     "ChunkSample",
     "sample_palm",
     "sample_chunk",
-    "crossings_within",
-    "realization_to_json",
-    "realization_from_json",
-    "rotate",
 ]
 
 _PI = math.pi
@@ -97,96 +87,48 @@ def _norm_seed(seed) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Realization:
-    """One sampled street system plus its points.
+    """Trial ``trial`` of ``chunk``: one sampled street system plus its
+    points, as a view. Every field is read off the chunk, ``lines`` and
+    ``arcs_by_line`` on first read. Line k of the trial has id k, and
+    ``arcs_by_line[k]`` holds the sorted, read-only arc coordinates of its
+    points, a view of the chunk's ``arcs``."""
 
-    ``lines[k].id == k`` for sampled realizations; hand-built ones may use
-    arbitrary unique ids. ``arcs_by_line[k]`` holds the sorted arc
-    coordinates of the points on ``lines[k]``.
-    """
-
-    lines: tuple[Line, ...]
-    arcs_by_line: tuple[np.ndarray, ...]
-    scenario: PalmScenario
-    clip_radius: float
-    seed: tuple[int, int] = (0, 0)
-
-    def __post_init__(self):
-        frozen = []
-        for arr in self.arcs_by_line:
-            a = np.sort(np.asarray(arr, dtype=float))
-            a.setflags(write=False)
-            frozen.append(a)
-        object.__setattr__(self, "arcs_by_line", tuple(frozen))
-        if len(self.arcs_by_line) != len(self.lines):
-            raise ValueError("one arc array per line required")
-        ids = [ln.id for ln in self.lines]
-        if len(set(ids)) != len(ids):
-            raise ValueError("line ids must be unique")
-
-    @classmethod
-    def _presorted(cls, lines, arcs_by_line, scenario, clip_radius, seed):
-        """A realization from the sampler's own arrays: lines with ids
-        0..n-1 and read-only float arcs already sorted per line, so the
-        copy, the sort and the checks of ``__post_init__`` are skipped."""
-        real = object.__new__(cls)
-        for name, value in (("lines", lines), ("arcs_by_line", arcs_by_line),
-                            ("scenario", scenario), ("clip_radius", clip_radius),
-                            ("seed", seed)):
-            object.__setattr__(real, name, value)
-        return real
-
-    @cached_property
-    def _id_to_idx(self) -> dict:
-        return {ln.id: k for k, ln in enumerate(self.lines)}
-
-    @cached_property
-    def _angles(self) -> np.ndarray:
-        a = np.array([ln.angle for ln in self.lines], dtype=float)
-        a.setflags(write=False)
-        return a
-
-    @cached_property
-    def _offsets(self) -> np.ndarray:
-        p = np.array([ln.signed_offset for ln in self.lines], dtype=float)
-        p.setflags(write=False)
-        return p
-
-    @cached_property
-    def _trig(self) -> tuple[np.ndarray, np.ndarray]:
-        """(sin, cos) of every line's angle, for ``_pair_arcs``."""
-        return _sin_cos(self._angles)
+    chunk: ChunkSample
+    trial: int
 
     @property
-    def origin_ids(self) -> tuple[int, ...]:
-        return tuple(ln.id for ln in self.lines if ln.through_origin)
-
-    def index_of(self, line_id: int) -> int:
-        try:
-            return self._id_to_idx[line_id]
-        except KeyError:
-            raise UnknownLine(f"no line with id {line_id}") from None
+    def _span(self) -> tuple[int, int]:
+        """The trial's lines, as the slice lo:hi of the chunk's line arrays."""
+        line_start = self.chunk.line_start
+        return int(line_start[self.trial]), int(line_start[self.trial + 1])
 
     @cached_property
-    def intersections(self) -> tuple:
-        """All pairwise crossings inside the clip disk, as tuples
-        (id_i, id_j, arc_on_i, arc_on_j, x, y) with i earlier than j in
-        ``lines`` order. Near-parallel pairs (|sin of angle gap| < 1e-12)
-        have no crossing, in sampled realizations as in hand-built ones."""
-        n = len(self.lines)
-        if n < 2:
-            return ()
-        ii, jj = np.triu_indices(n, k=1)
-        s_i, s_j = _pair_arcs(self._trig, self._offsets, ii, jj)
-        keep = np.isfinite(s_i)
-        out = []
-        sa, ca = self._trig
-        for a, b, u, v in zip(ii[keep], jj[keep], s_i[keep], s_j[keep]):
-            x = self._offsets[a] * (-sa[a]) + u * ca[a]
-            y = self._offsets[a] * ca[a] + u * sa[a]
-            if math.hypot(x, y) <= self.clip_radius:
-                out.append((self.lines[a].id, self.lines[b].id,
-                            float(u), float(v), float(x), float(y)))
-        return tuple(out)
+    def lines(self) -> tuple[Line, ...]:
+        lo, hi = self._span
+        c = self.chunk
+        return tuple(map(Line, range(hi - lo), c.angle[lo:hi].tolist(),
+                         c.offset[lo:hi].tolist(),
+                         c.through_origin[lo:hi].tolist()))
+
+    @cached_property
+    def arcs_by_line(self) -> tuple[np.ndarray, ...]:
+        lo, hi = self._span
+        arcs = self.chunk.arcs.view()
+        arcs.setflags(write=False)
+        cuts = self.chunk.arc_start[lo:hi + 1].tolist()
+        return tuple(arcs[a:b] for a, b in zip(cuts[:-1], cuts[1:]))
+
+    @property
+    def scenario(self) -> PalmScenario:
+        return self.chunk.scenario
+
+    @property
+    def clip_radius(self) -> float:
+        return self.chunk.clip_radius
+
+    @property
+    def seed(self) -> tuple[int, int]:
+        return self.chunk.master, self.chunk.first_stream + self.trial
 
 
 def _sin_cos(angles) -> tuple[np.ndarray, np.ndarray]:
@@ -200,13 +142,14 @@ def _sin_cos(angles) -> tuple[np.ndarray, np.ndarray]:
 def _pair_arcs(trig, offsets, ii, jj):
     """Arc coordinates of the crossing of line pairs (ii[k], jj[k]): returns
     (arc on line ii[k], arc on line jj[k]). Near-parallel pairs give nan.
-    ``trig`` is ``_sin_cos`` of the line angles, which a Realization or a
-    ChunkSample computes once and keeps. Either index may be a scalar.
+    ``trig`` is ``_sin_cos`` of the line angles, which a ChunkSample
+    computes once and keeps. Either index may be a scalar.
 
-    This is the single crossing formula used everywhere (sampler queries and
-    oracle graph alike) so arcs agree bit for bit across code paths. A swap
-    of ii and jj flips det, bx and by exactly, so it swaps the two arcs
-    (only an exact zero may change sign): pass a pair in either order.
+    This is the single crossing formula used everywhere (the per-trial
+    search and the batched kernel alike) so arcs agree bit for bit across
+    code paths. A swap of ii and jj flips det, bx and by exactly, so it
+    swaps the two arcs (only an exact zero may change sign): pass a pair in
+    either order.
     """
     sa, ca = trig
     det = sa[jj] * ca[ii] - ca[jj] * sa[ii]
@@ -218,15 +161,6 @@ def _pair_arcs(trig, offsets, ii, jj):
         arc_j = np.where(np.abs(det) < _MIN_ANGLE_GAP, np.nan,
                          (bx * sa[ii] - by * ca[ii]) / det)
     return arc_i, arc_j
-
-
-def _crossings(real: Realization, li: int):
-    """Crossings of line ``li`` with every other line, in other-line order:
-    (arc on li, arc on the other line, other line index) as arrays. A
-    near-parallel pair gives nan arcs, which every length bound rejects."""
-    other = np.arange(len(real.lines) - 1)
-    other[li:] += 1
-    return (*_pair_arcs(real._trig, real._offsets, li, other), other)
 
 
 def _draw_origin_angles(rng, scenario: PalmScenario):
@@ -363,29 +297,9 @@ class ChunkSample:
         return _sin_cos(self.angle)
 
     def realization(self, t: int) -> Realization:
-        """Trial t as a Realization, for inspecting one trial."""
-        lo, hi = int(self.line_start[t]), int(self.line_start[t + 1])
-        return _realization(self.angle[lo:hi], self.offset[lo:hi],
-                            self.n_origin, self.arcs,
-                            self.arc_start[lo:hi + 1], self.scenario,
-                            self.clip_radius,
-                            (self.master, self.first_stream + t))
-
-
-def _realization(angles, offsets, n_origin, arcs, cuts, scenario, R,
-                 seed) -> Realization:
-    """Lines k = 0, 1, ... with the points arcs[cuts[k]:cuts[k + 1]], which
-    must be sorted within each line; each line gets a read-only view."""
-    lines = tuple(Line(id=k, angle=a, signed_offset=p,
-                       through_origin=k < n_origin)
-                  for k, (a, p) in enumerate(zip(angles.tolist(),
-                                                 offsets.tolist())))
-    arcs = arcs.view()
-    arcs.setflags(write=False)
-    cuts = cuts.tolist()
-    return Realization._presorted(
-        lines, tuple(arcs[a:b] for a, b in zip(cuts[:-1], cuts[1:])),
-        scenario, R, seed)
+        """Trial t as a Realization, a view of this chunk, for inspecting
+        one trial or searching it with ``shortest_path``."""
+        return Realization(self, range(self.n_trials)[t])
 
 
 def _check_inputs(params, scenario, clip_radius) -> float:
@@ -475,88 +389,3 @@ def sample_palm(params: ModelParams, scenario: PalmScenario,
     master, stream = _norm_seed(seed)
     return sample_chunk(params, scenario, clip_radius, master, stream,
                         stream + 1).realization(0)
-
-
-def crossings_within(real: Realization, line_id: int, t: float):
-    """Crossings of other lines along ``line_id`` within arc distance t of
-    the line's arc origin, as (other_line_id, arc_coord, incidence_angle)
-    sorted by |arc_coord| (ties by other id). For an origin line the arc
-    origin is the origin, so these are the candidate first turns."""
-    i = real.index_of(line_id)
-    t = float(_check_t(t, real.clip_radius))
-    s_i, _, other = _crossings(real, i)
-    out = []
-    for k, s in zip(other, s_i):
-        if not math.isfinite(s) or abs(s) > t:
-            continue
-        delta = (real.lines[k].angle - real.lines[i].angle) % _PI
-        out.append((real.lines[k].id, float(s), float(delta)))
-    out.sort(key=lambda rec: (abs(rec[1]), rec[0]))
-    return out
-
-
-# ---- serialization ----------------------------------------------------------
-
-def realization_to_json(real: Realization) -> dict:
-    return {
-        "clip_radius": real.clip_radius,
-        "seed": list(real.seed),
-        "scenario": {"kind": real.scenario.kind.value,
-                     "angle_law": real.scenario.angle_law.value},
-        "lines": [
-            {"id": ln.id, "angle": ln.angle, "offset": ln.signed_offset,
-             "through_origin": ln.through_origin}
-            for ln in real.lines
-        ],
-        "points": [
-            {"line": ln.id, "arc": float(s)}
-            for ln, arcs in zip(real.lines, real.arcs_by_line) for s in arcs
-        ],
-    }
-
-
-def realization_from_json(obj) -> Realization:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    scen = obj.get("scenario", {})
-    scenario = PalmScenario(scen.get("kind", "typical-point"),
-                            scen.get("angle_law", "uniform"))
-    lines = tuple(
-        Line(id=int(rec["id"]), angle=float(rec["angle"]),
-             signed_offset=float(rec["offset"]),
-             through_origin=bool(rec.get("through_origin",
-                                         float(rec["offset"]) == 0.0)))
-        for rec in obj["lines"]
-    )
-    buckets = {ln.id: [] for ln in lines}
-    for rec in obj.get("points", []):
-        lid = int(rec["line"])
-        if lid not in buckets:
-            raise UnknownLine(f"point references unknown line id {lid}")
-        buckets[lid].append(float(rec["arc"]))
-    arcs = tuple(np.array(buckets[ln.id], dtype=float) for ln in lines)
-    seed = obj.get("seed", [0, 0])
-    return Realization(lines, arcs, scenario, float(obj["clip_radius"]),
-                       (int(seed[0]), int(seed[1])))
-
-
-def rotate(real: Realization, phi: float) -> Realization:
-    """The realization rigidly rotated by phi about the origin (a testing
-    aid: street-path lengths are rotation invariant). Angles are folded back
-    to [0, pi); when folding flips the line's direction, the offset and the
-    arc coordinates change sign together."""
-    new_lines = []
-    new_arcs = []
-    for ln, arcs in zip(real.lines, real.arcs_by_line):
-        raw = ln.angle + phi
-        folded = raw % _PI
-        flips = math.floor(raw / _PI) % 2
-        if folded >= _PI:  # float fold-over guard
-            folded -= _PI
-            flips ^= 1
-        sign = -1.0 if flips else 1.0
-        new_lines.append(Line(ln.id, folded, sign * ln.signed_offset,
-                              ln.through_origin))
-        new_arcs.append(sign * arcs)
-    return Realization(tuple(new_lines), tuple(new_arcs), real.scenario,
-                       real.clip_radius, real.seed)

@@ -19,10 +19,7 @@ from linecox import (
     TBeyondClip,
     TurnPolicy,
     chunk_lengths,
-    crossings_within,
-    realization_to_json,
     run_mc,
-    sample_D,
     sample_chunk,
     sample_palm,
     shortest_path,
@@ -32,6 +29,8 @@ from linecox import (
 from linecox import oracle, sampler
 from linecox.experiments import default_grid, dkw_halfwidth
 from linecox.oracle import _runs, _segment_searchsorted
+from realizations import (crossings_within, intersections, realization_to_json,
+                          sample_D)
 
 T_MAX = 3.0
 SCENARIOS = {
@@ -180,7 +179,7 @@ def test_near_parallel_lines_lose_only_their_own_crossing(monkeypatch, lam,
     for real in reals:
         m = len(real.lines)
         a, b, c = m - 3, m - 2, m - 1
-        pairs = {(i, j) for i, j, *_ in real.intersections}
+        pairs = {(i, j) for i, j, *_ in intersections(real)}
         assert (a, b) not in pairs and (0, c) not in pairs
         assert b not in [rec[0] for rec in crossings_within(real, a, T_MAX)]
         assert a not in [rec[0] for rec in crossings_within(real, b, T_MAX)]
@@ -253,7 +252,7 @@ def test_run_mc_never_builds_a_realization(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("run_mc built a Realization")
 
-    monkeypatch.setattr(sampler, "_realization", refuse)
+    monkeypatch.setattr(sampler, "Realization", refuse)
     with pytest.raises(AssertionError):
         sample_palm(ModelParams(1.0, 1.0), typical_point(), T_MAX, 1)
     for scenario in (typical_point(), typical_intersection()):

@@ -178,6 +178,14 @@ def test_simulate_single_trial_and_band_columns(capsys):
     assert np.all(hw > 0.0)
 
 
+def test_simulate_trials_past_int64_exit_2(capsys):
+    rc, out, err = _run(capsys, "simulate", "--trials", "1" + "0" * 400,
+                        "--grid", "0:1:0.5")
+    assert rc == EXIT_CONFIG and out == ""
+    assert err.startswith("linecox: trials must be < 2**63")
+    assert len(err.splitlines()) == 1
+
+
 def test_simulate_scenario_and_policy_matrix(tmp_path, capsys):
     """Each request's sidecar names the policy and scenario that ran: a
     named policy keeps its own budget and flags whatever --k and

@@ -152,6 +152,25 @@ def test_one_turn_point_when_lam_over_mu_overflows():
         assert rearranged == pytest.approx(printed, rel=1e-9, abs=1e-15)
 
 
+def test_one_turn_point_keeps_its_digits_at_huge_lam_over_mu():
+    """At lam/mu past 1/eps the printed exponent's two lam terms cancel to
+    rounding: F(1e-9; 1e10, 1e-10) was -3.6e-15 and F(1e-7) 2.3e-13. F
+    must be >= 0 and agree with the exponent's Taylor series in x = 2*mu*t,
+    -x - lam*t*x*(1 - x/3 + x^2/12 - x^3/60), to a relative 1e-12; x stays
+    below 2e-3, where the series' next term is below 1e-12 of the sum."""
+    t = np.logspace(-12, 1, 27)
+    for lam, mu in ((1e10, 1e-10), (1e8, 1e-9), (1e30, 1e-30), (3.0, 1e-16)):
+        f = cdf_one_turn_point(ModelParams(lam, mu), t)
+        x = 2.0 * mu * t
+        assert x.max() < 2e-3
+        series = -np.expm1(-x - lam * t * x * (1.0 - x / 3.0 * (1.0 - x / 4.0
+                                                              * (1.0 - x / 5.0))))
+        assert np.all(f >= 0.0), (lam, mu)
+        assert f == pytest.approx(series, rel=1e-12, abs=0.0), (lam, mu)
+    f = cdf_one_turn_point(ModelParams(1e10, 1e-10), [1e-9, 1e-7])
+    assert f[0] > 0.0 and f[1] == pytest.approx(2.002e-14, rel=1e-3)
+
+
 def test_input_validation():
     p = ModelParams(1.0, 1.0)
     for f in (cdf_one_turn_point, cdf_zero_turn_intersection,

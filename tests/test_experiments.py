@@ -1,5 +1,6 @@
 """Monte Carlo driver, its ECDF counts, and curve comparison."""
 
+import hashlib
 import json
 import math
 import tracemalloc
@@ -14,7 +15,7 @@ from linecox.analytic import (
     cdf_upper_intersection,
     cdf_zero_turn_intersection,
 )
-from linecox.errors import GridMismatch
+from linecox.errors import GridMismatch, InputError
 from linecox.experiments import (
     WORKERS_ENV,
     SweepSpec,
@@ -196,6 +197,20 @@ def test_run_mc_validation_and_single_trial():
     assert np.all(np.diff(one.values) >= 0.0)
 
 
+@pytest.mark.parametrize("trials", [2**63, 10**400], ids=["2**63", "10**400"])
+def test_run_mc_rejects_trials_past_int64_before_any_trial(monkeypatch, trials):
+    """The grid counts are np.int64, so a count from 2**63 on is bad input
+    (it was an OverflowError from dkw_halfwidth), raised before a chunk is
+    drawn."""
+    def refuse(*args):
+        raise AssertionError("drew a chunk")
+
+    monkeypatch.setattr(experiments, "sample_chunk", refuse)
+    with pytest.raises(InputError, match="trials must be < 2"):
+        run_mc(ModelParams(1.0, 1.0), PalmScenario(PalmKind.TYPICAL_POINT),
+               TurnPolicy.zero_turn(), trials=trials, t_max=1.0, seed=1)
+
+
 @pytest.mark.parametrize("bad, message", [
     ({"alpha": 0.0}, "alpha must be in"),
     ({"alpha": 1.0}, "alpha must be in"),
@@ -220,6 +235,26 @@ def test_run_mc_checks_level_and_grid_before_any_trial(monkeypatch, bad, message
         run_mc(ModelParams(1.0, 1.0), PalmScenario(PalmKind.TYPICAL_POINT),
                TurnPolicy.zero_turn(), trials=10, t_max=1.0, seed=1, **bad)
     assert calls == []
+
+
+@pytest.mark.parametrize("scenario, policy", [
+    (PalmScenario(PalmKind.TYPICAL_POINT), TurnPolicy.k_turn(2)),
+    (PalmScenario(PalmKind.TYPICAL_INTERSECTION),
+     TurnPolicy.k_turn(3, include_lower_turn_paths=False)),
+    (PalmScenario(PalmKind.TYPICAL_POINT), TurnPolicy.two_turn_directed()),
+], ids=["k2-point", "k3-exact-intersection", "two-turn-directed"])
+def test_chunk_size_is_not_part_of_the_result(monkeypatch, scenario, policy):
+    """Trial i draws from stream (seed, i), each trial is solved on its own
+    and the fold adds integer counts, so the curve is the same bytes
+    whatever the chunk size: 300 trials in chunks of 1, 97 and 512."""
+    digests = set()
+    for size in (1, 97, 512):
+        monkeypatch.setattr(experiments, "_CHUNK", size)
+        curve = run_mc(ModelParams(1.5, 0.8), scenario, policy, 300, 2.5, 31)
+        digests.add(hashlib.md5(b"".join(
+            np.ascontiguousarray(a, dtype="<f8").tobytes()
+            for a in (curve.grid, curve.values, curve.ci_halfwidth))).hexdigest())
+    assert len(digests) == 1
 
 
 def test_run_mc_band_covers_known_distribution():

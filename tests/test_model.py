@@ -25,7 +25,6 @@ from linecox import (
     nearfield_threshold_distance,
     one_turn_intersection_terms,
     reach_quantile,
-    realization_to_json,
     rescale,
     run_mc,
     sample_palm,
@@ -34,6 +33,7 @@ from linecox import (
     validate,
 )
 from linecox.experiments import resolve_workers
+from realizations import realization_to_json
 
 
 def test_validate_accepts_and_returns():

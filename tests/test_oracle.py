@@ -13,13 +13,9 @@ from linecox import (
     ModelParams,
     NonFinite,
     PolicyBudgetNegative,
-    Realization,
     TBeyondClip,
     TurnPolicy,
-    route_length,
-    route_positions,
     run_mc,
-    sample_D,
     sample_path,
     sample_palm,
     shortest_path,
@@ -27,8 +23,10 @@ from linecox import (
     typical_point,
 )
 from linecox.model import Line
-from linecox.oracle import _Best, _origin_indices, _scan_targets
+from linecox.oracle import _Best, _scan_targets
 from linecox.sampler import _pair_arcs, _sin_cos
+from realizations import (one_trial, route_length, route_positions, sample_D,
+                          trial_geometry)
 
 HPI = math.pi / 2
 
@@ -44,8 +42,7 @@ def _assert_route(route, expected):
 def build(lines, arcs, clip=5.0):
     """Hand fixture helper. Vertical line at x=c is (angle pi/2, offset -c)
     with arc = y; horizontal at y=c is (angle 0, offset c) with arc = x."""
-    return Realization(tuple(lines), tuple(np.asarray(a, float) for a in arcs),
-                       typical_point(), clip)
+    return one_trial(lines, arcs, typical_point(), clip)
 
 
 def test_street_metric_not_euclidean():
@@ -88,9 +85,9 @@ def test_tie_break_by_line_then_arc():
     res = shortest_path(real, TurnPolicy.zero_turn(), 1.0)
     assert res.target.arc_coord == -0.5
 
-    two = Realization((Line(0, 0.0, 0.0, True), Line(1, HPI, 0.0, True)),
-                      (np.array([0.5]), np.array([-0.5])),
-                      typical_intersection(), 5.0)
+    two = one_trial((Line(0, 0.0, 0.0, True), Line(1, HPI, 0.0, True)),
+                    (np.array([0.5]), np.array([-0.5])),
+                    typical_intersection(), 5.0)
     res = shortest_path(two, TurnPolicy.zero_turn(), 1.0)
     assert (res.target.line_id, res.target.arc_coord) == (0, 0.5)
 
@@ -167,8 +164,8 @@ def test_validation_errors():
         shortest_path(real, TurnPolicy.zero_turn(), math.nan)
     with pytest.raises(PolicyBudgetNegative):
         shortest_path(real, TurnPolicy.k_turn(-1), 1.0)
-    no_origin = Realization((Line(0, 0.2, 0.7),), (np.array([0.1]),),
-                            typical_point(), 2.0)
+    no_origin = one_trial((Line(0, 0.2, 0.7),), (np.array([0.1]),),
+                          typical_point(), 2.0)
     with pytest.raises(ValueError):
         shortest_path(no_origin, TurnPolicy.zero_turn(), 1.0)
 
@@ -194,7 +191,7 @@ def test_route_residual_on_sampled_realizations():
         pos = route_positions(real, res.route)
         assert pos[0] == pytest.approx((0.0, 0.0), abs=1e-12)
         tx, ty = pos[-1]
-        ln = real.lines[real.index_of(res.target.line_id)]
+        ln = real.lines[res.target.line_id]
         ca, sa = math.cos(ln.angle), math.sin(ln.angle)
         want = (ln.signed_offset * -sa + res.target.arc_coord * ca,
                 ln.signed_offset * ca + res.target.arc_coord * sa)
@@ -215,7 +212,7 @@ def _eager_graph(real):
     origin_pair_nodes = set()
     if n >= 2:
         ii, jj = np.triu_indices(n, k=1)
-        arc_i, arc_j = _pair_arcs(real._trig, real._offsets, ii, jj)
+        arc_i, arc_j = _pair_arcs(*trial_geometry(real), ii, jj)
         node = 0
         for a, b, u, v in zip(ii, jj, arc_i, arc_j):
             if not math.isfinite(u):
@@ -237,7 +234,8 @@ def _eager_k_turn(real, graph, t_max, k, include_lower, directed):
     lids = [ln.id for ln in real.lines]
     best = _Best()
     dist, parent, heap = {}, {}, []
-    for oi in _origin_indices(real, directed):
+    origin = [k for k, ln in enumerate(real.lines) if ln.through_origin]
+    for oi in origin[:1] if directed else origin:
         dist[(-1, oi, 0)] = 0.0
         heapq.heappush(heap, (0.0, 0, -1, oi))
 
@@ -349,7 +347,7 @@ def test_pair_arcs_in_either_order_are_swapped_bit_for_bit(lines):
     they meet it. An exact zero arc may differ in sign, which no length
     reads (lengths take |here - ref|, and -0.0 > 0 is false), so the arcs
     are compared after adding 0.0. A line asked against all others at once,
-    as ``_crossings`` asks, gives the same arcs."""
+    as the per-trial search asks, gives the same arcs."""
     angle, offset = (np.array(col) for col in zip(*lines))
     trig = _sin_cos(angle)
     ii, jj = np.nonzero(~np.eye(len(lines), dtype=bool))
@@ -376,14 +374,15 @@ def test_near_parallel_pairs_give_nan_in_either_order():
 def test_hops_tied_with_the_incumbent_or_t_max_are_kept():
     """Ties are never pruned: a hop exactly as long as the incumbent is
     still taken (a point at its crossing on a lower line id wins the tie),
-    and a route exactly as long as t_max is not censored."""
-    lines = [Line(5, 0.0, 0.0, True), Line(1, HPI, -1.0)]
-    arc5, arc1 = _pair_arcs(_sin_cos(np.array([0.0, HPI])),
-                            np.array([0.0, -1.0]), np.array([0]), np.array([1]))
-    real = build(lines, [arc5, arc1])
+    and a route exactly as long as t_max is not censored. The origin line
+    comes second here so that the line it turns onto has the lower id."""
+    lines = [Line(0, HPI, -1.0), Line(1, 0.0, 0.0, True)]
+    arc1, arc0 = _pair_arcs(_sin_cos(np.array([HPI, 0.0])),
+                            np.array([-1.0, 0.0]), np.array([1]), np.array([0]))
+    real = build(lines, [arc0, arc1])
     res = shortest_path(real, TurnPolicy.k_turn(1), 3.0)
-    assert (res.length, res.turns_used) == (arc5[0], 1)
-    assert (res.target.line_id, res.target.arc_coord) == (1, arc1[0])
+    assert (res.length, res.turns_used) == (arc1[0], 1)
+    assert (res.target.line_id, res.target.arc_coord) == (0, arc0[0])
 
     lines = [Line(0, 0.0, 0.0, True), Line(1, HPI, -0.5), Line(2, 0.0, 0.25)]
     _, arc2 = _pair_arcs(_sin_cos(np.array([0.0, HPI, 0.0])),

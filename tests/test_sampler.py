@@ -1,5 +1,4 @@
 import hashlib
-import json
 import math
 import tracemalloc
 
@@ -10,32 +9,25 @@ from scipy import stats
 from linecox import (
     AngleLaw,
     ModelParams,
-    NonFinite,
     NonPositiveRadius,
-    Realization,
-    TBeyondClip,
     TooManyLines,
     TooManyPoints,
     TurnPolicy,
-    UnknownLine,
     run_mc,
-    crossings_within,
-    realization_from_json,
-    realization_to_json,
-    rotate,
     sample_chunk,
     sample_palm,
     shortest_path,
     typical_intersection,
     typical_point,
 )
-from linecox.model import Line, PalmKind
+from linecox.model import PalmKind
 from linecox.sampler import (
     _SCALAR_COUNTS_MAX,
     MAX_EXPECTED_LINES,
     MAX_EXPECTED_POINTS,
     _check_inputs,
 )
+from realizations import crossings_within, intersections, rotate
 
 # point process intensity that keeps realizations almost point-free when a
 # test only cares about the line geometry
@@ -102,35 +94,18 @@ def test_realization_geometry_invariants():
             assert np.hypot(ln.signed_offset, np.abs(arcs)).max() <= R + 1e-9
 
     # every listed intersection is inside the disk and on both lines
-    for id_i, id_j, arc_i, arc_j, x, y in real.intersections:
+    for id_i, id_j, arc_i, arc_j, x, y in intersections(real):
         assert math.hypot(x, y) <= R + 1e-9 * R
         for lid, arc in ((id_i, arc_i), (id_j, arc_j)):
-            ln = real.lines[real.index_of(lid)]
+            ln = real.lines[lid]
             ca, sa = math.cos(ln.angle), math.sin(ln.angle)
             px = ln.signed_offset * -sa + arc * ca
             py = ln.signed_offset * ca + arc * sa
             assert math.hypot(px - x, py - y) <= 1e-9 * R
 
     # both origin lines pass through the origin
-    assert real.origin_ids == (0, 1)
+    assert [ln.id for ln in real.lines if ln.through_origin] == [0, 1]
     assert all(real.lines[k].signed_offset == 0.0 for k in (0, 1))
-
-
-def test_crossings_within_contract():
-    real = sample_palm(ModelParams(2.0, _NO_POINTS), typical_point(), 2.0, seed=7)
-    recs = crossings_within(real, 0, 1.5)
-    assert all(abs(a) <= 1.5 for _, a, _ in recs)
-    assert all(0.0 <= d < math.pi for _, _, d in recs)
-    keys = [(abs(a), lid) for lid, a, _ in recs]
-    assert keys == sorted(keys)
-    with pytest.raises(UnknownLine):
-        crossings_within(real, 999, 1.0)
-    with pytest.raises(ValueError):
-        crossings_within(real, 0, -0.1)
-    with pytest.raises(TBeyondClip):
-        crossings_within(real, 0, 2.5)
-    with pytest.raises(NonFinite):
-        crossings_within(real, 0, math.nan)
 
 
 def test_sample_palm_validation():
@@ -150,35 +125,6 @@ def test_sample_palm_validation():
                    for x, y in zip(got.arcs_by_line, want.arcs_by_line))
 
 
-def test_json_round_trip_preserves_oracle_answers():
-    p = ModelParams(1.0, 1.0)
-    real = sample_palm(p, typical_intersection(), 2.0, seed=(9, 2))
-    blob = json.dumps(realization_to_json(real))
-    back = realization_from_json(blob)
-    assert back.lines == real.lines
-    assert all(np.array_equal(x, y)
-               for x, y in zip(back.arcs_by_line, real.arcs_by_line))
-    assert back.scenario == real.scenario
-    assert back.seed == real.seed
-    for pol in (TurnPolicy.zero_turn(), TurnPolicy.one_turn(),
-                TurnPolicy.k_turn(2)):
-        assert shortest_path(back, pol, 2.0).length == \
-            shortest_path(real, pol, 2.0).length
-
-
-def test_from_json_origin_default():
-    obj = {
-        "clip_radius": 1.0,
-        "lines": [{"id": 0, "angle": 0.0, "offset": 0.0},
-                  {"id": 1, "angle": 1.0, "offset": 0.4}],
-        "points": [{"line": 0, "arc": 0.2}],
-    }
-    real = realization_from_json(obj)
-    assert real.lines[0].through_origin and not real.lines[1].through_origin
-    with pytest.raises(UnknownLine):
-        realization_from_json({**obj, "points": [{"line": 7, "arc": 0.0}]})
-
-
 def test_rotation_invariance_of_path_lengths():
     p = ModelParams(1.0, 1.0)
     for s in range(20):
@@ -196,30 +142,13 @@ def test_rotation_invariance_of_path_lengths():
                     assert got == pytest.approx(want, abs=1e-9)
 
 
-def test_rotate_folds_into_half_open_range():
-    real = sample_palm(ModelParams(1.0, 1.0), typical_point(), 1.5, seed=3)
-    rot = rotate(real, 5.0)
-    assert all(0.0 <= ln.angle < math.pi for ln in rot.lines)
-
-
-def test_realization_rejects_duplicate_ids():
-    lines = (Line(0, 0.0, 0.0, True), Line(0, 1.0, 0.5))
-    with pytest.raises(ValueError):
-        Realization(lines, (np.array([]), np.array([])), typical_point(), 1.0)
-
-
-def test_sampled_arcs_are_sorted_and_read_only_and_hand_built_get_sorted():
+def test_sampled_arcs_are_sorted_and_read_only():
     real = sample_palm(ModelParams(16.0, 2.0), typical_intersection(), 2.0,
                        seed=(3, 1))
     assert sum(a.size for a in real.arcs_by_line) > 100
     for arcs in real.arcs_by_line:
         assert not arcs.flags.writeable
         assert np.all(np.diff(arcs) >= 0)
-    shuffled = tuple(a[::-1].copy() for a in real.arcs_by_line)
-    rebuilt = Realization(real.lines, shuffled, real.scenario,
-                          real.clip_radius, real.seed)
-    for a, b in zip(real.arcs_by_line, rebuilt.arcs_by_line):
-        assert np.array_equal(a, b) and not b.flags.writeable
 
 
 def test_dense_inputs_are_rejected_before_drawing():

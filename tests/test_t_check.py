@@ -18,12 +18,12 @@ from linecox import (
     cdf_upper_intersection,
     cdf_zero_turn_intersection,
     chunk_lengths,
-    crossings_within,
     one_turn_intersection_terms,
     sample_chunk,
     shortest_path,
     typical_point,
 )
+from realizations import crossings_within
 
 P11 = ModelParams(1.0, 1.0)
 

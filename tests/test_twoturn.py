@@ -17,12 +17,12 @@ from linecox import (
     TurnPolicy,
     cdf_two_turn_bound,
     dkw_halfwidth,
-    sample_D,
     two_turn_T,
     typical_point,
 )
 from linecox.analytic import twoturn
 from linecox.quadrature import gauss_legendre
+from realizations import sample_D
 
 DATA = pathlib.Path(__file__).parent / "data" / "riemann_oracle.json"
 P11 = ModelParams(1.0, 1.0)

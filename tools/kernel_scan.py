@@ -3,8 +3,8 @@
 
 For each row it draws one chunk (point scenario, mu = 1, t_max = 3) and
 solves every trial twice: with ``chunk_lengths``, the kernel Monte Carlo
-runs, and with ``shortest_path`` on each trial's Realization, the per-trial
-reference. It checks that the two agree bit for bit, then prints lines per
+runs, and with ``shortest_path`` on each trial's Realization (a view of the
+chunk), the per-trial reference. It checks that the two agree bit for bit, then prints lines per
 trial, the CPU ms per trial of each solver, their ratio, and the kernel's
 ``tracemalloc`` peak (taken in a separate, untimed call).
 
@@ -18,8 +18,10 @@ shapes of the two Monte Carlo benchmark workloads (lam 0.5-2 at 150
 trials, lam 4 at 16, lam 16 at 3; mu = 1, radius 3), over DRAW_CHUNKS
 consecutive chunks per row. They print lines and points per trial, the
 CPU us per trial, and, from one more untimed call under ``tracemalloc``,
-the KiB per trial the finished chunk keeps and the call's peak. They take
-a few seconds.
+the KiB per trial the finished chunk keeps and the call's peak. Last comes
+the CPU us per call of ``sample_palm`` over the same trials, one call per
+trial, reading each realization's lines and arcs as the benchmark's traced
+replay reads them. They take some ten seconds.
 
     PYTHONPATH=src python tools/kernel_scan.py [--rows dense|chunk|draw|all]
 
@@ -34,7 +36,8 @@ import tracemalloc
 import numpy as np
 
 from linecox import (ModelParams, TurnPolicy, chunk_lengths, sample_chunk,
-                     shortest_path, typical_intersection, typical_point)
+                     sample_palm, shortest_path, typical_intersection,
+                     typical_point)
 
 T_MAX, MU, SEED = 3.0, 1.0, 2024
 # (lam, k, include_lower_turn_paths, trials)
@@ -90,6 +93,12 @@ def draw_row(lam, scenario, trials):
             lines += chunk.angle.size
             points += chunk.arcs.size
 
+    def palm_all():
+        for i in range(n):
+            real = sample_palm(params, SCENARIOS[scenario], T_MAX, (SEED, i))
+            len(real.lines)
+            sum(a.size for a in real.arcs_by_line)
+
     sample_chunk(params, SCENARIOS[scenario], T_MAX, SEED, 0, trials)  # warm-up
     _, ms = _cpu_ms(draw_all)
     n = DRAW_CHUNKS * trials
@@ -99,8 +108,9 @@ def draw_row(lam, scenario, trials):
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    _, palm_ms = _cpu_ms(palm_all)
     return (lam, scenario, trials, lines / n, points / n, 1e3 * ms / n,
-            kept / trials / 2**10, peak / 2**10)
+            kept / trials / 2**10, peak / 2**10, 1e3 * palm_ms / n)
 
 
 def main(argv=None):
@@ -119,10 +129,11 @@ def main(argv=None):
                   % scan_row(*row), flush=True)
     if args.rows in ("draw", "all"):
         print("| lam | scenario | trials | lines/trial | points/trial | "
-              "sample_chunk us/trial | chunk KiB/trial | draw peak KiB |")
-        print("|---|---|---|---|---|---|---|---|")
+              "sample_chunk us/trial | chunk KiB/trial | draw peak KiB | "
+              "sample_palm us/trial |")
+        print("|---|---|---|---|---|---|---|---|---|")
         for row in DRAW_ROWS:
-            print("| %g | %s | %d | %.1f | %.1f | %.1f | %.2f | %.0f |"
+            print("| %g | %s | %d | %.1f | %.1f | %.1f | %.2f | %.0f | %.1f |"
                   % draw_row(*row), flush=True)
 
 
