@@ -54,11 +54,9 @@ from .errors import (
 )
 from .experiments import (
     ComparisonReport,
-    SweepSpec,
     compare,
     default_grid,
     dkw_halfwidth,
-    figure_sweep,
     run_mc,
 )
 from .model import (
@@ -107,8 +105,8 @@ __all__ = [
     "Realization", "sample_palm", "PathResult", "shortest_path",
     "sample_path", "ChunkSample", "sample_chunk", "chunk_lengths",
     # experiments
-    "run_mc", "compare", "ComparisonReport", "SweepSpec",
-    "figure_sweep", "default_grid", "dkw_halfwidth",
+    "run_mc", "compare", "ComparisonReport", "default_grid",
+    "dkw_halfwidth",
     # applications
     "RisLinkParams", "nearfield_threshold_distance", "nearfield_success",
     "farfield_threshold_distance", "farfield_success_lower_bound",

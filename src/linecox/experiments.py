@@ -1,12 +1,15 @@
-"""Monte Carlo estimation, curve comparison, and parameter sweeps.
+"""Monte Carlo estimation and curve comparison.
 
 Determinism contract: trial i of a run draws from a counter-based stream
 keyed (master seed, i), each trial is solved on its own, and every chunk's
 lengths fold into integer counts, so the estimate is bit-identical no
 matter how many worker processes execute it or how the trials are cut
-into chunks. Curve metadata deliberately excludes the worker count and any
-timestamps; ``run_mc`` reports its wall time and throughput through
-``logging`` instead.
+into chunks. A chunk is the one unit of work: ``run_mc`` gives each chunk
+as many trials as fit ``_CHUNK_BUDGET`` at their expected line pairs and
+points, so that a chunk's draw and its kernel's layers stay bounded at any
+density the sampler accepts. Curve metadata deliberately excludes the
+worker count and any timestamps; ``run_mc`` reports its wall time and
+throughput through ``logging`` instead.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import numpy as np
 
 from .errors import GridMismatch, InputError
 from .model import (
-    AngleLaw,
     DistributionCurve,
     ModelParams,
     PalmKind,
@@ -33,32 +35,22 @@ from .model import (
 )
 from .oracle import chunk_lengths
 from .sampler import _check_inputs, sample_chunk
-from .analytic import (
-    DEFAULT_VARIANT,
-    cdf_naive_recursion,
-    cdf_one_turn_intersection,
-    cdf_one_turn_point,
-    cdf_ppp2d_reference,
-    cdf_two_turn_bound,
-    cdf_upper_intersection,
-    cdf_zero_turn_intersection,
-    equivalent_ppp_density,
-)
 
 __all__ = [
     "ComparisonReport",
-    "SweepSpec",
     "dkw_halfwidth",
     "default_grid",
     "run_mc",
     "compare",
-    "figure_sweep",
     "resolve_workers",
 ]
 
-# trials per chunk; the curve does not depend on it, since trial i draws
-# from stream (seed, i) and the fold adds integer counts
-_CHUNK = 512
+# expected cost of one chunk's trials, in the units of _chunk_trials. A
+# chunk then draws within about 5 MiB near the sampler's caps and at
+# lam = 0. At mu = 1, t_max = 3 it holds about 700 trials at lam 1, five
+# at lam 16 and one from lam 27 on. The curve does not depend on it, since
+# trial i draws from stream (seed, i) and the fold adds integer counts.
+_CHUNK_BUDGET = 2**17
 WORKERS_ENV = "LINECOX_WORKERS"
 
 _log = logging.getLogger(__name__)
@@ -88,6 +80,19 @@ def resolve_workers(workers=None) -> int:
     if w < 1:
         raise ValueError(f"workers must be >= 1, got {w}")
     return w
+
+
+def _chunk_trials(params: ModelParams, scenario: PalmScenario,
+                  t_max: float) -> int:
+    """Trials per chunk: as many as _CHUNK_BUDGET holds, and at least one.
+    A trial with L = origin lines + lam*pi*t_max expected lines costs
+    L*L, the line pairs that bound a kernel layer's labels, plus
+    L*2*mu*t_max, a bound on the points it draws, plus a fixed 16 for the
+    rest of its draw."""
+    n_origin = 1 if scenario.kind is PalmKind.TYPICAL_POINT else 2
+    lines = n_origin + params.lam * math.pi * t_max
+    cost = 16.0 + lines * (lines + 2.0 * params.mu * t_max)
+    return max(1, int(_CHUNK_BUDGET // cost))
 
 
 def _mc_chunk(task) -> tuple[np.ndarray, int]:
@@ -129,13 +134,13 @@ def run_mc(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
     ``sampler.MAX_EXPECTED_LINES`` lines per trial raise ``TooManyLines``,
     and more than ``sampler.MAX_EXPECTED_POINTS`` points per line
     ``TooManyPoints``, before any trial is drawn. Every policy runs the
-    same way: each chunk of trials is drawn as one ``sample_chunk`` and
-    solved at once by ``chunk_lengths``, with up to ``workers`` processes
-    (never more than there are chunks). Each chunk's lengths are counted
-    into the grid as the chunk arrives, in chunk order, so memory does not
-    grow with ``trials``. Logs one INFO line with the trial count, the wall
-    time, the throughput, the mean lines per trial and the censored
-    fraction; none of it enters the curve.
+    same way: each chunk of trials (``_chunk_trials`` of them) is drawn as
+    one ``sample_chunk`` and solved at once by ``chunk_lengths``, with up
+    to ``workers`` processes (never more than there are chunks). Each
+    chunk's lengths are counted into the grid as the chunk arrives, in
+    chunk order, so memory does not grow with ``trials``. Logs one INFO
+    line with the trial count, the wall time, the throughput, the mean
+    lines per trial and the censored fraction; none of it enters the curve.
     """
     started = time.perf_counter()
     trials = _check_int(trials, "trials")
@@ -160,8 +165,9 @@ def run_mc(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
     workers = resolve_workers(workers)
     master = _check_int(seed, "seed")
 
-    chunks = range(0, trials, _CHUNK)
-    tasks = ((params, scenario, policy, t_max, master, lo, min(lo + _CHUNK, trials))
+    size = _chunk_trials(params, scenario, t_max)
+    chunks = range(0, trials, size)
+    tasks = ((params, scenario, policy, t_max, master, lo, min(lo + size, trials))
              for lo in chunks)
     # counts[j] holds the finite lengths in (grid[j-1], grid[j]]; the last
     # bin those above the grid. Integer counts, so the curve is exact.
@@ -254,78 +260,3 @@ def compare(curve_a: DistributionCurve, curve_b: DistributionCurve) -> Compariso
         a_le_b=bool(np.all(va <= vb + 1e-12)),
         b_le_a=bool(np.all(vb <= va + 1e-12)),
     )
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """What figure_sweep should produce.
-
-    ``pairs`` lists (lambda, mu) combinations. ``trials`` of 0 produces
-    analytic curves only; positive adds the matching Monte Carlo estimates.
-    The two-turn bound is evaluated on every ``bound_stride``-th grid point
-    because it is the costly curve of the family.
-    """
-
-    pairs: tuple = ((1.0, 1.0),)
-    t_max: float = 3.0
-    grid: np.ndarray | None = None
-    trials: int = 0
-    seed: int = 1
-    workers: int | None = None
-    tol: float = 1e-6
-    bound_stride: int = 5
-    include_two_turn_bound: bool = True
-    angle_law: AngleLaw = AngleLaw.UNIFORM
-
-
-def _analytic_curve(grid, values, **meta) -> DistributionCurve:
-    values = np.asarray(values, dtype=float)
-    return DistributionCurve(grid, values, np.zeros_like(values),
-                             {"estimator": "analytic", **meta})
-
-
-def figure_sweep(spec: SweepSpec) -> dict:
-    """All curves needed for the standard comparison figures, keyed
-    '<curve>(lambda=..,mu=..)'. Curves: the one-turn point and intersection
-    distributions, their zero-turn / inflated-intensity sandwich, the
-    single-ray baseline, the equal-density planar Poisson reference, the
-    directed two-turn bound, and (trials > 0) Monte Carlo companions."""
-    grid = default_grid(spec.t_max) if spec.grid is None else np.asarray(spec.grid, float)
-    out: dict = {}
-    for lam, mu in spec.pairs:
-        params = ModelParams(lam, mu)
-        tag = f"(lambda={lam:g},mu={mu:g})"
-        pmeta = {"params": {"lambda": params.lam, "mu": params.mu}}
-        out[f"one-turn-point{tag}"] = _analytic_curve(
-            grid, cdf_one_turn_point(params, grid), kind="one-turn-point", **pmeta)
-        out[f"one-turn-intersection{tag}"] = _analytic_curve(
-            grid, cdf_one_turn_intersection(params, grid, tol=spec.tol),
-            kind="one-turn-intersection", variant=DEFAULT_VARIANT.label(), **pmeta)
-        out[f"zero-turn-intersection{tag}"] = _analytic_curve(
-            grid, cdf_zero_turn_intersection(params, grid),
-            kind="zero-turn-intersection", **pmeta)
-        out[f"upper-intersection{tag}"] = _analytic_curve(
-            grid, cdf_upper_intersection(params, grid), kind="upper-intersection", **pmeta)
-        out[f"single-ray{tag}"] = _analytic_curve(
-            grid, cdf_naive_recursion(params, grid), kind="single-ray", **pmeta)
-        density = equivalent_ppp_density(params)
-        out[f"ppp-reference{tag}"] = _analytic_curve(
-            grid, cdf_ppp2d_reference(density, grid), kind="ppp-reference",
-            density=density, **pmeta)
-        if spec.include_two_turn_bound:
-            sub = grid[::max(1, int(spec.bound_stride))]
-            out[f"two-turn-bound{tag}"] = _analytic_curve(
-                sub, cdf_two_turn_bound(params, sub), kind="two-turn-bound", **pmeta)
-        if spec.trials > 0:
-            point = PalmScenario(PalmKind.TYPICAL_POINT)
-            xing = PalmScenario(PalmKind.TYPICAL_INTERSECTION, spec.angle_law)
-            out[f"mc-one-turn-point{tag}"] = run_mc(
-                params, point, TurnPolicy.one_turn(), spec.trials, spec.t_max,
-                spec.seed, grid, spec.workers)
-            out[f"mc-one-turn-intersection{tag}"] = run_mc(
-                params, xing, TurnPolicy.one_turn(), spec.trials, spec.t_max,
-                spec.seed + 1, grid, spec.workers)
-            out[f"mc-two-turn-point{tag}"] = run_mc(
-                params, point, TurnPolicy.k_turn(2), spec.trials, spec.t_max,
-                spec.seed + 2, grid, spec.workers)
-    return out

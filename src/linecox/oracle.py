@@ -23,12 +23,14 @@ just these three.
   only, for every policy, by one kernel: Bellman-Ford by hop count over
   flat arrays of labels. Layer j holds one label per (trial, line,
   came-from line), the shortest length that reaches it with j turns, so a
-  layer never holds more labels than a trial has line pairs. A label
-  turns onto every other line of its trial, and keeps the hop while it
-  ends within t_max and below the trial's incumbent; the next layer is
-  sorted and reduced out of the hops kept. Without lower-turn
-  paths the kernel bounds each trial by a reach that doubles until it
-  holds the trial's best.
+  layer never holds more labels than the chunk's trials have line pairs.
+  A label turns onto every other line of its trial, and keeps the hop
+  while it ends within t_max and below the trial's incumbent; the next
+  layer is sorted and reduced out of the hops kept. Every layer spans the
+  whole chunk, so its memory grows with the chunk; ``run_mc`` sizes its
+  chunks by their expected line pairs. Without lower-turn paths the
+  kernel bounds each trial by a reach that doubles until it holds the
+  trial's best.
 
 The ``first_hop_positive_x`` restriction (forced for TWO_TURN_DIRECTED)
 makes the first leg run along the positive arc direction of the first
@@ -229,7 +231,6 @@ def _route_of(via, state):
 # ---- batched length-only layer kernel ---------------------------------------
 
 _PAIR_BLOCK = 8192  # (label, next line) pairs solved at once
-_LABEL_BLOCK = 1 << 16  # most labels (lines² a trial) one pass searches at once
 # first reach of an exactly-k search, as a share of t_max (see chunk_lengths)
 _FIRST_REACH = 1 / 16
 
@@ -326,31 +327,29 @@ def _labels(chunk, hops):
 
 def _search(best, chunk, trials, reach, t_max, k, lower, directed):
     """Offer every path of at most k turns (exactly k unless ``lower``) of
-    the given trials, in runs of at most _LABEL_BLOCK labels (lines² a
-    trial) or one trial. Layer 0 holds the origin lines (only the first,
-    ``directed``) at arc 0 and length 0; layer j + 1 the ``_labels`` of the
-    hops ``_turn`` takes from layer j, but layer k is offered block by
-    block, unlabelled. An empty layer below k ends the search, since no
-    later layer can hold a label. Lengths add up hop by hop as in
-    ``_k_turn``, so each offer is the length the search gives that path."""
-    n_lines = np.diff(chunk.line_start)[trials]
+    the given trials, all in one pass. Layer 0 holds the origin lines (only
+    the first, ``directed``) at arc 0 and length 0; layer j + 1 the
+    ``_labels`` of the hops ``_turn`` takes from layer j, but layer k is
+    offered block by block, unlabelled. An empty layer below k ends the
+    search, since no later layer can hold a label. Lengths add up hop by
+    hop as in ``_k_turn``, so each offer is the length the search gives
+    that path."""
     n0 = 1 if directed else chunk.n_origin
-    for a, b in _runs(n_lines * n_lines, _LABEL_BLOCK):
-        t = np.repeat(trials[a:b], n0)
-        zeros = np.zeros(t.size)
-        layer = [(t, chunk.line_start[t] + np.tile(np.arange(n0), b - a),
-                  np.full(t.size, -1), zeros, zeros)]
-        for j in range(k + 1):
-            if j:
-                hops = _turn(best, chunk, rows, reach, j == 1, directed)
-                layer = hops if j == k else [_labels(chunk, hops)]
-                if j < k and not layer[0][0].size:
-                    break
-            for rows in layer:
-                if lower or j == k:
-                    t, m, _, ref, length = rows
-                    _offer(best, t, length + _nearest_dist(
-                        chunk, m, ref, nonneg_only=directed and j == 0), t_max)
+    t = np.repeat(trials, n0)
+    zeros = np.zeros(t.size)
+    layer = [(t, chunk.line_start[t] + np.tile(np.arange(n0), trials.size),
+              np.full(t.size, -1), zeros, zeros)]
+    for j in range(k + 1):
+        if j:
+            hops = _turn(best, chunk, rows, reach, j == 1, directed)
+            layer = hops if j == k else [_labels(chunk, hops)]
+            if j < k and not layer[0][0].size:
+                break
+        for rows in layer:
+            if lower or j == k:
+                t, m, _, ref, length = rows
+                _offer(best, t, length + _nearest_dist(
+                    chunk, m, ref, nonneg_only=directed and j == 0), t_max)
 
 
 # ---- public API --------------------------------------------------------------
@@ -393,7 +392,10 @@ def chunk_lengths(chunk: ChunkSample, policy: TurnPolicy,
     """Shortest admissible length of every trial of a chunk (inf when
     censored at ``t_max``), for every policy. Each entry equals
     ``shortest_path(chunk.realization(t), policy, t_max).length`` bit for
-    bit."""
+    bit. Each search pass spans every trial still searched, so memory
+    grows with the chunk given: a layer holds at most one label per line
+    pair of those trials, and ``_turn`` solves at most _PAIR_BLOCK hops at
+    once."""
     t_max = float(_check_t(t_max, chunk.clip_radius, "t_max"))
     k, lower, directed = (policy.k, policy.include_lower_turn_paths,
                           policy.first_hop_positive_x)

@@ -24,7 +24,7 @@ Randomness is a counter-based Philox stream keyed (master seed, stream), so
 trial i of a run is reproducible in isolation and independent of how trials
 are batched across workers. ``sample_chunk`` draws consecutive trials into
 one flat layout, the package's one layout of a realization: 25 bytes per
-line and 8 per point (4.6 MiB for 512 trials at lam 16, mu 1, radius 3).
+line and 8 per point (about 10 KiB a trial at lam 16, mu 1, radius 3).
 A Realization is a view of one trial of a chunk, and ``sample_palm`` is
 the one trial of a ``sample_chunk`` call. A trial draws its uniforms raw,
 as ``Generator.random`` doubles U, and ``sample_chunk`` maps them once per
@@ -68,14 +68,15 @@ __all__ = [
 _PI = math.pi
 _MIN_ANGLE_GAP = 1e-12
 # Largest accepted expected line count per trial, lam * pi * clip_radius.
-# Drawing a 512-trial chunk at mu * clip_radius = 3 peaks near 280 bytes per
-# line, its points included (measured at lam 60), so a chunk at the cap
-# peaks near 280 MB; the finished chunk keeps about 63 bytes per line.
+# Drawing a chunk at mu * clip_radius = 3 peaks near 280 bytes per line,
+# its points included (measured at lam 60), and the finished chunk keeps
+# about 63 bytes per line. At the cap run_mc draws one trial a chunk, which
+# peaks near 0.5 MiB.
 MAX_EXPECTED_LINES = 2000.0
 # Largest accepted expected point count per line, 2 * mu * clip_radius.
-# Drawing a chunk peaks near 42 bytes per point and the chunk keeps 8, so a
-# 512-trial chunk of the intersection scenario (two full-length streets) at
-# lam = 0 and the cap peaks near 220 MB.
+# Drawing a chunk peaks near 42 bytes per point and the chunk keeps 8. At
+# lam = 0 and the cap run_mc draws the intersection scenario (two
+# full-length streets) 13 trials a chunk, which peaks near 5.2 MiB.
 MAX_EXPECTED_POINTS = 5000.0
 
 

@@ -85,9 +85,10 @@ def test_chunk_lengths_equal_shortest_path_bit_for_bit(lam, mu):
 
 
 def test_run_mc_curve_equals_per_trial_sample_D():
-    """1,100 trials: two full 512-trial chunks and a partial one, at one and
-    two workers, against a curve built from per-trial sample_D calls: the
-    sorted finite lengths counted at each grid point, over all trials."""
+    """1,100 trials: two chunks at the point, three at the intersection
+    (560 and 494 trials a chunk), at one and two workers, against a curve
+    built from per-trial sample_D calls: the sorted finite lengths counted
+    at each grid point, over all trials."""
     params, grid = ModelParams(1.2, 0.9), default_grid(T_MAX)
     for scenario in (typical_point(), typical_intersection()):
         for policy in (TurnPolicy.zero_turn(), TurnPolicy.one_turn(),
@@ -261,13 +262,13 @@ def test_run_mc_never_builds_a_realization(monkeypatch):
 
 
 # The kernel holds one label per (trial, line, came-from line) in a layer,
-# sorted out of the hops the layer keeps, and searches runs of trials of at
-# most oracle._LABEL_BLOCK labels (lines² a trial) at once, so its memory
-# stays bounded however many paths a layer reaches: it peaks near 1 MiB
-# here and on 512-trial chunks. Holding every path of whole layers instead,
-# from a first reach of t_max / 4, peaked at 120 MB (point) and 264 MB
-# (intersection) on 512 trials. The bound leaves room for numpy's own
-# buffers.
+# sorted out of the hops the layer keeps, and searches the trials of the
+# chunk it is given in one pass, so its memory grows with the chunk but not
+# with how many paths a layer reaches: it peaks near 1.2 MiB on these 64
+# trials, where run_mc's chunks at lam 16 hold five. Holding every path of
+# whole layers instead, from a first reach of t_max / 4, peaked at 120 MB
+# (point) and 264 MB (intersection) on 512 trials. The bound leaves room
+# for numpy's own buffers.
 DENSE_PEAK_BYTES = 16 * 2**20
 
 

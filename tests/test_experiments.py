@@ -18,11 +18,9 @@ from linecox.analytic import (
 from linecox.errors import GridMismatch, InputError
 from linecox.experiments import (
     WORKERS_ENV,
-    SweepSpec,
     compare,
     default_grid,
     dkw_halfwidth,
-    figure_sweep,
     resolve_workers,
     run_mc,
 )
@@ -34,6 +32,7 @@ from linecox.model import (
     PolicyKind,
     TurnPolicy,
 )
+from linecox.sampler import MAX_EXPECTED_LINES, MAX_EXPECTED_POINTS
 
 
 def _analytic(grid, values, **meta):
@@ -84,7 +83,7 @@ def test_run_mc_bit_identical_across_worker_counts(monkeypatch):
     processes than there are chunks: with the fork start method every
     one of them is started up front. 2,600 trials are 6 chunks, more than
     the 4 that two workers keep in flight, so that window wraps."""
-    params = ModelParams(1.0, 1.0)
+    params = ModelParams(2.0, 1.0)
     scenario = PalmScenario(PalmKind.TYPICAL_POINT)
     policy = TurnPolicy.one_turn()
     kw = dict(trials=700, t_max=2.0, seed=11)
@@ -115,7 +114,7 @@ def test_run_mc_bit_identical_across_worker_counts(monkeypatch):
     # float model's JSON meta, and a hand-built two-turn-directed policy
     # is its factory's, in meta and curve bytes
     two = run_mc(params, scenario, TurnPolicy.two_turn_directed(), workers=1, **kw)
-    for spelled in (run_mc(ModelParams(np.int64(1), np.float32(1)), scenario,
+    for spelled in (run_mc(ModelParams(np.int64(2), np.float32(1)), scenario,
                            TurnPolicy.two_turn_directed(), workers=1, **kw),
                     run_mc(params, PalmScenario("typical-point"),
                            TurnPolicy(PolicyKind.TWO_TURN_DIRECTED), workers=1, **kw)):
@@ -137,16 +136,17 @@ def test_run_mc_bit_identical_across_worker_counts(monkeypatch):
 
 def test_run_mc_memory_does_not_grow_with_trials(monkeypatch):
     """run_mc keeps integer counts on the grid, not every trial's length:
-    200,000 trials (391 chunks) peak at most 1.25 times as high as 2,048
-    trials (4 chunks) under tracemalloc. Each chunk replays a copy of one
+    400 chunks of trials peak at most 1.25 times as high as 4 chunks under
+    tracemalloc (4,723 trials a chunk here). Each chunk replays a copy of one
     real zero-turn chunk at sparse parameters (lam 0.5, mu 1, t_max 1,
     some censored), because tracing the sampler itself costs about 150 us
     a trial; what grows with the trial count is the driver's own memory."""
     params = ModelParams(0.5, 1.0)
     scenario = PalmScenario(PalmKind.TYPICAL_POINT)
     policy = TurnPolicy.zero_turn()
+    size = experiments._chunk_trials(params, scenario, 1.0)
     lengths, lines = experiments._mc_chunk(
-        (params, scenario, policy, 1.0, 3, 0, experiments._CHUNK))
+        (params, scenario, policy, 1.0, 3, 0, size))
     assert np.isinf(lengths).any() and np.isfinite(lengths).any()
 
     def replay(task):
@@ -155,7 +155,7 @@ def test_run_mc_memory_does_not_grow_with_trials(monkeypatch):
 
     monkeypatch.setattr(experiments, "_mc_chunk", replay)
     peaks = []
-    for trials in (2048, 200_000):
+    for trials in (4 * size, 400 * size):
         tracemalloc.start()
         try:
             curve = run_mc(params, scenario, policy, trials, 1.0, 3, workers=1,
@@ -165,7 +165,7 @@ def test_run_mc_memory_does_not_grow_with_trials(monkeypatch):
             tracemalloc.stop()
         # censored trials keep their mass beyond t_max, so the curve tops
         # out at the finite fraction
-        full, rest = divmod(trials, experiments._CHUNK)
+        full, rest = divmod(trials, size)
         censored = full * int(np.isinf(lengths).sum()) + int(np.isinf(lengths[:rest]).sum())
         assert (curve.meta["trials"], curve.meta["censored"]) == (trials, censored)
         assert curve.values[-1] == (trials - censored) / trials
@@ -173,6 +173,43 @@ def test_run_mc_memory_does_not_grow_with_trials(monkeypatch):
         assert np.all(curve.ci_halfwidth == dkw_halfwidth(trials, 0.1))
     assert peaks[1] <= 1.25 * peaks[0], peaks
 
+
+# Drawing the largest chunk run_mc asks for just under either cap of the
+# sampler: the most lines a trial (one trial a chunk, about 0.5 MiB) and the
+# most points a line on two full-length streets (13 trials, about 5.2 MiB).
+# 512-trial chunks drew with peaks of 269 and 205 MiB there, and 64-trial
+# chunks with about 34 and 26 MiB.
+DRAW_PEAK_BYTES = 8 * 2**20
+
+
+@pytest.mark.parametrize("params, scenario", [
+    (ModelParams(0.999 * MAX_EXPECTED_LINES / (3.0 * math.pi), 1.0),
+     PalmScenario(PalmKind.TYPICAL_POINT)),
+    (ModelParams(0.0, 0.999 * MAX_EXPECTED_POINTS / (2.0 * 3.0)),
+     PalmScenario(PalmKind.TYPICAL_INTERSECTION)),
+], ids=["line-cap", "point-cap"])
+def test_run_mc_chunks_draw_within_a_fixed_peak_at_the_caps(monkeypatch, params,
+                                                           scenario):
+    """run_mc sizes each chunk by its trials' expected line pairs and
+    points, so the largest chunk of a 64-trial run near either cap draws
+    within DRAW_PEAK_BYTES under tracemalloc."""
+    asked = []
+
+    def spy(*args):
+        asked.append(args)
+        return sample_chunk(*args)
+
+    sample_chunk = experiments.sample_chunk
+    monkeypatch.setattr(experiments, "sample_chunk", spy)
+    run_mc(params, scenario, TurnPolicy.zero_turn(), 64, 3.0, 5)
+    largest = max(asked, key=lambda args: args[-1] - args[-2])
+    tracemalloc.start()
+    try:
+        sample_chunk(*largest)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < DRAW_PEAK_BYTES, (largest[-1] - largest[-2], peak)
 
 
 def test_run_mc_validation_and_single_trial():
@@ -246,10 +283,12 @@ def test_run_mc_checks_level_and_grid_before_any_trial(monkeypatch, bad, message
 def test_chunk_size_is_not_part_of_the_result(monkeypatch, scenario, policy):
     """Trial i draws from stream (seed, i), each trial is solved on its own
     and the fold adds integer counts, so the curve is the same bytes
-    whatever the chunk size: 300 trials in chunks of 1, 97 and 512."""
+    whatever the chunk size: 300 trials in chunks of 1, about 97 (a trial
+    here costs about 230 budget units at the point, 261 at the
+    intersection) and all 300."""
     digests = set()
-    for size in (1, 97, 512):
-        monkeypatch.setattr(experiments, "_CHUNK", size)
+    for budget in (1, 97 * 230, 2**40):
+        monkeypatch.setattr(experiments, "_CHUNK_BUDGET", budget)
         curve = run_mc(ModelParams(1.5, 0.8), scenario, policy, 300, 2.5, 31)
         digests.add(hashlib.md5(b"".join(
             np.ascontiguousarray(a, dtype="<f8").tobytes()
@@ -316,39 +355,3 @@ def test_compare_union_grid_and_mismatch():
     with pytest.raises(GridMismatch):
         compare(_analytic([0.0, 1.0], f([0.0, 1.0])),
                 _analytic([1.0, 2.0], f([1.0, 2.0])))
-
-
-def test_figure_sweep_curve_family():
-    grid = np.linspace(0.0, 0.5, 11)
-    tag = "(lambda=1,mu=1)"
-    analytic_keys = {
-        f"one-turn-point{tag}", f"one-turn-intersection{tag}",
-        f"zero-turn-intersection{tag}", f"upper-intersection{tag}",
-        f"single-ray{tag}", f"ppp-reference{tag}", f"two-turn-bound{tag}",
-    }
-
-    out = figure_sweep(SweepSpec(pairs=((1.0, 1.0),), t_max=0.5, grid=grid,
-                                 trials=0, bound_stride=5))
-    assert set(out) == analytic_keys
-    for key in analytic_keys:
-        c = out[key]
-        assert np.all((0.0 <= c.values) & (c.values <= 1.0))
-        assert np.all(np.diff(c.values) >= -1e-12)
-        assert np.all(c.ci_halfwidth == 0.0)
-    assert np.array_equal(out[f"two-turn-bound{tag}"].grid, grid[::5])
-    assert np.array_equal(out[f"one-turn-point{tag}"].values,
-                          cdf_one_turn_point(ModelParams(1.0, 1.0), grid))
-    # the sandwich holds pointwise
-    assert np.all(out[f"zero-turn-intersection{tag}"].values
-                  <= out[f"one-turn-intersection{tag}"].values + 1e-12)
-    assert np.all(out[f"one-turn-intersection{tag}"].values
-                  <= out[f"upper-intersection{tag}"].values + 1e-12)
-
-    out = figure_sweep(SweepSpec(pairs=((1.0, 1.0),), t_max=0.5, grid=grid,
-                                 trials=8, seed=3, bound_stride=5,
-                                 include_two_turn_bound=False))
-    mc_keys = {f"mc-one-turn-point{tag}", f"mc-one-turn-intersection{tag}",
-               f"mc-two-turn-point{tag}"}
-    assert set(out) == (analytic_keys - {f"two-turn-bound{tag}"}) | mc_keys
-    for key in mc_keys:
-        assert out[key].meta["trials"] == 8

@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
 """Time the batched turn-layer kernel against the per-trial search.
 
-For each row it draws one chunk (point scenario, mu = 1, t_max = 3) and
-solves every trial twice: with ``chunk_lengths``, the kernel Monte Carlo
-runs, and with ``shortest_path`` on each trial's Realization (a view of the
-chunk), the per-trial reference. It checks that the two agree bit for bit, then prints lines per
-trial, the CPU ms per trial of each solver, their ratio, and the kernel's
-``tracemalloc`` peak (taken in a separate, untimed call).
+For each row it draws its trials (point scenario, mu = 1, t_max = 3) in
+chunks of the size ``run_mc`` uses (``experiments._chunk_trials``) and
+solves every trial twice: with ``chunk_lengths`` on each chunk, the kernel
+Monte Carlo runs, and with ``shortest_path`` on each trial's Realization (a
+view of its chunk), the per-trial reference. It checks that the two agree
+bit for bit, then prints the trials per chunk, the lines per trial, the CPU
+ms per trial of each solver, their ratio, and the kernel's largest
+``tracemalloc`` peak over the chunks (taken in separate, untimed calls).
 
 The "dense" rows are k_turn(3) with exact turns at lam 16, 40, 80 and 160,
-and k_turn(5) at lam 40, on a few trials each. The "chunk" rows are
-512-trial chunks at lam 4, 16 and 40, k_turn(3), with and without
-lower-turn paths. The whole scan takes about a minute on one core.
+and k_turn(5) at lam 40, on a few trials each. The "chunk" rows are 512
+trials at lam 4, 16 and 40, k_turn(3), with and without lower-turn paths.
+The whole scan takes about a minute on one core.
 
 The "draw" rows time the sampler alone: ``sample_chunk`` at the chunk
 shapes of the two Monte Carlo benchmark workloads (lam 0.5-2 at 150
@@ -38,6 +40,7 @@ import numpy as np
 from linecox import (ModelParams, TurnPolicy, chunk_lengths, sample_chunk,
                      sample_palm, shortest_path, typical_intersection,
                      typical_point)
+from linecox.experiments import _chunk_trials
 
 T_MAX, MU, SEED = 3.0, 1.0, 2024
 # (lam, k, include_lower_turn_paths, trials)
@@ -61,25 +64,32 @@ def _cpu_ms(fn):
 
 
 def scan_row(lam, k, lower, trials):
-    chunk = sample_chunk(ModelParams(lam, MU), typical_point(), T_MAX, SEED, 0,
-                         trials)
+    params = ModelParams(lam, MU)
+    size = _chunk_trials(params, typical_point(), T_MAX)
+    chunks = [sample_chunk(params, typical_point(), T_MAX, SEED, lo,
+                           min(lo + size, trials))
+              for lo in range(0, trials, size)]
     policy = TurnPolicy.k_turn(k, lower)
-    reals = [chunk.realization(t) for t in range(trials)]
-    batched, kernel_ms = _cpu_ms(lambda: chunk_lengths(chunk, policy, T_MAX))
+    reals = [c.realization(t) for c in chunks for t in range(c.n_trials)]
+    batched, kernel_ms = _cpu_ms(lambda: np.concatenate(
+        [chunk_lengths(c, policy, T_MAX) for c in chunks]))
     per_trial, search_ms = _cpu_ms(lambda: np.array(
         [shortest_path(r, policy, T_MAX).length for r in reals]))
     if batched.tobytes() != per_trial.tobytes():
         sys.exit(f"lam {lam}, k {k}, lower {lower}: chunk_lengths differs "
                  f"from shortest_path on {np.sum(batched != per_trial)} trials")
+    peak = 0
     tracemalloc.start()
     try:
-        chunk_lengths(chunk, policy, T_MAX)
-        peak = tracemalloc.get_traced_memory()[1]
+        for c in chunks:
+            tracemalloc.reset_peak()
+            chunk_lengths(c, policy, T_MAX)
+            peak = max(peak, tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
-    return (lam, k, lower, trials, chunk.angle.size / trials,
-            kernel_ms / trials, search_ms / trials, kernel_ms / search_ms,
-            peak / 2**20)
+    return (lam, k, lower, trials, min(size, trials),
+            sum(c.angle.size for c in chunks) / trials, kernel_ms / trials,
+            search_ms / trials, kernel_ms / search_ms, peak / 2**20)
 
 
 def draw_row(lam, scenario, trials):
@@ -120,12 +130,12 @@ def main(argv=None):
     args = ap.parse_args(argv)
     names = [name for name in ROWS if args.rows in (name, "all")]
     if names:
-        print("| lam | k | lower | trials | lines/trial | chunk_lengths ms | "
-              "shortest_path ms | ratio | kernel peak MiB |")
-        print("|---|---|---|---|---|---|---|---|---|")
+        print("| lam | k | lower | trials | trials/chunk | lines/trial | "
+              "chunk_lengths ms | shortest_path ms | ratio | kernel peak MiB |")
+        print("|---|---|---|---|---|---|---|---|---|---|")
     for name in names:
         for row in ROWS[name]:
-            print("| %g | %d | %s | %d | %.0f | %.2f | %.2f | %.2f | %.2f |"
+            print("| %g | %d | %s | %d | %d | %.0f | %.2f | %.2f | %.2f | %.2f |"
                   % scan_row(*row), flush=True)
     if args.rows in ("draw", "all"):
         print("| lam | scenario | trials | lines/trial | points/trial | "
