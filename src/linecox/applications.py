@@ -33,14 +33,12 @@ from .quadrature import check_tol
 
 __all__ = [
     "RisLinkParams",
-    "validate_link",
     "nearfield_threshold_distance",
     "nearfield_success",
     "farfield_threshold_distance",
     "farfield_success_lower_bound",
     "reach_quantile",
     "db_to_linear",
-    "REACH_POLICIES",
 ]
 
 _log = logging.getLogger(__name__)
@@ -194,7 +192,7 @@ def _reach_cdf(policy: str, model: ModelParams, tol: float):
         return (lambda t: cdf_zero_turn_intersection(model, t)), _CLOSED_CAP
     if policy == "one-turn-intersection":
         return (lambda t: cdf_one_turn_intersection(model, t, tol=tol)), _QUAD_CAP
-    raise ValueError(f"policy must be one of {REACH_POLICIES}, got {policy!r}")
+    raise InputError(f"policy must be one of {REACH_POLICIES}, got {policy!r}")
 
 
 def reach_quantile(model: ModelParams, p: float, policy: str = "one-turn-point",
@@ -211,7 +209,7 @@ def reach_quantile(model: ModelParams, p: float, policy: str = "one-turn-point",
     """
     check_tol(tol)
     if not (_finite_real(p) and 0.0 <= p < 1.0):
-        raise ValueError(f"p must lie in [0, 1), got {p!r}")
+        raise InputError(f"p must lie in [0, 1), got {p!r}")
     p = float(p)
     if p == 0.0:
         return 0.0

@@ -64,7 +64,7 @@ from .applications import (
     nearfield_threshold_distance,
     reach_quantile,
 )
-from .errors import LineCoxError, NonFinite, QuadratureFailure
+from .errors import InputError, LineCoxError, NonFinite, QuadratureFailure
 from .model import (
     AngleLaw,
     DistributionCurve,
@@ -99,8 +99,6 @@ _CURVES = {
     "naive": (cdf_naive_recursion, None),
     "ppp": (cdf_ppp2d_reference, None),
 }
-_SCENARIOS = {"point": PalmKind.TYPICAL_POINT,
-              "intersection": PalmKind.TYPICAL_INTERSECTION}
 _DB_FIELDS = ("g_t", "g_r", "g", "gamma")  # the link gains --db reads in dB
 
 
@@ -122,15 +120,15 @@ class RunConfig:
 def parse_grid(text: str) -> np.ndarray:
     """Parse ``start:stop:step`` into a grid, inclusive of ``stop`` when the
     step divides the span within 1e-12 (relative). A grid of more than
-    ``MAX_GRID_POINTS`` points raises ValueError before it is allocated."""
+    ``MAX_GRID_POINTS`` points raises InputError before it is allocated."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise ValueError(f"grid must be start:stop:step, got {text!r}")
+        raise InputError(f"grid must be start:stop:step, got {text!r}")
     start, stop, step = (float(p) for p in parts)
     if not all(math.isfinite(v) for v in (start, stop, step)):
-        raise ValueError(f"grid endpoints and step must be finite, got {text!r}")
+        raise InputError(f"grid endpoints and step must be finite, got {text!r}")
     if step <= 0 or stop < start:
-        raise ValueError(f"grid needs step > 0 and stop >= start, got {text!r}")
+        raise InputError(f"grid needs step > 0 and stop >= start, got {text!r}")
     if stop == start:
         return np.array([start])
     steps = (stop - start) / step  # inf when the quotient overflows a float
@@ -139,7 +137,7 @@ def parse_grid(text: str) -> np.ndarray:
     inclusive = n >= 1 and abs(start + n * step - stop) <= 1e-12 * max(1.0, abs(stop))
     count = n + 1 if inclusive else int(math.floor(capped + 1e-12)) + 1
     if count > MAX_GRID_POINTS:
-        raise ValueError(f"grid {text!r} has {steps + 1:.7g} points, more than "
+        raise InputError(f"grid {text!r} has {steps + 1:.7g} points, more than "
                          f"the cap of {MAX_GRID_POINTS}")
     if inclusive:
         return np.linspace(start, stop, count)
@@ -152,7 +150,7 @@ def _parse_bool(text: str) -> bool:
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise ValueError(f"expected a boolean, got {text!r}")
+    raise InputError(f"expected a boolean, got {text!r}")
 
 
 def _read_config_file(path: str) -> dict:
@@ -164,7 +162,7 @@ def _read_config_file(path: str) -> dict:
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value, got {raw!r}")
+                raise InputError(f"{path}:{lineno}: expected key = value, got {raw!r}")
             key, value = line.split("=", 1)
             opts[key.strip().replace("-", "_")] = value.strip()
     return opts
@@ -208,9 +206,9 @@ class _Option:
         try:
             value = self.type(raw)
         except ValueError as exc:
-            raise ValueError(f"config key {self.key!r}: {exc}") from None
+            raise InputError(f"config key {self.key!r}: {exc}") from None
         if self.choices and value not in self.accepted:
-            raise ValueError(f"config key {self.key!r}: invalid choice {value!r} "
+            raise InputError(f"config key {self.key!r}: invalid choice {value!r} "
                              f"(choose from {', '.join(self.accepted)})")
         return value
 
@@ -242,8 +240,8 @@ _OPTIONS: dict[str, tuple[_Option, ...]] = {
     "simulate": (
         _LAM,
         _MU,
-        _Option("scenario", "point", choices=tuple(_SCENARIOS), aliases={
-            "typical-point": "point", "typical-intersection": "intersection"}),
+        _Option("scenario", "typical-point", choices=tuple(kind.value for kind in PalmKind),
+                aliases={"point": "typical-point", "intersection": "typical-intersection"}),
         _Option("angle_law", "uniform", choices=tuple(law.value for law in AngleLaw)),
         _Option("policy", "one-turn", choices=tuple(kind.value for kind in PolicyKind)),
         _Option("k", 2, int, help="turn budget for --policy k-turn"),
@@ -326,7 +324,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         for name, raw in _read_config_file(config_path).items():
             opt = names.get(name)
             if opt is None:
-                raise ValueError(f"unknown config key {name!r} for {command}")
+                raise InputError(f"unknown config key {name!r} for {command}")
             options[opt.key] = opt.from_text(raw)
             provided.add(opt.key)
     options.update(explicit)  # flags win over the file
@@ -382,7 +380,7 @@ def cmd_analytic(cfg: RunConfig) -> int:
         elif "lam" in cfg.provided and "mu" in cfg.provided:
             density = equivalent_ppp_density(ModelParams(cfg.lam, cfg.mu))
         else:
-            raise ValueError(
+            raise InputError(
                 "ppp needs --density, or --lambda and --mu to derive the "
                 "equivalent planar density")
         values = curve(density, grid)
@@ -399,15 +397,13 @@ def cmd_analytic(cfg: RunConfig) -> int:
         if cfg.which == "thm2":
             meta["variant"] = DEFAULT_VARIANT.label()
 
-    values = np.atleast_1d(np.asarray(values, dtype=float))
-    err = np.atleast_1d(np.asarray(err, dtype=float))
     _write_curve(cfg.out, ("t", "F", "err_est"), zip(grid, values, err), meta)
     return EXIT_OK
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
     params = ModelParams(cfg.lam, cfg.mu)
-    scenario = PalmScenario(_SCENARIOS[cfg.scenario], cfg.angle_law)
+    scenario = PalmScenario(cfg.scenario, cfg.angle_law)
     policy = TurnPolicy(cfg.policy, cfg.k, not cfg.exact_turns)
     grid = parse_grid(cfg.grid)
     t_max = cfg.t_max if cfg.t_max is not None else float(grid[-1])
@@ -424,22 +420,22 @@ def cmd_simulate(cfg: RunConfig) -> int:
 def _load_curve(path: str) -> DistributionCurve:
     """A curve CSV written by ``analytic`` or ``simulate``, with the meta of
     its JSON sidecar when one exists. A file without data rows, with rows of
-    the wrong width or with non-numeric cells raises ValueError naming it."""
+    the wrong width or with non-numeric cells raises InputError naming it."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         rows = [line.split(",") for line in fh if line.strip()]
     widths = {("t", "F", "err_est"): 3, ("t", "F", "ci_lo", "ci_hi"): 4}
     width = widths.get(tuple(header))
     if width is None:
-        raise ValueError(f"{path}: unrecognized curve header {header!r}")
+        raise InputError(f"{path}: unrecognized curve header {header!r}")
     if not rows:
-        raise ValueError(f"{path}: no data rows below the header")
+        raise InputError(f"{path}: no data rows below the header")
     if any(len(row) != width for row in rows):
-        raise ValueError(f"{path}: every row needs {width} columns")
+        raise InputError(f"{path}: every row needs {width} columns")
     try:
         arr = np.array([[float(v) for v in row] for row in rows])
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise InputError(f"{path}: {exc}") from None
     if width == 3:
         grid, values, hw = arr[:, 0], arr[:, 1], arr[:, 2]
     else:

@@ -8,6 +8,14 @@ maps errors to exit codes by type: any ValueError (so every InputError)
 exits 2, QuadratureFailure exits 3, and every other LineCoxError exits 4.
 """
 
+__all__ = [
+    "LineCoxError", "InputError", "NonFinite", "NegativeIntensity", "ZeroMu",
+    "NonPositiveScale", "NegativeT", "NotAnInteger", "NonPositiveParameter",
+    "NonPositiveRadius", "TBeyondClip", "TooManyLines", "TooManyPoints",
+    "PolicyBudgetNegative", "DegenerateAngles", "DomainError", "QuadratureFailure",
+    "GridMismatch", "NoBracket",
+]
+
 
 class LineCoxError(Exception):
     """Base class for every error this package raises deliberately."""
@@ -69,7 +77,8 @@ class TooManyLines(InputError):
 
 class TooManyPoints(InputError):
     """The expected point count per line, 2 * mu * clip_radius, exceeds
-    ``sampler.MAX_EXPECTED_POINTS``; such a run is rejected before it
+    ``sampler.MAX_EXPECTED_POINTS``, or per trial, lines times points per
+    line, ``sampler.MAX_TRIAL_POINTS``; such a run is rejected before it
     draws rather than left to exhaust memory."""
 
 

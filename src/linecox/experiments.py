@@ -28,13 +28,12 @@ from .errors import GridMismatch, InputError
 from .model import (
     DistributionCurve,
     ModelParams,
-    PalmKind,
     PalmScenario,
     TurnPolicy,
     _check_int,
 )
 from .oracle import chunk_lengths
-from .sampler import _check_inputs, sample_chunk
+from .sampler import _check_inputs, _expected_lines, sample_chunk
 
 __all__ = [
     "ComparisonReport",
@@ -42,7 +41,6 @@ __all__ = [
     "default_grid",
     "run_mc",
     "compare",
-    "resolve_workers",
 ]
 
 # expected cost of one chunk's trials, in the units of _chunk_trials. A
@@ -60,9 +58,9 @@ def dkw_halfwidth(n: int, alpha: float = 0.05) -> float:
     """Simultaneous ECDF confidence half width at level 1 - alpha
     (Dvoretzky-Kiefer-Wolfowitz with the tight constant)."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InputError("n must be >= 1")
     if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
+        raise InputError("alpha must be in (0, 1)")
     return math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
 
 
@@ -78,7 +76,7 @@ def resolve_workers(workers=None) -> int:
         workers = int(os.environ.get(WORKERS_ENV, "1"))
     w = _check_int(workers, "workers")
     if w < 1:
-        raise ValueError(f"workers must be >= 1, got {w}")
+        raise InputError(f"workers must be >= 1, got {w}")
     return w
 
 
@@ -89,8 +87,7 @@ def _chunk_trials(params: ModelParams, scenario: PalmScenario,
     L*L, the line pairs that bound a kernel layer's labels, plus
     L*2*mu*t_max, a bound on the points it draws, plus a fixed 16 for the
     rest of its draw."""
-    n_origin = 1 if scenario.kind is PalmKind.TYPICAL_POINT else 2
-    lines = n_origin + params.lam * math.pi * t_max
+    lines = _expected_lines(params, scenario, t_max)
     cost = 16.0 + lines * (lines + 2.0 * params.mu * t_max)
     return max(1, int(_CHUNK_BUDGET // cost))
 
@@ -104,15 +101,17 @@ def _mc_chunk(task) -> tuple[np.ndarray, int]:
 
 
 def _chunk_results(tasks, n_chunks: int, workers: int):
-    """``_mc_chunk`` of each task, in task order. One worker runs them in
-    this process; more keep at most two chunks per process in flight, so
-    neither the tasks nor their results pile up, however many there are."""
-    if workers == 1 or n_chunks == 1:
+    """``_mc_chunk`` of each task, in task order. A pool starts one process
+    per two chunks, up to ``workers``, and keeps at most two chunks per
+    process in flight, so neither the tasks nor their results pile up,
+    however many there are. With fewer than two such processes the chunks
+    run in this process."""
+    # the fork start method starts every worker up front, and a process
+    # repays its start-up only over two chunks or more
+    workers = min(workers, n_chunks // 2)
+    if workers < 2:
         yield from map(_mc_chunk, tasks)
         return
-    # the fork start method starts every worker up front, so ask for no
-    # more than there are chunks
-    workers = min(workers, n_chunks)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         in_flight = deque()
         for task in tasks:
@@ -132,11 +131,12 @@ def run_mc(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
     simultaneous band at level 1 - alpha. Identical (seed, trials) give a
     bit-identical curve for any worker count. Inputs denser than
     ``sampler.MAX_EXPECTED_LINES`` lines per trial raise ``TooManyLines``,
-    and more than ``sampler.MAX_EXPECTED_POINTS`` points per line
-    ``TooManyPoints``, before any trial is drawn. Every policy runs the
-    same way: each chunk of trials (``_chunk_trials`` of them) is drawn as
-    one ``sample_chunk`` and solved at once by ``chunk_lengths``, with up
-    to ``workers`` processes (never more than there are chunks). Each
+    and more than ``sampler.MAX_EXPECTED_POINTS`` points per line or
+    ``sampler.MAX_TRIAL_POINTS`` points per trial ``TooManyPoints``, before
+    any trial is drawn. Every policy runs the same way: each chunk of
+    trials (``_chunk_trials`` of them) is drawn as one ``sample_chunk`` and
+    solved at once by ``chunk_lengths``, with up to ``workers`` processes,
+    one per two chunks (in this process below four chunks). Each
     chunk's lengths are counted into the grid as the chunk arrives, in
     chunk order, so memory does not grow with ``trials``. Logs one INFO
     line with the trial count, the wall time, the throughput, the mean
@@ -145,18 +145,18 @@ def run_mc(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
     started = time.perf_counter()
     trials = _check_int(trials, "trials")
     if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+        raise InputError(f"trials must be >= 1, got {trials}")
     if trials >= 2**63:  # the grid counts are np.int64
         raise InputError(f"trials must be < 2**63, got a {trials.bit_length()}-bit count")
     t_max = float(t_max)
     if not (t_max > 0 and math.isfinite(t_max)):
-        raise ValueError(f"t_max must be finite and > 0, got {t_max}")
+        raise InputError(f"t_max must be finite and > 0, got {t_max}")
     _check_inputs(params, scenario, t_max)
     grid = default_grid(t_max) if grid is None else np.asarray(grid, dtype=float)
     if grid.size == 0 or grid[0] < 0:
-        raise ValueError("grid must lie within [0, t_max]")
+        raise InputError("grid must lie within [0, t_max]")
     if grid[-1] > t_max + 1e-12:
-        raise ValueError(f"grid reaches {grid[-1]} but t_max censors at {t_max}")
+        raise InputError(f"grid reaches {grid[-1]} but t_max censors at {t_max}")
     # the checks the finished curve makes, before any trial is drawn: the
     # level, then the grid's order and finiteness (a curve of the grid
     # itself fails only on the grid)

@@ -22,6 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import (
+    InputError,
     NegativeIntensity,
     NegativeT,
     NonFinite,
@@ -39,6 +40,8 @@ __all__ = [
     "PalmKind",
     "AngleLaw",
     "PalmScenario",
+    "typical_point",
+    "typical_intersection",
     "PolicyKind",
     "TurnPolicy",
     "DistributionCurve",
@@ -281,11 +284,11 @@ class DistributionCurve:
         if h.ndim == 0:
             h = np.full_like(g, float(h))
         if not (g.shape == v.shape == h.shape) or g.ndim != 1 or g.size == 0:
-            raise ValueError("grid, values and ci_halfwidth must be equal length 1-D arrays")
+            raise InputError("grid, values and ci_halfwidth must be equal length 1-D arrays")
         if g.size > 1 and not np.all(np.diff(g) > 0):
-            raise ValueError("grid must be strictly increasing")
+            raise InputError("grid must be strictly increasing")
         if not (np.all(np.isfinite(g)) and np.all(np.isfinite(v)) and np.all(np.isfinite(h))):
-            raise ValueError("curve arrays must be finite")
+            raise InputError("curve arrays must be finite")
         for name, arr in (("grid", g), ("values", v), ("ci_halfwidth", h)):
             arr = arr.copy()
             arr.setflags(write=False)

@@ -46,6 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError
 from .model import (
     ModelParams,
     PalmScenario,
@@ -154,7 +155,7 @@ def _k_turn(best, real, t_max, k, include_lower, directed):
 
     origin = np.flatnonzero(on_origin).tolist()
     if not origin:
-        raise ValueError("realization has no origin line to start from")
+        raise InputError("realization has no origin line to start from")
     dist = {}
     via = {}  # state -> (previous state, arc on its line, arc on this line)
     heap = []

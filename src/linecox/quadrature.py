@@ -15,9 +15,9 @@ import numpy as np
 # cost falls on `import linecox` and not on the first quadrature call
 from numpy.polynomial.legendre import leggauss
 
-from .errors import QuadratureFailure
+from .errors import InputError, QuadratureFailure
 
-__all__ = ["gauss_legendre", "check_tol", "settle_ladder"]
+__all__ = ["gauss_legendre"]
 
 
 def gauss_legendre(n: int):
@@ -38,10 +38,10 @@ _GL_CACHE: dict = {}
 
 
 def check_tol(tol) -> None:
-    """ValueError unless the ladder tolerance ``tol`` is > 0 (nan is not):
+    """InputError unless the ladder tolerance ``tol`` is > 0 (nan is not):
     a bad tolerance is bad input, not a quadrature that failed to settle."""
     if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol!r}")
+        raise InputError(f"tol must be > 0, got {tol!r}")
 
 
 def settle_ladder(evaluate, rungs: int, t, tol: float, failure, log, name: str):

@@ -46,7 +46,7 @@ import numpy as np
 # falls on `import linecox` and not on a run's first draw
 from numpy.random import Generator, Philox
 
-from .errors import NonPositiveRadius, TooManyLines, TooManyPoints
+from .errors import InputError, NonPositiveRadius, TooManyLines, TooManyPoints
 from .model import (
     AngleLaw,
     Line,
@@ -57,8 +57,6 @@ from .model import (
 )
 
 __all__ = [
-    "MAX_EXPECTED_LINES",
-    "MAX_EXPECTED_POINTS",
     "Realization",
     "ChunkSample",
     "sample_palm",
@@ -78,6 +76,11 @@ MAX_EXPECTED_LINES = 2000.0
 # lam = 0 and the cap run_mc draws the intersection scenario (two
 # full-length streets) 13 trials a chunk, which peaks near 5.2 MiB.
 MAX_EXPECTED_POINTS = 5000.0
+# Largest accepted expected point count per trial, lines times points per
+# line, (n_origin + lam * pi * clip_radius) * 2 * mu * clip_radius. The two
+# caps above allow some 10 million; at 42 bytes a point the draw of one
+# trial at this cap peaks near 42 MiB.
+MAX_TRIAL_POINTS = 1e6
 
 
 def _norm_seed(seed) -> tuple[int, int]:
@@ -303,6 +306,12 @@ class ChunkSample:
         return Realization(self, range(self.n_trials)[t])
 
 
+def _expected_lines(params, scenario, clip_radius) -> float:
+    """Expected lines per trial: the origin lines plus lam*pi*clip_radius."""
+    n_origin = 1 if scenario.kind is PalmKind.TYPICAL_POINT else 2
+    return n_origin + params.lam * _PI * clip_radius
+
+
 def _check_inputs(params, scenario, clip_radius) -> float:
     if not isinstance(scenario, PalmScenario):
         raise TypeError(f"scenario must be a PalmScenario, got {type(scenario).__name__}")
@@ -314,11 +323,16 @@ def _check_inputs(params, scenario, clip_radius) -> float:
         raise TooManyLines(
             f"lam * pi * clip_radius = {expected:.6g} expected lines per trial "
             f"exceeds the cap of {MAX_EXPECTED_LINES:g}")
-    expected = 2.0 * params.mu * clip_radius
-    if expected > MAX_EXPECTED_POINTS:
+    per_line = 2.0 * params.mu * clip_radius
+    if per_line > MAX_EXPECTED_POINTS:
         raise TooManyPoints(
-            f"2 * mu * clip_radius = {expected:.6g} expected points per line "
+            f"2 * mu * clip_radius = {per_line:.6g} expected points per line "
             f"exceeds the cap of {MAX_EXPECTED_POINTS:g}")
+    expected = _expected_lines(params, scenario, clip_radius) * per_line
+    if expected > MAX_TRIAL_POINTS:
+        raise TooManyPoints(
+            f"{expected:.6g} expected points per trial (lines times points "
+            f"per line) exceeds the cap of {MAX_TRIAL_POINTS:g}")
     return clip_radius
 
 
@@ -332,7 +346,7 @@ def sample_chunk(params: ModelParams, scenario: PalmScenario,
     R = _check_inputs(params, scenario, clip_radius)
     master, start, stop = int(master), int(start), int(stop)
     if stop <= start:
-        raise ValueError(f"need start < stop, got {start}, {stop}")
+        raise InputError(f"need start < stop, got {start}, {stop}")
     draws = _TrialDraws(params, scenario, R, master)
     origin, angle_u, offset_u, counts, point_u = zip(
         *[draws.draw(i) for i in range(start, stop)])

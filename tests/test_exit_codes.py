@@ -18,8 +18,24 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from linecox import cli, errors
+from linecox import (
+    DistributionCurve,
+    ModelParams,
+    TurnPolicy,
+    cli,
+    dkw_halfwidth,
+    errors,
+    reach_quantile,
+    run_mc,
+    sample_chunk,
+    shortest_path,
+    typical_point,
+)
 from linecox.cli import EXIT_CONFIG, EXIT_OK, EXIT_QUADRATURE, EXIT_RUNTIME, main
+from linecox.experiments import resolve_workers
+from linecox.model import Line
+from linecox.quadrature import check_tol
+from realizations import one_trial
 
 _FAMILY = sorted((cls for cls in vars(errors).values()
                   if isinstance(cls, type) and issubclass(cls, errors.LineCoxError)),
@@ -42,6 +58,37 @@ def test_each_error_type_maps_to_its_exit(monkeypatch, capsys, error):
     captured = capsys.readouterr()
     assert captured.out == "" and len(captured.err.splitlines()) == 1
     assert captured.err.startswith("linecox: ") and "the message" in captured.err
+
+
+_MODEL = ModelParams(1.0, 1.0)
+_BAD_CALLS = {
+    "run_mc trials": lambda: run_mc(_MODEL, typical_point(), TurnPolicy.one_turn(), 0, 1.0, 1),
+    "run_mc t_max": lambda: run_mc(_MODEL, typical_point(), TurnPolicy.one_turn(), 1, 0.0, 1),
+    "run_mc grid": lambda: run_mc(_MODEL, typical_point(), TurnPolicy.one_turn(), 1, 1.0, 1,
+                                  grid=[0.0, 2.0]),
+    "dkw n": lambda: dkw_halfwidth(0),
+    "dkw alpha": lambda: dkw_halfwidth(10, alpha=1.0),
+    "workers": lambda: resolve_workers(0),
+    "tol": lambda: check_tol(0),
+    "quantile p": lambda: reach_quantile(_MODEL, 1.0),
+    "quantile policy": lambda: reach_quantile(_MODEL, 0.5, "two-turn"),
+    "chunk span": lambda: sample_chunk(_MODEL, typical_point(), 1.0, 1, 3, 3),
+    "curve grid": lambda: DistributionCurve([0.0, 2.0, 1.0], [0.0] * 3, 0.0),
+    "curve shape": lambda: DistributionCurve([0.0, 1.0], [0.0], 0.0),
+    "curve finite": lambda: DistributionCurve([0.0, 1.0], [0.0, math.nan], 0.0),
+    "no origin line": lambda: shortest_path(
+        one_trial([Line(0, 0.5, 1.0)], [[0.0]]), TurnPolicy.one_turn(), 1.0),
+    "grid text": lambda: cli.parse_grid("0:1"),
+    "grid step": lambda: cli.parse_grid("0:1:0"),
+}
+
+
+@pytest.mark.parametrize("call", _BAD_CALLS.values(), ids=_BAD_CALLS)
+def test_bad_library_arguments_raise_input_errors(call):
+    """Everything raised on purpose is a LineCoxError, so one ``except``
+    catches it; a bad argument is an InputError."""
+    with pytest.raises(errors.InputError):
+        call()
 
 
 # ---- fuzzed argv --------------------------------------------------------------

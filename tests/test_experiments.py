@@ -79,14 +79,15 @@ def test_resolve_workers_precedence(monkeypatch):
 def test_run_mc_bit_identical_across_worker_counts(monkeypatch):
     """Same (seed, trials) must give the same curve no matter how the
     chunks are farmed out, and the metadata must not leak the worker
-    count (700 trials spans two chunks). The pool never asks for more
-    processes than there are chunks: with the fork start method every
-    one of them is started up front. 2,600 trials are 6 chunks, more than
-    the 4 that two workers keep in flight, so that window wraps."""
+    count. 2,000 trials are 4 chunks of at most 515. The pool asks for
+    one process per two chunks, never more, since with the fork start
+    method every one of them is started up front: two processes for both
+    2 and 8 workers, and the 4 chunks fill the window that two workers
+    keep in flight."""
     params = ModelParams(2.0, 1.0)
     scenario = PalmScenario(PalmKind.TYPICAL_POINT)
     policy = TurnPolicy.one_turn()
-    kw = dict(trials=700, t_max=2.0, seed=11)
+    kw = dict(trials=2000, t_max=2.0, seed=11)
     asked = []
 
     def pool(max_workers):
@@ -107,7 +108,7 @@ def test_run_mc_bit_identical_across_worker_counts(monkeypatch):
 
     again = run_mc(params, scenario, policy, workers=1, **kw)
     assert np.array_equal(a.values, again.values)
-    other = run_mc(params, scenario, policy, trials=700, t_max=2.0, seed=12)
+    other = run_mc(params, scenario, policy, trials=2000, t_max=2.0, seed=12)
     assert not np.array_equal(a.values, other.values)
 
     # nor how its records are spelled: numpy-scalar intensities give the

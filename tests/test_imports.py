@@ -1,9 +1,11 @@
 """The runtime needs numpy alone: importing linecox loads no scipy, and no
 numpy submodule is left for a first job to load (numpy 2 loads some of
 them lazily, on first attribute access). And no module imports a name it
-does not use."""
+does not use, and each public name is listed once, in the ``__all__`` of
+the module that defines it."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -94,3 +96,78 @@ def test_src_imports_are_used():
     assert len(modules) >= 10
     unused = [entry for path in modules for entry in _unused_imports(path)]
     assert not unused, unused
+
+
+# the package's public names, as they stood when each module's ``__all__``
+# became the one list of them
+PUBLIC = {
+    "__version__",
+    # analytic
+    "DEFAULT_VARIANT", "angle_thresholds", "cdf_naive_recursion",
+    "cdf_one_turn_intersection", "cdf_one_turn_point", "cdf_ppp2d_reference",
+    "cdf_two_turn_bound", "cdf_upper_intersection", "cdf_zero_turn_intersection",
+    "equivalent_ppp_density", "one_turn_intersection_terms", "two_turn_T", "z_length",
+    # applications
+    "RisLinkParams", "db_to_linear", "farfield_success_lower_bound",
+    "farfield_threshold_distance", "nearfield_success", "nearfield_threshold_distance",
+    "reach_quantile",
+    # errors
+    "DegenerateAngles", "DomainError", "GridMismatch", "InputError", "LineCoxError",
+    "NegativeIntensity", "NegativeT", "NoBracket", "NonFinite", "NonPositiveParameter",
+    "NonPositiveRadius", "NonPositiveScale", "NotAnInteger", "PolicyBudgetNegative",
+    "QuadratureFailure", "TBeyondClip", "TooManyLines", "TooManyPoints", "ZeroMu",
+    # experiments
+    "ComparisonReport", "compare", "default_grid", "dkw_halfwidth", "run_mc",
+    # model
+    "AngleLaw", "DistributionCurve", "Line", "ModelParams", "PalmKind", "PalmScenario",
+    "PointOnLine", "PolicyKind", "TurnPolicy", "rescale", "typical_intersection",
+    "typical_point", "validate",
+    # oracle, quadrature, sampler
+    "PathResult", "chunk_lengths", "sample_path", "shortest_path", "gauss_legendre",
+    "ChunkSample", "Realization", "sample_chunk", "sample_palm",
+}
+ANALYTIC = {
+    "DEFAULT_VARIANT", "angle_thresholds", "cdf_naive_recursion",
+    "cdf_one_turn_intersection", "cdf_one_turn_point", "cdf_ppp2d_reference",
+    "cdf_two_turn_bound", "cdf_upper_intersection", "cdf_zero_turn_intersection",
+    "equivalent_ppp_density", "one_turn_intersection_terms", "two_turn_T", "z_length",
+}
+
+
+def _listed_and_defined(path: Path) -> tuple:
+    """A module's ``__all__`` and the names its top level binds."""
+    listed, defined = [], set()
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            defined |= names
+            if "__all__" in names:
+                listed = ast.literal_eval(node.value)
+    return listed, defined
+
+
+def test_public_names_are_listed_once_in_their_defining_module():
+    """The package surface is unchanged, each public name is listed in the
+    ``__all__`` of exactly one module, which defines it, and the package
+    and ``linecox.analytic`` hold that module's own object. A module may
+    list no name it does not define."""
+    assert len(linecox.__all__) == len(PUBLIC) and set(linecox.__all__) == PUBLIC
+    assert len(linecox.analytic.__all__) == len(ANALYTIC)
+    assert set(linecox.analytic.__all__) == ANALYTIC
+    owners = {}
+    for path in sorted((SRC / "linecox").rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        listed, defined = _listed_and_defined(path)
+        assert set(listed) <= defined, (module, sorted(set(listed) - defined))
+        for name in listed:
+            owners.setdefault(name, []).append(module)
+    for package in (linecox, linecox.analytic):
+        for name in set(package.__all__) - {"__version__"}:
+            assert len(owners.get(name, ())) == 1, (name, owners.get(name))
+            module = importlib.import_module(owners[name][0])
+            assert getattr(package, name) is getattr(module, name), name

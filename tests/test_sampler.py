@@ -13,6 +13,7 @@ from linecox import (
     TooManyLines,
     TooManyPoints,
     TurnPolicy,
+    cli,
     run_mc,
     sample_chunk,
     sample_palm,
@@ -25,6 +26,7 @@ from linecox.sampler import (
     _SCALAR_COUNTS_MAX,
     MAX_EXPECTED_LINES,
     MAX_EXPECTED_POINTS,
+    MAX_TRIAL_POINTS,
     _check_inputs,
 )
 from realizations import crossings_within, intersections, rotate
@@ -186,6 +188,32 @@ def test_dense_points_are_rejected_before_drawing():
                 run_mc(dense, typical_point(), policy, 1, R, 1)
     below = ModelParams(1.0, cap_mu * (1 - 1e-9))
     assert _check_inputs(below, typical_intersection(), R) == R
+
+
+def test_dense_trials_are_rejected_before_drawing(capsys):
+    """Each of the two caps above holds, yet a trial of lines times points
+    per line above MAX_TRIAL_POINTS raises before it draws, in every entry
+    point and as exit 2 in the CLI; just below that cap it is accepted."""
+    R = 3.0
+    mu = MAX_EXPECTED_POINTS / 2.0 / (2.0 * R)  # half the per-line cap
+
+    def params(scale):
+        lines = MAX_TRIAL_POINTS * scale / (2.0 * mu * R)  # one origin line
+        assert lines < MAX_EXPECTED_LINES
+        return ModelParams((lines - 1.0) / (math.pi * R), mu)
+
+    dense = params(1.001)
+    with pytest.raises(TooManyPoints, match="expected points per trial"):
+        sample_palm(dense, typical_point(), R, seed=1)
+    with pytest.raises(TooManyPoints):
+        sample_chunk(dense, typical_point(), R, 1, 0, 1)
+    with pytest.raises(TooManyPoints):
+        run_mc(dense, typical_point(), TurnPolicy.one_turn(), 1, R, 1)
+    argv = ["simulate", "--lambda", repr(dense.lam), "--mu", repr(mu),
+            "--trials", "1", "--grid", f"0:{R}:1"]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "expected points per trial" in capsys.readouterr().err
+    assert _check_inputs(params(1 - 1e-9), typical_point(), R) == R
 
 
 _CHUNK_FIELDS = ("angle", "offset", "through_origin", "line_start", "arcs",
