@@ -54,9 +54,6 @@ def cdf_naive_recursion(params: ModelParams, t):
     return _ret(-np.expm1(-_rate_times(params.mu, arr)), arr)
 
 
-_INV_EPS = 2.0**52  # 1 / machine epsilon of a double
-
-
 def cdf_one_turn_point(params: ModelParams, t):
     """Shortest one-turn street distance from a typical point on a line.
 
@@ -69,25 +66,19 @@ def cdf_one_turn_point(params: ModelParams, t):
     At lam = 0 this collapses to the own-line two-sided exponential
     1 - exp(-2*mu*t).
 
-    Where lam/mu overflows, the exponent is taken in the rearranged form
+    The exponent is taken in one rearranged form everywhere,
     -x - 2*lam*t * (1 - (1 - exp(-x))/x), x = 2*mu*t, whose factors stay
-    finite; at lam/mu -> inf with lam*mu fixed, F(t) -> 1 - exp(-2*lam*mu*t^2).
-    The rearranged form also serves where lam/mu exceeds 1/eps while
-    lam*mu stays below it: the printed form's two lam terms, each near
-    2*lam*t, cancel there with an error near eps*2*lam*t, which can exceed
-    the exponent's true size, 2*mu*t*(1 + lam*t), and flip the sign of F.
+    finite where lam/mu overflows (at lam/mu -> inf with lam*mu fixed,
+    F(t) -> 1 - exp(-2*lam*mu*t^2)) and which does not cancel: the printed
+    form's two lam terms, each near 2*lam*t, cancel at large lam/mu with an
+    error near eps*2*lam*t, which can exceed the exponent's true size,
+    2*mu*t*(1 + lam*t), and flip the sign of F.
     """
     arr = _check_t(t)
-    lam, mu = params.lam, params.mu
-    two_mu_t = _rate_times(2.0 * mu, arr)
-    ratio = lam / mu
+    lam = params.lam
+    two_mu_t = _rate_times(2.0 * params.mu, arr)
     with np.errstate(over="ignore"):  # an exponent below -max is -inf: F = 1
-        # lam*mu bounds the switch so that the printed form keeps its bits
-        # wherever THM1_MD5 pins them, lam = 1e300 (lam*mu >= 1e294) included
-        if math.isinf(ratio) or (ratio > _INV_EPS and lam * mu < _INV_EPS):
-            expo = -two_mu_t - 2.0 * arr * (lam * _one_minus_mean_decay(two_mu_t))
-        else:
-            expo = -two_mu_t - _rate_times(2.0 * lam, arr) + ratio * (-np.expm1(-two_mu_t))
+        expo = -two_mu_t - arr * (2.0 * (lam * _one_minus_mean_decay(two_mu_t)))
     return _ret(-np.expm1(expo), arr)
 
 

@@ -47,7 +47,8 @@ _log = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class RisLinkParams:
     """Radio and surface parameters, all linear and strictly positive;
-    building one runs ``validate_link`` and stores every field as a float.
+    building one checks every field, naming the first bad one, and stores
+    every field as a float.
 
     g_t, g_r    transmit / receive antenna gains
     g           per-element gain of the reflecting surface
@@ -74,20 +75,13 @@ class RisLinkParams:
     gamma: float
 
     def __post_init__(self):
-        validate_link(self)
         for f in fields(self):
-            object.__setattr__(self, f.name, float(getattr(self, f.name)))
-
-
-def validate_link(link: RisLinkParams) -> RisLinkParams:
-    """Check every field, naming the first bad one; ``RisLinkParams`` runs it."""
-    for f in fields(link):
-        v = getattr(link, f.name)
-        if not _finite_real(v):
-            raise NonFinite(f"{f.name} must be finite, got {v!r}")
-        if v <= 0:
-            raise NonPositiveParameter(f"{f.name} must be > 0, got {v}")
-    return link
+            v = getattr(self, f.name)
+            if not _finite_real(v):
+                raise NonFinite(f"{f.name} must be finite, got {v!r}")
+            if v <= 0:
+                raise NonPositiveParameter(f"{f.name} must be > 0, got {v}")
+            object.__setattr__(self, f.name, float(v))
 
 
 def db_to_linear(db: float) -> float:

@@ -251,7 +251,7 @@ _OPTIONS: dict[str, tuple[_Option, ...]] = {
         _Option("t_max", None, float, help="censoring horizon"),
         _GRID,
         _Option("seed", 1, int),
-        _Option("workers", None, int, help="process count (default: env or 1)"),
+        _Option("workers", 1, int, help="process count (default: 1)"),
         _Option("alpha", 0.05, float, help="DKW band level"),
         _CURVE_OUT,
     ),

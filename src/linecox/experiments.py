@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
@@ -31,6 +30,7 @@ from .model import (
     PalmScenario,
     TurnPolicy,
     _check_int,
+    _finite_real,
 )
 from .oracle import chunk_lengths
 from .sampler import _check_inputs, _expected_lines, sample_chunk
@@ -49,7 +49,6 @@ __all__ = [
 # at lam 16 and one from lam 27 on. The curve does not depend on it, since
 # trial i draws from stream (seed, i) and the fold adds integer counts.
 _CHUNK_BUDGET = 2**17
-WORKERS_ENV = "LINECOX_WORKERS"
 
 _log = logging.getLogger(__name__)
 
@@ -57,27 +56,16 @@ _log = logging.getLogger(__name__)
 def dkw_halfwidth(n: int, alpha: float = 0.05) -> float:
     """Simultaneous ECDF confidence half width at level 1 - alpha
     (Dvoretzky-Kiefer-Wolfowitz with the tight constant)."""
-    if n < 1:
-        raise InputError("n must be >= 1")
-    if not 0.0 < alpha < 1.0:
-        raise InputError("alpha must be in (0, 1)")
+    if not (_finite_real(n) and n >= 1):
+        raise InputError(f"n must be finite and >= 1, got {n!r}")
+    if not (_finite_real(alpha) and 0.0 < alpha < 1.0):
+        raise InputError(f"alpha must be in (0, 1), got {alpha!r}")
     return math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
 
 
 def default_grid(t_max: float = 3.0, step: float = 0.01) -> np.ndarray:
     n = int(round(t_max / step))
     return np.linspace(0.0, n * step, n + 1)
-
-
-def resolve_workers(workers=None) -> int:
-    """Explicit argument beats the LINECOX_WORKERS environment variable
-    beats 1. A float of integral value serves; 2.5 raises NotAnInteger."""
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
-    w = _check_int(workers, "workers")
-    if w < 1:
-        raise InputError(f"workers must be >= 1, got {w}")
-    return w
 
 
 def _chunk_trials(params: ModelParams, scenario: PalmScenario,
@@ -123,7 +111,7 @@ def _chunk_results(tasks, n_chunks: int, workers: int):
 
 
 def run_mc(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
-           trials: int, t_max: float, seed: int, grid=None, workers=None,
+           trials: int, t_max: float, seed: int, grid=None, workers: int = 1,
            alpha: float = 0.05) -> DistributionCurve:
     """Empirical CDF of the shortest-path length over fresh realizations.
 
@@ -135,8 +123,8 @@ def run_mc(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
     ``sampler.MAX_TRIAL_POINTS`` points per trial ``TooManyPoints``, before
     any trial is drawn. Every policy runs the same way: each chunk of
     trials (``_chunk_trials`` of them) is drawn as one ``sample_chunk`` and
-    solved at once by ``chunk_lengths``, with up to ``workers`` processes,
-    one per two chunks (in this process below four chunks). Each
+    solved at once by ``chunk_lengths``, with up to ``workers`` processes
+    (default 1), one per two chunks (in this process below four chunks). Each
     chunk's lengths are counted into the grid as the chunk arrives, in
     chunk order, so memory does not grow with ``trials``. Logs one INFO
     line with the trial count, the wall time, the throughput, the mean
@@ -148,12 +136,18 @@ def run_mc(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
         raise InputError(f"trials must be >= 1, got {trials}")
     if trials >= 2**63:  # the grid counts are np.int64
         raise InputError(f"trials must be < 2**63, got a {trials.bit_length()}-bit count")
+    if not (_finite_real(t_max) and t_max > 0):
+        raise InputError(f"t_max must be finite and > 0, got {t_max!r}")
     t_max = float(t_max)
-    if not (t_max > 0 and math.isfinite(t_max)):
-        raise InputError(f"t_max must be finite and > 0, got {t_max}")
     _check_inputs(params, scenario, t_max)
-    grid = default_grid(t_max) if grid is None else np.asarray(grid, dtype=float)
-    if grid.size == 0 or grid[0] < 0:
+    if grid is None:
+        grid = default_grid(t_max)
+    else:
+        try:
+            grid = np.asarray(grid, dtype=float)
+        except (TypeError, ValueError):
+            raise InputError(f"grid must hold real numbers, got {grid!r}") from None
+    if grid.ndim != 1 or grid.size == 0 or grid[0] < 0:
         raise InputError("grid must lie within [0, t_max]")
     if grid[-1] > t_max + 1e-12:
         raise InputError(f"grid reaches {grid[-1]} but t_max censors at {t_max}")
@@ -162,7 +156,9 @@ def run_mc(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
     # itself fails only on the grid)
     halfwidth = dkw_halfwidth(trials, alpha)
     DistributionCurve(grid, grid, grid)
-    workers = resolve_workers(workers)
+    workers = _check_int(workers, "workers")
+    if workers < 1:
+        raise InputError(f"workers must be >= 1, got {workers}")
     master = _check_int(seed, "seed")
 
     size = _chunk_trials(params, scenario, t_max)

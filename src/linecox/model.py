@@ -45,7 +45,6 @@ __all__ = [
     "PolicyKind",
     "TurnPolicy",
     "DistributionCurve",
-    "validate",
     "rescale",
 ]
 
@@ -56,14 +55,23 @@ class ModelParams:
 
     The attribute is spelled ``lam`` because ``lambda`` is a Python keyword;
     file formats and the CLI accept and emit the full word. Building one
-    runs ``validate`` and stores both as Python floats, so metadata is JSON.
+    checks both, naming the bad field, and stores them as Python floats, so
+    metadata is JSON.
     """
 
     lam: float
     mu: float
 
     def __post_init__(self):
-        validate(self)
+        for name, value in (("lambda", self.lam), ("mu", self.mu)):
+            if not _finite_real(value):
+                raise NonFinite(f"{name} must be a finite real number, got {value!r}")
+        if self.lam < 0:
+            raise NegativeIntensity(f"lambda must be >= 0, got {self.lam}")
+        if self.mu < 0:
+            raise NegativeIntensity(f"mu must be > 0, got {self.mu}")
+        if self.mu == 0:
+            raise ZeroMu("mu must be > 0: the distance distributions divide by mu")
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "mu", float(self.mu))
 
@@ -114,20 +122,6 @@ def _check_t(t, clip_radius: float | None = None, name: str = "t") -> np.ndarray
                           f"clip_radius={clip_radius}; geometry beyond the "
                           "clip disk was never sampled")
     return arr
-
-
-def validate(params: ModelParams) -> ModelParams:
-    """Check a parameter set, naming the bad field; ``ModelParams`` runs it."""
-    for name, value in (("lambda", params.lam), ("mu", params.mu)):
-        if not _finite_real(value):
-            raise NonFinite(f"{name} must be a finite real number, got {value!r}")
-    if params.lam < 0:
-        raise NegativeIntensity(f"lambda must be >= 0, got {params.lam}")
-    if params.mu < 0:
-        raise NegativeIntensity(f"mu must be > 0, got {params.mu}")
-    if params.mu == 0:
-        raise ZeroMu("mu must be > 0: the distance distributions divide by mu")
-    return params
 
 
 @dataclass(frozen=True)

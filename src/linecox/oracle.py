@@ -17,8 +17,10 @@ just these three.
   ChunkSample, and also returns the route, by one label-setting search
   (``_k_turn``) over the trial's slice of the chunk's arrays. It computes
   a line's crossings the first time it expands that line and pushes only
-  hops that end within min(t_max, incumbent). It is the slow reference
-  the batched kernel is checked against.
+  hops that end within min(t_max, incumbent). The incumbent is a plain
+  tuple holding the winning search state, and the route is read off that
+  state's chain once, when the search ends. It is the slow reference the
+  batched kernel is checked against.
 * ``chunk_lengths`` solves every trial of a ChunkSample at once, lengths
   only, for every policy, by one kernel: Bellman-Ford by hop count over
   flat arrays of labels. Layer j holds one label per (trial, line,
@@ -78,55 +80,12 @@ class PathResult:
     t_max: float
 
 
-def _censored(t_max: float) -> PathResult:
-    return PathResult(math.inf, -1, None, (), True, t_max)
-
-
 def _nearest(arcs: np.ndarray, ref: float):
     """Smallest |arc - ref| over a sorted arc array, ties resolved to the
     smaller arc (argmin picks the first, i.e. leftmost, occurrence)."""
     d = np.abs(arcs - ref)
     i = int(np.argmin(d))
     return float(d[i]), float(arcs[i])
-
-
-class _Best:
-    """Incumbent candidate ordered by (length, line id, arc)."""
-
-    __slots__ = ("key", "route", "turns")
-
-    def __init__(self):
-        self.key = None
-        self.route = None
-        self.turns = -1
-
-    @property
-    def length(self) -> float:
-        return math.inf if self.key is None else self.key[0]
-
-    def offer(self, length, line_id, arc, turns, route_builder):
-        key = (length, line_id, arc)
-        if self.key is None or key < self.key:
-            self.key = key
-            self.turns = turns
-            self.route = route_builder()
-
-
-def _scan_targets(best, arcs, ref, base, line_id, turns, t_max, prefix,
-                  nonneg_only=False):
-    """Offer the best point target on one line: length = base + min dist.
-
-    ``prefix`` is a zero-argument callable producing the route up to this
-    line (kept lazy so losing candidates never materialize their routes)."""
-    if nonneg_only:
-        arcs = arcs[np.searchsorted(arcs, 0.0, side="left"):]
-    if arcs.size == 0:
-        return
-    d, arc = _nearest(arcs, ref)
-    length = base + d
-    if length <= t_max:
-        best.offer(length, line_id, arc, turns,
-                   lambda: prefix() + ((line_id, arc),))
 
 
 # ---- general K-turn search --------------------------------------------------
@@ -143,7 +102,10 @@ _ORIGIN = -1  # pseudo node, keyed below every crossing
 # length stays within min(t_max, incumbent): a longer one could only be
 # popped after the pop-time break below. The key orders nodes as the index
 # into the list of all line pairs would, so heap ties pop in pair order.
-def _k_turn(best, real, t_max, k, include_lower, directed):
+# The incumbent is the tuple (length, line, arc, turns, state) of the best
+# target offered, ordered by (length, line, arc); its route is read off
+# ``via`` once the search ends (see ``shortest_path``).
+def _k_turn(real, t_max, k, include_lower, directed):
     chunk = real.chunk
     lo, hi = real._span
     n = hi - lo
@@ -156,6 +118,7 @@ def _k_turn(best, real, t_max, k, include_lower, directed):
     origin = np.flatnonzero(on_origin).tolist()
     if not origin:
         raise InputError("realization has no origin line to start from")
+    best = (math.inf, -1, math.nan, -1, None)
     dist = {}
     via = {}  # state -> (previous state, arc on its line, arc on this line)
     heap = []
@@ -170,17 +133,22 @@ def _k_turn(best, real, t_max, k, include_lower, directed):
         state = (node, li, turns)
         if length > dist.get(state, math.inf):
             continue
-        if length > best.length:
+        if length > best[0]:
             break  # every remaining candidate is strictly longer
 
         ref = via[state][2]
         at_start = node == _ORIGIN
         if include_lower or turns == k:
-            _scan_targets(
-                best, chunk.arcs[cuts[li]:cuts[li + 1]], ref, length, li,
-                turns, t_max, _route_of(via, state),
-                nonneg_only=directed and at_start,
-            )
+            # offer the point of this line nearest ref (a directed start
+            # takes arcs >= 0 only)
+            arcs = chunk.arcs[cuts[li]:cuts[li + 1]]
+            if directed and at_start:
+                arcs = arcs[np.searchsorted(arcs, 0.0, side="left"):]
+            if arcs.size:
+                d, arc = _nearest(arcs, ref)
+                total = length + d
+                if total <= t_max and (total, li, arc) < best[:3]:
+                    best = (total, li, arc, turns, state)
 
         if turns == k:
             continue
@@ -192,7 +160,7 @@ def _k_turn(best, real, t_max, k, include_lower, directed):
             tables[li] = (here, there, other, key, on_origin[other] & on_origin[li])
         here, there, other, key, mutual = tables[li]
         length2 = length + np.abs(here - ref)
-        ok = (length2 <= min(t_max, best.length)) & (key != node)
+        ok = (length2 <= min(t_max, best[0])) & (key != node)
         if at_start:
             # the mutual crossing of the origin lines is the start point
             # itself; switching lines there is not a turn, it is covered by
@@ -208,25 +176,7 @@ def _k_turn(best, real, t_max, k, include_lower, directed):
                 dist[nstate] = l2
                 via[nstate] = (state, a_from, a_to)
                 heapq.heappush(heap, (l2, turns + 1, w, o))
-
-
-def _route_of(via, state):
-    """Route prefix (vertex list) for a state, built lazily only when a
-    candidate actually improves the incumbent."""
-
-    def build():
-        verts = []
-        s = state
-        while s is not None:
-            prev, arc_from, arc_to = via[s]
-            verts.append((s[1], arc_to))
-            if prev is not None:
-                verts.append((prev[1], arc_from))
-            s = prev
-        verts.reverse()
-        return tuple(verts)
-
-    return build
+    return best, via
 
 
 # ---- batched length-only layer kernel ---------------------------------------
@@ -363,14 +313,23 @@ def shortest_path(real: Realization, policy: TurnPolicy,
     Ties in length are broken by (line id, arc) of the target.
     """
     t_max = float(_check_t(t_max, real.clip_radius, "t_max"))
-    best = _Best()
-    _k_turn(best, real, t_max, policy.k, policy.include_lower_turn_paths,
-            policy.first_hop_positive_x)
-    if best.key is None:
-        return _censored(t_max)
-    length, line_id, arc = best.key
-    return PathResult(length, best.turns, PointOnLine(line_id, arc),
-                      best.route, False, t_max)
+    (length, line, arc, turns, state), via = _k_turn(
+        real, t_max, policy.k, policy.include_lower_turn_paths,
+        policy.first_hop_positive_x)
+    if state is None:
+        return PathResult(math.inf, -1, None, (), True, t_max)
+    # walk the winning state's chain back to the origin: a popped state's
+    # length is final, hops are non-negative and a push needs a strictly
+    # shorter length, so no entry of the chain changed after the offer
+    route = [(line, arc)]
+    while state is not None:
+        prev, arc_from, arc_to = via[state]
+        route.append((state[1], arc_to))
+        if prev is not None:
+            route.append((prev[1], arc_from))
+        state = prev
+    return PathResult(length, turns, PointOnLine(line, arc),
+                      tuple(reversed(route)), False, t_max)
 
 
 def sample_path(params: ModelParams, scenario: PalmScenario,

@@ -53,6 +53,7 @@ from .model import (
     ModelParams,
     PalmKind,
     PalmScenario,
+    _check_int,
     _finite_real,
 )
 
@@ -85,8 +86,8 @@ MAX_TRIAL_POINTS = 1e6
 
 def _norm_seed(seed) -> tuple[int, int]:
     if isinstance(seed, (tuple, list)) and len(seed) == 2:
-        return int(seed[0]), int(seed[1])
-    return int(seed), 0
+        return _check_int(seed[0], "seed"), _check_int(seed[1], "seed")
+    return _check_int(seed, "seed"), 0
 
 
 @dataclass(frozen=True)
@@ -314,7 +315,7 @@ def _expected_lines(params, scenario, clip_radius) -> float:
 
 def _check_inputs(params, scenario, clip_radius) -> float:
     if not isinstance(scenario, PalmScenario):
-        raise TypeError(f"scenario must be a PalmScenario, got {type(scenario).__name__}")
+        raise InputError(f"scenario must be a PalmScenario, got {type(scenario).__name__}")
     if not (_finite_real(clip_radius) and clip_radius > 0):
         raise NonPositiveRadius(f"clip_radius must be finite and > 0, got {clip_radius!r}")
     clip_radius = float(clip_radius)
@@ -344,7 +345,8 @@ def sample_chunk(params: ModelParams, scenario: PalmScenario,
     as ``sample_palm(params, scenario, clip_radius, (master, i))`` gives
     it, whatever chunk it was drawn in."""
     R = _check_inputs(params, scenario, clip_radius)
-    master, start, stop = int(master), int(start), int(stop)
+    master = _check_int(master, "master")
+    start, stop = _check_int(start, "start"), _check_int(stop, "stop")
     if stop <= start:
         raise InputError(f"need start < stop, got {start}, {stop}")
     draws = _TrialDraws(params, scenario, R, master)

@@ -19,7 +19,6 @@ from linecox.applications import (
     nearfield_success,
     nearfield_threshold_distance,
     reach_quantile,
-    validate_link,
 )
 from linecox.errors import InputError, NoBracket, NonFinite, NonPositiveParameter
 from linecox.model import ModelParams, PalmKind, PalmScenario, TurnPolicy
@@ -34,17 +33,16 @@ def _link(**overrides) -> RisLinkParams:
 
 
 def test_link_validation():
-    assert validate_link(_link()) == _link()
     with pytest.raises(NonPositiveParameter):
-        validate_link(_link(gamma=0.0))
+        _link(gamma=0.0)
     with pytest.raises(NonPositiveParameter):
-        validate_link(_link(p_t=-1.0))
+        _link(p_t=-1.0)
     with pytest.raises(NonFinite):
-        validate_link(_link(n0=math.nan))
+        _link(n0=math.nan)
     with pytest.raises(NonFinite):
-        validate_link(_link(area=math.inf))
+        _link(area=math.inf)
     with pytest.raises(NonFinite):
-        validate_link(_link(g="high"))
+        _link(g="high")
 
 
 def test_nearfield_constructed_unit_distance():

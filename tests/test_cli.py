@@ -7,6 +7,7 @@ import json
 import logging
 import math
 import tempfile
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linecox import cli
+from linecox import cli, experiments
 from linecox.cli import EXIT_CONFIG, EXIT_OK, EXIT_QUADRATURE, EXIT_RUNTIME, main, parse_grid
 
 
@@ -163,6 +164,30 @@ def test_simulate_bit_identical_repeats_and_workers(tmp_path, capsys):
 
     rc, _, _ = _run(capsys, *base[:-1], "11", "--out", str(paths[1]))
     assert paths[0].read_bytes() != paths[1].read_bytes()
+
+
+def test_simulate_through_a_process_pool_matches_one_worker(tmp_path, capsys, monkeypatch):
+    """2,100 trials at lam 2, t_max 2 are 5 chunks of at most 515, so
+    ``--workers 2`` runs them in a pool of two processes. The CSV and its
+    sidecar equal those of one worker, and of no ``--workers`` at all."""
+    asked = []
+
+    def pool(max_workers):
+        asked.append(max_workers)
+        return ProcessPoolExecutor(max_workers=max_workers)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", pool)
+    base = ["simulate", "--lambda", "2", "--mu", "1", "--t-max", "2",
+            "--trials", "2100", "--grid", "0:2:0.25", "--seed", "5"]
+    outputs = []
+    for name, extra in (("default", []), ("one", ["--workers", "1"]),
+                        ("two", ["--workers", "2"])):
+        path = tmp_path / f"{name}.csv"
+        rc, _, _ = _run(capsys, *base, "--out", str(path), *extra)
+        assert rc == EXIT_OK
+        outputs.append((path.read_bytes(), path.with_suffix(".json").read_bytes()))
+    assert asked == [2]
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_simulate_single_trial_and_band_columns(capsys):

@@ -1,3 +1,4 @@
+import decimal
 import hashlib
 import math
 
@@ -117,12 +118,13 @@ def test_scalar_and_array_agree():
 
 
 # md5 of cdf_one_turn_point over the grid of _THM1_T at every (lam, mu) of
-# _THM1_PARAMS, recorded before the overflowing-ratio form was added
+# _THM1_PARAMS, recorded when the exponent took one rearranged form
+# everywhere (each value within 1e-12 of the decimal reference below)
 _THM1_T = np.concatenate(([0.0, 1e-300, 1e-12], np.linspace(0.0, 6.0, 121),
                           [50.0, 1e6]))
 _THM1_PARAMS = [(lam, mu) for lam in (0.0, 1e-9, 0.1, 1.0, 3.7, 50.0, 1e6, 1e300)
                 for mu in (1e-6, 0.01, 0.5, 1.0, 20.0, 1e6)]
-THM1_MD5 = "0d63e1d149d71c5efb4bf133ed732e70"
+THM1_MD5 = "b5c24f801a87a68dce5371f4b359c5c5"
 
 
 def test_one_turn_point_digest_on_ordinary_inputs():
@@ -131,6 +133,46 @@ def test_one_turn_point_digest_on_ordinary_inputs():
         values = cdf_one_turn_point(ModelParams(lam, mu), _THM1_T)
         h.update(np.ascontiguousarray(values, dtype="<f8").tobytes())
     assert h.hexdigest() == THM1_MD5
+
+
+def _one_turn_point_decimal(lam, mu, t):
+    """F(t; lam, mu) of thm1 in 80-digit decimal arithmetic from the exact
+    float inputs: 1 - (1 - e^-x)/x by its series below x = 1, and
+    1 - e^E by its series for |E| < 1e-5, where the direct forms cancel."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        D = decimal.Decimal
+        lam, t = D(lam), D(t)
+        x = 2 * D(mu) * t
+        if x < 1:  # x/2 - x^2/6 + x^3/24 - ..., the n-th term x^n/(n+1)!
+            g = term = x / 2
+            n = 1
+            while term and abs(term) > g * D("1e-85"):
+                n += 1
+                term = -term * x / (n + 1)
+                g += term
+        else:
+            g = 1 - (1 - (-x).exp()) / x
+        e = -x - 2 * lam * t * g
+        if abs(e) >= D("1e-5"):
+            return float(1 - e.exp())
+        f, term, n = D(0), D(-1), 0
+        while term and abs(term) > f.copy_abs() * D("1e-85"):
+            n += 1
+            term = term * e / n
+            f += term
+        return float(f)
+
+
+def test_one_turn_point_agrees_with_a_decimal_reference():
+    """Every value of the digest grid, to a relative 1e-12 of an 80-digit
+    evaluation. Switching between the printed and the rearranged exponent
+    by regime left 523 of them off, the worst F(1e-300; 1e300, 1e-6) =
+    -4.4e-16 where the value is 4e-306."""
+    for lam, mu in _THM1_PARAMS:
+        got = cdf_one_turn_point(ModelParams(lam, mu), _THM1_T)
+        want = np.array([_one_turn_point_decimal(lam, mu, t) for t in _THM1_T])
+        assert np.all(np.abs(got - want) <= 1e-12 * want), (lam, mu)
 
 
 def test_one_turn_point_when_lam_over_mu_overflows():

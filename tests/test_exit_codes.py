@@ -28,11 +28,11 @@ from linecox import (
     reach_quantile,
     run_mc,
     sample_chunk,
+    sample_palm,
     shortest_path,
     typical_point,
 )
 from linecox.cli import EXIT_CONFIG, EXIT_OK, EXIT_QUADRATURE, EXIT_RUNTIME, main
-from linecox.experiments import resolve_workers
 from linecox.model import Line
 from linecox.quadrature import check_tol
 from realizations import one_trial
@@ -68,7 +68,8 @@ _BAD_CALLS = {
                                   grid=[0.0, 2.0]),
     "dkw n": lambda: dkw_halfwidth(0),
     "dkw alpha": lambda: dkw_halfwidth(10, alpha=1.0),
-    "workers": lambda: resolve_workers(0),
+    "workers": lambda: run_mc(_MODEL, typical_point(), TurnPolicy.one_turn(), 1, 1.0, 1,
+                              workers=0),
     "tol": lambda: check_tol(0),
     "quantile p": lambda: reach_quantile(_MODEL, 1.0),
     "quantile policy": lambda: reach_quantile(_MODEL, 0.5, "two-turn"),
@@ -80,6 +81,18 @@ _BAD_CALLS = {
         one_trial([Line(0, 0.5, 1.0)], [[0.0]]), TurnPolicy.one_turn(), 1.0),
     "grid text": lambda: cli.parse_grid("0:1"),
     "grid step": lambda: cli.parse_grid("0:1:0"),
+    "run_mc t_max type": lambda: run_mc(_MODEL, typical_point(), TurnPolicy.one_turn(), 1,
+                                        "abc", 1),
+    "run_mc grid type": lambda: run_mc(_MODEL, typical_point(), TurnPolicy.one_turn(), 1,
+                                       1.0, 1, grid=["a"]),
+    "run_mc scenario": lambda: run_mc(_MODEL, "typical-point", TurnPolicy.one_turn(), 1,
+                                      1.0, 1),
+    "chunk master": lambda: sample_chunk(_MODEL, typical_point(), 1.0, "x", 0, 1),
+    "run_mc grid shape": lambda: run_mc(_MODEL, typical_point(), TurnPolicy.one_turn(), 1,
+                                        1.0, 1, grid=0.5),
+    "dkw n type": lambda: dkw_halfwidth("x"),
+    "dkw alpha type": lambda: dkw_halfwidth(10, "x"),
+    "palm seed": lambda: sample_palm(_MODEL, typical_point(), 1.0, "x"),
 }
 
 

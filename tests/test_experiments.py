@@ -17,11 +17,9 @@ from linecox.analytic import (
 )
 from linecox.errors import GridMismatch, InputError
 from linecox.experiments import (
-    WORKERS_ENV,
     compare,
     default_grid,
     dkw_halfwidth,
-    resolve_workers,
     run_mc,
 )
 from linecox.model import (
@@ -61,19 +59,6 @@ def test_default_grid_endpoints_and_step():
     assert np.allclose(np.diff(g), 0.01)
     assert np.array_equal(default_grid(1.0, 0.25),
                           [0.0, 0.25, 0.5, 0.75, 1.0])
-
-
-def test_resolve_workers_precedence(monkeypatch):
-    monkeypatch.delenv(WORKERS_ENV, raising=False)
-    assert resolve_workers() == 1
-    monkeypatch.setenv(WORKERS_ENV, "4")
-    assert resolve_workers() == 4
-    assert resolve_workers(2) == 2  # explicit argument wins over the env
-    with pytest.raises(ValueError):
-        resolve_workers(0)
-    monkeypatch.setenv(WORKERS_ENV, "0")
-    with pytest.raises(ValueError):
-        resolve_workers()
 
 
 def test_run_mc_bit_identical_across_worker_counts(monkeypatch):

@@ -98,8 +98,7 @@ def test_src_imports_are_used():
     assert not unused, unused
 
 
-# the package's public names, as they stood when each module's ``__all__``
-# became the one list of them
+# the package's public names, each listed in one module's ``__all__``
 PUBLIC = {
     "__version__",
     # analytic
@@ -121,7 +120,7 @@ PUBLIC = {
     # model
     "AngleLaw", "DistributionCurve", "Line", "ModelParams", "PalmKind", "PalmScenario",
     "PointOnLine", "PolicyKind", "TurnPolicy", "rescale", "typical_intersection",
-    "typical_point", "validate",
+    "typical_point",
     # oracle, quadrature, sampler
     "PathResult", "chunk_lengths", "sample_path", "shortest_path", "gauss_legendre",
     "ChunkSample", "Realization", "sample_chunk", "sample_palm",

@@ -30,16 +30,12 @@ from linecox import (
     sample_palm,
     typical_intersection,
     typical_point,
-    validate,
 )
-from linecox.experiments import resolve_workers
 from realizations import realization_to_json
 
 
 def test_validate_accepts_and_returns():
-    p = ModelParams(1.0, 2.0)
-    assert validate(p) is p
-    assert validate(ModelParams(0.0, 0.5)).lam == 0.0  # lam may be zero
+    assert ModelParams(0.0, 0.5).lam == 0.0  # lam may be zero
 
 
 @pytest.mark.parametrize("lam,mu,exc,needle", [
@@ -51,7 +47,7 @@ def test_validate_accepts_and_returns():
 ])
 def test_validate_rejects(lam, mu, exc, needle):
     with pytest.raises(exc) as ei:
-        validate(ModelParams(lam, mu))
+        ModelParams(lam, mu)
     assert needle in str(ei.value)
 
 
@@ -158,7 +154,7 @@ REAL_INPUT_SITES = {
     "sample_palm": (lambda r: realization_to_json(
         sample_palm(ModelParams(1.0, 1.0), typical_point(), r, seed=1)),
         3, 2.0, NonPositiveRadius),
-    "validate": (lambda x: validate(ModelParams(x, x)), 2, 0.5, NonFinite),
+    "validate": (lambda x: ModelParams(x, x), 2, 0.5, NonFinite),
     "one_turn_intersection_terms": (lambda mu: one_turn_intersection_terms(mu, 0.5),
                                     2, 0.5, NonFinite),
 }
@@ -185,13 +181,13 @@ INT_INPUT_SITES = {
     "k": (lambda k: TurnPolicy.k_turn(k), 2),
     "trials": (lambda n: _mc_bytes(trials=n), 3),
     "seed": (lambda seed: _mc_bytes(seed=seed), 5),
-    "workers": (resolve_workers, 2),
+    "workers": (lambda w: _mc_bytes(workers=w), 2),
 }
 
 
-def _mc_bytes(trials=2, seed=1):
+def _mc_bytes(trials=2, seed=1, workers=1):
     curve = run_mc(ModelParams(1.0, 1.0), typical_point(), TurnPolicy.one_turn(),
-                   trials, 1.0, seed, grid=[0.0, 0.5, 1.0])
+                   trials, 1.0, seed, grid=[0.0, 0.5, 1.0], workers=workers)
     return curve.values.tobytes(), json.dumps(curve.meta)
 
 

@@ -23,7 +23,6 @@ from linecox import (
     typical_point,
 )
 from linecox.model import Line
-from linecox.oracle import _Best, _scan_targets
 from linecox.sampler import _pair_arcs, _sin_cos
 from realizations import (one_trial, route_length, route_positions, sample_D,
                           trial_geometry)
@@ -232,7 +231,7 @@ def _eager_k_turn(real, graph, t_max, k, include_lower, directed):
     t_max; returns (length, turns, target, route) or None if censored."""
     adj, node_arc, origin_pair_nodes = graph
     lids = [ln.id for ln in real.lines]
-    best = _Best()
+    best = None  # ((length, line id, arc), turns, route)
     dist, parent, heap = {}, {}, []
     origin = [k for k, ln in enumerate(real.lines) if ln.through_origin]
     for oi in origin[:1] if directed else origin:
@@ -240,33 +239,37 @@ def _eager_k_turn(real, graph, t_max, k, include_lower, directed):
         heapq.heappush(heap, (0.0, 0, -1, oi))
 
     def route_of(state):
-        def build():
-            chain, s = [], state
-            while s is not None:
-                chain.append(s)
-                s = parent.get(s)
-            chain.reverse()
-            verts = []
-            for prev, cur in zip([None] + chain[:-1], chain):
-                if prev is not None:
-                    verts.append((lids[prev[1]], node_arc[(cur[0], prev[1])]))
-                verts.append((lids[cur[1]], node_arc[(cur[0], cur[1])]))
-            return tuple(verts)
-        return build
+        chain, s = [], state
+        while s is not None:
+            chain.append(s)
+            s = parent.get(s)
+        chain.reverse()
+        verts = []
+        for prev, cur in zip([None] + chain[:-1], chain):
+            if prev is not None:
+                verts.append((lids[prev[1]], node_arc[(cur[0], prev[1])]))
+            verts.append((lids[cur[1]], node_arc[(cur[0], cur[1])]))
+        return tuple(verts)
 
     while heap:
         length, turns, node, li = heapq.heappop(heap)
         state = (node, li, turns)
         if length > dist.get(state, math.inf):
             continue
-        if length > best.length:
+        if best is not None and length > best[0][0]:
             break
         ref = node_arc[(node, li)]
         at_start = node == -1 and turns == 0
         if include_lower or turns == k:
-            _scan_targets(best, real.arcs_by_line[li], ref, length, lids[li],
-                          turns, t_max, route_of(state),
-                          nonneg_only=directed and at_start)
+            # the point of this line nearest ref, leftmost on a tie
+            arcs = real.arcs_by_line[li]
+            if directed and at_start:
+                arcs = arcs[arcs >= 0.0]
+            if arcs.size:
+                i = int(np.argmin(np.abs(arcs - ref)))
+                key = (length + float(np.abs(arcs[i] - ref)), lids[li], float(arcs[i]))
+                if key[0] <= t_max and (best is None or key < best[0]):
+                    best = (key, turns, route_of(state) + ((lids[li], key[2]),))
         if turns == k:
             continue
         for arc_w, w, other in adj[li]:
@@ -282,9 +285,10 @@ def _eager_k_turn(real, graph, t_max, k, include_lower, directed):
                 dist[nstate] = length2
                 parent[nstate] = state
                 heapq.heappush(heap, (length2, turns + 1, w, other))
-    if best.key is None:
+    if best is None:
         return None
-    return best.key[0], best.turns, best.key[1:], best.route
+    (length, *target), turns, route = best
+    return length, turns, tuple(target), route
 
 
 # each named policy with the (k, include_lower, directed) it searches

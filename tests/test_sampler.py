@@ -8,6 +8,7 @@ from scipy import stats
 
 from linecox import (
     AngleLaw,
+    InputError,
     ModelParams,
     NonPositiveRadius,
     TooManyLines,
@@ -115,7 +116,7 @@ def test_sample_palm_validation():
     for bad in (0.0, -1.0, float("inf"), float("nan")):
         with pytest.raises(NonPositiveRadius):
             sample_palm(p, typical_point(), bad, seed=1)
-    with pytest.raises(TypeError):
+    with pytest.raises(InputError, match="scenario"):
         sample_palm(p, "typical-point", 1.0, seed=1)
     # numpy scalars are radii too, and draw what the equal float draws
     for radius in (np.int64(3), np.float32(2.0)):
