@@ -36,15 +36,12 @@ import math
 
 import numpy as np
 
-from ..errors import DegenerateAngles, DomainError
 from ..model import ModelParams, _check_t
 from ..quadrature import check_tol, gauss_legendre, settle_ladder
 from .closed_forms import _rate_times, _ret_err
 
 __all__ = [
     "DEFAULT_VARIANT",
-    "angle_thresholds",
-    "z_length",
     "cdf_one_turn_intersection",
     "one_turn_intersection_terms",
 ]
@@ -63,68 +60,31 @@ class _Recipe:
 DEFAULT_VARIANT = _Recipe()
 
 _PI = math.pi
-_GUARD = 1e-9  # angle gap below which exp(-mu*Z) is extended by 0
-_ACOS_TOL = 1e-9
-
-
-def _safe_arccos(val, tol=_ACOS_TOL):
-    """arccos with a rounding guard: arguments beyond [-1, 1] by more than
-    ``tol`` raise DomainError, closer ones clip."""
-    arr = np.asarray(val, dtype=float)
-    if np.any(arr > 1.0 + tol) or np.any(arr < -1.0 - tol):
-        worst = arr.flat[int(np.argmax(np.abs(arr)))]
-        raise DomainError(f"arccos argument {worst!r} outside [-1, 1] beyond guard {tol}")
-    return np.arccos(np.clip(arr, -1.0, 1.0))
 
 
 def _thresholds(xr, sin_w, cos_w):
-    """The four regime breakpoints at unit reach: xr = x/t, and sin_w, cos_w
-    of the crossing angle omega, all broadcast together. The thresholds
-    depend on x and t only through x/t, so one call serves every reach.
+    """The four regime breakpoints at unit reach: xr = x/t in (0, 1], and
+    sin_w, cos_w of the crossing angle omega, all of one shape. The
+    thresholds depend on x and t only through x/t, so one call serves every
+    reach.
 
     Returns (outer_lo, win_lo, win_hi, outer_hi): the outer regime covers
     [0, outer_lo] and [outer_hi, pi], the window [win_lo, win_hi]. The two
     window arctans are sorted because their printed order flips once
-    t*cos(omega) < x.
+    t*cos(omega) < x. The arccos arguments lie in [-1, 1] up to rounding,
+    which the clip takes up.
     """
-    xr, sin_w, cos_w = np.broadcast_arrays(
-        np.asarray(xr, dtype=float), sin_w, cos_w)
     win_a = np.arctan2(sin_w, cos_w - xr) % _PI
     win_b = np.arctan2(sin_w, cos_w + xr) % _PI
     win_lo = np.minimum(win_a, win_b)
     win_hi = np.maximum(win_a, win_b)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho = (2.0 - xr) / xr
-        r2 = rho * rho + 1.0
-        arg_lo = (r2 * cos_w + 2.0 * rho) / (2.0 * rho * cos_w + r2)
-        arg_hi = (r2 * cos_w - 2.0 * rho) / (r2 - 2.0 * rho * cos_w)
-    # x -> 0 collapses both outer thresholds onto omega (rho -> inf)
-    arg_lo = np.where(xr == 0.0, cos_w, arg_lo)
-    arg_hi = np.where(xr == 0.0, cos_w, arg_hi)
-    outer_lo = _safe_arccos(arg_lo)
-    outer_hi = _safe_arccos(arg_hi)
-    return outer_lo, win_lo, win_hi, outer_hi
-
-
-def angle_thresholds(x: float, omega: float, t: float):
-    """The four regime breakpoints in (0, pi) for entry distance x, crossing
-    angle omega and reach t; see the module docstring. Returns
-    (outer_lo, win_lo, win_hi, outer_hi). The expected nesting
-    outer_lo <= win_lo <= win_hi <= outer_hi is checked and logged (not
-    raised) when violated beyond 1e-9."""
-    if not (t > 0 and math.isfinite(t)):
-        raise DomainError(f"t must be finite and > 0, got {t}")
-    if not (0.0 <= x <= t):
-        raise DomainError(f"x must lie in [0, t], got x={x}, t={t}")
-    if not (0.0 < omega < _PI):
-        raise DomainError(f"omega must lie strictly inside (0, pi), got {omega}")
-    outer_lo, win_lo, win_hi, outer_hi = (float(v) for v in _thresholds(
-        x / t, math.sin(omega), math.cos(omega)))
-    if outer_lo > win_lo + 1e-9 or win_hi > outer_hi + 1e-9:
-        log.warning("threshold nesting violated at x=%g omega=%g t=%g: "
-                    "%.12g, %.12g, %.12g, %.12g",
-                    x, omega, t, outer_lo, win_lo, win_hi, outer_hi)
+    rho = (2.0 - xr) / xr
+    r2 = rho * rho + 1.0
+    arg_lo = (r2 * cos_w + 2.0 * rho) / (2.0 * rho * cos_w + r2)
+    arg_hi = (r2 * cos_w - 2.0 * rho) / (r2 - 2.0 * rho * cos_w)
+    outer_lo = np.arccos(np.clip(arg_lo, -1.0, 1.0))
+    outer_hi = np.arccos(np.clip(arg_hi, -1.0, 1.0))
     return outer_lo, win_lo, win_hi, outer_hi
 
 
@@ -171,37 +131,14 @@ def _zeta(v, c, p, q=None, out=None, scratch=None):
     return np.subtract(c, zeta, out=zeta)
 
 
-def z_length(x: float, omega1: float, omega: float, t: float) -> float:
-    """Arc length within reach on a crossing line entering the first street
-    at distance x under angle omega1, the two streets crossing at angle
-    omega; clamped to [0, 4t]. Raises DegenerateAngles when omega1 and
-    omega are parallel to within 1e-12."""
-    if not (0.0 < omega < _PI) or not (0.0 <= omega1 <= _PI):
-        raise DomainError("angles must lie in (0, pi) / [0, pi]")
-    if abs(math.sin(omega1 - omega)) < 1e-12:
-        raise DegenerateAngles(
-            f"omega1={omega1} and omega={omega} are parallel within 1e-12")
-    outer_lo, win_lo, win_hi, outer_hi = angle_thresholds(x, omega, t)
-    if omega1 <= outer_lo or omega1 >= outer_hi:
-        regime = 0
-    elif win_lo <= omega1 <= win_hi:
-        return min(max(2.0 * (t - x), 0.0), 4.0 * t)
-    else:
-        regime = 2
-    v = np.array([math.tan(0.5 * (omega1 - omega))])
-    zeta = _zeta(v, *_coefficients(x / t, math.sin(omega), math.cos(omega),
-                                   _REGIMES[regime]))
-    return float(t * np.clip(zeta[0], 0.0, 4.0))
-
-
 def _segment_rows(lo, hi, omega, weight, c, p, q):
     """The rows of one omega1 segment [lo, hi], one per (omega, x) pair,
     with c, p, q of ``_zeta`` per row: (gap, width, mass, near, below,
     above). The row's nodes lie at omega1 = lo + width*u; gap = lo - omega,
     and mass = width*weight is the row's weight.
 
-    ``near`` marks the rows reaching within about _GUARD of omega (mod pi),
-    the only ones where |sin(omega1 - omega)| < _GUARD can hold. Elsewhere
+    ``near`` marks the rows reaching within 1e-8 of omega (mod pi), where
+    v = tan((omega1 - omega)/2) may change sign or pass a pole. Elsewhere
     v keeps its sign along the row and the unclipped Z/t, c - (p/v + q*v)
     with p >= 0 >= q, rises with v and so with omega1. So a row that is not
     near and whose two ends both lie below 0 (``below``) or both above 4
@@ -264,18 +201,17 @@ def _rung_terms(s, nw, nx, n1):
     # the chunk arrays (n1, rows), allocated once per call: v (then w),
     # zeta, e
     buf = np.empty((3, n1 * min(step, omega.size)))
-    guard = np.empty(buf.shape[1], dtype=bool)
     segments = ((0.0, outer_lo), (outer_hi, _PI), (outer_lo, win_lo),
                 (win_hi, outer_hi))
     for (lo, hi), regime in zip(segments, _REGIMES):
         c, p, q = _coefficients(xr, sin_w, cos_w, regime)
-        gap, width, mass, near, below, above = _segment_rows(
+        gap, width, mass, _, below, above = _segment_rows(
             lo, hi, omega, weight, c, p, q)
         clipped_0 += mass[below].sum()
         clipped_4 += mass[above].sum()
         rows = np.flatnonzero((mass > 0.0) & ~below & ~above)
         half_gap, half_width = 0.5 * gap[rows], 0.5 * width[rows]
-        c, p, mass, near = c[rows], p[rows], mass[rows], near[rows]
+        c, p, mass = c[rows], p[rows], mass[rows]
         if q is not None:
             q = q[rows]
         for a in range(0, rows.size, step):
@@ -286,22 +222,10 @@ def _rung_terms(s, nw, nx, n1):
             np.multiply(half_width[b], col, out=v)
             v += half_gap[b]
             np.tan(v, out=v)
-            masked = near[b].any()
-            if masked:  # |sin(omega1 - omega)| = |2v/(1 + v^2)|
-                g = guard[:v.size].reshape(shape)
-                np.multiply(v, 2.0, out=zeta)
-                np.abs(zeta, out=zeta)
-                np.multiply(v, v, out=e)
-                e += 1.0
-                e *= _GUARD
-                np.less(zeta, e, out=g)
             _zeta(v, c[b], p[b], None if q is None else q[b],
                   out=zeta, scratch=e)
             np.clip(zeta, 0.0, 4.0, out=zeta)
             w = np.multiply(mass[b], col_w, out=v)
-            if masked:
-                np.copyto(w, 0.0, where=g)
-                np.copyto(zeta, 0.0, where=g)
             for k, sk in enumerate(s):
                 # multiply and sum rather than np.dot: BLAS would wake its
                 # threads for every chunk

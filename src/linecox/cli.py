@@ -26,8 +26,9 @@ call (``import linecox`` builds none), and nothing writes to it after
 that: every option defaults to ``argparse.SUPPRESS``, so defaults come
 from ``_OPTIONS`` alone, and argparse looks up ``sys.stdout`` and
 ``sys.stderr`` only when it prints. Each request only parses its argv.
-A ``--grid`` of more than ``MAX_GRID_POINTS`` points exits 2 before any
-array is allocated, and running out of memory exits 4.
+A ``--grid``, or the default grid of a ``--t-max`` given alone, of more
+than ``MAX_GRID_POINTS`` points exits 2 before any array is allocated,
+and running out of memory exits 4.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ from .model import (
     TurnPolicy,
 )
 from .experiments import compare as compare_curves
-from .experiments import run_mc
+from .experiments import MAX_GRID_POINTS, run_mc
 from .quadrature import check_tol
 
 __all__ = ["main", "RunConfig", "parse_grid"]
@@ -86,8 +87,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_QUADRATURE = 3
 EXIT_RUNTIME = 4
-
-MAX_GRID_POINTS = 1_000_000  # a longer --grid is refused before it is allocated
 
 # curve token -> (curve, default quadrature tol; None for a closed form)
 _CURVES = {
@@ -248,7 +247,8 @@ _OPTIONS: dict[str, tuple[_Option, ...]] = {
         _Option("exact_turns", False, _parse_bool,
                 help="count only paths using the full turn budget"),
         _Option("trials", 10000, int),
-        _Option("t_max", None, float, help="censoring horizon"),
+        _Option("t_max", None, float, help="censoring horizon (default: the "
+                "--grid end; alone, it runs on the grid 0..t_max by 0.01)"),
         _GRID,
         _Option("seed", 1, int),
         _Option("workers", 1, int, help="process count (default: 1)"),
@@ -405,14 +405,16 @@ def cmd_simulate(cfg: RunConfig) -> int:
     params = ModelParams(cfg.lam, cfg.mu)
     scenario = PalmScenario(cfg.scenario, cfg.angle_law)
     policy = TurnPolicy(cfg.policy, cfg.k, not cfg.exact_turns)
-    grid = parse_grid(cfg.grid)
+    # --t-max alone runs on run_mc's default grid, recorded as null
+    grid_text = None if cfg.t_max is not None and "grid" not in cfg.provided else cfg.grid
+    grid = None if grid_text is None else parse_grid(grid_text)
     t_max = cfg.t_max if cfg.t_max is not None else float(grid[-1])
     curve = run_mc(params, scenario, policy, cfg.trials, t_max, cfg.seed,
                    grid=grid, workers=cfg.workers, alpha=cfg.alpha)
     hw = curve.ci_halfwidth
     rows = zip(curve.grid, curve.values, curve.values - hw, curve.values + hw)
     meta = dict(curve.meta)
-    meta.update({"command": "simulate", "grid": cfg.grid, "version": __version__})
+    meta.update({"command": "simulate", "grid": grid_text, "version": __version__})
     _write_curve(cfg.out, ("t", "F", "ci_lo", "ci_hi"), rows, meta)
     return EXIT_OK
 

@@ -12,7 +12,7 @@ __all__ = [
     "LineCoxError", "InputError", "NonFinite", "NegativeIntensity", "ZeroMu",
     "NonPositiveScale", "NegativeT", "NotAnInteger", "NonPositiveParameter",
     "NonPositiveRadius", "TBeyondClip", "TooManyLines", "TooManyPoints",
-    "PolicyBudgetNegative", "DegenerateAngles", "DomainError", "QuadratureFailure",
+    "PolicyBudgetNegative", "DomainError", "QuadratureFailure",
     "GridMismatch", "NoBracket",
 ]
 
@@ -86,14 +86,9 @@ class PolicyBudgetNegative(InputError):
     """Turn budget k must be >= 0; raised when the TurnPolicy is built."""
 
 
-class DegenerateAngles(LineCoxError):
-    """Two line angles coincide to within tolerance; the crossing formulas
-    divide by sin of their difference."""
-
-
 class DomainError(InputError):
-    """An inverse trig argument fell outside its domain by more than the
-    rounding guard."""
+    """Arguments fell outside the domain a formula is defined on, such as
+    the arcs of ``two_turn_T`` out of order."""
 
 
 # ---- numerics -------------------------------------------------------------

@@ -49,6 +49,7 @@ __all__ = [
 # at lam 16 and one from lam 27 on. The curve does not depend on it, since
 # trial i draws from stream (seed, i) and the fold adds integer counts.
 _CHUNK_BUDGET = 2**17
+MAX_GRID_POINTS = 1_000_000  # a longer grid is refused before it is allocated
 
 _log = logging.getLogger(__name__)
 
@@ -64,8 +65,16 @@ def dkw_halfwidth(n: int, alpha: float = 0.05) -> float:
 
 
 def default_grid(t_max: float = 3.0, step: float = 0.01) -> np.ndarray:
-    n = int(round(t_max / step))
-    return np.linspace(0.0, n * step, n + 1)
+    """0, step, 2*step, ... up to the last point at or below t_max. A
+    quotient t_max/step within 1e-9 below an integer counts as that
+    integer, so 0.3 by 0.1 ends at 0.3. More than MAX_GRID_POINTS points
+    raise InputError before any is allocated."""
+    steps = t_max / step + 1e-9
+    if not steps < MAX_GRID_POINTS:  # also where the quotient overflows
+        raise InputError(f"a grid from 0 to t_max {t_max!r} by {step!r} has more "
+                         f"than the cap of {MAX_GRID_POINTS} points")
+    n = math.floor(steps)
+    return np.linspace(0.0, min(n * step, t_max), n + 1)
 
 
 def _chunk_trials(params: ModelParams, scenario: PalmScenario,

@@ -333,17 +333,15 @@ def shortest_path(real: Realization, policy: TurnPolicy,
 
 
 def sample_path(params: ModelParams, scenario: PalmScenario,
-                policy: TurnPolicy, t_max: float, seed,
-                clip_radius: float | None = None) -> PathResult:
+                policy: TurnPolicy, t_max: float, seed) -> PathResult:
     """One fresh trial: sample a realization, query the oracle.
 
-    The clip radius defaults to ``t_max``: any street path of length at most
-    t_max stays inside the disk of radius t_max, and a line farther than
-    t_max from the origin cannot carry a reachable point, so nothing that
-    matters is clipped away.
+    The realization is clipped at radius ``t_max``: any street path of
+    length at most t_max stays inside the disk of radius t_max, and a line
+    farther than t_max from the origin cannot carry a reachable point, so
+    nothing that matters is clipped away.
     """
-    R = float(t_max if clip_radius is None else clip_radius)
-    real = sample_palm(params, scenario, R, seed)
+    real = sample_palm(params, scenario, float(t_max), seed)
     return shortest_path(real, policy, t_max)
 
 

@@ -247,6 +247,25 @@ def test_simulate_scenario_and_policy_matrix(tmp_path, capsys):
     assert rc == EXIT_CONFIG and "censors" in err
 
 
+def test_simulate_t_max_alone_runs_on_the_default_grid_for_it(tmp_path, capsys):
+    """--t-max without --grid runs on run_mc's default grid for that
+    horizon, and the sidecar records a null grid; the --grid default,
+    0:3:0.01, reaches past a horizon of 2 and exited 2."""
+    out = tmp_path / "curve.csv"
+    rc, _, _ = _run(capsys, "simulate", "--t-max", "2", "--trials", "5", "--out", str(out))
+    assert rc == EXIT_OK
+    _, data = _rows(out.read_text())
+    assert np.array_equal(data[:, 0], experiments.default_grid(2.0))
+    meta = json.loads((tmp_path / "curve.json").read_text())
+    assert meta["grid"] is None and meta["t_max"] == 2.0
+    # a horizon whose default grid would pass the grid cap exits 2 before
+    # the grid is allocated (10**10 points here)
+    rc, out, err = _run(capsys, "simulate", "--lambda", "0", "--mu", "1e-30",
+                        "--t-max", "1e8", "--trials", "2")
+    assert rc == EXIT_CONFIG and out == ""
+    assert f"cap of {cli.MAX_GRID_POINTS} points" in err
+
+
 def test_compare_self_and_cross(tmp_path, capsys):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     common = ["--lambda", "1", "--mu", "1", "--grid", "0:2:0.1"]

@@ -200,6 +200,7 @@ def _finite_csv(text):
 @example(argv=["simulate", "--policy", "k-turn", "--k", "1000000000", "--trials", "64",
                "--grid", "0:1:0.5"])
 @example(argv=["simulate", "--trials", "1" + "0" * 400, "--grid", "0:1:0.5"])
+@example(argv=["simulate", "--t-max", "2", "--trials", "5"])
 @example(argv=["app", "ris-nearfield", "--wavelength", "1e300", "--area", "1e300"])
 @example(argv=["app", "ris-farfield", "--m", "1e200"])
 @example(argv=["app", "ris-farfield", "--gamma=5e-324", "--n0=5e-324"])

@@ -29,6 +29,7 @@ from linecox.model import (
     PalmScenario,
     PolicyKind,
     TurnPolicy,
+    typical_point,
 )
 from linecox.sampler import MAX_EXPECTED_LINES, MAX_EXPECTED_POINTS
 
@@ -59,6 +60,25 @@ def test_default_grid_endpoints_and_step():
     assert np.allclose(np.diff(g), 0.01)
     assert np.array_equal(default_grid(1.0, 0.25),
                           [0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+def test_the_default_grid_never_passes_t_max():
+    """The grid's last point is the last step at or below t_max, so a run
+    without a grid accepts every t_max; rounding the step count instead
+    ended 2.999 at 3.0, 0.015 at 0.02 and 2.006 at 2.01, past the horizon."""
+    for t_max, end in ((2.999, 2.99), (0.015, 0.01), (2.006, 2.0), (0.3, 0.3)):
+        grid = default_grid(t_max)
+        assert grid[-1] == pytest.approx(end, abs=1e-15) and grid[-1] <= t_max
+        assert np.allclose(np.diff(grid), 0.01)
+    assert default_grid(0.3, 0.1)[-1] == 0.3
+    for t_max, step in ((1e4, 0.01), (1e8, 0.01), (1e308, 1e-300)):  # > 10**6 points
+        with pytest.raises(InputError, match="cap of 1000000 points"):
+            default_grid(t_max, step)
+    assert default_grid(9999.99).size == 1_000_000
+    curve = run_mc(ModelParams(1.0, 1.0), typical_point(), TurnPolicy.one_turn(),
+                   5, 2.999, 1)
+    assert curve.grid[-1] == pytest.approx(2.99, abs=1e-15)
+    assert curve.meta["t_max"] == 2.999
 
 
 def test_run_mc_bit_identical_across_worker_counts(monkeypatch):

@@ -102,16 +102,16 @@ def test_src_imports_are_used():
 PUBLIC = {
     "__version__",
     # analytic
-    "DEFAULT_VARIANT", "angle_thresholds", "cdf_naive_recursion",
+    "DEFAULT_VARIANT", "cdf_naive_recursion",
     "cdf_one_turn_intersection", "cdf_one_turn_point", "cdf_ppp2d_reference",
     "cdf_two_turn_bound", "cdf_upper_intersection", "cdf_zero_turn_intersection",
-    "equivalent_ppp_density", "one_turn_intersection_terms", "two_turn_T", "z_length",
+    "equivalent_ppp_density", "one_turn_intersection_terms", "two_turn_T",
     # applications
     "RisLinkParams", "db_to_linear", "farfield_success_lower_bound",
     "farfield_threshold_distance", "nearfield_success", "nearfield_threshold_distance",
     "reach_quantile",
     # errors
-    "DegenerateAngles", "DomainError", "GridMismatch", "InputError", "LineCoxError",
+    "DomainError", "GridMismatch", "InputError", "LineCoxError",
     "NegativeIntensity", "NegativeT", "NoBracket", "NonFinite", "NonPositiveParameter",
     "NonPositiveRadius", "NonPositiveScale", "NotAnInteger", "PolicyBudgetNegative",
     "QuadratureFailure", "TBeyondClip", "TooManyLines", "TooManyPoints", "ZeroMu",
@@ -126,26 +126,54 @@ PUBLIC = {
     "ChunkSample", "Realization", "sample_chunk", "sample_palm",
 }
 ANALYTIC = {
-    "DEFAULT_VARIANT", "angle_thresholds", "cdf_naive_recursion",
+    "DEFAULT_VARIANT", "cdf_naive_recursion",
     "cdf_one_turn_intersection", "cdf_one_turn_point", "cdf_ppp2d_reference",
     "cdf_two_turn_bound", "cdf_upper_intersection", "cdf_zero_turn_intersection",
-    "equivalent_ppp_density", "one_turn_intersection_terms", "two_turn_T", "z_length",
+    "equivalent_ppp_density", "one_turn_intersection_terms", "two_turn_T",
 }
 
 
+def _module_name(path: Path) -> str:
+    parts = path.relative_to(SRC).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
 def _listed_and_defined(path: Path) -> tuple:
-    """A module's ``__all__`` and the names its top level binds."""
-    listed, defined = [], set()
+    """A module's ``__all__`` and the names its top level binds. The list
+    is read from the imported module, since a package ``__init__`` builds
+    its list from its modules' lists."""
+    defined = set()
     for node in ast.parse(path.read_text(), str(path)).body:
         if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
             defined.add(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names = {t.id for t in targets if isinstance(t, ast.Name)}
-            defined |= names
-            if "__all__" in names:
-                listed = ast.literal_eval(node.value)
-    return listed, defined
+            defined |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return getattr(importlib.import_module(_module_name(path)), "__all__", []), defined
+
+
+def test_src_defines_no_name_it_never_reads():
+    """Every name a module of the package binds at its top level (a def, a
+    class or an assignment) is read somewhere in the package, as a name,
+    an attribute or an imported name, or is listed in its module's
+    ``__all__``: a helper or constant whose last reader leaves would
+    otherwise stay behind unseen."""
+    paths = sorted((SRC / "linecox").rglob("*.py"))
+    read = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    unread = []
+    for path in paths:
+        listed, defined = _listed_and_defined(path)
+        unread += [f"{path.relative_to(SRC)} {name}"
+                   for name in sorted(defined - read - set(listed) - {"__all__"})]
+    assert not unread, unread
 
 
 def test_public_names_are_listed_once_in_their_defining_module():
@@ -160,7 +188,7 @@ def test_public_names_are_listed_once_in_their_defining_module():
     for path in sorted((SRC / "linecox").rglob("*.py")):
         if path.name == "__init__.py":
             continue
-        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        module = _module_name(path)
         listed, defined = _listed_and_defined(path)
         assert set(listed) <= defined, (module, sorted(set(listed) - defined))
         for name in listed:

@@ -9,30 +9,42 @@ import pytest
 
 from linecox import (
     DEFAULT_VARIANT,
-    DegenerateAngles,
-    DomainError,
     ModelParams,
     NonFinite,
     QuadratureFailure,
-    angle_thresholds,
     cdf_one_turn_intersection,
     cdf_upper_intersection,
     cdf_zero_turn_intersection,
     one_turn_intersection_terms,
     reach_quantile,
-    z_length,
 )
 from linecox.analytic import intersection
-from linecox.analytic.intersection import _safe_arccos
+from linecox.analytic.intersection import _REGIMES, _coefficients, _thresholds, _zeta
 from linecox.quadrature import gauss_legendre
 
 DATA = pathlib.Path(__file__).parent / "data" / "riemann_oracle.json"
 P11 = ModelParams(1.0, 1.0)
+# |sin(omega1 - omega)| below which the Riemann reference
+# (tools/make_riemann_oracle.py) extends exp(-mu*Z) by 0
+RIEMANN_GUARD = 1e-9
+
+
+def thresholds(x, omega, t):
+    """The four breakpoints for entry distance x, angle omega and reach t."""
+    return tuple(float(v) for v in _thresholds(x / t, math.sin(omega), math.cos(omega)))
+
+
+def z_off_window(x, omega1, omega, t, regime):
+    """Z of the outer (regime 0) or transition (regime 2) form, clipped."""
+    v = np.array([math.tan(0.5 * (omega1 - omega))])
+    zeta = _zeta(v, *_coefficients(x / t, math.sin(omega), math.cos(omega),
+                                   _REGIMES[regime]))
+    return float(t * np.clip(zeta[0], 0.0, 4.0))
 
 
 def test_threshold_hand_values():
     # omega = pi/2, t = 1, x = 0.5: window arctans and arccos pair by hand
-    outer_lo, win_lo, win_hi, outer_hi = angle_thresholds(0.5, math.pi / 2, 1.0)
+    outer_lo, win_lo, win_hi, outer_hi = thresholds(0.5, math.pi / 2, 1.0)
     assert win_lo == pytest.approx(math.atan2(1.0, 0.5), abs=1e-12)
     assert win_hi == pytest.approx(math.atan2(1.0, -0.5), abs=1e-12)
     # rho = 3, rho^2+1 = 10: arguments +-6/10
@@ -40,14 +52,8 @@ def test_threshold_hand_values():
     assert outer_hi == pytest.approx(math.acos(-0.6), abs=1e-12)
 
 
-def test_thresholds_collapse_at_x_zero():
-    for omega in (0.4, math.pi / 2, 2.8):
-        got = angle_thresholds(0.0, omega, 1.5)
-        assert got == pytest.approx((omega,) * 4, abs=1e-12)
-
-
 def test_thresholds_symmetric_at_right_angle():
-    outer_lo, win_lo, win_hi, outer_hi = angle_thresholds(0.5, math.pi / 2, 1.0)
+    outer_lo, win_lo, win_hi, outer_hi = thresholds(0.5, math.pi / 2, 1.0)
     assert win_hi == pytest.approx(math.pi - win_lo, abs=1e-9)
     assert outer_hi == pytest.approx(math.pi - outer_lo, abs=1e-9)
 
@@ -58,7 +64,7 @@ def test_threshold_nesting_sampled():
         t = float(rng.uniform(0.1, 3.0))
         x = float(rng.uniform(0.0, 1.0)) * t
         omega = float(rng.uniform(1e-3, math.pi - 1e-3))
-        outer_lo, win_lo, win_hi, outer_hi = angle_thresholds(x, omega, t)
+        outer_lo, win_lo, win_hi, outer_hi = thresholds(x, omega, t)
         assert outer_lo <= win_lo + 1e-9
         assert win_lo <= win_hi + 1e-9
         assert win_hi <= outer_hi + 1e-9
@@ -67,61 +73,33 @@ def test_threshold_nesting_sampled():
 
 def test_z_length_branch_values():
     t, x, omega = 1.0, 0.5, math.pi / 2
+    outer_lo, win_lo, win_hi, outer_hi = thresholds(x, omega, t)
 
     # middle window (1.107..2.034 here): flat remaining budget on both arms
-    assert z_length(x, 1.3, omega, t) == pytest.approx(2 * (t - x))
-    assert z_length(t, 1.3, omega, t) == 0.0
+    assert win_lo <= 1.3 <= win_hi
 
     # outer branch at omega1 = 0.5 (below outer_lo ~ 0.927)
     om1 = 0.5
+    assert om1 <= outer_lo
     c = (math.sin(omega) + math.sin(om1)) / math.sin(om1 - omega)
     want = min(max(2 * t - x * (c + 1.0), 0.0), 4 * t)
-    assert z_length(x, om1, omega, t) == pytest.approx(want, abs=1e-12)
+    assert z_off_window(x, om1, omega, t, 0) == pytest.approx(want, abs=1e-12)
 
     # transition branch at omega1 = 1.0 (between outer_lo and win_lo ~ 1.107)
     om1 = 1.0
+    assert outer_lo < om1 < win_lo
     want = min(max(4 * t - 2 * x * (1 + 2 * math.sin(om1) / math.sin(om1 - omega)),
                    0.0), 4 * t)
-    assert z_length(x, om1, omega, t) == pytest.approx(want, abs=1e-12)
-
-    # all branches stay inside the clamp
-    for om1 in np.linspace(0.0, math.pi, 57):
-        if abs(math.sin(om1 - omega)) < 1e-12:
-            continue
-        assert 0.0 <= z_length(x, float(om1), omega, t) <= 4 * t
+    assert z_off_window(x, om1, omega, t, 2) == pytest.approx(want, abs=1e-12)
 
 
 def test_z_length_boundary_probe():
     # the regime switch need not be continuous; both sides must stay finite
     t, x, omega = 1.0, 0.5, math.pi / 2
-    outer_lo = angle_thresholds(x, omega, t)[0]
-    lo = z_length(x, outer_lo - 1e-6, omega, t)
-    hi = z_length(x, outer_lo + 1e-6, omega, t)
+    outer_lo = thresholds(x, omega, t)[0]
+    lo = z_off_window(x, outer_lo - 1e-6, omega, t, 0)
+    hi = z_off_window(x, outer_lo + 1e-6, omega, t, 2)
     assert math.isfinite(lo) and math.isfinite(hi)
-
-
-def test_z_length_validation():
-    with pytest.raises(DegenerateAngles):
-        z_length(0.3, 1.0, 1.0, 1.0)
-    with pytest.raises(DegenerateAngles):
-        z_length(0.3, 1.0 + 1e-13, 1.0, 1.0)
-    with pytest.raises(DomainError):
-        z_length(0.3, 1.0, 2.0, 0.0)
-    with pytest.raises(DomainError):
-        z_length(-0.1, 1.0, 2.0, 1.0)
-    with pytest.raises(DomainError):
-        z_length(1.5, 1.0, 2.0, 1.0)
-    with pytest.raises(DomainError):
-        z_length(0.3, 1.0, math.pi, 1.0)
-    with pytest.raises(DomainError):
-        angle_thresholds(0.3, 1.0, float("inf"))
-
-
-def test_safe_arccos_guard():
-    assert _safe_arccos(1.0 + 5e-10) == 0.0
-    assert _safe_arccos(-1.0 - 5e-10) == pytest.approx(math.pi)
-    with pytest.raises(DomainError):
-        _safe_arccos(1.0 + 1e-6)
 
 
 def test_terms_match_riemann_oracle():
@@ -217,10 +195,6 @@ def test_the_recipe_is_not_a_choice():
         one_turn_intersection_terms(1.0, 1.0, DEFAULT_VARIANT)
     with pytest.raises(TypeError):
         reach_quantile(P11, 0.5, "one-turn-intersection", DEFAULT_VARIANT)
-    with pytest.raises(TypeError):
-        angle_thresholds(0.5, 1.0, 1.0, DEFAULT_VARIANT)
-    with pytest.raises(TypeError):
-        z_length(0.5, 0.3, 1.0, 1.0, DEFAULT_VARIANT)
 
 
 def test_batch_equals_one_point_calls_bit_for_bit():
@@ -306,7 +280,7 @@ def test_the_fold_matches_the_all_node_sum(monkeypatch, rung):
         folded += below.sum() + above.sum()
 
         w = mass * sgw[:, None]
-        guard = np.abs(2.0 * v) < intersection._GUARD * (1.0 + v * v)
+        guard = np.abs(2.0 * v) < RIEMANN_GUARD * (1.0 + v * v)
         w[guard] = 0.0
         zeta = np.clip(np.where(guard, 0.0, zeta), 0.0, 4.0)
         off_window += [(w * np.exp(-sk * zeta)).sum() for sk in s]
@@ -319,6 +293,35 @@ def test_the_fold_matches_the_all_node_sum(monkeypatch, rung):
     win_mass = np.maximum(win_hi - win_lo, 0.0) * np.outer(ow, xw).ravel() / np.pi
     window = [(win_mass * np.exp(-2.0 * sk * (1.0 - xr))).sum() for sk in s]
     assert np.allclose(fx, off_window + window, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("rung", [0, 1, 2])
+def test_no_node_of_any_rung_lies_within_the_riemann_guard(monkeypatch, rung):
+    """The kernel extends no node by 0: every omega1 node it builds keeps
+    |sin(omega1 - omega)| = |2v/(1 + v^2)| at or above the Riemann
+    reference's guard. The geometry is built at unit reach, so this holds
+    for every lam, mu and t; a ladder that puts a node inside fails here.
+    The closest nodes sit at 1.19e-6, 7.57e-8 and 4.78e-9 on rungs 1-3."""
+    nw, nx, n1 = intersection._LADDER[rung]
+    seen = []
+    real = intersection._segment_rows
+
+    def spy(*args):
+        rows = real(*args)
+        seen.append(rows)
+        return rows
+
+    monkeypatch.setattr(intersection, "_segment_rows", spy)
+    intersection._rung_terms(np.array([1.0]), nw, nx, n1)
+    assert len(seen) == 4
+
+    sg, _ = gauss_legendre(n1)
+    clearance = math.inf
+    for gap, width, mass, _, below, above in seen:
+        kept = (mass > 0.0) & ~below & ~above
+        v = np.tan(0.5 * (gap[kept] + width[kept] * sg[:, None]))
+        clearance = min(clearance, float((np.abs(2.0 * v) / (1.0 + v * v)).min()))
+    assert clearance >= RIEMANN_GUARD
 
 
 def test_a_two_point_call_stays_small():

@@ -16,7 +16,6 @@ from linecox import (
     TBeyondClip,
     TurnPolicy,
     run_mc,
-    sample_path,
     sample_palm,
     shortest_path,
     typical_intersection,
@@ -167,14 +166,6 @@ def test_validation_errors():
                           typical_point(), 2.0)
     with pytest.raises(ValueError):
         shortest_path(no_origin, TurnPolicy.zero_turn(), 1.0)
-
-
-def test_sample_path_default_clip_matches_explicit():
-    p = ModelParams(1.0, 1.0)
-    a = sample_path(p, typical_point(), TurnPolicy.one_turn(), 2.0, seed=4)
-    b = sample_path(p, typical_point(), TurnPolicy.one_turn(), 2.0, seed=4,
-                    clip_radius=2.0)
-    assert a == b
 
 
 def test_route_residual_on_sampled_realizations():

@@ -3,17 +3,20 @@
 
 For each row it draws its trials (point scenario, mu = 1, t_max = 3) in
 chunks of the size ``run_mc`` uses (``experiments._chunk_trials``) and
-solves every trial twice: with ``chunk_lengths`` on each chunk, the kernel
-Monte Carlo runs, and with ``shortest_path`` on each trial's Realization (a
-view of its chunk), the per-trial reference. It checks that the two agree
-bit for bit, then prints the trials per chunk, the lines per trial, the CPU
-ms per trial of each solver, their ratio, and the kernel's largest
+solves every trial with both solvers: with ``chunk_lengths`` on each
+chunk, the kernel Monte Carlo runs, and with ``shortest_path`` on each
+trial's Realization (a view of its chunk), the per-trial reference. The two
+solvers take turns over ROUNDS rounds in one process, so that drift in the
+machine's speed reaches both alike. The row checks that the two agree bit
+for bit, then prints the trials per chunk, the lines per trial, the CPU ms
+per trial of each solver as the median over the rounds with the min-max
+range in parentheses, the ratio of the medians, and the kernel's largest
 ``tracemalloc`` peak over the chunks (taken in separate, untimed calls).
 
 The "dense" rows are k_turn(3) with exact turns at lam 16, 40, 80 and 160,
 and k_turn(5) at lam 40, on a few trials each. The "chunk" rows are 512
 trials at lam 4, 16 and 40, k_turn(3), with and without lower-turn paths.
-The whole scan takes about a minute on one core.
+These rows take about a minute and a half on one core.
 
 The "draw" rows time the sampler alone: ``sample_chunk`` at the chunk
 shapes of the two Monte Carlo benchmark workloads (lam 0.5-2 at 150
@@ -31,6 +34,7 @@ Point PYTHONPATH at another checkout's ``src`` to scan that one.
 """
 
 import argparse
+import statistics
 import sys
 import time
 import tracemalloc
@@ -54,6 +58,7 @@ ROWS = {
 DRAW_ROWS = [(0.5, "point", 150), (1.25, "point", 150), (2.0, "point", 150),
              (1.25, "intersection", 150), (4.0, "point", 16), (16.0, "point", 3)]
 DRAW_CHUNKS = 100
+ROUNDS = 5  # interleaved timing rounds of the two solvers per row
 SCENARIOS = {"point": typical_point(), "intersection": typical_intersection()}
 
 
@@ -61,6 +66,11 @@ def _cpu_ms(fn):
     start = time.process_time()
     out = fn()
     return out, 1e3 * (time.process_time() - start)
+
+
+def _spread(values):
+    """Median and min-max range of a row's rounds."""
+    return "%.2f (%.2f-%.2f)" % (statistics.median(values), min(values), max(values))
 
 
 def scan_row(lam, k, lower, trials):
@@ -71,10 +81,14 @@ def scan_row(lam, k, lower, trials):
               for lo in range(0, trials, size)]
     policy = TurnPolicy.k_turn(k, lower)
     reals = [c.realization(t) for c in chunks for t in range(c.n_trials)]
-    batched, kernel_ms = _cpu_ms(lambda: np.concatenate(
-        [chunk_lengths(c, policy, T_MAX) for c in chunks]))
-    per_trial, search_ms = _cpu_ms(lambda: np.array(
-        [shortest_path(r, policy, T_MAX).length for r in reals]))
+    kernel_ms, search_ms = [], []
+    for _ in range(ROUNDS):
+        batched, ms = _cpu_ms(lambda: np.concatenate(
+            [chunk_lengths(c, policy, T_MAX) for c in chunks]))
+        kernel_ms.append(ms / trials)
+        per_trial, ms = _cpu_ms(lambda: np.array(
+            [shortest_path(r, policy, T_MAX).length for r in reals]))
+        search_ms.append(ms / trials)
     if batched.tobytes() != per_trial.tobytes():
         sys.exit(f"lam {lam}, k {k}, lower {lower}: chunk_lengths differs "
                  f"from shortest_path on {np.sum(batched != per_trial)} trials")
@@ -88,8 +102,9 @@ def scan_row(lam, k, lower, trials):
     finally:
         tracemalloc.stop()
     return (lam, k, lower, trials, min(size, trials),
-            sum(c.angle.size for c in chunks) / trials, kernel_ms / trials,
-            search_ms / trials, kernel_ms / search_ms, peak / 2**20)
+            sum(c.angle.size for c in chunks) / trials, _spread(kernel_ms),
+            _spread(search_ms), statistics.median(kernel_ms) / statistics.median(search_ms),
+            peak / 2**20)
 
 
 def draw_row(lam, scenario, trials):
@@ -135,7 +150,7 @@ def main(argv=None):
         print("|---|---|---|---|---|---|---|---|---|---|")
     for name in names:
         for row in ROWS[name]:
-            print("| %g | %d | %s | %d | %d | %.0f | %.2f | %.2f | %.2f | %.2f |"
+            print("| %g | %d | %s | %d | %d | %.0f | %s | %s | %.2f | %.2f |"
                   % scan_row(*row), flush=True)
     if args.rows in ("draw", "all"):
         print("| lam | scenario | trials | lines/trial | points/trial | "
