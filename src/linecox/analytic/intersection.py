@@ -49,15 +49,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 
-class _Recipe:
-    """The one recipe, as a record for the outputs that name it."""
-
-    @staticmethod
-    def label() -> str:
-        return "plus/full-angle/x"
-
-
-DEFAULT_VARIANT = _Recipe()
+DEFAULT_VARIANT = "plus/full-angle/x"  # the recipe's label in every output
 
 _PI = math.pi
 

@@ -26,9 +26,10 @@ call (``import linecox`` builds none), and nothing writes to it after
 that: every option defaults to ``argparse.SUPPRESS``, so defaults come
 from ``_OPTIONS`` alone, and argparse looks up ``sys.stdout`` and
 ``sys.stderr`` only when it prints. Each request only parses its argv.
-A ``--grid``, or the default grid of a ``--t-max`` given alone, of more
-than ``MAX_GRID_POINTS`` points exits 2 before any array is allocated,
-and running out of memory exits 4.
+A ``--grid``, or the default grid of a ``--t-max`` given alone, ends at a
+stop within 1e-12 (relative) of a step, else at the last step at or below it.
+One of more than ``MAX_GRID_POINTS`` points exits 2 before any array is
+allocated, and running out of memory exits 4.
 """
 
 from __future__ import annotations
@@ -61,7 +62,9 @@ from .applications import (
     REACH_POLICIES,
     RisLinkParams,
     db_to_linear,
+    farfield_success_lower_bound,
     farfield_threshold_distance,
+    nearfield_success,
     nearfield_threshold_distance,
     reach_quantile,
 )
@@ -76,7 +79,7 @@ from .model import (
     TurnPolicy,
 )
 from .experiments import compare as compare_curves
-from .experiments import MAX_GRID_POINTS, run_mc
+from .experiments import MAX_GRID_POINTS, _even_grid, run_mc
 from .quadrature import check_tol
 
 __all__ = ["main", "RunConfig", "parse_grid"]
@@ -117,30 +120,17 @@ class RunConfig:
 
 
 def parse_grid(text: str) -> np.ndarray:
-    """Parse ``start:stop:step`` into a grid, inclusive of ``stop`` when the
-    step divides the span within 1e-12 (relative). A grid of more than
-    ``MAX_GRID_POINTS`` points raises InputError before it is allocated."""
+    """Parse ``start:stop:step`` into a grid by the rule of
+    ``experiments.default_grid``: a stop within 1e-12 (relative) of a step
+    ends the grid there, else the last step at or below stop does."""
     parts = text.split(":")
     if len(parts) != 3:
         raise InputError(f"grid must be start:stop:step, got {text!r}")
-    start, stop, step = (float(p) for p in parts)
-    if not all(math.isfinite(v) for v in (start, stop, step)):
-        raise InputError(f"grid endpoints and step must be finite, got {text!r}")
-    if step <= 0 or stop < start:
-        raise InputError(f"grid needs step > 0 and stop >= start, got {text!r}")
-    if stop == start:
-        return np.array([start])
-    steps = (stop - start) / step  # inf when the quotient overflows a float
-    capped = min(steps, MAX_GRID_POINTS)  # int() never sees inf; capped still fails
-    n = int(round(capped))
-    inclusive = n >= 1 and abs(start + n * step - stop) <= 1e-12 * max(1.0, abs(stop))
-    count = n + 1 if inclusive else int(math.floor(capped + 1e-12)) + 1
-    if count > MAX_GRID_POINTS:
-        raise InputError(f"grid {text!r} has {steps + 1:.7g} points, more than "
-                         f"the cap of {MAX_GRID_POINTS}")
-    if inclusive:
-        return np.linspace(start, stop, count)
-    return start + step * np.arange(count)
+    try:
+        start, stop, step = map(float, parts)
+    except ValueError:
+        raise InputError(f"grid {text!r} holds a value that is no number") from None
+    return _even_grid(start, stop, step, f"grid {text!r}")
 
 
 def _parse_bool(text: str) -> bool:
@@ -214,7 +204,7 @@ class _Option:
 
 _LAM = _Option("lam", 1.0, float, help="line intensity", flag="--lambda")
 _MU = _Option("mu", 1.0, float, help="on-line point intensity")
-_GRID = _Option("grid", "0:3:0.01", help="start:stop:step")
+_GRID = _Option("grid", "0:3:0.01", help=f"start:stop:step, at most {MAX_GRID_POINTS} points")
 _CURVE_OUT = _Option("out", help="CSV path; metadata goes to a .json sidecar")
 
 _OPTIONS: dict[str, tuple[_Option, ...]] = {
@@ -395,7 +385,7 @@ def cmd_analytic(cfg: RunConfig) -> int:
             values, err = curve(params, grid, tol=tol, with_err=True)
             meta["tol"] = tol
         if cfg.which == "thm2":
-            meta["variant"] = DEFAULT_VARIANT.label()
+            meta["variant"] = DEFAULT_VARIANT
 
     _write_curve(cfg.out, ("t", "F", "err_est"), zip(grid, values, err), meta)
     return EXIT_OK
@@ -502,14 +492,14 @@ def cmd_app(cfg: RunConfig) -> int:
     link = _link_from(cfg)
     if cfg.command == "ris-nearfield":
         d_star = nearfield_threshold_distance(link)
-        key = "probability"
+        key, success = "probability", nearfield_success(link, model)
     else:
         d_star = farfield_threshold_distance(link)
-        key = "probability_lower_bound"
+        key, success = "probability_lower_bound", farfield_success_lower_bound(link, model)
     _write(_json({
         "command": cfg.command,
         "threshold_distance": d_star,
-        key: cdf_one_turn_point(model, d_star),
+        key: success,
         "model": {"lambda": cfg.lam, "mu": cfg.mu},
         "db_inputs": bool(cfg.db),
         "version": __version__,

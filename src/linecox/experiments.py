@@ -64,17 +64,36 @@ def dkw_halfwidth(n: int, alpha: float = 0.05) -> float:
     return math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
 
 
+def _even_grid(start, stop, step, label: str) -> np.ndarray:
+    """start, start + step, ...: a stop within 1e-12 (relative) of a step
+    ends the grid there, else the last step at or below stop does. InputError
+    naming ``label`` for bad ends or step, more than MAX_GRID_POINTS points
+    (before any is allocated) or points that do not strictly increase."""
+    if not (all(map(_finite_real, (start, stop, step))) and step > 0
+            and 0 <= stop - start < math.inf):
+        raise InputError(f"{label} needs finite reals with step > 0 and stop >= start")
+    start, stop, step = float(start), float(stop), float(step)
+    steps = (stop - start) / step  # inf when the quotient overflows a float
+    capped = min(steps, MAX_GRID_POINTS)  # int() never sees inf; capped still fails
+    n = int(round(capped))
+    inclusive = n >= 1 and abs(start + n * step - stop) <= 1e-12 * max(1.0, abs(stop))
+    if not inclusive:
+        n = math.floor(capped + 1e-12)
+        if start + n * step > stop:  # the quotient was rounded up past stop
+            n -= 1
+    if n >= MAX_GRID_POINTS:
+        raise InputError(f"{label} has {steps + 1:.7g} points, more than the cap "
+                         f"of {MAX_GRID_POINTS} points")
+    grid = np.linspace(start, stop, n + 1) if inclusive else start + step * np.arange(n + 1)
+    if not (np.diff(grid) > 0).all():
+        raise InputError(f"{label} does not strictly increase: its step is too fine")
+    return grid
+
+
 def default_grid(t_max: float = 3.0, step: float = 0.01) -> np.ndarray:
-    """0, step, 2*step, ... up to the last point at or below t_max. A
-    quotient t_max/step within 1e-9 below an integer counts as that
-    integer, so 0.3 by 0.1 ends at 0.3. More than MAX_GRID_POINTS points
-    raise InputError before any is allocated."""
-    steps = t_max / step + 1e-9
-    if not steps < MAX_GRID_POINTS:  # also where the quotient overflows
-        raise InputError(f"a grid from 0 to t_max {t_max!r} by {step!r} has more "
-                         f"than the cap of {MAX_GRID_POINTS} points")
-    n = math.floor(steps)
-    return np.linspace(0.0, min(n * step, t_max), n + 1)
+    """0, step, 2*step, ... as ``--grid`` reads them: a t_max within 1e-12
+    (relative) of a step ends the grid, else the last step at or below it."""
+    return _even_grid(0.0, t_max, step, f"the default grid to t_max {t_max!r} by {step!r}")
 
 
 def _chunk_trials(params: ModelParams, scenario: PalmScenario,
@@ -149,22 +168,11 @@ def run_mc(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
         raise InputError(f"t_max must be finite and > 0, got {t_max!r}")
     t_max = float(t_max)
     _check_inputs(params, scenario, t_max)
-    if grid is None:
-        grid = default_grid(t_max)
-    else:
-        try:
-            grid = np.asarray(grid, dtype=float)
-        except (TypeError, ValueError):
-            raise InputError(f"grid must hold real numbers, got {grid!r}") from None
-    if grid.ndim != 1 or grid.size == 0 or grid[0] < 0:
-        raise InputError("grid must lie within [0, t_max]")
-    if grid[-1] > t_max + 1e-12:
-        raise InputError(f"grid reaches {grid[-1]} but t_max censors at {t_max}")
-    # the checks the finished curve makes, before any trial is drawn: the
-    # level, then the grid's order and finiteness (a curve of the grid
-    # itself fails only on the grid)
     halfwidth = dkw_halfwidth(trials, alpha)
-    DistributionCurve(grid, grid, grid)
+    # a curve of the grid itself fails the finished curve's checks only on the grid
+    grid = default_grid(t_max) if grid is None else DistributionCurve(grid, grid, grid).grid
+    if grid[0] < 0 or grid[-1] > t_max + 1e-12:
+        raise InputError(f"grid spans [{grid[0]}, {grid[-1]}]; t_max censors at {t_max}")
     workers = _check_int(workers, "workers")
     if workers < 1:
         raise InputError(f"workers must be >= 1, got {workers}")

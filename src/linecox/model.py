@@ -107,8 +107,11 @@ def _check_t(t, clip_radius: float | None = None, name: str = "t") -> np.ndarray
     of t's shape. NonFinite for nan or inf, NegativeT below 0, and with a
     ``clip_radius``, TBeyondClip past it, where geometry was never
     sampled. An array holding one bad entry fails whole; the message
-    names the first."""
-    arr = np.asarray(t, dtype=float)
+    names the first; InputError for what numpy cannot read as floats."""
+    try:
+        arr = np.asarray(t, dtype=float)
+    except (TypeError, ValueError):
+        raise InputError(f"{name} must be a real number or an array of them") from None
 
     def first(bad):
         return float(arr[bad][0])
@@ -272,9 +275,11 @@ class DistributionCurve:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        h = np.asarray(self.ci_halfwidth, dtype=float)
+        try:
+            g, v, h = (np.asarray(a, dtype=float)
+                       for a in (self.grid, self.values, self.ci_halfwidth))
+        except (TypeError, ValueError):
+            raise InputError("grid, values and ci_halfwidth must hold real numbers") from None
         if h.ndim == 0:
             h = np.full_like(g, float(h))
         if not (g.shape == v.shape == h.shape) or g.ndim != 1 or g.size == 0:

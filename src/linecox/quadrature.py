@@ -8,6 +8,7 @@ evaluators are cross-checked against plain Riemann sums in the tests.
 
 from __future__ import annotations
 
+import numbers
 import time
 
 import numpy as np
@@ -16,16 +17,20 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import InputError, QuadratureFailure
+from .model import _check_int
 
 __all__ = ["gauss_legendre"]
 
 
 def gauss_legendre(n: int):
-    """Nodes and weights on [0, 1]; cached. The fixed tensor rules in
-    linecox.analytic are built from these."""
+    """Nodes and weights of the n-point rule on [0, 1], n >= 1; cached. The
+    fixed tensor rules in linecox.analytic are built from these."""
+    n = _check_int(n, "quadrature order")
+    if n < 1:
+        raise InputError(f"quadrature order must be >= 1, got {n}")
     nodes, weights = _GL_CACHE.get(n, (None, None))
     if nodes is None:
-        x, w = leggauss(int(n))
+        x, w = leggauss(n)
         nodes = 0.5 * (x + 1.0)
         weights = 0.5 * w
         nodes.setflags(write=False)
@@ -38,9 +43,9 @@ _GL_CACHE: dict = {}
 
 
 def check_tol(tol) -> None:
-    """InputError unless the ladder tolerance ``tol`` is > 0 (nan is not):
-    a bad tolerance is bad input, not a quadrature that failed to settle."""
-    if not tol > 0:
+    """InputError unless the ladder tolerance ``tol`` is a number > 0 (nan
+    is not): a bad tolerance is bad input, not a quadrature that failed."""
+    if not (isinstance(tol, numbers.Real) and tol > 0):
         raise InputError(f"tol must be > 0, got {tol!r}")
 
 

@@ -111,7 +111,7 @@ def test_criterion_3_sandwich_and_simulation_match(mc_intersection_11, curve_thm
     if CALIBRATION_JSON.exists():
         doc = json.loads(CALIBRATION_JSON.read_text())
         calibrated = (doc["min_ks"] <= 0.02
-                      and doc["min_ks_variant"] == DEFAULT_VARIANT.label())
+                      and doc["min_ks_variant"] == DEFAULT_VARIANT)
         note = (f"calibration: min-KS variant {doc['min_ks_variant']} "
                 f"at {doc['min_ks']:.5f}")
     _verdict(3, violations == 0 and (inside or calibrated),
@@ -225,7 +225,7 @@ def test_criterion_8_quadrature_matches_riemann_oracle():
     assert min(doc["ttilde_cells"]) >= 2000
     worst = 0.0
     for entry in doc["tx"]:
-        assert entry["variant"] == DEFAULT_VARIANT.label()
+        assert entry["variant"] == DEFAULT_VARIANT
         tx, ty = one_turn_intersection_terms(entry["mu"], entry["t"])
         worst = max(worst, abs(tx - entry["tx"]), abs(ty - entry["ty"]))
     for entry in doc["ttilde"]:

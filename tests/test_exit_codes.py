@@ -22,9 +22,14 @@ from linecox import (
     DistributionCurve,
     ModelParams,
     TurnPolicy,
+    cdf_one_turn_intersection,
+    cdf_one_turn_point,
+    cdf_zero_turn_intersection,
     cli,
+    default_grid,
     dkw_halfwidth,
     errors,
+    gauss_legendre,
     reach_quantile,
     run_mc,
     sample_chunk,
@@ -93,6 +98,27 @@ _BAD_CALLS = {
     "dkw n type": lambda: dkw_halfwidth("x"),
     "dkw alpha type": lambda: dkw_halfwidth(10, "x"),
     "palm seed": lambda: sample_palm(_MODEL, typical_point(), 1.0, "x"),
+    "default grid step 0": lambda: default_grid(2.0, 0.0),
+    "default grid t_max": lambda: default_grid(-1.0),
+    "default grid step sign": lambda: default_grid(3.0, -0.1),
+    "default grid type": lambda: default_grid("x"),
+    "default grid step inf": lambda: default_grid(3.0, math.inf),
+    "grid numbers": lambda: cli.parse_grid("a:b:c"),
+    "grid not increasing": lambda: cli.parse_grid("1e16:1.0000000000000002e16:1"),
+    "t text": lambda: cdf_one_turn_point(_MODEL, "abc"),
+    "t complex": lambda: cdf_one_turn_point(_MODEL, 1j),
+    "t entry text": lambda: cdf_zero_turn_intersection(_MODEL, [0.1, "x"]),
+    "thm2 t text": lambda: cdf_one_turn_intersection(_MODEL, "x"),
+    "oracle t_max text": lambda: shortest_path(
+        sample_palm(_MODEL, typical_point(), 1.0, 1), TurnPolicy.one_turn(), "x"),
+    "curve text": lambda: DistributionCurve(["a"], [0.1], [0.0]),
+    "tol type": lambda: check_tol("x"),
+    "thm2 tol type": lambda: cdf_one_turn_intersection(_MODEL, 0.5, tol="x"),
+    "quantile tol type": lambda: reach_quantile(_MODEL, 0.5, "one-turn-intersection",
+                                                tol="x"),
+    "gauss order 0": lambda: gauss_legendre(0),
+    "gauss order -1": lambda: gauss_legendre(-1),
+    "gauss order 1.5": lambda: gauss_legendre(1.5),
 }
 
 
@@ -128,7 +154,7 @@ _BOUNDED = {
     "tol": ("1e-3", "0.5", "0", "-0", "-1", "nan", "inf", "1e999"),
     "grid": ("0:1:0.5", "0:3:1", "2:2:1", "0:1:0.3", "-1:1:0.5", "0:1e308:1e307",
              "1e-300:3e-300:1e-300", "0:5e-324:5e-324", "0:nan:1", "0:1:0", "1:0:1",
-             "0:1:1e-300", "0:1"),
+             "0:1:1e-300", "0:1", "1e16:1.0000000000000002e16:1", "a:b:c", "0:3:inf"),
     "out": (_OUT, ""),
 }
 
@@ -215,12 +241,15 @@ def _finite_csv(text):
 @example(argv=["analytic", "--which", "ppp", "--density", "3", "--grid", "0:1e308:1e307"])
 @example(argv=["analytic", "--which", "thm2", "--lambda", "1e308", "--mu", "0.5",
                "--grid", "1e-300:3e-300:1e-300"])
+@example(argv=["analytic", "--which", "thm1", "--grid", "1e16:1.0000000000000002e16:1",
+               "--out", _OUT])
 def test_fuzzed_argv_exits_with_a_documented_code(argv):
     """A draw ends in exit 0, 2, 3 or 4, never in a traceback (pytest
     turns a RuntimeWarning into an error, so a warning fails the draw too).
     A failure prints one ``linecox:`` line and nothing on stdout; an exit 0
-    writes no nan or inf. argparse itself refuses some draws (an unknown
-    choice, text that is no number) with its usage and exit 2."""
+    writes no nan or inf, and every curve file it writes loads back
+    through the reader ``compare`` uses. argparse itself refuses some draws
+    (an unknown choice, text that is no number) with its usage and exit 2."""
     with tempfile.TemporaryDirectory() as tmp:
         files = {token: Path(tmp) / name for token, name in
                  (("@a", "a.csv"), ("@b", "b.csv"), (_OUT, "out.csv"))}
@@ -243,10 +272,13 @@ def test_fuzzed_argv_exits_with_a_documented_code(argv):
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("linecox: "), lines
             return
-        written = [out.getvalue()] + [path.read_text() for path in Path(tmp).iterdir()
-                                      if path.name not in ("a.csv", "b.csv")]
-        for text in filter(None, written):
+        written = [(None, out.getvalue())] + [
+            (path, path.read_text()) for path in Path(tmp).iterdir()
+            if path.name not in ("a.csv", "b.csv")]
+        for path, text in written:
             if text.startswith("{"):
                 _finite_json(text)
-            else:
+            elif text:
                 _finite_csv(text)
+                if path is not None:
+                    cli._load_curve(str(path))

@@ -8,6 +8,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from linecox import experiments
 from linecox.analytic import (
@@ -15,8 +17,11 @@ from linecox.analytic import (
     cdf_upper_intersection,
     cdf_zero_turn_intersection,
 )
+from linecox.cli import parse_grid
 from linecox.errors import GridMismatch, InputError
 from linecox.experiments import (
+    MAX_GRID_POINTS,
+    _even_grid,
     compare,
     default_grid,
     dkw_halfwidth,
@@ -79,6 +84,51 @@ def test_the_default_grid_never_passes_t_max():
                    5, 2.999, 1)
     assert curve.grid[-1] == pytest.approx(2.99, abs=1e-15)
     assert curve.meta["t_max"] == 2.999
+
+
+# finite floats, the extremes and subnormals among them
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+
+
+@st.composite
+def _grid_ends(draw):
+    """(start, stop, step): a stop at, a hair off or half a step off the
+    k-th step, or any finite float."""
+    start, step = draw(_FLOATS), draw(_FLOATS)
+    nudge = draw(st.sampled_from((0.0, 1e-13, -1e-13, 1e-11, -1e-11, 0.5)))
+    near = start + (draw(st.integers(0, 2000)) + nudge) * step
+    return start, draw(st.one_of(st.just(near), _FLOATS)), step
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(ends=_grid_ends())
+@example(ends=(1e16, 1.0000000000000002e16, 1.0))
+@example(ends=(0.0, 1.0, 1 / 3 + 1e-11))
+@example(ends=(0.0, 5e-324, 5e-324))
+@example(ends=(-1e308, 1e308, 1e308))
+@example(ends=(-1.7976931348623157e308, -1.4623896892229023e80, 1.7976931348623157e308))
+@example(ends=(-1.7976931348623157e308, 0.0, 1.7976931348623155e308 / 2))
+def test_the_one_grid_rule_holds_for_any_finite_floats(ends):
+    """Budget: under 5 s (about 1 s on a 2-core VM). Every draw either
+    raises InputError or gives a grid that starts at start, strictly
+    increases, never passes stop and holds at most MAX_GRID_POINTS points;
+    and default_grid(t_max, step) is, bit for bit, --grid 0:t_max:step."""
+    start, stop, step = ends
+    try:
+        grid = _even_grid(start, stop, step, "grid")
+    except InputError:
+        pass
+    else:
+        assert grid[0] == start and grid.size <= MAX_GRID_POINTS
+        assert (np.diff(grid) > 0).all()
+        assert grid[-1] <= stop
+    try:
+        default = default_grid(stop, step)
+    except InputError:
+        with pytest.raises(InputError):
+            parse_grid(f"0:{stop!r}:{step!r}")
+    else:
+        assert default.tobytes() == parse_grid(f"0:{stop!r}:{step!r}").tobytes()
 
 
 def test_run_mc_bit_identical_across_worker_counts(monkeypatch):

@@ -137,7 +137,7 @@ def main(part="all"):
             print(f"Tx/Ty(mu={mu}, t={t}) = {tx:.8f}, {ty:.8f}"
                   f"  [{time.time() - t0:.0f}s]")
             out["tx"].append({"mu": mu, "t": t, "tx": tx, "ty": ty,
-                              "variant": DEFAULT_VARIANT.label()})
+                              "variant": DEFAULT_VARIANT})
     if part in ("all", "ttilde"):
         for w, u, t, mu in TTILDE_POINTS:
             t0 = time.time()
