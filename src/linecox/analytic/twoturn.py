@@ -40,7 +40,7 @@ import math
 import numpy as np
 
 from ..errors import DomainError
-from ..model import ModelParams, _check_t
+from ..model import ModelParams, _check_t, _finite_real
 from ..quadrature import check_tol, gauss_legendre, settle_ladder
 from .closed_forms import _rate_times, _ret_err
 
@@ -174,8 +174,8 @@ def two_turn_T(w: float, u: float, t: float, params: ModelParams,
     QuadratureFailure when no two consecutive rungs agree to tol.
     """
     check_tol(tol)
-    if not (0.0 <= w <= u <= t) or not math.isfinite(t):
-        raise DomainError(f"need 0 <= w <= u <= t finite, got w={w}, u={u}, t={t}")
+    if not (all(_finite_real(x) for x in (w, u, t)) and 0.0 <= w <= u <= t):
+        raise DomainError(f"need 0 <= w <= u <= t finite, got w={w!r}, u={u!r}, t={t!r}")
     if w == t:
         return 1.0  # no reach left
     q, c = [(u - w) / (t - w)], [t - w]

@@ -102,16 +102,28 @@ def _check_int(x, name: str) -> int:
     raise NotAnInteger(f"{name} must be an integer, got {x!r}")
 
 
+def _as_floats(values, message: str) -> np.ndarray:
+    """The one conversion of a caller's numbers: ``values`` as a float array
+    of their shape. InputError(message) for what numpy cannot read as real
+    numbers: text, None, an int past the largest float, and complex numbers,
+    whose imaginary part a cast would drop."""
+    try:
+        arr = np.asarray(values)
+        if arr.dtype.kind != "c":
+            return arr.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InputError(message)
+
+
 def _check_t(t, clip_radius: float | None = None, name: str = "t") -> np.ndarray:
     """The one t check: the distance (or distances) ``t`` as a float array
     of t's shape. NonFinite for nan or inf, NegativeT below 0, and with a
     ``clip_radius``, TBeyondClip past it, where geometry was never
     sampled. An array holding one bad entry fails whole; the message
-    names the first; InputError for what numpy cannot read as floats."""
-    try:
-        arr = np.asarray(t, dtype=float)
-    except (TypeError, ValueError):
-        raise InputError(f"{name} must be a real number or an array of them") from None
+    names the first; InputError for what is not real numbers
+    (``_as_floats``)."""
+    arr = _as_floats(t, f"{name} must be a real number or an array of them")
 
     def first(bad):
         return float(arr[bad][0])
@@ -275,11 +287,8 @@ class DistributionCurve:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        try:
-            g, v, h = (np.asarray(a, dtype=float)
-                       for a in (self.grid, self.values, self.ci_halfwidth))
-        except (TypeError, ValueError):
-            raise InputError("grid, values and ci_halfwidth must hold real numbers") from None
+        g, v, h = (_as_floats(a, "grid, values and ci_halfwidth must hold real numbers")
+                   for a in (self.grid, self.values, self.ci_halfwidth))
         if h.ndim == 0:
             h = np.full_like(g, float(h))
         if not (g.shape == v.shape == h.shape) or g.ndim != 1 or g.size == 0:

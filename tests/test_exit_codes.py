@@ -14,6 +14,7 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -30,11 +31,13 @@ from linecox import (
     dkw_halfwidth,
     errors,
     gauss_legendre,
+    one_turn_intersection_terms,
     reach_quantile,
     run_mc,
     sample_chunk,
     sample_palm,
     shortest_path,
+    two_turn_T,
     typical_point,
 )
 from linecox.cli import EXIT_CONFIG, EXIT_OK, EXIT_QUADRATURE, EXIT_RUNTIME, main
@@ -119,6 +122,11 @@ _BAD_CALLS = {
     "gauss order 0": lambda: gauss_legendre(0),
     "gauss order -1": lambda: gauss_legendre(-1),
     "gauss order 1.5": lambda: gauss_legendre(1.5),
+    "t complex array": lambda: cdf_one_turn_point(_MODEL, np.array([0.5 + 1j])),
+    "t huge int": lambda: cdf_one_turn_point(_MODEL, 10**400),
+    "curve complex": lambda: DistributionCurve(np.array([0.5 + 1j]), [0.1], [0.0]),
+    "two_turn_T text": lambda: two_turn_T("x", 0.5, 1.0, _MODEL),
+    "terms t array": lambda: one_turn_intersection_terms(1.0, [0.5, 0.7]),
 }
 
 

@@ -1,7 +1,10 @@
 import json
 import logging
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,18 +12,21 @@ import pytest
 
 from linecox import (
     DEFAULT_VARIANT,
+    DomainError,
     ModelParams,
     NonFinite,
     QuadratureFailure,
     cdf_one_turn_intersection,
     cdf_upper_intersection,
     cdf_zero_turn_intersection,
+    cli,
     one_turn_intersection_terms,
     reach_quantile,
 )
 from linecox.analytic import intersection
 from linecox.analytic.intersection import _REGIMES, _coefficients, _thresholds, _zeta
 from linecox.quadrature import gauss_legendre
+from thm2_direct import direct_terms
 
 DATA = pathlib.Path(__file__).parent / "data" / "riemann_oracle.json"
 P11 = ModelParams(1.0, 1.0)
@@ -231,13 +237,16 @@ def test_one_unsettled_point_fails_the_batch_with_its_payload():
 
 
 def test_chunking_does_not_change_the_terms(monkeypatch):
+    """Each call builds its table afresh, with the chunk size it is given."""
     s = np.array([0.05, 1.0, 6.0])
     nw, nx, n1 = intersection._LADDER[0]
     pairs = nw * nx
+    monkeypatch.setattr(intersection, "_TABLES", {})
     ref = intersection._rung_terms(s, nw, nx, n1)
     assert pairs % 256 == 0 and pairs % 100 != 0  # 100 leaves a partial chunk
     for step in (1, 100, 256, pairs):
         monkeypatch.setattr(intersection, "_CHUNK_NODES", 4 * n1 * step)
+        monkeypatch.setattr(intersection, "_TABLES", {})
         got = intersection._rung_terms(s, nw, nx, n1)
         assert np.allclose(got[0], ref[0], rtol=1e-13, atol=0)
         assert np.array_equal(got[1], ref[1])  # the window is not chunked
@@ -248,7 +257,8 @@ def test_the_fold_matches_the_all_node_sum(monkeypatch, rung):
     """Brute force over every Gauss node of every row: a folded row clips
     to its bound at every node, no near row is folded, a row left unfolded
     though every node clips crosses the bound between its outermost node
-    and its segment's end, and the kernel equals the sum over all nodes."""
+    and its segment's end, and the kernel, from a table built here, equals
+    the sum over all nodes."""
     nw, nx, n1 = intersection._LADDER[rung]
     seen = []
     real = intersection._segment_rows
@@ -259,6 +269,7 @@ def test_the_fold_matches_the_all_node_sum(monkeypatch, rung):
         return rows
 
     monkeypatch.setattr(intersection, "_segment_rows", spy)
+    monkeypatch.setattr(intersection, "_TABLES", {})  # the table is built here
     s = np.array([0.05, 1.0, 6.0, 20.0])
     fx, _ = intersection._rung_terms(s, nw, nx, n1)
     assert len(seen) == 4
@@ -297,10 +308,11 @@ def test_the_fold_matches_the_all_node_sum(monkeypatch, rung):
 
 @pytest.mark.parametrize("rung", [0, 1, 2])
 def test_no_node_of_any_rung_lies_within_the_riemann_guard(monkeypatch, rung):
-    """The kernel extends no node by 0: every omega1 node it builds keeps
-    |sin(omega1 - omega)| = |2v/(1 + v^2)| at or above the Riemann
-    reference's guard. The geometry is built at unit reach, so this holds
-    for every lam, mu and t; a ladder that puts a node inside fails here.
+    """The kernel extends no node by 0: every omega1 node that a table
+    build folds in keeps |sin(omega1 - omega)| = |2v/(1 + v^2)| at or above
+    the Riemann reference's guard. The geometry is built at unit reach, so
+    this holds for every lam, mu and t; a ladder that puts a node inside
+    fails here.
     The closest nodes sit at 1.19e-6, 7.57e-8 and 4.78e-9 on rungs 1-3."""
     nw, nx, n1 = intersection._LADDER[rung]
     seen = []
@@ -312,7 +324,7 @@ def test_no_node_of_any_rung_lies_within_the_riemann_guard(monkeypatch, rung):
         return rows
 
     monkeypatch.setattr(intersection, "_segment_rows", spy)
-    intersection._rung_terms(np.array([1.0]), nw, nx, n1)
+    intersection._build_table(nw, nx, n1)
     assert len(seen) == 4
 
     sg, _ = gauss_legendre(n1)
@@ -363,3 +375,89 @@ def test_cdf_stays_a_probability_when_lam_t_is_huge_and_mu_t_tiny():
     the largest float / 2 that gave nan (inf * 0) and a warning."""
     values = cdf_one_turn_intersection(ModelParams(1e308, 0.5), [1e-300, 2e-300, 3e-300])
     assert np.all((values >= 0.0) & (values <= 1.0))
+
+
+# s at which each rung's table is held to the direct node sum: 0, the
+# series' range, the range cdf_one_turn_intersection reaches (below 9.4),
+# and the rest of the tables' domain up to _S_MAX
+_TABLE_S = np.array([0.0, 1e-6, 1e-3, intersection._SERIES_S, 0.5, 2.0, 5.0, 9.35,
+                     20.0, intersection._S_MAX])
+
+
+@pytest.mark.parametrize("rung", [0, 1, 2])
+def test_the_table_matches_the_direct_node_sum(rung):
+    """fx and fy from the rung's Laplace table equal the sum of
+    w*exp(-s*z) over the same nodes (tests/thm2_direct.py) within 4e-15
+    absolute, at every s the table serves. The table's truncation adds at
+    most exp(s*h/2)*(s*h/2)**(J + 1)/(J + 1)! of each bin's weight, 3.1e-17
+    at s = _S_MAX, and the bins' weights sum to at most 1; the rest is the
+    rounding of the two sums, up to 1.6e-15 over the 13.6M nodes of the
+    third rung. The 2 - fx - fy that the CDF reads, series included, stays
+    within the same 4e-15 of the direct sum's."""
+    rule = intersection._LADDER[rung]
+    want_x, want_y = direct_terms(_TABLE_S, *rule)
+    got_x, got_y = intersection._rung_terms(_TABLE_S, *rule)
+    assert np.allclose(got_x, want_x, rtol=0, atol=4e-15)
+    assert np.allclose(got_y, want_y, rtol=0, atol=4e-15)
+    assert np.allclose(intersection._rung_gap(_TABLE_S, *rule), 2.0 - want_x - want_y,
+                       rtol=0, atol=4e-15)
+
+
+def test_a_fresh_rung_2_build_stays_small():
+    rule = intersection._LADDER[1]
+    for n in rule:
+        gauss_legendre(n)  # the cached rules are not the build's
+    tracemalloc.start()
+    try:
+        intersection._build_table(*rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * 2**20
+
+
+def test_no_table_is_built_at_import():
+    code = ("import linecox\nfrom linecox.analytic import intersection\n"
+            "assert intersection._TABLES == {}\n")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+
+
+def _tiny_s_reference(lam, mu, t):
+    """F = 1 - exp(-g) = g to first order where g is tiny, with
+    g = 4*mu*t + 2*(lam*t)*(s*m1), s = mu*t, and m1 the slope at 0 of the
+    direct 2 - fx - fy of the rung these points settle at (the second),
+    from s = 1e-6 and 2e-6. Two points cancel the curvature term s*M2/2,
+    which is 1.03e-6 of the slope at s = 1e-6, more than the tolerance."""
+    fx, fy = direct_terms(np.array([1e-6, 2e-6]), *intersection._LADDER[1])
+    g1, g2 = 2.0 - fx - fy
+    m1 = (4.0 * g1 - g2) / 2e-6
+    return [4.0 * mu * tk + 2.0 * (lam * tk) * ((mu * tk) * m1) for tk in t]
+
+
+def test_cdf_at_tiny_mu_t_and_huge_lam_follows_the_series():
+    """Where s = mu*t is tiny, 2 - fx - fy was mostly rounding, and lam
+    multiplied it: F(1e-300) at lam 1e308, mu 0.5 read 3.3e-8 where it is
+    about 1e-292. The series in s gives it, and (lam*t)*(2 - fx - fy) does
+    not underflow as t*(2 - fx - fy) did."""
+    t = [1e-300, 2e-300, 3e-300]
+    values = cdf_one_turn_intersection(ModelParams(1e308, 0.5), t)
+    assert values == pytest.approx(_tiny_s_reference(1e308, 0.5, t), rel=1e-6, abs=0)
+
+
+def test_the_cli_at_tiny_mu_t_and_huge_lam_follows_the_series(tmp_path):
+    out = tmp_path / "thm2.csv"
+    assert cli.main(["analytic", "--which", "thm2", "--lambda", "1e308", "--mu", "0.5",
+                     "--grid", "1e-300:3e-300:1e-300", "--out", str(out)]) == cli.EXIT_OK
+    t, values, _ = np.loadtxt(out, delimiter=",", skiprows=1, unpack=True)
+    assert t.size == 3
+    assert values == pytest.approx(_tiny_s_reference(1e308, 0.5, t), rel=1e-6, abs=0)
+
+
+def test_the_terms_serve_mu_t_up_to_the_tables_domain():
+    tx, ty = one_turn_intersection_terms(4.0, intersection._S_MAX / 4.0)
+    assert 0.0 < tx < ty < intersection._S_MAX / 4.0
+    with pytest.raises(DomainError, match="mu\\*t"):
+        one_turn_intersection_terms(4.0, np.nextafter(intersection._S_MAX / 4.0, 11.0))
+    with pytest.raises(DomainError):
+        one_turn_intersection_terms(1e300, 1e300)  # mu*t overflows
