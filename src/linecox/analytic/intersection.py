@@ -349,6 +349,15 @@ def _rung_gap(s, nw, nx, n1):
     return gap
 
 
+def _product(*factors):
+    """The product of positive finite factors (arrays broadcast), taken on
+    their mantissas, each in [1/2, 1), and summed binary exponents, so no
+    partial product leaves the normal range: it is inf or subnormal only
+    where the product itself is."""
+    mantissa, exponent = np.frexp(np.stack(np.broadcast_arrays(*factors)))
+    return np.ldexp(mantissa.prod(axis=0), exponent.sum(axis=0))
+
+
 def one_turn_intersection_terms(mu: float, t: float, *, tol: float = 1e-6):
     """(Tx, Ty) with the resolution ladder refined until both move by at
     most tol; raises QuadratureFailure otherwise. Exposed because the terms
@@ -400,10 +409,19 @@ def cdf_one_turn_intersection(params: ModelParams, t, *, tol: float = 1e-6,
 
     def rung(r, tv):
         # lam*(2t - Tx - Ty) as (lam*t)*(2 - fx - fy): t*(2 - fx - fy)
-        # would underflow where mu*t is tiny; lam*t may overflow to inf
-        gap = _rung_gap(mu * tv, *_LADDER[r])
+        # would underflow where mu*t is tiny. Where lam*t overflows and
+        # F < 1, s = mu*t is below 1e-306; there, and where s is subnormal,
+        # the series of 2 - fx - fy is s*m1 to the last bit, and the term
+        # is the product lam*mu*t*t*m1, formed by _product
+        s = mu * tv
         with np.errstate(over="ignore"):
-            return -np.expm1(-4.0 * mu * tv - 2.0 * ((lam * tv) * gap))
+            lam_t = lam * tv
+            lam_gap = lam_t * _rung_gap(s, *_LADDER[r])
+            odd = np.isinf(lam_t) | (s < np.finfo(float).tiny)
+            if odd.any():
+                lam_gap[odd] = _product(lam, mu, tv[odd], tv[odd],
+                                        _table(*_LADDER[r]).series[0])
+            return -np.expm1(-4.0 * mu * tv - 2.0 * lam_gap)
 
     values, errors = np.where(zero_turn == 1.0, 1.0, 0.0), np.zeros(arr.shape)
     pos = (arr > 0.0) & (zero_turn < 1.0)

@@ -5,16 +5,19 @@ corners succeed when the received SNR clears a threshold; with
 corner-mounted hardware the relevant geometry is exactly the street-path
 distance the rest of this package models. Everything here is linear units;
 the CLI converts dB at the boundary.
+
+Electric-vehicle reach inverts a distance CDF: ``reach_quantile`` finds
+the radius that holds a point with probability p, for each of three
+curves, by one bracketed Brent solve.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import numbers
 import time
 from dataclasses import dataclass, fields
-
-import numpy as np
 
 from .analytic import (
     cdf_one_turn_intersection,
@@ -26,7 +29,6 @@ from .errors import (
     NoBracket,
     NonFinite,
     NonPositiveParameter,
-    QuadratureFailure,
 )
 from .model import ModelParams, _finite_real
 from .quadrature import check_tol
@@ -86,7 +88,10 @@ class RisLinkParams:
 
 def db_to_linear(db: float) -> float:
     """10^(db/10); inf where that overflows a float, which
-    ``RisLinkParams`` then rejects by field name."""
+    ``RisLinkParams`` then rejects by field name. InputError when db is
+    not a real number."""
+    if not isinstance(db, numbers.Real) or isinstance(db, bool):
+        raise InputError(f"db must be a real number, got {db!r}")
     try:
         return 10.0 ** (db / 10.0)
     except OverflowError:
@@ -175,8 +180,6 @@ REACH_POLICIES = ("one-turn-point", "zero-turn-intersection", "one-turn-intersec
 _QUAD_CAP = 64.0
 _CLOSED_CAP = 2.0**60
 _XTOL, _RTOL = 1e-12, 1e-9  # the root's tolerances, as brentq reads them
-# Chebyshev points of the one-turn-intersection fit, ends included
-_FIT_NODES = 12
 
 
 def _reach_cdf(policy: str, model: ModelParams, tol: float):
@@ -193,13 +196,11 @@ def reach_quantile(model: ModelParams, p: float, policy: str = "one-turn-point",
                    *, tol: float = 1e-6) -> float:
     """Smallest street distance t with F(t) >= p (e.g. the radius an
     electric vehicle must be able to cover so it finds a charging point
-    with probability p). Bracketed root solve to 1e-9 relative; NoBracket
-    when p is not reached below the policy's search cap.
-
-    The one-turn-intersection curve is first inverted from one fit call and
-    one two-point certificate (``_fitted_root``); where that root is not
-    certified, it is solved like the closed forms. Each such quantile logs
-    one INFO line: the path taken, the curve calls and points, the wall time.
+    with probability p). Every policy takes the one bracketed root solve,
+    ``_bracketed_root``, which returns scipy.optimize.brentq's root on its
+    bracket bit for bit, to 1e-9 relative; NoBracket when p is not reached
+    below the policy's search cap. Each quantile logs one INFO line: the
+    policy, p, the curve calls and the wall time.
     """
     check_tol(tol)
     if not (_finite_real(p) and 0.0 <= p < 1.0):
@@ -208,23 +209,18 @@ def reach_quantile(model: ModelParams, p: float, policy: str = "one-turn-point",
     if p == 0.0:
         return 0.0
     cdf, cap = _reach_cdf(policy, model, tol)
-    if policy != "one-turn-intersection":
-        return _bracketed_root(cdf, p, cap, policy)
-
-    start, points = time.perf_counter(), []
+    start, calls = time.perf_counter(), 0
 
     def counted(t):
-        points.append(np.size(t))
+        nonlocal calls
+        calls += 1
         return cdf(t)
 
-    path = "fallback"
     try:
-        root, path = _fitted_root(counted, model, p)
-        return root if root is not None else _bracketed_root(counted, p, cap, policy)
+        return _bracketed_root(counted, p, cap, policy)
     finally:
-        _log.info("reach quantile (%s) p=%r: %s, %d curve calls, %d points, %.1f ms",
-                 policy, p, path, len(points), sum(points),
-                 1e3 * (time.perf_counter() - start))
+        _log.info("reach quantile (%s) p=%r: %d curve calls, %.2f ms", policy, p, calls,
+                  1e3 * (time.perf_counter() - start))
 
 
 def _bracketed_root(cdf, p: float, cap: float, policy: str) -> float:
@@ -240,71 +236,6 @@ def _bracketed_root(cdf, p: float, cap: float, policy: str) -> float:
                 f"F(t) stays below p={p} up to the search cap {cap} for policy {policy}")
         f_hi = f(hi)
     return _brent(f, 0.0, hi, _XTOL, _RTOL, f_b=f_hi)
-
-
-def _fitted_root(cdf, model: ModelParams, p: float):
-    """The one-turn-intersection quantile from two curve calls, and the
-    path taken.
-
-    As 0 <= Tx, Ty <= t, the CDF's exponent g(t) = -log(1 - F(t)) lies
-    between 4*mu*t and 4*(mu + lam)*t, so g(t) = L = -log(1 - p) has its
-    root in [L/(4*(mu + lam)), L/(4*mu)]. One call evaluates F at
-    _FIT_NODES Chebyshev points of that bracket (every point shares each
-    rung's geometry); the root of the interpolant of g through them is
-    solved a hundred times finer than brentq's stop. A second call
-    certifies it: F(t - d) < p <= F(t + d), d = (xtol + rtol*t)/2 being
-    brentq's stopping half-width, puts the curve's root within d of t.
-
-    The bracket is cut at _QUAD_CAP, past which the curve is not searched;
-    a bracket that starts at or past the cap holds no root below it, and no
-    curve call is made.
-
-    Returns (root, "certified"), or (None, "fallback (why)") when lam is 0,
-    the bracket lies past the cap, the fitted values do not bracket L, the
-    certificate fails or a call raises QuadratureFailure.
-    """
-    big_l = -math.log1p(-p)
-    lo, hi = big_l / (4.0 * (model.mu + model.lam)), big_l / (4.0 * model.mu)
-    hi = min(hi, _QUAD_CAP)
-    if model.lam == 0.0:
-        return None, "fallback (no fit)"
-    if lo >= _QUAD_CAP:
-        return None, "fallback (past cap)"
-    nodes = 0.5 * (lo + hi) - 0.5 * (hi - lo) * np.cos(
-        np.pi * np.arange(_FIT_NODES) / (_FIT_NODES - 1))
-    try:
-        with np.errstate(divide="ignore"):
-            g = -np.log1p(-cdf(nodes))
-        if not (np.isfinite(g).all() and g[0] <= big_l <= g[-1]):
-            return None, "fallback (fit ends)"
-        fit = _chebyshev_interpolant(nodes, g)
-        root = _brent(lambda t: fit(t) - big_l, nodes[0], nodes[-1],
-                      _XTOL / 100, _RTOL / 100)
-        d = (_XTOL + _RTOL * root) / 2
-        f_lo, f_hi = cdf(np.array([max(root - d, 0.0), root + d]))
-    except QuadratureFailure:
-        return None, "fallback (quadrature)"
-    if f_lo < p <= f_hi:
-        return root, "certified"
-    return None, "fallback (certificate)"
-
-
-def _chebyshev_interpolant(nodes, values):
-    """The polynomial through values at the Chebyshev points of the second
-    kind ``nodes`` (ascending, ends included), in barycentric form
-    (Berrut and Trefethen, SIAM Review 46, 2004)."""
-    weights = np.ones(nodes.size)
-    weights[1::2] = -1.0
-    weights[[0, -1]] *= 0.5
-
-    def fit(t):
-        gap = t - nodes
-        if not gap.all():
-            return float(values[np.argmin(np.abs(gap))])
-        c = weights / gap
-        return float((c * values).sum() / c.sum())
-
-    return fit
 
 
 def _brent(f, a: float, b: float, xtol: float, rtol: float,

@@ -159,6 +159,16 @@ class PointOnLine:
     arc_coord: float
 
 
+def _member(enum, value, name: str):
+    """``value`` as a member of ``enum``, which takes a member or its
+    value; InputError naming the field and the accepted values."""
+    try:
+        return enum(value)
+    except ValueError:
+        raise InputError(f"{name} must be one of {[m.value for m in enum]}, "
+                         f"got {value!r}") from None
+
+
 class PalmKind(Enum):
     TYPICAL_POINT = "typical-point"
     TYPICAL_INTERSECTION = "typical-intersection"
@@ -182,14 +192,16 @@ class PalmScenario:
     point process; the origin itself is not a point of the process.
     TYPICAL_INTERSECTION: two lines through the origin, relative angle drawn
     from ``angle_law`` (fixed to UNIFORM for TYPICAL_POINT, which draws no
-    angle). Both fields go through their enums, so values such as "sin" serve.
+    angle). Both fields go through their enums, so values such as "sin" serve;
+    any other value raises InputError.
     """
 
     kind: PalmKind
     angle_law: AngleLaw = AngleLaw.UNIFORM
 
     def __post_init__(self):
-        kind, law = PalmKind(self.kind), AngleLaw(self.angle_law)
+        kind = _member(PalmKind, self.kind, "kind")
+        law = _member(AngleLaw, self.angle_law, "angle_law")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "angle_law",
                            AngleLaw.UNIFORM if kind is PalmKind.TYPICAL_POINT else law)
@@ -219,7 +231,8 @@ class TurnPolicy:
     is "exactly k turns". ``first_hop_positive_x`` restricts the first leg
     to the positive arc direction of line 0 (optional for K_TURN so the
     policies can be compared like for like). ``kind`` goes through
-    PolicyKind, so "one-turn" serves, and this is the one turn-budget map:
+    PolicyKind, so "one-turn" serves (InputError for a value it does not
+    hold), and this is the one turn-budget map:
     ZERO_TURN fixes k = 0 with lower-turn paths, ONE_TURN k = 1 and
     TWO_TURN_DIRECTED k = 2 with the first hop directed. K_TURN's k goes
     through ``_check_int``, so 2.7 or True raises NotAnInteger, and a
@@ -233,7 +246,7 @@ class TurnPolicy:
     first_hop_positive_x: bool = False
 
     def __post_init__(self):
-        kind = PolicyKind(self.kind)
+        kind = _member(PolicyKind, self.kind, "kind")
         k, lower = self.k, self.include_lower_turn_paths
         directed = self.first_hop_positive_x
         if kind is PolicyKind.ZERO_TURN:

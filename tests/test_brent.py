@@ -1,5 +1,5 @@
 """The in-package Brent solver against scipy.optimize.brentq, bit for bit,
-and the certified inversion of the one-turn-intersection curve against it."""
+and every reach quantile, solved by it, against brentq on the same bracket."""
 
 import logging
 import math
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from linecox import applications
-from linecox.analytic import cdf_one_turn_intersection
 from linecox.applications import _brent, reach_quantile
 from linecox.errors import NoBracket, QuadratureFailure
 from linecox.model import ModelParams
@@ -44,108 +43,68 @@ def test_closed_form_quantiles_equal_brentq(lam, mu, p):
 INTERSECTION = "one-turn-intersection"
 
 
-def _spy_curve(monkeypatch, stub=None):
-    """Record the t of every curve call reach_quantile makes; ``stub(t)``,
-    when given, answers a call in place of the curve if it returns a value."""
+def _spy_curve(monkeypatch):
+    """Record the t of every curve call reach_quantile makes."""
     calls = []
     real = applications.cdf_one_turn_intersection
 
     def spy(model, t, **kw):
         calls.append(np.array(t, dtype=float))
-        got = None if stub is None else stub(t)
-        return real(model, t, **kw) if got is None else got
+        return real(model, t, **kw)
 
     monkeypatch.setattr(applications, "cdf_one_turn_intersection", spy)
     return calls
 
 
-def _half_width(q):
-    """brentq's stopping half-width at q: the certificate's distance."""
-    return (XTOL + RTOL * q) / 2
-
-
 # (lam, mu, p): the benchmark's quantile jobs (lam, mu in [0.8, 1.25],
-# p in [0.5, 0.6]), then lam/mu from 0.01 to 100 and p from 1e-6 to 1 - 1e-9
+# p in [0.5, 0.6]), then lam/mu from 0.01 to 100 and p from 1e-6 to 1 - 1e-9,
+# then lam 1, mu 1e-3, where the model's bracket of the root,
+# [L/(4*(mu + lam)), L/(4*mu)] with L = -log(1 - p), reaches past _QUAD_CAP
 GRID = [
     (0.8, 1.25, 0.5), (1.25, 0.8, 0.6), (1.0, 1.0, 0.55), (1.25, 1.25, 0.5),
     (0.01, 1.0, 1e-6), (0.01, 1.0, 0.5), (0.01, 1.0, 1.0 - 1e-9),
     (100.0, 1.0, 1e-6), (100.0, 1.0, 0.5), (100.0, 1.0, 1.0 - 1e-9),
     (1.0, 1.0, 0.999), (3.0, 1.0, 0.99), (10.0, 1.0, 0.9), (1.0, 100.0, 0.5),
-    (1.0, 0.01, 0.5),
+    (1.0, 0.01, 0.5), (1.0, 1e-3, 0.5), (1.0, 1e-3, 0.9), (1.0, 1e-3, 0.999),
 ]
 
 
 @pytest.mark.parametrize("lam, mu, p", GRID)
-def test_intersection_quantile_is_certified_or_brentq(monkeypatch, lam, mu, p):
-    """A certified root brackets the curve's root within brentq's half-width
-    d on the direct curve, so it lies within 3d of brentq's root (which
-    stops with the root within 2d). A root that is not certified is
-    brentq's, bit for bit."""
+def test_intersection_quantile_is_certified_or_brentq(lam, mu, p):
+    """The one-turn-intersection quantile is brentq's root on the same
+    bracket, bit for bit, as the closed forms' are; no certified root
+    stands in for it."""
     model = ModelParams(lam, mu)
-    calls = _spy_curve(monkeypatch)
-    q = reach_quantile(model, p, INTERSECTION)
-    monkeypatch.undo()
-    want = _brentq_quantile(model, p, INTERSECTION)
-    d = _half_width(q)
-    assert abs(q - want) <= 3 * d
-    if 0.8 <= min(lam, mu) and max(lam, mu) <= 1.25 and 0.5 <= p <= 0.6:
-        assert len(calls) == 2  # the benchmark's range certifies
-    if len(calls) == 2:
-        assert (cdf_one_turn_intersection(model, max(q - d, 0.0)) < p
-                <= cdf_one_turn_intersection(model, q + d))
-    else:
-        assert q == want
+    assert reach_quantile(model, p, INTERSECTION) == _brentq_quantile(model, p, INTERSECTION)
 
 
-def test_certified_quantile_makes_two_curve_calls(monkeypatch, caplog):
-    calls = _spy_curve(monkeypatch)
+@pytest.mark.parametrize("policy", applications.REACH_POLICIES)
+def test_each_quantile_logs_one_line_with_its_curve_calls(monkeypatch, caplog, policy):
+    calls = []
+    real = applications._reach_cdf
+
+    def spy(*args):
+        cdf, cap = real(*args)
+        return (lambda t: calls.append(t) or cdf(t)), cap
+
+    monkeypatch.setattr(applications, "_reach_cdf", spy)
     with caplog.at_level(logging.INFO, logger="linecox.applications"):
-        q = reach_quantile(ModelParams(1.0, 1.0), 0.55, INTERSECTION)
-    assert [c.size for c in calls] == [applications._FIT_NODES, 2]
-    assert calls[1].tolist() == [q - _half_width(q), q + _half_width(q)]
+        reach_quantile(ModelParams(1.0, 1.0), 0.55, policy)
     lines = [r.getMessage() for r in caplog.records if r.name == "linecox.applications"]
     assert len(lines) == 1
-    assert "certified, 2 curve calls, 14 points, " in lines[0] and lines[0].endswith(" ms")
-
-
-@pytest.mark.parametrize("shift", [0.0, -0.1, 0.1])
-def test_failed_certificate_falls_back_to_brentq_bit_for_bit(monkeypatch, caplog, shift):
-    """The certificate answers F(t - d) = F(t + d) = p + shift: at shift 0
-    the strict side fails, below it the upper side, above it the lower."""
-    model, p = ModelParams(1.0, 1.0), 0.55
-    calls = _spy_curve(monkeypatch,
-                       lambda t: np.full(2, p + shift) if np.size(t) == 2 else None)
-    with caplog.at_level(logging.INFO, logger="linecox.applications"):
-        q = reach_quantile(model, p, INTERSECTION)
-    monkeypatch.undo()
-    assert len(calls) > 2
-    assert q == _brentq_quantile(model, p, INTERSECTION)
-    assert "fallback (certificate)" in caplog.text
-
-
-def test_quadrature_failure_in_the_fit_falls_back(monkeypatch):
-    model, p = ModelParams(1.0, 1.0), 0.55
-
-    def fail_the_fit(t):
-        if np.size(t) == applications._FIT_NODES:
-            raise QuadratureFailure("injected", value=0.0, error_estimate=1.0)
-
-    calls = _spy_curve(monkeypatch, fail_the_fit)
-    q = reach_quantile(model, p, INTERSECTION)
-    monkeypatch.undo()
-    assert np.ndim(calls[1]) == 0 and float(calls[1]) == 1.0  # the generic bracket
-    assert q == _brentq_quantile(model, p, INTERSECTION)
+    assert lines[0].startswith(f"reach quantile ({policy}) p=0.55: {len(calls)} curve calls, ")
+    assert lines[0].endswith(" ms")
 
 
 def test_quadrature_failure_everywhere_raises_as_the_generic_path():
-    """No rung pair agrees to 1e-300: the fit fails, and the generic path
-    raises at its first bracket end, t = 1, as it does on its own."""
+    """No rung pair agrees to 1e-300: the solve raises at its first curve
+    call, t = 1."""
     with pytest.raises(QuadratureFailure, match=r"did not settle to 1e-300 at t=1\.0$"):
         reach_quantile(ModelParams(1.0, 1.0), 0.5, INTERSECTION, tol=1e-300)
 
 
 def test_no_lam_takes_the_generic_path(monkeypatch):
-    """lam = 0 leaves no bracket to fit."""
+    """lam = 0: the curve is the zero-turn form, solved like any other."""
     model = ModelParams(0.0, 1.0)
     calls = _spy_curve(monkeypatch)
     q = reach_quantile(model, 0.5, INTERSECTION)
@@ -154,32 +113,16 @@ def test_no_lam_takes_the_generic_path(monkeypatch):
     assert q == _brentq_quantile(model, 0.5, INTERSECTION)
 
 
-@pytest.mark.parametrize("p", [0.5, 0.9, 0.999])
-def test_a_bracket_past_the_cap_is_cut_there_and_certifies(monkeypatch, caplog, p):
-    """At mu = 1e-3 the bracket's top, L/(4*mu), lies past _QUAD_CAP while
-    the root lies below it: the fit runs on the bracket cut at the cap."""
-    model = ModelParams(1.0, 1e-3)
-    calls = _spy_curve(monkeypatch)
-    with caplog.at_level(logging.INFO, logger="linecox.applications"):
-        q = reach_quantile(model, p, INTERSECTION)
-    monkeypatch.undo()
-    assert [c.size for c in calls] == [applications._FIT_NODES, 2]
-    assert calls[0].max() == applications._QUAD_CAP
-    assert f"p={p!r}: certified, " in caplog.text
-    assert abs(q - _brentq_quantile(model, p, INTERSECTION)) <= 3 * _half_width(q)
-
-
 def test_a_root_past_the_cap_falls_back_and_finds_no_bracket(monkeypatch, caplog):
-    """At lam = mu = 1e-3 the bracket's bottom, log(2)/0.008 = 86.6, lies
-    past the cap: no fit call is made, and the generic path raises
-    NoBracket at the cap as it does on its own, in 7 curve calls where a
-    wasted 12-point fit made it 8."""
+    """At lam = mu = 1e-3 the root, past log(2)/0.008 = 86.6, lies past the
+    cap: the bracket doubles from t = 1 and raises NoBracket at the cap, in
+    7 curve calls, and the INFO line is still written."""
     calls = _spy_curve(monkeypatch)
     with caplog.at_level(logging.INFO, logger="linecox.applications"):
         with pytest.raises(NoBracket, match="search cap 64.0"):
             reach_quantile(ModelParams(1e-3, 1e-3), 0.5, INTERSECTION)
     assert [float(t) for t in calls] == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
-    assert "p=0.5: fallback (past cap), 7 curve calls, 7 points, " in caplog.text
+    assert "p=0.5: 7 curve calls, " in caplog.text
 
 
 @pytest.mark.parametrize("policy, curve", [

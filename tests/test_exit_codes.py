@@ -22,11 +22,13 @@ from hypothesis import strategies as st
 from linecox import (
     DistributionCurve,
     ModelParams,
+    PalmScenario,
     TurnPolicy,
     cdf_one_turn_intersection,
     cdf_one_turn_point,
     cdf_zero_turn_intersection,
     cli,
+    db_to_linear,
     default_grid,
     dkw_halfwidth,
     errors,
@@ -127,6 +129,10 @@ _BAD_CALLS = {
     "curve complex": lambda: DistributionCurve(np.array([0.5 + 1j]), [0.1], [0.0]),
     "two_turn_T text": lambda: two_turn_T("x", 0.5, 1.0, _MODEL),
     "terms t array": lambda: one_turn_intersection_terms(1.0, [0.5, 0.7]),
+    "scenario kind": lambda: PalmScenario("nope"),
+    "scenario angle law": lambda: PalmScenario("typical-intersection", "nope"),
+    "policy kind": lambda: TurnPolicy("nope"),
+    "db text": lambda: db_to_linear("x"),
 }
 
 

@@ -424,34 +424,44 @@ def test_no_table_is_built_at_import():
 
 
 def _tiny_s_reference(lam, mu, t):
-    """F = 1 - exp(-g) = g to first order where g is tiny, with
-    g = 4*mu*t + 2*(lam*t)*(s*m1), s = mu*t, and m1 the slope at 0 of the
-    direct 2 - fx - fy of the rung these points settle at (the second),
-    from s = 1e-6 and 2e-6. Two points cancel the curvature term s*M2/2,
-    which is 1.03e-6 of the slope at s = 1e-6, more than the tolerance."""
+    """F = -expm1(-g), with g = 4*mu*t + 2*m1*lam*mu*t**2 taken through
+    logs, so that no factor of it over- or underflows, and m1 the slope at
+    0 of the direct 2 - fx - fy of the rung these points settle at (the
+    second), from s = 1e-6 and 2e-6. Two points cancel the curvature term
+    s*M2/2, which is 1.03e-6 of the slope at s = 1e-6, more than the
+    tolerance."""
     fx, fy = direct_terms(np.array([1e-6, 2e-6]), *intersection._LADDER[1])
     g1, g2 = 2.0 - fx - fy
     m1 = (4.0 * g1 - g2) / 2e-6
-    return [4.0 * mu * tk + 2.0 * (lam * tk) * ((mu * tk) * m1) for tk in t]
+    return [-math.expm1(-(4.0 * mu * tk + 2.0 * m1 * math.exp(
+        math.log(lam) + math.log(mu) + 2.0 * math.log(tk)))) for tk in t]
 
 
 def test_cdf_at_tiny_mu_t_and_huge_lam_follows_the_series():
     """Where s = mu*t is tiny, 2 - fx - fy was mostly rounding, and lam
     multiplied it: F(1e-300) at lam 1e308, mu 0.5 read 3.3e-8 where it is
     about 1e-292. The series in s gives it, and (lam*t)*(2 - fx - fy) does
-    not underflow as t*(2 - fx - fy) did."""
-    t = [1e-300, 2e-300, 3e-300]
-    values = cdf_one_turn_intersection(ModelParams(1e308, 0.5), t)
-    assert values == pytest.approx(_tiny_s_reference(1e308, 0.5, t), rel=1e-6, abs=0)
+    not underflow as t*(2 - fx - fy) did. Where lam*t overflows, F read 1
+    (inf times the series), and where s is subnormal, the series kept a
+    bit or two of s: F(0.5) at lam 1e308, mu 5e-324 read 1e-323, where it
+    is 3.9e-16."""
+    for lam, mu, t in [(1e308, 0.5, [1e-300, 2e-300, 3e-300]),
+                       (1e308, 1e-310, [2.0, 3.0]),  # lam*t overflows
+                       (1e308, 5e-324, [0.5, 1.0])]:  # s is subnormal
+        values = cdf_one_turn_intersection(ModelParams(lam, mu), t)
+        assert values == pytest.approx(_tiny_s_reference(lam, mu, t), rel=1e-6, abs=0)
 
 
 def test_the_cli_at_tiny_mu_t_and_huge_lam_follows_the_series(tmp_path):
     out = tmp_path / "thm2.csv"
-    assert cli.main(["analytic", "--which", "thm2", "--lambda", "1e308", "--mu", "0.5",
-                     "--grid", "1e-300:3e-300:1e-300", "--out", str(out)]) == cli.EXIT_OK
-    t, values, _ = np.loadtxt(out, delimiter=",", skiprows=1, unpack=True)
-    assert t.size == 3
-    assert values == pytest.approx(_tiny_s_reference(1e308, 0.5, t), rel=1e-6, abs=0)
+    for mu, grid in [("0.5", "1e-300:3e-300:1e-300"), ("1e-310", "0:3:1")]:
+        assert cli.main(["analytic", "--which", "thm2", "--lambda", "1e308", "--mu", mu,
+                         "--grid", grid, "--out", str(out)]) == cli.EXIT_OK
+        t, values, _ = np.loadtxt(out, delimiter=",", skiprows=1, unpack=True)
+        t, values = t[t > 0], values[t > 0]  # F(0) = 0 has no logarithm
+        assert t.size == 3
+        assert values == pytest.approx(_tiny_s_reference(1e308, float(mu), t),
+                                       rel=1e-6, abs=0)
 
 
 def test_the_terms_serve_mu_t_up_to_the_tables_domain():
