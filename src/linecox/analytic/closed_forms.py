@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from ..errors import NegativeIntensity, NonFinite
-from ..model import ModelParams, _check_t, _finite_real
+from ..model import ModelParams, _check_record, _check_t, _finite_real
 
 __all__ = [
     "cdf_naive_recursion",
@@ -51,6 +51,7 @@ def cdf_naive_recursion(params: ModelParams, t):
     independent of lambda. Kept as the sanity floor every other curve must
     beat."""
     arr = _check_t(t)
+    _check_record(params, ModelParams, "params")
     return _ret(-np.expm1(-_rate_times(params.mu, arr)), arr)
 
 
@@ -75,6 +76,7 @@ def cdf_one_turn_point(params: ModelParams, t):
     2*mu*t*(1 + lam*t), and flip the sign of F.
     """
     arr = _check_t(t)
+    _check_record(params, ModelParams, "params")
     lam = params.lam
     two_mu_t = _rate_times(2.0 * params.mu, arr)
     with np.errstate(over="ignore"):  # an exponent below -max is -inf: F = 1
@@ -98,6 +100,7 @@ def cdf_zero_turn_intersection(params: ModelParams, t):
     F(t) = 1 - exp(-4*mu*t). Also the lower sandwich bound for the one-turn
     intersection distribution."""
     arr = _check_t(t)
+    _check_record(params, ModelParams, "params")
     return _ret(-np.expm1(-_rate_times(4.0 * params.mu, arr)), arr)
 
 
@@ -107,6 +110,7 @@ def cdf_upper_intersection(params: ModelParams, t):
     inflates the effective ray intensity to mu + 4*lam on each of the four
     rays, F(t) = 1 - exp(-4*(mu + 4*lam)*t)."""
     arr = _check_t(t)
+    _check_record(params, ModelParams, "params")
     return _ret(-np.expm1(-_rate_times(4.0 * (params.mu + 4.0 * params.lam), arr)), arr)
 
 
@@ -115,6 +119,7 @@ def equivalent_ppp_density(params: ModelParams) -> float:
     unit area (pi*lam/2 under the crossing-rate convention) times mu. A
     planar Poisson process with this density is the natural Euclidean
     reference."""
+    _check_record(params, ModelParams, "params")
     return math.pi * params.lam * params.mu / 2.0
 
 

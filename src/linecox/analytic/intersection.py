@@ -17,12 +17,15 @@ transition regime; the breakpoints are inverse-trig thresholds in
 The breakpoints depend on x and t only through x/t, and Z is t times a
 function of (x/t, omega1, omega); so Tx = t*fx(mu*t) and Ty = t*fy(mu*t).
 On each rung of the quadrature ladder, fx and fy are Laplace transforms
-of fixed measures of z = Z/t on [0, 4]. The first call that reaches a
-rung folds its measure into one table, kept for the process: 800 bins of
-width h = 0.005, each with J + 1 = 10 Taylor moments about its centre
-(``_build_table``). Every later s = mu*t in [0, 40] costs some tens of
-microseconds (``_rung_terms``). Where s is tiny, 2 - fx - fy comes from
-the series of the table's raw moments (``_rung_gap``).
+of fixed measures of z = Z/t on [0, 4], each of total weight 1. So
+1 - fx = s*gx and 1 - fy = s*gy, with slopes gx = sum w*z*phi(s*z) and
+phi(x) = -expm1(-x)/x, sums of positive terms that do not cancel at any s.
+The first call that reaches a rung folds its measure into one table, kept
+for the process: 800 bins of width h = 0.005, each with J + 1 = 10 Taylor
+moments about its centre (``_build_table``). Every later s = mu*t in
+[0, 40] costs some tens of microseconds (``_rung_slopes``), and the CDF
+forms lam*(2t - Tx - Ty) = lam*mu*t*t*(gx + gy) from the slopes at every
+point.
 
 The recipe reads three details one way: the outer-regime length joins
 the two angle sines with a plus, out-of-window angles on the second
@@ -42,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import DomainError, InputError
-from ..model import ModelParams, _check_t
+from ..model import ModelParams, _check_record, _check_t
 from ..quadrature import check_tol, gauss_legendre, settle_ladder
 from .closed_forms import _rate_times, _ret_err
 
@@ -166,27 +169,23 @@ _CHUNK_NODES = 2**15
 
 # The Laplace tables (``_build_table``): bins of width _BIN on [0, 4], with
 # Taylor moments of orders 0.._ORDER about each bin's centre. A table serves
-# 0 <= s <= _S_MAX, where a bin's truncation error is at most
-# exp(s*h/2)*(s*h/2)**(J + 1)/(J + 1)! = 3.1e-17 of its weight (h = _BIN,
-# J = _ORDER). At or below _SERIES_S, 2 - fx - fy comes from the moment
-# series about 0 (``_rung_gap``).
+# 0 <= s <= _S_MAX, where a bin's truncation error in the slope is at most
+# (h/2)*exp(s*h/2)*(s*h/2)**J/(J + 1)! = 7.6e-19 of its weight (h = _BIN,
+# J = _ORDER).
 _BIN = 0.005
 _ORDER = 9
 _S_MAX = 40.0
-_SERIES_S = 0.01
 
 
 class _Table(NamedTuple):
-    """One rung's fx and fy as functions of s (``_build_table``)."""
+    """One rung's slopes gx and gy as functions of s (``_build_table``).
+    Its entries are the bins, the rows folded to z = 4 and the window's x
+    nodes, in that order; only the bins have moments of order 1 and up."""
 
-    moments: np.ndarray  # (_ORDER + 1, bins): sum of w*(z - c_b)**j / j!
-    centres: np.ndarray  # c_b, the bins' centres
-    at_0: float  # weight of the rows folded to z = 0
-    at_4: float  # weight of the rows folded to z = 4
-    win_weight: np.ndarray  # the window's weight per x node
-    win_zeta: np.ndarray  # the window's z = 2*(1 - x/t) per x node
-    ty_const: float  # Ty/t outside the window, unit survival
-    series: np.ndarray  # (M_kx + M_ky)/k!, k = 1.._ORDER: raw moments about 0
+    moments: np.ndarray  # (_ORDER, entries): sum of w*(z - c)**j / j!, j >= 1
+    centres: np.ndarray  # c: the bins' centres, 4, the window's z = 2*(1 - x/t)
+    centre_mass: np.ndarray  # each entry's weight times its centre
+    window: int  # the first window entry
 
 
 # rung rule (nw, nx, n1) -> its _Table, built by the first call that needs it
@@ -200,18 +199,21 @@ def _build_table(nw, nx, n1):
 
     Z/t depends on (x/t, omega1, omega) alone, so the nodes, their weights
     w and z = Z/t are fixed numbers, and fx(s) = sum w*exp(-s*z) is the
-    Laplace transform of one fixed measure on [0, 4]. In the window
-    z = 2*(1 - x/t) whatever the angles, so the window folds into one
-    weight per x node; fy is that window plus the unit survival outside it.
+    Laplace transform of one fixed measure on [0, 4] of total weight 1.
+    What the slopes read of it is sum w*z*phi(s*z) (``_rung_slopes``), to
+    which the mass at z = 0 adds nothing. In the window z = 2*(1 - x/t)
+    whatever the angles, so the window folds into one weight per x node;
+    fy is that window plus the unit survival outside it, so gy is the
+    window's part of gx.
 
     Off the window the four segments are taken one at a time, one row per
     (omega, x) pair. Z/t is monotone along a row that does not pass omega,
     so the ends of the row tell whether it clips at every node
-    (``_segment_rows``): such a row adds its weight to one constant, at
-    z = 0 or at z = 4, and no node is built on it. The other rows are built
-    in chunks of _CHUNK_NODES nodes, and each chunk folds its nodes into
-    bins of width _BIN on [0, 4], keeping per bin the Taylor moments
-    m[j, b] = sum w*(z - c_b)**j / j! about its centre c_b.
+    (``_segment_rows``): such a row adds its weight to z = 0, where it drops
+    out, or to the constant at z = 4, and no node is built on it. The other
+    rows are built in chunks of _CHUNK_NODES nodes, and each chunk folds its
+    nodes into bins of width _BIN on [0, 4], keeping per bin the Taylor
+    moments m[j, b] = sum w*(z - c_b)**j / j! about its centre c_b.
     """
     og, ow = gauss_legendre(nw)
     xg, xw = gauss_legendre(nx)
@@ -221,11 +223,10 @@ def _build_table(nw, nx, n1):
     weight = np.outer(ow, xw).ravel() / _PI
     sin_w, cos_w = np.sin(omega), np.cos(omega)
     outer_lo, win_lo, win_hi, outer_hi = _thresholds(xr, sin_w, cos_w)
-    window = np.maximum(win_hi - win_lo, 0.0)
 
     bins = round(4.0 / _BIN)
     moments = np.zeros((_ORDER + 1, bins))
-    clipped_0 = clipped_4 = 0.0  # weight of the rows clipped to 0 / to 4
+    clipped_4 = 0.0  # weight of the rows clipped to 4
     step = max(1, _CHUNK_NODES // n1)
     col, col_w = sg[:, None], sgw[:, None]
     # the chunk arrays (n1, rows), allocated once per build: v (then q*v,
@@ -239,7 +240,6 @@ def _build_table(nw, nx, n1):
         c, p, q = _coefficients(xr, sin_w, cos_w, regime)
         gap, width, mass, _, below, above = _segment_rows(
             lo, hi, omega, weight, c, p, q)
-        clipped_0 += mass[below].sum()
         clipped_4 += mass[above].sum()
         rows = np.flatnonzero((mass > 0.0) & ~below & ~above)
         half_gap, half_width = 0.5 * gap[rows], 0.5 * width[rows]
@@ -272,22 +272,13 @@ def _build_table(nw, nx, n1):
                                           minlength=bins)
 
     moments /= [[math.factorial(j)] for j in range(_ORDER + 1)]
-    centres = (np.arange(bins) + 0.5) * _BIN
-    at_4 = float(sgw.sum() * clipped_4)
-    win_weight = (window * weight).reshape(nw, nx).sum(axis=0)
-    win_zeta = 2.0 * (1.0 - xg)
-    # raw moments about 0 by the binomial identity:
-    # z**k/k! = sum_j (z - c)**j/j! * c**(k - j)/(k - j)!
-    powers = [centres**i / math.factorial(i) for i in range(_ORDER + 1)]
-    series = np.array([
-        sum(float((moments[j] * powers[k - j]).sum()) for j in range(k + 1))
-        + (at_4 * 4.0**k + 2.0 * float((win_weight * win_zeta**k).sum()))
-        / math.factorial(k)
-        for k in range(1, _ORDER + 1)])
-    for part in (moments, centres, win_weight, win_zeta, series):
+    win_weight = (np.maximum(win_hi - win_lo, 0.0) * weight).reshape(nw, nx).sum(axis=0)
+    centres = np.concatenate(((np.arange(bins) + 0.5) * _BIN, [4.0], 2.0 * (1.0 - xg)))
+    mass = np.concatenate((moments[0], [sgw.sum() * clipped_4], win_weight))
+    arrays = (np.pad(moments[1:], ((0, 0), (0, 1 + nx))), centres, mass * centres)
+    for part in arrays:
         part.setflags(write=False)  # every later call of the process reads it
-    return _Table(moments, centres, float(sgw.sum() * clipped_0), at_4, win_weight,
-                  win_zeta, float(((_PI - window) * weight).sum()), series)
+    return _Table(*arrays, bins + 1)
 
 
 def _table(nw, nx, n1):
@@ -298,64 +289,63 @@ def _table(nw, nx, n1):
     return table
 
 
-def _rung_terms(s, nw, nx, n1):
-    """(Tx/t, Ty/t) at every s = mu*t of the array s, 0 <= s <= _S_MAX,
-    from the rung's Laplace table (``_build_table``):
+def _rung_slopes(s, nw, nx, n1):
+    """(gx, gy) at every s = mu*t of the array s, 0 <= s <= _S_MAX, with
+    1 - fx = s*gx and 1 - fy = s*gy, from the rung's Laplace table
+    (``_build_table``). With phi(x) = -expm1(-x)/x and
+    w*(1 - exp(-s*z))/s = w*z*phi(s*z), writing z = c_b + d in a bin gives
 
-        fx(s) = sum_b exp(-s*c_b) * sum_j m[j, b]*(-s)**j
-                + (at_0 + at_4*exp(-4*s)) + window(s)
+        gx(s) = sum_b [m0_b*c_b*phi(s*c_b)
+                       + exp(-s*c_b) * sum_j m[j, b]*(-s)**(j - 1)]
+                + 4*at_4*phi(4*s) + gy(s),
+        gy(s) = sum over the window's x nodes of w*z*phi(s*z),
 
-    and fy(s) = window(s) + the unit survival outside the window. Writing
-    exp(-s*z) = exp(-s*c_b)*exp(-s*(z - c_b)) and cutting the Taylor series
-    of the second factor after (-s)**J leaves at most
-    exp(s*h/2)*(s*h/2)**(J + 1)/(J + 1)! of each bin's weight, since
-    |z - c_b| <= h/2. Each s is evaluated on its own, in a fixed order,
+    with at_4 the weight folded to z = 4: one term per table entry, each
+    positive but for the bins' small moment series, so no term cancels at
+    any s. Cutting the Taylor series of
+    (1 - exp(-s*d))/s after j = J leaves at most
+    (h/2)*exp(s*h/2)*(s*h/2)**J/(J + 1)! of each bin's weight, since
+    |d| <= h/2. The slopes are evaluated at max(s, tiny), the smallest
+    normal double, so no argument of phi is 0; below tiny they move by
+    less than 1e-307. Each s is evaluated on its own, in a fixed order,
     and without BLAS (which would wake its threads for a few hundred
-    numbers), so a batch is bit for bit its points.
+    numbers; ``np.einsum`` does not call it), so a batch is bit for bit
+    its points.
     """
     table = _table(nw, nx, n1)
-    fx = np.empty(s.size)
-    for k, sk in enumerate(s):
-        acc = table.moments[_ORDER] * -sk
-        for m in table.moments[_ORDER - 1:0:-1]:
-            acc += m
-            acc *= -sk
-        acc += table.moments[0]
-        acc *= np.exp(-sk * table.centres)
-        fx[k] = acc.sum() + (table.at_0 + table.at_4 * math.exp(-4.0 * sk))
-    win = np.array([(table.win_weight * np.exp(-sk * table.win_zeta)).sum() for sk in s])
-    return fx + win, win + table.ty_const
+    orders = np.arange(_ORDER)
+    gx, gy = np.empty(s.size), np.empty(s.size)
+    for k, sk in enumerate(np.maximum(s, np.finfo(float).tiny)):
+        x = table.centres * -sk
+        acc = np.einsum("j,jb->b", (-sk) ** orders, table.moments)
+        acc *= np.exp(x)
+        acc += table.centre_mass * (np.expm1(x) / x)
+        gy[k] = acc[table.window:].sum()
+        gx[k] = acc[:table.window].sum() + gy[k]
+    return gx, gy
 
 
-def _rung_gap(s, nw, nx, n1):
-    """2 - fx - fy at every s of the array s. Above _SERIES_S it is taken
-    from ``_rung_terms``. At or below it, where 2 - fx - fy is mostly
-    rounding, it is the series
-
-        sum_k (-1)**(k + 1) * s**k * (M_kx + M_ky)/k!,   k = 1..J
-
-    of the raw moments of the two measures; the k = 0 term vanishes, since
-    Tx = Ty = t at mu = 0. The first term left out is below
-    2*(4*s)**(J + 1)/(J + 1)!, which is 5.8e-21 at s = _SERIES_S."""
-    gap = np.empty(s.size)
-    small = s <= _SERIES_S
-    fx, fy = _rung_terms(s[~small], nw, nx, n1)
-    gap[~small] = 2.0 - fx - fy
-    series, sk = _table(nw, nx, n1).series, s[small]
-    acc = np.full(sk.size, series[-1])
-    for moment in series[-2::-1]:
-        acc = moment - sk * acc
-    gap[small] = sk * acc
-    return gap
+def _rung_terms(s, nw, nx, n1):
+    """(Tx/t, Ty/t) = (1 - s*gx, 1 - s*gy) at every s of the array s
+    (``_rung_slopes``)."""
+    gx, gy = _rung_slopes(s, nw, nx, n1)
+    return 1.0 - s * gx, 1.0 - s * gy
 
 
-def _product(*factors):
-    """The product of positive finite factors (arrays broadcast), taken on
-    their mantissas, each in [1/2, 1), and summed binary exponents, so no
-    partial product leaves the normal range: it is inf or subnormal only
+def _lam_term(lam, mu, t, slope):
+    """2*lam*mu*t*t*slope, the lam term 2*lam*(2t - Tx - Ty) of the CDF's
+    exponent with slope = gx + gy, for positive finite lam and mu and
+    arrays t and slope of positive finite numbers. It is taken on the
+    factors' mantissas, each in [1/2, 1), and summed binary exponents, so
+    no partial product leaves the normal range: it is inf or subnormal only
     where the product itself is."""
-    mantissa, exponent = np.frexp(np.stack(np.broadcast_arrays(*factors)))
-    return np.ldexp(mantissa.prod(axis=0), exponent.sum(axis=0))
+    lam_m, lam_e = math.frexp(lam)
+    mu_m, mu_e = math.frexp(mu)
+    t_m, t_e = np.frexp(t)
+    slope_m, slope_e = np.frexp(slope)
+    with np.errstate(over="ignore"):
+        return np.ldexp(lam_m * mu_m * t_m * t_m * slope_m,
+                        2 * t_e + slope_e + (lam_e + mu_e + 1))
 
 
 def one_turn_intersection_terms(mu: float, t: float, *, tol: float = 1e-6):
@@ -394,34 +384,28 @@ def cdf_one_turn_intersection(params: ModelParams, t, *, tol: float = 1e-6,
     the probability moves by at most tol; QuadratureFailure (with the last
     value attached) if three levels cannot agree. All points of a call share
     each rung's table, and only the points not yet settled climb to the
-    next rung. lam = 0 short-circuits to the exact zero-turn form
-    1 - exp(-4*mu*t). F lies between that form and 1, so where the form
-    rounds to 1, F is 1 and no rung runs; that covers every t at which
-    mu*t overflows, and every rung runs at mu*t below 9.4. ``with_err``
-    additionally returns the last ladder increment as the error estimate.
+    next rung. Each rung forms the exponent
+    4*mu*t + 2*lam*(2t - Tx - Ty) = 4*mu*t + 2*lam*mu*t*t*(gx + gy) from
+    its slopes (``_rung_slopes``), which do not cancel at any s, with the
+    lam term taken on the factors' mantissas (``_lam_term``), so no
+    partial product over- or underflows. lam = 0 short-circuits to the
+    exact zero-turn form 1 - exp(-4*mu*t). F lies between that form and
+    1, so where the form rounds to 1, F is 1 and no rung runs; that covers
+    every t at which mu*t overflows, and every rung runs at mu*t below
+    9.4. ``with_err`` additionally returns the last ladder increment as
+    the error estimate.
     """
     arr = _check_t(t)
     check_tol(tol)
+    _check_record(params, ModelParams, "params")
     lam, mu = params.lam, params.mu
     zero_turn = -np.expm1(-_rate_times(4.0 * mu, arr))
     if lam == 0.0:
         return _ret_err(zero_turn, np.zeros_like(arr), arr, with_err)
 
     def rung(r, tv):
-        # lam*(2t - Tx - Ty) as (lam*t)*(2 - fx - fy): t*(2 - fx - fy)
-        # would underflow where mu*t is tiny. Where lam*t overflows and
-        # F < 1, s = mu*t is below 1e-306; there, and where s is subnormal,
-        # the series of 2 - fx - fy is s*m1 to the last bit, and the term
-        # is the product lam*mu*t*t*m1, formed by _product
-        s = mu * tv
-        with np.errstate(over="ignore"):
-            lam_t = lam * tv
-            lam_gap = lam_t * _rung_gap(s, *_LADDER[r])
-            odd = np.isinf(lam_t) | (s < np.finfo(float).tiny)
-            if odd.any():
-                lam_gap[odd] = _product(lam, mu, tv[odd], tv[odd],
-                                        _table(*_LADDER[r]).series[0])
-            return -np.expm1(-4.0 * mu * tv - 2.0 * lam_gap)
+        gx, gy = _rung_slopes(mu * tv, *_LADDER[r])
+        return -np.expm1(-4.0 * mu * tv - _lam_term(lam, mu, tv, gx + gy))
 
     values, errors = np.where(zero_turn == 1.0, 1.0, 0.0), np.zeros(arr.shape)
     pos = (arr > 0.0) & (zero_turn < 1.0)

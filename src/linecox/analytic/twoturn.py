@@ -40,7 +40,7 @@ import math
 import numpy as np
 
 from ..errors import DomainError
-from ..model import ModelParams, _check_t, _finite_real
+from ..model import ModelParams, _check_record, _check_t, _finite_real
 from ..quadrature import check_tol, gauss_legendre, settle_ladder
 from .closed_forms import _rate_times, _ret_err
 
@@ -174,6 +174,7 @@ def two_turn_T(w: float, u: float, t: float, params: ModelParams,
     QuadratureFailure when no two consecutive rungs agree to tol.
     """
     check_tol(tol)
+    _check_record(params, ModelParams, "params")
     if not (all(_finite_real(x) for x in (w, u, t)) and 0.0 <= w <= u <= t):
         raise DomainError(f"need 0 <= w <= u <= t finite, got w={w!r}, u={u!r}, t={t!r}")
     if w == t:
@@ -199,6 +200,7 @@ def cdf_two_turn_bound(params: ModelParams, t, tol: float = 1e-5,
     """
     arr = _check_t(t)
     check_tol(tol)
+    _check_record(params, ModelParams, "params")
     lam, mu = params.lam, params.mu
 
     def rung(r, tv):

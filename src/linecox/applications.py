@@ -30,7 +30,7 @@ from .errors import (
     NonFinite,
     NonPositiveParameter,
 )
-from .model import ModelParams, _finite_real
+from .model import ModelParams, _check_record, _finite_real
 from .quadrature import check_tol
 
 __all__ = [
@@ -129,6 +129,8 @@ def nearfield_threshold_distance(link: RisLinkParams) -> float:
 
         d* = sqrt(g_t*g_r*wavelength^2*area^2*p_t / (16*pi^2*gamma*n0)).
     """
+    _check_record(link, RisLinkParams, "link")
+
     def direct():
         num = link.g_t * link.g_r * link.wavelength**2 * link.area**2 * link.p_t
         return math.sqrt(num / (16.0 * math.pi**2 * link.gamma * link.n0))
@@ -141,6 +143,7 @@ def nearfield_threshold_distance(link: RisLinkParams) -> float:
 def nearfield_success(link: RisLinkParams, model: ModelParams) -> float:
     """Probability the nearest one-turn street neighbor of a typical point
     is close enough for a near-field surface-assisted link."""
+    _check_record(model, ModelParams, "model")
     return cdf_one_turn_point(model, nearfield_threshold_distance(link))
 
 
@@ -156,6 +159,8 @@ def farfield_threshold_distance(link: RisLinkParams) -> float:
     By AM-GM, d1*d2 <= ((d1+d2)/2)^2, so any split of a total street
     distance D <= 2*X^(1/4) succeeds.
     """
+    _check_record(link, RisLinkParams, "link")
+
     def direct():
         num = (link.g_t * link.g_r * link.g * link.m**2 * link.n**2
                * link.d_x * link.d_y * link.wavelength**2 * link.area**2 * link.p_t)
@@ -170,6 +175,7 @@ def farfield_threshold_distance(link: RisLinkParams) -> float:
 def farfield_success_lower_bound(link: RisLinkParams, model: ModelParams) -> float:
     """Lower bound on the far-field success probability: the chance the
     one-turn street distance stays below the AM-GM guaranteed radius."""
+    _check_record(model, ModelParams, "model")
     return cdf_one_turn_point(model, farfield_threshold_distance(link))
 
 
@@ -203,6 +209,7 @@ def reach_quantile(model: ModelParams, p: float, policy: str = "one-turn-point",
     policy, p, the curve calls and the wall time.
     """
     check_tol(tol)
+    _check_record(model, ModelParams, "model")
     if not (_finite_real(p) and 0.0 <= p < 1.0):
         raise InputError(f"p must lie in [0, 1), got {p!r}")
     p = float(p)

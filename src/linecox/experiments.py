@@ -30,6 +30,7 @@ from .model import (
     PalmScenario,
     TurnPolicy,
     _check_int,
+    _check_record,
     _finite_real,
 )
 from .oracle import chunk_lengths
@@ -168,6 +169,7 @@ def run_mc(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
         raise InputError(f"t_max must be finite and > 0, got {t_max!r}")
     t_max = float(t_max)
     _check_inputs(params, scenario, t_max)
+    _check_record(policy, TurnPolicy, "policy")
     halfwidth = dkw_halfwidth(trials, alpha)
     # a curve of the grid itself fails the finished curve's checks only on the grid
     grid = default_grid(t_max) if grid is None else DistributionCurve(grid, grid, grid).grid
@@ -247,6 +249,8 @@ def compare(curve_a: DistributionCurve, curve_b: DistributionCurve) -> Compariso
     restricted to the overlap, with each curve step-evaluated there. No
     usable overlap raises GridMismatch.
     """
+    _check_record(curve_a, DistributionCurve, "curve_a")
+    _check_record(curve_b, DistributionCurve, "curve_b")
     ga, gb = curve_a.grid, curve_b.grid
     if ga.size == gb.size and np.array_equal(ga, gb):
         common = ga

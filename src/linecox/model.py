@@ -102,6 +102,14 @@ def _check_int(x, name: str) -> int:
     raise NotAnInteger(f"{name} must be an integer, got {x!r}")
 
 
+def _check_record(value, kind: type, name: str) -> None:
+    """The one record check: InputError naming the argument ``name`` unless
+    ``value`` is a ``kind``, so that a string in place of a record does not
+    escape as AttributeError."""
+    if not isinstance(value, kind):
+        raise InputError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+
+
 def _as_floats(values, message: str) -> np.ndarray:
     """The one conversion of a caller's numbers: ``values`` as a float array
     of their shape. InputError(message) for what numpy cannot read as real
@@ -323,6 +331,7 @@ def rescale(curve: DistributionCurve, c: float) -> DistributionCurve:
     """Rescale lengths by c: the curve of D under (lam, mu) becomes the curve
     of c*D, which is exactly the curve of D under (lam/c, mu/c). Values and
     half widths are untouched; grid and metadata params are mapped."""
+    _check_record(curve, DistributionCurve, "curve")
     if not _finite_real(c) or c <= 0:
         raise NonPositiveScale(f"scale must be finite and > 0, got {c!r}")
     c = float(c)

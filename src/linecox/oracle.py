@@ -54,6 +54,7 @@ from .model import (
     PalmScenario,
     PointOnLine,
     TurnPolicy,
+    _check_record,
     _check_t,
 )
 from .sampler import ChunkSample, Realization, _pair_arcs, sample_palm
@@ -312,6 +313,8 @@ def shortest_path(real: Realization, policy: TurnPolicy,
     Censors at ``t_max`` (which must not exceed the sampled clip radius).
     Ties in length are broken by (line id, arc) of the target.
     """
+    _check_record(real, Realization, "real")
+    _check_record(policy, TurnPolicy, "policy")
     t_max = float(_check_t(t_max, real.clip_radius, "t_max"))
     (length, line, arc, turns, state), via = _k_turn(
         real, t_max, policy.k, policy.include_lower_turn_paths,
@@ -354,6 +357,8 @@ def chunk_lengths(chunk: ChunkSample, policy: TurnPolicy,
     grows with the chunk given: a layer holds at most one label per line
     pair of those trials, and ``_turn`` solves at most _PAIR_BLOCK hops at
     once."""
+    _check_record(chunk, ChunkSample, "chunk")
+    _check_record(policy, TurnPolicy, "policy")
     t_max = float(_check_t(t_max, chunk.clip_radius, "t_max"))
     k, lower, directed = (policy.k, policy.include_lower_turn_paths,
                           policy.first_hop_positive_x)

@@ -54,6 +54,7 @@ from .model import (
     PalmKind,
     PalmScenario,
     _check_int,
+    _check_record,
     _finite_real,
 )
 
@@ -260,10 +261,7 @@ def _sort_within(groups: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Permutation sorting ``values`` within runs of equal, nondecreasing
     ``groups``."""
     order = np.argsort(values)
-    g = groups[order]
-    if g.size and groups[-1] < 2**16:
-        g = g.astype(np.uint16)  # numpy radix-sorts 16-bit keys
-    return order[np.argsort(g, kind="stable")]
+    return order[np.argsort(groups[order], kind="stable")]
 
 
 @dataclass(frozen=True)
@@ -314,8 +312,8 @@ def _expected_lines(params, scenario, clip_radius) -> float:
 
 
 def _check_inputs(params, scenario, clip_radius) -> float:
-    if not isinstance(scenario, PalmScenario):
-        raise InputError(f"scenario must be a PalmScenario, got {type(scenario).__name__}")
+    _check_record(params, ModelParams, "params")
+    _check_record(scenario, PalmScenario, "scenario")
     if not (_finite_real(clip_radius) and clip_radius > 0):
         raise NonPositiveRadius(f"clip_radius must be finite and > 0, got {clip_radius!r}")
     clip_radius = float(clip_radius)
@@ -389,7 +387,10 @@ def _chunk_sample(origin, n_bg, angle_bg, offset_bg, counts, u, scenario,
     half = np.where(through_origin, R, _half_chords(offset, R))
     arcs = u
     arcs *= np.repeat(half, counts)  # in place: u is the chunk's own array
-    order = _sort_within(np.repeat(np.arange(half.size), counts), arcs)
+    # each point's line as a 16-bit key where the lines allow, which numpy
+    # radix-sorts and which takes a quarter of the memory
+    line = np.arange(half.size, dtype=np.uint16 if half.size <= 2**16 else np.intp)
+    order = _sort_within(np.repeat(line, counts), arcs)
     return ChunkSample(angle, offset, through_origin, line_start, arcs[order],
                        np.concatenate(([0], np.cumsum(counts))),
                        n_origin, scenario, R, master, first_stream)

@@ -23,18 +23,29 @@ from linecox import (
     DistributionCurve,
     ModelParams,
     PalmScenario,
+    RisLinkParams,
     TurnPolicy,
+    cdf_naive_recursion,
     cdf_one_turn_intersection,
     cdf_one_turn_point,
+    cdf_two_turn_bound,
+    cdf_upper_intersection,
     cdf_zero_turn_intersection,
+    chunk_lengths,
     cli,
+    compare,
     db_to_linear,
     default_grid,
     dkw_halfwidth,
+    equivalent_ppp_density,
     errors,
+    farfield_success_lower_bound,
+    farfield_threshold_distance,
     gauss_legendre,
+    nearfield_success,
     one_turn_intersection_terms,
     reach_quantile,
+    rescale,
     run_mc,
     sample_chunk,
     sample_palm,
@@ -71,6 +82,7 @@ def test_each_error_type_maps_to_its_exit(monkeypatch, capsys, error):
 
 
 _MODEL = ModelParams(1.0, 1.0)
+_LINK = RisLinkParams(*[1.0] * 12)
 _BAD_CALLS = {
     "run_mc trials": lambda: run_mc(_MODEL, typical_point(), TurnPolicy.one_turn(), 0, 1.0, 1),
     "run_mc t_max": lambda: run_mc(_MODEL, typical_point(), TurnPolicy.one_turn(), 1, 0.0, 1),
@@ -133,6 +145,30 @@ _BAD_CALLS = {
     "scenario angle law": lambda: PalmScenario("typical-intersection", "nope"),
     "policy kind": lambda: TurnPolicy("nope"),
     "db text": lambda: db_to_linear("x"),
+    "quantile model": lambda: reach_quantile("x", 0.5),
+    "one-turn point model": lambda: cdf_one_turn_point("x", 0.5),
+    "naive model": lambda: cdf_naive_recursion("x", 0.5),
+    "zero-turn model": lambda: cdf_zero_turn_intersection("x", 0.5),
+    "upper model": lambda: cdf_upper_intersection("x", 0.5),
+    "thm2 model": lambda: cdf_one_turn_intersection("x", 0.5),
+    "bound model": lambda: cdf_two_turn_bound("x", 0.5),
+    "two_turn_T model": lambda: two_turn_T(0.1, 0.2, 0.5, "x"),
+    "ppp density model": lambda: equivalent_ppp_density("x"),
+    "nearfield model": lambda: nearfield_success(_LINK, "x"),
+    "farfield model": lambda: farfield_success_lower_bound(_LINK, "x"),
+    "nearfield link": lambda: nearfield_success("x", _MODEL),
+    "farfield link": lambda: farfield_threshold_distance("x"),
+    "palm model": lambda: sample_palm("x", typical_point(), 1.0, 1),
+    "run_mc model": lambda: run_mc("x", typical_point(), TurnPolicy.one_turn(), 1, 1.0, 1),
+    "run_mc policy": lambda: run_mc(_MODEL, typical_point(), "one-turn", 1, 1.0, 1),
+    "chunk policy": lambda: chunk_lengths(
+        sample_chunk(_MODEL, typical_point(), 1.0, 1, 0, 1), "one-turn", 1.0),
+    "chunk record": lambda: chunk_lengths("x", TurnPolicy.one_turn(), 1.0),
+    "oracle realization": lambda: shortest_path("x", TurnPolicy.one_turn(), 1.0),
+    "oracle policy": lambda: shortest_path(
+        sample_palm(_MODEL, typical_point(), 1.0, 1), "one-turn", 1.0),
+    "compare curve": lambda: compare("x", DistributionCurve([0.0, 1.0], [0.0, 1.0], 0.0)),
+    "rescale curve": lambda: rescale("x", 2.0),
 }
 
 

@@ -238,17 +238,15 @@ def test_run_mc_memory_does_not_grow_with_trials(monkeypatch):
 DRAW_PEAK_BYTES = 8 * 2**20
 
 
-@pytest.mark.parametrize("params, scenario", [
-    (ModelParams(0.999 * MAX_EXPECTED_LINES / (3.0 * math.pi), 1.0),
-     PalmScenario(PalmKind.TYPICAL_POINT)),
-    (ModelParams(0.0, 0.999 * MAX_EXPECTED_POINTS / (2.0 * 3.0)),
-     PalmScenario(PalmKind.TYPICAL_INTERSECTION)),
-], ids=["line-cap", "point-cap"])
-def test_run_mc_chunks_draw_within_a_fixed_peak_at_the_caps(monkeypatch, params,
-                                                           scenario):
-    """run_mc sizes each chunk by its trials' expected line pairs and
-    points, so the largest chunk of a 64-trial run near either cap draws
-    within DRAW_PEAK_BYTES under tracemalloc."""
+LINE_CAP = (ModelParams(0.999 * MAX_EXPECTED_LINES / (3.0 * math.pi), 1.0),
+            PalmScenario(PalmKind.TYPICAL_POINT))
+POINT_CAP = (ModelParams(0.0, 0.999 * MAX_EXPECTED_POINTS / (2.0 * 3.0)),
+             PalmScenario(PalmKind.TYPICAL_INTERSECTION))
+
+
+def _largest_chunk_peak(monkeypatch, params, scenario):
+    """(trials, tracemalloc peak) of the largest chunk that a 64-trial
+    run_mc to t_max 3 draws, drawn again on its own."""
     asked = []
 
     def spy(*args):
@@ -265,7 +263,28 @@ def test_run_mc_chunks_draw_within_a_fixed_peak_at_the_caps(monkeypatch, params,
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < DRAW_PEAK_BYTES, (largest[-1] - largest[-2], peak)
+    return largest[-1] - largest[-2], peak
+
+
+@pytest.mark.parametrize("params, scenario", [LINE_CAP, POINT_CAP],
+                         ids=["line-cap", "point-cap"])
+def test_run_mc_chunks_draw_within_a_fixed_peak_at_the_caps(monkeypatch, params,
+                                                           scenario):
+    """run_mc sizes each chunk by its trials' expected line pairs and
+    points, so the largest chunk of a 64-trial run near either cap draws
+    within DRAW_PEAK_BYTES under tracemalloc."""
+    trials, peak = _largest_chunk_peak(monkeypatch, params, scenario)
+    assert peak < DRAW_PEAK_BYTES, (trials, peak)
+
+
+def test_the_point_cap_chunk_sorts_on_16_bit_line_keys(monkeypatch):
+    """The point-cap chunk above (13 trials, 26 lines, about 130k points) sorts its
+    arcs within lines on each point's line as a 16-bit key. With a 64-bit
+    key its draw peaked at 5.21 MiB; with the 16-bit key it peaks at
+    4.22 MiB, and every array is the same (test_batched.py's
+    ``FROZEN_MD5`` and ``FROZEN_REALIZATIONS_MD5``)."""
+    trials, peak = _largest_chunk_peak(monkeypatch, *POINT_CAP)
+    assert peak < 4.5 * 2**20, (trials, peak)
 
 
 def test_run_mc_validation_and_single_trial():

@@ -26,7 +26,7 @@ from linecox import (
 from linecox.analytic import intersection
 from linecox.analytic.intersection import _REGIMES, _coefficients, _thresholds, _zeta
 from linecox.quadrature import gauss_legendre
-from thm2_direct import direct_terms
+from thm2_direct import direct_slopes, direct_terms
 
 DATA = pathlib.Path(__file__).parent / "data" / "riemann_oracle.json"
 P11 = ModelParams(1.0, 1.0)
@@ -380,7 +380,7 @@ def test_cdf_stays_a_probability_when_lam_t_is_huge_and_mu_t_tiny():
 # s at which each rung's table is held to the direct node sum: 0, the
 # series' range, the range cdf_one_turn_intersection reaches (below 9.4),
 # and the rest of the tables' domain up to _S_MAX
-_TABLE_S = np.array([0.0, 1e-6, 1e-3, intersection._SERIES_S, 0.5, 2.0, 5.0, 9.35,
+_TABLE_S = np.array([0.0, 1e-6, 1e-3, 0.01, 0.5, 2.0, 5.0, 9.35,
                      20.0, intersection._S_MAX])
 
 
@@ -399,8 +399,30 @@ def test_the_table_matches_the_direct_node_sum(rung):
     got_x, got_y = intersection._rung_terms(_TABLE_S, *rule)
     assert np.allclose(got_x, want_x, rtol=0, atol=4e-15)
     assert np.allclose(got_y, want_y, rtol=0, atol=4e-15)
-    assert np.allclose(intersection._rung_gap(_TABLE_S, *rule), 2.0 - want_x - want_y,
-                       rtol=0, atol=4e-15)
+    gap = _TABLE_S * np.add(*intersection._rung_slopes(_TABLE_S, *rule))
+    assert np.allclose(gap, 2.0 - want_x - want_y, rtol=0, atol=4e-15)
+
+
+# s at which each rung's slopes are held to the direct sums: the smallest
+# subnormal, tiny s where 2 - fx - fy is mostly rounding, and on to _S_MAX
+_SLOPE_S = np.array([5e-324, 1e-300, 1e-12, 1e-6, 1e-3, 0.02, 9.35, intersection._S_MAX])
+
+
+@pytest.mark.parametrize("rung", [0, 1, 2])
+def test_the_slopes_match_the_direct_sums(rung):
+    """gx and gy, with 1 - fx = s*gx and 1 - fy = s*gy, equal the sums of
+    w*z*phi(s*z), phi(x) = -expm1(-x)/x, over the same nodes
+    (tests/thm2_direct.py) within 4e-15 relative at every rung, down to
+    the smallest subnormal s. Both are sums of positive terms, so the
+    bound is the rounding of the sums (at most 1.4e-15, at the third rung)
+    plus the table's truncation, at most
+    (h/2)*exp(s*h/2)*(s*h/2)**J/(J + 1)! = 7.6e-19 of a bin's weight at
+    s = _S_MAX."""
+    rule = intersection._LADDER[rung]
+    want_x, want_y = direct_slopes(_SLOPE_S, *rule)
+    got_x, got_y = intersection._rung_slopes(_SLOPE_S, *rule)
+    assert np.allclose(got_x, want_x, rtol=4e-15, atol=0)
+    assert np.allclose(got_y, want_y, rtol=4e-15, atol=0)
 
 
 def test_a_fresh_rung_2_build_stays_small():

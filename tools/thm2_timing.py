@@ -9,6 +9,8 @@ and times one call with ``time.perf_counter``:
 - ``repeat``: the same call again, after the first;
 - ``grid cold``: the 301-point grid ``0:3:0.01`` as the first call;
 - ``grid warm``: that grid after one one-point call;
+- ``two points``: t = 0.7 and 1.3 after one one-point call, warm,
+  the shape of the benchmark's ``thm2`` jobs;
 - ``rung 3``: the first call that needs the third rung, P11, t = 0.05,
   ``tol=1e-9``.
 
@@ -38,6 +40,7 @@ from linecox import ModelParams, cdf_one_turn_intersection
 from linecox.cli import parse_grid
 P11 = ModelParams(1.0, 1.0)
 GRID = parse_grid("0:3:0.01")
+TWO = np.array([0.7, 1.3])
 """
 # name -> (untimed warm-up statement, timed statement)
 MEASUREMENTS = {
@@ -45,6 +48,8 @@ MEASUREMENTS = {
     "repeat": ("cdf_one_turn_intersection(P11, 1.0)", "cdf_one_turn_intersection(P11, 1.0)"),
     "grid cold": ("", "cdf_one_turn_intersection(P11, GRID)"),
     "grid warm": ("cdf_one_turn_intersection(P11, 1.0)", "cdf_one_turn_intersection(P11, GRID)"),
+    "two points": ("cdf_one_turn_intersection(P11, 1.0)",
+                   "cdf_one_turn_intersection(P11, TWO)"),
     "rung 3": ("", "cdf_one_turn_intersection(P11, 0.05, tol=1e-9)"),
 }
 
