@@ -50,8 +50,8 @@ log = logging.getLogger(__name__)
 
 _PI = math.pi
 _HALF_PI = 0.5 * math.pi
-# theta_1 nodes built at once: a rung's (pair, theta_i, segment) rows are
-# taken in chunks of _CHUNK_NODES // n1 rows
+# theta_1 nodes built at once: a rung's (pair, theta_i) groups, two rows of
+# n1 nodes each, are taken in chunks of _CHUNK_NODES // (2*n1) groups
 _CHUNK_NODES = 2**15
 _S_MAX = np.finfo(float).max
 
@@ -64,8 +64,9 @@ def _ttilde(q, c, s, ni, n1):
     pair has two rows per theta_i node: the theta_1 segment from A to the
     pole or the kink, whichever comes first, and the one from the other
     to B. Between pole and kink q/den >= 1, so zeta == 0 there and that
-    segment adds its width to the unit mass pi - (B - A). The rows are
-    built in chunks of _CHUNK_NODES // n1, and each chunk serves every s.
+    segment adds its width to the unit mass pi - (B - A). The (pair,
+    theta_i) groups are built and summed in chunks of _CHUNK_NODES // (2*n1)
+    whole groups, and each chunk serves every s.
     """
     q, c, s = (np.asarray(a, dtype=float) for a in (q, c, s))
     # an s past the largest float acts as the largest: exp(-s*c*zeta) is 0
@@ -81,15 +82,11 @@ def _ttilde(q, c, s, ni, n1):
 
     acc = np.zeros((s.size, q.size))
     unit = np.zeros(q.size)
-    n_rows = 2 * ni * q.size
-    step = max(1, _CHUNK_NODES // n1)
-    # a chunk sums the rows [a, b) but builds whole (pair, theta_i) groups,
-    # so it may build one row more at either end
-    buf = np.empty((3, n1 * (min(step, n_rows) + 2)))
-    for a in range(0, n_rows, step):
-        b = min(a + step, n_rows)
-        rows = slice(a % 2, a % 2 + b - a)
-        pair, i = np.divmod(np.arange(a // 2, (b + 1) // 2), ni)
+    n_groups = ni * q.size
+    step = max(1, _CHUNK_NODES // (2 * n1))
+    buf = np.empty((3, 2 * n1 * min(step, n_groups)))
+    for a in range(0, n_groups, step):
+        pair, i = np.divmod(np.arange(a, min(a + step, n_groups)), ni)
         qr, cos_i, sin_i = q[pair], cos_ti[i], sin_ti[i]
         lower_half = i < ni // 2
         thr = _HALF_PI - np.arctan(  # arccot, mapped into (0, pi)
@@ -125,17 +122,15 @@ def _ttilde(q, c, s, ni, n1):
 
         local = pair - pair[0]
         span = slice(pair[0], pair[-1] + 1)
-        mass = tw[i] * (_PI - (B - A) + (s2 - s1))
-        mass[:a % 2] = 0.0  # that group's first row is in the chunk before
-        unit[span] += np.bincount(local, mass)
-        row_local = np.repeat(local, 2)[rows]
-        rw = (np.repeat(tw[i], 2) * width)[rows]
+        unit[span] += np.bincount(local, tw[i] * (_PI - (B - A) + (s2 - s1)))
+        row_local = np.repeat(local, 2)
+        rw = np.repeat(tw[i], 2) * width
         with np.errstate(over="ignore"):  # to -inf, whose exp is 0
             for k, sk in enumerate(s):
                 np.multiply(x, sk, out=g)
                 np.exp(g, out=g)
                 g *= swt
-                acc[k, span] += np.bincount(row_local, g.sum(axis=0)[rows] * rw)
+                acc[k, span] += np.bincount(row_local, g.sum(axis=0) * rw)
     return (acc + unit) * _PI / _PI**2
 
 

@@ -102,6 +102,16 @@ def _check_int(x, name: str) -> int:
     raise NotAnInteger(f"{name} must be an integer, got {x!r}")
 
 
+def _check_flag(x, name: str) -> bool:
+    """The one flag check: ``x`` as a bool. A bool or numpy.bool_ serves,
+    and so does an integer 0 or 1; anything else, such as "no", raises
+    InputError naming ``name`` rather than reading as its truth value."""
+    if isinstance(x, (bool, np.bool_)) or (isinstance(x, numbers.Integral)
+                                           and x in (0, 1)):
+        return bool(x)
+    raise InputError(f"{name} must be a bool, got {x!r}")
+
+
 def _check_record(value, kind: type, name: str) -> None:
     """The one record check: InputError naming the argument ``name`` unless
     ``value`` is a ``kind``, so that a string in place of a record does not
@@ -244,8 +254,9 @@ class TurnPolicy:
     ZERO_TURN fixes k = 0 with lower-turn paths, ONE_TURN k = 1 and
     TWO_TURN_DIRECTED k = 2 with the first hop directed. K_TURN's k goes
     through ``_check_int``, so 2.7 or True raises NotAnInteger, and a
-    negative k then raises PolicyBudgetNegative; k is stored as an int, the
-    flags as bools.
+    negative k then raises PolicyBudgetNegative; k is stored as an int. The
+    flags go through ``_check_flag``, whatever the kind, and are stored as
+    bools.
     """
 
     kind: PolicyKind
@@ -255,8 +266,9 @@ class TurnPolicy:
 
     def __post_init__(self):
         kind = _member(PolicyKind, self.kind, "kind")
-        k, lower = self.k, self.include_lower_turn_paths
-        directed = self.first_hop_positive_x
+        k = self.k
+        lower = _check_flag(self.include_lower_turn_paths, "include_lower_turn_paths")
+        directed = _check_flag(self.first_hop_positive_x, "first_hop_positive_x")
         if kind is PolicyKind.ZERO_TURN:
             k, lower = 0, True
         elif kind is PolicyKind.ONE_TURN:
@@ -267,8 +279,8 @@ class TurnPolicy:
         if k < 0:
             raise PolicyBudgetNegative(f"turn budget must be >= 0, got {k}")
         for name, value in (("kind", kind), ("k", k),
-                            ("include_lower_turn_paths", bool(lower)),
-                            ("first_hop_positive_x", bool(directed))):
+                            ("include_lower_turn_paths", lower),
+                            ("first_hop_positive_x", directed)):
             object.__setattr__(self, name, value)
 
     @staticmethod
@@ -299,7 +311,8 @@ class DistributionCurve:
 
     ``ci_halfwidth`` is zero for analytic curves and a simultaneous
     (DKW style) half width for empirical ones. ``meta`` is a JSON friendly
-    dict describing how the curve was produced.
+    dict describing how the curve was produced; anything but a dict raises
+    InputError.
     """
 
     grid: np.ndarray
@@ -308,6 +321,7 @@ class DistributionCurve:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        _check_record(self.meta, dict, "meta")
         g, v, h = (_as_floats(a, "grid, values and ci_halfwidth must hold real numbers")
                    for a in (self.grid, self.values, self.ci_halfwidth))
         if h.ndim == 0:
@@ -330,19 +344,26 @@ class DistributionCurve:
 def rescale(curve: DistributionCurve, c: float) -> DistributionCurve:
     """Rescale lengths by c: the curve of D under (lam, mu) becomes the curve
     of c*D, which is exactly the curve of D under (lam/c, mu/c). Values and
-    half widths are untouched; grid and metadata params are mapped."""
+    half widths are untouched; grid and metadata params are mapped, and a
+    mapped field that is not a finite real number raises InputError."""
     _check_record(curve, DistributionCurve, "curve")
     if not _finite_real(c) or c <= 0:
         raise NonPositiveScale(f"scale must be finite and > 0, got {c!r}")
     c = float(c)
+
+    def number(value, name):
+        if not _finite_real(value):
+            raise InputError(f"meta field {name} must be a finite real number, "
+                             f"got {value!r}")
+        return value
+
     meta = dict(curve.meta)
     params = meta.get("params")
     if isinstance(params, dict):
         mapped = dict(params)
-        if "lambda" in mapped:
-            mapped["lambda"] = mapped["lambda"] / c
-        if "mu" in mapped:
-            mapped["mu"] = mapped["mu"] / c
+        for name in ("lambda", "mu"):
+            if name in mapped:
+                mapped[name] = number(mapped[name], f"params.{name}") / c
         meta["params"] = mapped
-    meta["rescaled_by"] = meta.get("rescaled_by", 1.0) * c
+    meta["rescaled_by"] = number(meta.get("rescaled_by", 1.0), "rescaled_by") * c
     return DistributionCurve(curve.grid * c, curve.values, curve.ci_halfwidth, meta)

@@ -16,7 +16,10 @@ Conventions (shared with the oracle):
   crossing as nan, which every consumer skips.
 * Conditioning is by explicit construction: TYPICAL_POINT adds the x-axis
   through the origin, TYPICAL_INTERSECTION adds the x-axis plus a second
-  origin line at a random angle. Every line, added or background, carries
+  origin line at a random angle, kept as drawn like a background angle:
+  the two origin lines cross at the start point, where a path may start
+  on either line without a turn, so a nan crossing there loses no shortest
+  path. Every line, added or background, carries
   an independent Poisson(mu per unit length) point process on its chord;
   the origin itself is not a point of the process.
 
@@ -172,16 +175,11 @@ def _pair_arcs(trig, offsets, ii, jj):
 def _draw_origin_angles(rng, scenario: PalmScenario):
     if scenario.kind is PalmKind.TYPICAL_POINT:
         return (0.0,)
-    for _ in range(100):
-        # uniform(0, pi) is 0.0 + pi * U, and adding 0.0 to pi * U >= 0
-        # changes no bit
-        if scenario.angle_law is AngleLaw.UNIFORM:
-            theta = _PI * rng.random()
-        else:
-            theta = math.acos(1.0 - 2.0 * rng.random())
-        if _MIN_ANGLE_GAP < theta < _PI - _MIN_ANGLE_GAP:
-            return (0.0, theta)
-    raise RuntimeError("could not draw a non-degenerate intersection angle")
+    # uniform(0, pi) is 0.0 + pi * U, and adding 0.0 to pi * U >= 0 changes
+    # no bit
+    if scenario.angle_law is AngleLaw.UNIFORM:
+        return (0.0, _PI * rng.random())
+    return (0.0, math.acos(1.0 - 2.0 * rng.random()))
 
 
 # one bit generator per thread, reused by every _TrialDraws: building one
@@ -301,8 +299,14 @@ class ChunkSample:
 
     def realization(self, t: int) -> Realization:
         """Trial t as a Realization, a view of this chunk, for inspecting
-        one trial or searching it with ``shortest_path``."""
-        return Realization(self, range(self.n_trials)[t])
+        one trial or searching it with ``shortest_path``. t goes through
+        ``_check_int`` and counts from the end when negative, as a list
+        index does; past either end it raises InputError."""
+        t = _check_int(t, "t")
+        n = self.n_trials
+        if not -n <= t < n:
+            raise InputError(f"trial index {t} is out of range for a chunk of {n} trials")
+        return Realization(self, t % n)
 
 
 def _expected_lines(params, scenario, clip_radius) -> float:

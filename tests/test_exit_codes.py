@@ -169,6 +169,19 @@ _BAD_CALLS = {
         sample_palm(_MODEL, typical_point(), 1.0, 1), "one-turn", 1.0),
     "compare curve": lambda: compare("x", DistributionCurve([0.0, 1.0], [0.0, 1.0], 0.0)),
     "rescale curve": lambda: rescale("x", 2.0),
+    "policy flag text": lambda: TurnPolicy.k_turn(2, "no"),
+    "policy flag int": lambda: TurnPolicy.k_turn(2, first_hop_positive_x=2),
+    "curve meta": lambda: DistributionCurve([0.0, 1.0], [0.0, 1.0], 0.0, meta="x"),
+    "rescale meta field": lambda: rescale(
+        DistributionCurve([0.0, 1.0], [0.0, 1.0], 0.0, meta={"rescaled_by": "x"}), 2.0),
+    "rescale meta params": lambda: rescale(
+        DistributionCurve([0.0, 1.0], [0.0, 1.0], 0.0, meta={"params": {"mu": None}}), 2.0),
+    "realization text": lambda: sample_chunk(
+        _MODEL, typical_point(), 1.0, 1, 0, 1).realization("a"),
+    "realization range": lambda: sample_chunk(
+        _MODEL, typical_point(), 1.0, 1, 0, 1).realization(5),
+    "realization bool": lambda: sample_chunk(
+        _MODEL, typical_point(), 1.0, 1, 0, 1).realization(True),
 }
 
 

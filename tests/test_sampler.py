@@ -154,6 +154,14 @@ def test_sampled_arcs_are_sorted_and_read_only():
         assert np.all(np.diff(arcs) >= 0)
 
 
+def test_realization_takes_integral_and_negative_indices():
+    chunk = sample_chunk(ModelParams(1.0, 1.0), typical_point(), 1.0, 1, 0, 3)
+    assert [chunk.realization(t).trial for t in (0, -1, -3, np.int64(1), 2.0)] == [
+        0, 2, 0, 1, 2]
+    with pytest.raises(InputError, match="3 trials"):
+        chunk.realization(-4)
+
+
 def test_dense_inputs_are_rejected_before_drawing():
     """Above the cap on expected lines per trial every entry point raises
     before it draws; just below the cap the inputs are accepted."""

@@ -274,7 +274,7 @@ def test_chunking_does_not_change_the_kernel(monkeypatch):
         monkeypatch.setattr(twoturn, "_CHUNK_NODES", n1 * step)
         got = twoturn._ttilde(q, c, s, ni, n1)
         assert np.allclose(got, ref, rtol=0, atol=1e-13)
-    # one row per chunk, on a few pairs, u == w among them
+    # one (pair, theta_i) group per chunk, on a few pairs, u == w among them
     monkeypatch.setattr(twoturn, "_CHUNK_NODES", n1)
     few = [0, 7, 211, 399]
     qf, cf = np.append(q[few], 0.0), np.append(c[few], 0.4)

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time the one-turn intersection curve (``thm2``) in fresh interpreters.
+"""Time the one-turn intersection curve (``thm2``) and the two-turn bound
+(``thm3``) in fresh interpreters.
 
 Each measurement starts a new Python process, imports linecox (untimed)
 and times one call with ``time.perf_counter``:
@@ -12,7 +13,12 @@ and times one call with ``time.perf_counter``:
 - ``two points``: t = 0.7 and 1.3 after one one-point call, warm,
   the shape of the benchmark's ``thm2`` jobs;
 - ``rung 3``: the first call that needs the third rung, P11, t = 0.05,
-  ``tol=1e-9``.
+  ``tol=1e-9``;
+- ``thm3 point``: the two-turn bound ``cdf_two_turn_bound`` at P11, t = 1,
+  after one one-point ``thm2`` call, the shape of the benchmark's ``thm3``
+  jobs;
+- ``thm3 grid``: the bound on the 61-point grid ``0:3:0.05``, after the
+  same warm-up.
 
 Each source tree given with ``--src`` runs every measurement once per
 round, in turn, over ``--runs`` rounds, so that drift in the machine's
@@ -36,11 +42,12 @@ from pathlib import Path
 SETUP = """
 import time
 import numpy as np
-from linecox import ModelParams, cdf_one_turn_intersection
+from linecox import ModelParams, cdf_one_turn_intersection, cdf_two_turn_bound
 from linecox.cli import parse_grid
 P11 = ModelParams(1.0, 1.0)
 GRID = parse_grid("0:3:0.01")
 TWO = np.array([0.7, 1.3])
+GRID61 = parse_grid("0:3:0.05")
 """
 # name -> (untimed warm-up statement, timed statement)
 MEASUREMENTS = {
@@ -51,6 +58,8 @@ MEASUREMENTS = {
     "two points": ("cdf_one_turn_intersection(P11, 1.0)",
                    "cdf_one_turn_intersection(P11, TWO)"),
     "rung 3": ("", "cdf_one_turn_intersection(P11, 0.05, tol=1e-9)"),
+    "thm3 point": ("cdf_one_turn_intersection(P11, 1.0)", "cdf_two_turn_bound(P11, 1.0)"),
+    "thm3 grid": ("cdf_one_turn_intersection(P11, 1.0)", "cdf_two_turn_bound(P11, GRID61)"),
 }
 
 
