@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import DomainError, InputError
-from ..model import ModelParams, _check_record, _check_t
+from ..model import ModelParams, _check_flag, _check_record, _check_t
 from ..quadrature import check_tol, gauss_legendre, settle_ladder
 from .closed_forms import _rate_times, _ret_err
 
@@ -392,12 +392,13 @@ def cdf_one_turn_intersection(params: ModelParams, t, *, tol: float = 1e-6,
     exact zero-turn form 1 - exp(-4*mu*t). F lies between that form and
     1, so where the form rounds to 1, F is 1 and no rung runs; that covers
     every t at which mu*t overflows, and every rung runs at mu*t below
-    9.4. ``with_err`` additionally returns the last ladder increment as
-    the error estimate.
+    9.4. ``with_err``, a flag (``model._check_flag``), additionally
+    returns the last ladder increment as the error estimate.
     """
     arr = _check_t(t)
     check_tol(tol)
     _check_record(params, ModelParams, "params")
+    with_err = _check_flag(with_err, "with_err")
     lam, mu = params.lam, params.mu
     zero_turn = -np.expm1(-_rate_times(4.0 * mu, arr))
     if lam == 0.0:

@@ -18,9 +18,15 @@ signed entry offset y = (u - w) / (cos(theta_i) - sin(theta_i)*cot(theta_1)).
 The angle integrand is only piecewise smooth: per theta_i row it jumps at
 theta_1 = theta_i (y flips sign through infinity), kinks where the clamp
 activates, and cuts off at the reachability threshold. The evaluator splits
-every row at those three abscissae and applies Gauss-Legendre per piece, so
-the tensor rule converges fast; plain Riemann sums over the same integrand
-are used as the cross-check oracle in the tests.
+every row at those three abscissae and applies a Gauss-Legendre rule per
+piece, graded toward both ends of the piece by x**2*(3 - 2*x). Next to the
+pole exp(-mu*z) rises as exp(-m*q/|den|), over a width of order m*q, and
+next to the kink it falls over a width of order 1/m (m and q below); a
+plain rule resolves neither layer and converges only algebraically, the
+graded one does. The theta_i rule is graded the same way, for the layer of
+width of order q that the threshold has at the ends of the theta_i range.
+Plain Riemann sums over the same integrand are the cross-check oracle in
+the tests.
 
 Ttilde depends on (w, u, t, mu) only through q = (u - w)/(t - w) and
 m = mu*(t - w): the thresholds depend on q alone and mu*z = m*zeta with
@@ -40,8 +46,8 @@ import math
 import numpy as np
 
 from ..errors import DomainError
-from ..model import ModelParams, _check_record, _check_t, _finite_real
-from ..quadrature import check_tol, gauss_legendre, settle_ladder
+from ..model import ModelParams, _check_flag, _check_record, _check_t, _finite_real
+from ..quadrature import _graded_legendre, check_tol, gauss_legendre, settle_ladder
 from .closed_forms import _rate_times, _ret_err
 
 __all__ = ["two_turn_T", "cdf_two_turn_bound"]
@@ -64,9 +70,11 @@ def _ttilde(q, c, s, ni, n1):
     pair has two rows per theta_i node: the theta_1 segment from A to the
     pole or the kink, whichever comes first, and the one from the other
     to B. Between pole and kink q/den >= 1, so zeta == 0 there and that
-    segment adds its width to the unit mass pi - (B - A). The (pair,
-    theta_i) groups are built and summed in chunks of _CHUNK_NODES // (2*n1)
-    whole groups, and each chunk serves every s.
+    segment adds its width to the unit mass pi - (B - A). The theta_i
+    halves and the theta_1 segments take the graded rule of
+    ``_graded_legendre``. The (pair, theta_i) groups are built and summed
+    in chunks of _CHUNK_NODES // (2*n1) whole groups, and each chunk
+    serves every s.
     """
     q, c, s = (np.asarray(a, dtype=float) for a in (q, c, s))
     # an s past the largest float acts as the largest: exp(-s*c*zeta) is 0
@@ -74,8 +82,8 @@ def _ttilde(q, c, s, ni, n1):
     s = np.minimum(s, _S_MAX)
     # the theta_i rule is applied per half because the threshold formula
     # switches branch at pi/2 and a rule across the switch converges slowly
-    tg, tw_half = gauss_legendre(ni // 2)
-    sg, swt = (col[:, None] for col in gauss_legendre(n1))  # (n1, 1)
+    tg, tw_half = _graded_legendre(ni // 2)
+    sg, swt = (col[:, None] for col in _graded_legendre(n1))  # (n1, 1)
     ti = np.concatenate([_HALF_PI * tg, _HALF_PI + _HALF_PI * tg])
     tw = np.concatenate([tw_half, tw_half]) * 0.5
     cos_ti, sin_ti = np.cos(ti), np.sin(ti)
@@ -149,12 +157,11 @@ def _bound_rung(lam, mu, t, nu, nw, ni, n1):
     return out
 
 
-# the last rungs are only reached near w = u = t corners, where the
-# threshold develops a boundary layer of width (u-w)/(t-w) at the ends
-# of the theta_i range
-_T_LADDER = ((96, 16), (192, 32), (384, 64), (768, 128), (1536, 256),
-             (3072, 512))
-_B_LADDER = ((20, 20, 64, 16), (32, 32, 96, 24), (48, 48, 128, 32))
+# the last rungs are only reached near the corners, where a layer thins
+# out: at w -> t the theta_1 layer next to the pole (width m*q), at u -> w
+# the theta_i layer (width q)
+_T_LADDER = ((64, 16), (128, 32), (256, 64), (512, 128), (1024, 256))
+_B_LADDER = ((8, 8, 16, 12), (12, 12, 20, 16), (20, 20, 32, 24))
 
 
 def two_turn_T(w: float, u: float, t: float, params: ModelParams,
@@ -190,12 +197,13 @@ def cdf_two_turn_bound(params: ModelParams, t, tol: float = 1e-5,
     Scalar or array t. Resolution ladder as in the one-turn intersection
     evaluator; QuadratureFailure when three levels cannot agree to tol.
     All points of a call share each rung's geometry. B(0) = 0 and lam = 0
-    gives identically 0 (no streets to turn onto). ``with_err``
-    additionally returns the last ladder increment.
+    gives identically 0 (no streets to turn onto). ``with_err``, a flag
+    (``model._check_flag``), additionally returns the last ladder increment.
     """
     arr = _check_t(t)
     check_tol(tol)
     _check_record(params, ModelParams, "params")
+    with_err = _check_flag(with_err, "with_err")
     lam, mu = params.lam, params.mu
 
     def rung(r, tv):

@@ -8,6 +8,7 @@ evaluators are cross-checked against plain Riemann sums in the tests.
 
 from __future__ import annotations
 
+import functools
 import numbers
 import time
 
@@ -22,12 +23,19 @@ from .model import _check_int
 __all__ = ["gauss_legendre"]
 
 
+# the largest order gauss_legendre builds: leggauss takes the eigenvalues of
+# an n-by-n matrix, 8 MB at this cap; every ladder's orders lie below it
+MAX_QUADRATURE_ORDER = 1024
+
+
 def gauss_legendre(n: int):
-    """Nodes and weights of the n-point rule on [0, 1], n >= 1; cached. The
-    fixed tensor rules in linecox.analytic are built from these."""
+    """Nodes and weights of the n-point rule on [0, 1], 1 <= n <=
+    ``MAX_QUADRATURE_ORDER``; cached. The fixed tensor rules in
+    linecox.analytic are built from these."""
     n = _check_int(n, "quadrature order")
-    if n < 1:
-        raise InputError(f"quadrature order must be >= 1, got {n}")
+    if not 1 <= n <= MAX_QUADRATURE_ORDER:
+        raise InputError(f"quadrature order must be in [1, {MAX_QUADRATURE_ORDER}], "
+                         f"got {n}")
     nodes, weights = _GL_CACHE.get(n, (None, None))
     if nodes is None:
         x, w = leggauss(n)
@@ -40,6 +48,19 @@ def gauss_legendre(n: int):
 
 
 _GL_CACHE: dict = {}
+
+
+@functools.cache
+def _graded_legendre(n: int):
+    """The n-point rule on [0, 1] under the map g(x) = x**2*(3 - 2*x): nodes
+    g(x) and weights w*g'(x) = 6*w*x*(1 - x); cached, read-only. g'
+    vanishes at both ends, so the nodes crowd there, where a segment's
+    integrand has a boundary layer."""
+    x, w = gauss_legendre(n)
+    nodes, weights = x * x * (3.0 - 2.0 * x), 6.0 * w * x * (1.0 - x)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def check_tol(tol) -> None:

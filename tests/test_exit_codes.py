@@ -55,7 +55,7 @@ from linecox import (
 )
 from linecox.cli import EXIT_CONFIG, EXIT_OK, EXIT_QUADRATURE, EXIT_RUNTIME, main
 from linecox.model import Line
-from linecox.quadrature import check_tol
+from linecox.quadrature import MAX_QUADRATURE_ORDER, check_tol
 from realizations import one_trial
 
 _FAMILY = sorted((cls for cls in vars(errors).values()
@@ -136,6 +136,10 @@ _BAD_CALLS = {
     "gauss order 0": lambda: gauss_legendre(0),
     "gauss order -1": lambda: gauss_legendre(-1),
     "gauss order 1.5": lambda: gauss_legendre(1.5),
+    "gauss order huge": lambda: gauss_legendre(2**70),
+    "gauss order past cap": lambda: gauss_legendre(MAX_QUADRATURE_ORDER + 1),
+    "thm2 with_err text": lambda: cdf_one_turn_intersection(_MODEL, 0.5, with_err="x"),
+    "bound with_err text": lambda: cdf_two_turn_bound(_MODEL, 0.5, with_err="x"),
     "t complex array": lambda: cdf_one_turn_point(_MODEL, np.array([0.5 + 1j])),
     "t huge int": lambda: cdf_one_turn_point(_MODEL, 10**400),
     "curve complex": lambda: DistributionCurve(np.array([0.5 + 1j]), [0.1], [0.0]),

@@ -3,14 +3,17 @@ import logging
 import numpy as np
 import pytest
 
-from linecox import ModelParams, QuadratureFailure, gauss_legendre
+from linecox import InputError, ModelParams, QuadratureFailure, gauss_legendre
+from linecox import quadrature
 from linecox.analytic import (
     cdf_one_turn_intersection,
     cdf_two_turn_bound,
+    intersection,
     one_turn_intersection_terms,
     two_turn_T,
+    twoturn,
 )
-from linecox.quadrature import settle_ladder
+from linecox.quadrature import MAX_QUADRATURE_ORDER, _graded_legendre, settle_ladder
 
 _LOG = logging.getLogger("linecox.test")
 
@@ -34,6 +37,35 @@ def test_polynomial_and_trig():
     assert abs((w * x * x).sum() - 1.0 / 3.0) < 1e-15
     x, w = gauss_legendre(12)
     assert abs(np.pi * (w * np.sin(np.pi * x)).sum() - 2.0) < 1e-12
+
+
+def test_graded_rule():
+    # g(x) = x**2*(3 - 2*x) maps [0, 1] onto itself, so the weights still sum
+    # to 1; the integrand y = g(x) times g'(x) has degree 5, so the 4-point
+    # rule integrates it exactly
+    x, w = _graded_legendre(4)
+    assert abs(w.sum() - 1.0) < 1e-14
+    assert abs((w * x).sum() - 0.5) < 1e-14
+    assert np.all(np.diff(x) > 0) and 0.0 < x[0] and x[-1] < 1.0
+    assert _graded_legendre(4)[0] is x
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+
+
+def test_order_cap_is_above_every_ladder_and_allocates_nothing(monkeypatch):
+    orders = [n for rung in intersection._LADDER for n in rung]
+    orders += [n for ni, n1 in twoturn._T_LADDER for n in (ni // 2, n1)]
+    orders += [n for nu, nw, ni, n1 in twoturn._B_LADDER for n in (nu, nw, ni // 2, n1)]
+    assert max(orders) <= MAX_QUADRATURE_ORDER
+
+    # an order past the cap is refused before leggauss builds anything
+    def no_build(n):
+        raise AssertionError(f"leggauss({n}) called")
+
+    monkeypatch.setattr(quadrature, "leggauss", no_build)
+    for n in (MAX_QUADRATURE_ORDER + 1, 2**70):
+        with pytest.raises(InputError, match="quadrature order must be in"):
+            gauss_legendre(n)
 
 
 def test_budget_exhausted_carries_partial_result():

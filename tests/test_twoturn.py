@@ -21,7 +21,7 @@ from linecox import (
     typical_point,
 )
 from linecox.analytic import twoturn
-from linecox.quadrature import gauss_legendre
+from linecox.quadrature import _graded_legendre, gauss_legendre
 from realizations import sample_D
 
 DATA = pathlib.Path(__file__).parent / "data" / "riemann_oracle.json"
@@ -99,10 +99,9 @@ def test_kernel_validation():
 
 
 def test_kernel_ladder_values_and_failure():
-    # values recorded from the kernel's own ladder loop, which the shared
-    # settle driver replaced
-    assert two_turn_T(0.2, 0.6, 1.0, P11) == 0.6256633529159507
-    assert two_turn_T(0.2, 0.6, 1.0, P11, tol=1e-9) == 0.625663359092723
+    # values recorded from the graded ladder; they must not move by one bit
+    assert two_turn_T(0.2, 0.6, 1.0, P11) == 0.6256633590775856
+    assert two_turn_T(0.2, 0.6, 1.0, P11, tol=1e-9) == 0.6256633591175594
     # no two rungs agree to 1e-300: the failure carries the last rung's
     # value and its increment over the rung before
     with pytest.raises(QuadratureFailure) as exc:
@@ -111,7 +110,7 @@ def test_kernel_ladder_values_and_failure():
     q, c = [(0.6 - 0.2) / (1.0 - 0.2)], [1.0 - 0.2]
     last, before = (float(twoturn._ttilde(q, c, [1.0], *twoturn._T_LADDER[r])[0, 0])
                     for r in (-1, -2))
-    assert exc.value.value == last == 0.6256633591160439
+    assert exc.value.value == last == 0.6256633591176085
     assert exc.value.error_estimate == abs(last - before) > 0.0
 
 
@@ -155,30 +154,31 @@ def test_bound_sits_above_small_mc():
 
 
 def test_bound_values_and_log_line(caplog):
-    # values and increments recorded from the per-point ladder loop that
-    # the shared settle driver replaced; they must not move by one bit
+    # values and increments recorded from the graded ladder; they must not
+    # move by one bit
     with caplog.at_level(logging.INFO, logger="linecox"):
         vals, errs = cdf_two_turn_bound(P11, np.array([0.0, 0.3, 1.2]),
                                         with_err=True)
-    assert vals.tolist() == [0.0, 0.29261020049469905, 0.8360441967712434]
-    assert errs.tolist() == [0.0, 3.254531102947489e-07, 7.815305069769352e-09]
+    assert vals.tolist() == [0.0, 0.2926102945307686, 0.8360442114108284]
+    assert errs.tolist() == [0.0, 1.9779585191948e-08, 1.5644413475790486e-07]
     lines = [r.getMessage() for r in caplog.records
              if r.name == "linecox.analytic.twoturn"]
     assert len(lines) == 1
     assert lines[0].startswith("two-turn bound: 2 points, settled per rung 2:")
-    assert "largest increment 3.25e-07" in lines[0]
+    assert "largest increment 1.56e-07" in lines[0]
 
 
 # Reference for ``twoturn._ttilde``: the kernel evaluated per u node, in
 # (t, mu) rather than (q, m), with cos and sin of every theta_1 node and
-# every segment integrated, the one between pole and kink too.
+# every segment integrated, the one between pole and kink too. It takes
+# the kernel's graded theta_i and theta_1 rules.
 def _ttilde_vec(w, u, t, mu, ni, n1):
     w = np.atleast_1d(np.asarray(w, dtype=float))
     left = t - w
     safe = left > 0.0
     q = np.where(safe, (u - w) / np.where(safe, left, 1.0), 0.0)[:, None]
-    tg, tw_half = gauss_legendre(ni // 2)
-    sg, swt = gauss_legendre(n1)
+    tg, tw_half = _graded_legendre(ni // 2)
+    sg, swt = _graded_legendre(n1)
     ti = np.concatenate([math.pi / 2 * tg, math.pi / 2 + math.pi / 2 * tg])
     tw = np.concatenate([tw_half, tw_half]) * 0.5
     cos_i, sin_i = np.cos(ti), np.sin(ti)
@@ -238,14 +238,61 @@ def test_every_bound_rung_matches_the_per_u_reference(rung):
             assert np.allclose(got, row, rtol=0, atol=1e-13), (lam, mu, ts)
 
 
-@pytest.mark.parametrize("w, u, t, mu", [
+# Each _B_LADDER rung is held to a graded rule of higher order in every
+# dimension, at 4 lams x 3 mus x 3 t = 36 points. The reference lies within
+# 1.4e-9 of the graded (64, 64, 128, 64) rule at these points; the plain
+# rule with 64 theta_1 nodes misses it by up to 9.3e-8, at mu*t = 0.01,
+# where the boundary layers next to the pole are thinnest.
+_LADDER_LAMS = (0.3, 1.0, 2.5, 8.0)
+_LADDER_POINTS = {0.2: (0.05, 1.0, 3.0), 1.0: (0.05, 1.0, 3.0), 3.0: (0.05, 1.0, 3.0)}
+_LADDER_REF = (32, 32, 48, 32)
+_RUNG_BOUNDS = (1e-6, 2e-7, 3e-8)
+
+
+def test_every_bound_rung_is_within_its_bound_of_a_graded_reference(monkeypatch):
+    ts = {mu: np.array(t) for mu, t in _LADDER_POINTS.items()}
+    ref = {(lam, mu): twoturn._bound_rung(lam, mu, t, *_LADDER_REF)
+           for lam in _LADDER_LAMS for mu, t in ts.items()}
+    for spec, bound in zip(twoturn._B_LADDER, _RUNG_BOUNDS, strict=True):
+        worst = max(np.abs(twoturn._bound_rung(lam, mu, ts[mu], *spec) - want).max()
+                    for (lam, mu), want in ref.items())
+        assert worst <= bound, (spec, worst)
+    # the same reference against the plain rule with 64 theta_1 nodes
+    monkeypatch.setattr(twoturn, "_graded_legendre", gauss_legendre)
+    for lam in (1.0, 8.0):
+        plain = twoturn._bound_rung(lam, 0.2, ts[0.2], 32, 32, 64, 64)
+        assert np.abs(plain - ref[lam, 0.2]).max() <= 2e-7, (lam, plain)
+
+
+_KERNEL_CASES = [
     (0.3, 0.3, 1.0, 1.0),         # w == u
     (0.0, 0.0, 1.0, 2.0),
     (0.2, 1.0, 1.0, 0.7),         # u == t
     (0.25, 0.8, 1.2, 0.7),
     (0.999, 1.0, 1.0, 3.0),       # w -> t
     (1.0 - 1e-9, 1.0, 1.0, 1.0),
-])
+]
+# largest miss of each _T_LADDER rung against the graded (2048, 512) rule
+# over _KERNEL_CASES; the w -> t corner sets the first three
+_T_RUNG_BOUNDS = (5e-6, 1e-6, 3e-9, 1e-9, 1e-9)
+
+
+def test_every_kernel_rung_is_within_its_bound_of_a_graded_reference(monkeypatch):
+    def kernel(case, ni, n1):
+        w, u, t, mu = case
+        return float(twoturn._ttilde([(u - w) / (t - w)], [t - w], [mu], ni, n1)[0, 0])
+
+    ref = [kernel(case, 2048, 512) for case in _KERNEL_CASES]
+    for spec, bound in zip(twoturn._T_LADDER, _T_RUNG_BOUNDS, strict=True):
+        worst = max(abs(kernel(case, *spec) - want) for case, want in zip(_KERNEL_CASES, ref))
+        assert worst <= bound, (spec, worst)
+    # the plain rule of the same order agrees to 1.6e-9, at w = 1 - 1e-9
+    monkeypatch.setattr(twoturn, "_graded_legendre", gauss_legendre)
+    for case, want in zip(_KERNEL_CASES, ref):
+        assert kernel(case, 2048, 512) == pytest.approx(want, abs=3e-9, rel=0), case
+
+
+@pytest.mark.parametrize("w, u, t, mu", _KERNEL_CASES)
 def test_every_kernel_rung_matches_the_per_u_reference(w, u, t, mu):
     for ni, n1 in twoturn._T_LADDER:
         want = float(_ttilde_vec([w], u, t, mu, ni, n1)[0])

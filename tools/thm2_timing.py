@@ -18,7 +18,9 @@ and times one call with ``time.perf_counter``:
   after one one-point ``thm2`` call, the shape of the benchmark's ``thm3``
   jobs;
 - ``thm3 grid``: the bound on the 61-point grid ``0:3:0.05``, after the
-  same warm-up.
+  same warm-up;
+- ``T corner``: the kernel ``two_turn_T(0.999, 1, 1)`` at mu = 3, next to
+  the w = t corner, as the first call.
 
 Each source tree given with ``--src`` runs every measurement once per
 round, in turn, over ``--runs`` rounds, so that drift in the machine's
@@ -42,7 +44,7 @@ from pathlib import Path
 SETUP = """
 import time
 import numpy as np
-from linecox import ModelParams, cdf_one_turn_intersection, cdf_two_turn_bound
+from linecox import ModelParams, cdf_one_turn_intersection, cdf_two_turn_bound, two_turn_T
 from linecox.cli import parse_grid
 P11 = ModelParams(1.0, 1.0)
 GRID = parse_grid("0:3:0.01")
@@ -60,6 +62,7 @@ MEASUREMENTS = {
     "rung 3": ("", "cdf_one_turn_intersection(P11, 0.05, tol=1e-9)"),
     "thm3 point": ("cdf_one_turn_intersection(P11, 1.0)", "cdf_two_turn_bound(P11, 1.0)"),
     "thm3 grid": ("cdf_one_turn_intersection(P11, 1.0)", "cdf_two_turn_bound(P11, GRID61)"),
+    "T corner": ("", "two_turn_T(0.999, 1.0, 1.0, ModelParams(1.0, 3.0))"),
 }
 
 
