@@ -38,6 +38,7 @@ and it is the only one that passes the acceptance gate.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from typing import NamedTuple
@@ -65,20 +66,19 @@ _PI = math.pi
 
 def _thresholds(xr, sin_w, cos_w):
     """The four regime breakpoints at unit reach: xr = x/t in (0, 1], and
-    sin_w, cos_w of the crossing angle omega, all of one shape. The
-    thresholds depend on x and t only through x/t, so one call serves every
-    reach.
+    sin_w, cos_w of the crossing angle omega in (0, pi), all of one shape.
+    The thresholds depend on x and t only through x/t, so one call serves
+    every reach.
 
     Returns (outer_lo, win_lo, win_hi, outer_hi): the outer regime covers
-    [0, outer_lo] and [outer_hi, pi], the window [win_lo, win_hi]. The two
-    window arctans are sorted because their printed order flips once
-    t*cos(omega) < x. The arccos arguments lie in [-1, 1] up to rounding,
+    [0, outer_lo] and [outer_hi, pi], the window [win_lo, win_hi]. Both
+    outer_lo and win_lo lie below omega, and win_hi and outer_hi above
+    (docs/formulas.md, thm2, "Orderings"), so no segment off the window
+    reaches omega. The arccos arguments lie in [-1, 1] up to rounding,
     which the clip takes up.
     """
-    win_a = np.arctan2(sin_w, cos_w - xr) % _PI
-    win_b = np.arctan2(sin_w, cos_w + xr) % _PI
-    win_lo = np.minimum(win_a, win_b)
-    win_hi = np.maximum(win_a, win_b)
+    win_lo = np.arctan2(sin_w, cos_w + xr)
+    win_hi = np.arctan2(sin_w, cos_w - xr)
 
     rho = (2.0 - xr) / xr
     r2 = rho * rho + 1.0
@@ -98,14 +98,14 @@ _FOLD_TOL = 1e-12
 
 
 def _coefficients(xr, sin_w, cos_w, regime):
-    """(c, p, q) of ``_zeta`` in one regime, per row; q is None in the
-    outer regime, where d = 0."""
+    """(c, p, q) of ``_zeta`` in one regime, per row; q = 0 in the outer
+    regime, where d = 0."""
     a0, a1, a2, b, d = regime
     xs = xr * sin_w
-    return a0 - xr * (a1 + a2 * cos_w), b * xs, (d * xs if d else None)
+    return a0 - xr * (a1 + a2 * cos_w), b * xs, d * xs
 
 
-def _zeta(v, c, p, q=None, out=None, scratch=None):
+def _zeta(v, c, p, q, out=None, scratch=None):
     """Z/t off the window before the clip, in the half gap
     v = tan((omega1 - omega)/2).
 
@@ -119,45 +119,39 @@ def _zeta(v, c, p, q=None, out=None, scratch=None):
         c = a0 - xr*(a1 + a2*cos_w),  p = b*xr*sin_w,  q = d*xr*sin_w
 
     with (a0, a1, a2, b, d) = (2, 1, 1, 1, 0) in the outer regime and
-    (4, 2, 4, 2, -2) in the transition (``_coefficients``); q = None stands
-    for d = 0. This returns c - (p/v + q*v); the callers clip. v is an array
-    whose last axis matches c, p and q, which are constant along omega1.
-    ``out`` and ``scratch``, arrays of v's shape, take the result and a
-    temporary in place of new arrays; ``scratch`` may be v itself, which
-    it then overwrites.
+    (4, 2, 4, 2, -2) in the transition (``_coefficients``). This returns
+    c - (p/v + q*v); the callers clip. v, finite and not 0 since no
+    segment reaches omega, is an array whose last axis matches c, p and q,
+    which are constant along omega1. ``out`` and ``scratch``, arrays of
+    v's shape, take the result and a temporary in place of new arrays;
+    ``scratch`` may be v itself, which it then overwrites.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        zeta = np.divide(p, v, out=out)
-        if q is not None:
-            zeta += np.multiply(q, v, out=scratch)
+    zeta = np.divide(p, v, out=out)
+    zeta += np.multiply(q, v, out=scratch)
     return np.subtract(c, zeta, out=zeta)
 
 
 def _segment_rows(lo, hi, omega, weight, c, p, q):
     """The rows of one omega1 segment [lo, hi], one per (omega, x) pair,
-    with c, p, q of ``_zeta`` per row: (gap, width, mass, near, below,
-    above). The row's nodes lie at omega1 = lo + width*u; gap = lo - omega,
-    and mass = width*weight is the row's weight.
+    with c, p, q of ``_zeta`` per row: (gap, width, mass, below, above).
+    The row's nodes lie at omega1 = lo + width*u; gap = lo - omega, and
+    mass = width*weight is the row's weight.
 
-    ``near`` marks the rows reaching within 1e-8 of omega (mod pi), where
-    v = tan((omega1 - omega)/2) may change sign or pass a pole. Elsewhere
-    v keeps its sign along the row and the unclipped Z/t, c - (p/v + q*v)
-    with p >= 0 >= q, rises with v and so with omega1. So a row that is not
-    near and whose two ends both lie below 0 (``below``) or both above 4
-    (``above``), by _FOLD_TOL, clips to that bound at every node.
+    No segment reaches omega (``_thresholds``), so v = tan((omega1 -
+    omega)/2) keeps its sign along a row and has no pole there, and the
+    unclipped Z/t, c - (p/v + q*v) with p >= 0 >= q, rises with v and so
+    with omega1. So a row whose two ends both lie below 0 (``below``) or
+    both above 4 (``above``), by _FOLD_TOL, clips to that bound at every
+    node.
     """
     width = np.maximum(hi - lo, 0.0)
     gap = lo - omega
-    near = np.zeros(omega.size, dtype=bool)
-    for shift in (-_PI, 0.0, _PI):
-        near |= (gap - 1e-8 <= shift) & (shift <= gap + width + 1e-8)
     first, last = (_zeta(np.tan(0.5 * end), c, p, q)
                    for end in (gap, gap + width))
     mass = width * weight
-    foldable = (mass > 0.0) & ~near
-    below = foldable & (np.maximum(first, last) < -_FOLD_TOL)
-    above = foldable & (np.minimum(first, last) > 4.0 + _FOLD_TOL)
-    return gap, width, mass, near, below, above
+    below = (mass > 0.0) & (np.maximum(first, last) < -_FOLD_TOL)
+    above = (mass > 0.0) & (np.minimum(first, last) > 4.0 + _FOLD_TOL)
+    return gap, width, mass, below, above
 
 
 # the ladder's rungs (nw, nx, n1): Gauss-Legendre orders in omega, in x and
@@ -188,10 +182,6 @@ class _Table(NamedTuple):
     window: int  # the first window entry
 
 
-# rung rule (nw, nx, n1) -> its _Table, built by the first call that needs it
-_TABLES: dict = {}
-
-
 def _build_table(nw, nx, n1):
     """The Laplace table of one rung's fixed tensor rule: Gauss-Legendre in
     omega and x, the omega1 axis integrated per regime segment so no panel
@@ -207,8 +197,8 @@ def _build_table(nw, nx, n1):
     window's part of gx.
 
     Off the window the four segments are taken one at a time, one row per
-    (omega, x) pair. Z/t is monotone along a row that does not pass omega,
-    so the ends of the row tell whether it clips at every node
+    (omega, x) pair. No row reaches omega, so Z/t is monotone along every
+    row, and the ends of the row tell whether it clips at every node
     (``_segment_rows``): such a row adds its weight to z = 0, where it drops
     out, or to the constant at z = 4, and no node is built on it. The other
     rows are built in chunks of _CHUNK_NODES nodes, and each chunk folds its
@@ -238,14 +228,12 @@ def _build_table(nw, nx, n1):
                 (win_hi, outer_hi))
     for (lo, hi), regime in zip(segments, _REGIMES):
         c, p, q = _coefficients(xr, sin_w, cos_w, regime)
-        gap, width, mass, _, below, above = _segment_rows(
+        gap, width, mass, below, above = _segment_rows(
             lo, hi, omega, weight, c, p, q)
         clipped_4 += mass[above].sum()
         rows = np.flatnonzero((mass > 0.0) & ~below & ~above)
         half_gap, half_width = 0.5 * gap[rows], 0.5 * width[rows]
-        c, p, mass = c[rows], p[rows], mass[rows]
-        if q is not None:
-            q = q[rows]
+        c, p, q, mass = c[rows], p[rows], q[rows], mass[rows]
         for a in range(0, rows.size, step):
             b = slice(a, a + step)
             shape = (n1, half_gap[b].size)
@@ -254,8 +242,7 @@ def _build_table(nw, nx, n1):
             np.multiply(half_width[b], col, out=v)
             v += half_gap[b]
             np.tan(v, out=v)
-            _zeta(v, c[b], p[b], None if q is None else q[b],
-                  out=zeta, scratch=v)
+            _zeta(v, c[b], p[b], q[b], out=zeta, scratch=v)
             np.clip(zeta, 0.0, 4.0, out=zeta)
             np.multiply(zeta, 1.0 / _BIN, out=v)
             np.floor(v, out=v)
@@ -272,7 +259,7 @@ def _build_table(nw, nx, n1):
                                           minlength=bins)
 
     moments /= [[math.factorial(j)] for j in range(_ORDER + 1)]
-    win_weight = (np.maximum(win_hi - win_lo, 0.0) * weight).reshape(nw, nx).sum(axis=0)
+    win_weight = ((win_hi - win_lo) * weight).reshape(nw, nx).sum(axis=0)
     centres = np.concatenate(((np.arange(bins) + 0.5) * _BIN, [4.0], 2.0 * (1.0 - xg)))
     mass = np.concatenate((moments[0], [sgw.sum() * clipped_4], win_weight))
     arrays = (np.pad(moments[1:], ((0, 0), (0, 1 + nx))), centres, mass * centres)
@@ -281,12 +268,10 @@ def _build_table(nw, nx, n1):
     return _Table(*arrays, bins + 1)
 
 
+@functools.cache
 def _table(nw, nx, n1):
-    """The rung's Laplace table, built on the first call that needs it."""
-    table = _TABLES.get((nw, nx, n1))
-    if table is None:
-        table = _TABLES[(nw, nx, n1)] = _build_table(nw, nx, n1)
-    return table
+    """The rung's Laplace table, built once per process, on first use."""
+    return _build_table(nw, nx, n1)
 
 
 def _rung_slopes(s, nw, nx, n1):

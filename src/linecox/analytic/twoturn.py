@@ -62,6 +62,27 @@ _CHUNK_NODES = 2**15
 _S_MAX = np.finfo(float).max
 
 
+def _theta_i_rule(ni):
+    """The theta_i nodes in (0, pi) and their weights: the graded rule of
+    ``_graded_legendre`` on each half, since the threshold formula switches
+    branch at pi/2 and a rule across the switch converges slowly."""
+    tg, tw = _graded_legendre(ni // 2)
+    return (np.concatenate([_HALF_PI * tg, _HALF_PI + _HALF_PI * tg]),
+            np.concatenate([tw, tw]) * 0.5)
+
+
+def _theta1_breaks(q, theta_i, cos_i, sin_i):
+    """(A, kink, B) at q in [0, 1] and theta_i in (0, pi): the reachable
+    theta_1 range [A, B] and the clamp kink where y + w = t, i.e.
+    cot(theta_1) = (cos_i - q)/sin_i. The kink and the pole theta_1 =
+    theta_i lie in [A, B] (docs/formulas.md, thm3-bound, "Orderings")."""
+    lower_half = theta_i < _HALF_PI
+    thr = _HALF_PI - np.arctan(  # arccot, mapped into (0, pi)
+        np.where(lower_half, cos_i - q / sin_i, (q - cos_i) / sin_i))
+    kink = _HALF_PI - np.arctan((cos_i - q) / sin_i)
+    return np.where(lower_half, 0.0, thr), kink, np.where(lower_half, thr, _PI)
+
+
 def _ttilde(q, c, s, ni, n1):
     """Ttilde at every pair and every s, one row per s.
 
@@ -69,7 +90,8 @@ def _ttilde(q, c, s, ni, n1):
     length, and s is mu in the inverse unit, so mu*z = s*c[p]*zeta. Every
     pair has two rows per theta_i node: the theta_1 segment from A to the
     pole or the kink, whichever comes first, and the one from the other
-    to B. Between pole and kink q/den >= 1, so zeta == 0 there and that
+    to B; both lie in [A, B] (``_theta1_breaks``), so neither row needs a
+    clamp. Between pole and kink q/den >= 1, so zeta == 0 there and that
     segment adds its width to the unit mass pi - (B - A). The theta_i
     halves and the theta_1 segments take the graded rule of
     ``_graded_legendre``. The (pair, theta_i) groups are built and summed
@@ -80,12 +102,8 @@ def _ttilde(q, c, s, ni, n1):
     # an s past the largest float acts as the largest: exp(-s*c*zeta) is 0
     # already there wherever zeta > 0, and inf * 0 would be nan
     s = np.minimum(s, _S_MAX)
-    # the theta_i rule is applied per half because the threshold formula
-    # switches branch at pi/2 and a rule across the switch converges slowly
-    tg, tw_half = _graded_legendre(ni // 2)
+    ti, tw = _theta_i_rule(ni)
     sg, swt = (col[:, None] for col in _graded_legendre(n1))  # (n1, 1)
-    ti = np.concatenate([_HALF_PI * tg, _HALF_PI + _HALF_PI * tg])
-    tw = np.concatenate([tw_half, tw_half]) * 0.5
     cos_ti, sin_ti = np.cos(ti), np.sin(ti)
 
     acc = np.zeros((s.size, q.size))
@@ -95,17 +113,9 @@ def _ttilde(q, c, s, ni, n1):
     buf = np.empty((3, 2 * n1 * min(step, n_groups)))
     for a in range(0, n_groups, step):
         pair, i = np.divmod(np.arange(a, min(a + step, n_groups)), ni)
-        qr, cos_i, sin_i = q[pair], cos_ti[i], sin_ti[i]
-        lower_half = i < ni // 2
-        thr = _HALF_PI - np.arctan(  # arccot, mapped into (0, pi)
-            np.where(lower_half, cos_i - qr / sin_i, (qr - cos_i) / sin_i))
-        A = np.where(lower_half, 0.0, thr)
-        B = np.where(lower_half, thr, _PI)
-        # interior breakpoints: the y pole at theta_1 = theta_i and the
-        # clamp kink where y + w = t, i.e. cot(theta_1) = (cos_i - q)/sin_i
-        kink = _HALF_PI - np.arctan((cos_i - qr) / sin_i)
-        s1 = np.minimum(np.maximum(np.minimum(ti[i], kink), A), B)
-        s2 = np.minimum(np.maximum(np.maximum(ti[i], kink), A), B)
+        qr, theta_i, cos_i, sin_i = q[pair], ti[i], cos_ti[i], sin_ti[i]
+        A, kink, B = _theta1_breaks(qr, theta_i, cos_i, sin_i)
+        s1, s2 = np.minimum(theta_i, kink), np.maximum(theta_i, kink)
         # two rows per group: theta_1 in [A, s1] and in [s2, B]
         lo, width = np.empty((2, 2 * pair.size))
         lo[0::2], lo[1::2] = A, s2

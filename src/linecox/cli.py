@@ -432,7 +432,8 @@ def _load_curve(path: str) -> DistributionCurve:
         grid, values, hw = arr[:, 0], arr[:, 1], arr[:, 2]
     else:
         grid, values = arr[:, 0], arr[:, 1]
-        hw = (arr[:, 3] - arr[:, 2]) / 2.0
+        with np.errstate(invalid="ignore", over="ignore"):  # the curve refuses nan, inf
+            hw = (arr[:, 3] - arr[:, 2]) / 2.0
     meta = {}
     sidecar = _sidecar_path(path)
     try:

@@ -123,11 +123,12 @@ def _check_record(value, kind: type, name: str) -> None:
 def _as_floats(values, message: str) -> np.ndarray:
     """The one conversion of a caller's numbers: ``values`` as a float array
     of their shape. InputError(message) for what numpy cannot read as real
-    numbers: text, None, an int past the largest float, and complex numbers,
-    whose imaginary part a cast would drop."""
+    numbers: text, None, an int past the largest float, complex numbers,
+    whose imaginary part a cast would drop, and bools, which are not
+    numbers here (as in ``_finite_real``)."""
     try:
         arr = np.asarray(values)
-        if arr.dtype.kind != "c":
+        if arr.dtype.kind not in "bc":
             return arr.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):
         pass
@@ -328,8 +329,9 @@ class DistributionCurve:
             h = np.full_like(g, float(h))
         if not (g.shape == v.shape == h.shape) or g.ndim != 1 or g.size == 0:
             raise InputError("grid, values and ci_halfwidth must be equal length 1-D arrays")
-        if g.size > 1 and not np.all(np.diff(g) > 0):
-            raise InputError("grid must be strictly increasing")
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is no rise
+            if not np.all(np.diff(g) > 0):
+                raise InputError("grid must be strictly increasing")
         if not (np.all(np.isfinite(g)) and np.all(np.isfinite(v)) and np.all(np.isfinite(h))):
             raise InputError("curve arrays must be finite")
         for name, arr in (("grid", g), ("values", v), ("ci_halfwidth", h)):

@@ -36,18 +36,18 @@ def gauss_legendre(n: int):
     if not 1 <= n <= MAX_QUADRATURE_ORDER:
         raise InputError(f"quadrature order must be in [1, {MAX_QUADRATURE_ORDER}], "
                          f"got {n}")
-    nodes, weights = _GL_CACHE.get(n, (None, None))
-    if nodes is None:
-        x, w = leggauss(n)
-        nodes = 0.5 * (x + 1.0)
-        weights = 0.5 * w
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        _GL_CACHE[n] = (nodes, weights)
+    return _legendre(n)
+
+
+@functools.cache
+def _legendre(n: int):
+    """The n-point rule of ``gauss_legendre``, for a checked n; cached,
+    read-only."""
+    x, w = leggauss(n)
+    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
     return nodes, weights
-
-
-_GL_CACHE: dict = {}
 
 
 @functools.cache
@@ -65,8 +65,9 @@ def _graded_legendre(n: int):
 
 def check_tol(tol) -> None:
     """InputError unless the ladder tolerance ``tol`` is a number > 0 (nan
-    is not): a bad tolerance is bad input, not a quadrature that failed."""
-    if not (isinstance(tol, numbers.Real) and tol > 0):
+    is not, nor is a bool): a bad tolerance is bad input, not a quadrature
+    that failed."""
+    if not (isinstance(tol, numbers.Real) and not isinstance(tol, bool) and tol > 0):
         raise InputError(f"tol must be > 0, got {tol!r}")
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linecox import cli, experiments
@@ -722,6 +722,11 @@ _CURVE_FILES = st.tuples(
 
 @settings(max_examples=150, deadline=None)
 @given(a=_CURVE_FILES, b=st.one_of(st.none(), _CURVE_FILES))
+@example(a=("t,F,ci_lo,ci_hi", [["0.0", "0.0", "0.0", "0.0"], ["-inf", "0.0", "0.0", "0.0"],
+                               ["-inf", "0.0", "0.0", "0.0"]], None), b=None)
+@example(a=("t,F,ci_lo,ci_hi", [["0.0", "0.0", "inf", "inf"]], None), b=None)
+@example(a=("t,F,ci_lo,ci_hi", [["-1e308", "0.0", "-1e308", "1e308"],
+                               ["1e308", "0.5", "0.0", "0.0"]], None), b=None)
 def test_compare_fuzzed_curve_files_exit_with_a_documented_code(a, b):
     with tempfile.TemporaryDirectory() as tmp:
         paths = []

@@ -186,6 +186,14 @@ _BAD_CALLS = {
         _MODEL, typical_point(), 1.0, 1, 0, 1).realization(5),
     "realization bool": lambda: sample_chunk(
         _MODEL, typical_point(), 1.0, 1, 0, 1).realization(True),
+    "tol bool": lambda: check_tol(True),
+    "thm2 tol bool": lambda: cdf_one_turn_intersection(_MODEL, 0.5, tol=True),
+    "bound tol bool": lambda: cdf_two_turn_bound(_MODEL, 0.5, tol=True),
+    "t bool": lambda: cdf_one_turn_point(_MODEL, True),
+    "t bool array": lambda: cdf_one_turn_point(_MODEL, np.array([False, True])),
+    "oracle t_max bool": lambda: shortest_path(
+        sample_palm(_MODEL, typical_point(), 1.0, 1), TurnPolicy.one_turn(), True),
+    "curve bool grid": lambda: DistributionCurve([False, True], [0.0, 1.0], 0.0),
 }
 
 

@@ -77,6 +77,37 @@ def test_threshold_nesting_sampled():
         assert 0.0 <= outer_lo and outer_hi <= math.pi
 
 
+@pytest.mark.parametrize("rung", [0, 1, 2])
+def test_no_segment_off_the_window_reaches_omega(rung):
+    """outer_lo < omega, win_lo < omega < win_hi and omega < outer_hi,
+    strictly, at every (omega, x) node of the rung, so every omega1 row
+    keeps v = tan((omega1 - omega)/2) finite and of one sign, and the
+    kernel needs no guard for a row through the pole.
+
+    Proof, for omega in (0, pi) and xr = x/t in (0, 1]. Window: with
+    sin(omega) > 0, atan2(sin(omega), a) falls as a rises, so
+    win_lo = atan2(sin, cos + xr) < atan2(sin, cos) = omega <
+    atan2(sin, cos - xr) = win_hi. Outer: with rho = (2 - xr)/xr > 0 and
+    r2 = rho^2 + 1, the denominators r2 +- 2*rho*cos(omega) =
+    (rho +- cos(omega))^2 + sin(omega)^2 are positive, and
+
+        arg_lo - cos(omega) = 2*rho*sin(omega)^2/(r2 + 2*rho*cos(omega)) > 0,
+        1 - arg_lo = (rho - 1)^2*(1 - cos(omega))/(r2 + 2*rho*cos(omega)) >= 0,
+
+    so arg_lo lies in (cos(omega), 1] and outer_lo = arccos(arg_lo) <
+    omega; arg_hi at omega is -arg_lo at pi - omega, so arg_hi lies in
+    [-1, cos(omega)) and outer_hi > omega. The closest segment end of the
+    third rung clears omega by 4.8e-9, far above the rounding of either
+    side."""
+    nw, nx, _ = intersection._LADDER[rung]
+    og, _ = gauss_legendre(nw)
+    xg, _ = gauss_legendre(nx)
+    omega, xr = np.repeat(math.pi * og, nx), np.tile(xg, nw)
+    outer_lo, win_lo, win_hi, outer_hi = _thresholds(xr, np.sin(omega), np.cos(omega))
+    assert (outer_lo < omega).all() and (omega < outer_hi).all()
+    assert (win_lo < omega).all() and (omega < win_hi).all()
+
+
 def test_z_length_branch_values():
     t, x, omega = 1.0, 0.5, math.pi / 2
     outer_lo, win_lo, win_hi, outer_hi = thresholds(x, omega, t)
@@ -236,29 +267,36 @@ def test_one_unsettled_point_fails_the_batch_with_its_payload():
     assert np.all(np.diff(settled) > 0)
 
 
-def test_chunking_does_not_change_the_terms(monkeypatch):
+@pytest.fixture
+def fresh_tables():
+    """No table before the test, and none of the tables it builds (under
+    its patches) after it."""
+    intersection._table.cache_clear()
+    yield
+    intersection._table.cache_clear()
+
+
+def test_chunking_does_not_change_the_terms(monkeypatch, fresh_tables):
     """Each call builds its table afresh, with the chunk size it is given."""
     s = np.array([0.05, 1.0, 6.0])
     nw, nx, n1 = intersection._LADDER[0]
     pairs = nw * nx
-    monkeypatch.setattr(intersection, "_TABLES", {})
     ref = intersection._rung_terms(s, nw, nx, n1)
     assert pairs % 256 == 0 and pairs % 100 != 0  # 100 leaves a partial chunk
     for step in (1, 100, 256, pairs):
         monkeypatch.setattr(intersection, "_CHUNK_NODES", 4 * n1 * step)
-        monkeypatch.setattr(intersection, "_TABLES", {})
+        intersection._table.cache_clear()
         got = intersection._rung_terms(s, nw, nx, n1)
         assert np.allclose(got[0], ref[0], rtol=1e-13, atol=0)
         assert np.array_equal(got[1], ref[1])  # the window is not chunked
 
 
 @pytest.mark.parametrize("rung", [0, 1])
-def test_the_fold_matches_the_all_node_sum(monkeypatch, rung):
+def test_the_fold_matches_the_all_node_sum(monkeypatch, fresh_tables, rung):
     """Brute force over every Gauss node of every row: a folded row clips
-    to its bound at every node, no near row is folded, a row left unfolded
-    though every node clips crosses the bound between its outermost node
-    and its segment's end, and the kernel, from a table built here, equals
-    the sum over all nodes."""
+    to its bound at every node, a row left unfolded though every node clips
+    crosses the bound between its outermost node and its segment's end, and
+    the kernel, from a table built here, equals the sum over all nodes."""
     nw, nx, n1 = intersection._LADDER[rung]
     seen = []
     real = intersection._segment_rows
@@ -269,7 +307,6 @@ def test_the_fold_matches_the_all_node_sum(monkeypatch, rung):
         return rows
 
     monkeypatch.setattr(intersection, "_segment_rows", spy)
-    monkeypatch.setattr(intersection, "_TABLES", {})  # the table is built here
     s = np.array([0.05, 1.0, 6.0, 20.0])
     fx, _ = intersection._rung_terms(s, nw, nx, n1)
     assert len(seen) == 4
@@ -277,14 +314,13 @@ def test_the_fold_matches_the_all_node_sum(monkeypatch, rung):
     sg, sgw = gauss_legendre(n1)
     off_window = np.zeros(s.size)
     folded = 0
-    for coef, (gap, width, mass, near, below, above) in seen:
+    for coef, (gap, width, mass, below, above) in seen:
         v = np.tan(0.5 * (gap + width * sg[:, None]))
         zeta = intersection._zeta(v, *coef)
-        assert not (near & (below | above)).any()
         assert (zeta[:, below] <= 0.0).all() and (zeta[:, above] >= 4.0).all()
         ends = np.stack([intersection._zeta(np.tan(0.5 * end), *coef)
                          for end in (gap, gap + width)])
-        kept = (mass > 0.0) & ~near & ~below & ~above
+        kept = (mass > 0.0) & ~below & ~above
         tol = intersection._FOLD_TOL
         assert (ends[:, kept & (zeta <= 0.0).all(axis=0)].max(axis=0) >= -tol).all()
         assert (ends[:, kept & (zeta >= 4.0).all(axis=0)].min(axis=0) <= 4.0 + tol).all()
@@ -329,7 +365,7 @@ def test_no_node_of_any_rung_lies_within_the_riemann_guard(monkeypatch, rung):
 
     sg, _ = gauss_legendre(n1)
     clearance = math.inf
-    for gap, width, mass, _, below, above in seen:
+    for gap, width, mass, below, above in seen:
         kept = (mass > 0.0) & ~below & ~above
         v = np.tan(0.5 * (gap[kept] + width[kept] * sg[:, None]))
         clearance = min(clearance, float((np.abs(2.0 * v) / (1.0 + v * v)).min()))
@@ -440,7 +476,7 @@ def test_a_fresh_rung_2_build_stays_small():
 
 def test_no_table_is_built_at_import():
     code = ("import linecox\nfrom linecox.analytic import intersection\n"
-            "assert intersection._TABLES == {}\n")
+            "assert intersection._table.cache_info().currsize == 0\n")
     subprocess.run([sys.executable, "-c", code], check=True,
                    env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
 

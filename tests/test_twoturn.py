@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from linecox import (
@@ -298,6 +300,43 @@ def test_every_kernel_rung_matches_the_per_u_reference(w, u, t, mu):
         want = float(_ttilde_vec([w], u, t, mu, ni, n1)[0])
         got = float(twoturn._ttilde([(u - w) / (t - w)], [t - w], [mu], ni, n1)[0, 0])
         assert got == pytest.approx(want, abs=1e-13, rel=0), (ni, n1)
+
+
+_ANGLE_RULES = twoturn._B_LADDER + twoturn._T_LADDER
+
+
+@pytest.mark.parametrize("rule", _ANGLE_RULES, ids=str)
+@settings(max_examples=40, deadline=None)
+@given(q=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16))
+@example(q=[0.0, 1e-300, 1.0])
+def test_the_pole_and_the_kink_lie_in_the_theta1_range(rule, q):
+    """A <= min(theta_i, kink) and max(theta_i, kink) <= B at every
+    theta_i node of every _B_LADDER and _T_LADDER rule, for drawn q in
+    [0, 1] and, on a bound rung, for q of each of its (u, w) pairs; so the
+    pole theta_1 = theta_i and the kink cut [A, B] into three segments and
+    the kernel needs no clamp to [A, B].
+
+    Proof, for q in [0, 1] and theta_i in (0, pi), with c = cos(theta_i),
+    s = sin(theta_i) > 0; arccot falls, and every arccot lies in (0, pi).
+    Lower half (c >= 0): A = 0, and B = arccot(c - q/s) lies above
+    theta_i = arccot(c/s), since c/s - (c - q/s) = (c*(1 - s) + q)/s >= 0,
+    and above kink = arccot((c - q)/s), since (c - q)/s - (c - q/s) =
+    c*(1 - s)/s >= 0. Upper half (c < 0): B = pi, and A = arccot((q - c)/s)
+    lies below theta_i, since (q - c)/s - c/s = (q - 2*c)/s > 0, and below
+    the kink, since (q - c)/s - (c - q)/s = 2*(q - c)/s > 0. In the upper
+    half the two arguments are exact negatives of each other also after
+    rounding; in the lower half the margin c*(1 - s)/s falls below an ulp
+    next to pi/2, so the test checks the rounded values the kernel uses."""
+    q = np.array(q)
+    if len(rule) == 4:  # a bound rung: q at its (u, w) pairs, as _bound_rung forms it
+        gu, _ = gauss_legendre(rule[0])
+        gw, _ = gauss_legendre(rule[1])
+        w = np.outer(gu, gw).ravel()
+        q = np.concatenate([q, (np.repeat(gu, rule[1]) - w) / (1.0 - w)])
+    ti, _ = twoturn._theta_i_rule(rule[-2])
+    A, kink, B = twoturn._theta1_breaks(q[:, None], ti, np.cos(ti), np.sin(ti))
+    assert (A <= np.minimum(ti, kink)).all()
+    assert (np.maximum(ti, kink) <= B).all()
 
 
 def test_one_point_equals_its_value_in_the_61_point_grid():

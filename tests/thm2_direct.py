@@ -34,14 +34,14 @@ def _measure(nw, nx, n1):
                     (win_hi, outer_hi))
         for (lo, hi), regime in zip(segments, _REGIMES):
             c, p, q = _coefficients(xr, sin_w, cos_w, regime)
-            gap, width, mass, _, below, above = _segment_rows(lo, hi, omega, weight, c, p, q)
+            gap, width, mass, below, above = _segment_rows(lo, hi, omega, weight, c, p, q)
             yield sgw.sum() * np.array([mass[below].sum(), mass[above].sum()]), \
                 np.array([0.0, 4.0])
             rows = np.flatnonzero((mass > 0.0) & ~below & ~above)
             for a in range(0, rows.size, step):
                 r = rows[a:a + step]
                 v = np.tan(0.5 * width[r] * sg[:, None] + 0.5 * gap[r])
-                zeta = np.clip(_zeta(v, c[r], p[r], None if q is None else q[r]), 0.0, 4.0)
+                zeta = np.clip(_zeta(v, c[r], p[r], q[r]), 0.0, 4.0)
                 yield mass[r] * sgw[:, None], zeta
 
     win = ((window * weight).reshape(nw, nx).sum(axis=0), 2.0 * (1.0 - xg))
