@@ -45,9 +45,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import DomainError, InputError
-from ..model import ModelParams, _check_flag, _check_record, _check_t
-from ..quadrature import check_tol, gauss_legendre, settle_ladder
+from ..errors import DomainError
+from ..model import ModelParams, _check_flag, _check_record, _check_scalar_t, _check_t
+from ..quadrature import _legendre, check_tol, settle_ladder
 from .closed_forms import _rate_times, _ret_err
 
 __all__ = [
@@ -205,9 +205,9 @@ def _build_table(nw, nx, n1):
     nodes into bins of width _BIN on [0, 4], keeping per bin the Taylor
     moments m[j, b] = sum w*(z - c_b)**j / j! about its centre c_b.
     """
-    og, ow = gauss_legendre(nw)
-    xg, xw = gauss_legendre(nx)
-    sg, sgw = gauss_legendre(n1)
+    og, ow = _legendre(nw)
+    xg, xw = _legendre(nx)
+    sg, sgw = _legendre(n1)
     omega = np.repeat(_PI * og, nx)  # (omega, x) pairs, omega-major
     xr = np.tile(xg, nw)
     weight = np.outer(ow, xw).ravel() / _PI
@@ -319,11 +319,11 @@ def _rung_terms(s, nw, nx, n1):
 
 def _lam_term(lam, mu, t, slope):
     """2*lam*mu*t*t*slope, the lam term 2*lam*(2t - Tx - Ty) of the CDF's
-    exponent with slope = gx + gy, for positive finite lam and mu and
-    arrays t and slope of positive finite numbers. It is taken on the
+    exponent with slope = gx + gy, for finite lam >= 0, positive finite mu
+    and arrays t and slope of positive finite numbers. It is taken on the
     factors' mantissas, each in [1/2, 1), and summed binary exponents, so
     no partial product leaves the normal range: it is inf or subnormal only
-    where the product itself is."""
+    where the product itself is, and exactly 0 at lam = 0."""
     lam_m, lam_e = math.frexp(lam)
     mu_m, mu_e = math.frexp(mu)
     t_m, t_e = np.frexp(t)
@@ -342,12 +342,10 @@ def one_turn_intersection_terms(mu: float, t: float, *, tol: float = 1e-6):
     float, as ``ModelParams`` takes a model's mu. t is one number; the
     tables serve mu*t <= 40 (``_S_MAX``), DomainError past that."""
     mu = ModelParams(0.0, mu).mu
-    arr = _check_t(t)
+    t = _check_scalar_t(t)
     check_tol(tol)
-    if arr.ndim:
-        raise InputError(f"t must be one number, got an array of shape {arr.shape}")
-    if mu * float(arr) > _S_MAX:
-        raise DomainError(f"mu*t = {mu * float(arr)!r} is past {_S_MAX}, the "
+    if mu * t > _S_MAX:
+        raise DomainError(f"mu*t = {mu * t!r} is past {_S_MAX}, the "
                           "largest mu*t the one-turn intersection terms serve")
 
     def rung(r, tv):
@@ -373,12 +371,12 @@ def cdf_one_turn_intersection(params: ModelParams, t, *, tol: float = 1e-6,
     4*mu*t + 2*lam*(2t - Tx - Ty) = 4*mu*t + 2*lam*mu*t*t*(gx + gy) from
     its slopes (``_rung_slopes``), which do not cancel at any s, with the
     lam term taken on the factors' mantissas (``_lam_term``), so no
-    partial product over- or underflows. lam = 0 short-circuits to the
-    exact zero-turn form 1 - exp(-4*mu*t). F lies between that form and
-    1, so where the form rounds to 1, F is 1 and no rung runs; that covers
-    every t at which mu*t overflows, and every rung runs at mu*t below
-    9.4. ``with_err``, a flag (``model._check_flag``), additionally
-    returns the last ladder increment as the error estimate.
+    partial product over- or underflows; at lam = 0 it is exactly 0, and
+    every rung gives the zero-turn form 1 - exp(-4*mu*t). F lies between
+    that form and 1, so where the form rounds to 1, F is 1 and no rung runs;
+    that covers every t at which mu*t overflows, and every rung runs at
+    mu*t below 9.4. ``with_err``, a flag (``model._check_flag``),
+    additionally returns the last ladder increment as the error estimate.
     """
     arr = _check_t(t)
     check_tol(tol)
@@ -386,8 +384,6 @@ def cdf_one_turn_intersection(params: ModelParams, t, *, tol: float = 1e-6,
     with_err = _check_flag(with_err, "with_err")
     lam, mu = params.lam, params.mu
     zero_turn = -np.expm1(-_rate_times(4.0 * mu, arr))
-    if lam == 0.0:
-        return _ret_err(zero_turn, np.zeros_like(arr), arr, with_err)
 
     def rung(r, tv):
         gx, gy = _rung_slopes(mu * tv, *_LADDER[r])

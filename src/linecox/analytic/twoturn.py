@@ -47,7 +47,7 @@ import numpy as np
 
 from ..errors import DomainError
 from ..model import ModelParams, _check_flag, _check_record, _check_t, _finite_real
-from ..quadrature import _graded_legendre, check_tol, gauss_legendre, settle_ladder
+from ..quadrature import _graded_legendre, _legendre, check_tol, settle_ladder
 from .closed_forms import _rate_times, _ret_err
 
 __all__ = ["two_turn_T", "cdf_two_turn_bound"]
@@ -130,12 +130,14 @@ def _ttilde(q, c, s, ni, n1):
         cr = c[pair]
         np.multiply(x, np.repeat(cos_i, 2), out=den)
         den -= np.repeat(sin_i, 2)
-        x *= np.repeat(cr * qr, 2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x /= den  # c*q/den with den = cos_i - sin_i*cot(theta_1)
-        if not qr.all():
-            x[np.isnan(x)] = 0.0  # 0/0 only when u == w; y -> 0
-        x -= np.repeat(cr, 2)
+        # c*q/den with den = cos_i - sin_i*cot(theta_1), then -c*zeta; where a
+        # huge c overflows them, +-inf gives zeta 0 or exp(-s*c*zeta) 0 alike
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            x *= np.repeat(cr * qr, 2)
+            x /= den
+            if not qr.all():
+                x[np.isnan(x)] = 0.0  # 0/0 only when u == w; y -> 0
+            x -= np.repeat(cr, 2)
         np.minimum(x, 0.0, out=x)  # -zeta*m/s
 
         local = pair - pair[0]
@@ -154,8 +156,8 @@ def _ttilde(q, c, s, ni, n1):
 
 def _bound_rung(lam, mu, t, nu, nw, ni, n1):
     """B at every point of t from one rung of the nested rule."""
-    gu, wu = gauss_legendre(nu)
-    gw, ww = gauss_legendre(nw)
+    gu, wu = _legendre(nu)
+    gw, ww = _legendre(nw)
     w = np.outer(gu, gw).ravel()  # (u, w) pairs at unit reach, u-major
     u = np.repeat(gu, nw)
     tt = _ttilde((u - w) / (1.0 - w), 1.0 - w, _rate_times(mu, t), ni, n1)
@@ -206,9 +208,9 @@ def cdf_two_turn_bound(params: ModelParams, t, tol: float = 1e-5,
 
     Scalar or array t. Resolution ladder as in the one-turn intersection
     evaluator; QuadratureFailure when three levels cannot agree to tol.
-    All points of a call share each rung's geometry. B(0) = 0 and lam = 0
-    gives identically 0 (no streets to turn onto). ``with_err``, a flag
-    (``model._check_flag``), additionally returns the last ladder increment.
+    All points of a call share each rung's geometry. B(0) = 0, and at lam =
+    0 (no streets to turn onto) every rung gives exactly 0. ``with_err``, a
+    flag (``model._check_flag``), additionally returns the last increment.
     """
     arr = _check_t(t)
     check_tol(tol)
@@ -220,7 +222,7 @@ def cdf_two_turn_bound(params: ModelParams, t, tol: float = 1e-5,
         return _bound_rung(lam, mu, tv, *_B_LADDER[r])
 
     values, errors = np.zeros(arr.shape), np.zeros(arr.shape)
-    pos = arr > 0.0 if lam != 0.0 else np.zeros(arr.shape, dtype=bool)
+    pos = arr > 0.0
     values[pos], errors[pos] = settle_ladder(
         rung, len(_B_LADDER), arr[pos], tol,
         lambda tv: f"two-turn bound did not settle to {tol} at t={tv}",

@@ -189,13 +189,13 @@ _XTOL, _RTOL = 1e-12, 1e-9  # the root's tolerances, as brentq reads them
 
 
 def _reach_cdf(policy: str, model: ModelParams, tol: float):
+    if not (isinstance(policy, str) and policy in REACH_POLICIES):
+        raise InputError(f"policy must be one of {REACH_POLICIES}, got {policy!r}")
     if policy == "one-turn-point":
         return (lambda t: cdf_one_turn_point(model, t)), _CLOSED_CAP
     if policy == "zero-turn-intersection":
         return (lambda t: cdf_zero_turn_intersection(model, t)), _CLOSED_CAP
-    if policy == "one-turn-intersection":
-        return (lambda t: cdf_one_turn_intersection(model, t, tol=tol)), _QUAD_CAP
-    raise InputError(f"policy must be one of {REACH_POLICIES}, got {policy!r}")
+    return (lambda t: cdf_one_turn_intersection(model, t, tol=tol)), _QUAD_CAP
 
 
 def reach_quantile(model: ModelParams, p: float, policy: str = "one-turn-point",
@@ -205,16 +205,15 @@ def reach_quantile(model: ModelParams, p: float, policy: str = "one-turn-point",
     with probability p). Every policy takes the one bracketed root solve,
     ``_bracketed_root``, which returns scipy.optimize.brentq's root on its
     bracket bit for bit, to 1e-9 relative; NoBracket when p is not reached
-    below the policy's search cap. Each quantile logs one INFO line: the
-    policy, p, the curve calls and the wall time.
+    below the policy's search cap; p = 0 gives 0, where F(0) - p = 0. Each
+    quantile logs one INFO line: the policy, p, the curve calls and the
+    wall time.
     """
     check_tol(tol)
     _check_record(model, ModelParams, "model")
     if not (_finite_real(p) and 0.0 <= p < 1.0):
         raise InputError(f"p must lie in [0, 1), got {p!r}")
     p = float(p)
-    if p == 0.0:
-        return 0.0
     cdf, cap = _reach_cdf(policy, model, tol)
     start, calls = time.perf_counter(), 0
 

@@ -125,10 +125,14 @@ def _as_floats(values, message: str) -> np.ndarray:
     of their shape. InputError(message) for what numpy cannot read as real
     numbers: text, None, an int past the largest float, complex numbers,
     whose imaginary part a cast would drop, and bools, which are not
-    numbers here (as in ``_finite_real``)."""
+    numbers here (as in ``_finite_real``), also inside a list, tuple or
+    object array, which is walked for them; a numeric array is not."""
     try:
         arr = np.asarray(values)
-        if arr.dtype.kind not in "bc":
+        if arr.dtype.kind not in "bc" and not (
+                (isinstance(values, (list, tuple)) or arr.dtype == object)
+                and any(isinstance(x, (bool, np.bool_))
+                        for x in np.asarray(values, dtype=object).flat)):
             return arr.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):
         pass
@@ -156,6 +160,14 @@ def _check_t(t, clip_radius: float | None = None, name: str = "t") -> np.ndarray
                           f"clip_radius={clip_radius}; geometry beyond the "
                           "clip disk was never sampled")
     return arr
+
+
+def _check_scalar_t(t, clip_radius: float | None = None, name: str = "t") -> float:
+    """``_check_t`` of one distance, as a float; InputError for an array."""
+    arr = _check_t(t, clip_radius, name)
+    if arr.ndim:
+        raise InputError(f"{name} must be one number, got an array of shape {arr.shape}")
+    return float(arr)
 
 
 @dataclass(frozen=True)
@@ -347,7 +359,8 @@ def rescale(curve: DistributionCurve, c: float) -> DistributionCurve:
     """Rescale lengths by c: the curve of D under (lam, mu) becomes the curve
     of c*D, which is exactly the curve of D under (lam/c, mu/c). Values and
     half widths are untouched; grid and metadata params are mapped, and a
-    mapped field that is not a finite real number raises InputError."""
+    mapped field that is not a finite real number raises InputError, as
+    does a c that takes a grid point past the largest float."""
     _check_record(curve, DistributionCurve, "curve")
     if not _finite_real(c) or c <= 0:
         raise NonPositiveScale(f"scale must be finite and > 0, got {c!r}")
@@ -368,4 +381,5 @@ def rescale(curve: DistributionCurve, c: float) -> DistributionCurve:
                 mapped[name] = number(mapped[name], f"params.{name}") / c
         meta["params"] = mapped
     meta["rescaled_by"] = number(meta.get("rescaled_by", 1.0), "rescaled_by") * c
-    return DistributionCurve(curve.grid * c, curve.values, curve.ci_halfwidth, meta)
+    with np.errstate(over="ignore"):  # an inf grid point fails the curve's check
+        return DistributionCurve(curve.grid * c, curve.values, curve.ci_halfwidth, meta)

@@ -55,7 +55,7 @@ from .model import (
     PointOnLine,
     TurnPolicy,
     _check_record,
-    _check_t,
+    _check_scalar_t,
 )
 from .sampler import ChunkSample, Realization, _pair_arcs, sample_palm
 
@@ -315,7 +315,7 @@ def shortest_path(real: Realization, policy: TurnPolicy,
     """
     _check_record(real, Realization, "real")
     _check_record(policy, TurnPolicy, "policy")
-    t_max = float(_check_t(t_max, real.clip_radius, "t_max"))
+    t_max = _check_scalar_t(t_max, real.clip_radius, "t_max")
     (length, line, arc, turns, state), via = _k_turn(
         real, t_max, policy.k, policy.include_lower_turn_paths,
         policy.first_hop_positive_x)
@@ -344,8 +344,8 @@ def sample_path(params: ModelParams, scenario: PalmScenario,
     farther than t_max from the origin cannot carry a reachable point, so
     nothing that matters is clipped away.
     """
-    real = sample_palm(params, scenario, float(t_max), seed)
-    return shortest_path(real, policy, t_max)
+    t_max = _check_scalar_t(t_max, name="t_max")
+    return shortest_path(sample_palm(params, scenario, t_max, seed), policy, t_max)
 
 
 def chunk_lengths(chunk: ChunkSample, policy: TurnPolicy,
@@ -359,7 +359,7 @@ def chunk_lengths(chunk: ChunkSample, policy: TurnPolicy,
     once."""
     _check_record(chunk, ChunkSample, "chunk")
     _check_record(policy, TurnPolicy, "policy")
-    t_max = float(_check_t(t_max, chunk.clip_radius, "t_max"))
+    t_max = _check_scalar_t(t_max, chunk.clip_radius, "t_max")
     k, lower, directed = (policy.k, policy.include_lower_turn_paths,
                           policy.first_hop_positive_x)
 

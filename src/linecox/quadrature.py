@@ -1,14 +1,15 @@
 """Fixed-rule quadrature shared by the analytic evaluators.
 
-``gauss_legendre`` gives the cached rules that the tensor rules in
-``linecox.analytic`` are built from, and ``settle_ladder`` runs those rules
-up a resolution ladder, to a tolerance that ``check_tol`` admits. The
-evaluators are cross-checked against plain Riemann sums in the tests.
+``_legendre`` and ``_graded_legendre`` give the cached rules, of the
+orders the ladders of ``linecox.analytic`` name, and ``settle_ladder`` runs
+them up a ladder, to a tolerance that ``check_tol`` admits. The evaluators
+are cross-checked against plain Riemann sums in the tests.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 import time
 
@@ -18,31 +19,13 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import InputError, QuadratureFailure
-from .model import _check_int
-
-__all__ = ["gauss_legendre"]
-
-
-# the largest order gauss_legendre builds: leggauss takes the eigenvalues of
-# an n-by-n matrix, 8 MB at this cap; every ladder's orders lie below it
-MAX_QUADRATURE_ORDER = 1024
-
-
-def gauss_legendre(n: int):
-    """Nodes and weights of the n-point rule on [0, 1], 1 <= n <=
-    ``MAX_QUADRATURE_ORDER``; cached. The fixed tensor rules in
-    linecox.analytic are built from these."""
-    n = _check_int(n, "quadrature order")
-    if not 1 <= n <= MAX_QUADRATURE_ORDER:
-        raise InputError(f"quadrature order must be in [1, {MAX_QUADRATURE_ORDER}], "
-                         f"got {n}")
-    return _legendre(n)
+from .model import _finite_real
 
 
 @functools.cache
 def _legendre(n: int):
-    """The n-point rule of ``gauss_legendre``, for a checked n; cached,
-    read-only."""
+    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1], n >=
+    1; cached, read-only."""
     x, w = leggauss(n)
     nodes, weights = 0.5 * (x + 1.0), 0.5 * w
     nodes.setflags(write=False)
@@ -56,7 +39,7 @@ def _graded_legendre(n: int):
     g(x) and weights w*g'(x) = 6*w*x*(1 - x); cached, read-only. g'
     vanishes at both ends, so the nodes crowd there, where a segment's
     integrand has a boundary layer."""
-    x, w = gauss_legendre(n)
+    x, w = _legendre(n)
     nodes, weights = x * x * (3.0 - 2.0 * x), 6.0 * w * x * (1.0 - x)
     nodes.setflags(write=False)
     weights.setflags(write=False)
@@ -64,10 +47,11 @@ def _graded_legendre(n: int):
 
 
 def check_tol(tol) -> None:
-    """InputError unless the ladder tolerance ``tol`` is a number > 0 (nan
-    is not, nor is a bool): a bad tolerance is bad input, not a quadrature
-    that failed."""
-    if not (isinstance(tol, numbers.Real) and not isinstance(tol, bool) and tol > 0):
+    """InputError unless the ladder tolerance ``tol`` is a number > 0 that a
+    float holds (not nan, a bool or an int past the largest float): a bad
+    tolerance is bad input, not a quadrature that failed."""
+    if not (isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+            and (tol == math.inf or _finite_real(tol)) and tol > 0):
         raise InputError(f"tol must be > 0, got {tol!r}")
 
 

@@ -194,8 +194,10 @@ _SCALAR_COUNTS_MAX = 16
 
 
 def _half_chords(offsets: np.ndarray, R: float) -> np.ndarray:
-    """Half lengths of the chords at these offsets in the disk of radius R."""
-    return np.sqrt(np.maximum(R * R - offsets * offsets, 0.0))
+    """Half lengths of the chords at offsets |p| <= R, such as -R + 2*R*U
+    with U < 1, in the disk of radius R: rounding keeps p*p <= R*R, finite
+    by ``_check_inputs``, so no root sees a negative number."""
+    return np.sqrt(R * R - offsets * offsets)
 
 
 class _TrialDraws:
@@ -246,7 +248,7 @@ class _TrialDraws:
             # same
             poisson, span = rng.poisson, R - -R
             counts = [poisson(two_mu * R) for _ in origin] + [
-                poisson(two_mu * math.sqrt(max(R * R - p * p, 0.0)))
+                poisson(two_mu * math.sqrt(R * R - p * p))
                 for p in [-R + span * v for v in u[n_bg:].tolist()]]
         else:
             counts = rng.poisson(two_mu * np.concatenate(
@@ -321,6 +323,8 @@ def _check_inputs(params, scenario, clip_radius) -> float:
     if not (_finite_real(clip_radius) and clip_radius > 0):
         raise NonPositiveRadius(f"clip_radius must be finite and > 0, got {clip_radius!r}")
     clip_radius = float(clip_radius)
+    if clip_radius * clip_radius == math.inf:
+        raise InputError(f"clip_radius={clip_radius!r} is too large: its square overflows")
     expected = params.lam * _PI * clip_radius
     if expected > MAX_EXPECTED_LINES:
         raise TooManyLines(

@@ -41,7 +41,6 @@ from linecox import (
     errors,
     farfield_success_lower_bound,
     farfield_threshold_distance,
-    gauss_legendre,
     nearfield_success,
     one_turn_intersection_terms,
     reach_quantile,
@@ -49,13 +48,14 @@ from linecox import (
     run_mc,
     sample_chunk,
     sample_palm,
+    sample_path,
     shortest_path,
     two_turn_T,
     typical_point,
 )
 from linecox.cli import EXIT_CONFIG, EXIT_OK, EXIT_QUADRATURE, EXIT_RUNTIME, main
 from linecox.model import Line
-from linecox.quadrature import MAX_QUADRATURE_ORDER, check_tol
+from linecox.quadrature import check_tol
 from realizations import one_trial
 
 _FAMILY = sorted((cls for cls in vars(errors).values()
@@ -83,6 +83,8 @@ def test_each_error_type_maps_to_its_exit(monkeypatch, capsys, error):
 
 _MODEL = ModelParams(1.0, 1.0)
 _LINK = RisLinkParams(*[1.0] * 12)
+# one expected line and almost no points within a radius whose square overflows
+_HUGE_R_MODEL = ModelParams(1.0 / (math.pi * 1e200), 1e-300)
 _BAD_CALLS = {
     "run_mc trials": lambda: run_mc(_MODEL, typical_point(), TurnPolicy.one_turn(), 0, 1.0, 1),
     "run_mc t_max": lambda: run_mc(_MODEL, typical_point(), TurnPolicy.one_turn(), 1, 0.0, 1),
@@ -133,11 +135,6 @@ _BAD_CALLS = {
     "thm2 tol type": lambda: cdf_one_turn_intersection(_MODEL, 0.5, tol="x"),
     "quantile tol type": lambda: reach_quantile(_MODEL, 0.5, "one-turn-intersection",
                                                 tol="x"),
-    "gauss order 0": lambda: gauss_legendre(0),
-    "gauss order -1": lambda: gauss_legendre(-1),
-    "gauss order 1.5": lambda: gauss_legendre(1.5),
-    "gauss order huge": lambda: gauss_legendre(2**70),
-    "gauss order past cap": lambda: gauss_legendre(MAX_QUADRATURE_ORDER + 1),
     "thm2 with_err text": lambda: cdf_one_turn_intersection(_MODEL, 0.5, with_err="x"),
     "bound with_err text": lambda: cdf_two_turn_bound(_MODEL, 0.5, with_err="x"),
     "t complex array": lambda: cdf_one_turn_point(_MODEL, np.array([0.5 + 1j])),
@@ -194,6 +191,28 @@ _BAD_CALLS = {
     "oracle t_max bool": lambda: shortest_path(
         sample_palm(_MODEL, typical_point(), 1.0, 1), TurnPolicy.one_turn(), True),
     "curve bool grid": lambda: DistributionCurve([False, True], [0.0, 1.0], 0.0),
+    "chunk radius square": lambda: sample_chunk(_HUGE_R_MODEL, typical_point(), 1e200, 3, 0, 40),
+    "run_mc radius square": lambda: run_mc(_HUGE_R_MODEL, typical_point(),
+                                           TurnPolicy.one_turn(), 40, 1e200, 0,
+                                           grid=[0.0, 1.0]),
+    "t bool in list": lambda: cdf_one_turn_point(_MODEL, [0.5, True]),
+    "t bool in object array": lambda: cdf_one_turn_point(
+        _MODEL, np.array([0.5, True], dtype=object)),
+    "curve bool in grid": lambda: DistributionCurve([0.0, True], [0.0, 1.0], 0.0),
+    "run_mc grid bool": lambda: run_mc(_MODEL, typical_point(), TurnPolicy.one_turn(), 1,
+                                       1.0, 1, grid=[0.0, True]),
+    "oracle t_max array": lambda: shortest_path(
+        sample_palm(_MODEL, typical_point(), 1.0, 1), TurnPolicy.one_turn(), [0.5, 1.0]),
+    "chunk t_max empty": lambda: chunk_lengths(
+        sample_chunk(_MODEL, typical_point(), 1.0, 1, 0, 1), TurnPolicy.one_turn(), []),
+    "path t_max text": lambda: sample_path(_MODEL, typical_point(), TurnPolicy.one_turn(),
+                                           "x", 1),
+    "path t_max None": lambda: sample_path(_MODEL, typical_point(), TurnPolicy.one_turn(),
+                                           None, 1),
+    "tol huge int": lambda: cdf_two_turn_bound(_MODEL, 0.5, tol=10**400),
+    "quantile policy array": lambda: reach_quantile(_MODEL, 0.5, np.array(["a", "b"])),
+    "rescale grid overflow": lambda: rescale(
+        DistributionCurve([5.0, 6.0], [0.2, 0.3], 0.0), 1e308),
 }
 
 

@@ -121,8 +121,8 @@ PUBLIC = {
     "AngleLaw", "DistributionCurve", "Line", "ModelParams", "PalmKind", "PalmScenario",
     "PointOnLine", "PolicyKind", "TurnPolicy", "rescale", "typical_intersection",
     "typical_point",
-    # oracle, quadrature, sampler
-    "PathResult", "chunk_lengths", "sample_path", "shortest_path", "gauss_legendre",
+    # oracle, sampler
+    "PathResult", "chunk_lengths", "sample_path", "shortest_path",
     "ChunkSample", "Realization", "sample_chunk", "sample_palm",
 }
 ANALYTIC = {

@@ -25,7 +25,7 @@ from linecox import (
 )
 from linecox.analytic import intersection
 from linecox.analytic.intersection import _REGIMES, _coefficients, _thresholds, _zeta
-from linecox.quadrature import gauss_legendre
+from linecox.quadrature import _legendre
 from thm2_direct import direct_slopes, direct_terms
 
 DATA = pathlib.Path(__file__).parent / "data" / "riemann_oracle.json"
@@ -100,8 +100,8 @@ def test_no_segment_off_the_window_reaches_omega(rung):
     third rung clears omega by 4.8e-9, far above the rounding of either
     side."""
     nw, nx, _ = intersection._LADDER[rung]
-    og, _ = gauss_legendre(nw)
-    xg, _ = gauss_legendre(nx)
+    og, _ = _legendre(nw)
+    xg, _ = _legendre(nx)
     omega, xr = np.repeat(math.pi * og, nx), np.tile(xg, nw)
     outer_lo, win_lo, win_hi, outer_hi = _thresholds(xr, np.sin(omega), np.cos(omega))
     assert (outer_lo < omega).all() and (omega < outer_hi).all()
@@ -311,7 +311,7 @@ def test_the_fold_matches_the_all_node_sum(monkeypatch, fresh_tables, rung):
     fx, _ = intersection._rung_terms(s, nw, nx, n1)
     assert len(seen) == 4
 
-    sg, sgw = gauss_legendre(n1)
+    sg, sgw = _legendre(n1)
     off_window = np.zeros(s.size)
     folded = 0
     for coef, (gap, width, mass, below, above) in seen:
@@ -333,8 +333,8 @@ def test_the_fold_matches_the_all_node_sum(monkeypatch, fresh_tables, rung):
         off_window += [(w * np.exp(-sk * zeta)).sum() for sk in s]
     assert folded > 0.2 * 4 * nw * nx
 
-    og, ow = gauss_legendre(nw)
-    xg, xw = gauss_legendre(nx)
+    og, ow = _legendre(nw)
+    xg, xw = _legendre(nx)
     omega, xr = np.repeat(np.pi * og, nx), np.tile(xg, nw)
     _, win_lo, win_hi, _ = intersection._thresholds(xr, np.sin(omega), np.cos(omega))
     win_mass = np.maximum(win_hi - win_lo, 0.0) * np.outer(ow, xw).ravel() / np.pi
@@ -363,7 +363,7 @@ def test_no_node_of_any_rung_lies_within_the_riemann_guard(monkeypatch, rung):
     intersection._build_table(nw, nx, n1)
     assert len(seen) == 4
 
-    sg, _ = gauss_legendre(n1)
+    sg, _ = _legendre(n1)
     clearance = math.inf
     for gap, width, mass, below, above in seen:
         kept = (mass > 0.0) & ~below & ~above
@@ -464,7 +464,7 @@ def test_the_slopes_match_the_direct_sums(rung):
 def test_a_fresh_rung_2_build_stays_small():
     rule = intersection._LADDER[1]
     for n in rule:
-        gauss_legendre(n)  # the cached rules are not the build's
+        _legendre(n)  # the cached rules are not the build's
     tracemalloc.start()
     try:
         intersection._build_table(*rule)

@@ -29,6 +29,7 @@ from linecox.sampler import (
     MAX_EXPECTED_POINTS,
     MAX_TRIAL_POINTS,
     _check_inputs,
+    _uniform,
 )
 from realizations import crossings_within, intersections, rotate
 
@@ -126,6 +127,26 @@ def test_sample_palm_validation():
         assert got.lines == want.lines
         assert all(np.array_equal(x, y)
                    for x, y in zip(got.arcs_by_line, want.arcs_by_line))
+
+
+def test_offsets_lie_within_the_radius_and_leave_a_chord():
+    """The premise of the unclamped half chord sqrt(R*R - p*p): an offset
+    p = -R + 2*R*U of a raw double U in [0, 1) lies in [-R, R], and then
+    p*p rounds to at most R*R. Checked at the ends of U's range and in its
+    middle, for radii from the least subnormal to about the largest whose
+    square is finite, powers of two among them and others."""
+    radii = [5e-324, 1e-320, 2.0**-1060, 3e-200, 2.0**-30, 0.1, 1.0, 3.0,
+             2.0**40, 7e77, 2.0**500, 1e154, 1.3407807929942596e154]
+    raw = [np.array([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53])]
+    for R in radii:
+        assert math.isfinite(R * R)
+        p = _uniform(raw, -R, R)
+        assert np.all((-R <= p) & (p <= R)), R
+        assert np.all(R * R - p * p >= 0.0), R
+        assert p[0] == -R
+    with pytest.raises(InputError, match="too large"):
+        _check_inputs(ModelParams(0.0, 1e-300), typical_point(),
+                      math.nextafter(1.3407807929942596e154, math.inf))
 
 
 def test_rotation_invariance_of_path_lengths():

@@ -23,7 +23,7 @@ from linecox import (
     typical_point,
 )
 from linecox.analytic import twoturn
-from linecox.quadrature import _graded_legendre, gauss_legendre
+from linecox.quadrature import _graded_legendre, _legendre
 from realizations import sample_D
 
 DATA = pathlib.Path(__file__).parent / "data" / "riemann_oracle.json"
@@ -214,8 +214,8 @@ def _ttilde_vec(w, u, t, mu, ni, n1):
 def _bound_eval(lams, mu, t, nu, nw, ni, n1):
     """The per-u bound at every lam of ``lams``; Ttilde does not depend on
     lam, so its rows are computed once and shared by the lams."""
-    g, wt = gauss_legendre(nu)
-    gw, ww = gauss_legendre(nw)
+    g, wt = _legendre(nu)
+    gw, ww = _legendre(nw)
     rows = [_ttilde_vec(float(uv) * gw, float(uv), t, mu, ni, n1) for uv in t * g]
     out = []
     for lam in lams:
@@ -260,7 +260,7 @@ def test_every_bound_rung_is_within_its_bound_of_a_graded_reference(monkeypatch)
                     for (lam, mu), want in ref.items())
         assert worst <= bound, (spec, worst)
     # the same reference against the plain rule with 64 theta_1 nodes
-    monkeypatch.setattr(twoturn, "_graded_legendre", gauss_legendre)
+    monkeypatch.setattr(twoturn, "_graded_legendre", _legendre)
     for lam in (1.0, 8.0):
         plain = twoturn._bound_rung(lam, 0.2, ts[0.2], 32, 32, 64, 64)
         assert np.abs(plain - ref[lam, 0.2]).max() <= 2e-7, (lam, plain)
@@ -289,7 +289,7 @@ def test_every_kernel_rung_is_within_its_bound_of_a_graded_reference(monkeypatch
         worst = max(abs(kernel(case, *spec) - want) for case, want in zip(_KERNEL_CASES, ref))
         assert worst <= bound, (spec, worst)
     # the plain rule of the same order agrees to 1.6e-9, at w = 1 - 1e-9
-    monkeypatch.setattr(twoturn, "_graded_legendre", gauss_legendre)
+    monkeypatch.setattr(twoturn, "_graded_legendre", _legendre)
     for case, want in zip(_KERNEL_CASES, ref):
         assert kernel(case, 2048, 512) == pytest.approx(want, abs=3e-9, rel=0), case
 
@@ -329,8 +329,8 @@ def test_the_pole_and_the_kink_lie_in_the_theta1_range(rule, q):
     next to pi/2, so the test checks the rounded values the kernel uses."""
     q = np.array(q)
     if len(rule) == 4:  # a bound rung: q at its (u, w) pairs, as _bound_rung forms it
-        gu, _ = gauss_legendre(rule[0])
-        gw, _ = gauss_legendre(rule[1])
+        gu, _ = _legendre(rule[0])
+        gw, _ = _legendre(rule[1])
         w = np.outer(gu, gw).ravel()
         q = np.concatenate([q, (np.repeat(gu, rule[1]) - w) / (1.0 - w)])
     ti, _ = twoturn._theta_i_rule(rule[-2])
@@ -349,7 +349,7 @@ def test_one_point_equals_its_value_in_the_61_point_grid():
 
 def test_chunking_does_not_change_the_kernel(monkeypatch):
     ni, n1 = twoturn._B_LADDER[0][2:]
-    gu, _ = gauss_legendre(20)
+    gu, _ = _legendre(20)
     w = np.outer(gu, gu).ravel()
     u = np.repeat(gu, 20)
     q, c, s = (u - w) / (1.0 - w), 1.0 - w, np.array([0.05, 1.0, 6.0])

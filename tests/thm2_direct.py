@@ -10,7 +10,7 @@ import numpy as np
 from linecox.analytic import intersection
 from linecox.analytic.intersection import (_REGIMES, _coefficients, _segment_rows,
                                            _thresholds, _zeta)
-from linecox.quadrature import gauss_legendre
+from linecox.quadrature import _legendre
 
 
 def _measure(nw, nx, n1):
@@ -18,9 +18,9 @@ def _measure(nw, nx, n1):
     ``off_window`` yields (w, z) arrays chunk by chunk, each segment's rows
     clipped to 0 and to 4 as one node each; ``window`` is the weight and z
     per x node, and ``outside`` the weight outside the window."""
-    og, ow = gauss_legendre(nw)
-    xg, xw = gauss_legendre(nx)
-    sg, sgw = gauss_legendre(n1)
+    og, ow = _legendre(nw)
+    xg, xw = _legendre(nx)
+    sg, sgw = _legendre(n1)
     omega = np.repeat(math.pi * og, nx)
     xr = np.tile(xg, nw)
     weight = np.outer(ow, xw).ravel() / math.pi
