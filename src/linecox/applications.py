@@ -8,7 +8,7 @@ the CLI converts dB at the boundary.
 
 Electric-vehicle reach inverts a distance CDF: ``reach_quantile`` finds
 the radius that holds a point with probability p, for each of three
-curves, by one bracketed Brent solve.
+curves, by one bracketed Brent solve, each searched up to t = 2^60.
 """
 
 from __future__ import annotations
@@ -87,15 +87,15 @@ class RisLinkParams:
 
 
 def db_to_linear(db: float) -> float:
-    """10^(db/10); inf where that overflows a float, which
-    ``RisLinkParams`` then rejects by field name. InputError when db is
-    not a real number."""
+    """10^(db/10); inf where that overflows a float, which ``RisLinkParams``
+    then rejects by field name, and 0.0 where it underflows. InputError
+    when db is not a real number."""
     if not isinstance(db, numbers.Real) or isinstance(db, bool):
         raise InputError(f"db must be a real number, got {db!r}")
     try:
         return 10.0 ** (db / 10.0)
-    except OverflowError:
-        return math.inf
+    except OverflowError:  # db / 10 or the power is past the largest float
+        return 0.0 if db < 0 else math.inf
 
 
 def _threshold(direct, log_d: float) -> float:
@@ -179,12 +179,10 @@ def farfield_success_lower_bound(link: RisLinkParams, model: ModelParams) -> flo
     return cdf_one_turn_point(model, farfield_threshold_distance(link))
 
 
-# quantile targets: CDF factory per policy tag, plus the bracket cap (the
-# quadrature-backed curve is not searched beyond it)
+# quantile targets: one CDF per policy tag, each searched up to _SEARCH_CAP
 REACH_POLICIES = ("one-turn-point", "zero-turn-intersection", "one-turn-intersection")
 
-_QUAD_CAP = 64.0
-_CLOSED_CAP = 2.0**60
+_SEARCH_CAP = 2.0**60
 _XTOL, _RTOL = 1e-12, 1e-9  # the root's tolerances, as brentq reads them
 
 
@@ -192,10 +190,10 @@ def _reach_cdf(policy: str, model: ModelParams, tol: float):
     if not (isinstance(policy, str) and policy in REACH_POLICIES):
         raise InputError(f"policy must be one of {REACH_POLICIES}, got {policy!r}")
     if policy == "one-turn-point":
-        return (lambda t: cdf_one_turn_point(model, t)), _CLOSED_CAP
+        return lambda t: cdf_one_turn_point(model, t)
     if policy == "zero-turn-intersection":
-        return (lambda t: cdf_zero_turn_intersection(model, t)), _CLOSED_CAP
-    return (lambda t: cdf_one_turn_intersection(model, t, tol=tol)), _QUAD_CAP
+        return lambda t: cdf_zero_turn_intersection(model, t)
+    return lambda t: cdf_one_turn_intersection(model, t, tol=tol)
 
 
 def reach_quantile(model: ModelParams, p: float, policy: str = "one-turn-point",
@@ -205,16 +203,16 @@ def reach_quantile(model: ModelParams, p: float, policy: str = "one-turn-point",
     with probability p). Every policy takes the one bracketed root solve,
     ``_bracketed_root``, which returns scipy.optimize.brentq's root on its
     bracket bit for bit, to 1e-9 relative; NoBracket when p is not reached
-    below the policy's search cap; p = 0 gives 0, where F(0) - p = 0. Each
-    quantile logs one INFO line: the policy, p, the curve calls and the
-    wall time.
+    by t = 2^60, every policy's search cap; p = 0 gives 0, where F(0) - p =
+    0. Each quantile logs one INFO line: the policy, p, the curve calls and
+    the wall time.
     """
     check_tol(tol)
     _check_record(model, ModelParams, "model")
     if not (_finite_real(p) and 0.0 <= p < 1.0):
         raise InputError(f"p must lie in [0, 1), got {p!r}")
     p = float(p)
-    cdf, cap = _reach_cdf(policy, model, tol)
+    cdf = _reach_cdf(policy, model, tol)
     start, calls = time.perf_counter(), 0
 
     def counted(t):
@@ -223,23 +221,24 @@ def reach_quantile(model: ModelParams, p: float, policy: str = "one-turn-point",
         return cdf(t)
 
     try:
-        return _bracketed_root(counted, p, cap, policy)
+        return _bracketed_root(counted, p, policy)
     finally:
         _log.info("reach quantile (%s) p=%r: %d curve calls, %.2f ms", policy, p, calls,
                   1e3 * (time.perf_counter() - start))
 
 
-def _bracketed_root(cdf, p: float, cap: float, policy: str) -> float:
-    """Double the bracket from t = 1 until F(t) >= p, then solve F(t) = p in
-    [0, t] with ``_brent``, which reuses the value at the bracket's top."""
+def _bracketed_root(cdf, p: float, policy: str) -> float:
+    """Double the bracket from t = 1 until F(t) >= p (NoBracket past 2^60,
+    for every curve), then solve F(t) = p in [0, t] with ``_brent``, which
+    reuses the value at the bracket's top."""
     f = lambda t: cdf(t) - p
     hi = 1.0
     f_hi = f(hi)
     while f_hi < 0.0:
         hi *= 2.0
-        if hi > cap:
+        if hi > _SEARCH_CAP:
             raise NoBracket(
-                f"F(t) stays below p={p} up to the search cap {cap} for policy {policy}")
+                f"F(t) stays below p={p} up to the search cap {_SEARCH_CAP} for policy {policy}")
         f_hi = f(hi)
     return _brent(f, 0.0, hi, _XTOL, _RTOL, f_b=f_hi)
 

@@ -78,8 +78,9 @@ class TooManyLines(InputError):
 class TooManyPoints(InputError):
     """The expected point count per line, 2 * mu * clip_radius, exceeds
     ``sampler.MAX_EXPECTED_POINTS``, or per trial, lines times points per
-    line, ``sampler.MAX_TRIAL_POINTS``; such a run is rejected before it
-    draws rather than left to exhaust memory."""
+    line, ``sampler.MAX_TRIAL_POINTS``; or a chunk of more than one trial
+    holds more expected lines and points than ``MAX_TRIAL_POINTS``. Such a
+    run is rejected before it draws rather than left to exhaust memory."""
 
 
 class PolicyBudgetNegative(InputError):

@@ -31,6 +31,7 @@ from .model import (
     TurnPolicy,
     _check_int,
     _check_record,
+    _check_scalar_t,
     _finite_real,
 )
 from .oracle import chunk_lengths
@@ -146,7 +147,8 @@ def run_mc(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
 
     Returns a curve on ``grid`` (default 0..t_max step 0.01) with a DKW
     simultaneous band at level 1 - alpha. Identical (seed, trials) give a
-    bit-identical curve for any worker count. Inputs denser than
+    bit-identical curve for any worker count. ``t_max`` is checked as in
+    ``sample_path`` (NonFinite, NegativeT, NonPositiveRadius at 0). Inputs denser than
     ``sampler.MAX_EXPECTED_LINES`` lines per trial raise ``TooManyLines``,
     and more than ``sampler.MAX_EXPECTED_POINTS`` points per line or
     ``sampler.MAX_TRIAL_POINTS`` points per trial ``TooManyPoints``, before
@@ -165,10 +167,7 @@ def run_mc(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
         raise InputError(f"trials must be >= 1, got {trials}")
     if trials >= 2**63:  # the grid counts are np.int64
         raise InputError(f"trials must be < 2**63, got a {trials.bit_length()}-bit count")
-    if not (_finite_real(t_max) and t_max > 0):
-        raise InputError(f"t_max must be finite and > 0, got {t_max!r}")
-    t_max = float(t_max)
-    _check_inputs(params, scenario, t_max)
+    t_max = _check_inputs(params, scenario, _check_scalar_t(t_max, name="t_max"))
     _check_record(policy, TurnPolicy, "policy")
     halfwidth = dkw_halfwidth(trials, alpha)
     # a curve of the grid itself fails the finished curve's checks only on the grid

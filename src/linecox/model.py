@@ -122,17 +122,24 @@ def _check_record(value, kind: type, name: str) -> None:
 
 def _as_floats(values, message: str) -> np.ndarray:
     """The one conversion of a caller's numbers: ``values`` as a float array
-    of their shape. InputError(message) for what numpy cannot read as real
-    numbers: text, None, an int past the largest float, complex numbers,
-    whose imaginary part a cast would drop, and bools, which are not
-    numbers here (as in ``_finite_real``), also inside a list, tuple or
-    object array, which is walked for them; a numeric array is not."""
+    of their shape. Only real numbers serve, by the rule of ``_finite_real``:
+    a number or array of an integer or float dtype, or a list, tuple or
+    object array whose every entry is a real number and not a bool, which
+    is walked for them. InputError(message) for anything else, such as
+    text (even "0.5"), bytes, None, complex numbers, whose imaginary part a
+    cast would drop, bools, or an int past the largest float."""
     try:
         arr = np.asarray(values)
-        if arr.dtype.kind not in "bc" and not (
-                (isinstance(values, (list, tuple)) or arr.dtype == object)
+        kind = arr.dtype.kind
+        if kind == "O":
+            real = all(isinstance(x, numbers.Real) and not isinstance(x, (bool, np.bool_))
+                       for x in arr.flat)
+        else:  # numpy reads a bool in a list or tuple as 0 or 1: walk it for them
+            real = kind in "iuf" and not (
+                isinstance(values, (list, tuple))
                 and any(isinstance(x, (bool, np.bool_))
-                        for x in np.asarray(values, dtype=object).flat)):
+                        for x in np.asarray(values, dtype=object).flat))
+        if real:
             return arr.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):
         pass

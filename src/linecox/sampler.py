@@ -349,12 +349,24 @@ def sample_chunk(params: ModelParams, scenario: PalmScenario,
     """Draw trials ``start..stop-1`` of a run, trial i from the stream
     (master, i), as one ChunkSample. ``realization(i - start)`` is trial i
     as ``sample_palm(params, scenario, clip_radius, (master, i))`` gives
-    it, whatever chunk it was drawn in."""
+    it, whatever chunk it was drawn in. TooManyPoints for a chunk of more
+    than one trial whose expected lines and points, (stop - start) * L *
+    (1 + 2*mu*clip_radius) with L = ``_expected_lines``, pass
+    ``MAX_TRIAL_POINTS``."""
     R = _check_inputs(params, scenario, clip_radius)
     master = _check_int(master, "master")
     start, stop = _check_int(start, "start"), _check_int(stop, "stop")
     if stop <= start:
         raise InputError(f"need start < stop, got {start}, {stop}")
+    # the most trials whose expected lines and points stay within one
+    # trial's cap; a run_mc chunk never holds more (_chunk_trials)
+    limit = max(1, int(MAX_TRIAL_POINTS // (_expected_lines(params, scenario, R)
+                                            * (1.0 + 2.0 * params.mu * R))))
+    span = stop - start
+    if span > limit:
+        count = span if span < 10**15 else f"a {span.bit_length()}-bit count of"
+        raise TooManyPoints(f"{count} trials in one chunk exceed the cap of {limit} "
+                            "trials a chunk at these intensities and clip radius")
     draws = _TrialDraws(params, scenario, R, master)
     origin, angle_u, offset_u, counts, point_u = zip(
         *[draws.draw(i) for i in range(start, stop)])

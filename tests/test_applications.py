@@ -132,9 +132,10 @@ def test_reach_quantile_validation_and_no_bracket():
     with pytest.raises(ValueError):
         reach_quantile(model, 0.5, policy="three-turn")
     assert "one-turn-intersection" in REACH_POLICIES
-    # sparse charging: the curve caps out below p within the search window
-    with pytest.raises(NoBracket):
-        reach_quantile(ModelParams(0.0, 1e-3), 0.5, "one-turn-intersection")
+    # no curve reaches p by t = 2^60, every policy's one search cap
+    for policy in REACH_POLICIES:
+        with pytest.raises(NoBracket, match=r"search cap 1\.152921504606847e\+18 "):
+            reach_quantile(ModelParams(0.0, 1e-300), 0.5, policy)
 
 
 def test_db_to_linear():
@@ -142,6 +143,9 @@ def test_db_to_linear():
     assert db_to_linear(0.0) == 1.0
     assert db_to_linear(-10.0) == pytest.approx(0.1, rel=1e-15)
     assert db_to_linear(1e308) == math.inf  # 10.0 ** 1e307 raises OverflowError
+    assert db_to_linear(-1e308) == 0.0  # 10.0 ** -1e307 underflows
+    assert db_to_linear(-10**400) == 0.0  # -10**400 / 10.0 raises OverflowError
+    assert db_to_linear(10**400) == math.inf
 
 
 def _printed_thresholds(link):

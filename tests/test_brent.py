@@ -20,7 +20,7 @@ XTOL, RTOL = 1e-12, 1e-9  # reach_quantile's tolerances
 
 def _brentq_quantile(model, p, policy):
     """reach_quantile's bracket, solved by brentq."""
-    cdf, _ = applications._reach_cdf(policy, model, 1e-6)
+    cdf = applications._reach_cdf(policy, model, 1e-6)
     hi = 1.0
     while cdf(hi) < p:
         hi *= 2.0
@@ -59,7 +59,7 @@ def _spy_curve(monkeypatch):
 # (lam, mu, p): the benchmark's quantile jobs (lam, mu in [0.8, 1.25],
 # p in [0.5, 0.6]), then lam/mu from 0.01 to 100 and p from 1e-6 to 1 - 1e-9,
 # then lam 1, mu 1e-3, where the model's bracket of the root,
-# [L/(4*(mu + lam)), L/(4*mu)] with L = -log(1 - p), reaches past _QUAD_CAP
+# [L/(4*(mu + lam)), L/(4*mu)] with L = -log(1 - p), reaches past t = 64
 GRID = [
     (0.8, 1.25, 0.5), (1.25, 0.8, 0.6), (1.0, 1.0, 0.55), (1.25, 1.25, 0.5),
     (0.01, 1.0, 1e-6), (0.01, 1.0, 0.5), (0.01, 1.0, 1.0 - 1e-9),
@@ -84,8 +84,8 @@ def test_each_quantile_logs_one_line_with_its_curve_calls(monkeypatch, caplog, p
     real = applications._reach_cdf
 
     def spy(*args):
-        cdf, cap = real(*args)
-        return (lambda t: calls.append(t) or cdf(t)), cap
+        cdf = real(*args)
+        return lambda t: calls.append(t) or cdf(t)
 
     monkeypatch.setattr(applications, "_reach_cdf", spy)
     with caplog.at_level(logging.INFO, logger="linecox.applications"):
@@ -113,16 +113,33 @@ def test_no_lam_takes_the_generic_path(monkeypatch):
     assert q == _brentq_quantile(model, 0.5, INTERSECTION)
 
 
-def test_a_root_past_the_cap_falls_back_and_finds_no_bracket(monkeypatch, caplog):
-    """At lam = mu = 1e-3 the root, past log(2)/0.008 = 86.6, lies past the
-    cap: the bracket doubles from t = 1 and raises NoBracket at the cap, in
-    7 curve calls, and the INFO line is still written."""
+@pytest.mark.parametrize("lam, mu, p, root", [
+    (1e-3, 1e-3, 0.5, 156.57406148894734),
+    (0.0, 1e-3, 0.5, 173.28679513961495),
+    (1.0, 1e-4, 0.9, 84.86269232532474),
+    (0.0, 1e-6, 0.5, 173286.79513918803),
+])
+def test_an_intersection_root_past_64_is_brentq_s(lam, mu, p, root):
+    """Sparse charging points put the root past t = 64; the bracket keeps
+    doubling, as for the closed forms, and the root is brentq's. At lam = 0
+    it is the zero-turn-intersection quantile, the same curve, bit for bit."""
+    model = ModelParams(lam, mu)
+    assert reach_quantile(model, p, INTERSECTION) == root == _brentq_quantile(
+        model, p, INTERSECTION)
+    if lam == 0.0:
+        assert root == reach_quantile(model, p, "zero-turn-intersection")
+
+
+def test_the_bracket_doubles_to_the_one_cap(monkeypatch, caplog):
+    """At mu = 1e-300 the curve stays near 0: the bracket doubles from t = 1
+    to 2^60 and raises NoBracket past it, in 61 curve calls, and the INFO
+    line is still written."""
     calls = _spy_curve(monkeypatch)
     with caplog.at_level(logging.INFO, logger="linecox.applications"):
-        with pytest.raises(NoBracket, match="search cap 64.0"):
-            reach_quantile(ModelParams(1e-3, 1e-3), 0.5, INTERSECTION)
-    assert [float(t) for t in calls] == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
-    assert "p=0.5: 7 curve calls, " in caplog.text
+        with pytest.raises(NoBracket, match=r"search cap 1\.152921504606847e\+18 "):
+            reach_quantile(ModelParams(0.0, 1e-300), 0.5, INTERSECTION)
+    assert [float(t) for t in calls] == [2.0**k for k in range(61)]
+    assert "p=0.5: 61 curve calls, " in caplog.text
 
 
 @pytest.mark.parametrize("policy, curve", [

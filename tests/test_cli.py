@@ -484,6 +484,33 @@ def test_config_values_go_through_the_flag_checks(tmp_path, capsys):
         assert (tmp_path / "file.json").read_bytes() == (tmp_path / "flag.json").read_bytes()
 
 
+def test_config_false_flags_and_blank_lines_run_as_no_flag(tmp_path, capsys):
+    """A false spelling of a flag, blank lines and comment-only lines leave
+    the run as it is without the file."""
+    simulate = ["simulate", "--trials", "50", "--seed", "3", "--grid", "0:1:0.5"]
+    plain, via_file = tmp_path / "plain.csv", tmp_path / "file.csv"
+    assert _run(capsys, *simulate, "--out", str(plain))[0] == EXIT_OK
+    cfg = tmp_path / "run.cfg"
+    for text in ("exact_turns = off\n", "\n   \n# a comment = 1\n  # indented\nk = 2\n"):
+        cfg.write_text(text)
+        rc, _, _ = _run(capsys, *simulate, "--config", str(cfg), "--out", str(via_file))
+        assert rc == EXIT_OK
+        assert via_file.read_bytes() == plain.read_bytes()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("exact_turns = maybe\n", "config key 'exact_turns': expected a boolean, got 'maybe'"),
+    ("trials = many\n", "config key 'trials': "),
+    ("\nlambda 2\n", "run.cfg:2: expected key = value"),
+], ids=["bool", "int", "no-equals"])
+def test_a_bad_config_line_exits_2_naming_it(tmp_path, capsys, text, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    rc, out, err = _run(capsys, "simulate", "--trials", "5", "--config", str(cfg))
+    assert rc == EXIT_CONFIG and out == ""
+    assert message in err and "Traceback" not in err
+
+
 # every flag of every subcommand, as the CLI has offered them
 _FLAGS = {
     "analytic": "--which --lambda --mu --density --grid --tol --out",

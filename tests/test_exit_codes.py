@@ -51,6 +51,7 @@ from linecox import (
     sample_path,
     shortest_path,
     two_turn_T,
+    typical_intersection,
     typical_point,
 )
 from linecox.cli import EXIT_CONFIG, EXIT_OK, EXIT_QUADRATURE, EXIT_RUNTIME, main
@@ -213,6 +214,18 @@ _BAD_CALLS = {
     "quantile policy array": lambda: reach_quantile(_MODEL, 0.5, np.array(["a", "b"])),
     "rescale grid overflow": lambda: rescale(
         DistributionCurve([5.0, 6.0], [0.2, 0.3], 0.0), 1e308),
+    "t numeric text": lambda: cdf_one_turn_point(_MODEL, "0.5"),
+    "t numeric text in list": lambda: cdf_one_turn_point(_MODEL, ["0.5"]),
+    "t numeric bytes": lambda: cdf_one_turn_point(_MODEL, b"0.5"),
+    "t numeric text in object array": lambda: cdf_one_turn_point(
+        _MODEL, np.array(["0.5"], dtype=object)),
+    "t numeric text beside a number": lambda: cdf_one_turn_point(_MODEL, [0.5, "0.7"]),
+    "t timedelta array": lambda: cdf_one_turn_point(_MODEL, np.array([1], dtype="m8[s]")),
+    "curve numeric text": lambda: DistributionCurve(["0", "1"], [0, 1], 0),
+    "run_mc grid numeric text": lambda: run_mc(_MODEL, typical_point(), TurnPolicy.one_turn(),
+                                               1, 1.0, 1, grid=["0", "1"]),
+    "chunk span past the cap": lambda: sample_chunk(ModelParams(2, 1), typical_intersection(),
+                                                    1.0, 2**80, -3, 10**400),
 }
 
 

@@ -11,14 +11,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from linecox import experiments
+from linecox import experiments, sampler
 from linecox.analytic import (
     cdf_one_turn_point,
     cdf_upper_intersection,
     cdf_zero_turn_intersection,
 )
 from linecox.cli import parse_grid
-from linecox.errors import GridMismatch, InputError
+from linecox.errors import (
+    GridMismatch,
+    InputError,
+    NegativeT,
+    NonFinite,
+    NonPositiveRadius,
+)
 from linecox.experiments import (
     MAX_GRID_POINTS,
     _even_grid,
@@ -36,6 +42,7 @@ from linecox.model import (
     TurnPolicy,
     typical_point,
 )
+from linecox.oracle import sample_path
 from linecox.sampler import MAX_EXPECTED_LINES, MAX_EXPECTED_POINTS
 
 
@@ -287,6 +294,40 @@ def test_the_point_cap_chunk_sorts_on_16_bit_line_keys(monkeypatch):
     assert peak < 4.5 * 2**20, (trials, peak)
 
 
+class _Drew(Exception):
+    """Raised in place of a chunk's first draw: the chunk passed its checks."""
+
+
+def _refuse_draw(*args):
+    raise _Drew
+
+
+_EXPONENT = st.floats(-6.0, 3.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=400, deadline=None)
+@given(lam=st.one_of(st.just(0.0), _EXPONENT), mu=_EXPONENT, t_max=_EXPONENT,
+       point=st.booleans())
+@example(lam=0.999 * MAX_EXPECTED_LINES / (3.0 * math.pi), mu=1.0, t_max=3.0, point=True)
+@example(lam=0.0, mu=0.999 * MAX_EXPECTED_POINTS / 6.0, t_max=3.0, point=False)
+def test_sample_chunk_accepts_every_chunk_run_mc_asks_for(lam, mu, t_max, point):
+    """sample_chunk refuses a chunk whose expected lines and points pass
+    one trial's cap; run_mc sizes its chunks by a larger cost per trial
+    against a smaller budget, so it never asks for one."""
+    params = ModelParams(lam, mu)
+    scenario = PalmScenario(PalmKind.TYPICAL_POINT if point
+                            else PalmKind.TYPICAL_INTERSECTION)
+    try:
+        sampler._check_inputs(params, scenario, t_max)
+    except InputError:
+        return
+    size = experiments._chunk_trials(params, scenario, t_max)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sampler, "_TrialDraws", _refuse_draw)
+        with pytest.raises(_Drew):
+            sampler.sample_chunk(params, scenario, t_max, 0, 0, size)
+
+
 def test_run_mc_validation_and_single_trial():
     params = ModelParams(1.0, 1.0)
     scenario = PalmScenario(PalmKind.TYPICAL_POINT)
@@ -307,6 +348,20 @@ def test_run_mc_validation_and_single_trial():
     one = run_mc(params, scenario, policy, trials=1, t_max=2.0, seed=5)
     assert set(np.unique(one.values)) <= {0.0, 1.0}
     assert np.all(np.diff(one.values) >= 0.0)
+
+
+@pytest.mark.parametrize("t_max, error", [
+    (math.nan, NonFinite), (-1.0, NegativeT), (0.0, NonPositiveRadius), ("3", InputError),
+    (True, InputError), ([1.0, 2.0], InputError)])
+def test_run_mc_checks_t_max_as_sample_path_does(t_max, error):
+    """t_max goes through the one t check and then is the clip radius: the
+    same error, message and all, as ``sample_path`` raises."""
+    args = (ModelParams(1.0, 1.0), PalmScenario(PalmKind.TYPICAL_POINT), TurnPolicy.zero_turn())
+    with pytest.raises(error) as mc:
+        run_mc(*args, trials=10, t_max=t_max, seed=1)
+    with pytest.raises(error) as path:
+        sample_path(*args, t_max=t_max, seed=1)
+    assert str(mc.value) == str(path.value)
 
 
 @pytest.mark.parametrize("trials", [2**63, 10**400], ids=["2**63", "10**400"])
