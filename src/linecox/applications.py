@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 import time
 from dataclasses import dataclass, fields
 
@@ -30,7 +29,7 @@ from .errors import (
     NonFinite,
     NonPositiveParameter,
 )
-from .model import ModelParams, _check_record, _finite_real
+from .model import ModelParams, _check_record, _finite_real, _real
 from .quadrature import check_tol
 
 __all__ = [
@@ -89,8 +88,8 @@ class RisLinkParams:
 def db_to_linear(db: float) -> float:
     """10^(db/10); inf where that overflows a float, which ``RisLinkParams``
     then rejects by field name, and 0.0 where it underflows. InputError
-    when db is not a real number."""
-    if not isinstance(db, numbers.Real) or isinstance(db, bool):
+    when db is not a ``_real`` number."""
+    if not _real(db):
         raise InputError(f"db must be a real number, got {db!r}")
     try:
         return 10.0 ** (db / 10.0)

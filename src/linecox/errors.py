@@ -79,8 +79,10 @@ class TooManyPoints(InputError):
     """The expected point count per line, 2 * mu * clip_radius, exceeds
     ``sampler.MAX_EXPECTED_POINTS``, or per trial, lines times points per
     line, ``sampler.MAX_TRIAL_POINTS``; or a chunk of more than one trial
-    holds more expected lines and points than ``MAX_TRIAL_POINTS``. Such a
-    run is rejected before it draws rather than left to exhaust memory."""
+    costs more than ``MAX_TRIAL_POINTS``, counting each trial's expected
+    lines and points and its fixed cost, ``sampler._TRIAL_FIXED_COST``.
+    Such a run is rejected before it draws rather than left to exhaust
+    memory."""
 
 
 class PolicyBudgetNegative(InputError):

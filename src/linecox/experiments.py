@@ -35,7 +35,7 @@ from .model import (
     _finite_real,
 )
 from .oracle import chunk_lengths
-from .sampler import _check_inputs, _expected_lines, sample_chunk
+from .sampler import _TRIAL_FIXED_COST, _check_inputs, _expected_lines, sample_chunk
 
 __all__ = [
     "ComparisonReport",
@@ -58,8 +58,11 @@ _log = logging.getLogger(__name__)
 
 def dkw_halfwidth(n: int, alpha: float = 0.05) -> float:
     """Simultaneous ECDF confidence half width at level 1 - alpha
-    (Dvoretzky-Kiefer-Wolfowitz with the tight constant)."""
-    if not (_finite_real(n) and n >= 1):
+    (Dvoretzky-Kiefer-Wolfowitz with the tight constant). The sample count
+    ``n`` goes through ``_check_int``; InputError below 1 or past the
+    largest float."""
+    n = _check_int(n, "n")
+    if not (n >= 1 and _finite_real(n)):
         raise InputError(f"n must be finite and >= 1, got {n!r}")
     if not (_finite_real(alpha) and 0.0 < alpha < 1.0):
         raise InputError(f"alpha must be in (0, 1), got {alpha!r}")
@@ -103,10 +106,10 @@ def _chunk_trials(params: ModelParams, scenario: PalmScenario,
     """Trials per chunk: as many as _CHUNK_BUDGET holds, and at least one.
     A trial with L = origin lines + lam*pi*t_max expected lines costs
     L*L, the line pairs that bound a kernel layer's labels, plus
-    L*2*mu*t_max, a bound on the points it draws, plus a fixed 16 for the
-    rest of its draw."""
+    L*2*mu*t_max, a bound on the points it draws, plus the sampler's
+    fixed cost of a trial, ``_TRIAL_FIXED_COST``."""
     lines = _expected_lines(params, scenario, t_max)
-    cost = 16.0 + lines * (lines + 2.0 * params.mu * t_max)
+    cost = _TRIAL_FIXED_COST + lines * (lines + 2.0 * params.mu * t_max)
     return max(1, int(_CHUNK_BUDGET // cost))
 
 

@@ -76,10 +76,17 @@ class ModelParams:
         object.__setattr__(self, "mu", float(self.mu))
 
 
+def _real(x) -> bool:
+    """The one number rule, read by every numeric check: a real number (numpy
+    scalars too), but not a bool or a timedelta64, which numpy counts as one."""
+    return isinstance(x, float) or (isinstance(x, numbers.Real)
+                                and not isinstance(x, (bool, np.timedelta64)))
+
+
 def _finite_real(x) -> bool:
-    """A finite real number (numpy scalars too) that is not a bool. An int
-    past the largest float is not finite either, so its caller names it."""
-    if not isinstance(x, numbers.Real) or isinstance(x, bool):
+    """A finite ``_real`` number. An int past the largest float is not
+    finite either, so its caller names it."""
+    if not _real(x):
         return False
     try:
         return math.isfinite(x)
@@ -88,11 +95,10 @@ def _finite_real(x) -> bool:
 
 
 def _check_int(x, name: str) -> int:
-    """The one integer check: ``x`` as an int. An integral number (numpy
-    scalars too) that is not a bool serves, and so does a float of
-    integral value, such as 1e5. NonFinite for nan or inf, NotAnInteger
-    naming ``name`` for anything else."""
-    if isinstance(x, numbers.Real) and not isinstance(x, bool):
+    """The one integer check: ``x`` as an int. An integral ``_real`` number
+    serves, and so does a float of integral value, such as 1e5. NonFinite
+    for nan or inf, NotAnInteger naming ``name`` for anything else."""
+    if _real(x):
         if isinstance(x, numbers.Integral):
             return int(x)
         if not _finite_real(x):
@@ -104,9 +110,9 @@ def _check_int(x, name: str) -> int:
 
 def _check_flag(x, name: str) -> bool:
     """The one flag check: ``x`` as a bool. A bool or numpy.bool_ serves,
-    and so does an integer 0 or 1; anything else, such as "no", raises
-    InputError naming ``name`` rather than reading as its truth value."""
-    if isinstance(x, (bool, np.bool_)) or (isinstance(x, numbers.Integral)
+    and so does an integral ``_real`` 0 or 1; anything else, such as "no",
+    raises InputError naming ``name``, never read as its truth value."""
+    if isinstance(x, (bool, np.bool_)) or (isinstance(x, numbers.Integral) and _real(x)
                                            and x in (0, 1)):
         return bool(x)
     raise InputError(f"{name} must be a bool, got {x!r}")
@@ -122,25 +128,22 @@ def _check_record(value, kind: type, name: str) -> None:
 
 def _as_floats(values, message: str) -> np.ndarray:
     """The one conversion of a caller's numbers: ``values`` as a float array
-    of their shape. Only real numbers serve, by the rule of ``_finite_real``:
-    a number or array of an integer or float dtype, or a list, tuple or
-    object array whose every entry is a real number and not a bool, which
-    is walked for them. InputError(message) for anything else, such as
-    text (even "0.5"), bytes, None, complex numbers, whose imaginary part a
-    cast would drop, bools, or an int past the largest float."""
+    of their shape. Only ``_real`` numbers serve: one such number, an array
+    of an integer or float dtype, or a list, tuple or object array whose
+    every entry is one, which is walked for them. InputError(message) for
+    anything else, such as text (even "0.5"), bytes, None, complex numbers,
+    whose imaginary part a cast would drop, bools, timedeltas, a 0-d array
+    inside a list, or an int past the largest float."""
     try:
-        arr = np.asarray(values)
-        kind = arr.dtype.kind
-        if kind == "O":
-            real = all(isinstance(x, numbers.Real) and not isinstance(x, (bool, np.bool_))
-                       for x in arr.flat)
-        else:  # numpy reads a bool in a list or tuple as 0 or 1: walk it for them
-            real = kind in "iuf" and not (
-                isinstance(values, (list, tuple))
-                and any(isinstance(x, (bool, np.bool_))
-                        for x in np.asarray(values, dtype=object).flat))
-        if real:
-            return arr.astype(float, copy=False)
+        if _real(values):
+            return np.array(float(values))
+        if isinstance(values, np.ndarray) and values.dtype.kind != "O":
+            if values.dtype.kind in "iuf":
+                return values.astype(float, copy=False)
+        elif isinstance(values, (list, tuple, np.ndarray)):
+            arr = np.asarray(values, dtype=object)
+            if all(map(_real, arr.flat)):
+                return arr.astype(float)
     except (TypeError, ValueError, OverflowError):
         pass
     raise InputError(message)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 import time
 
 import numpy as np
@@ -19,7 +18,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import InputError, QuadratureFailure
-from .model import _finite_real
+from .model import _finite_real, _real
 
 
 @functools.cache
@@ -47,11 +46,10 @@ def _graded_legendre(n: int):
 
 
 def check_tol(tol) -> None:
-    """InputError unless the ladder tolerance ``tol`` is a number > 0 that a
-    float holds (not nan, a bool or an int past the largest float): a bad
+    """InputError unless the ladder tolerance ``tol`` is a ``_real`` number
+    > 0 that a float holds (not nan or an int past the largest float): a bad
     tolerance is bad input, not a quadrature that failed."""
-    if not (isinstance(tol, numbers.Real) and not isinstance(tol, bool)
-            and (tol == math.inf or _finite_real(tol)) and tol > 0):
+    if not (_real(tol) and tol > 0 and (tol == math.inf or _finite_real(tol))):
         raise InputError(f"tol must be > 0, got {tol!r}")
 
 

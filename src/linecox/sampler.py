@@ -86,6 +86,10 @@ MAX_EXPECTED_POINTS = 5000.0
 # caps above allow some 10 million; at 42 bytes a point the draw of one
 # trial at this cap peaks near 42 MiB.
 MAX_TRIAL_POINTS = 1e6
+# A trial's fixed cost, in expected lines and points: drawing its counts,
+# origin angles and per-trial arrays holds about 700 bytes whatever the
+# intensities, some 16 points' worth at 42 bytes a point.
+_TRIAL_FIXED_COST = 16.0
 
 
 def _norm_seed(seed) -> tuple[int, int]:
@@ -350,18 +354,18 @@ def sample_chunk(params: ModelParams, scenario: PalmScenario,
     (master, i), as one ChunkSample. ``realization(i - start)`` is trial i
     as ``sample_palm(params, scenario, clip_radius, (master, i))`` gives
     it, whatever chunk it was drawn in. TooManyPoints for a chunk of more
-    than one trial whose expected lines and points, (stop - start) * L *
-    (1 + 2*mu*clip_radius) with L = ``_expected_lines``, pass
-    ``MAX_TRIAL_POINTS``."""
+    than one trial whose cost, (stop - start) * (C + L * (1 +
+    2*mu*clip_radius)) with C = ``_TRIAL_FIXED_COST`` and L =
+    ``_expected_lines``, passes ``MAX_TRIAL_POINTS``."""
     R = _check_inputs(params, scenario, clip_radius)
     master = _check_int(master, "master")
     start, stop = _check_int(start, "start"), _check_int(stop, "stop")
     if stop <= start:
         raise InputError(f"need start < stop, got {start}, {stop}")
-    # the most trials whose expected lines and points stay within one
-    # trial's cap; a run_mc chunk never holds more (_chunk_trials)
-    limit = max(1, int(MAX_TRIAL_POINTS // (_expected_lines(params, scenario, R)
-                                            * (1.0 + 2.0 * params.mu * R))))
+    # the most trials whose fixed cost, expected lines and points stay
+    # within one trial's cap; a run_mc chunk never holds more (_chunk_trials)
+    limit = max(1, int(MAX_TRIAL_POINTS // (_TRIAL_FIXED_COST + _expected_lines(
+        params, scenario, R) * (1.0 + 2.0 * params.mu * R))))
     span = stop - start
     if span > limit:
         count = span if span < 10**15 else f"a {span.bit_length()}-bit count of"

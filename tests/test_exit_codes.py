@@ -86,6 +86,7 @@ _MODEL = ModelParams(1.0, 1.0)
 _LINK = RisLinkParams(*[1.0] * 12)
 # one expected line and almost no points within a radius whose square overflows
 _HUGE_R_MODEL = ModelParams(1.0 / (math.pi * 1e200), 1e-300)
+_TD = np.timedelta64(1, "s")  # numpy counts it an integer; no entry point takes it
 _BAD_CALLS = {
     "run_mc trials": lambda: run_mc(_MODEL, typical_point(), TurnPolicy.one_turn(), 0, 1.0, 1),
     "run_mc t_max": lambda: run_mc(_MODEL, typical_point(), TurnPolicy.one_turn(), 1, 0.0, 1),
@@ -226,6 +227,24 @@ _BAD_CALLS = {
                                                1, 1.0, 1, grid=["0", "1"]),
     "chunk span past the cap": lambda: sample_chunk(ModelParams(2, 1), typical_intersection(),
                                                     1.0, 2**80, -3, 10**400),
+    "policy flag timedelta": lambda: TurnPolicy.k_turn(2, _TD),
+    "tol timedelta": lambda: check_tol(_TD),
+    "thm2 tol timedelta": lambda: cdf_one_turn_intersection(_MODEL, 0.5, tol=_TD),
+    "db timedelta": lambda: db_to_linear(_TD),
+    "realization timedelta": lambda: sample_chunk(
+        _MODEL, typical_point(), 1.0, 1, 0, 1).realization(_TD),
+    "two_turn_T timedelta": lambda: two_turn_T(0.1, 0.2, _TD, _MODEL),
+    "t timedelta in list": lambda: cdf_one_turn_point(_MODEL, [_TD, 0.5]),
+    "t timedelta in object array": lambda: cdf_one_turn_point(
+        _MODEL, np.array([_TD, 0.5], dtype=object)),
+    "t 0-d bool array in list": lambda: cdf_one_turn_point(_MODEL, [np.array(True), 0.5]),
+    "t 0-d array in list": lambda: cdf_one_turn_point(_MODEL, [np.array(0.5), 0.7]),
+    "curve timedelta in grid": lambda: DistributionCurve([0.0, _TD], [0.0, 1.0], 0.0),
+    "run_mc grid timedelta": lambda: run_mc(_MODEL, typical_point(), TurnPolicy.one_turn(),
+                                            1, 1.0, 1, grid=[0.0, _TD]),
+    # one trial's fixed cost, not its (almost no) lines and points, fills the cap
+    "chunk trials past the fixed cost": lambda: sample_chunk(
+        ModelParams(0, 1e-9), typical_point(), 1.0, 0, 0, 58_824),
 }
 
 

@@ -3,8 +3,9 @@
 The fuzz test walks the functions and record constructors in
 ``linecox.__all__`` and calls each with arguments drawn from a strategy
 keyed by parameter name: values the callable accepts, mixed with nan,
-+-inf, huge, tiny and negative floats, ints past 2**63, bools, strings,
-None, lists that hold a bool and records of the wrong type. Whatever a
++-inf, huge, tiny and negative floats, ints past 2**63, bools, numpy
+timedeltas, strings, None, lists that hold a bool, a timedelta or a 0-d
+array, and records of the wrong type. Whatever a
 call raises must be a LineCoxError (pytest turns a RuntimeWarning into an
 error, so a warning fails the draw too). The argv side of this contract
 is ``test_exit_codes.test_fuzzed_argv_exits_with_a_documented_code``.
@@ -64,8 +65,9 @@ _BAD = st.sampled_from([
     math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, -5e-324, -1.0, -0.0,
     2**64 + 5, -(2**63) - 1, 10**400, np.float64(math.nan), np.int64(-3), True, False,
     np.bool_(True), "x", "", None, 1j, [0.5, True], [], (0.5, np.bool_(False)),
-    np.array([0.5, True], dtype=object), _MODEL, typical_point(), TurnPolicy.one_turn(),
-    _CURVE, _LINK, _CHUNK, _REAL])
+    np.array([0.5, True], dtype=object), np.timedelta64(1, "s"),
+    [np.timedelta64(1, "s"), 0.5], [np.array(True), 0.5], _MODEL, typical_point(),
+    TurnPolicy.one_turn(), _CURVE, _LINK, _CHUNK, _REAL])
 
 
 def _arg(*good, bad=_BAD):
@@ -200,6 +202,7 @@ def test_every_parameter_has_a_strategy():
                                       tol=1e-3)))
 @example(call=("two_turn_T", dict(w=0.0, u=1e308, t=1e308, params=ModelParams(0.0, 3.0),
                                   tol=1e-3)))
+@example(call=("ModelParams", dict(lam=np.timedelta64(1, "s"), mu=1.0)))
 def test_public_calls_return_or_raise_a_linecox_error(call):
     name, kwargs = call
     try:

@@ -21,6 +21,7 @@ from linecox import (
     TurnPolicy,
     ZeroMu,
     cdf_ppp2d_reference,
+    dkw_halfwidth,
     farfield_threshold_distance,
     nearfield_threshold_distance,
     one_turn_intersection_terms,
@@ -171,7 +172,7 @@ def test_real_inputs_take_numpy_scalars_and_refuse_bools(site):
         assert result(x) == result(float(n)), x
     for x in (np.float32(v), np.float64(v)):
         assert result(x) == result(float(v)), x
-    for bad in (True, False, "1", 10**400):
+    for bad in (True, False, "1", 10**400, np.timedelta64(1, "s")):
         with pytest.raises(error):
             result(bad)
 
@@ -182,6 +183,7 @@ INT_INPUT_SITES = {
     "trials": (lambda n: _mc_bytes(trials=n), 3),
     "seed": (lambda seed: _mc_bytes(seed=seed), 5),
     "workers": (lambda w: _mc_bytes(workers=w), 2),
+    "n": (dkw_halfwidth, 100),
 }
 
 
@@ -200,7 +202,7 @@ def test_integer_inputs_take_integral_values_and_refuse_the_rest(site):
     result, n = INT_INPUT_SITES[site]
     for x in (np.int64(n), np.int32(n), float(n), np.float64(n)):
         assert result(x) == result(n), x
-    for bad in (n + 0.7, np.float32(n + 0.5), True, "1"):
+    for bad in (n + 0.7, np.float32(n + 0.5), True, "1", np.timedelta64(n, "s")):
         with pytest.raises(NotAnInteger, match=site):
             result(bad)
     for bad in (math.nan, math.inf, -math.inf):
