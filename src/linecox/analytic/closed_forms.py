@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from ..errors import NegativeIntensity, NonFinite
+from ..errors import NegativeIntensity, NonFinite, _shown
 from ..model import ModelParams, _check_record, _check_t, _finite_real
 
 __all__ = [
@@ -128,9 +128,9 @@ def cdf_ppp2d_reference(density, t):
     given intensity (points per unit area): F(t) = 1 - exp(-pi*density*t^2).
     Reference curve for "does the street geometry matter" comparisons."""
     if not _finite_real(density):
-        raise NonFinite(f"density must be finite, got {density!r}")
+        raise NonFinite(f"density must be finite, got {_shown(density)}")
     if density < 0:
-        raise NegativeIntensity(f"density must be >= 0, got {density}")
+        raise NegativeIntensity(f"density must be >= 0, got {_shown(density)}")
     density = float(density)
     arr = _check_t(t)
     with np.errstate(over="ignore"):  # pi*density*t^2 past the largest float: F = 1

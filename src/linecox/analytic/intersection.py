@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import DomainError
+from ..errors import DomainError, _shown
 from ..model import ModelParams, _check_flag, _check_record, _check_scalar_t, _check_t
 from ..quadrature import _legendre, check_tol, settle_ladder
 from .closed_forms import _rate_times, _ret_err
@@ -345,7 +345,7 @@ def one_turn_intersection_terms(mu: float, t: float, *, tol: float = 1e-6):
     t = _check_scalar_t(t)
     check_tol(tol)
     if mu * t > _S_MAX:
-        raise DomainError(f"mu*t = {mu * t!r} is past {_S_MAX}, the "
+        raise DomainError(f"mu*t = {_shown(mu * t)} is past {_S_MAX}, the "
                           "largest mu*t the one-turn intersection terms serve")
 
     def rung(r, tv):

@@ -45,7 +45,7 @@ import math
 
 import numpy as np
 
-from ..errors import DomainError
+from ..errors import DomainError, _shown
 from ..model import ModelParams, _check_flag, _check_record, _check_t, _finite_real
 from ..quadrature import _graded_legendre, _legendre, check_tol, settle_ladder
 from .closed_forms import _rate_times, _ret_err
@@ -190,7 +190,8 @@ def two_turn_T(w: float, u: float, t: float, params: ModelParams,
     check_tol(tol)
     _check_record(params, ModelParams, "params")
     if not (all(_finite_real(x) for x in (w, u, t)) and 0.0 <= w <= u <= t):
-        raise DomainError(f"need 0 <= w <= u <= t finite, got w={w!r}, u={u!r}, t={t!r}")
+        raise DomainError(f"need 0 <= w <= u <= t finite, got w={_shown(w)}, "
+                          f"u={_shown(u)}, t={_shown(t)}")
     if w == t:
         return 1.0  # no reach left
     q, c = [(u - w) / (t - w)], [t - w]

@@ -28,6 +28,7 @@ from .errors import (
     NoBracket,
     NonFinite,
     NonPositiveParameter,
+    _shown,
 )
 from .model import ModelParams, _check_record, _finite_real, _real
 from .quadrature import check_tol
@@ -79,9 +80,9 @@ class RisLinkParams:
         for f in fields(self):
             v = getattr(self, f.name)
             if not _finite_real(v):
-                raise NonFinite(f"{f.name} must be finite, got {v!r}")
+                raise NonFinite(f"{f.name} must be finite, got {_shown(v)}")
             if v <= 0:
-                raise NonPositiveParameter(f"{f.name} must be > 0, got {v}")
+                raise NonPositiveParameter(f"{f.name} must be > 0, got {_shown(v)}")
             object.__setattr__(self, f.name, float(v))
 
 
@@ -90,7 +91,7 @@ def db_to_linear(db: float) -> float:
     then rejects by field name, and 0.0 where it underflows. InputError
     when db is not a ``_real`` number."""
     if not _real(db):
-        raise InputError(f"db must be a real number, got {db!r}")
+        raise InputError(f"db must be a real number, got {_shown(db)}")
     try:
         return 10.0 ** (db / 10.0)
     except OverflowError:  # db / 10 or the power is past the largest float
@@ -187,7 +188,7 @@ _XTOL, _RTOL = 1e-12, 1e-9  # the root's tolerances, as brentq reads them
 
 def _reach_cdf(policy: str, model: ModelParams, tol: float):
     if not (isinstance(policy, str) and policy in REACH_POLICIES):
-        raise InputError(f"policy must be one of {REACH_POLICIES}, got {policy!r}")
+        raise InputError(f"policy must be one of {REACH_POLICIES}, got {_shown(policy)}")
     if policy == "one-turn-point":
         return lambda t: cdf_one_turn_point(model, t)
     if policy == "zero-turn-intersection":
@@ -209,7 +210,7 @@ def reach_quantile(model: ModelParams, p: float, policy: str = "one-turn-point",
     check_tol(tol)
     _check_record(model, ModelParams, "model")
     if not (_finite_real(p) and 0.0 <= p < 1.0):
-        raise InputError(f"p must lie in [0, 1), got {p!r}")
+        raise InputError(f"p must lie in [0, 1), got {_shown(p)}")
     p = float(p)
     cdf = _reach_cdf(policy, model, tol)
     start, calls = time.perf_counter(), 0
@@ -258,7 +259,7 @@ def _brent(f, a: float, b: float, xtol: float, rtol: float,
     def call(x, fx=None):
         fx = float(f(x) if fx is None else fx)
         if math.isnan(fx):
-            raise ValueError(f"f({x!r}) is nan; the root solve cannot go on")
+            raise ValueError(f"f({_shown(x)}) is nan; the root solve cannot go on")
         return fx
 
     xpre, xcur = float(a), float(b)
@@ -268,7 +269,7 @@ def _brent(f, a: float, b: float, xtol: float, rtol: float,
     if fcur == 0.0:
         return xcur
     if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError(f"f({xpre!r}) and f({xcur!r}) must differ in sign")
+        raise ValueError(f"f({_shown(xpre)}) and f({_shown(xcur)}) must differ in sign")
     xblk = fblk = spre = scur = 0.0
     for _ in range(maxiter):
         if fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
@@ -300,4 +301,4 @@ def _brent(f, a: float, b: float, xtol: float, rtol: float,
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = call(xcur)
-    raise RuntimeError(f"no convergence in {maxiter} steps, last x {xcur!r}")
+    raise RuntimeError(f"no convergence in {maxiter} steps, last x {_shown(xcur)}")

@@ -68,7 +68,7 @@ from .applications import (
     nearfield_threshold_distance,
     reach_quantile,
 )
-from .errors import InputError, LineCoxError, NonFinite, QuadratureFailure
+from .errors import InputError, LineCoxError, NonFinite, QuadratureFailure, _shown
 from .model import (
     AngleLaw,
     DistributionCurve,
@@ -125,12 +125,12 @@ def parse_grid(text: str) -> np.ndarray:
     ends the grid there, else the last step at or below stop does."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise InputError(f"grid must be start:stop:step, got {text!r}")
+        raise InputError(f"grid must be start:stop:step, got {_shown(text)}")
     try:
         start, stop, step = map(float, parts)
     except ValueError:
-        raise InputError(f"grid {text!r} holds a value that is no number") from None
-    return _even_grid(start, stop, step, f"grid {text!r}")
+        raise InputError(f"grid {_shown(text)} holds a value that is no number") from None
+    return _even_grid(start, stop, step, f"grid {_shown(text)}")
 
 
 def _parse_bool(text: str) -> bool:
@@ -139,7 +139,7 @@ def _parse_bool(text: str) -> bool:
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise InputError(f"expected a boolean, got {text!r}")
+    raise InputError(f"expected a boolean, got {_shown(text)}")
 
 
 def _read_config_file(path: str) -> dict:
@@ -151,7 +151,7 @@ def _read_config_file(path: str) -> dict:
             if not line:
                 continue
             if "=" not in line:
-                raise InputError(f"{path}:{lineno}: expected key = value, got {raw!r}")
+                raise InputError(f"{path}:{lineno}: expected key = value, got {_shown(raw)}")
             key, value = line.split("=", 1)
             opts[key.strip().replace("-", "_")] = value.strip()
     return opts
@@ -195,9 +195,9 @@ class _Option:
         try:
             value = self.type(raw)
         except ValueError as exc:
-            raise InputError(f"config key {self.key!r}: {exc}") from None
+            raise InputError(f"config key {_shown(self.key)}: {exc}") from None
         if self.choices and value not in self.accepted:
-            raise InputError(f"config key {self.key!r}: invalid choice {value!r} "
+            raise InputError(f"config key {_shown(self.key)}: invalid choice {_shown(value)} "
                              f"(choose from {', '.join(self.accepted)})")
         return value
 
@@ -314,17 +314,12 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         for name, raw in _read_config_file(config_path).items():
             opt = names.get(name)
             if opt is None:
-                raise InputError(f"unknown config key {name!r} for {command}")
+                raise InputError(f"unknown config key {_shown(name)} for {command}")
             options[opt.key] = opt.from_text(raw)
             provided.add(opt.key)
     options.update(explicit)  # flags win over the file
     options = {key: table[key].aliases.get(v, v) for key, v in options.items()}
     return RunConfig(command, options, frozenset(provided))
-
-
-def _format_float(x: float) -> str:
-    # + 0.0 leaves every value unchanged except -0.0, which prints as 0.0
-    return repr(float(x) + 0.0)
 
 
 def _write(text: str, out: str | None = None) -> None:
@@ -344,11 +339,13 @@ def _sidecar_path(out: str) -> str:
     return (out[:-4] if out.endswith(".csv") else out) + ".json"
 
 
-def _write_curve(out: str | None, header: tuple, rows, meta: dict) -> None:
-    """The curve CSV to ``out`` (stdout when None), and with a path ``meta``
-    to its JSON sidecar."""
-    lines = [",".join(header)]
-    lines.extend(",".join(_format_float(v) for v in row) for row in rows)
+def _write_curve(out: str | None, header: tuple, columns, meta: dict) -> None:
+    """The curve CSV, one of ``columns`` under each name of ``header``, to
+    ``out`` (stdout when None), and with a path ``meta`` to its JSON
+    sidecar. A value prints as the repr of its float, a column at a time."""
+    # + 0.0 leaves every value unchanged except -0.0, which prints as 0.0
+    cells = [map(repr, (np.asarray(col, dtype=float) + 0.0).tolist()) for col in columns]
+    lines = [",".join(header), *map(",".join, zip(*cells))]
     _write("\n".join(lines) + "\n", out)
     if out is not None:
         _write(_json(meta), _sidecar_path(out))
@@ -387,7 +384,7 @@ def cmd_analytic(cfg: RunConfig) -> int:
         if cfg.which == "thm2":
             meta["variant"] = DEFAULT_VARIANT
 
-    _write_curve(cfg.out, ("t", "F", "err_est"), zip(grid, values, err), meta)
+    _write_curve(cfg.out, ("t", "F", "err_est"), (grid, values, err), meta)
     return EXIT_OK
 
 
@@ -402,10 +399,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
     curve = run_mc(params, scenario, policy, cfg.trials, t_max, cfg.seed,
                    grid=grid, workers=cfg.workers, alpha=cfg.alpha)
     hw = curve.ci_halfwidth
-    rows = zip(curve.grid, curve.values, curve.values - hw, curve.values + hw)
+    columns = (curve.grid, curve.values, curve.values - hw, curve.values + hw)
     meta = dict(curve.meta)
     meta.update({"command": "simulate", "grid": grid_text, "version": __version__})
-    _write_curve(cfg.out, ("t", "F", "ci_lo", "ci_hi"), rows, meta)
+    _write_curve(cfg.out, ("t", "F", "ci_lo", "ci_hi"), columns, meta)
     return EXIT_OK
 
 
@@ -419,7 +416,7 @@ def _load_curve(path: str) -> DistributionCurve:
     widths = {("t", "F", "err_est"): 3, ("t", "F", "ci_lo", "ci_hi"): 4}
     width = widths.get(tuple(header))
     if width is None:
-        raise InputError(f"{path}: unrecognized curve header {header!r}")
+        raise InputError(f"{path}: unrecognized curve header {_shown(header)}")
     if not rows:
         raise InputError(f"{path}: no data rows below the header")
     if any(len(row) != width for row in rows):
@@ -451,7 +448,7 @@ def _load_curve(path: str) -> DistributionCurve:
 
 def cmd_compare(cfg: RunConfig, a_path: str, b_path: str) -> int:
     if not math.isfinite(cfg.ks_threshold):
-        raise NonFinite(f"ks_threshold must be finite, got {cfg.ks_threshold}")
+        raise NonFinite(f"ks_threshold must be finite, got {_shown(cfg.ks_threshold)}")
     report = compare_curves(_load_curve(a_path), _load_curve(b_path))
     verdict = "pass" if report.ks_distance <= cfg.ks_threshold else "fail"
     _write(_json({

@@ -3,10 +3,13 @@
 Everything raised on purpose derives from LineCoxError so callers can catch
 the whole family at once. Bad input, an argument or configuration the
 request should not have made, derives from InputError, which is also a
-ValueError; this module alone decides what counts as bad input. The CLI
-maps errors to exit codes by type: any ValueError (so every InputError)
-exits 2, QuadratureFailure exits 3, and every other LineCoxError exits 4.
+ValueError; this module alone decides what counts as bad input, and, in
+``_shown``, how a message shows the value it refuses. The CLI maps errors
+to exit codes by type: any ValueError (so every InputError) exits 2,
+QuadratureFailure exits 3, and every other LineCoxError exits 4.
 """
+
+import operator
 
 __all__ = [
     "LineCoxError", "InputError", "NonFinite", "NegativeIntensity", "ZeroMu",
@@ -15,6 +18,24 @@ __all__ = [
     "PolicyBudgetNegative", "DomainError", "QuadratureFailure",
     "GridMismatch", "NoBracket",
 ]
+
+
+def _shown(x) -> str:
+    """The text a message uses for the value ``x``: its repr, except that an
+    int outside [-2**63, 2**63), Python's or numpy's, shows as its sign and
+    bit length ("a 16610-bit int", "a negative 64-bit int"), and a value
+    whose repr cannot be built, such as a Fraction past Python's limit on
+    printed digits, as its type name. So building a message never fails."""
+    try:
+        n = operator.index(x)  # an int, Python's or numpy's, but no timedelta64
+    except TypeError:
+        n = 0
+    if not -2**63 <= n < 2**63:
+        return f"a {'negative ' if n < 0 else ''}{n.bit_length()}-bit int"
+    try:
+        return repr(x)
+    except Exception:
+        return f"a {type(x).__name__}"
 
 
 class LineCoxError(Exception):

@@ -18,12 +18,11 @@ import logging
 import math
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, InputError
+from .errors import GridMismatch, InputError, _shown
 from .model import (
     DistributionCurve,
     ModelParams,
@@ -63,10 +62,13 @@ def dkw_halfwidth(n: int, alpha: float = 0.05) -> float:
     largest float."""
     n = _check_int(n, "n")
     if not (n >= 1 and _finite_real(n)):
-        raise InputError(f"n must be finite and >= 1, got {n!r}")
-    if not (_finite_real(alpha) and 0.0 < alpha < 1.0):
-        raise InputError(f"alpha must be in (0, 1), got {alpha!r}")
-    return math.sqrt(math.log(2.0 / alpha) / (2.0 * n))
+        raise InputError(f"n must be finite and >= 1, got {_shown(n)}")
+    if not (_finite_real(alpha) and 0.0 < float(alpha) < 1.0):
+        raise InputError(f"alpha must be in (0, 1), got {_shown(alpha)}")
+    alpha = float(alpha)
+    ratio = 2.0 / alpha  # inf below alpha = 2/max; then the log of each factor
+    log_ratio = math.log(ratio) if ratio < math.inf else math.log(2.0) - math.log(alpha)
+    return math.sqrt(log_ratio / (2.0 * n))
 
 
 def _even_grid(start, stop, step, label: str) -> np.ndarray:
@@ -98,7 +100,8 @@ def _even_grid(start, stop, step, label: str) -> np.ndarray:
 def default_grid(t_max: float = 3.0, step: float = 0.01) -> np.ndarray:
     """0, step, 2*step, ... as ``--grid`` reads them: a t_max within 1e-12
     (relative) of a step ends the grid, else the last step at or below it."""
-    return _even_grid(0.0, t_max, step, f"the default grid to t_max {t_max!r} by {step!r}")
+    return _even_grid(0.0, t_max, step,
+                      f"the default grid to t_max {_shown(t_max)} by {_shown(step)}")
 
 
 def _chunk_trials(params: ModelParams, scenario: PalmScenario,
@@ -133,6 +136,8 @@ def _chunk_results(tasks, n_chunks: int, workers: int):
     if workers < 2:
         yield from map(_mc_chunk, tasks)
         return
+    from concurrent.futures import ProcessPoolExecutor  # only a pool needs it
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         in_flight = deque()
         for task in tasks:
@@ -167,19 +172,20 @@ def run_mc(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
     started = time.perf_counter()
     trials = _check_int(trials, "trials")
     if trials < 1:
-        raise InputError(f"trials must be >= 1, got {trials}")
+        raise InputError(f"trials must be >= 1, got {_shown(trials)}")
     if trials >= 2**63:  # the grid counts are np.int64
-        raise InputError(f"trials must be < 2**63, got a {trials.bit_length()}-bit count")
+        raise InputError(f"trials must be < 2**63, got {_shown(trials)}")
     t_max = _check_inputs(params, scenario, _check_scalar_t(t_max, name="t_max"))
     _check_record(policy, TurnPolicy, "policy")
     halfwidth = dkw_halfwidth(trials, alpha)
     # a curve of the grid itself fails the finished curve's checks only on the grid
     grid = default_grid(t_max) if grid is None else DistributionCurve(grid, grid, grid).grid
     if grid[0] < 0 or grid[-1] > t_max + 1e-12:
-        raise InputError(f"grid spans [{grid[0]}, {grid[-1]}]; t_max censors at {t_max}")
+        raise InputError(f"grid spans [{_shown(float(grid[0]))}, "
+                         f"{_shown(float(grid[-1]))}]; t_max censors at {_shown(t_max)}")
     workers = _check_int(workers, "workers")
     if workers < 1:
-        raise InputError(f"workers must be >= 1, got {workers}")
+        raise InputError(f"workers must be >= 1, got {_shown(workers)}")
     master = _check_int(seed, "seed")
 
     size = _chunk_trials(params, scenario, t_max)

@@ -31,6 +31,7 @@ from .errors import (
     PolicyBudgetNegative,
     TBeyondClip,
     ZeroMu,
+    _shown,
 )
 
 __all__ = [
@@ -65,11 +66,11 @@ class ModelParams:
     def __post_init__(self):
         for name, value in (("lambda", self.lam), ("mu", self.mu)):
             if not _finite_real(value):
-                raise NonFinite(f"{name} must be a finite real number, got {value!r}")
+                raise NonFinite(f"{name} must be a finite real number, got {_shown(value)}")
         if self.lam < 0:
-            raise NegativeIntensity(f"lambda must be >= 0, got {self.lam}")
+            raise NegativeIntensity(f"lambda must be >= 0, got {_shown(self.lam)}")
         if self.mu < 0:
-            raise NegativeIntensity(f"mu must be > 0, got {self.mu}")
+            raise NegativeIntensity(f"mu must be > 0, got {_shown(self.mu)}")
         if self.mu == 0:
             raise ZeroMu("mu must be > 0: the distance distributions divide by mu")
         object.__setattr__(self, "lam", float(self.lam))
@@ -102,10 +103,10 @@ def _check_int(x, name: str) -> int:
         if isinstance(x, numbers.Integral):
             return int(x)
         if not _finite_real(x):
-            raise NonFinite(f"{name} must be finite, got {x!r}")
+            raise NonFinite(f"{name} must be finite, got {_shown(x)}")
         if float(x).is_integer():
             return int(x)
-    raise NotAnInteger(f"{name} must be an integer, got {x!r}")
+    raise NotAnInteger(f"{name} must be an integer, got {_shown(x)}")
 
 
 def _check_flag(x, name: str) -> bool:
@@ -115,7 +116,7 @@ def _check_flag(x, name: str) -> bool:
     if isinstance(x, (bool, np.bool_)) or (isinstance(x, numbers.Integral) and _real(x)
                                            and x in (0, 1)):
         return bool(x)
-    raise InputError(f"{name} must be a bool, got {x!r}")
+    raise InputError(f"{name} must be a bool, got {_shown(x)}")
 
 
 def _check_record(value, kind: type, name: str) -> None:
@@ -159,7 +160,7 @@ def _check_t(t, clip_radius: float | None = None, name: str = "t") -> np.ndarray
     arr = _as_floats(t, f"{name} must be a real number or an array of them")
 
     def first(bad):
-        return float(arr[bad][0])
+        return _shown(float(arr[bad][0]))
 
     if not np.isfinite(arr).all():
         raise NonFinite(f"{name} must be finite, got {first(~np.isfinite(arr))}")
@@ -167,7 +168,7 @@ def _check_t(t, clip_radius: float | None = None, name: str = "t") -> np.ndarray
         raise NegativeT(f"{name} must be >= 0, got {first(arr < 0)}")
     if clip_radius is not None and (arr > clip_radius).any():
         raise TBeyondClip(f"{name}={first(arr > clip_radius)} exceeds "
-                          f"clip_radius={clip_radius}; geometry beyond the "
+                          f"clip_radius={_shown(clip_radius)}; geometry beyond the "
                           "clip disk was never sampled")
     return arr
 
@@ -207,7 +208,7 @@ def _member(enum, value, name: str):
         return enum(value)
     except ValueError:
         raise InputError(f"{name} must be one of {[m.value for m in enum]}, "
-                         f"got {value!r}") from None
+                         f"got {_shown(value)}") from None
 
 
 class PalmKind(Enum):
@@ -300,7 +301,7 @@ class TurnPolicy:
             k, directed = 2, True
         k = _check_int(k, "k")
         if k < 0:
-            raise PolicyBudgetNegative(f"turn budget must be >= 0, got {k}")
+            raise PolicyBudgetNegative(f"turn budget must be >= 0, got {_shown(k)}")
         for name, value in (("kind", kind), ("k", k),
                             ("include_lower_turn_paths", lower),
                             ("first_hop_positive_x", directed)):
@@ -373,13 +374,13 @@ def rescale(curve: DistributionCurve, c: float) -> DistributionCurve:
     does a c that takes a grid point past the largest float."""
     _check_record(curve, DistributionCurve, "curve")
     if not _finite_real(c) or c <= 0:
-        raise NonPositiveScale(f"scale must be finite and > 0, got {c!r}")
+        raise NonPositiveScale(f"scale must be finite and > 0, got {_shown(c)}")
     c = float(c)
 
     def number(value, name):
         if not _finite_real(value):
             raise InputError(f"meta field {name} must be a finite real number, "
-                             f"got {value!r}")
+                             f"got {_shown(value)}")
         return value
 
     meta = dict(curve.meta)

@@ -17,7 +17,7 @@ import numpy as np
 # cost falls on `import linecox` and not on the first quadrature call
 from numpy.polynomial.legendre import leggauss
 
-from .errors import InputError, QuadratureFailure
+from .errors import InputError, QuadratureFailure, _shown
 from .model import _finite_real, _real
 
 
@@ -50,7 +50,7 @@ def check_tol(tol) -> None:
     > 0 that a float holds (not nan or an int past the largest float): a bad
     tolerance is bad input, not a quadrature that failed."""
     if not (_real(tol) and tol > 0 and (tol == math.inf or _finite_real(tol))):
-        raise InputError(f"tol must be > 0, got {tol!r}")
+        raise InputError(f"tol must be > 0, got {_shown(tol)}")
 
 
 def settle_ladder(evaluate, rungs: int, t, tol: float, failure, log, name: str):

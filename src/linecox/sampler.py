@@ -49,7 +49,7 @@ import numpy as np
 # falls on `import linecox` and not on a run's first draw
 from numpy.random import Generator, Philox
 
-from .errors import InputError, NonPositiveRadius, TooManyLines, TooManyPoints
+from .errors import InputError, NonPositiveRadius, TooManyLines, TooManyPoints, _shown
 from .model import (
     AngleLaw,
     Line,
@@ -311,7 +311,8 @@ class ChunkSample:
         t = _check_int(t, "t")
         n = self.n_trials
         if not -n <= t < n:
-            raise InputError(f"trial index {t} is out of range for a chunk of {n} trials")
+            raise InputError(f"trial index {_shown(t)} is out of range for a chunk "
+                             f"of {n} trials")
         return Realization(self, t % n)
 
 
@@ -325,10 +326,12 @@ def _check_inputs(params, scenario, clip_radius) -> float:
     _check_record(params, ModelParams, "params")
     _check_record(scenario, PalmScenario, "scenario")
     if not (_finite_real(clip_radius) and clip_radius > 0):
-        raise NonPositiveRadius(f"clip_radius must be finite and > 0, got {clip_radius!r}")
+        raise NonPositiveRadius(
+            f"clip_radius must be finite and > 0, got {_shown(clip_radius)}")
     clip_radius = float(clip_radius)
     if clip_radius * clip_radius == math.inf:
-        raise InputError(f"clip_radius={clip_radius!r} is too large: its square overflows")
+        raise InputError(
+            f"clip_radius={_shown(clip_radius)} is too large: its square overflows")
     expected = params.lam * _PI * clip_radius
     if expected > MAX_EXPECTED_LINES:
         raise TooManyLines(
@@ -361,15 +364,14 @@ def sample_chunk(params: ModelParams, scenario: PalmScenario,
     master = _check_int(master, "master")
     start, stop = _check_int(start, "start"), _check_int(stop, "stop")
     if stop <= start:
-        raise InputError(f"need start < stop, got {start}, {stop}")
+        raise InputError(f"need start < stop, got {_shown(start)}, {_shown(stop)}")
     # the most trials whose fixed cost, expected lines and points stay
     # within one trial's cap; a run_mc chunk never holds more (_chunk_trials)
     limit = max(1, int(MAX_TRIAL_POINTS // (_TRIAL_FIXED_COST + _expected_lines(
         params, scenario, R) * (1.0 + 2.0 * params.mu * R))))
     span = stop - start
     if span > limit:
-        count = span if span < 10**15 else f"a {span.bit_length()}-bit count of"
-        raise TooManyPoints(f"{count} trials in one chunk exceed the cap of {limit} "
+        raise TooManyPoints(f"{_shown(span)} trials in one chunk exceed the cap of {limit} "
                             "trials a chunk at these intensities and clip radius")
     draws = _TrialDraws(params, scenario, R, master)
     origin, angle_u, offset_u, counts, point_u = zip(

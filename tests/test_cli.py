@@ -1,6 +1,7 @@
 """End-to-end CLI tests, driven in process through main(argv)."""
 
 import argparse
+import concurrent.futures
 import contextlib
 import io
 import json
@@ -176,7 +177,7 @@ def test_simulate_through_a_process_pool_matches_one_worker(tmp_path, capsys, mo
         asked.append(max_workers)
         return ProcessPoolExecutor(max_workers=max_workers)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
     base = ["simulate", "--lambda", "2", "--mu", "1", "--t-max", "2",
             "--trials", "2100", "--grid", "0:2:0.25", "--seed", "5"]
     outputs = []

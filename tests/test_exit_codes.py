@@ -12,6 +12,7 @@ import io
 import json
 import math
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from linecox import (
     cdf_naive_recursion,
     cdf_one_turn_intersection,
     cdf_one_turn_point,
+    cdf_ppp2d_reference,
     cdf_two_turn_bound,
     cdf_upper_intersection,
     cdf_zero_turn_intersection,
@@ -87,6 +89,7 @@ _LINK = RisLinkParams(*[1.0] * 12)
 # one expected line and almost no points within a radius whose square overflows
 _HUGE_R_MODEL = ModelParams(1.0 / (math.pi * 1e200), 1e-300)
 _TD = np.timedelta64(1, "s")  # numpy counts it an integer; no entry point takes it
+_HUGE = 10**5000  # past the 4,300 digits Python prints an int with
 _BAD_CALLS = {
     "run_mc trials": lambda: run_mc(_MODEL, typical_point(), TurnPolicy.one_turn(), 0, 1.0, 1),
     "run_mc t_max": lambda: run_mc(_MODEL, typical_point(), TurnPolicy.one_turn(), 1, 0.0, 1),
@@ -245,6 +248,54 @@ _BAD_CALLS = {
     # one trial's fixed cost, not its (almost no) lines and points, fills the cap
     "chunk trials past the fixed cost": lambda: sample_chunk(
         ModelParams(0, 1e-9), typical_point(), 1.0, 0, 0, 58_824),
+    "huge lambda": lambda: ModelParams(_HUGE, 1),
+    "huge negative k": lambda: TurnPolicy.k_turn(-_HUGE),
+    "huge flag": lambda: TurnPolicy.k_turn(2, _HUGE),
+    "huge dkw n": lambda: dkw_halfwidth(_HUGE),
+    "huge dkw alpha": lambda: dkw_halfwidth(10, _HUGE),
+    # a float of 0.0: 2/alpha raised ZeroDivisionError
+    "dkw alpha fraction underflow": lambda: dkw_halfwidth(10, Fraction(1, 10**400)),
+    "huge negative trials": lambda: run_mc(_MODEL, typical_point(), TurnPolicy.one_turn(),
+                                           -_HUGE, 1.0, 1),
+    "huge negative workers": lambda: run_mc(_MODEL, typical_point(), TurnPolicy.one_turn(),
+                                            1, 1.0, 1, workers=-_HUGE),
+    "huge bound tol": lambda: cdf_two_turn_bound(_MODEL, 0.5, tol=_HUGE),
+    "huge quantile p": lambda: reach_quantile(_MODEL, _HUGE),
+    "huge rescale c": lambda: rescale(DistributionCurve([0.0, 1.0], [0.0, 1.0], 0.0), _HUGE),
+    "huge ppp density": lambda: cdf_ppp2d_reference(_HUGE, 0.5),
+    "huge two_turn_T w": lambda: two_turn_T(_HUGE, 0.5, 1.0, _MODEL),
+    "huge palm radius": lambda: sample_palm(_MODEL, typical_point(), _HUGE, 1),
+    "huge default grid": lambda: default_grid(_HUGE),
+    "huge scenario kind": lambda: PalmScenario(_HUGE),
+    "huge realization": lambda: sample_chunk(
+        _MODEL, typical_point(), 1.0, 1, 0, 1).realization(_HUGE),
+    "huge chunk start": lambda: sample_chunk(_MODEL, typical_point(), 1.0, 1, _HUGE, 0),
+    "huge link gain": lambda: RisLinkParams(_HUGE, *[1.0] * 11),
+    "huge terms mu": lambda: one_turn_intersection_terms(_HUGE, 0.5),
+    "huge fraction lambda": lambda: ModelParams(Fraction(_HUGE, 3), 1),
+}
+# each "huge" case: the field its message names, and how it shows the value
+_UNPRINTABLE = {
+    "huge lambda": ("lambda", "a 16610-bit int"),
+    "huge negative k": ("turn budget", "a negative 16610-bit int"),
+    "huge flag": ("include_lower_turn_paths", "a 16610-bit int"),
+    "huge dkw n": ("n must", "a 16610-bit int"),
+    "huge dkw alpha": ("alpha", "a 16610-bit int"),
+    "huge negative trials": ("trials", "a negative 16610-bit int"),
+    "huge negative workers": ("workers", "a negative 16610-bit int"),
+    "huge bound tol": ("tol", "a 16610-bit int"),
+    "huge quantile p": ("p must", "a 16610-bit int"),
+    "huge rescale c": ("scale", "a 16610-bit int"),
+    "huge ppp density": ("density", "a 16610-bit int"),
+    "huge two_turn_T w": ("w=", "a 16610-bit int"),
+    "huge palm radius": ("clip_radius", "a 16610-bit int"),
+    "huge default grid": ("t_max", "a 16610-bit int"),
+    "huge scenario kind": ("kind", "a 16610-bit int"),
+    "huge realization": ("trial index", "a 16610-bit int"),
+    "huge chunk start": ("start", "a 16610-bit int"),
+    "huge link gain": ("g_t", "a 16610-bit int"),
+    "huge terms mu": ("mu", "a 16610-bit int"),
+    "huge fraction lambda": ("lambda", "a Fraction"),
 }
 
 
@@ -254,6 +305,40 @@ def test_bad_library_arguments_raise_input_errors(call):
     catches it; a bad argument is an InputError."""
     with pytest.raises(errors.InputError):
         call()
+
+
+@pytest.mark.parametrize("value, shown", [
+    (2**63 - 1, "9223372036854775807"),
+    (2**63, "a 64-bit int"),
+    (-2**63, "-9223372036854775808"),
+    (-2**63 - 1, "a negative 64-bit int"),
+    (np.int64(-7), repr(np.int64(-7))),
+    (np.uint64(2**64 - 1), "a 64-bit int"),
+    (0.5, "0.5"),
+    ("x", "'x'"),
+    (True, "True"),
+    (_TD, repr(_TD)),
+    (_HUGE, "a 16610-bit int"),
+    (Fraction(_HUGE, 3), "a Fraction"),
+], ids=["2**63-1", "2**63", "-2**63", "-2**63-1", "int64", "uint64 max", "float", "str",
+        "bool", "timedelta64", "huge", "huge fraction"])
+def test_shown_cuts_ints_at_int64_and_shows_the_rest_by_repr(value, shown):
+    """``errors._shown``, the one text a message gives a value: an int, a
+    Python or numpy one, outside [-2**63, 2**63) by its sign and bit
+    length; a value repr cannot print by its type; anything else by repr."""
+    assert errors._shown(value) == shown
+
+
+@pytest.mark.parametrize("case", _UNPRINTABLE)
+def test_a_value_repr_cannot_print_is_named_in_the_message(case):
+    """Python prints no int of more than 4,300 digits, nor a Fraction of
+    one; such a value is shown by its sign and bit length, or by its type,
+    in a message that names the field, and never escapes as a ValueError
+    raised while the message is built."""
+    field, shown = _UNPRINTABLE[case]
+    with pytest.raises(errors.InputError) as exc:
+        _BAD_CALLS[case]()
+    assert field in str(exc.value) and shown in str(exc.value)
 
 
 # ---- fuzzed argv --------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import concurrent.futures
 import math
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
@@ -63,6 +64,24 @@ def test_dkw_halfwidth_hand_values_and_validation():
     for alpha in (0.0, 1.0, 1.5, -0.1):
         with pytest.raises(ValueError):
             dkw_halfwidth(100, alpha)
+
+
+@pytest.mark.parametrize("alpha", [1e-309, 5e-324])
+def test_dkw_halfwidth_where_two_over_alpha_overflows(alpha):
+    """Below alpha = 2/max, about 1.1e-308, 2/alpha overflows to inf; the
+    log is then taken factor by factor, log 2 - log alpha, and the band
+    keeps its closed value."""
+    closed = math.sqrt((math.log(2.0) - math.log(alpha)) / 2000.0)
+    assert dkw_halfwidth(1000, alpha) == pytest.approx(closed, rel=1e-15)
+
+
+def test_run_mc_returns_its_curve_where_two_over_alpha_overflows():
+    """An inf band used to fail the finished curve's check, after every
+    trial had run."""
+    curve = run_mc(ModelParams(1.0, 1.0), PalmScenario(PalmKind.TYPICAL_POINT),
+                   TurnPolicy.one_turn(), trials=200, t_max=2.0, seed=1, alpha=1e-309)
+    assert np.all(curve.ci_halfwidth == dkw_halfwidth(200, 1e-309))
+    assert np.all(np.isfinite(curve.ci_halfwidth))
 
 
 def test_default_grid_endpoints_and_step():
@@ -156,7 +175,7 @@ def test_run_mc_bit_identical_across_worker_counts(monkeypatch):
         asked.append(max_workers)
         return ProcessPoolExecutor(max_workers=max_workers)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
     a = run_mc(params, scenario, policy, workers=1, **kw)
     b = run_mc(params, scenario, policy, workers=2, **kw)
     c = run_mc(params, scenario, policy, workers=8, **kw)

@@ -98,6 +98,27 @@ def test_src_imports_are_used():
     assert not unused, unused
 
 
+def _conversions(node, path: Path) -> list:
+    """The f-string fields under ``node`` that apply a conversion (``!r``,
+    ``!s`` or ``!a``), except within ``errors._shown``."""
+    if isinstance(node, ast.FunctionDef) and (path.name, node.name) == ("errors.py", "_shown"):
+        return []
+    found = [f"{path.relative_to(SRC)}:{node.lineno}"] if (
+        isinstance(node, ast.FormattedValue) and node.conversion != -1) else []
+    for child in ast.iter_child_nodes(node):
+        found += _conversions(child, path)
+    return found
+
+
+def test_only_errors_shown_converts_a_value_for_a_message():
+    """A message shows a value through ``errors._shown``, the one rule that
+    cannot fail on an int too long to print: no f-string of the package
+    writes a field with ``!r`` (or ``!s``, ``!a``) outside it."""
+    found = [site for path in sorted((SRC / "linecox").rglob("*.py"))
+             for site in _conversions(ast.parse(path.read_text(), str(path)), path)]
+    assert not found, found
+
+
 # the package's public names, each listed in one module's ``__all__``
 PUBLIC = {
     "__version__",
