@@ -20,11 +20,13 @@ On each rung of the quadrature ladder, fx and fy are Laplace transforms
 of fixed measures of z = Z/t on [0, 4], each of total weight 1. So
 1 - fx = s*gx and 1 - fy = s*gy, with slopes gx = sum w*z*phi(s*z) and
 phi(x) = -expm1(-x)/x, sums of positive terms that do not cancel at any s.
-The first call that reaches a rung folds its measure into one table, kept
-for the process: 800 bins of width h = 0.005, each with J + 1 = 10 Taylor
-moments about its centre (``_build_table``). Every later s = mu*t in
-[0, 40] costs some tens of microseconds (``_rung_slopes``), and the CDF
-forms lam*(2t - Tx - Ty) = lam*mu*t*t*(gx + gy) from the slopes at every
+Each rung's measure is folded, offline, into one table: 800 bins of
+width h = 0.005, each with J + 1 = 10 Taylor moments about its centre
+(``_thm2_build``, run by tools/build_thm2_tables.py). The tables ship as
+package data, and the first call that reaches a rung loads its table,
+kept for the process (``_table``). Every s = mu*t in [0, 40] then costs
+some tens of microseconds (``_rung_slopes``), and the CDF forms
+lam*(2t - Tx - Ty) = lam*mu*t*t*(gx + gy) from the slopes at every
 point.
 
 The recipe reads three details one way: the outer-regime length joins
@@ -41,13 +43,15 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import zipfile
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import DomainError, _shown
+from ..errors import DomainError, LineCoxError, _shown
 from ..model import ModelParams, _check_flag, _check_record, _check_scalar_t, _check_t
-from ..quadrature import _legendre, check_tol, settle_ladder
+from ..quadrature import check_tol, settle_ladder
 from .closed_forms import _rate_times, _ret_err
 
 __all__ = [
@@ -61,120 +65,26 @@ log = logging.getLogger(__name__)
 
 DEFAULT_VARIANT = "plus/full-angle/x"  # the recipe's label in every output
 
-_PI = math.pi
-
-
-def _thresholds(xr, sin_w, cos_w):
-    """The four regime breakpoints at unit reach: xr = x/t in (0, 1], and
-    sin_w, cos_w of the crossing angle omega in (0, pi), all of one shape.
-    The thresholds depend on x and t only through x/t, so one call serves
-    every reach.
-
-    Returns (outer_lo, win_lo, win_hi, outer_hi): the outer regime covers
-    [0, outer_lo] and [outer_hi, pi], the window [win_lo, win_hi]. Both
-    outer_lo and win_lo lie below omega, and win_hi and outer_hi above
-    (docs/formulas.md, thm2, "Orderings"), so no segment off the window
-    reaches omega. The arccos arguments lie in [-1, 1] up to rounding,
-    which the clip takes up.
-    """
-    win_lo = np.arctan2(sin_w, cos_w + xr)
-    win_hi = np.arctan2(sin_w, cos_w - xr)
-
-    rho = (2.0 - xr) / xr
-    r2 = rho * rho + 1.0
-    arg_lo = (r2 * cos_w + 2.0 * rho) / (2.0 * rho * cos_w + r2)
-    arg_hi = (r2 * cos_w - 2.0 * rho) / (r2 - 2.0 * rho * cos_w)
-    outer_lo = np.arccos(np.clip(arg_lo, -1.0, 1.0))
-    outer_hi = np.arccos(np.clip(arg_hi, -1.0, 1.0))
-    return outer_lo, win_lo, win_hi, outer_hi
-
-
-# coefficients (a0, a1, a2, b, d) of ``_zeta`` on the four omega1
-# segments: outer below, outer above, transition below, transition above
-_REGIMES = ((2.0, 1.0, 1.0, 1.0, 0.0),) * 2 + ((4.0, 2.0, 4.0, 2.0, -2.0),) * 2
-# margin by which both ends of a row must pass a clip bound for the row to
-# fold (``_segment_rows``)
-_FOLD_TOL = 1e-12
-
-
-def _coefficients(xr, sin_w, cos_w, regime):
-    """(c, p, q) of ``_zeta`` in one regime, per row; q = 0 in the outer
-    regime, where d = 0."""
-    a0, a1, a2, b, d = regime
-    xs = xr * sin_w
-    return a0 - xr * (a1 + a2 * cos_w), b * xs, d * xs
-
-
-def _zeta(v, c, p, q, out=None, scratch=None):
-    """Z/t off the window before the clip, in the half gap
-    v = tan((omega1 - omega)/2).
-
-    With phi = omega1 - omega, (1 + cos(phi))/sin(phi) = 1/v,
-    (1 - cos(phi))/sin(phi) = v and sin(omega1) = sin(phi)*cos_w +
-    cos(phi)*sin_w, the outer length 2 - xr*(1 + (sin_w + sin(omega1))/
-    sin(phi)) and the transition length 4 - 2*xr*(1 + 2*sin(omega1)/sin(phi))
-    both read
-
-        Z/t = clip(c - (p/v + q*v), 0, 4),
-        c = a0 - xr*(a1 + a2*cos_w),  p = b*xr*sin_w,  q = d*xr*sin_w
-
-    with (a0, a1, a2, b, d) = (2, 1, 1, 1, 0) in the outer regime and
-    (4, 2, 4, 2, -2) in the transition (``_coefficients``). This returns
-    c - (p/v + q*v); the callers clip. v, finite and not 0 since no
-    segment reaches omega, is an array whose last axis matches c, p and q,
-    which are constant along omega1. ``out`` and ``scratch``, arrays of
-    v's shape, take the result and a temporary in place of new arrays;
-    ``scratch`` may be v itself, which it then overwrites.
-    """
-    zeta = np.divide(p, v, out=out)
-    zeta += np.multiply(q, v, out=scratch)
-    return np.subtract(c, zeta, out=zeta)
-
-
-def _segment_rows(lo, hi, omega, weight, c, p, q):
-    """The rows of one omega1 segment [lo, hi], one per (omega, x) pair,
-    with c, p, q of ``_zeta`` per row: (gap, width, mass, below, above).
-    The row's nodes lie at omega1 = lo + width*u; gap = lo - omega, and
-    mass = width*weight is the row's weight.
-
-    No segment reaches omega (``_thresholds``), so v = tan((omega1 -
-    omega)/2) keeps its sign along a row and has no pole there, and the
-    unclipped Z/t, c - (p/v + q*v) with p >= 0 >= q, rises with v and so
-    with omega1. So a row whose two ends both lie below 0 (``below``) or
-    both above 4 (``above``), by _FOLD_TOL, clips to that bound at every
-    node.
-    """
-    width = np.maximum(hi - lo, 0.0)
-    gap = lo - omega
-    first, last = (_zeta(np.tan(0.5 * end), c, p, q)
-                   for end in (gap, gap + width))
-    mass = width * weight
-    below = (mass > 0.0) & (np.maximum(first, last) < -_FOLD_TOL)
-    above = (mass > 0.0) & (np.minimum(first, last) > 4.0 + _FOLD_TOL)
-    return gap, width, mass, below, above
-
-
 # the ladder's rungs (nw, nx, n1): Gauss-Legendre orders in omega, in x and
 # on each of the four omega1 segments
 _LADDER = ((48, 48, 32), (96, 96, 64), (192, 192, 128))
-# omega1 nodes built at once: a segment's unfolded rows are taken in chunks
-# of _CHUNK_NODES // n1 rows
-_CHUNK_NODES = 2**15
 
-# The Laplace tables (``_build_table``): bins of width _BIN on [0, 4], with
-# Taylor moments of orders 0.._ORDER about each bin's centre. A table serves
-# 0 <= s <= _S_MAX, where a bin's truncation error in the slope is at most
-# (h/2)*exp(s*h/2)*(s*h/2)**J/(J + 1)! = 7.6e-19 of its weight (h = _BIN,
-# J = _ORDER).
+# The Laplace tables (``_thm2_build._build_table``): bins of width _BIN on
+# [0, 4], with Taylor moments of orders 0.._ORDER about each bin's centre.
+# A table serves
+# 0 <= s <= _S_MAX, where a bin's truncation error in the slope is at
+# most (h/2)*exp(s*h/2)*(s*h/2)**J/(J + 1)! = 7.6e-19 of its weight
+# (h = _BIN, J = _ORDER).
 _BIN = 0.005
 _ORDER = 9
 _S_MAX = 40.0
 
 
 class _Table(NamedTuple):
-    """One rung's slopes gx and gy as functions of s (``_build_table``).
-    Its entries are the bins, the rows folded to z = 4 and the window's x
-    nodes, in that order; only the bins have moments of order 1 and up."""
+    """One rung's slopes gx and gy as functions of s
+    (``_thm2_build._build_table``). Its entries are the bins, the rows
+    folded to z = 4 and the window's x nodes, in that order; only the bins
+    have moments of order 1 and up."""
 
     moments: np.ndarray  # (_ORDER, entries): sum of w*(z - c)**j / j!, j >= 1
     centres: np.ndarray  # c: the bins' centres, 4, the window's z = 2*(1 - x/t)
@@ -182,102 +92,46 @@ class _Table(NamedTuple):
     window: int  # the first window entry
 
 
-def _build_table(nw, nx, n1):
-    """The Laplace table of one rung's fixed tensor rule: Gauss-Legendre in
-    omega and x, the omega1 axis integrated per regime segment so no panel
-    straddles a breakpoint.
+# The file of every rung's table, with the constants they were built with;
+# tools/build_thm2_tables.py writes it (``_thm2_build``)
+_TABLES_PATH = Path(__file__).with_name("_thm2_tables.npz")
+# the constants, by key in the file, that a table loaded here must have been
+# built with
+_BUILT_WITH = {"ladder": _LADDER, "bin": _BIN, "order": _ORDER, "s_max": _S_MAX}
 
-    Z/t depends on (x/t, omega1, omega) alone, so the nodes, their weights
-    w and z = Z/t are fixed numbers, and fx(s) = sum w*exp(-s*z) is the
-    Laplace transform of one fixed measure on [0, 4] of total weight 1.
-    What the slopes read of it is sum w*z*phi(s*z) (``_rung_slopes``), to
-    which the mass at z = 0 adds nothing. In the window z = 2*(1 - x/t)
-    whatever the angles, so the window folds into one weight per x node;
-    fy is that window plus the unit survival outside it, so gy is the
-    window's part of gx.
 
-    Off the window the four segments are taken one at a time, one row per
-    (omega, x) pair. No row reaches omega, so Z/t is monotone along every
-    row, and the ends of the row tell whether it clips at every node
-    (``_segment_rows``): such a row adds its weight to z = 0, where it drops
-    out, or to the constant at z = 4, and no node is built on it. The other
-    rows are built in chunks of _CHUNK_NODES nodes, and each chunk folds its
-    nodes into bins of width _BIN on [0, 4], keeping per bin the Taylor
-    moments m[j, b] = sum w*(z - c_b)**j / j! about its centre c_b.
-    """
-    og, ow = _legendre(nw)
-    xg, xw = _legendre(nx)
-    sg, sgw = _legendre(n1)
-    omega = np.repeat(_PI * og, nx)  # (omega, x) pairs, omega-major
-    xr = np.tile(xg, nw)
-    weight = np.outer(ow, xw).ravel() / _PI
-    sin_w, cos_w = np.sin(omega), np.cos(omega)
-    outer_lo, win_lo, win_hi, outer_hi = _thresholds(xr, sin_w, cos_w)
-
-    bins = round(4.0 / _BIN)
-    moments = np.zeros((_ORDER + 1, bins))
-    clipped_4 = 0.0  # weight of the rows clipped to 4
-    step = max(1, _CHUNK_NODES // n1)
-    col, col_w = sg[:, None], sgw[:, None]
-    # the chunk arrays (n1, rows), allocated once per build: v (then q*v,
-    # c_b and the moment terms), zeta (then z - c_b) and the bin indices
-    size = n1 * min(step, omega.size)
-    buf = np.empty((2, size))
-    index = np.empty(size, dtype=np.intp)
-    segments = ((0.0, outer_lo), (outer_hi, _PI), (outer_lo, win_lo),
-                (win_hi, outer_hi))
-    for (lo, hi), regime in zip(segments, _REGIMES):
-        c, p, q = _coefficients(xr, sin_w, cos_w, regime)
-        gap, width, mass, below, above = _segment_rows(
-            lo, hi, omega, weight, c, p, q)
-        clipped_4 += mass[above].sum()
-        rows = np.flatnonzero((mass > 0.0) & ~below & ~above)
-        half_gap, half_width = 0.5 * gap[rows], 0.5 * width[rows]
-        c, p, q, mass = c[rows], p[rows], q[rows], mass[rows]
-        for a in range(0, rows.size, step):
-            b = slice(a, a + step)
-            shape = (n1, half_gap[b].size)
-            n = shape[0] * shape[1]
-            v, zeta = (part[:n].reshape(shape) for part in buf)
-            np.multiply(half_width[b], col, out=v)
-            v += half_gap[b]
-            np.tan(v, out=v)
-            _zeta(v, c[b], p[b], q[b], out=zeta, scratch=v)
-            np.clip(zeta, 0.0, 4.0, out=zeta)
-            np.multiply(zeta, 1.0 / _BIN, out=v)
-            np.floor(v, out=v)
-            np.minimum(v, bins - 1, out=v)
-            np.copyto(index[:n].reshape(shape), v, casting="unsafe")
-            v += 0.5
-            v *= _BIN
-            zeta -= v
-            term = np.multiply(mass[b], col_w, out=v)
-            for j in range(_ORDER + 1):
-                if j:
-                    term *= zeta
-                moments[j] += np.bincount(index[:n], weights=term.ravel(),
-                                          minlength=bins)
-
-    moments /= [[math.factorial(j)] for j in range(_ORDER + 1)]
-    win_weight = ((win_hi - win_lo) * weight).reshape(nw, nx).sum(axis=0)
-    centres = np.concatenate(((np.arange(bins) + 0.5) * _BIN, [4.0], 2.0 * (1.0 - xg)))
-    mass = np.concatenate((moments[0], [sgw.sum() * clipped_4], win_weight))
-    arrays = (np.pad(moments[1:], ((0, 0), (0, 1 + nx))), centres, mass * centres)
-    for part in arrays:
-        part.setflags(write=False)  # every later call of the process reads it
-    return _Table(*arrays, bins + 1)
+def _key(field: str, rung: int) -> str:
+    """The file's key for one ``_Table`` field of the rung ``_LADDER[rung]``."""
+    return f"{field}_{rung}"
 
 
 @functools.cache
 def _table(nw, nx, n1):
-    """The rung's Laplace table, built once per process, on first use."""
-    return _build_table(nw, nx, n1)
+    """The rung's Laplace table, loaded from ``_TABLES_PATH`` on first use
+    and kept, read-only, for the process. A file that is missing, cannot be
+    read, or was built for other constants (``_BUILT_WITH``) raises
+    LineCoxError naming it; the table is never built here."""
+    rung = _LADDER.index((nw, nx, n1))
+    try:
+        with np.load(_TABLES_PATH, allow_pickle=False) as stored:
+            stale = [name for name, value in _BUILT_WITH.items()
+                     if not np.array_equal(stored[name], value)]
+            if stale:
+                raise LineCoxError(
+                    f"the thm2 tables {_TABLES_PATH} were built for other constants "
+                    f"({', '.join(stale)}); rebuild them with tools/build_thm2_tables.py")
+            arrays = [stored[_key(field, rung)] for field in _Table._fields]
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+        raise LineCoxError(f"cannot read the thm2 tables {_TABLES_PATH}: {exc}") from None
+    for part in arrays:
+        part.setflags(write=False)  # every later call of the process reads it
+    return _Table(*arrays[:-1], int(arrays[-1]))
 
 
 def _rung_slopes(s, nw, nx, n1):
     """(gx, gy) at every s = mu*t of the array s, 0 <= s <= _S_MAX, with
     1 - fx = s*gx and 1 - fy = s*gy, from the rung's Laplace table
-    (``_build_table``). With phi(x) = -expm1(-x)/x and
+    (``_table``). With phi(x) = -expm1(-x)/x and
     w*(1 - exp(-s*z))/s = w*z*phi(s*z), writing z = c_b + d in a bin gives
 
         gx(s) = sum_b [m0_b*c_b*phi(s*c_b)

@@ -422,7 +422,7 @@ def _load_curve(path: str) -> DistributionCurve:
     if any(len(row) != width for row in rows):
         raise InputError(f"{path}: every row needs {width} columns")
     try:
-        arr = np.array([[float(v) for v in row] for row in rows])
+        arr = np.array(rows, dtype=float)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from None
     if width == 3:

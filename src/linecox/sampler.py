@@ -141,7 +141,9 @@ class Realization:
 
     @property
     def seed(self) -> tuple[int, int]:
-        return self.chunk.master, self.chunk.first_stream + self.trial
+        """The key (master, stream) the trial drew from, each in [0, 2**64):
+        ``sample_palm`` with this seed draws the same trial."""
+        return self.chunk.master, (self.chunk.first_stream + self.trial) % 2**64
 
 
 def _sin_cos(angles) -> tuple[np.ndarray, np.ndarray]:
@@ -206,8 +208,9 @@ def _half_chords(offsets: np.ndarray, R: float) -> np.ndarray:
 
 class _TrialDraws:
     """Draws trials of one run, trial ``i`` from the Philox stream keyed
-    (master, i). One bit generator per thread is reset to each trial's key
-    instead of building a new generator per trial; the draws are the same.
+    (master, i mod 2**64), master in [0, 2**64). One bit generator per
+    thread is reset to each trial's key instead of building a new
+    generator per trial; the draws are the same.
 
     ``draw`` holds the one copy of the draw order: the origin angles, the
     background line count, their angles and offsets, the point count of
@@ -221,7 +224,7 @@ class _TrialDraws:
         self._R = R
         self._mean_lines = params.lam * _PI * R
         self._two_mu = 2.0 * params.mu
-        self._master = master % 2**64
+        self._master = master
         if not hasattr(_philox, "rng"):
             _philox.key = [0, 0]
             _philox.bitgen = Philox(key=np.zeros(2, dtype=np.uint64))
@@ -277,7 +280,9 @@ class ChunkSample:
     of trial t are ``line_start[t]:line_start[t + 1]``. ``arcs`` holds the
     point positions sorted within each line, and the arcs of line k are
     ``arcs[arc_start[k]:arc_start[k + 1]]``. Trial t drew from the stream
-    (master, first_stream + t). The chunk holds only what the oracle and
+    keyed (master, (first_stream + t) mod 2**64); ``master`` and
+    ``first_stream`` are the seed and start given to ``sample_chunk`` mod
+    2**64, the key the draws use. The chunk holds only what the oracle and
     ``realization`` read: a line's trial, its chord half length and a
     point's line follow from these and are not kept.
     """
@@ -359,9 +364,11 @@ def sample_chunk(params: ModelParams, scenario: PalmScenario,
     it, whatever chunk it was drawn in. TooManyPoints for a chunk of more
     than one trial whose cost, (stop - start) * (C + L * (1 +
     2*mu*clip_radius)) with C = ``_TRIAL_FIXED_COST`` and L =
-    ``_expected_lines``, passes ``MAX_TRIAL_POINTS``."""
+    ``_expected_lines``, passes ``MAX_TRIAL_POINTS``. A stream is keyed by
+    master and i mod 2**64, so masters (or trials) that agree mod 2**64
+    draw alike."""
     R = _check_inputs(params, scenario, clip_radius)
-    master = _check_int(master, "master")
+    master = _check_int(master, "master") % 2**64
     start, stop = _check_int(start, "start"), _check_int(stop, "stop")
     if stop <= start:
         raise InputError(f"need start < stop, got {_shown(start)}, {_shown(stop)}")
@@ -382,7 +389,7 @@ def sample_chunk(params: ModelParams, scenario: PalmScenario,
     counts = np.fromiter(itertools.chain.from_iterable(counts), dtype=np.int64)
     point_u = _uniform(point_u, -1.0, 1.0)
     return _chunk_sample(np.array(origin), n_bg, angle_u, offset_u, counts,
-                         point_u, scenario, R, master, start)
+                         point_u, scenario, R, master, start % 2**64)
 
 
 def _uniform(raw, low, high) -> np.ndarray:

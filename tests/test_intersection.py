@@ -3,6 +3,7 @@ import logging
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -13,6 +14,8 @@ import pytest
 from linecox import (
     DEFAULT_VARIANT,
     DomainError,
+    InputError,
+    LineCoxError,
     ModelParams,
     NonFinite,
     QuadratureFailure,
@@ -23,8 +26,8 @@ from linecox import (
     one_turn_intersection_terms,
     reach_quantile,
 )
-from linecox.analytic import intersection
-from linecox.analytic.intersection import _REGIMES, _coefficients, _thresholds, _zeta
+from linecox.analytic import _thm2_build, intersection
+from linecox.analytic._thm2_build import _REGIMES, _coefficients, _thresholds, _zeta
 from linecox.quadrature import _legendre
 from thm2_direct import direct_slopes, direct_terms
 
@@ -268,12 +271,11 @@ def test_one_unsettled_point_fails_the_batch_with_its_payload():
 
 
 @pytest.fixture
-def fresh_tables():
-    """No table before the test, and none of the tables it builds (under
-    its patches) after it."""
-    intersection._table.cache_clear()
-    yield
-    intersection._table.cache_clear()
+def fresh_tables(monkeypatch):
+    """Every table the test reads is built afresh, under its patches, by
+    the builder (``_thm2_build._build_table``) in place of the loaded
+    file."""
+    monkeypatch.setattr(intersection, "_table", _thm2_build._build_table)
 
 
 def test_chunking_does_not_change_the_terms(monkeypatch, fresh_tables):
@@ -284,8 +286,7 @@ def test_chunking_does_not_change_the_terms(monkeypatch, fresh_tables):
     ref = intersection._rung_terms(s, nw, nx, n1)
     assert pairs % 256 == 0 and pairs % 100 != 0  # 100 leaves a partial chunk
     for step in (1, 100, 256, pairs):
-        monkeypatch.setattr(intersection, "_CHUNK_NODES", 4 * n1 * step)
-        intersection._table.cache_clear()
+        monkeypatch.setattr(_thm2_build, "_CHUNK_NODES", 4 * n1 * step)
         got = intersection._rung_terms(s, nw, nx, n1)
         assert np.allclose(got[0], ref[0], rtol=1e-13, atol=0)
         assert np.array_equal(got[1], ref[1])  # the window is not chunked
@@ -299,14 +300,14 @@ def test_the_fold_matches_the_all_node_sum(monkeypatch, fresh_tables, rung):
     the kernel, from a table built here, equals the sum over all nodes."""
     nw, nx, n1 = intersection._LADDER[rung]
     seen = []
-    real = intersection._segment_rows
+    real = _thm2_build._segment_rows
 
     def spy(lo, hi, omega, weight, c, p, q):
         rows = real(lo, hi, omega, weight, c, p, q)
         seen.append(((c, p, q), rows))
         return rows
 
-    monkeypatch.setattr(intersection, "_segment_rows", spy)
+    monkeypatch.setattr(_thm2_build, "_segment_rows", spy)
     s = np.array([0.05, 1.0, 6.0, 20.0])
     fx, _ = intersection._rung_terms(s, nw, nx, n1)
     assert len(seen) == 4
@@ -316,12 +317,12 @@ def test_the_fold_matches_the_all_node_sum(monkeypatch, fresh_tables, rung):
     folded = 0
     for coef, (gap, width, mass, below, above) in seen:
         v = np.tan(0.5 * (gap + width * sg[:, None]))
-        zeta = intersection._zeta(v, *coef)
+        zeta = _thm2_build._zeta(v, *coef)
         assert (zeta[:, below] <= 0.0).all() and (zeta[:, above] >= 4.0).all()
-        ends = np.stack([intersection._zeta(np.tan(0.5 * end), *coef)
+        ends = np.stack([_thm2_build._zeta(np.tan(0.5 * end), *coef)
                          for end in (gap, gap + width)])
         kept = (mass > 0.0) & ~below & ~above
-        tol = intersection._FOLD_TOL
+        tol = _thm2_build._FOLD_TOL
         assert (ends[:, kept & (zeta <= 0.0).all(axis=0)].max(axis=0) >= -tol).all()
         assert (ends[:, kept & (zeta >= 4.0).all(axis=0)].min(axis=0) <= 4.0 + tol).all()
         folded += below.sum() + above.sum()
@@ -336,7 +337,7 @@ def test_the_fold_matches_the_all_node_sum(monkeypatch, fresh_tables, rung):
     og, ow = _legendre(nw)
     xg, xw = _legendre(nx)
     omega, xr = np.repeat(np.pi * og, nx), np.tile(xg, nw)
-    _, win_lo, win_hi, _ = intersection._thresholds(xr, np.sin(omega), np.cos(omega))
+    _, win_lo, win_hi, _ = _thm2_build._thresholds(xr, np.sin(omega), np.cos(omega))
     win_mass = np.maximum(win_hi - win_lo, 0.0) * np.outer(ow, xw).ravel() / np.pi
     window = [(win_mass * np.exp(-2.0 * sk * (1.0 - xr))).sum() for sk in s]
     assert np.allclose(fx, off_window + window, rtol=1e-13, atol=0)
@@ -352,15 +353,15 @@ def test_no_node_of_any_rung_lies_within_the_riemann_guard(monkeypatch, rung):
     The closest nodes sit at 1.19e-6, 7.57e-8 and 4.78e-9 on rungs 1-3."""
     nw, nx, n1 = intersection._LADDER[rung]
     seen = []
-    real = intersection._segment_rows
+    real = _thm2_build._segment_rows
 
     def spy(*args):
         rows = real(*args)
         seen.append(rows)
         return rows
 
-    monkeypatch.setattr(intersection, "_segment_rows", spy)
-    intersection._build_table(nw, nx, n1)
+    monkeypatch.setattr(_thm2_build, "_segment_rows", spy)
+    _thm2_build._build_table(nw, nx, n1)
     assert len(seen) == 4
 
     sg, _ = _legendre(n1)
@@ -467,16 +468,77 @@ def test_a_fresh_rung_2_build_stays_small():
         _legendre(n)  # the cached rules are not the build's
     tracemalloc.start()
     try:
-        intersection._build_table(*rule)
+        _thm2_build._build_table(*rule)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 3.25 * 2**20
 
 
-def test_no_table_is_built_at_import():
-    code = ("import linecox\nfrom linecox.analytic import intersection\n"
-            "assert intersection._table.cache_info().currsize == 0\n")
+def test_the_committed_tables_equal_a_rebuild(tmp_path):
+    """The package data file holds what the builder writes: the same
+    entries in the same order, each equal bit for bit, in dtype and in
+    shape, and the constants the loader checks and ``_FOLD_TOL`` equal the
+    modules' own."""
+    rebuilt = tmp_path / "tables.npz"
+    _thm2_build.write_tables(rebuilt)
+    with np.load(intersection._TABLES_PATH, allow_pickle=False) as stored, \
+            np.load(rebuilt, allow_pickle=False) as built:
+        assert stored.files == built.files
+        assert len(stored.files) == 5 + 4 * len(intersection._LADDER)
+        for name in built.files:
+            want, got = built[name], stored[name]
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            assert got.tobytes() == want.tobytes(), name
+        for name, value in intersection._BUILT_WITH.items():
+            assert np.array_equal(stored[name], value), name
+        assert stored["fold_tol"] == _thm2_build._FOLD_TOL
+
+
+@pytest.fixture
+def tables_at(monkeypatch):
+    """Points the loader at another file; no table is kept before the test
+    or after it."""
+    intersection._table.cache_clear()
+    yield lambda path: monkeypatch.setattr(intersection, "_TABLES_PATH", path)
+    intersection._table.cache_clear()
+
+
+def test_a_missing_or_damaged_tables_file_is_an_error_naming_it(tmp_path, tables_at,
+                                                                capsys):
+    """The tables are never built at run time: a missing file, one cut
+    short, one that is no archive and one built for another bin width each
+    raise LineCoxError naming the file, which is no InputError, so the
+    CLI exits 4."""
+    good = intersection._TABLES_PATH.read_bytes()
+    with np.load(intersection._TABLES_PATH, allow_pickle=False) as stored:
+        entries = dict(stored)
+    entries["bin"] = np.asarray(2 * intersection._BIN)
+    stale = tmp_path / "stale.npz"
+    np.savez(stale, **entries)
+    (tmp_path / "cut.npz").write_bytes(good[:len(good) // 2])
+    (tmp_path / "noise.npz").write_bytes(b"not a table")
+    out = tmp_path / "thm2.csv"
+    for path in [tmp_path / "missing.npz", tmp_path / "cut.npz", tmp_path / "noise.npz",
+                 stale]:
+        tables_at(path)
+        with pytest.raises(LineCoxError, match=re.escape(str(path))) as info:
+            cdf_one_turn_intersection(P11, 1.0)
+        assert not isinstance(info.value, InputError)
+        assert cli.main(["analytic", "--which", "thm2", "--grid", "0:1:0.5",
+                         "--out", str(out)]) == cli.EXIT_RUNTIME
+        assert str(path) in capsys.readouterr().err
+    assert "(bin)" in str(info.value) and not out.exists()
+
+
+def test_no_table_is_loaded_at_import():
+    """Importing the package loads no table and imports no builder, and a
+    curve call loads its tables without importing the builder."""
+    code = ("import sys\nimport linecox\nfrom linecox.analytic import intersection\n"
+            "assert intersection._table.cache_info().currsize == 0\n"
+            "linecox.cdf_one_turn_intersection(linecox.ModelParams(1.0, 1.0), 1.0)\n"
+            "assert intersection._table.cache_info().currsize == 2\n"
+            "assert 'linecox.analytic._thm2_build' not in sys.modules\n")
     subprocess.run([sys.executable, "-c", code], check=True,
                    env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
 

@@ -48,6 +48,26 @@ def test_determinism_and_stream_separation():
     assert a.lines != c.lines
 
 
+@pytest.mark.parametrize("master, start", [(10**5000, 0), (-1, 10**5000), (3, 2**64 - 1)],
+                         ids=["huge-master", "huge-start", "start-at-the-wrap"])
+def test_a_chunk_keeps_the_key_its_draws_use(master, start):
+    """A chunk holds its seed and start mod 2**64, the Philox key its draws
+    use, so the chunk and its trials print whatever int they were given,
+    and each trial's seed draws that trial again in ``sample_palm``."""
+    p = ModelParams(1.0, 1.0)
+    chunk = sample_chunk(p, typical_point(), 1.0, master, start, start + 2)
+    assert (chunk.master, chunk.first_stream) == (master % 2**64, start % 2**64)
+    repr(chunk)
+    for t in range(2):
+        real = chunk.realization(t)
+        repr(real)
+        assert real.seed == (master % 2**64, (start + t) % 2**64)
+        again = sample_palm(p, typical_point(), 1.0, real.seed)
+        assert again.seed == real.seed and again.lines == real.lines
+        assert all(np.array_equal(x, y)
+                   for x, y in zip(again.arcs_by_line, real.arcs_by_line))
+
+
 def test_crossing_rate_convention():
     # mean crossings of the origin line within distance 3 at lam=1 is 2*1*3,
     # checked to three standard errors over 10^4 realizations

@@ -1,5 +1,5 @@
 """The direct node sums of one ``thm2`` rung, the references for its Laplace
-table: the same nodes, weights and z = Z/t as ``intersection._build_table``
+table: the same nodes, weights and z = Z/t as ``_thm2_build._build_table``
 builds, with w*exp(-s*z) (``direct_terms``) or w*z*phi(s*z)
 (``direct_slopes``) summed over every node for every s."""
 
@@ -7,9 +7,9 @@ import math
 
 import numpy as np
 
-from linecox.analytic import intersection
-from linecox.analytic.intersection import (_REGIMES, _coefficients, _segment_rows,
-                                           _thresholds, _zeta)
+from linecox.analytic import _thm2_build
+from linecox.analytic._thm2_build import (_REGIMES, _coefficients, _segment_rows,
+                                          _thresholds, _zeta)
 from linecox.quadrature import _legendre
 
 
@@ -29,7 +29,7 @@ def _measure(nw, nx, n1):
     window = np.maximum(win_hi - win_lo, 0.0)
 
     def off_window():
-        step = max(1, intersection._CHUNK_NODES // n1)
+        step = max(1, _thm2_build._CHUNK_NODES // n1)
         segments = ((0.0, outer_lo), (outer_hi, math.pi), (outer_lo, win_lo),
                     (win_hi, outer_hi))
         for (lo, hi), regime in zip(segments, _REGIMES):
