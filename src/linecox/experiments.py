@@ -14,6 +14,7 @@ throughput through ``logging`` instead.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import time
@@ -33,8 +34,8 @@ from .model import (
     _check_scalar_t,
     _finite_real,
 )
-from .oracle import chunk_lengths
-from .sampler import _TRIAL_FIXED_COST, _check_inputs, _expected_lines, sample_chunk
+from .oracle import _chunk_lengths
+from .sampler import _TRIAL_FIXED_COST, _check_inputs, _draw_chunk, _expected_lines
 
 __all__ = [
     "ComparisonReport",
@@ -104,6 +105,16 @@ def default_grid(t_max: float = 3.0, step: float = 0.01) -> np.ndarray:
                       f"the default grid to t_max {_shown(t_max)} by {_shown(step)}")
 
 
+@functools.lru_cache(maxsize=1)
+def _default_grid(t_max: float) -> np.ndarray:
+    """``default_grid(t_max)``, read-only, for ``run_mc``: built once for a
+    run of calls at one t_max. Only the last grid is kept, since a grid may
+    hold a million points."""
+    grid = default_grid(t_max)
+    grid.setflags(write=False)
+    return grid
+
+
 def _chunk_trials(params: ModelParams, scenario: PalmScenario,
                   t_max: float) -> int:
     """Trials per chunk: as many as _CHUNK_BUDGET holds, and at least one.
@@ -118,10 +129,12 @@ def _chunk_trials(params: ModelParams, scenario: PalmScenario,
 
 def _mc_chunk(task) -> tuple[np.ndarray, int]:
     """Shortest lengths of trials start..stop-1 (inf when censored) and the
-    number of lines they drew, clipped at t_max as ``sample_path`` clips."""
+    number of lines they drew, clipped at t_max as ``sample_path`` clips:
+    the cores of ``sample_chunk`` and ``chunk_lengths``, whose checks
+    ``run_mc`` has made once for every chunk."""
     params, scenario, policy, t_max, master, start, stop = task
-    chunk = sample_chunk(params, scenario, t_max, master, start, stop)
-    return chunk_lengths(chunk, policy, t_max), int(chunk.angle.size)
+    chunk = _draw_chunk(params, scenario, t_max, master, start, stop)
+    return _chunk_lengths(chunk, policy, t_max), int(chunk.angle.size)
 
 
 def _chunk_results(tasks, n_chunks: int, workers: int):
@@ -162,7 +175,8 @@ def run_mc(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
     ``sampler.MAX_TRIAL_POINTS`` points per trial ``TooManyPoints``, before
     any trial is drawn. Every policy runs the same way: each chunk of
     trials (``_chunk_trials`` of them) is drawn as one ``sample_chunk`` and
-    solved at once by ``chunk_lengths``, with up to ``workers`` processes
+    solved at once by ``chunk_lengths``, the inputs checked once for all
+    chunks, with up to ``workers`` processes
     (default 1), one per two chunks (in this process below four chunks). Each
     chunk's lengths are counted into the grid as the chunk arrives, in
     chunk order, so memory does not grow with ``trials``. Logs one INFO
@@ -179,7 +193,7 @@ def run_mc(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
     _check_record(policy, TurnPolicy, "policy")
     halfwidth = dkw_halfwidth(trials, alpha)
     # a curve of the grid itself fails the finished curve's checks only on the grid
-    grid = default_grid(t_max) if grid is None else DistributionCurve(grid, grid, grid).grid
+    grid = _default_grid(t_max) if grid is None else DistributionCurve(grid, grid, grid).grid
     if grid[0] < 0 or grid[-1] > t_max + 1e-12:
         raise InputError(f"grid spans [{_shown(float(grid[0]))}, "
                          f"{_shown(float(grid[-1]))}]; t_max censors at {_shown(t_max)}")
@@ -197,7 +211,7 @@ def run_mc(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
     counts = np.zeros(grid.size + 1, dtype=np.int64)
     n_lines = 0
     for lengths, lines in _chunk_results(tasks, len(chunks), workers):
-        np.add.at(counts, np.searchsorted(grid, lengths[np.isfinite(lengths)]), 1)
+        np.add.at(counts, grid.searchsorted(lengths[np.isfinite(lengths)]), 1)
         n_lines += lines
     n_censored = trials - int(counts.sum())
     meta = {
@@ -214,7 +228,7 @@ def run_mc(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
         "t_max": t_max,
         "alpha": alpha,
     }
-    curve = DistributionCurve(grid, np.cumsum(counts[:-1]) / float(trials),
+    curve = DistributionCurve(grid, counts[:-1].cumsum() / float(trials),
                               halfwidth, meta)
     wall = time.perf_counter() - started
     _log.info("run_mc: %d trials, %.3f s, %.0f trials/s, "

@@ -352,10 +352,9 @@ class DistributionCurve:
             h = np.full_like(g, float(h))
         if not (g.shape == v.shape == h.shape) or g.ndim != 1 or g.size == 0:
             raise InputError("grid, values and ci_halfwidth must be equal length 1-D arrays")
-        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is no rise
-            if not np.all(np.diff(g) > 0):
-                raise InputError("grid must be strictly increasing")
-        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(v)) and np.all(np.isfinite(h))):
+        if not (g[1:] > g[:-1]).all():  # nan and inf after inf are no rise
+            raise InputError("grid must be strictly increasing")
+        if not (np.isfinite(g).all() and np.isfinite(v).all() and np.isfinite(h).all()):
             raise InputError("curve arrays must be finite")
         for name, arr in (("grid", g), ("values", v), ("ci_halfwidth", h)):
             arr = arr.copy()

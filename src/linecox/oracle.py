@@ -32,7 +32,10 @@ just these three.
   whole chunk, so its memory grows with the chunk; ``run_mc`` sizes its
   chunks by their expected line pairs. Without lower-turn paths the
   kernel bounds each trial by a reach that doubles until it holds the
-  trial's best.
+  trial's best. An offer finds the points nearest its labels with one
+  ``searchsorted`` over complex keys line + 1j*arc of the chunk's points
+  (``_point_keys``), built once per call: they hold 16 bytes a point
+  while the call runs, and building them briefly takes 8 more.
 
 The ``first_hop_positive_x`` restriction (forced for TWO_TURN_DIRECTED)
 makes the first leg run along the positive arc direction of the first
@@ -190,34 +193,45 @@ _FIRST_REACH = 1 / 16
 def _runs(sizes, cap):
     """Cuts (a, b) of ``sizes`` into consecutive runs that sum to at most
     ``cap``, or hold one size that alone exceeds it."""
-    ends, a = np.cumsum(sizes), 0
+    ends, a = sizes.cumsum(), 0
     while a < sizes.size:
-        b = max(a + 1, int(np.searchsorted(ends, ends[a] - sizes[a] + cap, "right")))
+        b = max(a + 1, int(ends.searchsorted(ends[a] - sizes[a] + cap, "right")))
         yield a, b
         a = b
 
 
-def _segment_searchsorted(a, lo, hi, x):
-    """``lo + np.searchsorted(a[lo:hi], x, side="left")`` for every query at
-    once, as a binary search over each query's sorted segment of ``a``."""
-    lo, hi = lo.copy(), hi.copy()
-    for _ in range(int(np.max(hi - lo, initial=0)).bit_length()):
-        active = lo < hi
-        mid = (lo + hi) >> 1
-        right = active & (a[np.minimum(mid, a.size - 1)] < x)
-        lo = np.where(right, mid + 1, lo)
-        hi = np.where(active & ~right, mid, hi)
-    return lo
+def _point_keys(chunk: ChunkSample) -> np.ndarray:
+    """Every point of the chunk as the complex key line + 1j*arc. numpy
+    orders complex values by real part, then imaginary part, so the keys
+    sort in (line, arc) order, as the chunk keeps its points. Each part is
+    stored as given, so a key holds its arc's exact bits. The keys take 16
+    bytes a point while ``chunk_lengths`` runs."""
+    arc_start = chunk.arc_start
+    keys = np.empty(chunk.arcs.size, complex)
+    keys.real = np.arange(arc_start.size - 1).repeat(arc_start[1:] - arc_start[:-1])
+    keys.imag = chunk.arcs
+    return keys
 
 
-def _nearest_dist(chunk: ChunkSample, lines, refs, nonneg_only=False):
+def _key_slots(keys, lines, refs):
+    """``lo + np.searchsorted(arcs[lo:hi], ref)`` of each query (line, ref),
+    lo:hi the points of its line, for every query at once: one
+    ``searchsorted`` of line + 1j*ref over the ``_point_keys``."""
+    query = np.empty(refs.size, complex)
+    query.real = lines
+    query.imag = refs
+    return keys.searchsorted(query)
+
+
+def _nearest_dist(chunk: ChunkSample, keys, lines, refs, nonneg_only=False):
     """Smallest |arc - ref| over the points of each line (inf without
     points), as ``_nearest`` computes it: by monotone rounding the minimum
-    sits next to where ref sorts in. ``nonneg_only`` (used with ref 0) keeps
-    only arcs >= 0."""
+    sits next to the slot ``_key_slots`` finds for ref among the chunk's
+    ``_point_keys``. ``nonneg_only`` (used with ref 0) keeps only arcs
+    >= 0."""
     arcs = chunk.arcs
     lo, hi = chunk.arc_start[lines], chunk.arc_start[lines + 1]
-    idx = _segment_searchsorted(arcs, lo, hi, refs)
+    idx = _key_slots(keys, lines, refs)
     d = np.full(refs.shape, np.inf)
     above = idx < hi
     d[above] = np.abs(arcs[idx[above]] - refs[above])
@@ -232,7 +246,7 @@ def _offer(best, trials, lengths, t_max):
     np.minimum.at(best, trials[keep], lengths[keep])
 
 
-def _turn(best, chunk, rows, reach, first, directed):
+def _turn(best, chunk, n_lines, rows, reach, first, directed):
     """The hops one turn further from the labels ``rows``, in blocks of at
     most _PAIR_BLOCK pairs (or one label's). A label or hop is (trial,
     line, line it came from, arc on its line, length). Each label shorter
@@ -240,17 +254,19 @@ def _turn(best, chunk, rows, reach, first, directed):
     one it came from, and keeps the hops that end within the trial's reach
     and below its best. The first turn skips the other origin line (their
     crossing is the start point) and, ``directed``, every hop to an arc
-    that is not positive."""
-    n_lines = np.diff(chunk.line_start)
+    that is not positive. ``n_lines`` holds each trial's line count."""
     live = rows[4] < best[rows[0]]
     trial, line, prev, ref, length = (col[live] for col in rows)
     reps = n_lines[trial] - 1
     for a, b in _runs(reps, _PAIR_BLOCK):
         r = reps[a:b]
-        f = a + np.repeat(np.arange(r.size), r)  # label of each pair
+        f = (a + np.arange(r.size)).repeat(r)  # label of each pair
+        # a label's pair q is with line q of its trial, or q + 1 from the
+        # label's own line on: the trial's first line, plus the pair's
+        # index less that of the label's first pair
+        m = (chunk.line_start[trial[a:b]] - (r.cumsum() - r)).repeat(r)
+        m += np.arange(m.size)
         t, i = trial[f], line[f]
-        m = chunk.line_start[t] + (np.arange(f.size)
-                                   - np.repeat(np.cumsum(r) - r, r))
         m += m >= i
         here, there = _pair_arcs(chunk._trig, chunk.offset, i, m)
         new = length[f] + np.abs(here - ref[f])
@@ -271,13 +287,18 @@ def _labels(chunk, hops):
     none = (np.empty(0, np.int64),) * 3 + (np.empty(0),) * 2
     t, m, i, there, new = map(np.concatenate, zip(none, *hops))
     key = m * chunk.angle.size + i
-    order = np.argsort(key)
-    first = np.flatnonzero(np.diff(key[order], prepend=-1))
+    order = key.argsort()
+    key = key[order]
+    head = np.empty(key.size, bool)  # the first hop of each run
+    head[:1] = True
+    head[1:] = key[1:] != key[:-1]
+    first = head.nonzero()[0]
     s = order[first]
     return t[s], m[s], i[s], there[s], np.minimum.reduceat(new[order], first)
 
 
-def _search(best, chunk, trials, reach, t_max, k, lower, directed):
+def _search(best, chunk, keys, n_lines, trials, reach, t_max, k, lower,
+            directed):
     """Offer every path of at most k turns (exactly k unless ``lower``) of
     the given trials, all in one pass. Layer 0 holds the origin lines (only
     the first, ``directed``) at arc 0 and length 0; layer j + 1 the
@@ -285,15 +306,16 @@ def _search(best, chunk, trials, reach, t_max, k, lower, directed):
     offered block by block, unlabelled. An empty layer below k ends the
     search, since no later layer can hold a label. Lengths add up hop by
     hop as in ``_k_turn``, so each offer is the length the search gives
-    that path."""
+    that path. ``keys`` are the chunk's ``_point_keys`` and ``n_lines``
+    each trial's line count."""
     n0 = 1 if directed else chunk.n_origin
-    t = np.repeat(trials, n0)
+    t = trials.repeat(n0)
     zeros = np.zeros(t.size)
-    layer = [(t, chunk.line_start[t] + np.tile(np.arange(n0), trials.size),
+    layer = [(t, (chunk.line_start[trials, None] + np.arange(n0)).ravel(),
               np.full(t.size, -1), zeros, zeros)]
     for j in range(k + 1):
         if j:
-            hops = _turn(best, chunk, rows, reach, j == 1, directed)
+            hops = _turn(best, chunk, n_lines, rows, reach, j == 1, directed)
             layer = hops if j == k else [_labels(chunk, hops)]
             if j < k and not layer[0][0].size:
                 break
@@ -301,7 +323,7 @@ def _search(best, chunk, trials, reach, t_max, k, lower, directed):
             if lower or j == k:
                 t, m, _, ref, length = rows
                 _offer(best, t, length + _nearest_dist(
-                    chunk, m, ref, nonneg_only=directed and j == 0), t_max)
+                    chunk, keys, m, ref, nonneg_only=directed and j == 0), t_max)
 
 
 # ---- public API --------------------------------------------------------------
@@ -359,9 +381,17 @@ def chunk_lengths(chunk: ChunkSample, policy: TurnPolicy,
     once."""
     _check_record(chunk, ChunkSample, "chunk")
     _check_record(policy, TurnPolicy, "policy")
-    t_max = _check_scalar_t(t_max, chunk.clip_radius, "t_max")
+    return _chunk_lengths(chunk, policy,
+                          _check_scalar_t(t_max, chunk.clip_radius, "t_max"))
+
+
+def _chunk_lengths(chunk: ChunkSample, policy: TurnPolicy,
+                   t_max: float) -> np.ndarray:
+    """``chunk_lengths`` of arguments it has checked, ``t_max`` a float."""
     k, lower, directed = (policy.k, policy.include_lower_turn_paths,
                           policy.first_hop_positive_x)
+    keys = _point_keys(chunk)
+    n_lines = chunk.line_start[1:] - chunk.line_start[:-1]
 
     best = np.full(chunk.n_trials, math.inf)
     # without lower-turn paths no incumbent bounds the layers below k, so
@@ -372,7 +402,8 @@ def chunk_lengths(chunk: ChunkSample, policy: TurnPolicy,
                     t_max if lower or k < 2 else _FIRST_REACH * t_max)
     todo = np.arange(chunk.n_trials)
     while todo.size:
-        _search(best, chunk, todo, reach, t_max, k, lower, directed)
+        _search(best, chunk, keys, n_lines, todo, reach, t_max, k, lower,
+                directed)
         todo = todo[(best[todo] > reach[todo]) & (reach[todo] < t_max)]
         reach[todo] = np.minimum(2.0 * reach[todo], t_max)
     return best

@@ -156,9 +156,12 @@ def _sin_cos(angles) -> tuple[np.ndarray, np.ndarray]:
 
 def _pair_arcs(trig, offsets, ii, jj):
     """Arc coordinates of the crossing of line pairs (ii[k], jj[k]): returns
-    (arc on line ii[k], arc on line jj[k]). Near-parallel pairs give nan.
-    ``trig`` is ``_sin_cos`` of the line angles, which a ChunkSample
-    computes once and keeps. Either index may be a scalar.
+    (arc on line ii[k], arc on line jj[k]). Near-parallel pairs, |det| below
+    _MIN_ANGLE_GAP, give nan. ``trig`` is ``_sin_cos`` of the line angles,
+    which a ChunkSample computes once and keeps. Either index may be a
+    scalar. Each operand is gathered once, and only the pairs outside the
+    near-parallel mask are divided, into arrays that start as nan, so no
+    pair raises a floating-point warning.
 
     This is the single crossing formula used everywhere (the per-trial
     search and the batched kernel alike) so arcs agree bit for bit across
@@ -167,14 +170,16 @@ def _pair_arcs(trig, offsets, ii, jj):
     either order.
     """
     sa, ca = trig
-    det = sa[jj] * ca[ii] - ca[jj] * sa[ii]
-    bx = -offsets[jj] * sa[jj] + offsets[ii] * sa[ii]
-    by = offsets[jj] * ca[jj] - offsets[ii] * ca[ii]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        arc_i = np.where(np.abs(det) < _MIN_ANGLE_GAP, np.nan,
-                         (bx * sa[jj] - by * ca[jj]) / det)
-        arc_j = np.where(np.abs(det) < _MIN_ANGLE_GAP, np.nan,
-                         (bx * sa[ii] - by * ca[ii]) / det)
+    si, ci, oi = sa[ii], ca[ii], offsets[ii]
+    sj, cj, oj = sa[jj], ca[jj], offsets[jj]
+    det = sj * ci - cj * si
+    bx = -oj * sj + oi * si
+    by = oj * cj - oi * ci
+    ok = np.abs(det) >= _MIN_ANGLE_GAP
+    arc_i = np.full(det.shape, np.nan)
+    arc_j = arc_i.copy()
+    np.divide(bx * sj - by * cj, det, out=arc_i, where=ok)
+    np.divide(bx * si - by * ci, det, out=arc_j, where=ok)
     return arc_i, arc_j
 
 
@@ -258,9 +263,12 @@ class _TrialDraws:
                 poisson(two_mu * math.sqrt(R * R - p * p))
                 for p in [-R + span * v for v in u[n_bg:].tolist()]]
         else:
-            counts = rng.poisson(two_mu * np.concatenate(
-                (np.full(len(origin), R),
-                 _half_chords(-R + (R - -R) * u[n_bg:], R)))).tolist()
+            # the rates in one array, filled in place
+            rates = np.empty(len(origin) + n_bg)
+            rates[:len(origin)] = R
+            rates[len(origin):] = _half_chords(-R + (R - -R) * u[n_bg:], R)
+            rates *= two_mu
+            counts = rng.poisson(rates).tolist()
         return origin, u[:n_bg], u[n_bg:], counts, rng.random(sum(counts))
 
 
@@ -368,7 +376,7 @@ def sample_chunk(params: ModelParams, scenario: PalmScenario,
     master and i mod 2**64, so masters (or trials) that agree mod 2**64
     draw alike."""
     R = _check_inputs(params, scenario, clip_radius)
-    master = _check_int(master, "master") % 2**64
+    master = _check_int(master, "master")
     start, stop = _check_int(start, "start"), _check_int(stop, "stop")
     if stop <= start:
         raise InputError(f"need start < stop, got {_shown(start)}, {_shown(stop)}")
@@ -380,6 +388,14 @@ def sample_chunk(params: ModelParams, scenario: PalmScenario,
     if span > limit:
         raise TooManyPoints(f"{_shown(span)} trials in one chunk exceed the cap of {limit} "
                             "trials a chunk at these intensities and clip radius")
+    return _draw_chunk(params, scenario, R, master, start, stop)
+
+
+def _draw_chunk(params: ModelParams, scenario: PalmScenario, R: float,
+                master: int, start: int, stop: int) -> ChunkSample:
+    """``sample_chunk`` of arguments it has checked, ``R`` the float clip
+    radius, for a chunk within its cap."""
+    master %= 2**64
     draws = _TrialDraws(params, scenario, R, master)
     origin, angle_u, offset_u, counts, point_u = zip(
         *[draws.draw(i) for i in range(start, stop)])

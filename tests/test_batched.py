@@ -28,9 +28,10 @@ from linecox import (
 )
 from linecox import oracle, sampler
 from linecox.experiments import default_grid, dkw_halfwidth
-from linecox.oracle import _runs, _segment_searchsorted
-from realizations import (crossings_within, intersections, realization_to_json,
-                          sample_D)
+from linecox.model import Line
+from linecox.oracle import _key_slots, _nearest, _nearest_dist, _point_keys, _runs
+from realizations import (crossings_within, intersections, one_trial,
+                          realization_to_json, sample_D)
 
 T_MAX = 3.0
 SCENARIOS = {
@@ -188,18 +189,66 @@ def test_near_parallel_lines_lose_only_their_own_crossing(monkeypatch, lam,
         assert 0 not in [rec[0] for rec in crossings_within(real, c, T_MAX)]
 
 
-def test_segment_searchsorted_matches_numpy():
+# hand-built lines: repeated arcs, 0.0 beside -0.0, an empty line, lines
+# all below or all above 0
+_HAND_ARCS = [[-1.0, 0.0, 0.0, 0.5, 2.0], [], [-0.0, 0.0, 1.5], [0.25],
+              [-2.0, -1.0, -1.0], [], [0.5, 0.5, 0.5, 3.0], [-0.0]]
+_HAND_REFS = [-1e300, -3.0, -2.0, -1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.5,
+              2.0, 3.0, 4.0, 1e300]
+
+
+def _hand_chunk():
+    lines = [Line(i, 0.3 * i, 0.1 * i, i == 0) for i in range(len(_HAND_ARCS))]
+    return one_trial(lines, _HAND_ARCS).chunk
+
+
+def test_key_search_equals_a_searchsorted_within_each_line():
+    """One search of line + 1j*ref over the chunk's complex point keys
+    finds, for every query, ``lo + np.searchsorted(arcs[lo:hi], ref)``
+    within the query's line: on the hand-built lines with refs equal to
+    arcs, 0.0 against -0.0 both ways and refs beyond every arc, and on
+    sampled chunks of several trials with refs drawn at and between arcs."""
     rng = np.random.default_rng(5)
-    counts = rng.integers(0, 9, size=60)
-    starts = np.concatenate(([0], np.cumsum(counts)))
-    a = np.concatenate([np.sort(rng.choice([-1.0, 0.0, 0.5, 2.0], size=c))
-                        for c in counts])
-    seg = rng.integers(0, counts.size, size=500)
-    x = rng.choice([-2.0, -1.0, 0.0, 0.25, 0.5, 2.0, 3.0], size=500)
-    got = _segment_searchsorted(a, starts[seg], starts[seg + 1], x)
-    want = [starts[s] + np.searchsorted(a[starts[s]:starts[s + 1]], v)
-            for s, v in zip(seg, x)]
-    assert got.tolist() == want
+    chunks = [_hand_chunk()] + [
+        sample_chunk(ModelParams(lam, mu), typical_point(), T_MAX, 9, 0, 6)
+        for lam, mu in ((0.5, 0.3), (4.0, 1.0))]
+    for chunk in chunks:
+        starts, arcs = chunk.arc_start, chunk.arcs
+        n_lines = starts.size - 1
+        lines = np.repeat(np.arange(n_lines), len(_HAND_REFS))
+        refs = np.tile(_HAND_REFS, n_lines)
+        if arcs.size:
+            picks = rng.integers(0, arcs.size, 200)
+            lines = np.concatenate((lines, np.searchsorted(starts, picks, "right") - 1,
+                                    rng.integers(0, n_lines, 200)))
+            refs = np.concatenate((refs, arcs[picks], rng.uniform(-T_MAX, T_MAX, 200)))
+        got = _key_slots(_point_keys(chunk), lines, refs)
+        want = [starts[m] + np.searchsorted(arcs[starts[m]:starts[m + 1]], r)
+                for m, r in zip(lines, refs)]
+        assert got.tolist() == want
+
+
+def test_nearest_dist_equals_the_per_line_nearest():
+    """``_nearest_dist`` gives every query the distance ``_nearest`` finds
+    over its line's arcs, bit for bit, and inf on a line without points;
+    with ``nonneg_only`` (the directed start, ref 0) it gives ``_nearest``
+    over the arcs from ``searchsorted(arcs, 0.0)`` on, as ``_k_turn`` does."""
+    chunks = [_hand_chunk(), sample_chunk(ModelParams(2.0, 0.5), typical_point(),
+                                          T_MAX, 4, 0, 5)]
+    for chunk in chunks:
+        keys, starts = _point_keys(chunk), chunk.arc_start
+        per_line = [chunk.arcs[a:b] for a, b in zip(starts[:-1], starts[1:])]
+        lines = np.repeat(np.arange(len(per_line)), len(_HAND_REFS))
+        refs = np.tile(_HAND_REFS, len(per_line))
+        got = _nearest_dist(chunk, keys, lines, refs)
+        want = [_nearest(per_line[m], r)[0] if per_line[m].size else np.inf
+                for m, r in zip(lines, refs)]
+        assert got.tobytes() == np.array(want).tobytes()
+        lines = np.arange(len(per_line))
+        got = _nearest_dist(chunk, keys, lines, np.zeros(lines.size), nonneg_only=True)
+        kept = [a[np.searchsorted(a, 0.0, side="left"):] for a in per_line]
+        want = [_nearest(a, 0.0)[0] if a.size else np.inf for a in kept]
+        assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_runs_cut_at_most_cap_or_one_size():
@@ -264,8 +313,10 @@ def test_run_mc_never_builds_a_realization(monkeypatch):
 # The kernel holds one label per (trial, line, came-from line) in a layer,
 # sorted out of the hops the layer keeps, and searches the trials of the
 # chunk it is given in one pass, so its memory grows with the chunk but not
-# with how many paths a layer reaches: it peaks near 1.2 MiB on these 64
-# trials, where run_mc's chunks at lam 16 hold five. Holding every path of
+# with how many paths a layer reaches: its layers peak near 1.2 MiB on
+# these 64 trials, where run_mc's chunks at lam 16 hold five, and with the
+# complex point keys of its offers (16 bytes a point, about 46,000 points)
+# the call peaks near 2.4 MiB. Holding every path of
 # whole layers instead, from a first reach of t_max / 4, peaked at 120 MB
 # (point) and 264 MB (intersection) on 512 trials. The bound leaves room
 # for numpy's own buffers.
@@ -292,7 +343,8 @@ def test_exact_three_turns_at_lam_16_are_exact_and_bounded(scenario):
 
 # A dense table of one slot per (line, came-from line) pair took 16 bytes
 # x lines² for each trial: about 37 MiB at lam 160 (some 1500 lines a
-# trial). The labels sorted out of the hops a layer keeps peak near 1 MiB.
+# trial). The labels sorted out of the hops a layer keeps peak near 1.4 MiB,
+# and the call near 2.2 MiB with the complex point keys of its offers.
 DENSE_STREET_PEAK_BYTES = 8 * 2**20
 
 

@@ -277,15 +277,15 @@ def _largest_chunk_peak(monkeypatch, params, scenario):
 
     def spy(*args):
         asked.append(args)
-        return sample_chunk(*args)
+        return draw_chunk(*args)
 
-    sample_chunk = experiments.sample_chunk
-    monkeypatch.setattr(experiments, "sample_chunk", spy)
+    draw_chunk = experiments._draw_chunk
+    monkeypatch.setattr(experiments, "_draw_chunk", spy)
     run_mc(params, scenario, TurnPolicy.zero_turn(), 64, 3.0, 5)
     largest = max(asked, key=lambda args: args[-1] - args[-2])
     tracemalloc.start()
     try:
-        sample_chunk(*largest)
+        draw_chunk(*largest)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -391,7 +391,7 @@ def test_run_mc_rejects_trials_past_int64_before_any_trial(monkeypatch, trials):
     def refuse(*args):
         raise AssertionError("drew a chunk")
 
-    monkeypatch.setattr(experiments, "sample_chunk", refuse)
+    monkeypatch.setattr(experiments, "_draw_chunk", refuse)
     with pytest.raises(InputError, match="trials must be < 2"):
         run_mc(ModelParams(1.0, 1.0), PalmScenario(PalmKind.TYPICAL_POINT),
                TurnPolicy.zero_turn(), trials=trials, t_max=1.0, seed=1)
@@ -413,10 +413,10 @@ def test_run_mc_checks_level_and_grid_before_any_trial(monkeypatch, bad, message
 
     def spy(*args):
         calls.append(args)
-        return sample_chunk(*args)
+        return draw_chunk(*args)
 
-    sample_chunk = experiments.sample_chunk
-    monkeypatch.setattr(experiments, "sample_chunk", spy)
+    draw_chunk = experiments._draw_chunk
+    monkeypatch.setattr(experiments, "_draw_chunk", spy)
     with pytest.raises(ValueError, match=message):
         run_mc(ModelParams(1.0, 1.0), PalmScenario(PalmKind.TYPICAL_POINT),
                TurnPolicy.zero_turn(), trials=10, t_max=1.0, seed=1, **bad)

@@ -22,7 +22,7 @@ from linecox import (
     typical_point,
 )
 from linecox.model import Line
-from linecox.sampler import _pair_arcs, _sin_cos
+from linecox.sampler import _MIN_ANGLE_GAP, _pair_arcs, _sin_cos
 from realizations import (one_trial, route_length, route_positions, sample_D,
                           trial_geometry)
 
@@ -364,6 +364,52 @@ def test_near_parallel_pairs_give_nan_in_either_order():
         warnings.simplefilter("error")
         for ii, jj in (([0, 2, 2], [1, 3, 4]), ([1, 3, 4], [0, 2, 2])):
             assert np.isnan(_pair_arcs(trig, offset, np.array(ii), np.array(jj))).all()
+
+
+def _pair_arcs_reference(trig, offsets, ii, jj):
+    """The crossing formula as written before ``_pair_arcs`` gathered each
+    operand once: every operand gathered where it is read, and both
+    quotients taken over all pairs, then replaced by nan under the mask."""
+    sa, ca = trig
+    det = sa[jj] * ca[ii] - ca[jj] * sa[ii]
+    bx = -offsets[jj] * sa[jj] + offsets[ii] * sa[ii]
+    by = offsets[jj] * ca[jj] - offsets[ii] * ca[ii]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        arc_i = np.where(np.abs(det) < _MIN_ANGLE_GAP, np.nan,
+                         (bx * sa[jj] - by * ca[jj]) / det)
+        arc_j = np.where(np.abs(det) < _MIN_ANGLE_GAP, np.nan,
+                         (bx * sa[ii] - by * ca[ii]) / det)
+    return arc_i, arc_j, det
+
+
+def test_pair_arcs_equal_the_reference_and_raise_nothing():
+    """Line 0 at angle 0 against lines within a few 1e-12 of it, so that
+    |det| falls on both sides of _MIN_ANGLE_GAP, against exactly parallel
+    lines (det 0) and lines near pi, plus general angles. Under
+    ``np.errstate(all="raise")`` no pair raises, nan sits exactly where
+    |det| < _MIN_ANGLE_GAP, and every arc equals the reference formula's
+    bit for bit, with ii as an array and as a scalar."""
+    rng = np.random.default_rng(3)
+    near = [0.0, 1e-12 * (1.0 + 1e-9), 1e-12 * (1.0 - 1e-9)] + [
+        1e-12 * f for f in (0.25, 0.5, 0.9, 0.999, 1.0, 1.001, 1.1, 2.0, 4.0)]
+    angle = np.array(near + [math.pi - 1e-12, math.pi - 2e-12, math.pi - 5e-13,
+                             1.0, 1.0] + list(rng.uniform(0.0, math.pi, 9)))
+    offset = rng.uniform(-3.0, 3.0, angle.size)
+    trig = _sin_cos(angle)
+    ii, jj = np.nonzero(~np.eye(angle.size, dtype=bool))
+    want_i, want_j, det = _pair_arcs_reference(trig, offset, ii, jj)
+    masked = np.abs(det) < _MIN_ANGLE_GAP
+    assert (det == 0.0).any()
+    assert ((np.abs(det) >= 0.5 * _MIN_ANGLE_GAP) & masked).any()
+    assert ((np.abs(det) < 2.0 * _MIN_ANGLE_GAP) & ~masked).any()
+    with np.errstate(all="raise"):
+        got_i, got_j = _pair_arcs(trig, offset, ii, jj)
+        rows = [_pair_arcs(trig, offset, i, jj[ii == i]) for i in range(angle.size)]
+    assert (np.isnan(got_i) == masked).all() and (np.isnan(got_j) == masked).all()
+    assert got_i.tobytes() == want_i.tobytes() and got_j.tobytes() == want_j.tobytes()
+    for i, (here, there) in enumerate(rows):
+        assert here.tobytes() == want_i[ii == i].tobytes()
+        assert there.tobytes() == want_j[ii == i].tobytes()
 
 
 def test_hops_tied_with_the_incumbent_or_t_max_are_kept():

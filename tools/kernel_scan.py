@@ -28,12 +28,25 @@ the CPU us per call of ``sample_palm`` over the same trials, one call per
 trial, reading each realization's lines and arcs as the benchmark's traced
 replay reads them. They take some ten seconds.
 
-    PYTHONPATH=src python tools/kernel_scan.py [--rows dense|chunk|draw|all]
+The "fixed" rows time a small ``run_mc`` whole, at the six shapes of the
+``kturn-dense`` benchmark workload: lam 4, 8 and 16, ``k_turn(2)`` and
+``k_turn(3)`` (point scenario, mu = 1, t_max = 3), once with 1 trial and
+once with the workload's trials for that shape, one chunk either way. Each
+row prints the CPU us per call of ``run_mc``, of ``sample_chunk`` and of
+``chunk_lengths`` on the same trials (each call on a copy of the chunk
+that no call has solved, as ``run_mc`` solves the chunk it has just
+drawn), and the rest, ``run_mc`` less the other two: the driver's own
+cost and its checks. Each is the median over
+FIXED_ROUNDS rounds in which the three take turns, each round over
+FIXED_SEEDS seeds. They take about ten seconds.
+
+    PYTHONPATH=src python tools/kernel_scan.py [--rows dense|chunk|draw|fixed|all]
 
 Point PYTHONPATH at another checkout's ``src`` to scan that one.
 """
 
 import argparse
+import dataclasses
 import statistics
 import sys
 import time
@@ -41,9 +54,9 @@ import tracemalloc
 
 import numpy as np
 
-from linecox import (ModelParams, TurnPolicy, chunk_lengths, sample_chunk,
-                     sample_palm, shortest_path, typical_intersection,
-                     typical_point)
+from linecox import (ModelParams, TurnPolicy, chunk_lengths, run_mc,
+                     sample_chunk, sample_palm, shortest_path,
+                     typical_intersection, typical_point)
 from linecox.experiments import _chunk_trials
 
 T_MAX, MU, SEED = 3.0, 1.0, 2024
@@ -58,6 +71,10 @@ ROWS = {
 DRAW_ROWS = [(0.5, "point", 150), (1.25, "point", 150), (2.0, "point", 150),
              (1.25, "intersection", 150), (4.0, "point", 16), (16.0, "point", 3)]
 DRAW_CHUNKS = 100
+# (lam, k): trials of the "fixed" rows, the kturn-dense workload's trials
+FIXED_ROWS = {(4.0, 2): 16, (4.0, 3): 16, (8.0, 2): 4, (8.0, 3): 4,
+              (16.0, 2): 3, (16.0, 3): 2}
+FIXED_ROUNDS, FIXED_SEEDS = 7, 20
 ROUNDS = 5  # interleaved timing rounds of the two solvers per row
 SCENARIOS = {"point": typical_point(), "intersection": typical_intersection()}
 
@@ -138,9 +155,33 @@ def draw_row(lam, scenario, trials):
             kept / trials / 2**10, peak / 2**10, 1e3 * palm_ms / n)
 
 
+def fixed_row(lam, k, trials):
+    params, scenario, policy = ModelParams(lam, MU), typical_point(), TurnPolicy.k_turn(k)
+    seeds = range(SEED, SEED + FIXED_SEEDS)
+    chunks = [sample_chunk(params, scenario, T_MAX, s, 0, trials) for s in seeds]
+    # each timed chunk_lengths call gets a copy it has not seen, as in
+    # run_mc, so that it computes the chunk's cached sines and cosines
+    copies = [[dataclasses.replace(c) for c in chunks] for _ in range(FIXED_ROUNDS + 1)]
+    calls = {
+        "run_mc": lambda: [run_mc(params, scenario, policy, trials, T_MAX, s)
+                           for s in seeds],
+        "sample_chunk": lambda: [sample_chunk(params, scenario, T_MAX, s, 0, trials)
+                                 for s in seeds],
+        "chunk_lengths": lambda: [chunk_lengths(c, policy, T_MAX) for c in copies.pop()],
+    }
+    for call in calls.values():  # warm-up
+        call()
+    us = {name: [] for name in calls}
+    for _ in range(FIXED_ROUNDS):
+        for name, call in calls.items():
+            us[name].append(1e3 * _cpu_ms(call)[1] / FIXED_SEEDS)
+    us["rest"] = [a - b - c for a, b, c in zip(*us.values())]
+    return (lam, k, trials) + tuple(statistics.median(v) for v in us.values())
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--rows", choices=("dense", "chunk", "draw", "all"),
+    ap.add_argument("--rows", choices=("dense", "chunk", "draw", "fixed", "all"),
                     default="all")
     args = ap.parse_args(argv)
     names = [name for name in ROWS if args.rows in (name, "all")]
@@ -160,6 +201,14 @@ def main(argv=None):
         for row in DRAW_ROWS:
             print("| %g | %s | %d | %.1f | %.1f | %.1f | %.2f | %.0f | %.1f |"
                   % draw_row(*row), flush=True)
+    if args.rows in ("fixed", "all"):
+        print("| lam | k | trials | run_mc us | sample_chunk us | "
+              "chunk_lengths us | rest us |")
+        print("|---|---|---|---|---|---|---|")
+        for (lam, k), trials in FIXED_ROWS.items():
+            for n in (1, trials):
+                print("| %g | %d | %d | %.0f | %.0f | %.0f | %.0f |"
+                      % fixed_row(lam, k, n), flush=True)
 
 
 if __name__ == "__main__":
