@@ -246,7 +246,7 @@ def _offer(best, trials, lengths, t_max):
     np.minimum.at(best, trials[keep], lengths[keep])
 
 
-def _turn(best, chunk, n_lines, rows, reach, first, directed):
+def _turn(best, chunk, rows, n_lines, reach, first, directed):
     """The hops one turn further from the labels ``rows``, in blocks of at
     most _PAIR_BLOCK pairs (or one label's). A label or hop is (trial,
     line, line it came from, arc on its line, length). Each label shorter
@@ -315,7 +315,7 @@ def _search(best, chunk, keys, n_lines, trials, reach, t_max, k, lower,
               np.full(t.size, -1), zeros, zeros)]
     for j in range(k + 1):
         if j:
-            hops = _turn(best, chunk, n_lines, rows, reach, j == 1, directed)
+            hops = _turn(best, chunk, rows, n_lines, reach, j == 1, directed)
             layer = hops if j == k else [_labels(chunk, hops)]
             if j < k and not layer[0][0].size:
                 break

@@ -32,11 +32,15 @@ The "fixed" rows time a small ``run_mc`` whole, at the six shapes of the
 ``kturn-dense`` benchmark workload: lam 4, 8 and 16, ``k_turn(2)`` and
 ``k_turn(3)`` (point scenario, mu = 1, t_max = 3), once with 1 trial and
 once with the workload's trials for that shape, one chunk either way. Each
-row prints the CPU us per call of ``run_mc``, of ``sample_chunk`` and of
-``chunk_lengths`` on the same trials (each call on a copy of the chunk
-that no call has solved, as ``run_mc`` solves the chunk it has just
-drawn), and the rest, ``run_mc`` less the other two: the driver's own
-cost and its checks. Each is the median over
+row prints the CPU us per call of ``run_mc``, of its draw and of its
+kernel on the same trials, and the rest, ``run_mc`` less the other two:
+the driver's own cost and its checks. The draw and the kernel are the
+calls ``run_mc`` makes for a chunk: the unchecked cores
+``sampler._draw_chunk`` and ``oracle._chunk_lengths``, or, in a checkout
+without those cores, ``sample_chunk`` and ``chunk_lengths`` with their
+checks. Each kernel call solves a copy of the chunk that no call has
+solved, as ``run_mc`` solves the chunk it has just drawn. Each is the
+median over
 FIXED_ROUNDS rounds in which the three take turns, each round over
 FIXED_SEEDS seeds. They take about ten seconds.
 
@@ -57,6 +61,7 @@ import numpy as np
 from linecox import (ModelParams, TurnPolicy, chunk_lengths, run_mc,
                      sample_chunk, sample_palm, shortest_path,
                      typical_intersection, typical_point)
+from linecox import oracle, sampler
 from linecox.experiments import _chunk_trials
 
 T_MAX, MU, SEED = 3.0, 1.0, 2024
@@ -75,6 +80,9 @@ DRAW_CHUNKS = 100
 FIXED_ROWS = {(4.0, 2): 16, (4.0, 3): 16, (8.0, 2): 4, (8.0, 3): 4,
               (16.0, 2): 3, (16.0, 3): 2}
 FIXED_ROUNDS, FIXED_SEEDS = 7, 20
+# the draw and the kernel as run_mc calls them (same arguments either way)
+FIXED_DRAW = getattr(sampler, "_draw_chunk", sample_chunk)
+FIXED_SOLVE = getattr(oracle, "_chunk_lengths", chunk_lengths)
 ROUNDS = 5  # interleaved timing rounds of the two solvers per row
 SCENARIOS = {"point": typical_point(), "intersection": typical_intersection()}
 
@@ -165,9 +173,9 @@ def fixed_row(lam, k, trials):
     calls = {
         "run_mc": lambda: [run_mc(params, scenario, policy, trials, T_MAX, s)
                            for s in seeds],
-        "sample_chunk": lambda: [sample_chunk(params, scenario, T_MAX, s, 0, trials)
-                                 for s in seeds],
-        "chunk_lengths": lambda: [chunk_lengths(c, policy, T_MAX) for c in copies.pop()],
+        "draw": lambda: [FIXED_DRAW(params, scenario, T_MAX, s, 0, trials)
+                         for s in seeds],
+        "kernel": lambda: [FIXED_SOLVE(c, policy, T_MAX) for c in copies.pop()],
     }
     for call in calls.values():  # warm-up
         call()
@@ -202,8 +210,7 @@ def main(argv=None):
             print("| %g | %s | %d | %.1f | %.1f | %.1f | %.2f | %.0f | %.1f |"
                   % draw_row(*row), flush=True)
     if args.rows in ("fixed", "all"):
-        print("| lam | k | trials | run_mc us | sample_chunk us | "
-              "chunk_lengths us | rest us |")
+        print("| lam | k | trials | run_mc us | draw us | kernel us | rest us |")
         print("|---|---|---|---|---|---|---|")
         for (lam, k), trials in FIXED_ROWS.items():
             for n in (1, trials):
