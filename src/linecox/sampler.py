@@ -29,16 +29,18 @@ are batched across workers. ``sample_chunk`` draws consecutive trials into
 one flat layout, the package's one layout of a realization: 25 bytes per
 line and 8 per point (about 10 KiB a trial at lam 16, mu 1, radius 3).
 A Realization is a view of one trial of a chunk, and ``sample_palm`` is
-the one trial of a ``sample_chunk`` call. A trial draws its uniforms raw,
-as ``Generator.random`` doubles U, and ``sample_chunk`` maps them once per
-chunk to ``low + (high - low) * U``: the value
+the one trial of a ``sample_chunk`` call. One loop draws a chunk's trials,
+each its uniforms raw, as ``Generator.random`` doubles U, and the chunk
+maps them once to ``low + (high - low) * U``: the value
 ``Generator.uniform(low, high)`` gives for the same draw, by the same IEEE
-operations.
+operations. A raw U is k * 2**-53 for an integer k, so the chunk sorts each
+line's points on exact integer keys, one uint64 a point (the line over k),
+in place, and only then scales them to arcs; drawing a chunk peaks near 24
+bytes per point.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -71,24 +73,25 @@ __all__ = [
 _PI = math.pi
 _MIN_ANGLE_GAP = 1e-12
 # Largest accepted expected line count per trial, lam * pi * clip_radius.
-# Drawing a chunk at mu * clip_radius = 3 peaks near 280 bytes per line,
+# Drawing a chunk at mu * clip_radius = 3 peaks near 210 bytes per line,
 # its points included (measured at lam 60), and the finished chunk keeps
 # about 63 bytes per line. At the cap run_mc draws one trial a chunk, which
-# peaks near 0.5 MiB.
+# peaks near 0.45 MiB.
 MAX_EXPECTED_LINES = 2000.0
 # Largest accepted expected point count per line, 2 * mu * clip_radius.
-# Drawing a chunk peaks near 42 bytes per point and the chunk keeps 8. At
+# Drawing a chunk peaks near 24 bytes per point and the chunk keeps 8. At
 # lam = 0 and the cap run_mc draws the intersection scenario (two
-# full-length streets) 13 trials a chunk, which peaks near 5.2 MiB.
+# full-length streets) 13 trials a chunk, which peaks near 3.0 MiB.
 MAX_EXPECTED_POINTS = 5000.0
 # Largest accepted expected point count per trial, lines times points per
 # line, (n_origin + lam * pi * clip_radius) * 2 * mu * clip_radius. The two
-# caps above allow some 10 million; at 42 bytes a point the draw of one
-# trial at this cap peaks near 42 MiB.
+# caps above allow some 10 million; at 24 bytes a point the draw of one
+# trial at this cap peaks near 24 MiB.
 MAX_TRIAL_POINTS = 1e6
 # A trial's fixed cost, in expected lines and points: drawing its counts,
-# origin angles and per-trial arrays holds about 700 bytes whatever the
-# intensities, some 16 points' worth at 42 bytes a point.
+# origin angles and per-trial arrays holds about 300 bytes whatever the
+# intensities, some 12 points' worth at 24 bytes a point; 16 keeps the
+# chunk sizes set when it held 700 bytes at 42 bytes a point.
 _TRIAL_FIXED_COST = 16.0
 
 
@@ -183,25 +186,37 @@ def _pair_arcs(trig, offsets, ii, jj):
     return arc_i, arc_j
 
 
-def _draw_origin_angles(rng, scenario: PalmScenario):
-    if scenario.kind is PalmKind.TYPICAL_POINT:
-        return (0.0,)
-    # uniform(0, pi) is 0.0 + pi * U, and adding 0.0 to pi * U >= 0 changes
-    # no bit
-    if scenario.angle_law is AngleLaw.UNIFORM:
-        return (0.0, _PI * rng.random())
-    return (0.0, math.acos(1.0 - 2.0 * rng.random()))
-
-
-# one bit generator per thread, reused by every _TrialDraws: building one
-# costs ~15 us, as much as a sparse trial's draws. Each draw first resets
-# its whole state from a dict of Python ints, which the state setter reads
-# faster than numpy arrays, so no draw depends on the one before it.
+# one Philox bit generator per thread, reset to each trial's key: building
+# one costs ~15 us, as much as a sparse trial's draws. Each trial first
+# resets the whole state from a dict of Python ints, which the state setter
+# reads faster than numpy arrays, so no trial depends on the one before it.
 _philox = threading.local()
 # up to this many lines a trial draws its point counts one scalar call per
 # line: the same draws as one array call, without its ~10 us fixed cost
 # (the two cost the same near 17-21 lines a trial)
 _SCALAR_COUNTS_MAX = 16
+# a point's sort key is one uint64: the 53 bits of its position k, over
+# them its line's index mod _SORT_BLOCK, so the points of _SORT_BLOCK
+# consecutive lines sort as one block
+_POSITION_BITS = 53
+_SORT_BLOCK = 2**(64 - _POSITION_BITS)
+
+
+def _thread_philox():
+    """(key, bit generator, generator, fresh state) of this thread's Philox.
+    A trial writes its (master, stream) into the list ``key``, which
+    ``fresh`` holds, and sets the bit generator's state to ``fresh``."""
+    try:
+        return _philox.parts
+    except AttributeError:
+        key = [0, 0]
+        bitgen = Philox(key=np.zeros(2, dtype=np.uint64))
+        fresh = {"bit_generator": "Philox",
+                 "state": {"counter": [0, 0, 0, 0], "key": key},
+                 "buffer": [0, 0, 0, 0],
+                 "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        _philox.parts = key, bitgen, Generator(bitgen), fresh
+        return _philox.parts
 
 
 def _half_chords(offsets: np.ndarray, R: float) -> np.ndarray:
@@ -209,74 +224,6 @@ def _half_chords(offsets: np.ndarray, R: float) -> np.ndarray:
     with U < 1, in the disk of radius R: rounding keeps p*p <= R*R, finite
     by ``_check_inputs``, so no root sees a negative number."""
     return np.sqrt(R * R - offsets * offsets)
-
-
-class _TrialDraws:
-    """Draws trials of one run, trial ``i`` from the Philox stream keyed
-    (master, i mod 2**64), master in [0, 2**64). One bit generator per
-    thread is reset to each trial's key instead of building a new
-    generator per trial; the draws are the same.
-
-    ``draw`` holds the one copy of the draw order: the origin angles, the
-    background line count, their angles and offsets, the point count of
-    every line (rate 2 mu times its half chord) and the point positions.
-    Each uniform field is one ``Generator.random`` call of raw doubles U,
-    which ``sample_chunk`` maps per chunk."""
-
-    def __init__(self, params: ModelParams, scenario: PalmScenario, R: float,
-                 master: int):
-        self._scenario = scenario
-        self._R = R
-        self._mean_lines = params.lam * _PI * R
-        self._two_mu = 2.0 * params.mu
-        self._master = master
-        if not hasattr(_philox, "rng"):
-            _philox.key = [0, 0]
-            _philox.bitgen = Philox(key=np.zeros(2, dtype=np.uint64))
-            _philox.rng = Generator(_philox.bitgen)
-            _philox.fresh = {"bit_generator": "Philox",
-                             "state": {"counter": [0, 0, 0, 0],
-                                       "key": _philox.key},
-                             "buffer": [0, 0, 0, 0],
-                             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        self._key, self._bitgen = _philox.key, _philox.bitgen
-        self._rng, self._fresh = _philox.rng, _philox.fresh
-
-    def draw(self, stream: int):
-        """(origin angles, raw U of the background angles, raw U of their
-        offsets, point count per line, raw U of the point positions).
-        ``sample_chunk`` maps the raw U to angles in [0, pi), offsets in
-        [-R, R) and positions in [-1, 1) per unit half chord; the counts
-        take each offset mapped here by the same operations."""
-        self._key[0] = self._master
-        self._key[1] = stream % 2**64
-        self._bitgen.state = self._fresh
-        rng, R, two_mu = self._rng, self._R, self._two_mu
-        origin = _draw_origin_angles(rng, self._scenario)
-        n_bg = rng.poisson(self._mean_lines)
-        u = rng.random(2 * n_bg)
-        if len(origin) + n_bg <= _SCALAR_COUNTS_MAX:
-            # the offsets and _half_chords in scalar arithmetic, rounded the
-            # same
-            poisson, span = rng.poisson, R - -R
-            counts = [poisson(two_mu * R) for _ in origin] + [
-                poisson(two_mu * math.sqrt(R * R - p * p))
-                for p in [-R + span * v for v in u[n_bg:].tolist()]]
-        else:
-            # the rates in one array, filled in place
-            rates = np.empty(len(origin) + n_bg)
-            rates[:len(origin)] = R
-            rates[len(origin):] = _half_chords(-R + (R - -R) * u[n_bg:], R)
-            rates *= two_mu
-            counts = rng.poisson(rates).tolist()
-        return origin, u[:n_bg], u[n_bg:], counts, rng.random(sum(counts))
-
-
-def _sort_within(groups: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Permutation sorting ``values`` within runs of equal, nondecreasing
-    ``groups``."""
-    order = np.argsort(values)
-    return order[np.argsort(groups[order], kind="stable")]
 
 
 @dataclass(frozen=True)
@@ -394,24 +341,83 @@ def sample_chunk(params: ModelParams, scenario: PalmScenario,
 def _draw_chunk(params: ModelParams, scenario: PalmScenario, R: float,
                 master: int, start: int, stop: int) -> ChunkSample:
     """``sample_chunk`` of arguments it has checked, ``R`` the float clip
-    radius, for a chunk within its cap."""
+    radius, for a chunk within its cap.
+
+    Trial i draws from the Philox stream keyed (master, i mod 2**64),
+    master mod 2**64, in this order, which the loop below holds in its one
+    copy: the second origin angle (intersection only), the background line
+    count, the raw U of their angles and then of their offsets in one
+    call, the point count of every line (rate 2 mu times its half chord;
+    one scalar call a line up to ``_SCALAR_COUNTS_MAX`` lines, else one
+    array call) and the raw U of the point positions. A raw U is a
+    ``Generator.random`` double, which the chunk maps once to
+    ``low + (high - low) * U``, the value ``Generator.uniform(low, high)``
+    gives for the same draw by the same IEEE operations: angles in [0, pi),
+    offsets in [-R, R) and positions in [-1, 1) per unit half chord. The
+    counts take each offset mapped in the loop by the same operations."""
     master %= 2**64
-    draws = _TrialDraws(params, scenario, R, master)
-    origin, angle_u, offset_u, counts, point_u = zip(
-        *[draws.draw(i) for i in range(start, stop)])
+    key, bitgen, rng, fresh = _thread_philox()
+    key[0] = master
+    random, poisson, sqrt = rng.random, rng.poisson, math.sqrt
+    mean_lines, two_mu, span = params.lam * _PI * R, 2.0 * params.mu, R - -R
+    point = scenario.kind is PalmKind.TYPICAL_POINT
+    sine = scenario.angle_law is AngleLaw.SIN_WEIGHTED
+    n_origin = 1 if point else 2
+    origin_rates = [two_mu * R] * n_origin
+    second, n_bg, line_u, counts, point_u = [], [], [], [], []
+    for stream in range(start, stop):
+        key[1] = stream % 2**64
+        bitgen.state = fresh
+        if not point:
+            # uniform(0, pi) is 0.0 + pi * U, and adding 0.0 to pi * U >= 0
+            # changes no bit
+            v = random()
+            second.append(math.acos(1.0 - 2.0 * v) if sine else _PI * v)
+        n = poisson(mean_lines)
+        u = random(2 * n)
+        if n_origin + n <= _SCALAR_COUNTS_MAX:
+            # the offsets and _half_chords in scalar arithmetic, rounded the
+            # same
+            c = list(map(poisson, origin_rates + [
+                two_mu * sqrt(R * R - p * p)
+                for v in u[n:].tolist() for p in (-R + span * v,)]))
+        else:
+            # the rates in one array, formed in place by the same operations
+            rates = np.empty(n_origin + n)
+            rates[:n_origin] = R
+            p = rates[n_origin:]
+            np.multiply(u[n:], span, out=p)
+            p += -R
+            p *= p
+            np.subtract(R * R, p, out=p)
+            np.sqrt(p, out=p)
+            rates *= two_mu
+            c = poisson(rates).tolist()
+        n_bg.append(n)
+        line_u.append(u)
+        counts += c
+        point_u.append(random(sum(c)))
     # each field in one array, the per-trial draws let go as they are read
-    n_bg = np.fromiter(map(len, angle_u), dtype=np.int64, count=stop - start)
-    angle_u, offset_u = _uniform(angle_u, 0.0, _PI), _uniform(offset_u, -R, R)
-    counts = np.fromiter(itertools.chain.from_iterable(counts), dtype=np.int64)
-    point_u = _uniform(point_u, -1.0, 1.0)
-    return _chunk_sample(np.array(origin), n_bg, angle_u, offset_u, counts,
-                         point_u, scenario, R, master, start % 2**64)
+    n_bg = np.array(n_bg, dtype=np.int64)
+    line_u = np.concatenate(line_u)
+    # trial by trial, its angles' U and then its offsets' U
+    is_angle = np.zeros(2 * n_bg.size, dtype=bool)
+    is_angle[::2] = True
+    is_angle = is_angle.repeat(n_bg.repeat(2))
+    angle_bg = _uniform(line_u[is_angle], 0.0, _PI)
+    offset_bg = _uniform(line_u[~is_angle], -R, R)
+    origin = np.zeros((n_bg.size, n_origin))
+    if second:
+        origin[:, 1] = second
+    counts = np.array(counts, dtype=np.int64)
+    point_u = _uniform(np.concatenate(point_u), -1.0, 1.0)
+    return _chunk_sample(origin, n_bg, angle_bg, offset_bg, counts, point_u,
+                         scenario, R, master, start % 2**64)
 
 
-def _uniform(raw, low, high) -> np.ndarray:
-    """``Generator.uniform(low, high)`` of each raw double U of the arrays
-    ``raw``, in one array: low + (high - low) * U, the same operations."""
-    u = np.concatenate(raw)
+def _uniform(u: np.ndarray, low: float, high: float) -> np.ndarray:
+    """``Generator.uniform(low, high)`` of each raw double U of ``u``, in
+    place: low + (high - low) * U, the same operations."""
     u *= high - low
     u += low
     return u
@@ -423,26 +429,48 @@ def _chunk_sample(origin, n_bg, angle_bg, offset_bg, counts, u, scenario,
     first_stream + t): their origin angles (trials x origin lines), the
     background line count of each trial, the background angles and offsets
     trial by trial, the point count of every line (a trial's origin lines
-    first) and the point positions per unit half chord, line by line."""
+    first) and the point positions per unit half chord, line by line, as
+    -1 + 2U of raw doubles U. ``u`` is the chunk's own array: its buffer
+    becomes the arcs.
+
+    A raw U is k * 2**-53 with an integer k < 2**53, so u is exact and so is
+    k = u * 2**52 + 2**52. A point's sort key is one uint64: its line's
+    index mod ``_SORT_BLOCK`` above k. Sorting the keys of each block of
+    ``_SORT_BLOCK`` lines in place orders the block's points by line and
+    then by k, and so by arc, since a line's arcs are its positions times
+    its half chord, a monotone map; equal arcs have equal bits, and a line
+    of half chord 0 has rate 0 and no points. The positions come back from
+    the sorted k by exact operations and only then become arcs."""
     n_origin = origin.shape[1]
-    line_start = np.concatenate(([0], np.cumsum(n_origin + n_bg)))
+    line_start = np.zeros(n_bg.size + 1, dtype=np.int64)
+    (n_bg + n_origin).cumsum(out=line_start[1:])
     through_origin = np.zeros(line_start[-1], dtype=bool)
     through_origin[line_start[:-1, None] + np.arange(n_origin)] = True
+    background = ~through_origin
     angle = np.empty(through_origin.size)
     angle[through_origin] = origin.ravel()
-    angle[~through_origin] = angle_bg
+    angle[background] = angle_bg
     offset = np.zeros(through_origin.size)
-    offset[~through_origin] = offset_bg
-    half = np.where(through_origin, R, _half_chords(offset, R))
-    arcs = u
-    arcs *= np.repeat(half, counts)  # in place: u is the chunk's own array
-    # each point's line as a 16-bit key where the lines allow, which numpy
-    # radix-sorts and which takes a quarter of the memory
-    line = np.arange(half.size, dtype=np.uint16 if half.size <= 2**16 else np.intp)
-    order = _sort_within(np.repeat(line, counts), arcs)
-    return ChunkSample(angle, offset, through_origin, line_start, arcs[order],
-                       np.concatenate(([0], np.cumsum(counts))),
-                       n_origin, scenario, R, master, first_stream)
+    offset[background] = offset_bg
+    half = _half_chords(offset, R)
+    half[through_origin] = R
+    arc_start = np.zeros(counts.size + 1, dtype=np.int64)
+    counts.cumsum(out=arc_start[1:])
+    u *= 2.0**52
+    u += 2.0**52
+    keys = u.astype(np.uint64)
+    # a uint64 shift keeps the low 64 bits: the line's index mod _SORT_BLOCK
+    keys |= (np.arange(half.size, dtype=np.uint64) << _POSITION_BITS).repeat(counts)
+    cuts = arc_start[::_SORT_BLOCK].tolist() + [u.size]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        keys[lo:hi].sort()
+    keys &= 2**_POSITION_BITS - 1
+    arcs = np.multiply(keys, 2.0**-52, out=u)
+    del keys
+    arcs -= 1.0
+    arcs *= half.repeat(counts)
+    return ChunkSample(angle, offset, through_origin, line_start, arcs,
+                       arc_start, n_origin, scenario, R, master, first_stream)
 
 
 def sample_palm(params: ModelParams, scenario: PalmScenario,

@@ -303,12 +303,14 @@ def test_run_mc_chunks_draw_within_a_fixed_peak_at_the_caps(monkeypatch, params,
     assert peak < DRAW_PEAK_BYTES, (trials, peak)
 
 
-def test_the_point_cap_chunk_sorts_on_16_bit_line_keys(monkeypatch):
+def test_the_point_cap_chunk_sorts_on_one_integer_key_per_point(monkeypatch):
     """The point-cap chunk above (13 trials, 26 lines, about 130k points) sorts its
-    arcs within lines on each point's line as a 16-bit key. With a 64-bit
-    key its draw peaked at 5.21 MiB; with the 16-bit key it peaks at
-    4.22 MiB, and every array is the same (test_batched.py's
-    ``FROZEN_MD5`` and ``FROZEN_REALIZATIONS_MD5``)."""
+    points within lines on one uint64 key a point, the line's index over
+    the integer k of the point's raw position U = k * 2**-53, in place, and
+    makes the arcs in the positions' own buffer. With an argsort of the
+    arcs and a stable argsort of 16-bit line keys its draw peaked at 4.22
+    MiB; with the integer keys it peaks at 2.98 MiB, and every array is the
+    same (test_batched.py's ``FROZEN_MD5`` and ``FROZEN_REALIZATIONS_MD5``)."""
     trials, peak = _largest_chunk_peak(monkeypatch, *POINT_CAP)
     assert peak < 4.5 * 2**20, (trials, peak)
 
@@ -342,7 +344,7 @@ def test_sample_chunk_accepts_every_chunk_run_mc_asks_for(lam, mu, t_max, point)
         return
     size = experiments._chunk_trials(params, scenario, t_max)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sampler, "_TrialDraws", _refuse_draw)
+        patch.setattr(sampler, "_thread_philox", _refuse_draw)
         with pytest.raises(_Drew):
             sampler.sample_chunk(params, scenario, t_max, 0, 0, size)
 

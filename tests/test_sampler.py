@@ -29,6 +29,7 @@ from linecox.sampler import (
     MAX_EXPECTED_POINTS,
     MAX_TRIAL_POINTS,
     _check_inputs,
+    _chunk_sample,
     _uniform,
 )
 from realizations import crossings_within, intersections, rotate
@@ -157,10 +158,10 @@ def test_offsets_lie_within_the_radius_and_leave_a_chord():
     square is finite, powers of two among them and others."""
     radii = [5e-324, 1e-320, 2.0**-1060, 3e-200, 2.0**-30, 0.1, 1.0, 3.0,
              2.0**40, 7e77, 2.0**500, 1e154, 1.3407807929942596e154]
-    raw = [np.array([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53])]
+    raw = np.array([0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53])
     for R in radii:
         assert math.isfinite(R * R)
-        p = _uniform(raw, -R, R)
+        p = _uniform(raw.copy(), -R, R)
         assert np.all((-R <= p) & (p <= R)), R
         assert np.all(R * R - p * p >= 0.0), R
         assert p[0] == -R
@@ -337,6 +338,44 @@ def test_sample_chunk_equals_slow_reference_bit_for_bit(lam):
                 _SCALAR_COUNTS_MAX + 1} <= sizes
 
 
+def test_chunk_sample_sorts_each_line_on_exact_integer_keys():
+    """``_chunk_sample`` sorts each line's points on one uint64 key a point,
+    the line's index mod 2**11 over k, where U = k * 2**-53 is the point's
+    raw double and u = -1 + 2U its position. Its premises: raw doubles are
+    such k * 2**-53, and u * 2**52 + 2**52 gives k back exactly. Its result
+    equals a per-line ``np.sort`` bit for bit on 2,203 lines, two blocks of
+    2048, with empty lines, a line of one repeated position, the extreme
+    positions, and lines on both sides of the block boundary."""
+    raw = np.random.Generator(np.random.Philox(key=[5, 6])).random(100_000)
+    k = raw * 2.0**53
+    assert np.array_equal(k, np.floor(k)) and k.max() < 2.0**53
+    ends = np.array([0, 1, 2**52 - 1, 2**52, 2**53 - 1], dtype=np.uint64)
+    u = _uniform(ends * 2.0**-53, -1.0, 1.0)
+    assert np.array_equal((u * 2.0**52 + 2.0**52).astype(np.uint64), ends)
+
+    rng = np.random.default_rng(11)
+    R, n_bg = 3.0, np.array([1200, 0, 1000])
+    origin = np.zeros((n_bg.size, 1))
+    angles = _uniform(rng.random(n_bg.sum()), 0.0, math.pi)
+    offsets = _uniform(rng.random(n_bg.sum()), -R, R)
+    n_lines = n_bg.size + n_bg.sum()
+    counts = rng.integers(0, 4, n_lines)
+    counts[[3, 2047, 2048, 2049]] = [9, 5, 0, 6]
+    positions = rng.integers(0, 2**53, counts.sum(), dtype=np.uint64)
+    arc_start = np.concatenate(([0], np.cumsum(counts)))
+    positions[arc_start[3]:arc_start[4]] = 2**52 + 12345  # one position, repeated
+    positions[arc_start[7]:arc_start[7] + 2] = [0, 2**53 - 1]
+    u = _uniform(positions * 2.0**-53, -1.0, 1.0)
+    chunk = _chunk_sample(origin, n_bg, angles, offsets, counts, u.copy(),
+                          typical_point(), R, 0, 0)
+    assert chunk.angle.size == n_lines > 2048 and np.any(counts == 0)
+    half = np.where(chunk.through_origin, R, np.sqrt(R * R - chunk.offset**2))
+    want = np.concatenate([np.sort(a) for a in np.split(
+        u * np.repeat(half, counts), arc_start[1:-1])])
+    assert chunk.arcs.tobytes() == want.tobytes()
+    assert chunk.arc_start.tobytes() == arc_start.tobytes()
+
+
 # md5 of every ChunkSample array of sample_chunk(ModelParams(16, 2),
 # typical_intersection(), 3.0, 2024, 0, 6), recorded while the chunk still
 # kept three more arrays (each line's chord half length and trial, and each
@@ -359,8 +398,9 @@ def test_chunk_keeps_and_draws_in_bounded_memory():
     lines, 366k points) keeps 25 bytes per line and 8 per point, 4.7 MiB as
     tracemalloc counts it; the bound is 6 MiB. It kept 8.7 MiB with each
     line's chord half length and trial and each point's line. Drawing it
-    peaks at 20.4 MiB; the bound is 23 MiB. It peaked at 25.8 MiB while the
-    per-trial draws outlived their mapping."""
+    peaks at 14.6 MiB, sorting on one integer key a point; the bound is 23
+    MiB. It peaked at 18.2 MiB with argsorts of the arcs and the line keys,
+    and at 25.8 MiB while the per-trial draws outlived their mapping."""
     params = ModelParams(16.0, 1.0)
     sample_chunk(params, typical_point(), 3.0, 7, 0, 2)  # warm caches untraced
     tracemalloc.start()

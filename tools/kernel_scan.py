@@ -7,7 +7,10 @@ solves every trial with both solvers: with ``chunk_lengths`` on each
 chunk, the kernel Monte Carlo runs, and with ``shortest_path`` on each
 trial's Realization (a view of its chunk), the per-trial reference. The two
 solvers take turns over ROUNDS rounds in one process, so that drift in the
-machine's speed reaches both alike. The row checks that the two agree bit
+machine's speed reaches both alike, and each round each solver solves
+copies of the chunks that no call has solved, so that it pays for the
+sines and cosines a chunk caches, as ``run_mc`` does for each chunk it
+draws. The row checks that the two agree bit
 for bit, then prints the trials per chunk, the lines per trial, the CPU ms
 per trial of each solver as the median over the rounds with the min-max
 range in parentheses, the ratio of the medians, and the kernel's largest
@@ -105,11 +108,15 @@ def scan_row(lam, k, lower, trials):
                            min(lo + size, trials))
               for lo in range(0, trials, size)]
     policy = TurnPolicy.k_turn(k, lower)
-    reals = [c.realization(t) for c in chunks for t in range(c.n_trials)]
     kernel_ms, search_ms = [], []
     for _ in range(ROUNDS):
+        # each solver gets copies no call has solved, which compute their
+        # cached sines and cosines again, as a freshly drawn chunk does
+        fresh = [dataclasses.replace(c) for c in chunks]
+        reals = [c.realization(t) for c in map(dataclasses.replace, chunks)
+                 for t in range(c.n_trials)]
         batched, ms = _cpu_ms(lambda: np.concatenate(
-            [chunk_lengths(c, policy, T_MAX) for c in chunks]))
+            [chunk_lengths(c, policy, T_MAX) for c in fresh]))
         kernel_ms.append(ms / trials)
         per_trial, ms = _cpu_ms(lambda: np.array(
             [shortest_path(r, policy, T_MAX).length for r in reals]))
