@@ -15,8 +15,6 @@ distribution, solved by bracketed root finding, from a typical point and
 from a typical intersection side by side.
 """
 
-import math
-
 from linecox.applications import (
     RisLinkParams,
     db_to_linear,

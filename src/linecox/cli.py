@@ -27,7 +27,8 @@ that: every option defaults to ``argparse.SUPPRESS``, so defaults come
 from ``_OPTIONS`` alone, and argparse looks up ``sys.stdout`` and
 ``sys.stderr`` only when it prints. Each request only parses its argv.
 A ``--grid``, or the default grid of a ``--t-max`` given alone, ends at a
-stop within 1e-12 (relative) of a step, else at the last step at or below it.
+stop within 1e-12 of a step (relative to the larger of |start| and
+|stop|), else at the last step at or below it.
 One of more than ``MAX_GRID_POINTS`` points exits 2 before any array is
 allocated, and running out of memory exits 4.
 """
@@ -121,8 +122,9 @@ class RunConfig:
 
 def parse_grid(text: str) -> np.ndarray:
     """Parse ``start:stop:step`` into a grid by the rule of
-    ``experiments.default_grid``: a stop within 1e-12 (relative) of a step
-    ends the grid there, else the last step at or below stop does."""
+    ``experiments.default_grid``: a stop within 1e-12 of a step, relative to
+    the larger of |start| and |stop|, ends the grid there, else the last
+    step at or below stop does."""
     parts = text.split(":")
     if len(parts) != 3:
         raise InputError(f"grid must be start:stop:step, got {_shown(text)}")

@@ -73,10 +73,11 @@ def dkw_halfwidth(n: int, alpha: float = 0.05) -> float:
 
 
 def _even_grid(start, stop, step, label: str) -> np.ndarray:
-    """start, start + step, ...: a stop within 1e-12 (relative) of a step
-    ends the grid there, else the last step at or below stop does. InputError
-    naming ``label`` for bad ends or step, more than MAX_GRID_POINTS points
-    (before any is allocated) or points that do not strictly increase."""
+    """start, start + step, ...: a stop within 1e-12 of a step, relative to
+    the larger of |start| and |stop|, ends the grid there, else the last
+    step at or below stop does. InputError naming ``label`` for bad ends or
+    step, more than MAX_GRID_POINTS points (before any is allocated) or
+    points that do not strictly increase."""
     if not (all(map(_finite_real, (start, stop, step))) and step > 0
             and 0 <= stop - start < math.inf):
         raise InputError(f"{label} needs finite reals with step > 0 and stop >= start")
@@ -84,7 +85,8 @@ def _even_grid(start, stop, step, label: str) -> np.ndarray:
     steps = (stop - start) / step  # inf when the quotient overflows a float
     capped = min(steps, MAX_GRID_POINTS)  # int() never sees inf; capped still fails
     n = int(round(capped))
-    inclusive = n >= 1 and abs(start + n * step - stop) <= 1e-12 * max(1.0, abs(stop))
+    scale = max(abs(start), abs(stop))  # the end test is scale-free, as the model is
+    inclusive = n >= 1 and abs(start + n * step - stop) <= 1e-12 * scale
     if not inclusive:
         n = math.floor(capped + 1e-12)
         if start + n * step > stop:  # the quotient was rounded up past stop
@@ -100,7 +102,8 @@ def _even_grid(start, stop, step, label: str) -> np.ndarray:
 
 def default_grid(t_max: float = 3.0, step: float = 0.01) -> np.ndarray:
     """0, step, 2*step, ... as ``--grid`` reads them: a t_max within 1e-12
-    (relative) of a step ends the grid, else the last step at or below it."""
+    (relative to t_max) of a step ends the grid, else the last step at or
+    below it."""
     return _even_grid(0.0, t_max, step,
                       f"the default grid to t_max {_shown(t_max)} by {_shown(step)}")
 
@@ -194,7 +197,7 @@ def run_mc(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
     halfwidth = dkw_halfwidth(trials, alpha)
     # a curve of the grid itself fails the finished curve's checks only on the grid
     grid = _default_grid(t_max) if grid is None else DistributionCurve(grid, grid, grid).grid
-    if grid[0] < 0 or grid[-1] > t_max + 1e-12:
+    if grid[0] < 0 or grid[-1] > t_max * (1.0 + 1e-12):
         raise InputError(f"grid spans [{_shown(float(grid[0]))}, "
                          f"{_shown(float(grid[-1]))}]; t_max censors at {_shown(t_max)}")
     workers = _check_int(workers, "workers")

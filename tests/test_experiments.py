@@ -112,6 +112,23 @@ def test_the_default_grid_never_passes_t_max():
     assert curve.meta["t_max"] == 2.999
 
 
+def test_the_grid_end_rules_are_scale_free():
+    """A grid scaled by c is the grid scaled by c, and run_mc refuses a grid
+    past a tiny t_max as it does past t_max = 1. With an absolute 1e-12,
+    ``0:1e-13:3e-14`` was respaced to end at 1e-13, and ``[0, 5e-13]`` was
+    accepted at t_max = 1e-13, labelling F(1e-13) as F(5e-13)."""
+    assert parse_grid("0:1e-13:3e-14").tobytes() == (3e-14 * np.arange(4)).tobytes()
+    for c in (1e-300, 1e-13, 1.0, 1e100):
+        assert _even_grid(0.0, c, 0.3 * c, "grid").tobytes() == (0.3 * c * np.arange(4)).tobytes()
+        assert _even_grid(0.0, c, 0.25 * c, "grid").tobytes() == np.linspace(0.0, c, 5).tobytes()
+    model, policy = ModelParams(1.0, 1.0), TurnPolicy.zero_turn()
+    for t_max in (1e-13, 1.0):
+        with pytest.raises(InputError, match="grid spans"):
+            run_mc(model, typical_point(), policy, 1, t_max, 1, grid=[0.0, 5 * t_max])
+        curve = run_mc(model, typical_point(), policy, 1, t_max, 1, grid=[0.0, t_max])
+        assert curve.grid[-1] == t_max
+
+
 # finite floats, the extremes and subnormals among them
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
 
