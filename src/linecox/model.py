@@ -368,9 +368,10 @@ class DistributionCurve:
 def rescale(curve: DistributionCurve, c: float) -> DistributionCurve:
     """Rescale lengths by c: the curve of D under (lam, mu) becomes the curve
     of c*D, which is exactly the curve of D under (lam/c, mu/c). Values and
-    half widths are untouched; grid and metadata params are mapped, and a
-    mapped field that is not a finite real number raises InputError, as
-    does a c that takes a grid point past the largest float."""
+    half widths are untouched; the grid, the metadata params and the
+    censoring horizon ``t_max`` are mapped, and a mapped field that is not
+    a finite real number raises InputError, as does a c that takes a grid
+    point past the largest float."""
     _check_record(curve, DistributionCurve, "curve")
     if not _finite_real(c) or c <= 0:
         raise NonPositiveScale(f"scale must be finite and > 0, got {_shown(c)}")
@@ -390,6 +391,8 @@ def rescale(curve: DistributionCurve, c: float) -> DistributionCurve:
             if name in mapped:
                 mapped[name] = number(mapped[name], f"params.{name}") / c
         meta["params"] = mapped
+    if "t_max" in meta:
+        meta["t_max"] = number(meta["t_max"], "t_max") * c
     meta["rescaled_by"] = number(meta.get("rescaled_by", 1.0), "rescaled_by") * c
     with np.errstate(over="ignore"):  # an inf grid point fails the curve's check
         return DistributionCurve(curve.grid * c, curve.values, curve.ci_halfwidth, meta)

@@ -98,7 +98,9 @@ _ORIGIN = -1  # pseudo node, keyed below every crossing
 
 
 # The search runs on states (node, line, turns used) over the trial's
-# slice of the chunk's arrays; line k of the trial is line id k. A node is a
+# slice of the chunk's arrays; line k of the trial is line id k, and the
+# first n0 lines, as many as the scenario has, start from the origin. The
+# sines and cosines of the trial's angles are formed once a query. A node is a
 # crossing, keyed lower*n + higher by its two line indices, or _ORIGIN. A
 # line's crossing table comes from ``_pair_arcs`` the first time the search
 # expands that line and is kept for the rest of the query, so lines the
@@ -112,21 +114,18 @@ _ORIGIN = -1  # pseudo node, keyed below every crossing
 def _k_turn(real, t_max, k, include_lower, directed):
     chunk = real.chunk
     lo, hi = real._span
-    n = hi - lo
-    trig = tuple(x[lo:hi] for x in chunk._trig)
+    n, n0 = hi - lo, chunk.n_origin
+    angle = chunk.angle[lo:hi]
+    trig = np.sin(angle), np.cos(angle)
     offset = chunk.offset[lo:hi]
-    on_origin = chunk.through_origin[lo:hi]
     cuts = chunk.arc_start[lo:hi + 1].tolist()
-    tables = {}  # line -> (arcs here, arcs there, other, key, mutual)
+    tables = {}  # line -> (arcs here, arcs there, other, key)
 
-    origin = np.flatnonzero(on_origin).tolist()
-    if not origin:
-        raise InputError("realization has no origin line to start from")
     best = (math.inf, -1, math.nan, -1, None)
     dist = {}
     via = {}  # state -> (previous state, arc on its line, arc on this line)
     heap = []
-    for oi in origin[:1] if directed else origin:
+    for oi in range(1 if directed else n0):
         state = (_ORIGIN, oi, 0)
         dist[state] = 0.0
         via[state] = (None, None, 0.0)
@@ -161,15 +160,15 @@ def _k_turn(real, t_max, k, include_lower, directed):
             other[li:] += 1
             here, there = _pair_arcs(trig, offset, li, other)
             key = np.minimum(other, li) * n + np.maximum(other, li)
-            tables[li] = (here, there, other, key, on_origin[other] & on_origin[li])
-        here, there, other, key, mutual = tables[li]
+            tables[li] = (here, there, other, key)
+        here, there, other, key = tables[li]
         length2 = length + np.abs(here - ref)
         ok = (length2 <= min(t_max, best[0])) & (key != node)
         if at_start:
-            # the mutual crossing of the origin lines is the start point
-            # itself; switching lines there is not a turn, it is covered by
-            # the start states
-            ok &= ~mutual
+            # the mutual crossing of the origin lines, the first n0, is the
+            # start point itself; switching lines there is not a turn, it is
+            # covered by the start states
+            ok &= other >= n0
             if directed:
                 ok &= here > 0.0
         for l2, w, o, a_from, a_to in zip(
@@ -246,7 +245,7 @@ def _offer(best, trials, lengths, t_max):
     np.minimum.at(best, trials[keep], lengths[keep])
 
 
-def _turn(best, chunk, rows, n_lines, reach, first, directed):
+def _turn(best, chunk, trig, rows, n_lines, reach, first, directed):
     """The hops one turn further from the labels ``rows``, in blocks of at
     most _PAIR_BLOCK pairs (or one label's). A label or hop is (trial,
     line, line it came from, arc on its line, length). Each label shorter
@@ -254,7 +253,8 @@ def _turn(best, chunk, rows, n_lines, reach, first, directed):
     one it came from, and keeps the hops that end within the trial's reach
     and below its best. The first turn skips the other origin line (their
     crossing is the start point) and, ``directed``, every hop to an arc
-    that is not positive. ``n_lines`` holds each trial's line count."""
+    that is not positive. ``trig`` is (sin, cos) of the chunk's line
+    angles and ``n_lines`` holds each trial's line count."""
     live = rows[4] < best[rows[0]]
     trial, line, prev, ref, length = (col[live] for col in rows)
     reps = n_lines[trial] - 1
@@ -268,11 +268,11 @@ def _turn(best, chunk, rows, n_lines, reach, first, directed):
         m += np.arange(m.size)
         t, i = trial[f], line[f]
         m += m >= i
-        here, there = _pair_arcs(chunk._trig, chunk.offset, i, m)
+        here, there = _pair_arcs(trig, chunk.offset, i, m)
         new = length[f] + np.abs(here - ref[f])
         keep = (new <= reach[t]) & (new < best[t]) & (m != prev[f])
         if first:
-            keep &= ~chunk.through_origin[m]
+            keep &= m - chunk.line_start[t] >= chunk.n_origin
             if directed:
                 keep &= here > 0.0
         yield t[keep], m[keep], i[keep], there[keep], new[keep]
@@ -297,7 +297,7 @@ def _labels(chunk, hops):
     return t[s], m[s], i[s], there[s], np.minimum.reduceat(new[order], first)
 
 
-def _search(best, chunk, keys, n_lines, trials, reach, t_max, k, lower,
+def _search(best, chunk, trig, keys, n_lines, trials, reach, t_max, k, lower,
             directed):
     """Offer every path of at most k turns (exactly k unless ``lower``) of
     the given trials, all in one pass. Layer 0 holds the origin lines (only
@@ -306,8 +306,8 @@ def _search(best, chunk, keys, n_lines, trials, reach, t_max, k, lower,
     offered block by block, unlabelled. An empty layer below k ends the
     search, since no later layer can hold a label. Lengths add up hop by
     hop as in ``_k_turn``, so each offer is the length the search gives
-    that path. ``keys`` are the chunk's ``_point_keys`` and ``n_lines``
-    each trial's line count."""
+    that path. ``trig``, ``keys`` and ``n_lines`` are as ``_chunk_lengths``
+    forms them."""
     n0 = 1 if directed else chunk.n_origin
     t = trials.repeat(n0)
     zeros = np.zeros(t.size)
@@ -315,7 +315,7 @@ def _search(best, chunk, keys, n_lines, trials, reach, t_max, k, lower,
               np.full(t.size, -1), zeros, zeros)]
     for j in range(k + 1):
         if j:
-            hops = _turn(best, chunk, rows, n_lines, reach, j == 1, directed)
+            hops = _turn(best, chunk, trig, rows, n_lines, reach, j == 1, directed)
             layer = hops if j == k else [_labels(chunk, hops)]
             if j < k and not layer[0][0].size:
                 break
@@ -328,15 +328,25 @@ def _search(best, chunk, keys, n_lines, trials, reach, t_max, k, lower,
 
 # ---- public API --------------------------------------------------------------
 
+def _check_origin_lines(chunk: ChunkSample, line_start) -> None:
+    """InputError unless every trial that ``line_start``, a slice of the
+    chunk's, delimits holds the origin lines its scenario opens with."""
+    if (np.diff(line_start) < chunk.n_origin).any():
+        raise InputError(f"a trial holds fewer lines than the {chunk.n_origin} "
+                         "origin line(s) of its scenario")
+
+
 def shortest_path(real: Realization, policy: TurnPolicy,
                   t_max: float) -> PathResult:
     """Exact shortest admissible street distance on one realization.
 
     Censors at ``t_max`` (which must not exceed the sampled clip radius).
-    Ties in length are broken by (line id, arc) of the target.
+    Ties in length are broken by (line id, arc) of the target. InputError
+    for a trial with fewer lines than its scenario's origin lines.
     """
     _check_record(real, Realization, "real")
     _check_record(policy, TurnPolicy, "policy")
+    _check_origin_lines(real.chunk, real.chunk.line_start[real.trial:real.trial + 2])
     t_max = _check_scalar_t(t_max, real.clip_radius, "t_max")
     (length, line, arc, turns, state), via = _k_turn(
         real, t_max, policy.k, policy.include_lower_turn_paths,
@@ -378,9 +388,11 @@ def chunk_lengths(chunk: ChunkSample, policy: TurnPolicy,
     bit. Each search pass spans every trial still searched, so memory
     grows with the chunk given: a layer holds at most one label per line
     pair of those trials, and ``_turn`` solves at most _PAIR_BLOCK hops at
-    once."""
+    once. InputError, as ``shortest_path`` raises it, if a trial has fewer
+    lines than its scenario's origin lines."""
     _check_record(chunk, ChunkSample, "chunk")
     _check_record(policy, TurnPolicy, "policy")
+    _check_origin_lines(chunk, chunk.line_start)
     return _chunk_lengths(chunk, policy,
                           _check_scalar_t(t_max, chunk.clip_radius, "t_max"))
 
@@ -390,6 +402,7 @@ def _chunk_lengths(chunk: ChunkSample, policy: TurnPolicy,
     """``chunk_lengths`` of arguments it has checked, ``t_max`` a float."""
     k, lower, directed = (policy.k, policy.include_lower_turn_paths,
                           policy.first_hop_positive_x)
+    trig = np.sin(chunk.angle), np.cos(chunk.angle)
     keys = _point_keys(chunk)
     n_lines = chunk.line_start[1:] - chunk.line_start[:-1]
 
@@ -402,7 +415,7 @@ def _chunk_lengths(chunk: ChunkSample, policy: TurnPolicy,
                     t_max if lower or k < 2 else _FIRST_REACH * t_max)
     todo = np.arange(chunk.n_trials)
     while todo.size:
-        _search(best, chunk, keys, n_lines, todo, reach, t_max, k, lower,
+        _search(best, chunk, trig, keys, n_lines, todo, reach, t_max, k, lower,
                 directed)
         todo = todo[(best[todo] > reach[todo]) & (reach[todo] < t_max)]
         reach[todo] = np.minimum(2.0 * reach[todo], t_max)

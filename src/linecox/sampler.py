@@ -26,8 +26,10 @@ Conventions (shared with the oracle):
 Randomness is a counter-based Philox stream keyed (master seed, stream), so
 trial i of a run is reproducible in isolation and independent of how trials
 are batched across workers. ``sample_chunk`` draws consecutive trials into
-one flat layout, the package's one layout of a realization: 25 bytes per
+one flat layout, the package's one layout of a realization: 24 bytes per
 line and 8 per point (about 10 KiB a trial at lam 16, mu 1, radius 3).
+A trial's origin lines come first, as many as its scenario has
+(``_n_origin``), so the layout keeps no per-line origin flag.
 A Realization is a view of one trial of a chunk, and ``sample_palm`` is
 the one trial of a ``sample_chunk`` call. One loop draws a chunk's trials,
 each its uniforms raw, as ``Generator.random`` doubles U, and the chunk
@@ -75,7 +77,7 @@ _MIN_ANGLE_GAP = 1e-12
 # Largest accepted expected line count per trial, lam * pi * clip_radius.
 # Drawing a chunk at mu * clip_radius = 3 peaks near 210 bytes per line,
 # its points included (measured at lam 60), and the finished chunk keeps
-# about 63 bytes per line. At the cap run_mc draws one trial a chunk, which
+# about 62 bytes per line. At the cap run_mc draws one trial a chunk, which
 # peaks near 0.45 MiB.
 MAX_EXPECTED_LINES = 2000.0
 # Largest accepted expected point count per line, 2 * mu * clip_radius.
@@ -121,10 +123,10 @@ class Realization:
     @cached_property
     def lines(self) -> tuple[Line, ...]:
         lo, hi = self._span
-        c = self.chunk
-        return tuple(map(Line, range(hi - lo), c.angle[lo:hi].tolist(),
-                         c.offset[lo:hi].tolist(),
-                         c.through_origin[lo:hi].tolist()))
+        c, n0 = self.chunk, self.chunk.n_origin
+        ids = range(hi - lo)
+        return tuple(map(Line, ids, c.angle[lo:hi].tolist(), c.offset[lo:hi].tolist(),
+                         [k < n0 for k in ids]))
 
     @cached_property
     def arcs_by_line(self) -> tuple[np.ndarray, ...]:
@@ -149,20 +151,12 @@ class Realization:
         return self.chunk.master, (self.chunk.first_stream + self.trial) % 2**64
 
 
-def _sin_cos(angles) -> tuple[np.ndarray, np.ndarray]:
-    """(sin, cos) of the angles, read-only."""
-    sa, ca = np.sin(angles), np.cos(angles)
-    sa.setflags(write=False)
-    ca.setflags(write=False)
-    return sa, ca
-
-
 def _pair_arcs(trig, offsets, ii, jj):
     """Arc coordinates of the crossing of line pairs (ii[k], jj[k]): returns
     (arc on line ii[k], arc on line jj[k]). Near-parallel pairs, |det| below
-    _MIN_ANGLE_GAP, give nan. ``trig`` is ``_sin_cos`` of the line angles,
-    which a ChunkSample computes once and keeps. Either index may be a
-    scalar. Each operand is gathered once, and only the pairs outside the
+    _MIN_ANGLE_GAP, give nan. ``trig`` is (sin, cos) of the line angles,
+    which each solver forms once per call. Either index may be a scalar.
+    Each operand is gathered once, and only the pairs outside the
     near-parallel mask are divided, into arrays that start as nan, so no
     pair raises a floating-point warning.
 
@@ -230,25 +224,24 @@ def _half_chords(offsets: np.ndarray, R: float) -> np.ndarray:
 class ChunkSample:
     """Consecutive trials of one run as flat arrays (a ragged layout).
 
-    Line arrays hold one entry per line, trial by trial, the origin lines of
-    a trial first: ``angle``, ``offset`` and ``through_origin``. The lines
-    of trial t are ``line_start[t]:line_start[t + 1]``. ``arcs`` holds the
-    point positions sorted within each line, and the arcs of line k are
-    ``arcs[arc_start[k]:arc_start[k + 1]]``. Trial t drew from the stream
-    keyed (master, (first_stream + t) mod 2**64); ``master`` and
-    ``first_stream`` are the seed and start given to ``sample_chunk`` mod
-    2**64, the key the draws use. The chunk holds only what the oracle and
-    ``realization`` read: a line's trial, its chord half length and a
-    point's line follow from these and are not kept.
+    Line arrays hold one entry per line, trial by trial: ``angle`` and
+    ``offset``. The lines of trial t are ``line_start[t]:line_start[t + 1]``,
+    and its first ``n_origin`` lines are the origin lines of the scenario
+    (``_n_origin``). ``arcs`` holds the point positions sorted within each
+    line, and the arcs of line k are ``arcs[arc_start[k]:arc_start[k + 1]]``.
+    Trial t drew from the stream keyed (master, (first_stream + t) mod
+    2**64); ``master`` and ``first_stream`` are the seed and start given to
+    ``sample_chunk`` mod 2**64, the key the draws use. The chunk holds only
+    what it drew: a line's trial, whether it passes through the origin, its
+    chord half length and a point's line follow from these and are not
+    kept.
     """
 
     angle: np.ndarray
     offset: np.ndarray
-    through_origin: np.ndarray
     line_start: np.ndarray
     arcs: np.ndarray
     arc_start: np.ndarray
-    n_origin: int
     scenario: PalmScenario
     clip_radius: float
     master: int
@@ -258,10 +251,10 @@ class ChunkSample:
     def n_trials(self) -> int:
         return self.line_start.size - 1
 
-    @cached_property
-    def _trig(self) -> tuple[np.ndarray, np.ndarray]:
-        """(sin, cos) of every line's angle, for ``_pair_arcs``."""
-        return _sin_cos(self.angle)
+    @property
+    def n_origin(self) -> int:
+        """The origin lines that open each trial, as its scenario sets them."""
+        return _n_origin(self.scenario)
 
     def realization(self, t: int) -> Realization:
         """Trial t as a Realization, a view of this chunk, for inspecting
@@ -276,10 +269,15 @@ class ChunkSample:
         return Realization(self, t % n)
 
 
+def _n_origin(scenario: PalmScenario) -> int:
+    """The origin lines of a trial: the x-axis, and at a typical
+    intersection a second line through the origin."""
+    return 1 if scenario.kind is PalmKind.TYPICAL_POINT else 2
+
+
 def _expected_lines(params, scenario, clip_radius) -> float:
     """Expected lines per trial: the origin lines plus lam*pi*clip_radius."""
-    n_origin = 1 if scenario.kind is PalmKind.TYPICAL_POINT else 2
-    return n_origin + params.lam * _PI * clip_radius
+    return _n_origin(scenario) + params.lam * _PI * clip_radius
 
 
 def _check_inputs(params, scenario, clip_radius) -> float:
@@ -360,15 +358,14 @@ def _draw_chunk(params: ModelParams, scenario: PalmScenario, R: float,
     key[0] = master
     random, poisson, sqrt = rng.random, rng.poisson, math.sqrt
     mean_lines, two_mu, span = params.lam * _PI * R, 2.0 * params.mu, R - -R
-    point = scenario.kind is PalmKind.TYPICAL_POINT
     sine = scenario.angle_law is AngleLaw.SIN_WEIGHTED
-    n_origin = 1 if point else 2
+    n_origin = _n_origin(scenario)
     origin_rates = [two_mu * R] * n_origin
     second, n_bg, line_u, counts, point_u = [], [], [], [], []
     for stream in range(start, stop):
         key[1] = stream % 2**64
         bitgen.state = fresh
-        if not point:
+        if n_origin == 2:
             # uniform(0, pi) is 0.0 + pi * U, and adding 0.0 to pi * U >= 0
             # changes no bit
             v = random()
@@ -469,8 +466,8 @@ def _chunk_sample(origin, n_bg, angle_bg, offset_bg, counts, u, scenario,
     del keys
     arcs -= 1.0
     arcs *= half.repeat(counts)
-    return ChunkSample(angle, offset, through_origin, line_start, arcs,
-                       arc_start, n_origin, scenario, R, master, first_stream)
+    return ChunkSample(angle, offset, line_start, arcs, arc_start, scenario, R,
+                       master, first_stream)
 
 
 def sample_palm(params: ModelParams, scenario: PalmScenario,

@@ -17,36 +17,51 @@ from linecox import (
     typical_point,
 )
 from linecox.model import Line, _check_t
-from linecox.sampler import _PI, _pair_arcs
+from linecox.sampler import _PI, _n_origin, _pair_arcs
 
 
 def one_trial(lines, arcs_by_line, scenario=typical_point(), clip_radius=5.0,
               seed=(0, 0)) -> Realization:
     """A Realization of the given lines, each with the points at the given
     arcs (sorted here), as the one trial of a chunk. Line ids must be the
-    lines' positions. The origin lines need not come first, as they do in
-    sampled chunks: only ``shortest_path`` reads such a trial."""
+    lines' positions, and the lines through the origin must be the first
+    ones, as many as the scenario has (``_n_origin``), as in sampled chunks:
+    the chunk keeps no flag, its layout says which lines they are. Fewer
+    lines than that make a trial both solvers refuse."""
     assert [ln.id for ln in lines] == list(range(len(lines))), "ids are positions"
+    assert [ln.through_origin for ln in lines] == [
+        k < _n_origin(scenario) for k in range(len(lines))], "origin lines first"
     arcs = [np.sort(np.asarray(a, dtype=float)) for a in arcs_by_line]
     assert len(arcs) == len(lines), "one arc array per line"
-    through_origin = np.array([ln.through_origin for ln in lines], dtype=bool)
     chunk = ChunkSample(
         np.array([ln.angle for ln in lines], dtype=float),
         np.array([ln.signed_offset for ln in lines], dtype=float),
-        through_origin, np.array([0, len(lines)]),
+        np.array([0, len(lines)]),
         np.concatenate([np.empty(0)] + arcs),
         np.concatenate(([0], np.cumsum([a.size for a in arcs], dtype=np.int64))),
-        int(through_origin.sum()), scenario, float(clip_radius),
-        int(seed[0]), int(seed[1]))
+        scenario, float(clip_radius), int(seed[0]), int(seed[1]))
     return chunk.realization(0)
 
 
+# hand-built lines: repeated arcs, 0.0 beside -0.0, an empty line, lines
+# all below or all above 0
+_HAND_ARCS = [[-1.0, 0.0, 0.0, 0.5, 2.0], [], [-0.0, 0.0, 1.5], [0.25],
+              [-2.0, -1.0, -1.0], [], [0.5, 0.5, 0.5, 3.0], [-0.0]]
+
+
+def hand_chunk() -> ChunkSample:
+    """A one-trial chunk of eight hand-built lines, the first through the
+    origin, whose points hold the cases an arc search must get right."""
+    lines = [Line(i, 0.3 * i, 0.1 * i, i == 0) for i in range(len(_HAND_ARCS))]
+    return one_trial(lines, _HAND_ARCS).chunk
+
+
 def trial_geometry(real: Realization):
-    """The trial's ``(sin, cos)`` of its line angles and its offsets, the
-    slices of the chunk's arrays that ``_pair_arcs`` takes."""
+    """The trial's ``(sin, cos)`` of its line angles and its offsets, as
+    ``_pair_arcs`` takes them and as the per-trial search forms them."""
     lo, hi = real._span
-    return (tuple(x[lo:hi] for x in real.chunk._trig),
-            real.chunk.offset[lo:hi])
+    angle = real.chunk.angle[lo:hi]
+    return (np.sin(angle), np.cos(angle)), real.chunk.offset[lo:hi]
 
 
 def sample_D(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,

@@ -28,9 +28,8 @@ from linecox import (
 )
 from linecox import oracle, sampler
 from linecox.experiments import default_grid, dkw_halfwidth
-from linecox.model import Line
 from linecox.oracle import _key_slots, _nearest, _nearest_dist, _point_keys, _runs
-from realizations import (crossings_within, intersections, one_trial,
+from realizations import (crossings_within, hand_chunk, intersections,
                           realization_to_json, sample_D)
 
 T_MAX = 3.0
@@ -80,7 +79,7 @@ def test_chunk_lengths_equal_shortest_path_bit_for_bit(lam, mu):
             assert batched.tobytes() == per_trial.tobytes(), (name, scenario)
             censored += int(np.isinf(batched).sum())
         if lam == 0.0:
-            assert not np.any(~chunk.through_origin)
+            assert np.all(np.diff(chunk.line_start) == chunk.n_origin)
     if mu == 0.05:
         assert censored > 0
 
@@ -189,17 +188,8 @@ def test_near_parallel_lines_lose_only_their_own_crossing(monkeypatch, lam,
         assert 0 not in [rec[0] for rec in crossings_within(real, c, T_MAX)]
 
 
-# hand-built lines: repeated arcs, 0.0 beside -0.0, an empty line, lines
-# all below or all above 0
-_HAND_ARCS = [[-1.0, 0.0, 0.0, 0.5, 2.0], [], [-0.0, 0.0, 1.5], [0.25],
-              [-2.0, -1.0, -1.0], [], [0.5, 0.5, 0.5, 3.0], [-0.0]]
 _HAND_REFS = [-1e300, -3.0, -2.0, -1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.5,
               2.0, 3.0, 4.0, 1e300]
-
-
-def _hand_chunk():
-    lines = [Line(i, 0.3 * i, 0.1 * i, i == 0) for i in range(len(_HAND_ARCS))]
-    return one_trial(lines, _HAND_ARCS).chunk
 
 
 def test_key_search_equals_a_searchsorted_within_each_line():
@@ -209,7 +199,7 @@ def test_key_search_equals_a_searchsorted_within_each_line():
     arcs, 0.0 against -0.0 both ways and refs beyond every arc, and on
     sampled chunks of several trials with refs drawn at and between arcs."""
     rng = np.random.default_rng(5)
-    chunks = [_hand_chunk()] + [
+    chunks = [hand_chunk()] + [
         sample_chunk(ModelParams(lam, mu), typical_point(), T_MAX, 9, 0, 6)
         for lam, mu in ((0.5, 0.3), (4.0, 1.0))]
     for chunk in chunks:
@@ -233,7 +223,7 @@ def test_nearest_dist_equals_the_per_line_nearest():
     over its line's arcs, bit for bit, and inf on a line without points;
     with ``nonneg_only`` (the directed start, ref 0) it gives ``_nearest``
     over the arcs from ``searchsorted(arcs, 0.0)`` on, as ``_k_turn`` does."""
-    chunks = [_hand_chunk(), sample_chunk(ModelParams(2.0, 0.5), typical_point(),
+    chunks = [hand_chunk(), sample_chunk(ModelParams(2.0, 0.5), typical_point(),
                                           T_MAX, 4, 0, 5)]
     for chunk in chunks:
         keys, starts = _point_keys(chunk), chunk.arc_start

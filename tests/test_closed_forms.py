@@ -19,6 +19,7 @@ from linecox import (
     equivalent_ppp_density,
 )
 from linecox.analytic.closed_forms import _one_minus_mean_decay
+from dispatch import float64_target
 
 # 40-digit reference evaluations of the printed formulas (frozen)
 ONE_TURN_REFS = [
@@ -119,20 +120,25 @@ def test_scalar_and_array_agree():
 
 # md5 of cdf_one_turn_point over the grid of _THM1_T at every (lam, mu) of
 # _THM1_PARAMS, recorded when the exponent took one rearranged form
-# everywhere (each value within 1e-12 of the decimal reference below)
+# everywhere (each value within 1e-12 of the decimal reference below), by
+# the target numpy's float64 expm1 dispatches to: its X86_V4 (AVX-512)
+# loop and the baseline round some values differently
 _THM1_T = np.concatenate(([0.0, 1e-300, 1e-12], np.linspace(0.0, 6.0, 121),
                           [50.0, 1e6]))
 _THM1_PARAMS = [(lam, mu) for lam in (0.0, 1e-9, 0.1, 1.0, 3.7, 50.0, 1e6, 1e300)
                 for mu in (1e-6, 0.01, 0.5, 1.0, 20.0, 1e6)]
-THM1_MD5 = "b5c24f801a87a68dce5371f4b359c5c5"
+THM1_MD5 = {"X86_V4": "b5c24f801a87a68dce5371f4b359c5c5",
+            "baseline(X86_V2)": "a1833a3bbf59a652fa1cc04bfb54e139"}
 
 
 def test_one_turn_point_digest_on_ordinary_inputs():
+    target = float64_target("expm1")
+    assert target in THM1_MD5, f"no THM1_MD5 recorded for float64 expm1 on {target}"
     h = hashlib.md5()
     for lam, mu in _THM1_PARAMS:
         values = cdf_one_turn_point(ModelParams(lam, mu), _THM1_T)
         h.update(np.ascontiguousarray(values, dtype="<f8").tobytes())
-    assert h.hexdigest() == THM1_MD5
+    assert h.hexdigest() == THM1_MD5[target]
 
 
 def _one_turn_point_decimal(lam, mu, t):

@@ -57,7 +57,6 @@ from linecox import (
     typical_point,
 )
 from linecox.cli import EXIT_CONFIG, EXIT_OK, EXIT_QUADRATURE, EXIT_RUNTIME, main
-from linecox.model import Line
 from linecox.quadrature import check_tol
 from realizations import one_trial
 
@@ -106,8 +105,9 @@ _BAD_CALLS = {
     "curve grid": lambda: DistributionCurve([0.0, 2.0, 1.0], [0.0] * 3, 0.0),
     "curve shape": lambda: DistributionCurve([0.0, 1.0], [0.0], 0.0),
     "curve finite": lambda: DistributionCurve([0.0, 1.0], [0.0, math.nan], 0.0),
-    "no origin line": lambda: shortest_path(
-        one_trial([Line(0, 0.5, 1.0)], [[0.0]]), TurnPolicy.one_turn(), 1.0),
+    "no origin line": lambda: shortest_path(one_trial([], []), TurnPolicy.one_turn(), 1.0),
+    "chunk no origin line": lambda: chunk_lengths(one_trial([], []).chunk,
+                                                  TurnPolicy.one_turn(), 1.0),
     "grid text": lambda: cli.parse_grid("0:1"),
     "grid step": lambda: cli.parse_grid("0:1:0"),
     "run_mc t_max type": lambda: run_mc(_MODEL, typical_point(), TurnPolicy.one_turn(), 1,

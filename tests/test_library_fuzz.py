@@ -148,7 +148,7 @@ _ARGS = {
     **{name: _any() for name in (
         "id", "angle", "signed_offset", "through_origin", "line_id", "arc_coord",
         "length", "turns_used", "target", "route", "censored", "trial", "offset",
-        "line_start", "arcs", "arc_start", "n_origin", "first_stream", "ks_distance",
+        "line_start", "arcs", "arc_start", "first_stream", "ks_distance",
         "argmax_t", "inside_band", "a_le_b", "b_le_a")},
 }
 

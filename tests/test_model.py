@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from linecox import (
     AngleLaw,
     DistributionCurve,
+    InputError,
     ModelParams,
     NegativeIntensity,
     NonFinite,
@@ -117,6 +118,19 @@ def test_rescale_maps_grid_and_meta():
     rr = rescale(r, 0.5)
     assert rr.meta["rescaled_by"] == 1.0
     assert rr.meta["params"] == {"lambda": 1.0, "mu": 2.0}
+
+
+def test_rescale_maps_the_censoring_horizon():
+    """A run_mc curve's grid ends at its t_max, and so does the rescaled
+    curve's; a t_max that is not a finite number is refused like params."""
+    curve = run_mc(ModelParams(1.0, 1.0), typical_point(), TurnPolicy.one_turn(), 50,
+                   2.0, 3)
+    r = rescale(curve, 2.0)
+    assert r.grid[-1] == r.meta["t_max"] == 4.0
+    assert rescale(r, 0.5).meta["t_max"] == curve.meta["t_max"] == 2.0
+    for bad in (None, "2", math.inf):
+        with pytest.raises(InputError, match="t_max"):
+            rescale(DistributionCurve([0.0, 1.0], [0.0, 1.0], 0.0, {"t_max": bad}), 2.0)
 
 
 @pytest.mark.parametrize("c", [0.0, -1.0, float("nan"), float("inf")])

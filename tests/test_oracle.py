@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from linecox import (
+    InputError,
     ModelParams,
     NonFinite,
     PolicyBudgetNegative,
     TBeyondClip,
     TurnPolicy,
+    chunk_lengths,
     run_mc,
     sample_palm,
     shortest_path,
@@ -22,11 +24,17 @@ from linecox import (
     typical_point,
 )
 from linecox.model import Line
-from linecox.sampler import _MIN_ANGLE_GAP, _pair_arcs, _sin_cos
-from realizations import (one_trial, route_length, route_positions, sample_D,
-                          trial_geometry)
+from linecox.sampler import _MIN_ANGLE_GAP, _pair_arcs
+from realizations import (hand_chunk, one_trial, route_length, route_positions,
+                          sample_D, trial_geometry)
 
 HPI = math.pi / 2
+
+
+def _trig(angle):
+    """(sin, cos) of the angles, as ``_pair_arcs`` takes them."""
+    angle = np.asarray(angle, dtype=float)
+    return np.sin(angle), np.cos(angle)
 
 
 def _assert_route(route, expected):
@@ -43,11 +51,91 @@ def build(lines, arcs, clip=5.0):
     return one_trial(lines, arcs, typical_point(), clip)
 
 
-def test_street_metric_not_euclidean():
+# The hand-built trials of this module, each with the (policy, t_max)
+# queries its tests make; test_both_solvers_agree_on_every_hand_built_trial
+# runs every query through both solvers.
+def street_metric():
     # target at (0.3, 0.5) is Euclidean-nearer (0.583) but 0.8 by street;
     # the point at arc 0.7 on the origin line must win
-    real = build([Line(0, 0.0, 0.0, True), Line(1, HPI, -0.3)],
-                 [[0.7], [0.5]])
+    return build([Line(0, 0.0, 0.0, True), Line(1, HPI, -0.3)], [[0.7], [0.5]])
+
+
+def one_line():
+    return build([Line(0, 0.0, 0.0, True)], [[-0.2, 0.5]])
+
+
+def one_turn_away():
+    return build([Line(0, 0.0, 0.0, True), Line(1, HPI, -1.0)], [[], [0.25]])
+
+
+def tie_on_one_line():
+    return build([Line(0, 0.0, 0.0, True)], [[-0.5, 0.5]])
+
+
+def tie_at_an_intersection():
+    return one_trial((Line(0, 0.0, 0.0, True), Line(1, HPI, 0.0, True)),
+                     (np.array([0.5]), np.array([-0.5])), typical_intersection(), 5.0)
+
+
+def nearer_zero_turn():
+    return build([Line(0, 0.0, 0.0, True), Line(1, HPI, -0.4)], [[0.1], [0.3]])
+
+
+def two_turns_ahead():
+    return build([Line(0, 0.0, 0.0, True), Line(1, HPI, -0.5), Line(2, 0.0, 0.8)],
+                 [[], [], [0.9]])
+
+
+def two_turns_behind():
+    return build([Line(0, 0.0, 0.0, True), Line(1, HPI, 0.5), Line(2, 0.0, 0.3)],
+                 [[], [], [-0.2]])
+
+
+def tie_with_the_incumbent():
+    """Lines 1 and 2 cross at (0.5, 0.5), where each holds a point; line 1
+    runs parallel to the origin line. The one-turn path along line 2 and
+    the two-turn path onto line 1 both end there, equally long, and the
+    second reaches the lower line id."""
+    lines = [Line(0, 0.0, 0.0, True), Line(1, 0.0, 0.5), Line(2, HPI, -0.5)]
+    trig, offset = _trig([0.0, 0.0, HPI]), np.array([0.0, 0.5, -0.5])
+    on_2, on_1 = _pair_arcs(trig, offset, np.array([2]), np.array([1]))
+    return build(lines, [[], on_1, on_2])
+
+
+def tie_with_t_max():
+    lines = [Line(0, 0.0, 0.0, True), Line(1, HPI, -0.5), Line(2, 0.0, 0.25)]
+    _, on_2 = _pair_arcs(_trig([0.0, HPI, 0.0]), np.array([0.0, -0.5, 0.25]),
+                         np.array([1]), np.array([2]))
+    return build(lines, [[], [], on_2])
+
+
+def eight_lines():
+    return hand_chunk().realization(0)
+
+
+HAND_QUERIES = {
+    street_metric: [(TurnPolicy.one_turn(), 2.0)],
+    one_line: [(TurnPolicy.zero_turn(), 2.0),
+               (TurnPolicy.k_turn(0, first_hop_positive_x=True), 2.0)],
+    one_turn_away: [(TurnPolicy.one_turn(), 2.0), (TurnPolicy.zero_turn(), 1.2)],
+    tie_on_one_line: [(TurnPolicy.zero_turn(), 1.0)],
+    tie_at_an_intersection: [(TurnPolicy.zero_turn(), 1.0)],
+    nearer_zero_turn: [(TurnPolicy.k_turn(1, include_lower_turn_paths=False), 2.0),
+                       (TurnPolicy.k_turn(1), 2.0)],
+    two_turns_ahead: [(TurnPolicy.two_turn_directed(), 3.0)],
+    two_turns_behind: [(TurnPolicy.k_turn(2), 3.0), (TurnPolicy.two_turn_directed(), 3.0)],
+    tie_with_the_incumbent: [(TurnPolicy.k_turn(2), 3.0)],
+    tie_with_t_max: [(TurnPolicy.two_turn_directed(), 3.0),
+                     (TurnPolicy.k_turn(2, first_hop_positive_x=True), 3.0)],
+    # the key-search fixture of test_batched, under every search setting
+    eight_lines: [(TurnPolicy.k_turn(k, lower, directed), t_max) for k in range(4)
+                  for lower in (True, False) for directed in (False, True)
+                  for t_max in (3.0, 0.5)],
+}
+
+
+def test_street_metric_not_euclidean():
+    real = street_metric()
     res = shortest_path(real, TurnPolicy.one_turn(), 2.0)
     assert res.length == 0.7
     assert res.turns_used == 0
@@ -55,7 +143,7 @@ def test_street_metric_not_euclidean():
 
 
 def test_zero_turn_directed_skips_negative_axis():
-    real = build([Line(0, 0.0, 0.0, True)], [[-0.2, 0.5]])
+    real = one_line()
     und = shortest_path(real, TurnPolicy.zero_turn(), 2.0)
     assert (und.length, und.target.arc_coord) == (0.2, -0.2)
     direct = shortest_path(real, TurnPolicy.k_turn(0, first_hop_positive_x=True),
@@ -64,8 +152,7 @@ def test_zero_turn_directed_skips_negative_axis():
 
 
 def test_one_turn_arithmetic_and_censoring():
-    real = build([Line(0, 0.0, 0.0, True), Line(1, HPI, -1.0)],
-                 [[], [0.25]])
+    real = one_turn_away()
     res = shortest_path(real, TurnPolicy.one_turn(), 2.0)
     assert res.length == pytest.approx(1.25, abs=1e-12)
     assert res.turns_used == 1
@@ -79,20 +166,15 @@ def test_one_turn_arithmetic_and_censoring():
 
 
 def test_tie_break_by_line_then_arc():
-    real = build([Line(0, 0.0, 0.0, True)], [[-0.5, 0.5]])
-    res = shortest_path(real, TurnPolicy.zero_turn(), 1.0)
+    res = shortest_path(tie_on_one_line(), TurnPolicy.zero_turn(), 1.0)
     assert res.target.arc_coord == -0.5
 
-    two = one_trial((Line(0, 0.0, 0.0, True), Line(1, HPI, 0.0, True)),
-                    (np.array([0.5]), np.array([-0.5])),
-                    typical_intersection(), 5.0)
-    res = shortest_path(two, TurnPolicy.zero_turn(), 1.0)
+    res = shortest_path(tie_at_an_intersection(), TurnPolicy.zero_turn(), 1.0)
     assert (res.target.line_id, res.target.arc_coord) == (0, 0.5)
 
 
 def test_exactly_one_turn_excludes_nearer_zero_turn_point():
-    real = build([Line(0, 0.0, 0.0, True), Line(1, HPI, -0.4)],
-                 [[0.1], [0.3]])
+    real = nearer_zero_turn()
     res = shortest_path(real, TurnPolicy.k_turn(1, include_lower_turn_paths=False),
                         2.0)
     assert res.length == pytest.approx(0.7, abs=0)
@@ -102,9 +184,7 @@ def test_exactly_one_turn_excludes_nearer_zero_turn_point():
 
 
 def test_two_turn_directed_fixture():
-    real = build([Line(0, 0.0, 0.0, True), Line(1, HPI, -0.5),
-                  Line(2, 0.0, 0.8)],
-                 [[], [], [0.9]])
+    real = two_turns_ahead()
     res = shortest_path(real, TurnPolicy.two_turn_directed(), 3.0)
     assert res.length == pytest.approx(1.7, abs=1e-15)
     assert res.turns_used == 2
@@ -118,9 +198,7 @@ def test_two_turn_directed_fixture():
 
 
 def test_directed_censors_when_route_needs_negative_first_hop():
-    real = build([Line(0, 0.0, 0.0, True), Line(1, HPI, 0.5),
-                  Line(2, 0.0, 0.3)],
-                 [[], [], [-0.2]])
+    real = two_turns_behind()
     und = shortest_path(real, TurnPolicy.k_turn(2), 3.0)
     assert und.length == pytest.approx(1.1, abs=1e-15)
     direct = shortest_path(real, TurnPolicy.two_turn_directed(), 3.0)
@@ -162,10 +240,41 @@ def test_validation_errors():
         shortest_path(real, TurnPolicy.zero_turn(), math.nan)
     with pytest.raises(PolicyBudgetNegative):
         shortest_path(real, TurnPolicy.k_turn(-1), 1.0)
-    no_origin = one_trial((Line(0, 0.2, 0.7),), (np.array([0.1]),),
-                          typical_point(), 2.0)
+    # one of the two origin lines of a typical intersection
+    half_origin = one_trial((Line(0, 0.0, 0.0, True),), (np.array([0.1]),),
+                            typical_intersection(), 2.0)
     with pytest.raises(ValueError):
-        shortest_path(no_origin, TurnPolicy.zero_turn(), 1.0)
+        shortest_path(half_origin, TurnPolicy.zero_turn(), 1.0)
+
+
+@pytest.mark.parametrize("trial", [
+    one_trial((), (), typical_point()),
+    one_trial((Line(0, 0.0, 0.0, True),), ([0.5],), typical_intersection())],
+    ids=["point without lines", "intersection with one line"])
+def test_both_solvers_refuse_a_trial_without_its_origin_lines(trial):
+    """The scenario says how many lines open each trial through the
+    origin; a trial with fewer lines has no start to search from."""
+    with pytest.raises(InputError) as by_search:
+        shortest_path(trial, TurnPolicy.one_turn(), 1.0)
+    with pytest.raises(InputError) as by_kernel:
+        chunk_lengths(trial.chunk, TurnPolicy.one_turn(), 1.0)
+    assert str(by_search.value) == str(by_kernel.value)
+
+
+@pytest.mark.parametrize("make, queries", HAND_QUERIES.items(),
+                         ids=[make.__name__ for make in HAND_QUERIES])
+def test_both_solvers_agree_on_every_hand_built_trial(make, queries):
+    """``chunk_lengths`` equals ``shortest_path(...).length`` bit for bit on
+    every hand-built trial, under the queries its tests make, and again
+    with t_max set to the length found."""
+    real = make()
+    for policy, t_max in queries:
+        length = shortest_path(real, policy, t_max).length
+        tight = [length] if math.isfinite(length) and length > 0 else []
+        for t in [t_max, *tight]:
+            want = np.array([shortest_path(real, policy, t).length])
+            got = chunk_lengths(real.chunk, policy, t)
+            assert got.tobytes() == want.tobytes(), (policy, t)
 
 
 def test_route_residual_on_sampled_realizations():
@@ -344,7 +453,7 @@ def test_pair_arcs_in_either_order_are_swapped_bit_for_bit(lines):
     are compared after adding 0.0. A line asked against all others at once,
     as the per-trial search asks, gives the same arcs."""
     angle, offset = (np.array(col) for col in zip(*lines))
-    trig = _sin_cos(angle)
+    trig = _trig(angle)
     ii, jj = np.nonzero(~np.eye(len(lines), dtype=bool))
     on_i, on_j = _pair_arcs(trig, offset, ii, jj)
     back_j, back_i = _pair_arcs(trig, offset, jj, ii)
@@ -358,7 +467,7 @@ def test_pair_arcs_in_either_order_are_swapped_bit_for_bit(lines):
 
 def test_near_parallel_pairs_give_nan_in_either_order():
     """Also without a warning where the masked quotient overflows."""
-    trig = _sin_cos(np.array([1.0, 1.0 + 1e-13, 0.0, math.pi - 1e-13, 5e-324]))
+    trig = _trig([1.0, 1.0 + 1e-13, 0.0, math.pi - 1e-13, 5e-324])
     offset = np.array([0.5, -2.0, 1.0, 0.0, 2.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -395,7 +504,7 @@ def test_pair_arcs_equal_the_reference_and_raise_nothing():
     angle = np.array(near + [math.pi - 1e-12, math.pi - 2e-12, math.pi - 5e-13,
                              1.0, 1.0] + list(rng.uniform(0.0, math.pi, 9)))
     offset = rng.uniform(-3.0, 3.0, angle.size)
-    trig = _sin_cos(angle)
+    trig = _trig(angle)
     ii, jj = np.nonzero(~np.eye(angle.size, dtype=bool))
     want_i, want_j, det = _pair_arcs_reference(trig, offset, ii, jj)
     masked = np.abs(det) < _MIN_ANGLE_GAP
@@ -415,20 +524,20 @@ def test_pair_arcs_equal_the_reference_and_raise_nothing():
 def test_hops_tied_with_the_incumbent_or_t_max_are_kept():
     """Ties are never pruned: a hop exactly as long as the incumbent is
     still taken (a point at its crossing on a lower line id wins the tie),
-    and a route exactly as long as t_max is not censored. The origin line
-    comes second here so that the line it turns onto has the lower id."""
-    lines = [Line(0, HPI, -1.0), Line(1, 0.0, 0.0, True)]
-    arc1, arc0 = _pair_arcs(_sin_cos(np.array([HPI, 0.0])),
-                            np.array([-1.0, 0.0]), np.array([1]), np.array([0]))
-    real = build(lines, [arc0, arc1])
-    res = shortest_path(real, TurnPolicy.k_turn(1), 3.0)
-    assert (res.length, res.turns_used) == (arc1[0], 1)
-    assert (res.target.line_id, res.target.arc_coord) == (0, arc0[0])
+    and a route exactly as long as t_max is not censored. The incumbent
+    here is line 2's point, one turn away; the hop to line 1 comes from
+    the same search state, after that offer, and ties it."""
+    real = tie_with_the_incumbent()
+    trig, offset = trial_geometry(real)
+    to_2, on_2 = _pair_arcs(trig, offset, 0, np.array([2]))
+    res = shortest_path(real, TurnPolicy.k_turn(2), 3.0)
+    tie = abs(to_2[0]) + abs(real.arcs_by_line[2][0] - on_2[0])
+    assert (res.length, res.turns_used) == (tie, 2)
+    assert (res.target.line_id, res.target.arc_coord) == (1, real.arcs_by_line[1][0])
+    one_turn = shortest_path(real, TurnPolicy.k_turn(1), 3.0)
+    assert (one_turn.length, one_turn.target.line_id) == (tie, 2)
 
-    lines = [Line(0, 0.0, 0.0, True), Line(1, HPI, -0.5), Line(2, 0.0, 0.25)]
-    _, arc2 = _pair_arcs(_sin_cos(np.array([0.0, HPI, 0.0])),
-                         np.array([0.0, -0.5, 0.25]), np.array([1]), np.array([2]))
-    real = build(lines, [[], [], arc2])
+    real = tie_with_t_max()
     for policy in (TurnPolicy.two_turn_directed(),
                    TurnPolicy.k_turn(2, first_hop_positive_x=True)):
         free = shortest_path(real, policy, 3.0)

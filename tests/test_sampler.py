@@ -271,6 +271,17 @@ _CHUNK_FIELDS = ("angle", "offset", "through_origin", "line_start", "arcs",
                  "arc_start")
 
 
+def _chunk_array(chunk, name):
+    """The chunk's array ``name``; for "through_origin", which the chunk
+    no longer keeps, the flags its layout implies: a line's place in its
+    trial is below the scenario's origin line count."""
+    if name != "through_origin":
+        return getattr(chunk, name)
+    place = np.arange(chunk.angle.size) - chunk.line_start[:-1].repeat(
+        np.diff(chunk.line_start))
+    return place < chunk.n_origin
+
+
 def _reference_chunk(params, scenario, R, master, start, stop):
     """Trials start..stop-1 drawn the slow way, as a dict of ChunkSample
     fields: a new Philox Generator per trial, one ``rng.uniform`` call per
@@ -329,7 +340,7 @@ def test_sample_chunk_equals_slow_reference_bit_for_bit(lam):
             chunk = sample_chunk(params, scenario, R, master, start, start + n)
             want = _reference_chunk(params, scenario, R, master, start, start + n)
             for name in _CHUNK_FIELDS:
-                got = getattr(chunk, name)
+                got = _chunk_array(chunk, name)
                 assert got.dtype == want[name].dtype, name
                 assert got.tobytes() == want[name].tobytes(), (name, master, n)
             sizes.update(np.diff(chunk.line_start).tolist())
@@ -369,7 +380,8 @@ def test_chunk_sample_sorts_each_line_on_exact_integer_keys():
     chunk = _chunk_sample(origin, n_bg, angles, offsets, counts, u.copy(),
                           typical_point(), R, 0, 0)
     assert chunk.angle.size == n_lines > 2048 and np.any(counts == 0)
-    half = np.where(chunk.through_origin, R, np.sqrt(R * R - chunk.offset**2))
+    half = np.where(_chunk_array(chunk, "through_origin"), R,
+                    np.sqrt(R * R - chunk.offset**2))
     want = np.concatenate([np.sort(a) for a in np.split(
         u * np.repeat(half, counts), arc_start[1:-1])])
     assert chunk.arcs.tobytes() == want.tobytes()
@@ -379,7 +391,8 @@ def test_chunk_sample_sorts_each_line_on_exact_integer_keys():
 # md5 of every ChunkSample array of sample_chunk(ModelParams(16, 2),
 # typical_intersection(), 3.0, 2024, 0, 6), recorded while the chunk still
 # kept three more arrays (each line's chord half length and trial, and each
-# point's line)
+# point's line) and a flag per line for the origin lines, which the hash
+# now takes from the layout (``_chunk_array``)
 DENSE_CHUNK_MD5 = "eabeffefc952e2b45f0ae44f1fff414c"
 
 
@@ -388,16 +401,17 @@ def test_dense_chunk_matches_frozen_digest():
                          2024, 0, 6)
     h = hashlib.md5()
     for name in _CHUNK_FIELDS:
-        h.update(np.ascontiguousarray(getattr(chunk, name)).tobytes())
+        h.update(np.ascontiguousarray(_chunk_array(chunk, name)).tobytes())
     assert chunk.angle.size > 6 * 100
     assert h.hexdigest() == DENSE_CHUNK_MD5
 
 
 def test_chunk_keeps_and_draws_in_bounded_memory():
     """One 512-trial chunk at lam 16 (point scenario, mu 1, radius 3: 77k
-    lines, 366k points) keeps 25 bytes per line and 8 per point, 4.7 MiB as
-    tracemalloc counts it; the bound is 6 MiB. It kept 8.7 MiB with each
-    line's chord half length and trial and each point's line. Drawing it
+    lines, 366k points) keeps 24 bytes per line and 8 per point, 4.6 MiB as
+    tracemalloc counts it; the bound is 6 MiB. It kept 4.7 MiB with a flag
+    per line for the origin lines, and 8.7 MiB with each line's chord half
+    length and trial and each point's line as well. Drawing it
     peaks at 14.6 MiB, sorting on one integer key a point; the bound is 23
     MiB. It peaked at 18.2 MiB with argsorts of the arcs and the line keys,
     and at 25.8 MiB while the per-trial draws outlived their mapping."""

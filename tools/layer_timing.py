@@ -18,10 +18,8 @@ The rows (``--rows``), point scenario, mu = 1 and t_max = 3 unless noted:
 - ``dense`` and ``chunk``: the batched turn-layer kernel against the
   per-trial search. The trials are drawn in chunks of the size ``run_mc``
   uses (``experiments._chunk_trials``) and solved with ``chunk_lengths``
-  on each chunk and with ``shortest_path`` on each trial's Realization, on
-  copies of the chunks that no call has solved, so each solver pays for
-  the sines and cosines a chunk caches, as ``run_mc`` does for each chunk
-  it draws. The two must agree bit for bit, or the tool exits non-zero.
+  on each chunk and with ``shortest_path`` on each trial's Realization.
+  The two must agree bit for bit, or the tool exits non-zero.
   Columns: trials per chunk, lines per trial, CPU ms per trial of each
   solver, their ratio, and the kernel's largest ``tracemalloc`` peak over
   the chunks (separate, untimed calls). ``dense`` is k_turn(3) with exact
@@ -40,8 +38,7 @@ The rows (``--rows``), point scenario, mu = 1 and t_max = 3 unless noted:
   ``k_turn(3)``), with 1 trial and with the workload's trials, one chunk
   either way, over FIXED_SEEDS seeds: the CPU us per call of ``run_mc``,
   of the draw and the kernel it calls (``sampler._draw_chunk`` and
-  ``oracle._chunk_lengths``, each kernel call on a copy of the chunk that
-  no call has solved) and the rest, ``run_mc`` less the other two.
+  ``oracle._chunk_lengths``) and the rest, ``run_mc`` less the other two.
 - ``thm2``: one call of the one-turn intersection curve (``thm2``), the
   two-turn bound (``thm3``) or its kernel, at lam = mu = 1 (THM2):
   ``first``, the process's first one-point call, t = 1; ``repeat``, that
@@ -61,7 +58,6 @@ of the parent commit and then this one, for a before/after pair.
 """
 
 import argparse
-import dataclasses
 import json
 import statistics
 import subprocess
@@ -83,7 +79,7 @@ from linecox.sampler import _draw_chunk
 
 T_MAX, MU, SEED = 3.0, 1.0, 2024
 SCENARIOS = {"point": typical_point(), "intersection": typical_intersection()}
-DRAW_CHUNKS, FIXED_SEEDS = 100, 20
+DRAW_CHUNKS, FIXED_SEEDS = 100, 100
 P11 = ModelParams(1.0, 1.0)
 
 
@@ -108,13 +104,11 @@ def scan_row(lam, k, lower, trials):
     size = _chunk_trials(params, typical_point(), T_MAX)
     chunks = [sample_chunk(params, typical_point(), T_MAX, SEED, lo, min(lo + size, trials))
               for lo in range(0, trials, size)]
-    chunk_lengths(dataclasses.replace(chunks[0]), policy, T_MAX)  # warm-ups
-    shortest_path(dataclasses.replace(chunks[0]).realization(0), policy, T_MAX)
-    copies = [dataclasses.replace(c) for c in chunks]
+    chunk_lengths(chunks[0], policy, T_MAX)  # warm-ups
+    shortest_path(chunks[0].realization(0), policy, T_MAX)
     batched, kernel_ms = _cpu_ms(lambda: np.concatenate(
-        [chunk_lengths(c, policy, T_MAX) for c in copies]))
-    reals = [c.realization(t) for c in map(dataclasses.replace, chunks)
-             for t in range(c.n_trials)]
+        [chunk_lengths(c, policy, T_MAX) for c in chunks]))
+    reals = [c.realization(t) for c in chunks for t in range(c.n_trials)]
     per_trial, search_ms = _cpu_ms(lambda: np.array(
         [shortest_path(r, policy, T_MAX).length for r in reals]))
     if batched.tobytes() != per_trial.tobytes():
@@ -152,15 +146,12 @@ def fixed_row(lam, k, trials, seeds=FIXED_SEEDS):
     params, scenario, policy = ModelParams(lam, MU), typical_point(), TurnPolicy.k_turn(k)
     seeds = range(SEED, SEED + seeds)
     chunks = [sample_chunk(params, scenario, T_MAX, s, 0, trials) for s in seeds]
-    # each kernel call solves a copy no call has solved, as run_mc solves
-    # the chunk it has just drawn, so it computes the cached sines and cosines
-    copies = [[dataclasses.replace(c) for c in chunks] for _ in range(4)]
     calls = {
         "run_mc us": lambda: [run_mc(params, scenario, policy, trials, T_MAX, s)
                               for s in seeds],
         "draw us": lambda: [_draw_chunk(params, scenario, T_MAX, s, 0, trials)
                             for s in seeds],
-        "kernel us": lambda: [_chunk_lengths(c, policy, T_MAX) for c in copies.pop()],
+        "kernel us": lambda: [_chunk_lengths(c, policy, T_MAX) for c in chunks],
     }
     for call in [*calls.values()] * 3:  # warm-ups: one pass leaves fresh-process outliers
         call()
