@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -370,18 +371,25 @@ def rescale(curve: DistributionCurve, c: float) -> DistributionCurve:
     of c*D, which is exactly the curve of D under (lam/c, mu/c). Values and
     half widths are untouched; the grid, the metadata params and the
     censoring horizon ``t_max`` are mapped, and a mapped field that is not
-    a finite real number raises InputError, as does a c that takes a grid
-    point past the largest float."""
+    a finite real number, before or after it is mapped, raises InputError
+    naming it, as does a c that takes a grid point past the largest float."""
     _check_record(curve, DistributionCurve, "curve")
     if not _finite_real(c) or c <= 0:
         raise NonPositiveScale(f"scale must be finite and > 0, got {_shown(c)}")
     c = float(c)
 
-    def number(value, name):
+    def number(value, name, scale):
         if not _finite_real(value):
             raise InputError(f"meta field {name} must be a finite real number, "
                              f"got {_shown(value)}")
-        return value
+        # a numpy scalar may overflow, or divide by a c its type rounds to
+        # 0, and the check below refuses the result
+        with np.errstate(all="ignore"):
+            mapped = scale(value, c)
+        if not math.isfinite(mapped):
+            raise InputError(f"meta field {name} = {_shown(value)} rescaled by "
+                             f"{_shown(c)} passes the largest float")
+        return mapped
 
     meta = dict(curve.meta)
     params = meta.get("params")
@@ -389,10 +397,10 @@ def rescale(curve: DistributionCurve, c: float) -> DistributionCurve:
         mapped = dict(params)
         for name in ("lambda", "mu"):
             if name in mapped:
-                mapped[name] = number(mapped[name], f"params.{name}") / c
+                mapped[name] = number(mapped[name], f"params.{name}", operator.truediv)
         meta["params"] = mapped
     if "t_max" in meta:
-        meta["t_max"] = number(meta["t_max"], "t_max") * c
-    meta["rescaled_by"] = number(meta.get("rescaled_by", 1.0), "rescaled_by") * c
+        meta["t_max"] = number(meta["t_max"], "t_max", operator.mul)
+    meta["rescaled_by"] = number(meta.get("rescaled_by", 1.0), "rescaled_by", operator.mul)
     with np.errstate(over="ignore"):  # an inf grid point fails the curve's check
         return DistributionCurve(curve.grid * c, curve.values, curve.ci_halfwidth, meta)

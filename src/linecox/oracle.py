@@ -17,25 +17,27 @@ just these three.
   ChunkSample, and also returns the route, by one label-setting search
   (``_k_turn``) over the trial's slice of the chunk's arrays. It computes
   a line's crossings the first time it expands that line and pushes only
-  hops that end within min(t_max, incumbent). The incumbent is a plain
-  tuple holding the winning search state, and the route is read off that
-  state's chain once, when the search ends. It is the slow reference the
-  batched kernel is checked against.
+  hops that end within the incumbent, whose first value is t_max. The
+  incumbent is a plain tuple holding the winning search state, and the
+  route is read off that state's chain once, when the search ends. It is
+  the slow reference the batched kernel is checked against.
 * ``chunk_lengths`` solves every trial of a ChunkSample at once, lengths
   only, for every policy, by one kernel: Bellman-Ford by hop count over
   flat arrays of labels. Layer j holds one label per (trial, line,
   came-from line), the shortest length that reaches it with j turns, so a
   layer never holds more labels than the chunk's trials have line pairs.
   A label turns onto every other line of its trial, and keeps the hop
-  while it ends within t_max and below the trial's incumbent; the next
+  while it ends below its trial's bound: one number a trial, which starts
+  just above t_max (for an exactly-k search from k = 2 on, just above a
+  reach that doubles pass by pass until it holds the trial's shortest
+  path) and then is the incumbent, as each offer lowers it. The next
   layer is sorted and reduced out of the hops kept. Every layer spans the
   whole chunk, so its memory grows with the chunk; ``run_mc`` sizes its
-  chunks by their expected line pairs. Without lower-turn paths the
-  kernel bounds each trial by a reach that doubles until it holds the
-  trial's best. An offer finds the points nearest its labels with one
-  ``searchsorted`` over complex keys line + 1j*arc of the chunk's points
-  (``_point_keys``), built once per call: they hold 16 bytes a point
-  while the call runs, and building them briefly takes 8 more.
+  chunks by their expected line pairs. An offer finds the points nearest
+  its labels with one ``searchsorted`` over complex keys line + 1j*arc of
+  the chunk's points (``_point_keys``), built once per call: they hold 16
+  bytes a point while the call runs, and building them briefly takes 8
+  more.
 
 The ``first_hop_positive_x`` restriction (forced for TWO_TURN_DIRECTED)
 makes the first leg run along the positive arc direction of the first
@@ -104,13 +106,15 @@ _ORIGIN = -1  # pseudo node, keyed below every crossing
 # crossing, keyed lower*n + higher by its two line indices, or _ORIGIN. A
 # line's crossing table comes from ``_pair_arcs`` the first time the search
 # expands that line and is kept for the rest of the query, so lines the
-# search never reaches cost nothing. An expansion pushes only the hops whose
-# length stays within min(t_max, incumbent): a longer one could only be
-# popped after the pop-time break below. The key orders nodes as the index
-# into the list of all line pairs would, so heap ties pop in pair order.
-# The incumbent is the tuple (length, line, arc, turns, state) of the best
+# search never reaches cost nothing. The key orders nodes as the index into
+# the list of all line pairs would, so heap ties pop in pair order. The
+# incumbent is the tuple (length, line, arc, turns, state) of the best
 # target offered, ordered by (length, line, arc); its route is read off
-# ``via`` once the search ends (see ``shortest_path``).
+# ``via`` once the search ends (see ``shortest_path``). It starts as
+# (t_max, n, nan, -1, None), which every target within t_max beats, since a
+# line id is below n: so t_max is the first incumbent, and an expansion
+# pushes only the hops whose length stays within the incumbent, since a
+# longer one could only be popped after the pop-time break below.
 def _k_turn(real, t_max, k, include_lower, directed):
     chunk = real.chunk
     lo, hi = real._span
@@ -121,7 +125,7 @@ def _k_turn(real, t_max, k, include_lower, directed):
     cuts = chunk.arc_start[lo:hi + 1].tolist()
     tables = {}  # line -> (arcs here, arcs there, other, key)
 
-    best = (math.inf, -1, math.nan, -1, None)
+    best = (t_max, n, math.nan, -1, None)
     dist = {}
     via = {}  # state -> (previous state, arc on its line, arc on this line)
     heap = []
@@ -150,7 +154,7 @@ def _k_turn(real, t_max, k, include_lower, directed):
             if arcs.size:
                 d, arc = _nearest(arcs, ref)
                 total = length + d
-                if total <= t_max and (total, li, arc) < best[:3]:
+                if (total, li, arc) < best[:3]:
                     best = (total, li, arc, turns, state)
 
         if turns == k:
@@ -163,7 +167,7 @@ def _k_turn(real, t_max, k, include_lower, directed):
             tables[li] = (here, there, other, key)
         here, there, other, key = tables[li]
         length2 = length + np.abs(here - ref)
-        ok = (length2 <= min(t_max, best[0])) & (key != node)
+        ok = (length2 <= best[0]) & (key != node)
         if at_start:
             # the mutual crossing of the origin lines, the first n0, is the
             # start point itself; switching lines there is not a turn, it is
@@ -185,7 +189,8 @@ def _k_turn(real, t_max, k, include_lower, directed):
 # ---- batched length-only layer kernel ---------------------------------------
 
 _PAIR_BLOCK = 8192  # (label, next line) pairs solved at once
-# first reach of an exactly-k search, as a share of t_max (see chunk_lengths)
+# first reach of an exactly-k search, as a share of t_max; a reach that
+# rounds to 0 starts at t_max (see _chunk_lengths)
 _FIRST_REACH = 1 / 16
 
 
@@ -240,22 +245,17 @@ def _nearest_dist(chunk: ChunkSample, keys, lines, refs, nonneg_only=False):
     return d
 
 
-def _offer(best, trials, lengths, t_max):
-    keep = lengths <= t_max
-    np.minimum.at(best, trials[keep], lengths[keep])
-
-
-def _turn(best, chunk, trig, rows, n_lines, reach, first, directed):
+def _turn(bound, chunk, trig, rows, n_lines, first, directed):
     """The hops one turn further from the labels ``rows``, in blocks of at
     most _PAIR_BLOCK pairs (or one label's). A label or hop is (trial,
-    line, line it came from, arc on its line, length). Each label shorter
-    than its trial's best pairs with every other line of its trial but the
-    one it came from, and keeps the hops that end within the trial's reach
-    and below its best. The first turn skips the other origin line (their
-    crossing is the start point) and, ``directed``, every hop to an arc
-    that is not positive. ``trig`` is (sin, cos) of the chunk's line
-    angles and ``n_lines`` holds each trial's line count."""
-    live = rows[4] < best[rows[0]]
+    line, line it came from, arc on its line, length). Each label below its
+    trial's ``bound`` pairs with every other line of its trial but the one
+    it came from, and keeps the hops that end below the bound. The first
+    turn skips the other origin line (their crossing is the start point)
+    and, ``directed``, every hop to an arc that is not positive. ``trig``
+    is (sin, cos) of the chunk's line angles and ``n_lines`` holds each
+    trial's line count."""
+    live = rows[4] < bound[rows[0]]
     trial, line, prev, ref, length = (col[live] for col in rows)
     reps = n_lines[trial] - 1
     for a, b in _runs(reps, _PAIR_BLOCK):
@@ -270,7 +270,7 @@ def _turn(best, chunk, trig, rows, n_lines, reach, first, directed):
         m += m >= i
         here, there = _pair_arcs(trig, chunk.offset, i, m)
         new = length[f] + np.abs(here - ref[f])
-        keep = (new <= reach[t]) & (new < best[t]) & (m != prev[f])
+        keep = (new < bound[t]) & (m != prev[f])
         if first:
             keep &= m - chunk.line_start[t] >= chunk.n_origin
             if directed:
@@ -297,17 +297,17 @@ def _labels(chunk, hops):
     return t[s], m[s], i[s], there[s], np.minimum.reduceat(new[order], first)
 
 
-def _search(best, chunk, trig, keys, n_lines, trials, reach, t_max, k, lower,
-            directed):
+def _search(bound, chunk, trig, keys, n_lines, trials, k, lower, directed):
     """Offer every path of at most k turns (exactly k unless ``lower``) of
-    the given trials, all in one pass. Layer 0 holds the origin lines (only
-    the first, ``directed``) at arc 0 and length 0; layer j + 1 the
-    ``_labels`` of the hops ``_turn`` takes from layer j, but layer k is
-    offered block by block, unlabelled. An empty layer below k ends the
-    search, since no later layer can hold a label. Lengths add up hop by
-    hop as in ``_k_turn``, so each offer is the length the search gives
-    that path. ``trig``, ``keys`` and ``n_lines`` are as ``_chunk_lengths``
-    forms them."""
+    the given trials that ends below its trial's ``bound``, all in one
+    pass: an offer lowers the bound to its length. Layer 0 holds the
+    origin lines (only the first, ``directed``) at arc 0 and length 0;
+    layer j + 1 the ``_labels`` of the hops ``_turn`` takes from layer j,
+    but layer k is offered block by block, unlabelled. An empty layer below
+    k ends the search, since no later layer can hold a label. Lengths add
+    up hop by hop as in ``_k_turn``, so each offer is the length the search
+    gives that path. ``trig``, ``keys`` and ``n_lines`` are as
+    ``_chunk_lengths`` forms them."""
     n0 = 1 if directed else chunk.n_origin
     t = trials.repeat(n0)
     zeros = np.zeros(t.size)
@@ -315,15 +315,15 @@ def _search(best, chunk, trig, keys, n_lines, trials, reach, t_max, k, lower,
               np.full(t.size, -1), zeros, zeros)]
     for j in range(k + 1):
         if j:
-            hops = _turn(best, chunk, trig, rows, n_lines, reach, j == 1, directed)
+            hops = _turn(bound, chunk, trig, rows, n_lines, j == 1, directed)
             layer = hops if j == k else [_labels(chunk, hops)]
             if j < k and not layer[0][0].size:
                 break
         for rows in layer:
             if lower or j == k:
                 t, m, _, ref, length = rows
-                _offer(best, t, length + _nearest_dist(
-                    chunk, keys, m, ref, nonneg_only=directed and j == 0), t_max)
+                np.minimum.at(bound, t, length + _nearest_dist(
+                    chunk, keys, m, ref, nonneg_only=directed and j == 0))
 
 
 # ---- public API --------------------------------------------------------------
@@ -385,11 +385,12 @@ def chunk_lengths(chunk: ChunkSample, policy: TurnPolicy,
     """Shortest admissible length of every trial of a chunk (inf when
     censored at ``t_max``), for every policy. Each entry equals
     ``shortest_path(chunk.realization(t), policy, t_max).length`` bit for
-    bit. Each search pass spans every trial still searched, so memory
-    grows with the chunk given: a layer holds at most one label per line
-    pair of those trials, and ``_turn`` solves at most _PAIR_BLOCK hops at
-    once. InputError, as ``shortest_path`` raises it, if a trial has fewer
-    lines than its scenario's origin lines."""
+    bit. Each search pass spans every trial still searched, bounding each
+    by one number, its incumbent, so memory grows with the chunk given: a
+    layer holds at most one label per line pair of those trials, and
+    ``_turn`` solves at most _PAIR_BLOCK hops at once. InputError, as
+    ``shortest_path`` raises it, if a trial has fewer lines than its
+    scenario's origin lines."""
     _check_record(chunk, ChunkSample, "chunk")
     _check_record(policy, TurnPolicy, "policy")
     _check_origin_lines(chunk, chunk.line_start)
@@ -406,17 +407,18 @@ def _chunk_lengths(chunk: ChunkSample, policy: TurnPolicy,
     keys = _point_keys(chunk)
     n_lines = chunk.line_start[1:] - chunk.line_start[:-1]
 
-    best = np.full(chunk.n_trials, math.inf)
-    # without lower-turn paths no incumbent bounds the layers below k, so
-    # from k = 2 on each trial is searched within a reach that doubles
-    # until it holds the trial's best: a search within reach h offers
-    # every path of length <= h
-    reach = np.full(chunk.n_trials,
-                    t_max if lower or k < 2 else _FIRST_REACH * t_max)
+    # bound is each trial's incumbent. A pass within reach h starts it just
+    # above h, so the pass offers every path of length <= h. Without
+    # lower-turn paths no offer bounds the layers below k, so from k = 2
+    # on every trial still searched has one reach, which doubles until it
+    # holds the trial's shortest path or reaches t_max; a first reach that
+    # rounds to 0 (t_max a few subnormals) would never grow, so it is t_max
+    reach = t_max if lower or k < 2 else _FIRST_REACH * t_max or t_max
+    bound = np.empty(chunk.n_trials)
     todo = np.arange(chunk.n_trials)
     while todo.size:
-        _search(best, chunk, trig, keys, n_lines, todo, reach, t_max, k, lower,
-                directed)
-        todo = todo[(best[todo] > reach[todo]) & (reach[todo] < t_max)]
-        reach[todo] = np.minimum(2.0 * reach[todo], t_max)
-    return best
+        bound[todo] = math.nextafter(reach, math.inf)
+        _search(bound, chunk, trig, keys, n_lines, todo, k, lower, directed)
+        todo = todo[(bound[todo] > reach) & (reach < t_max)]
+        reach = min(2.0 * reach, t_max)
+    return np.where(bound <= t_max, bound, math.inf)

@@ -393,18 +393,47 @@ def test_high_budgets_on_sparse_points_keep_one_label_per_state(scenario, monkey
 def test_the_kernel_stops_at_its_first_empty_layer(monkeypatch, lam):
     """With lower-turn paths, k = 10**4 ends when a layer holds no label
     (about 75 us a layer otherwise), and still equals the per-trial search
-    bit for bit."""
+    bit for bit. The spy records the labels each layer hands ``_turn``:
+    the first layer holds the chunk's 8 origin lines, one a trial, and no
+    call gets an empty layer."""
     calls = []
 
-    def counted(*args):
-        calls.append(args[2][0].size)
-        return turn(*args)
+    def counted(bound, chunk, trig, rows, *rest):
+        calls.append(rows[0].size)
+        return turn(bound, chunk, trig, rows, *rest)
 
     turn = oracle._turn
     monkeypatch.setattr(oracle, "_turn", counted)
     policy, t_max = TurnPolicy.k_turn(10**4), 2.0
     chunk = sample_chunk(ModelParams(lam, 1.0), typical_point(), t_max, 11, 0, 8)
     got = chunk_lengths(chunk, policy, t_max)
+    assert calls[0] == 8
     assert 0 < len(calls) < 40 and calls[-1] > 0
     want = [shortest_path(chunk.realization(i), policy, t_max).length for i in range(8)]
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("t_max", [5e-324, 3.5e-323, 4e-323, 1e-300])
+def test_an_exact_search_ends_at_the_smallest_t_max(monkeypatch, t_max):
+    """From k = 2 on, an exactly-k search first reaches _FIRST_REACH *
+    t_max, which rounds to 0 for the eight smallest positive t_max, and
+    doubling 0 never reaches t_max. The passes must still end, and equal
+    the per-trial search; the spy fails the test after 64 passes instead
+    of letting it hang."""
+    passes = []
+
+    def counted(*args):
+        passes.append(1)
+        assert len(passes) <= 64, "the reach never grows to t_max"
+        return search(*args)
+
+    search = oracle._search
+    monkeypatch.setattr(oracle, "_search", counted)
+    chunk = sample_chunk(ModelParams(1.0, 1.0), typical_intersection(), 1.0, 3, 0, 4)
+    for policy in (TurnPolicy.k_turn(2, False), TurnPolicy.two_turn_directed(False),
+                   TurnPolicy.k_turn(3, False, True)):
+        passes.clear()
+        got = chunk_lengths(chunk, policy, t_max)
+        want = [shortest_path(chunk.realization(i), policy, t_max).length
+                for i in range(chunk.n_trials)]
+        assert np.array_equal(got, want)

@@ -56,6 +56,7 @@ from linecox import (
     typical_intersection,
     typical_point,
 )
+from linecox import oracle
 from linecox.cli import EXIT_CONFIG, EXIT_OK, EXIT_QUADRATURE, EXIT_RUNTIME, main
 from linecox.quadrature import check_tol
 from realizations import one_trial
@@ -339,6 +340,24 @@ def test_a_value_repr_cannot_print_is_named_in_the_message(case):
     with pytest.raises(errors.InputError) as exc:
         _BAD_CALLS[case]()
     assert field in str(exc.value) and shown in str(exc.value)
+
+
+def test_an_exact_turn_run_at_the_smallest_t_max_exits_0(monkeypatch, capsys):
+    """At t_max = 5e-324 the kernel's first reach of an exactly-k search
+    rounds to 0. The run must still end, with exit 0; the spy fails the
+    test after 64 kernel passes instead of letting it hang."""
+    passes = []
+
+    def counted(*args):
+        passes.append(1)
+        assert len(passes) <= 64, "the reach never grows to t_max"
+        return search(*args)
+
+    search = oracle._search
+    monkeypatch.setattr(oracle, "_search", counted)
+    assert main(["simulate", "--policy", "k-turn", "--k", "2", "--exact-turns",
+                 "--t-max", "5e-324", "--trials", "3"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("t,F,ci_lo,ci_hi\n")
 
 
 # ---- fuzzed argv --------------------------------------------------------------

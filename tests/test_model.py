@@ -133,6 +133,19 @@ def test_rescale_maps_the_censoring_horizon():
             rescale(DistributionCurve([0.0, 1.0], [0.0, 1.0], 0.0, {"t_max": bad}), 2.0)
 
 
+@pytest.mark.parametrize("meta, c, field", [
+    ({"t_max": 1e308}, 10.0, "t_max"),
+    ({"params": {"lambda": 1e300}}, 1e-10, "params.lambda"),
+    ({"params": {"lambda": 1.0, "mu": np.float32(3e38)}}, 1e-300, "params.mu"),
+    ({"rescaled_by": 1e308}, 10.0, "rescaled_by"),
+], ids=["t_max", "params.lambda", "params.mu", "rescaled_by"])
+def test_rescale_refuses_a_mapped_field_past_the_largest_float(meta, c, field):
+    """A mapped field is checked after it is scaled, as a grid point is:
+    one that leaves the floats raises InputError naming it, not inf."""
+    with pytest.raises(InputError, match=f"meta field {field} = "):
+        rescale(DistributionCurve([0.0, 1.0], [0.0, 1.0], 0.0, meta), c)
+
+
 @pytest.mark.parametrize("c", [0.0, -1.0, float("nan"), float("inf")])
 def test_rescale_rejects_bad_scale(c):
     curve = DistributionCurve(np.array([0.0, 1.0]), np.array([0.0, 1.0]), 0.0)

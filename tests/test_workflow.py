@@ -2,8 +2,8 @@
 
 ``.github/workflows/tier1.yml`` is read as text, since no YAML parser is a
 test dependency: it must install the package with its test extra, run
-ROADMAP's tier-1 command verbatim, and test the lowest Python that
-``pyproject.toml`` admits and the one after it."""
+ROADMAP's tier-1 command verbatim, test the lowest Python that
+``pyproject.toml`` admits and the one after it, and bound its run time."""
 
 import re
 from pathlib import Path
@@ -35,3 +35,10 @@ def test_workflow_covers_python_3_10_and_3_11_from_requires_python():
                       (ROOT / "pyproject.toml").read_text(), re.MULTILINE)
     assert match, "pyproject.toml gives no lower bound on Python"
     assert min(versions) == tuple(map(int, match.groups()))
+
+
+def test_workflow_bounds_the_job_time():
+    """A hang ends at the job's limit, not at the runner's six-hour default."""
+    match = re.search(r"^\s*timeout-minutes:\s*(\d+)\s*$", WORKFLOW, re.MULTILINE)
+    assert match, "no timeout-minutes"
+    assert 0 < int(match.group(1)) < 360
