@@ -67,7 +67,7 @@ def _coefficients(xr, sin_w, cos_w, regime):
     return a0 - xr * (a1 + a2 * cos_w), b * xs, d * xs
 
 
-def _zeta(v, c, p, q, out=None, scratch=None):
+def _zeta(v, c, p, q):
     """Z/t off the window before the clip, in the half gap
     v = tan((omega1 - omega)/2).
 
@@ -84,13 +84,9 @@ def _zeta(v, c, p, q, out=None, scratch=None):
     (4, 2, 4, 2, -2) in the transition (``_coefficients``). This returns
     c - (p/v + q*v); the callers clip. v, finite and not 0 since no
     segment reaches omega, is an array whose last axis matches c, p and q,
-    which are constant along omega1. ``out`` and ``scratch``, arrays of
-    v's shape, take the result and a temporary in place of new arrays;
-    ``scratch`` may be v itself, which it then overwrites.
+    which are constant along omega1.
     """
-    zeta = np.divide(p, v, out=out)
-    zeta += np.multiply(q, v, out=scratch)
-    return np.subtract(c, zeta, out=zeta)
+    return c - (p / v + q * v)
 
 
 def _segment_rows(lo, hi, omega, weight, c, p, q):
@@ -143,6 +139,9 @@ def _build_table(nw, nx, n1):
     rows are built in chunks of _CHUNK_NODES nodes, and each chunk folds its
     nodes into bins of width _BIN on [0, 4], keeping per bin the Taylor
     moments m[j, b] = sum w*(z - c_b)**j / j! about its centre c_b.
+    A chunk's arrays are plain temporaries, so only ``moments`` lives
+    across chunks: the build runs offline (``write_tables``), and the
+    chunking alone bounds its memory.
     """
     og, ow = _legendre(nw)
     xg, xw = _legendre(nx)
@@ -158,11 +157,6 @@ def _build_table(nw, nx, n1):
     clipped_4 = 0.0  # weight of the rows clipped to 4
     step = max(1, _CHUNK_NODES // n1)
     col, col_w = sg[:, None], sgw[:, None]
-    # the chunk arrays (n1, rows), allocated once per build: v (then q*v,
-    # c_b and the moment terms), zeta (then z - c_b) and the bin indices
-    size = n1 * min(step, omega.size)
-    buf = np.empty((2, size))
-    index = np.empty(size, dtype=np.intp)
     segments = ((0.0, outer_lo), (outer_hi, _PI), (outer_lo, win_lo),
                 (win_hi, outer_hi))
     for (lo, hi), regime in zip(segments, _REGIMES):
@@ -175,27 +169,16 @@ def _build_table(nw, nx, n1):
         c, p, q, mass = c[rows], p[rows], q[rows], mass[rows]
         for a in range(0, rows.size, step):
             b = slice(a, a + step)
-            shape = (n1, half_gap[b].size)
-            n = shape[0] * shape[1]
-            v, zeta = (part[:n].reshape(shape) for part in buf)
-            np.multiply(half_width[b], col, out=v)
-            v += half_gap[b]
-            np.tan(v, out=v)
-            _zeta(v, c[b], p[b], q[b], out=zeta, scratch=v)
-            np.clip(zeta, 0.0, 4.0, out=zeta)
-            np.multiply(zeta, 1.0 / _BIN, out=v)
-            np.floor(v, out=v)
-            np.minimum(v, bins - 1, out=v)
-            np.copyto(index[:n].reshape(shape), v, casting="unsafe")
-            v += 0.5
-            v *= _BIN
-            zeta -= v
-            term = np.multiply(mass[b], col_w, out=v)
+            v = np.tan(half_width[b] * col + half_gap[b])
+            zeta = np.clip(_zeta(v, c[b], p[b], q[b]), 0.0, 4.0)
+            cell = np.minimum(np.floor(zeta * (1.0 / _BIN)), bins - 1)
+            bin_of = cell.astype(np.intp).ravel()
+            zeta -= (cell + 0.5) * _BIN
+            term = mass[b] * col_w
             for j in range(_ORDER + 1):
                 if j:
                     term *= zeta
-                moments[j] += np.bincount(index[:n], weights=term.ravel(),
-                                          minlength=bins)
+                moments[j] += np.bincount(bin_of, weights=term.ravel(), minlength=bins)
 
     moments /= [[math.factorial(j)] for j in range(_ORDER + 1)]
     win_weight = ((win_hi - win_lo) * weight).reshape(nw, nx).sum(axis=0)

@@ -196,7 +196,7 @@ def run_mc(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
     _check_record(policy, TurnPolicy, "policy")
     halfwidth = dkw_halfwidth(trials, alpha)
     # a curve of the grid itself fails the finished curve's checks only on the grid
-    grid = _default_grid(t_max) if grid is None else DistributionCurve(grid, grid, grid).grid
+    grid = _default_grid(t_max) if grid is None else DistributionCurve(grid, grid, 0.0).grid
     if grid[0] < 0 or grid[-1] > t_max * (1.0 + 1e-12):
         raise InputError(f"grid spans [{_shown(float(grid[0]))}, "
                          f"{_shown(float(grid[-1]))}]; t_max censors at {_shown(t_max)}")

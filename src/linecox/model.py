@@ -335,9 +335,9 @@ class DistributionCurve:
     """A CDF sampled on a grid.
 
     ``ci_halfwidth`` is zero for analytic curves and a simultaneous
-    (DKW style) half width for empirical ones. ``meta`` is a JSON friendly
-    dict describing how the curve was produced; anything but a dict raises
-    InputError.
+    (DKW style) half width for empirical ones; a negative one raises
+    InputError. ``meta`` is a JSON friendly dict describing how the curve
+    was produced; anything but a dict raises InputError.
     """
 
     grid: np.ndarray
@@ -357,6 +357,8 @@ class DistributionCurve:
             raise InputError("grid must be strictly increasing")
         if not (np.isfinite(g).all() and np.isfinite(v).all() and np.isfinite(h).all()):
             raise InputError("curve arrays must be finite")
+        if (h < 0).any():
+            raise InputError(f"ci_halfwidth must be >= 0, got {_shown(float(h.min()))}")
         for name, arr in (("grid", g), ("values", v), ("ci_halfwidth", h)):
             arr = arr.copy()
             arr.setflags(write=False)

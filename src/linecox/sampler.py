@@ -352,7 +352,9 @@ def _draw_chunk(params: ModelParams, scenario: PalmScenario, R: float,
     ``low + (high - low) * U``, the value ``Generator.uniform(low, high)``
     gives for the same draw by the same IEEE operations: angles in [0, pi),
     offsets in [-R, R) and positions in [-1, 1) per unit half chord. The
-    counts take each offset mapped in the loop by the same operations."""
+    counts take each offset mapped in the loop by the same operations, and
+    its half chord as ``_half_chords`` forms it: in scalar arithmetic up to
+    ``_SCALAR_COUNTS_MAX`` lines, else by the helper itself."""
     master %= 2**64
     key, bitgen, rng, fresh = _thread_philox()
     key[0] = master
@@ -379,17 +381,9 @@ def _draw_chunk(params: ModelParams, scenario: PalmScenario, R: float,
                 two_mu * sqrt(R * R - p * p)
                 for v in u[n:].tolist() for p in (-R + span * v,)]))
         else:
-            # the rates in one array, formed in place by the same operations
-            rates = np.empty(n_origin + n)
-            rates[:n_origin] = R
-            p = rates[n_origin:]
-            np.multiply(u[n:], span, out=p)
-            p += -R
-            p *= p
-            np.subtract(R * R, p, out=p)
-            np.sqrt(p, out=p)
-            rates *= two_mu
-            c = poisson(rates).tolist()
+            # span*U - R rounds as _uniform's U*span + (-R)
+            c = poisson(np.concatenate(
+                (origin_rates, two_mu * _half_chords(span * u[n:] - R, R)))).tolist()
         n_bg.append(n)
         line_u.append(u)
         counts += c

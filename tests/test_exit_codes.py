@@ -106,6 +106,8 @@ _BAD_CALLS = {
     "curve grid": lambda: DistributionCurve([0.0, 2.0, 1.0], [0.0] * 3, 0.0),
     "curve shape": lambda: DistributionCurve([0.0, 1.0], [0.0], 0.0),
     "curve finite": lambda: DistributionCurve([0.0, 1.0], [0.0, math.nan], 0.0),
+    "curve halfwidth": lambda: compare(DistributionCurve([0, 1], [0, 0.5], [-0.5, -0.1]),
+                                       DistributionCurve([0, 1], [0, 0.5], 0)),
     "no origin line": lambda: shortest_path(one_trial([], []), TurnPolicy.one_turn(), 1.0),
     "chunk no origin line": lambda: chunk_lengths(one_trial([], []).chunk,
                                                   TurnPolicy.one_turn(), 1.0),
@@ -358,6 +360,18 @@ def test_an_exact_turn_run_at_the_smallest_t_max_exits_0(monkeypatch, capsys):
     assert main(["simulate", "--policy", "k-turn", "--k", "2", "--exact-turns",
                  "--t-max", "5e-324", "--trials", "3"]) == EXIT_OK
     assert capsys.readouterr().out.startswith("t,F,ci_lo,ci_hi\n")
+
+
+def test_compare_refuses_a_band_with_ci_lo_above_ci_hi(tmp_path, capsys):
+    """A simulate CSV whose ci_lo lies above its ci_hi reads as a negative
+    half width, which the curve refuses: exit 2, with nothing on stdout."""
+    crossed = tmp_path / "crossed.csv"
+    crossed.write_text("t,F,ci_lo,ci_hi\n0.0,0.0,0.5,-0.5\n1.0,0.5,0.6,0.4\n")
+    good = tmp_path / "good.csv"
+    good.write_text("t,F,err_est\n0.0,0.0,0.0\n1.0,0.5,0.0\n")
+    assert main(["compare", str(crossed), str(good)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and "ci_halfwidth" in captured.err
 
 
 # ---- fuzzed argv --------------------------------------------------------------

@@ -90,15 +90,18 @@ def _unused_imports(path: Path) -> list:
 
 def test_src_imports_are_used():
     """No module of the package (its ``__init__`` files re-export), no
-    script under ``tools/`` and no demo imports a name it does not use:
-    there is no linter in the toolchain, and a check that moves into a
-    record leaves its old imports behind."""
+    script under ``tools/``, no demo and no test module or test helper
+    under ``tests/`` imports a name it does not use: there is no linter in
+    the toolchain, and a check that moves into a record leaves its old
+    imports behind."""
     modules = [p for p in sorted((SRC / "linecox").rglob("*.py")) if p.name != "__init__.py"]
     assert len(modules) >= 10
     root = Path(__file__).resolve().parent.parent
     scripts = sorted(root.glob("tools/*.py")) + sorted(root.glob("demos/*.py"))
     assert len(scripts) >= 5
-    modules += scripts
+    tests = sorted(root.glob("tests/*.py"))
+    assert len(tests) >= 20
+    modules += scripts + tests
     unused = [entry for path in modules for entry in _unused_imports(path)]
     assert not unused, unused
 

@@ -285,20 +285,19 @@ def _chunk_array(chunk, name):
 def _reference_chunk(params, scenario, R, master, start, stop):
     """Trials start..stop-1 drawn the slow way, as a dict of ChunkSample
     fields: a new Philox Generator per trial, one ``rng.uniform`` call per
-    field, and the point counts from one scalar ``rng.poisson`` call per
-    line up to _SCALAR_COUNTS_MAX lines, from one array call above."""
+    field (the second origin angle kept as drawn), and the point counts
+    from one scalar ``rng.poisson`` call per line up to _SCALAR_COUNTS_MAX
+    lines, from one array call above."""
     fields = {name: [] for name in _CHUNK_FIELDS}
     for stream in range(start, stop):
         rng = np.random.Generator(np.random.Philox(
             key=np.array([master % 2**64, stream % 2**64], dtype=np.uint64)))
         origin = [0.0]
-        while scenario.kind is PalmKind.TYPICAL_INTERSECTION and len(origin) < 2:
+        if scenario.kind is PalmKind.TYPICAL_INTERSECTION:
             if scenario.angle_law is AngleLaw.UNIFORM:
-                theta = rng.uniform(0.0, math.pi)
+                origin.append(rng.uniform(0.0, math.pi))
             else:
-                theta = math.acos(1.0 - 2.0 * rng.uniform())
-            if 1e-12 < theta < math.pi - 1e-12:
-                origin.append(theta)
+                origin.append(math.acos(1.0 - 2.0 * rng.uniform()))
         n_bg = rng.poisson(params.lam * math.pi * R)
         angles = rng.uniform(0.0, math.pi, size=n_bg)
         offsets = rng.uniform(-R, R, size=n_bg)
