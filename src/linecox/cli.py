@@ -411,7 +411,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
 def _load_curve(path: str) -> DistributionCurve:
     """A curve CSV written by ``analytic`` or ``simulate``, with the meta of
     its JSON sidecar when one exists. A file without data rows, with rows of
-    the wrong width or with non-numeric cells raises InputError naming it."""
+    the wrong width or with non-numeric cells, or one whose columns the
+    curve refuses, raises InputError naming it."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         rows = [line.split(",") for line in fh if line.strip()]
@@ -445,7 +446,10 @@ def _load_curve(path: str) -> DistributionCurve:
     if not isinstance(meta, dict):
         _log.warning("ignoring the sidecar %s: not a JSON object", sidecar)
         meta = {}
-    return DistributionCurve(grid, values, hw, meta)
+    try:
+        return DistributionCurve(grid, values, hw, meta)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def cmd_compare(cfg: RunConfig, a_path: str, b_path: str) -> int:

@@ -39,6 +39,12 @@ just these three.
   bytes a point while the call runs, and building them briefly takes 8
   more.
 
+The start is a crossing like any other: a path never turns onto the line
+it came from, and a path starts on an origin line as if it came from the
+other one (at a typical point, from its own line, which no turn reaches).
+So at a typical intersection neither solver turns from one origin line
+onto the other at the start, where the path may start on either.
+
 The ``first_hop_positive_x`` restriction (forced for TWO_TURN_DIRECTED)
 makes the first leg run along the positive arc direction of the first
 origin line: zero-turn targets need arc >= 0 and first turns need a
@@ -96,17 +102,18 @@ def _nearest(arcs: np.ndarray, ref: float):
 
 # ---- general K-turn search --------------------------------------------------
 
-_ORIGIN = -1  # pseudo node, keyed below every crossing
-
-
 # The search runs on states (node, line, turns used) over the trial's
 # slice of the chunk's arrays; line k of the trial is line id k, and the
 # first n0 lines, as many as the scenario has, start from the origin. The
 # sines and cosines of the trial's angles are formed once a query. A node is a
-# crossing, keyed lower*n + higher by its two line indices, or _ORIGIN. A
-# line's crossing table comes from ``_pair_arcs`` the first time the search
-# expands that line and is kept for the rest of the query, so lines the
-# search never reaches cost nothing. The key orders nodes as the index into
+# crossing, keyed lower*n + higher by its two line indices, and no state
+# turns at its own node, which leads back to the line it came from. The
+# start node is key n0 - 1: at a typical intersection the crossing of the
+# two origin lines, so no start turns onto the other, and at a typical
+# point key 0, which no crossing has. A line's crossing table comes from
+# ``_pair_arcs`` the first time the search expands that line and is kept
+# for the rest of the query, so lines the search never reaches cost
+# nothing. The key orders nodes as the index into
 # the list of all line pairs would, so heap ties pop in pair order. The
 # incumbent is the tuple (length, line, arc, turns, state) of the best
 # target offered, ordered by (length, line, arc); its route is read off
@@ -130,10 +137,10 @@ def _k_turn(real, t_max, k, include_lower, directed):
     via = {}  # state -> (previous state, arc on its line, arc on this line)
     heap = []
     for oi in range(1 if directed else n0):
-        state = (_ORIGIN, oi, 0)
+        state = (n0 - 1, oi, 0)
         dist[state] = 0.0
         via[state] = (None, None, 0.0)
-        heapq.heappush(heap, (0.0, 0, _ORIGIN, oi))
+        heapq.heappush(heap, (0.0, 0, n0 - 1, oi))
 
     while heap:
         length, turns, node, li = heapq.heappop(heap)
@@ -144,12 +151,12 @@ def _k_turn(real, t_max, k, include_lower, directed):
             break  # every remaining candidate is strictly longer
 
         ref = via[state][2]
-        at_start = node == _ORIGIN
+        positive = directed and turns == 0
         if include_lower or turns == k:
             # offer the point of this line nearest ref (a directed start
             # takes arcs >= 0 only)
             arcs = chunk.arcs[cuts[li]:cuts[li + 1]]
-            if directed and at_start:
+            if positive:
                 arcs = arcs[np.searchsorted(arcs, 0.0, side="left"):]
             if arcs.size:
                 d, arc = _nearest(arcs, ref)
@@ -168,13 +175,8 @@ def _k_turn(real, t_max, k, include_lower, directed):
         here, there, other, key = tables[li]
         length2 = length + np.abs(here - ref)
         ok = (length2 <= best[0]) & (key != node)
-        if at_start:
-            # the mutual crossing of the origin lines, the first n0, is the
-            # start point itself; switching lines there is not a turn, it is
-            # covered by the start states
-            ok &= other >= n0
-            if directed:
-                ok &= here > 0.0
+        if positive:
+            ok &= here > 0.0
         for l2, w, o, a_from, a_to in zip(
                 length2[ok].tolist(), key[ok].tolist(), other[ok].tolist(),
                 here[ok].tolist(), there[ok].tolist()):
@@ -245,16 +247,14 @@ def _nearest_dist(chunk: ChunkSample, keys, lines, refs, nonneg_only=False):
     return d
 
 
-def _turn(bound, chunk, trig, rows, n_lines, first, directed):
+def _turn(bound, chunk, trig, rows, n_lines, positive):
     """The hops one turn further from the labels ``rows``, in blocks of at
     most _PAIR_BLOCK pairs (or one label's). A label or hop is (trial,
     line, line it came from, arc on its line, length). Each label below its
     trial's ``bound`` pairs with every other line of its trial but the one
-    it came from, and keeps the hops that end below the bound. The first
-    turn skips the other origin line (their crossing is the start point)
-    and, ``directed``, every hop to an arc that is not positive. ``trig``
-    is (sin, cos) of the chunk's line angles and ``n_lines`` holds each
-    trial's line count."""
+    it came from, and keeps the hops that end below the bound and,
+    ``positive``, at a positive arc. ``trig`` is (sin, cos) of the chunk's
+    line angles and ``n_lines`` holds each trial's line count."""
     live = rows[4] < bound[rows[0]]
     trial, line, prev, ref, length = (col[live] for col in rows)
     reps = n_lines[trial] - 1
@@ -271,10 +271,8 @@ def _turn(bound, chunk, trig, rows, n_lines, first, directed):
         here, there = _pair_arcs(trig, chunk.offset, i, m)
         new = length[f] + np.abs(here - ref[f])
         keep = (new < bound[t]) & (m != prev[f])
-        if first:
-            keep &= m - chunk.line_start[t] >= chunk.n_origin
-            if directed:
-                keep &= here > 0.0
+        if positive:
+            keep &= here > 0.0
         yield t[keep], m[keep], i[keep], there[keep], new[keep]
 
 
@@ -301,9 +299,11 @@ def _search(bound, chunk, trig, keys, n_lines, trials, k, lower, directed):
     """Offer every path of at most k turns (exactly k unless ``lower``) of
     the given trials that ends below its trial's ``bound``, all in one
     pass: an offer lowers the bound to its length. Layer 0 holds the
-    origin lines (only the first, ``directed``) at arc 0 and length 0;
-    layer j + 1 the ``_labels`` of the hops ``_turn`` takes from layer j,
-    but layer k is offered block by block, unlabelled. An empty layer below
+    origin lines (only the first, ``directed``) at arc 0 and length 0, each
+    as if it came from the trial's other origin line (at a typical point,
+    from itself), so no first turn switches origin lines at the start; layer
+    j + 1 the ``_labels`` of the hops ``_turn`` takes from layer j, but
+    layer k is offered block by block, unlabelled. An empty layer below
     k ends the search, since no later layer can hold a label. Lengths add
     up hop by hop as in ``_k_turn``, so each offer is the length the search
     gives that path. ``trig``, ``keys`` and ``n_lines`` are as
@@ -311,11 +311,12 @@ def _search(bound, chunk, trig, keys, n_lines, trials, k, lower, directed):
     n0 = 1 if directed else chunk.n_origin
     t = trials.repeat(n0)
     zeros = np.zeros(t.size)
-    layer = [(t, (chunk.line_start[trials, None] + np.arange(n0)).ravel(),
-              np.full(t.size, -1), zeros, zeros)]
+    start = chunk.line_start[trials, None]
+    layer = [(t, (start + np.arange(n0)).ravel(),
+              (start + (chunk.n_origin - 1 - np.arange(n0))).ravel(), zeros, zeros)]
     for j in range(k + 1):
         if j:
-            hops = _turn(bound, chunk, trig, rows, n_lines, j == 1, directed)
+            hops = _turn(bound, chunk, trig, rows, n_lines, directed and j == 1)
             layer = hops if j == k else [_labels(chunk, hops)]
             if j < k and not layer[0][0].size:
                 break

@@ -18,10 +18,11 @@ Conventions (shared with the oracle):
   through the origin, TYPICAL_INTERSECTION adds the x-axis plus a second
   origin line at a random angle, kept as drawn like a background angle:
   the two origin lines cross at the start point, where a path may start
-  on either line without a turn, so a nan crossing there loses no shortest
-  path. Every line, added or background, carries
-  an independent Poisson(mu per unit length) point process on its chord;
-  the origin itself is not a point of the process.
+  on either line and so does not turn there from one onto the other at
+  its start, and a nan crossing there loses no shortest path. Every line,
+  added or background, carries an independent Poisson(mu per unit length)
+  point process on its chord; the origin itself is not a point of the
+  process.
 
 Randomness is a counter-based Philox stream keyed (master seed, stream), so
 trial i of a run is reproducible in isolation and independent of how trials
@@ -344,17 +345,18 @@ def _draw_chunk(params: ModelParams, scenario: PalmScenario, R: float,
     Trial i draws from the Philox stream keyed (master, i mod 2**64),
     master mod 2**64, in this order, which the loop below holds in its one
     copy: the second origin angle (intersection only), the background line
-    count, the raw U of their angles and then of their offsets in one
-    call, the point count of every line (rate 2 mu times its half chord;
-    one scalar call a line up to ``_SCALAR_COUNTS_MAX`` lines, else one
-    array call) and the raw U of the point positions. A raw U is a
-    ``Generator.random`` double, which the chunk maps once to
-    ``low + (high - low) * U``, the value ``Generator.uniform(low, high)``
-    gives for the same draw by the same IEEE operations: angles in [0, pi),
-    offsets in [-R, R) and positions in [-1, 1) per unit half chord. The
-    counts take each offset mapped in the loop by the same operations, and
-    its half chord as ``_half_chords`` forms it: in scalar arithmetic up to
-    ``_SCALAR_COUNTS_MAX`` lines, else by the helper itself."""
+    count n, the raw U of their angles (row 0) and of their offsets (row 1)
+    in one ``random((2, n))`` call, the point count of every line (rate
+    2 mu times its half chord; one scalar call a line up to
+    ``_SCALAR_COUNTS_MAX`` lines, else one array call) and the raw U of the
+    point positions. A raw U is a ``Generator.random`` double, which the
+    chunk maps once to ``low + (high - low) * U``, the value
+    ``Generator.uniform(low, high)`` gives for the same draw by the same
+    IEEE operations: angles in [0, pi), offsets in [-R, R) and positions in
+    [-1, 1) per unit half chord. The counts take each offset mapped in the
+    loop by the same operations, and its half chord as ``_half_chords``
+    forms it: in scalar arithmetic up to ``_SCALAR_COUNTS_MAX`` lines, else
+    by the helper itself."""
     master %= 2**64
     key, bitgen, rng, fresh = _thread_philox()
     key[0] = master
@@ -373,30 +375,26 @@ def _draw_chunk(params: ModelParams, scenario: PalmScenario, R: float,
             v = random()
             second.append(math.acos(1.0 - 2.0 * v) if sine else _PI * v)
         n = poisson(mean_lines)
-        u = random(2 * n)
+        u = random((2, n))
         if n_origin + n <= _SCALAR_COUNTS_MAX:
             # the offsets and _half_chords in scalar arithmetic, rounded the
             # same
             c = list(map(poisson, origin_rates + [
                 two_mu * sqrt(R * R - p * p)
-                for v in u[n:].tolist() for p in (-R + span * v,)]))
+                for v in u[1].tolist() for p in (-R + span * v,)]))
         else:
             # span*U - R rounds as _uniform's U*span + (-R)
             c = poisson(np.concatenate(
-                (origin_rates, two_mu * _half_chords(span * u[n:] - R, R)))).tolist()
+                (origin_rates, two_mu * _half_chords(span * u[1] - R, R)))).tolist()
         n_bg.append(n)
         line_u.append(u)
         counts += c
         point_u.append(random(sum(c)))
     # each field in one array, the per-trial draws let go as they are read
     n_bg = np.array(n_bg, dtype=np.int64)
-    line_u = np.concatenate(line_u)
-    # trial by trial, its angles' U and then its offsets' U
-    is_angle = np.zeros(2 * n_bg.size, dtype=bool)
-    is_angle[::2] = True
-    is_angle = is_angle.repeat(n_bg.repeat(2))
-    angle_bg = _uniform(line_u[is_angle], 0.0, _PI)
-    offset_bg = _uniform(line_u[~is_angle], -R, R)
+    angle_u, offset_u = np.concatenate(line_u, axis=1)
+    angle_bg = _uniform(angle_u, 0.0, _PI)
+    offset_bg = _uniform(offset_u, -R, R)
     origin = np.zeros((n_bg.size, n_origin))
     if second:
         origin[:, 1] = second

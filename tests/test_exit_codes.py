@@ -374,6 +374,32 @@ def test_compare_refuses_a_band_with_ci_lo_above_ci_hi(tmp_path, capsys):
     assert captured.out == "" and "ci_halfwidth" in captured.err
 
 
+_REFUSED_CURVES = {
+    "crossed band": ("t,F,ci_lo,ci_hi\n0.0,0.0,0.5,-0.5\n1.0,0.5,0.6,0.4\n",
+                     "ci_halfwidth must be >= 0"),
+    "nan F": ("t,F,err_est\n0.0,0.0,0.0\n1.0,nan,0.0\n", "curve arrays must be finite"),
+    "decreasing t": ("t,F,err_est\n1.0,0.0,0.0\n0.0,0.5,0.0\n",
+                     "grid must be strictly increasing"),
+}
+
+
+@pytest.mark.parametrize("bad_first", [True, False], ids=["bad-first", "bad-second"])
+@pytest.mark.parametrize("case", sorted(_REFUSED_CURVES))
+def test_compare_names_the_file_whose_curve_is_refused(tmp_path, capsys, case, bad_first):
+    """A file whose columns the curve refuses exits 2, and the message
+    names that file, in either position."""
+    text, reason = _REFUSED_CURVES[case]
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    good = tmp_path / "good.csv"
+    good.write_text("t,F,err_est\n0.0,0.0,0.0\n1.0,0.5,0.0\n")
+    paths = [str(bad), str(good)] if bad_first else [str(good), str(bad)]
+    assert main(["compare", *paths]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{bad}: {reason}" in captured.err, captured.err
+
+
 # ---- fuzzed argv --------------------------------------------------------------
 #
 # Values are adversarial: signed zeros, subnormals, the float extremes, nan

@@ -1,8 +1,8 @@
 """The runtime needs numpy alone: importing linecox loads no scipy, and no
 numpy submodule is left for a first job to load (numpy 2 loads some of
 them lazily, on first attribute access). And no module imports a name it
-does not use, and each public name is listed once, in the ``__all__`` of
-the module that defines it."""
+does not use, each public name is listed once, in the ``__all__`` of
+the module that defines it, and no private name is read only by tests."""
 
 import ast
 import importlib
@@ -202,6 +202,60 @@ def test_src_defines_no_name_it_never_reads():
         listed, defined = _listed_and_defined(path)
         unread += [f"{path.relative_to(SRC)} {name}"
                    for name in sorted(defined - read - set(listed) - {"__all__"})]
+    assert not unread, unread
+
+
+def _top_level_private(tree: ast.Module) -> list:
+    """(name, statement) of each private name, one with a leading underscore
+    but no dunder, that a module's top level binds."""
+    found = []
+    for stmt in tree.body:
+        names = {stmt.name} if isinstance(stmt, (ast.ClassDef, ast.FunctionDef)) else set()
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+        found += [(name, stmt) for name in sorted(names)
+                  if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))]
+    return found
+
+
+def _reads(node, bare: bool) -> set:
+    """The names read under ``node``: imported names, attributes and, if
+    ``bare``, plain names."""
+    read = set()
+    for child in ast.walk(node):
+        if bare and isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            read.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            read.add(child.attr)
+        elif isinstance(child, ast.ImportFrom):
+            read.update(alias.name for alias in child.names)
+    return read
+
+
+def test_no_private_name_is_read_only_by_tests():
+    """Every private name a module of the package binds at its top level is
+    read by the package, a tool, a demo or the benchmark harness: code that
+    only tests call is deleted, with its tests. In its own module a read
+    counts outside the name's own statement, so a helper that only calls
+    itself is not read; elsewhere a name counts where it is imported or
+    read as an attribute. Tests do not count."""
+    root = Path(__file__).resolve().parent.parent
+    modules = sorted((SRC / "linecox").rglob("*.py"))
+    readers = modules + [p for d in ("tools", "demos", "perfbench")
+                         for p in sorted(root.glob(f"{d}/*.py"))]
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in readers}
+    imported = {path: _reads(tree, False) for path, tree in trees.items()}
+    checked, unread = 0, []
+    for path in modules:
+        elsewhere = set().union(*(read for p, read in imported.items() if p != path))
+        here = [(stmt, _reads(stmt, True)) for stmt in trees[path].body]
+        for name, stmt in _top_level_private(trees[path]):
+            checked += 1
+            if name not in elsewhere and not any(
+                    name in read for other, read in here if other is not stmt):
+                unread.append(f"{path.relative_to(SRC)} {name}")
+    assert checked >= 100
     assert not unread, unread
 
 

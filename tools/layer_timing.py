@@ -39,6 +39,10 @@ The rows (``--rows``), point scenario, mu = 1 and t_max = 3 unless noted:
   either way, over FIXED_SEEDS seeds: the CPU us per call of ``run_mc``,
   of the draw and the kernel it calls (``sampler._draw_chunk`` and
   ``oracle._chunk_lengths``) and the rest, ``run_mc`` less the other two.
+  The three calls are timed seed by seed, interleaved, and each column is
+  the median over the seeds (``rest`` the median of each seed's
+  difference), so a call that a scheduler tick over-reads moves no
+  column.
 - ``thm2``: one call of the one-turn intersection curve (``thm2``), the
   two-turn bound (``thm3``) or its kernel, at lam = mu = 1 (THM2):
   ``first``, the process's first one-point call, t = 1; ``repeat``, that
@@ -147,17 +151,18 @@ def fixed_row(lam, k, trials, seeds=FIXED_SEEDS):
     seeds = range(SEED, SEED + seeds)
     chunks = [sample_chunk(params, scenario, T_MAX, s, 0, trials) for s in seeds]
     calls = {
-        "run_mc us": lambda: [run_mc(params, scenario, policy, trials, T_MAX, s)
-                              for s in seeds],
-        "draw us": lambda: [_draw_chunk(params, scenario, T_MAX, s, 0, trials)
-                            for s in seeds],
-        "kernel us": lambda: [_chunk_lengths(c, policy, T_MAX) for c in chunks],
+        "run_mc us": lambda s, c: run_mc(params, scenario, policy, trials, T_MAX, s),
+        "draw us": lambda s, c: _draw_chunk(params, scenario, T_MAX, s, 0, trials),
+        "kernel us": lambda s, c: _chunk_lengths(c, policy, T_MAX),
     }
-    for call in [*calls.values()] * 3:  # warm-ups: one pass leaves fresh-process outliers
-        call()
-    us = {name: 1e3 * _cpu_ms(call)[1] / len(seeds) for name, call in calls.items()}
-    us["rest us"] = us["run_mc us"] - us["draw us"] - us["kernel us"]
-    return us
+    # the three calls seed by seed, interleaved; the first three passes are
+    # warm-ups, since one leaves fresh-process outliers
+    for _ in range(4):
+        us = [{name: 1e3 * _cpu_ms(lambda: call(s, c))[1] for name, call in calls.items()}
+              for s, c in zip(seeds, chunks)]
+    for seed_us in us:
+        seed_us["rest us"] = seed_us["run_mc us"] - seed_us["draw us"] - seed_us["kernel us"]
+    return {name: statistics.median(seed_us[name] for seed_us in us) for name in us[0]}
 
 
 def _thm2(t, **kwargs):
