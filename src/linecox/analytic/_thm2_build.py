@@ -3,8 +3,9 @@
 Each rung of ``intersection._LADDER`` is a fixed tensor rule at unit
 reach, so its table is a fixed array: the same for every lam, mu and t.
 ``_build_table`` builds one rung's table from the geometry of the
-one-turn window (``_thresholds``, ``_coefficients``, ``_zeta`` and
-``_segment_rows``), and ``write_tables`` stores every rung's, with the
+one-turn window (``_thresholds``, ``_coefficients`` and ``_zeta``): every
+node off the window goes into its bin like any other, with no special
+case, and ``write_tables`` stores every rung's, with the
 constants they were built with, in ``intersection._TABLES_PATH``: the
 package data that ``intersection._table`` loads. Nothing on the
 package's import path imports this module: ``tools/build_thm2_tables.py``
@@ -54,9 +55,6 @@ def _thresholds(xr, sin_w, cos_w):
 # coefficients (a0, a1, a2, b, d) of ``_zeta`` on the four omega1
 # segments: outer below, outer above, transition below, transition above
 _REGIMES = ((2.0, 1.0, 1.0, 1.0, 0.0),) * 2 + ((4.0, 2.0, 4.0, 2.0, -2.0),) * 2
-# margin by which both ends of a row must pass a clip bound for the row to
-# fold (``_segment_rows``)
-_FOLD_TOL = 1e-12
 
 
 def _coefficients(xr, sin_w, cos_w, regime):
@@ -89,31 +87,8 @@ def _zeta(v, c, p, q):
     return c - (p / v + q * v)
 
 
-def _segment_rows(lo, hi, omega, weight, c, p, q):
-    """The rows of one omega1 segment [lo, hi], one per (omega, x) pair,
-    with c, p, q of ``_zeta`` per row: (gap, width, mass, below, above).
-    The row's nodes lie at omega1 = lo + width*u; gap = lo - omega, and
-    mass = width*weight is the row's weight.
-
-    No segment reaches omega (``_thresholds``), so v = tan((omega1 -
-    omega)/2) keeps its sign along a row and has no pole there, and the
-    unclipped Z/t, c - (p/v + q*v) with p >= 0 >= q, rises with v and so
-    with omega1. So a row whose two ends both lie below 0 (``below``) or
-    both above 4 (``above``), by _FOLD_TOL, clips to that bound at every
-    node.
-    """
-    width = np.maximum(hi - lo, 0.0)
-    gap = lo - omega
-    first, last = (_zeta(np.tan(0.5 * end), c, p, q)
-                   for end in (gap, gap + width))
-    mass = width * weight
-    below = (mass > 0.0) & (np.maximum(first, last) < -_FOLD_TOL)
-    above = (mass > 0.0) & (np.minimum(first, last) > 4.0 + _FOLD_TOL)
-    return gap, width, mass, below, above
-
-
-# omega1 nodes built at once: a segment's unfolded rows are taken in chunks
-# of _CHUNK_NODES // n1 rows
+# omega1 nodes built at once: a segment's rows are taken in chunks of
+# _CHUNK_NODES // n1 rows
 _CHUNK_NODES = 2**15
 
 
@@ -132,13 +107,13 @@ def _build_table(nw, nx, n1):
     unit survival outside it, so gy is the window's part of gx.
 
     Off the window the four segments are taken one at a time, one row per
-    (omega, x) pair. No row reaches omega, so Z/t is monotone along every
-    row, and the ends of the row tell whether it clips at every node
-    (``_segment_rows``): such a row adds its weight to z = 0, where it drops
-    out, or to the constant at z = 4, and no node is built on it. The other
-    rows are built in chunks of _CHUNK_NODES nodes, and each chunk folds its
-    nodes into bins of width _BIN on [0, 4], keeping per bin the Taylor
-    moments m[j, b] = sum w*(z - c_b)**j / j! about its centre c_b.
+    (omega, x) pair: the row's nodes lie at omega1 = lo + width*u for the
+    Gauss nodes u on [0, 1], and its weight is width*w. Every row of
+    positive weight is built node by node, in chunks of _CHUNK_NODES
+    nodes, and each chunk bins its nodes, z clipped to [0, 4], into bins
+    of width _BIN, keeping per bin the Taylor moments
+    m[j, b] = sum w*(z - c_b)**j / j! about its centre c_b. The table's
+    entries are the bins, then the window's x nodes.
     A chunk's arrays are plain temporaries, so only ``moments`` lives
     across chunks: the build runs offline (``write_tables``), and the
     chunking alone bounds its memory.
@@ -154,27 +129,24 @@ def _build_table(nw, nx, n1):
 
     bins = round(4.0 / _BIN)
     moments = np.zeros((_ORDER + 1, bins))
-    clipped_4 = 0.0  # weight of the rows clipped to 4
     step = max(1, _CHUNK_NODES // n1)
     col, col_w = sg[:, None], sgw[:, None]
     segments = ((0.0, outer_lo), (outer_hi, _PI), (outer_lo, win_lo),
                 (win_hi, outer_hi))
     for (lo, hi), regime in zip(segments, _REGIMES):
         c, p, q = _coefficients(xr, sin_w, cos_w, regime)
-        gap, width, mass, below, above = _segment_rows(
-            lo, hi, omega, weight, c, p, q)
-        clipped_4 += mass[above].sum()
-        rows = np.flatnonzero((mass > 0.0) & ~below & ~above)
-        half_gap, half_width = 0.5 * gap[rows], 0.5 * width[rows]
-        c, p, q, mass = c[rows], p[rows], q[rows], mass[rows]
+        width = np.maximum(hi - lo, 0.0)
+        gap = lo - omega
+        mass = width * weight
+        rows = np.flatnonzero(mass > 0.0)
         for a in range(0, rows.size, step):
-            b = slice(a, a + step)
-            v = np.tan(half_width[b] * col + half_gap[b])
-            zeta = np.clip(_zeta(v, c[b], p[b], q[b]), 0.0, 4.0)
+            r = rows[a:a + step]
+            v = np.tan(0.5 * width[r] * col + 0.5 * gap[r])
+            zeta = np.clip(_zeta(v, c[r], p[r], q[r]), 0.0, 4.0)
             cell = np.minimum(np.floor(zeta * (1.0 / _BIN)), bins - 1)
             bin_of = cell.astype(np.intp).ravel()
             zeta -= (cell + 0.5) * _BIN
-            term = mass[b] * col_w
+            term = mass[r] * col_w
             for j in range(_ORDER + 1):
                 if j:
                     term *= zeta
@@ -182,21 +154,19 @@ def _build_table(nw, nx, n1):
 
     moments /= [[math.factorial(j)] for j in range(_ORDER + 1)]
     win_weight = ((win_hi - win_lo) * weight).reshape(nw, nx).sum(axis=0)
-    centres = np.concatenate(((np.arange(bins) + 0.5) * _BIN, [4.0], 2.0 * (1.0 - xg)))
-    mass = np.concatenate((moments[0], [sgw.sum() * clipped_4], win_weight))
-    return _Table(np.pad(moments[1:], ((0, 0), (0, 1 + nx))), centres,
-                  mass * centres, bins + 1)
+    centres = np.concatenate(((np.arange(bins) + 0.5) * _BIN, 2.0 * (1.0 - xg)))
+    mass = np.concatenate((moments[0], win_weight))
+    return _Table(np.pad(moments[1:], ((0, 0), (0, nx))), centres, mass * centres, bins)
 
 
 def write_tables(path) -> None:
     """Build every rung's table and write it to ``path`` as an uncompressed
     ``.npz`` that ``np.load`` reads: first the constants the tables are
-    built with (``intersection._BUILT_WITH`` and ``fold_tol``), then each
-    rung's ``_Table`` fields, one array each (``intersection._key``). Each
-    member carries a fixed timestamp (``np.savez`` stamps the time of
-    writing), so the same tables give the same bytes."""
+    built with (``intersection._BUILT_WITH``), then each rung's ``_Table``
+    fields, one array each (``intersection._key``). Each member carries a
+    fixed timestamp (``np.savez`` stamps the time of writing), so the same
+    tables give the same bytes."""
     entries = {name: np.asarray(value) for name, value in _BUILT_WITH.items()}
-    entries["fold_tol"] = np.asarray(_FOLD_TOL)
     for rung, rule in enumerate(_LADDER):
         for field, value in zip(_Table._fields, _build_table(*rule)):
             entries[_key(field, rung)] = np.asarray(value)

@@ -20,7 +20,7 @@ On each rung of the quadrature ladder, fx and fy are Laplace transforms
 of fixed measures of z = Z/t on [0, 4], each of total weight 1. So
 1 - fx = s*gx and 1 - fy = s*gy, with slopes gx = sum w*z*phi(s*z) and
 phi(x) = -expm1(-x)/x, sums of positive terms that do not cancel at any s.
-Each rung's measure is folded, offline, into one table: 800 bins of
+Each rung's measure is binned, offline, into one table: 800 bins of
 width h = 0.005, each with J + 1 = 10 Taylor moments about its centre
 (``_thm2_build``, run by tools/build_thm2_tables.py). The tables ship as
 package data, and the first call that reaches a rung loads its table,
@@ -82,12 +82,11 @@ _S_MAX = 40.0
 
 class _Table(NamedTuple):
     """One rung's slopes gx and gy as functions of s
-    (``_thm2_build._build_table``). Its entries are the bins, the rows
-    folded to z = 4 and the window's x nodes, in that order; only the bins
-    have moments of order 1 and up."""
+    (``_thm2_build._build_table``). Its entries are the bins, then the
+    window's x nodes; only the bins have moments of order 1 and up."""
 
     moments: np.ndarray  # (_ORDER, entries): sum of w*(z - c)**j / j!, j >= 1
-    centres: np.ndarray  # c: the bins' centres, 4, the window's z = 2*(1 - x/t)
+    centres: np.ndarray  # c: the bins' centres, then the window's z = 2*(1 - x/t)
     centre_mass: np.ndarray  # each entry's weight times its centre
     window: int  # the first window entry
 
@@ -135,13 +134,11 @@ def _rung_slopes(s, nw, nx, n1):
     w*(1 - exp(-s*z))/s = w*z*phi(s*z), writing z = c_b + d in a bin gives
 
         gx(s) = sum_b [m0_b*c_b*phi(s*c_b)
-                       + exp(-s*c_b) * sum_j m[j, b]*(-s)**(j - 1)]
-                + 4*at_4*phi(4*s) + gy(s),
-        gy(s) = sum over the window's x nodes of w*z*phi(s*z),
+                       + exp(-s*c_b) * sum_j m[j, b]*(-s)**(j - 1)] + gy(s),
+        gy(s) = sum over the window's x nodes of w*z*phi(s*z):
 
-    with at_4 the weight folded to z = 4: one term per table entry, each
-    positive but for the bins' small moment series, so no term cancels at
-    any s. Cutting the Taylor series of
+    one term per table entry, each positive but for the bins' small
+    moment series, so no term cancels at any s. Cutting the Taylor series of
     (1 - exp(-s*d))/s after j = J leaves at most
     (h/2)*exp(s*h/2)*(s*h/2)**J/(J + 1)! of each bin's weight, since
     |d| <= h/2. The slopes are evaluated at max(s, tiny), the smallest

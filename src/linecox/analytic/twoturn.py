@@ -184,14 +184,17 @@ def two_turn_T(w: float, u: float, t: float, params: ModelParams,
     unreachable orientations counting as survival 1.
 
     Near-parallel orientations are integrable limits and are folded in by
-    continuity rather than raised. The value settles up ``_T_LADDER``;
-    QuadratureFailure when no two consecutive rungs agree to tol.
+    continuity rather than raised. w, u and t are taken as floats, so a
+    float32 argument gives the value of its double. The value settles up
+    ``_T_LADDER``; QuadratureFailure when no two consecutive rungs agree
+    to tol.
     """
     check_tol(tol)
     _check_record(params, ModelParams, "params")
     if not (all(_finite_real(x) for x in (w, u, t)) and 0.0 <= w <= u <= t):
         raise DomainError(f"need 0 <= w <= u <= t finite, got w={_shown(w)}, "
                           f"u={_shown(u)}, t={_shown(t)}")
+    w, u, t = float(w), float(u), float(t)
     if w == t:
         return 1.0  # no reach left
     q, c = [(u - w) / (t - w)], [t - w]

@@ -87,14 +87,15 @@ class RisLinkParams:
 
 
 def db_to_linear(db: float) -> float:
-    """10^(db/10); inf where that overflows a float, which ``RisLinkParams``
-    then rejects by field name, and 0.0 where it underflows. InputError
-    when db is not a ``_real`` number."""
+    """10^(db/10) as a float, computed in doubles whatever the type of db;
+    inf where that overflows a float, which ``RisLinkParams`` then rejects
+    by field name, and 0.0 where it underflows. InputError when db is not
+    a ``_real`` number."""
     if not _real(db):
         raise InputError(f"db must be a real number, got {_shown(db)}")
     try:
-        return 10.0 ** (db / 10.0)
-    except OverflowError:  # db / 10 or the power is past the largest float
+        return 10.0 ** (float(db) / 10.0)
+    except OverflowError:  # db or the power is past the largest float
         return 0.0 if db < 0 else math.inf
 
 

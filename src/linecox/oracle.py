@@ -329,12 +329,41 @@ def _search(bound, chunk, trig, keys, n_lines, trials, k, lower, directed):
 
 # ---- public API --------------------------------------------------------------
 
-def _check_origin_lines(chunk: ChunkSample, line_start) -> None:
-    """InputError unless every trial that ``line_start``, a slice of the
-    chunk's, delimits holds the origin lines its scenario opens with."""
-    if (np.diff(line_start) < chunk.n_origin).any():
-        raise InputError(f"a trial holds fewer lines than the {chunk.n_origin} "
+def _check_layout(chunk: ChunkSample, first: int, stop: int) -> None:
+    """The one check of a caller's chunk layout, run by both public
+    solvers: InputError naming the field unless ``offset`` has the size of
+    ``angle``, ``line_start`` runs from 0 to ``angle.size``, and
+    ``arc_start``, one entry per line and one more, from 0 to
+    ``arcs.size``; and unless, over the trials first..stop - 1, each trial
+    holds the origin lines its scenario opens with (so ``line_start`` does
+    not decrease there) within the line arrays, ``arc_start`` does not
+    decrease, and no line's arcs decrease. The ends cost the same for any
+    chunk, so both solvers check them; the rest only over the trials they
+    search."""
+    n_lines, n_points = chunk.angle.size, chunk.arcs.size
+    line_start, arc_start = chunk.line_start, chunk.arc_start
+    if chunk.offset.size != n_lines:
+        raise InputError(f"offset must hold one entry per angle ({n_lines}), "
+                         f"got {chunk.offset.size}")
+    if not (line_start.size and line_start[0] == 0 and line_start[-1] == n_lines):
+        raise InputError(f"line_start must run from 0 to the {n_lines} lines")
+    if not (arc_start.size == n_lines + 1 and arc_start[0] == 0
+            and arc_start[-1] == n_points):
+        raise InputError(f"arc_start must hold {n_lines + 1} entries, from 0 to the "
+                         f"{n_points} points")
+    starts = line_start[first:stop + 1]
+    if (np.diff(starts) < chunk.n_origin).any():
+        raise InputError(f"line_start gives a trial fewer lines than the {chunk.n_origin} "
                          "origin line(s) of its scenario")
+    if starts[0] < 0 or starts[-1] > n_lines:
+        raise InputError(f"line_start runs past the {n_lines} lines")
+    cuts = arc_start[starts[0]:starts[-1] + 1]
+    if (np.diff(cuts) < 0).any() or cuts[0] < 0 or cuts[-1] > n_points:
+        raise InputError(f"arc_start must not decrease or run past the {n_points} points")
+    arcs = chunk.arcs[cuts[0]:cuts[-1]]
+    down = np.flatnonzero(arcs[1:] < arcs[:-1]) + (cuts[0] + 1)
+    if not np.isin(down, cuts).all():
+        raise InputError("arcs must not decrease within a line")
 
 
 def shortest_path(real: Realization, policy: TurnPolicy,
@@ -343,11 +372,12 @@ def shortest_path(real: Realization, policy: TurnPolicy,
 
     Censors at ``t_max`` (which must not exceed the sampled clip radius).
     Ties in length are broken by (line id, arc) of the target. InputError
-    for a trial with fewer lines than its scenario's origin lines.
+    for a trial with fewer lines than its scenario's origin lines, or whose
+    part of the chunk's layout does not hold (``_check_layout``).
     """
     _check_record(real, Realization, "real")
     _check_record(policy, TurnPolicy, "policy")
-    _check_origin_lines(real.chunk, real.chunk.line_start[real.trial:real.trial + 2])
+    _check_layout(real.chunk, real.trial, real.trial + 1)
     t_max = _check_scalar_t(t_max, real.clip_radius, "t_max")
     (length, line, arc, turns, state), via = _k_turn(
         real, t_max, policy.k, policy.include_lower_turn_paths,
@@ -391,10 +421,11 @@ def chunk_lengths(chunk: ChunkSample, policy: TurnPolicy,
     layer holds at most one label per line pair of those trials, and
     ``_turn`` solves at most _PAIR_BLOCK hops at once. InputError, as
     ``shortest_path`` raises it, if a trial has fewer lines than its
-    scenario's origin lines."""
+    scenario's origin lines or the chunk's layout does not hold
+    (``_check_layout``)."""
     _check_record(chunk, ChunkSample, "chunk")
     _check_record(policy, TurnPolicy, "policy")
-    _check_origin_lines(chunk, chunk.line_start)
+    _check_layout(chunk, 0, chunk.n_trials)
     return _chunk_lengths(chunk, policy,
                           _check_scalar_t(t_max, chunk.clip_radius, "t_max"))
 

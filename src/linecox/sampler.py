@@ -110,10 +110,20 @@ class Realization:
     points, as a view. Every field is read off the chunk, ``lines`` and
     ``arcs_by_line`` on first read. Line k of the trial has id k, and
     ``arcs_by_line[k]`` holds the sorted, read-only arc coordinates of its
-    points, a view of the chunk's ``arcs``."""
+    points, a view of the chunk's ``arcs``. Building one checks that
+    ``trial`` is an integer (``_check_int``) that indexes a trial of the
+    chunk, InputError if not."""
 
     chunk: ChunkSample
     trial: int
+
+    def __post_init__(self):
+        _check_record(self.chunk, ChunkSample, "chunk")
+        trial, n = _check_int(self.trial, "trial"), self.chunk.n_trials
+        if not 0 <= trial < n:
+            raise InputError(f"trial index {_shown(trial)} is out of range for a chunk "
+                             f"of {n} trials")
+        object.__setattr__(self, "trial", trial)
 
     @property
     def _span(self) -> tuple[int, int]:
@@ -261,13 +271,9 @@ class ChunkSample:
         """Trial t as a Realization, a view of this chunk, for inspecting
         one trial or searching it with ``shortest_path``. t goes through
         ``_check_int`` and counts from the end when negative, as a list
-        index does; past either end it raises InputError."""
+        index does; past either end ``Realization`` raises InputError."""
         t = _check_int(t, "t")
-        n = self.n_trials
-        if not -n <= t < n:
-            raise InputError(f"trial index {_shown(t)} is out of range for a chunk "
-                             f"of {n} trials")
-        return Realization(self, t % n)
+        return Realization(self, t + self.n_trials if -self.n_trials <= t < 0 else t)
 
 
 def _n_origin(scenario: PalmScenario) -> int:

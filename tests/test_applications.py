@@ -148,6 +148,17 @@ def test_db_to_linear():
     assert db_to_linear(10**400) == math.inf
 
 
+def test_db_to_linear_computes_in_doubles_whatever_the_type_of_db():
+    """A numpy scalar gives the float its double gives, with no warning:
+    1e39 fits a double but not a float32, 1e5 not a float16, and 10^500
+    overflows quietly as for a Python float."""
+    for db, want in ((np.float32(390.0), 10.0**39), (np.float16(50.0), 1e5),
+                     (np.float64(5000.0), math.inf)):
+        got = db_to_linear(db)
+        assert type(got) is float and got == want, db
+    assert _link(g_t=db_to_linear(np.float32(390.0))).g_t == 1e39
+
+
 def _printed_thresholds(link):
     """The two threshold distances as the docstrings print them."""
     near = math.sqrt(link.g_t * link.g_r * link.wavelength**2 * link.area**2 * link.p_t

@@ -59,6 +59,7 @@ from linecox import (
 from linecox import oracle
 from linecox.cli import EXIT_CONFIG, EXIT_OK, EXIT_QUADRATURE, EXIT_RUNTIME, main
 from linecox.quadrature import check_tol
+from linecox.sampler import Realization
 from realizations import one_trial
 
 _FAMILY = sorted((cls for cls in vars(errors).values()
@@ -191,6 +192,14 @@ _BAD_CALLS = {
         _MODEL, typical_point(), 1.0, 1, 0, 1).realization(5),
     "realization bool": lambda: sample_chunk(
         _MODEL, typical_point(), 1.0, 1, 0, 1).realization(True),
+    "realization past the trials": lambda: Realization(
+        sample_chunk(_MODEL, typical_point(), 1.0, 1, 0, 1), 99),
+    "realization negative trial": lambda: Realization(
+        sample_chunk(_MODEL, typical_point(), 1.0, 1, 0, 1), -1),
+    "realization float trial": lambda: Realization(
+        sample_chunk(_MODEL, typical_point(), 1.0, 1, 0, 1), 1.5),
+    "realization text trial": lambda: Realization(
+        sample_chunk(_MODEL, typical_point(), 1.0, 1, 0, 1), "a"),
     "tol bool": lambda: check_tol(True),
     "thm2 tol bool": lambda: cdf_one_turn_intersection(_MODEL, 0.5, tol=True),
     "bound tol bool": lambda: cdf_two_turn_bound(_MODEL, 0.5, tol=True),

@@ -1,6 +1,7 @@
 """The runtime needs numpy alone: importing linecox loads no scipy, and no
 numpy submodule is left for a first job to load (numpy 2 loads some of
-them lazily, on first attribute access). And no module imports a name it
+them lazily, on first attribute access), nor the offline build of the
+thm2 tables. And no module imports a name it
 does not use, each public name is listed once, in the ``__all__`` of
 the module that defines it, and no private name is read only by tests."""
 
@@ -53,6 +54,8 @@ farfield_success_lower_bound(link, model)
 assert not loaded("scipy"), loaded("scipy")
 late = sorted(set(loaded("numpy")) - numpy_at_import)
 assert not late, late
+# the thm2 tables are read, never built, at run time
+assert not loaded("linecox.analytic._thm2_build"), loaded("linecox.analytic._thm2_build")
 print("ok")
 """
 

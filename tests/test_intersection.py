@@ -294,85 +294,26 @@ def test_chunking_does_not_change_the_terms(monkeypatch, fresh_tables):
         assert np.array_equal(got[1], ref[1])  # the window is not chunked
 
 
-@pytest.mark.parametrize("rung", [0, 1])
-def test_the_fold_matches_the_all_node_sum(monkeypatch, fresh_tables, rung):
-    """Brute force over every Gauss node of every row: a folded row clips
-    to its bound at every node, a row left unfolded though every node clips
-    crosses the bound between its outermost node and its segment's end, and
-    the kernel, from a table built here, equals the sum over all nodes."""
-    nw, nx, n1 = intersection._LADDER[rung]
-    seen = []
-    real = _thm2_build._segment_rows
-
-    def spy(lo, hi, omega, weight, c, p, q):
-        rows = real(lo, hi, omega, weight, c, p, q)
-        seen.append(((c, p, q), rows))
-        return rows
-
-    monkeypatch.setattr(_thm2_build, "_segment_rows", spy)
-    s = np.array([0.05, 1.0, 6.0, 20.0])
-    fx, _ = intersection._rung_terms(s, nw, nx, n1)
-    assert len(seen) == 4
-
-    sg, sgw = _legendre(n1)
-    off_window = np.zeros(s.size)
-    folded = 0
-    for coef, (gap, width, mass, below, above) in seen:
-        v = np.tan(0.5 * (gap + width * sg[:, None]))
-        zeta = _thm2_build._zeta(v, *coef)
-        assert (zeta[:, below] <= 0.0).all() and (zeta[:, above] >= 4.0).all()
-        ends = np.stack([_thm2_build._zeta(np.tan(0.5 * end), *coef)
-                         for end in (gap, gap + width)])
-        kept = (mass > 0.0) & ~below & ~above
-        tol = _thm2_build._FOLD_TOL
-        assert (ends[:, kept & (zeta <= 0.0).all(axis=0)].max(axis=0) >= -tol).all()
-        assert (ends[:, kept & (zeta >= 4.0).all(axis=0)].min(axis=0) <= 4.0 + tol).all()
-        folded += below.sum() + above.sum()
-
-        w = mass * sgw[:, None]
-        guard = np.abs(2.0 * v) < RIEMANN_GUARD * (1.0 + v * v)
-        w[guard] = 0.0
-        zeta = np.clip(np.where(guard, 0.0, zeta), 0.0, 4.0)
-        off_window += [(w * np.exp(-sk * zeta)).sum() for sk in s]
-    assert folded > 0.2 * 4 * nw * nx
-
-    og, ow = _legendre(nw)
-    xg, xw = _legendre(nx)
-    omega, xr = np.repeat(np.pi * og, nx), np.tile(xg, nw)
-    _, win_lo, win_hi, _ = _thm2_build._thresholds(xr, np.sin(omega), np.cos(omega))
-    win_mass = np.maximum(win_hi - win_lo, 0.0) * np.outer(ow, xw).ravel() / np.pi
-    window = [(win_mass * np.exp(-2.0 * sk * (1.0 - xr))).sum() for sk in s]
-    assert np.allclose(fx, off_window + window, rtol=1e-13, atol=0)
-
-
 @pytest.mark.parametrize("rung", [0, 1, 2])
 def test_no_node_of_any_rung_lies_within_the_riemann_guard(monkeypatch, rung):
     """The kernel extends no node by 0: every omega1 node that a table
-    build folds in keeps |sin(omega1 - omega)| = |2v/(1 + v^2)| at or above
-    the Riemann reference's guard. The geometry is built at unit reach, so
-    this holds for every lam, mu and t; a ladder that puts a node inside
-    fails here.
+    build bins keeps |sin(omega1 - omega)| = |2v/(1 + v^2)| at or above
+    the Riemann reference's guard. The build forms z of every chunk of
+    nodes by one ``_zeta`` call, which the spy reads v from. The geometry
+    is built at unit reach, so this holds for every lam, mu and t; a
+    ladder that puts a node inside fails here.
     The closest nodes sit at 1.19e-6, 7.57e-8 and 4.78e-9 on rungs 1-3."""
     nw, nx, n1 = intersection._LADDER[rung]
-    seen = []
-    real = _thm2_build._segment_rows
+    clearance = []
+    real = _thm2_build._zeta
 
-    def spy(*args):
-        rows = real(*args)
-        seen.append(rows)
-        return rows
+    def spy(v, c, p, q):
+        clearance.append(float((np.abs(2.0 * v) / (1.0 + v * v)).min()))
+        return real(v, c, p, q)
 
-    monkeypatch.setattr(_thm2_build, "_segment_rows", spy)
+    monkeypatch.setattr(_thm2_build, "_zeta", spy)
     _thm2_build._build_table(nw, nx, n1)
-    assert len(seen) == 4
-
-    sg, _ = _legendre(n1)
-    clearance = math.inf
-    for gap, width, mass, below, above in seen:
-        kept = (mass > 0.0) & ~below & ~above
-        v = np.tan(0.5 * (gap[kept] + width[kept] * sg[:, None]))
-        clearance = min(clearance, float((np.abs(2.0 * v) / (1.0 + v * v)).min()))
-    assert clearance >= RIEMANN_GUARD
+    assert clearance and min(clearance) >= RIEMANN_GUARD
 
 
 def test_a_two_point_call_stays_small():
@@ -481,14 +422,14 @@ def test_a_fresh_rung_2_build_stays_small():
 # numpy's float64 tan and arccos dispatch to: their X86_V4 (AVX-512) loops
 # and the baseline round some values differently, and the shipped file is
 # the X86_V4 build
-TABLES_MD5 = {"X86_V4": "94f67a9028d70e356bcd83aedb8fe43f",
-              "baseline(X86_V2)": "6e4cd92bef4b8c6f20865a4db1e3df50"}
+TABLES_MD5 = {"X86_V4": "a1d929a767da1fb9062c6e93df724b7e",
+              "baseline(X86_V2)": "bd2634b1a94af4fc82487d21722438c4"}
 
 
 def test_the_committed_tables_equal_a_rebuild(tmp_path):
     """The package data file holds what the builder writes: the same
     entries in the same order, each of the same dtype and shape, and the
-    constants the loader checks and ``_FOLD_TOL`` equal the modules' own.
+    constants the loader checks equal the module's own.
     Where tan and arccos dispatch to X86_V4, as where the file was built,
     each entry is equal bit for bit; elsewhere the rebuild has the md5
     recorded for its target."""
@@ -500,7 +441,7 @@ def test_the_committed_tables_equal_a_rebuild(tmp_path):
     with np.load(intersection._TABLES_PATH, allow_pickle=False) as stored, \
             np.load(rebuilt, allow_pickle=False) as built:
         assert stored.files == built.files
-        assert len(stored.files) == 5 + 4 * len(intersection._LADDER)
+        assert len(stored.files) == 4 + 4 * len(intersection._LADDER)
         for name in built.files:
             want, got = built[name], stored[name]
             assert (got.dtype, got.shape) == (want.dtype, want.shape), name
@@ -508,7 +449,6 @@ def test_the_committed_tables_equal_a_rebuild(tmp_path):
                 assert got.tobytes() == want.tobytes(), name
         for name, value in intersection._BUILT_WITH.items():
             assert np.array_equal(stored[name], value), name
-        assert stored["fold_tol"] == _thm2_build._FOLD_TOL
 
 
 @pytest.fixture

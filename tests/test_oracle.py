@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import heapq
 import math
@@ -24,7 +25,7 @@ from linecox import (
     typical_point,
 )
 from linecox.model import Line
-from linecox.sampler import _MIN_ANGLE_GAP, _pair_arcs
+from linecox.sampler import _MIN_ANGLE_GAP, Realization, _pair_arcs
 from realizations import (hand_chunk, one_trial, route_length, route_positions,
                           sample_D, trial_geometry)
 
@@ -247,18 +248,38 @@ def test_validation_errors():
         shortest_path(half_origin, TurnPolicy.zero_turn(), 1.0)
 
 
+def _laid_out(trial=0, **fields):
+    """Trial ``trial`` of a three-line point chunk, its arrays replaced by
+    ``fields`` as a caller might lay them out."""
+    chunk = build([Line(0, 0.0, 0.0, True), Line(1, HPI, -0.3), Line(2, 1.0, 0.2)],
+                  [[0.5, 0.7], [0.1, 0.4], [0.2]]).chunk
+    return Realization(dataclasses.replace(chunk, **fields), trial)
+
+
 @pytest.mark.parametrize("trial", [
     one_trial((), (), typical_point()),
-    one_trial((Line(0, 0.0, 0.0, True),), ([0.5],), typical_intersection())],
-    ids=["point without lines", "intersection with one line"])
+    one_trial((Line(0, 0.0, 0.0, True),), ([0.5],), typical_intersection()),
+    _laid_out(arcs=np.array([0.5, 0.7, 0.4, 0.1, 0.2])),
+    _laid_out(line_start=np.array([0, 5])),
+    _laid_out(line_start=np.array([0, 3, 2, 3]), trial=1),
+    _laid_out(offset=np.zeros(2)),
+    _laid_out(arc_start=np.array([0, 2, 4])),
+    _laid_out(arc_start=np.array([0, 2, 4, 9])),
+    _laid_out(arc_start=np.array([0, 4, 2, 5]))],
+    ids=["point without lines", "intersection with one line", "unsorted arcs",
+         "line_start past the lines", "decreasing line_start", "short offset",
+         "short arc_start", "arc_start past the points", "decreasing arc_start"])
 def test_both_solvers_refuse_a_trial_without_its_origin_lines(trial):
     """The scenario says how many lines open each trial through the
-    origin; a trial with fewer lines has no start to search from."""
+    origin; a trial with fewer lines has no start to search from. Nor does
+    either solver search a layout that does not hold: each refusal names
+    its field, the same in both."""
     with pytest.raises(InputError) as by_search:
         shortest_path(trial, TurnPolicy.one_turn(), 1.0)
     with pytest.raises(InputError) as by_kernel:
         chunk_lengths(trial.chunk, TurnPolicy.one_turn(), 1.0)
     assert str(by_search.value) == str(by_kernel.value)
+    assert str(by_search.value).startswith(("line_start", "offset", "arc_start", "arcs"))
 
 
 @pytest.mark.parametrize("make, queries", HAND_QUERIES.items(),

@@ -100,6 +100,13 @@ def test_kernel_validation():
             two_turn_T(w, u, t, P11)
 
 
+def test_kernel_takes_float32_arguments_as_their_doubles():
+    """q and c are formed in doubles: in float32 they moved the value by
+    5.3e-9, past a requested tol of 1e-9."""
+    w, u, t = np.float32(0.2), np.float32(0.6), np.float32(1.0)
+    assert two_turn_T(w, u, t, P11) == two_turn_T(float(w), float(u), float(t), P11)
+
+
 def test_kernel_ladder_values_and_failure():
     # values recorded from the graded ladder; they must not move by one bit
     assert two_turn_T(0.2, 0.6, 1.0, P11) == 0.6256633590775856

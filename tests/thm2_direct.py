@@ -8,16 +8,15 @@ import math
 import numpy as np
 
 from linecox.analytic import _thm2_build
-from linecox.analytic._thm2_build import (_REGIMES, _coefficients, _segment_rows,
-                                          _thresholds, _zeta)
+from linecox.analytic._thm2_build import _REGIMES, _coefficients, _thresholds, _zeta
 from linecox.quadrature import _legendre
 
 
 def _measure(nw, nx, n1):
     """The rule's measure of z = Z/t: (off_window, window, outside).
-    ``off_window`` yields (w, z) arrays chunk by chunk, each segment's rows
-    clipped to 0 and to 4 as one node each; ``window`` is the weight and z
-    per x node, and ``outside`` the weight outside the window."""
+    ``off_window`` yields (w, z) arrays chunk by chunk, over every node of
+    every row of positive weight; ``window`` is the weight and z per x
+    node, and ``outside`` the weight outside the window."""
     og, ow = _legendre(nw)
     xg, xw = _legendre(nx)
     sg, sgw = _legendre(n1)
@@ -34,13 +33,12 @@ def _measure(nw, nx, n1):
                     (win_hi, outer_hi))
         for (lo, hi), regime in zip(segments, _REGIMES):
             c, p, q = _coefficients(xr, sin_w, cos_w, regime)
-            gap, width, mass, below, above = _segment_rows(lo, hi, omega, weight, c, p, q)
-            yield sgw.sum() * np.array([mass[below].sum(), mass[above].sum()]), \
-                np.array([0.0, 4.0])
-            rows = np.flatnonzero((mass > 0.0) & ~below & ~above)
+            width = np.maximum(hi - lo, 0.0)
+            mass = width * weight
+            rows = np.flatnonzero(mass > 0.0)
             for a in range(0, rows.size, step):
                 r = rows[a:a + step]
-                v = np.tan(0.5 * width[r] * sg[:, None] + 0.5 * gap[r])
+                v = np.tan(0.5 * width[r] * sg[:, None] + 0.5 * (lo - omega)[r])
                 zeta = np.clip(_zeta(v, c[r], p[r], q[r]), 0.0, 4.0)
                 yield mass[r] * sgw[:, None], zeta
 
