@@ -20,7 +20,7 @@ import zipfile
 import numpy as np
 
 from ..quadrature import _legendre
-from .intersection import _BIN, _BUILT_WITH, _LADDER, _ORDER, _Table, _key
+from .intersection import _BIN, _BINS, _BUILT_WITH, _LADDER, _ORDER, _Table, _key
 
 __all__ = ["write_tables"]
 
@@ -110,10 +110,11 @@ def _build_table(nw, nx, n1):
     (omega, x) pair: the row's nodes lie at omega1 = lo + width*u for the
     Gauss nodes u on [0, 1], and its weight is width*w. Every row of
     positive weight is built node by node, in chunks of _CHUNK_NODES
-    nodes, and each chunk bins its nodes, z clipped to [0, 4], into bins
-    of width _BIN, keeping per bin the Taylor moments
+    nodes, and each chunk bins its nodes, z clipped to [0, 4], into the
+    _BINS bins of width _BIN, keeping per bin the Taylor moments
     m[j, b] = sum w*(z - c_b)**j / j! about its centre c_b. The table's
-    entries are the bins, then the window's x nodes.
+    entries are the _BINS bins, then the window's x nodes, so the window
+    starts at entry _BINS of every rung and the table stores no marker.
     A chunk's arrays are plain temporaries, so only ``moments`` lives
     across chunks: the build runs offline (``write_tables``), and the
     chunking alone bounds its memory.
@@ -127,8 +128,7 @@ def _build_table(nw, nx, n1):
     sin_w, cos_w = np.sin(omega), np.cos(omega)
     outer_lo, win_lo, win_hi, outer_hi = _thresholds(xr, sin_w, cos_w)
 
-    bins = round(4.0 / _BIN)
-    moments = np.zeros((_ORDER + 1, bins))
+    moments = np.zeros((_ORDER + 1, _BINS))
     step = max(1, _CHUNK_NODES // n1)
     col, col_w = sg[:, None], sgw[:, None]
     segments = ((0.0, outer_lo), (outer_hi, _PI), (outer_lo, win_lo),
@@ -143,20 +143,20 @@ def _build_table(nw, nx, n1):
             r = rows[a:a + step]
             v = np.tan(0.5 * width[r] * col + 0.5 * gap[r])
             zeta = np.clip(_zeta(v, c[r], p[r], q[r]), 0.0, 4.0)
-            cell = np.minimum(np.floor(zeta * (1.0 / _BIN)), bins - 1)
+            cell = np.minimum(np.floor(zeta * (1.0 / _BIN)), _BINS - 1)
             bin_of = cell.astype(np.intp).ravel()
             zeta -= (cell + 0.5) * _BIN
             term = mass[r] * col_w
             for j in range(_ORDER + 1):
                 if j:
                     term *= zeta
-                moments[j] += np.bincount(bin_of, weights=term.ravel(), minlength=bins)
+                moments[j] += np.bincount(bin_of, weights=term.ravel(), minlength=_BINS)
 
     moments /= [[math.factorial(j)] for j in range(_ORDER + 1)]
     win_weight = ((win_hi - win_lo) * weight).reshape(nw, nx).sum(axis=0)
-    centres = np.concatenate(((np.arange(bins) + 0.5) * _BIN, 2.0 * (1.0 - xg)))
+    centres = np.concatenate(((np.arange(_BINS) + 0.5) * _BIN, 2.0 * (1.0 - xg)))
     mass = np.concatenate((moments[0], win_weight))
-    return _Table(np.pad(moments[1:], ((0, 0), (0, nx))), centres, mass * centres, bins)
+    return _Table(np.pad(moments[1:], ((0, 0), (0, nx))), centres, mass * centres)
 
 
 def write_tables(path) -> None:

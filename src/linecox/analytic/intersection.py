@@ -41,7 +41,6 @@ and it is the only one that passes the acceptance gate.
 from __future__ import annotations
 
 import functools
-import logging
 import math
 import zipfile
 from pathlib import Path
@@ -60,8 +59,6 @@ __all__ = [
     "one_turn_intersection_terms",
 ]
 
-log = logging.getLogger(__name__)
-
 
 DEFAULT_VARIANT = "plus/full-angle/x"  # the recipe's label in every output
 
@@ -76,19 +73,19 @@ _LADDER = ((48, 48, 32), (96, 96, 64), (192, 192, 128))
 # most (h/2)*exp(s*h/2)*(s*h/2)**J/(J + 1)! = 7.6e-19 of its weight
 # (h = _BIN, J = _ORDER).
 _BIN = 0.005
+_BINS = round(4.0 / _BIN)  # a table's bins; its window's x nodes follow them
 _ORDER = 9
 _S_MAX = 40.0
 
 
 class _Table(NamedTuple):
     """One rung's slopes gx and gy as functions of s
-    (``_thm2_build._build_table``). Its entries are the bins, then the
-    window's x nodes; only the bins have moments of order 1 and up."""
+    (``_thm2_build._build_table``). Its entries are the _BINS bins, then
+    the window's x nodes; only the bins have moments of order 1 and up."""
 
     moments: np.ndarray  # (_ORDER, entries): sum of w*(z - c)**j / j!, j >= 1
     centres: np.ndarray  # c: the bins' centres, then the window's z = 2*(1 - x/t)
     centre_mass: np.ndarray  # each entry's weight times its centre
-    window: int  # the first window entry
 
 
 # The file of every rung's table, with the constants they were built with;
@@ -105,12 +102,12 @@ def _key(field: str, rung: int) -> str:
 
 
 @functools.cache
-def _table(nw, nx, n1):
-    """The rung's Laplace table, loaded from ``_TABLES_PATH`` on first use
-    and kept, read-only, for the process. A file that is missing, cannot be
-    read, or was built for other constants (``_BUILT_WITH``) raises
-    LineCoxError naming it; the table is never built here."""
-    rung = _LADDER.index((nw, nx, n1))
+def _table(rung: int) -> _Table:
+    """The Laplace table of the rung ``_LADDER[rung]``, loaded from
+    ``_TABLES_PATH`` on first use and kept, read-only, for the process. A
+    file that is missing, cannot be read, or was built for other constants
+    (``_BUILT_WITH``) raises LineCoxError naming it; the table is never
+    built here."""
     try:
         with np.load(_TABLES_PATH, allow_pickle=False) as stored:
             stale = [name for name, value in _BUILT_WITH.items()
@@ -124,13 +121,14 @@ def _table(nw, nx, n1):
         raise LineCoxError(f"cannot read the thm2 tables {_TABLES_PATH}: {exc}") from None
     for part in arrays:
         part.setflags(write=False)  # every later call of the process reads it
-    return _Table(*arrays[:-1], int(arrays[-1]))
+    return _Table(*arrays)
 
 
-def _rung_slopes(s, nw, nx, n1):
+def _rung_slopes(s, rung: int):
     """(gx, gy) at every s = mu*t of the array s, 0 <= s <= _S_MAX, with
-    1 - fx = s*gx and 1 - fy = s*gy, from the rung's Laplace table
-    (``_table``). With phi(x) = -expm1(-x)/x and
+    1 - fx = s*gx and 1 - fy = s*gy, from the Laplace table of the rung
+    ``_LADDER[rung]`` (``_table``), whose first _BINS entries are the bins
+    and the rest the window. With phi(x) = -expm1(-x)/x and
     w*(1 - exp(-s*z))/s = w*z*phi(s*z), writing z = c_b + d in a bin gives
 
         gx(s) = sum_b [m0_b*c_b*phi(s*c_b)
@@ -148,7 +146,7 @@ def _rung_slopes(s, nw, nx, n1):
     numbers; ``np.einsum`` does not call it), so a batch is bit for bit
     its points.
     """
-    table = _table(nw, nx, n1)
+    table = _table(rung)
     orders = np.arange(_ORDER)
     gx, gy = np.empty(s.size), np.empty(s.size)
     for k, sk in enumerate(np.maximum(s, np.finfo(float).tiny)):
@@ -156,16 +154,9 @@ def _rung_slopes(s, nw, nx, n1):
         acc = np.einsum("j,jb->b", (-sk) ** orders, table.moments)
         acc *= np.exp(x)
         acc += table.centre_mass * (np.expm1(x) / x)
-        gy[k] = acc[table.window:].sum()
-        gx[k] = acc[:table.window].sum() + gy[k]
+        gy[k] = acc[_BINS:].sum()
+        gx[k] = acc[:_BINS].sum() + gy[k]
     return gx, gy
-
-
-def _rung_terms(s, nw, nx, n1):
-    """(Tx/t, Ty/t) = (1 - s*gx, 1 - s*gy) at every s of the array s
-    (``_rung_slopes``)."""
-    gx, gy = _rung_slopes(s, nw, nx, n1)
-    return 1.0 - s * gx, 1.0 - s * gy
 
 
 def _lam_term(lam, mu, t, slope):
@@ -200,13 +191,10 @@ def one_turn_intersection_terms(mu: float, t: float, *, tol: float = 1e-6):
                           "largest mu*t the one-turn intersection terms serve")
 
     def rung(r, tv):
-        fx, fy = _rung_terms(mu * tv, *_LADDER[r])
-        return np.stack([tv * fx, tv * fy], axis=1)
+        s = mu * tv
+        return (tv * (1.0 - s * np.stack(_rung_slopes(s, r)))).T  # one row a point
 
-    values, _ = settle_ladder(
-        rung, len(_LADDER), [t], tol,
-        lambda tv: f"(Tx, Ty) did not settle to {tol} at mu={mu}, t={tv}",
-        log, "(Tx, Ty)")
+    values, _ = settle_ladder(rung, len(_LADDER), [t], tol, "(Tx, Ty)", f"mu={mu}, ")
     return float(values[0, 0]), float(values[0, 1])
 
 
@@ -237,13 +225,11 @@ def cdf_one_turn_intersection(params: ModelParams, t, *, tol: float = 1e-6,
     zero_turn = -np.expm1(-_rate_times(4.0 * mu, arr))
 
     def rung(r, tv):
-        gx, gy = _rung_slopes(mu * tv, *_LADDER[r])
+        gx, gy = _rung_slopes(mu * tv, r)
         return -np.expm1(-4.0 * mu * tv - _lam_term(lam, mu, tv, gx + gy))
 
     values, errors = np.where(zero_turn == 1.0, 1.0, 0.0), np.zeros(arr.shape)
     pos = (arr > 0.0) & (zero_turn < 1.0)
-    values[pos], errors[pos] = settle_ladder(
-        rung, len(_LADDER), arr[pos], tol,
-        lambda tv: f"one-turn intersection CDF did not settle to {tol} at t={tv}",
-        log, "one-turn intersection CDF")
+    values[pos], errors[pos] = settle_ladder(rung, len(_LADDER), arr[pos], tol,
+                                             "one-turn intersection CDF")
     return _ret_err(values, errors, arr, with_err)

@@ -40,7 +40,6 @@ geometry once per call, at unit reach, and serves every t of the call
 
 from __future__ import annotations
 
-import logging
 import math
 
 import numpy as np
@@ -51,8 +50,6 @@ from ..quadrature import _graded_legendre, _legendre, check_tol, settle_ladder
 from .closed_forms import _rate_times, _ret_err
 
 __all__ = ["two_turn_T", "cdf_two_turn_bound"]
-
-log = logging.getLogger(__name__)
 
 _PI = math.pi
 _HALF_PI = 0.5 * math.pi
@@ -200,9 +197,7 @@ def two_turn_T(w: float, u: float, t: float, params: ModelParams,
     q, c = [(u - w) / (t - w)], [t - w]
     values, _ = settle_ladder(
         lambda r, tv: _ttilde(q, c, [params.mu], *_T_LADDER[r])[0],
-        len(_T_LADDER), [t], tol,
-        lambda tv: f"Ttilde did not settle to {tol} at w={w}, u={u}, t={t}",
-        log, "Ttilde")
+        len(_T_LADDER), [t], tol, "Ttilde", f"w={w}, u={u}, ")
     return float(values[0])
 
 
@@ -227,8 +222,6 @@ def cdf_two_turn_bound(params: ModelParams, t, tol: float = 1e-5,
 
     values, errors = np.zeros(arr.shape), np.zeros(arr.shape)
     pos = arr > 0.0
-    values[pos], errors[pos] = settle_ladder(
-        rung, len(_B_LADDER), arr[pos], tol,
-        lambda tv: f"two-turn bound did not settle to {tol} at t={tv}",
-        log, "two-turn bound")
+    values[pos], errors[pos] = settle_ladder(rung, len(_B_LADDER), arr[pos], tol,
+                                             "two-turn bound")
     return _ret_err(values, errors, arr, with_err)

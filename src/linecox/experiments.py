@@ -229,7 +229,7 @@ def run_mc(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
         "trials": trials,
         "censored": n_censored,
         "t_max": t_max,
-        "alpha": alpha,
+        "alpha": float(alpha),
     }
     curve = DistributionCurve(grid, counts[:-1].cumsum() / float(trials),
                               halfwidth, meta)

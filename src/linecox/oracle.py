@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _shown
 from .model import (
     ModelParams,
     PalmScenario,
@@ -67,6 +67,7 @@ from .model import (
     TurnPolicy,
     _check_record,
     _check_scalar_t,
+    _finite_real,
 )
 from .sampler import ChunkSample, Realization, _pair_arcs, sample_palm
 
@@ -329,17 +330,36 @@ def _search(bound, chunk, trig, keys, n_lines, trials, k, lower, directed):
 
 # ---- public API --------------------------------------------------------------
 
-def _check_layout(chunk: ChunkSample, first: int, stop: int) -> None:
+# the dtype of each array of a chunk, as ``sampler._chunk_sample`` lays it out
+_LAYOUT = {"angle": np.float64, "offset": np.float64, "line_start": np.int64,
+           "arcs": np.float64, "arc_start": np.int64}
+
+
+def _check_layout(chunk: ChunkSample, bounds: slice) -> None:
     """The one check of a caller's chunk layout, run by both public
-    solvers: InputError naming the field unless ``offset`` has the size of
-    ``angle``, ``line_start`` runs from 0 to ``angle.size``, and
-    ``arc_start``, one entry per line and one more, from 0 to
-    ``arcs.size``; and unless, over the trials first..stop - 1, each trial
-    holds the origin lines its scenario opens with (so ``line_start`` does
-    not decrease there) within the line arrays, ``arc_start`` does not
-    decrease, and no line's arcs decrease. The ends cost the same for any
-    chunk, so both solvers check them; the rest only over the trials they
-    search."""
+    solvers: InputError naming the field unless ``scenario`` is a
+    PalmScenario, ``clip_radius`` a finite real > 0 and every array a 1-D
+    ndarray of the dtype the draw gives it (``_LAYOUT``), refused rather
+    than cast, so the private cores that ``run_mc`` calls pay nothing;
+    unless ``offset`` has the size of ``angle``, ``line_start`` runs from
+    0 to ``angle.size``, and ``arc_start``, one entry per line and one
+    more, from 0 to ``arcs.size``; and unless, over the trials searched,
+    those that the entries ``line_start[bounds]`` bound, each trial holds
+    the origin lines its scenario opens with (so ``line_start`` does not
+    decrease there) within the line arrays, ``arc_start`` does not
+    decrease, the angles, offsets and arcs are finite, and no line's arcs
+    decrease. The ends cost the same for any chunk, so both solvers check
+    them; the rest only over the trials they search."""
+    _check_record(chunk.scenario, PalmScenario, "scenario")
+    radius = chunk.clip_radius
+    if not (_finite_real(radius) and radius > 0):
+        raise InputError(f"clip_radius must be finite and > 0, got {_shown(radius)}")
+    for name, dtype in _LAYOUT.items():
+        value = getattr(chunk, name)
+        if not (type(value) is np.ndarray and value.ndim == 1 and value.dtype == dtype):
+            got = (f"{value.ndim}-D {value.dtype}" if isinstance(value, np.ndarray)
+                   else type(value).__name__)
+            raise InputError(f"{name} must be a 1-D {np.dtype(dtype)} ndarray, got {got}")
     n_lines, n_points = chunk.angle.size, chunk.arcs.size
     line_start, arc_start = chunk.line_start, chunk.arc_start
     if chunk.offset.size != n_lines:
@@ -351,7 +371,7 @@ def _check_layout(chunk: ChunkSample, first: int, stop: int) -> None:
             and arc_start[-1] == n_points):
         raise InputError(f"arc_start must hold {n_lines + 1} entries, from 0 to the "
                          f"{n_points} points")
-    starts = line_start[first:stop + 1]
+    starts = line_start[bounds]
     if (np.diff(starts) < chunk.n_origin).any():
         raise InputError(f"line_start gives a trial fewer lines than the {chunk.n_origin} "
                          "origin line(s) of its scenario")
@@ -361,6 +381,11 @@ def _check_layout(chunk: ChunkSample, first: int, stop: int) -> None:
     if (np.diff(cuts) < 0).any() or cuts[0] < 0 or cuts[-1] > n_points:
         raise InputError(f"arc_start must not decrease or run past the {n_points} points")
     arcs = chunk.arcs[cuts[0]:cuts[-1]]
+    for name, values in (("angle", chunk.angle[starts[0]:starts[-1]]),
+                         ("offset", chunk.offset[starts[0]:starts[-1]]), ("arcs", arcs)):
+        bad = values[~np.isfinite(values)]
+        if bad.size:
+            raise InputError(f"{name} must be finite, got {_shown(float(bad[0]))}")
     down = np.flatnonzero(arcs[1:] < arcs[:-1]) + (cuts[0] + 1)
     if not np.isin(down, cuts).all():
         raise InputError("arcs must not decrease within a line")
@@ -377,7 +402,7 @@ def shortest_path(real: Realization, policy: TurnPolicy,
     """
     _check_record(real, Realization, "real")
     _check_record(policy, TurnPolicy, "policy")
-    _check_layout(real.chunk, real.trial, real.trial + 1)
+    _check_layout(real.chunk, slice(real.trial, real.trial + 2))
     t_max = _check_scalar_t(t_max, real.clip_radius, "t_max")
     (length, line, arc, turns, state), via = _k_turn(
         real, t_max, policy.k, policy.include_lower_turn_paths,
@@ -425,7 +450,7 @@ def chunk_lengths(chunk: ChunkSample, policy: TurnPolicy,
     (``_check_layout``)."""
     _check_record(chunk, ChunkSample, "chunk")
     _check_record(policy, TurnPolicy, "policy")
-    _check_layout(chunk, 0, chunk.n_trials)
+    _check_layout(chunk, slice(None))
     return _chunk_lengths(chunk, policy,
                           _check_scalar_t(t_max, chunk.clip_radius, "t_max"))
 

@@ -2,13 +2,16 @@
 
 ``_legendre`` and ``_graded_legendre`` give the cached rules, of the
 orders the ladders of ``linecox.analytic`` name, and ``settle_ladder`` runs
-them up a ladder, to a tolerance that ``check_tol`` admits. The evaluators
-are cross-checked against plain Riemann sums in the tests.
+them up a ladder, to a tolerance that ``check_tol`` admits. It is the one
+voice of every ladder: it words each failure and logs each run's INFO line
+on this module's logger. The evaluators are cross-checked against plain
+Riemann sums in the tests.
 """
 
 from __future__ import annotations
 
 import functools
+import logging
 import math
 import time
 
@@ -19,6 +22,8 @@ from numpy.polynomial.legendre import leggauss
 
 from .errors import InputError, QuadratureFailure, _shown
 from .model import _finite_real, _real
+
+_log = logging.getLogger(__name__)
 
 
 @functools.cache
@@ -53,7 +58,7 @@ def check_tol(tol) -> None:
         raise InputError(f"tol must be > 0, got {_shown(tol)}")
 
 
-def settle_ladder(evaluate, rungs: int, t, tol: float, failure, log, name: str):
+def settle_ladder(evaluate, rungs: int, t, tol: float, name: str, where: str = ""):
     """Run a resolution ladder of ``rungs`` rungs over the points t (all >= 0).
 
     ``evaluate(r, t)`` returns rung r's values at the points t, one entry
@@ -62,8 +67,10 @@ def settle_ladder(evaluate, rungs: int, t, tol: float, failure, log, name: str):
     most tol; only the points not yet settled go on to the next rung.
     Returns (values, increments). The first point, in the order of t, still
     unsettled after the last rung raises QuadratureFailure with the message
-    ``failure(t_point)`` and that point's last value and increment. Each run
-    logs one INFO line on ``log``: the points, how many settled at each rung,
+    ``f"{name} did not settle to {tol} at {where}t={t_point}"`` and that
+    point's last value and increment; ``where`` names what else fixes the
+    point, such as ``"mu=1.0, "``. Each run logs one INFO line on this
+    module's logger: the name, the points, how many settled at each rung,
     the largest last increment and the wall time.
     """
     start = time.perf_counter()
@@ -91,12 +98,12 @@ def settle_ladder(evaluate, rungs: int, t, tol: float, failure, log, name: str):
     if active.size:
         value = prev[0]
         raise QuadratureFailure(
-            failure(t[active[0]]),
+            f"{name} did not settle to {tol} at {where}t={t[active[0]]}",
             value=tuple(value.tolist()) if value.ndim else float(value),
             error_estimate=float(last[0]))
-    log.info("%s: %d points, settled per rung %s, largest increment %.3g, "
-             "%.1f ms", name, t.size,
-             " ".join(f"{r + 1}:{n}" for r, n in enumerate(settled) if r),
-             float(increments.max()) if increments.size else 0.0,
-             1e3 * (time.perf_counter() - start))
+    _log.info("%s: %d points, settled per rung %s, largest increment %.3g, "
+              "%.1f ms", name, t.size,
+              " ".join(f"{r + 1}:{n}" for r, n in enumerate(settled) if r),
+              float(increments.max()) if increments.size else 0.0,
+              1e3 * (time.perf_counter() - start))
     return values, increments

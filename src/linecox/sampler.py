@@ -235,9 +235,12 @@ def _half_chords(offsets: np.ndarray, R: float) -> np.ndarray:
 class ChunkSample:
     """Consecutive trials of one run as flat arrays (a ragged layout).
 
-    Line arrays hold one entry per line, trial by trial: ``angle`` and
-    ``offset``. The lines of trial t are ``line_start[t]:line_start[t + 1]``,
-    and its first ``n_origin`` lines are the origin lines of the scenario
+    Each array is a 1-D ndarray, ``float64`` but for the ``int64``
+    ``line_start`` and ``arc_start``, as the draw lays them out; the public
+    solvers refuse any other (``oracle._check_layout``). Line arrays hold
+    one entry per line, trial by trial: ``angle`` and ``offset``. The lines
+    of trial t are ``line_start[t]:line_start[t + 1]``, and its first
+    ``n_origin`` lines are the origin lines of the scenario
     (``_n_origin``). ``arcs`` holds the point positions sorted within each
     line, and the arcs of line k are ``arcs[arc_start[k]:arc_start[k + 1]]``.
     Trial t drew from the stream keyed (master, (first_stream + t) mod

@@ -6,6 +6,7 @@ import concurrent.futures
 import math
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -82,6 +83,16 @@ def test_run_mc_returns_its_curve_where_two_over_alpha_overflows():
                    TurnPolicy.one_turn(), trials=200, t_max=2.0, seed=1, alpha=1e-309)
     assert np.all(curve.ci_halfwidth == dkw_halfwidth(200, 1e-309))
     assert np.all(np.isfinite(curve.ci_halfwidth))
+
+
+@pytest.mark.parametrize("alpha", [np.float32(0.05), Fraction(1, 20)])
+def test_run_mc_keeps_alpha_as_a_float_in_its_meta(alpha):
+    """``meta`` is JSON-friendly for any real alpha: a numpy float or a
+    Fraction went into it as given, and ``json.dumps`` raised TypeError."""
+    curve = run_mc(ModelParams(1.0, 1.0), typical_point(), TurnPolicy.one_turn(),
+                   trials=20, t_max=1.0, seed=1, alpha=alpha)
+    json.dumps(curve.meta)
+    assert type(curve.meta["alpha"]) is float and curve.meta["alpha"] == float(alpha)
 
 
 def test_default_grid_endpoints_and_step():

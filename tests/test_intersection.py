@@ -277,7 +277,15 @@ def fresh_tables(monkeypatch):
     """Every table the test reads is built afresh, under its patches, by
     the builder (``_thm2_build._build_table``) in place of the loaded
     file."""
-    monkeypatch.setattr(intersection, "_table", _thm2_build._build_table)
+    monkeypatch.setattr(intersection, "_table",
+                        lambda rung: _thm2_build._build_table(*intersection._LADDER[rung]))
+
+
+def rung_terms(s, rung):
+    """(Tx/t, Ty/t) = (1 - s*gx, 1 - s*gy) at every s of the array s, from
+    the rung's slopes, as ``one_turn_intersection_terms`` forms them."""
+    gx, gy = intersection._rung_slopes(s, rung)
+    return 1.0 - s * gx, 1.0 - s * gy
 
 
 def test_chunking_does_not_change_the_terms(monkeypatch, fresh_tables):
@@ -285,11 +293,11 @@ def test_chunking_does_not_change_the_terms(monkeypatch, fresh_tables):
     s = np.array([0.05, 1.0, 6.0])
     nw, nx, n1 = intersection._LADDER[0]
     pairs = nw * nx
-    ref = intersection._rung_terms(s, nw, nx, n1)
+    ref = rung_terms(s, 0)
     assert pairs % 256 == 0 and pairs % 100 != 0  # 100 leaves a partial chunk
     for step in (1, 100, 256, pairs):
         monkeypatch.setattr(_thm2_build, "_CHUNK_NODES", 4 * n1 * step)
-        got = intersection._rung_terms(s, nw, nx, n1)
+        got = rung_terms(s, 0)
         assert np.allclose(got[0], ref[0], rtol=1e-13, atol=0)
         assert np.array_equal(got[1], ref[1])  # the window is not chunked
 
@@ -333,7 +341,7 @@ def test_each_curve_call_logs_its_ladder(caplog):
     with caplog.at_level(logging.INFO, logger="linecox"):
         quiet = cdf_one_turn_intersection(P11, grid)
     lines = [r.getMessage() for r in caplog.records
-             if r.name == "linecox.analytic.intersection"]
+             if r.name == "linecox.quadrature"]
     assert len(lines) == 1
     assert lines[0].startswith("one-turn intersection CDF: 3 points, settled per rung 2:")
     assert "largest increment" in lines[0] and lines[0].endswith(" ms")
@@ -374,12 +382,11 @@ def test_the_table_matches_the_direct_node_sum(rung):
     rounding of the two sums, up to 1.6e-15 over the 13.6M nodes of the
     third rung. The 2 - fx - fy that the CDF reads, series included, stays
     within the same 4e-15 of the direct sum's."""
-    rule = intersection._LADDER[rung]
-    want_x, want_y = direct_terms(_TABLE_S, *rule)
-    got_x, got_y = intersection._rung_terms(_TABLE_S, *rule)
+    want_x, want_y = direct_terms(_TABLE_S, *intersection._LADDER[rung])
+    got_x, got_y = rung_terms(_TABLE_S, rung)
     assert np.allclose(got_x, want_x, rtol=0, atol=4e-15)
     assert np.allclose(got_y, want_y, rtol=0, atol=4e-15)
-    gap = _TABLE_S * np.add(*intersection._rung_slopes(_TABLE_S, *rule))
+    gap = _TABLE_S * np.add(*intersection._rung_slopes(_TABLE_S, rung))
     assert np.allclose(gap, 2.0 - want_x - want_y, rtol=0, atol=4e-15)
 
 
@@ -398,9 +405,8 @@ def test_the_slopes_match_the_direct_sums(rung):
     plus the table's truncation, at most
     (h/2)*exp(s*h/2)*(s*h/2)**J/(J + 1)! = 7.6e-19 of a bin's weight at
     s = _S_MAX."""
-    rule = intersection._LADDER[rung]
-    want_x, want_y = direct_slopes(_SLOPE_S, *rule)
-    got_x, got_y = intersection._rung_slopes(_SLOPE_S, *rule)
+    want_x, want_y = direct_slopes(_SLOPE_S, *intersection._LADDER[rung])
+    got_x, got_y = intersection._rung_slopes(_SLOPE_S, rung)
     assert np.allclose(got_x, want_x, rtol=4e-15, atol=0)
     assert np.allclose(got_y, want_y, rtol=4e-15, atol=0)
 
@@ -422,8 +428,8 @@ def test_a_fresh_rung_2_build_stays_small():
 # numpy's float64 tan and arccos dispatch to: their X86_V4 (AVX-512) loops
 # and the baseline round some values differently, and the shipped file is
 # the X86_V4 build
-TABLES_MD5 = {"X86_V4": "a1d929a767da1fb9062c6e93df724b7e",
-              "baseline(X86_V2)": "bd2634b1a94af4fc82487d21722438c4"}
+TABLES_MD5 = {"X86_V4": "a512e73467454765ab048e51112e88c3",
+              "baseline(X86_V2)": "5534c6560c0fa44c7b1cd390988b3248"}
 
 
 def test_the_committed_tables_equal_a_rebuild(tmp_path):
@@ -441,7 +447,7 @@ def test_the_committed_tables_equal_a_rebuild(tmp_path):
     with np.load(intersection._TABLES_PATH, allow_pickle=False) as stored, \
             np.load(rebuilt, allow_pickle=False) as built:
         assert stored.files == built.files
-        assert len(stored.files) == 4 + 4 * len(intersection._LADDER)
+        assert len(stored.files) == 4 + 3 * len(intersection._LADDER)
         for name in built.files:
             want, got = built[name], stored[name]
             assert (got.dtype, got.shape) == (want.dtype, want.shape), name

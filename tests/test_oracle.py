@@ -265,21 +265,52 @@ def _laid_out(trial=0, **fields):
     _laid_out(offset=np.zeros(2)),
     _laid_out(arc_start=np.array([0, 2, 4])),
     _laid_out(arc_start=np.array([0, 2, 4, 9])),
-    _laid_out(arc_start=np.array([0, 4, 2, 5]))],
+    _laid_out(arc_start=np.array([0, 4, 2, 5])),
+    _laid_out(line_start=np.array([0.0, 3.0])),
+    _laid_out(arc_start=np.array([0.0, 2.0, 4.0, 5.0])),
+    _laid_out(line_start=np.array([0, 3], dtype=np.uint64)),
+    _laid_out(line_start=np.array([0, 3], dtype=np.uint32)),
+    _laid_out(angle=np.array([0.0, HPI, 1.0], dtype=np.float32)),
+    _laid_out(offset=np.array([0.0, -0.3, 0.2], dtype=np.float32)),
+    _laid_out(arcs=np.array([0.5, 0.7, 0.1, 0.4, 0.2], dtype=np.float32)),
+    _laid_out(angle=np.array([[0.0, HPI, 1.0]])),
+    _laid_out(arcs=[0.5, 0.7, 0.1, 0.4, 0.2]),
+    _laid_out(scenario="typical-point"),
+    _laid_out(clip_radius="2.0"),
+    _laid_out(clip_radius=math.nan),
+    _laid_out(arcs=np.array([0.5, 0.7, 0.1, math.nan, 0.2])),
+    _laid_out(angle=np.array([0.0, HPI, math.inf])),
+    _laid_out(offset=np.array([0.0, -0.3, math.nan]))],
     ids=["point without lines", "intersection with one line", "unsorted arcs",
          "line_start past the lines", "decreasing line_start", "short offset",
-         "short arc_start", "arc_start past the points", "decreasing arc_start"])
+         "short arc_start", "arc_start past the points", "decreasing arc_start",
+         "float line_start", "float arc_start", "uint64 line_start",
+         "uint32 line_start", "float32 angle", "float32 offset", "float32 arcs",
+         "2-D angle", "list arcs", "scenario as text", "clip_radius as text",
+         "nan clip_radius", "nan arc", "inf angle", "nan offset"])
 def test_both_solvers_refuse_a_trial_without_its_origin_lines(trial):
     """The scenario says how many lines open each trial through the
     origin; a trial with fewer lines has no start to search from. Nor does
     either solver search a layout that does not hold: each refusal names
-    its field, the same in both."""
+    its field, the same in both: a field of another type, shape or
+    dtype than the draw gives it, which the solvers would index, cast or
+    round apart, or an angle, offset or arc that is not finite."""
     with pytest.raises(InputError) as by_search:
         shortest_path(trial, TurnPolicy.one_turn(), 1.0)
     with pytest.raises(InputError) as by_kernel:
         chunk_lengths(trial.chunk, TurnPolicy.one_turn(), 1.0)
     assert str(by_search.value) == str(by_kernel.value)
-    assert str(by_search.value).startswith(("line_start", "offset", "arc_start", "arcs"))
+    assert str(by_search.value).startswith(("line_start", "offset", "arc_start", "arcs",
+                                            "angle", "scenario", "clip_radius"))
+
+
+def test_the_kernel_refuses_a_line_start_that_is_no_array():
+    """A chunk whose ``line_start`` is a list has no trial count, so no
+    Realization of it exists; ``chunk_lengths`` read the count before its
+    layout check and raised AttributeError."""
+    chunk = dataclasses.replace(_laid_out().chunk, line_start=[0, 3])
+    with pytest.raises(InputError, match="^line_start must be a 1-D int64 ndarray, got list$"):
+        chunk_lengths(chunk, TurnPolicy.one_turn(), 1.0)
 
 
 @pytest.mark.parametrize("make, queries", HAND_QUERIES.items(),

@@ -12,8 +12,6 @@ from linecox.analytic import (
 )
 from linecox.quadrature import _graded_legendre, _legendre, settle_ladder
 
-_LOG = logging.getLogger("linecox.test")
-
 
 def test_gauss_legendre_rule():
     x, w = _legendre(4)
@@ -60,9 +58,8 @@ def test_budget_exhausted_carries_partial_result():
         return rows[r][t.astype(int)]
 
     with pytest.raises(QuadratureFailure) as exc:
-        settle_ladder(evaluate, 3, np.array([1.0, 0.0]), 1e-6,
-                      lambda t: f"no settling at t={t}", _LOG, "rows")
-    assert str(exc.value) == "no settling at t=0.0"
+        settle_ladder(evaluate, 3, np.array([1.0, 0.0]), 1e-6, "rows", "w=0.5, ")
+    assert str(exc.value) == "rows did not settle to 1e-06 at w=0.5, t=0.0"
     assert exc.value.value == (0.25, 0.75)
     assert exc.value.error_estimate == 0.25
 
@@ -76,25 +73,22 @@ def test_settle_ladder_climbs_with_the_unsettled_points_only(caplog):
         seen.append((r, t.tolist()))
         return table[r, t.astype(int)]
 
-    def failure(t):
-        return f"no settling at t={t}"
-
     with pytest.raises(QuadratureFailure) as exc:
-        settle_ladder(evaluate, 3, np.array([0.0, 1.0, 2.0]), 1e-6, failure,
-                      _LOG, "toy")
+        settle_ladder(evaluate, 3, np.array([0.0, 1.0, 2.0]), 1e-6, "toy")
     assert seen == [(0, [0.0, 1.0, 2.0]), (1, [0.0, 1.0, 2.0]), (2, [1.0, 2.0])]
-    assert str(exc.value) == "no settling at t=2.0"
+    assert str(exc.value) == "toy did not settle to 1e-06 at t=2.0"
     assert (exc.value.value, exc.value.error_estimate) == (2.0, 1.0)
 
     with caplog.at_level(logging.INFO, logger="linecox"):
-        values, inc = settle_ladder(evaluate, 3, np.array([0.0, 1.0]), 1e-6,
-                                    failure, _LOG, "toy")
+        values, inc = settle_ladder(evaluate, 3, np.array([0.0, 1.0]), 1e-6, "toy")
     assert values.tolist() == [1e-9, 1.0 + 1e-9]
     assert inc == pytest.approx([1e-9, 1e-9], rel=1e-6)
-    (line,) = [r.getMessage() for r in caplog.records]
+    (record,) = caplog.records
+    assert record.name == "linecox.quadrature"
+    line = record.getMessage()
     assert line.startswith("toy: 2 points, settled per rung 2:1 3:1, largest increment 1e-09")
     with caplog.at_level(logging.INFO, logger="linecox"):
-        empty = settle_ladder(evaluate, 3, np.zeros(0), 1e-6, failure, _LOG, "toy")
+        empty = settle_ladder(evaluate, 3, np.zeros(0), 1e-6, "toy")
     assert [a.size for a in empty] == [0, 0]
 
 

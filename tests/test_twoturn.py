@@ -171,7 +171,7 @@ def test_bound_values_and_log_line(caplog):
     assert vals.tolist() == [0.0, 0.2926102945307686, 0.8360442114108284]
     assert errs.tolist() == [0.0, 1.9779585191948e-08, 1.5644413475790486e-07]
     lines = [r.getMessage() for r in caplog.records
-             if r.name == "linecox.analytic.twoturn"]
+             if r.name == "linecox.quadrature"]
     assert len(lines) == 1
     assert lines[0].startswith("two-turn bound: 2 points, settled per rung 2:")
     assert "largest increment 1.56e-07" in lines[0]
