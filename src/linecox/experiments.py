@@ -35,7 +35,13 @@ from .model import (
     _finite_real,
 )
 from .oracle import _chunk_lengths
-from .sampler import _TRIAL_FIXED_COST, _check_inputs, _draw_chunk, _expected_lines
+from .sampler import (
+    _TRIAL_FIXED_COST,
+    _check_inputs,
+    _compiled_draw,
+    _draw_chunk,
+    _expected_lines,
+)
 
 __all__ = [
     "ComparisonReport",
@@ -184,7 +190,10 @@ def run_mc(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
     chunk's lengths are counted into the grid as the chunk arrives, in
     chunk order, so memory does not grow with ``trials``. Logs one INFO
     line with the trial count, the wall time, the throughput, the mean
-    lines per trial and the censored fraction; none of it enters the curve.
+    lines per trial, the censored fraction and the draw that ran
+    (``compiled``, or ``python`` and the reason, ``sampler._compiled_draw``,
+    resolved before a pool starts so that its workers inherit it); none of
+    it enters the curve.
     """
     started = time.perf_counter()
     trials = _check_int(trials, "trials")
@@ -205,6 +214,7 @@ def run_mc(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
         raise InputError(f"workers must be >= 1, got {_shown(workers)}")
     master = _check_int(seed, "seed")
 
+    draw = _compiled_draw()[1]
     size = _chunk_trials(params, scenario, t_max)
     chunks = range(0, trials, size)
     tasks = ((params, scenario, policy, t_max, master, lo, min(lo + size, trials))
@@ -235,9 +245,9 @@ def run_mc(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
                               halfwidth, meta)
     wall = time.perf_counter() - started
     _log.info("run_mc: %d trials, %.3f s, %.0f trials/s, "
-              "%.1f lines/trial, censored fraction %.4f", trials, wall,
+              "%.1f lines/trial, censored fraction %.4f, draw %s", trials, wall,
               trials / wall if wall > 0 else math.inf, n_lines / trials,
-              n_censored / trials)
+              n_censored / trials, draw)
     return curve
 
 

@@ -69,7 +69,7 @@ from .model import (
     _check_scalar_t,
     _finite_real,
 )
-from .sampler import ChunkSample, Realization, _pair_arcs, sample_palm
+from .sampler import _LAYOUT, ChunkSample, Realization, _check_array, _pair_arcs, sample_palm
 
 __all__ = ["PathResult", "shortest_path", "sample_path", "chunk_lengths"]
 
@@ -330,17 +330,13 @@ def _search(bound, chunk, trig, keys, n_lines, trials, k, lower, directed):
 
 # ---- public API --------------------------------------------------------------
 
-# the dtype of each array of a chunk, as ``sampler._chunk_sample`` lays it out
-_LAYOUT = {"angle": np.float64, "offset": np.float64, "line_start": np.int64,
-           "arcs": np.float64, "arc_start": np.int64}
-
-
 def _check_layout(chunk: ChunkSample, bounds: slice) -> None:
     """The one check of a caller's chunk layout, run by both public
     solvers: InputError naming the field unless ``scenario`` is a
     PalmScenario, ``clip_radius`` a finite real > 0 and every array a 1-D
-    ndarray of the dtype the draw gives it (``_LAYOUT``), refused rather
-    than cast, so the private cores that ``run_mc`` calls pay nothing;
+    ndarray of the dtype the draw gives it (``sampler._check_array``),
+    refused rather than cast, so the private cores that ``run_mc`` calls
+    pay nothing;
     unless ``offset`` has the size of ``angle``, ``line_start`` runs from
     0 to ``angle.size``, and ``arc_start``, one entry per line and one
     more, from 0 to ``arcs.size``; and unless, over the trials searched,
@@ -354,12 +350,8 @@ def _check_layout(chunk: ChunkSample, bounds: slice) -> None:
     radius = chunk.clip_radius
     if not (_finite_real(radius) and radius > 0):
         raise InputError(f"clip_radius must be finite and > 0, got {_shown(radius)}")
-    for name, dtype in _LAYOUT.items():
-        value = getattr(chunk, name)
-        if not (type(value) is np.ndarray and value.ndim == 1 and value.dtype == dtype):
-            got = (f"{value.ndim}-D {value.dtype}" if isinstance(value, np.ndarray)
-                   else type(value).__name__)
-            raise InputError(f"{name} must be a 1-D {np.dtype(dtype)} ndarray, got {got}")
+    for name in _LAYOUT:
+        _check_array(chunk, name)
     n_lines, n_points = chunk.angle.size, chunk.arcs.size
     line_start, arc_start = chunk.line_start, chunk.arc_start
     if chunk.offset.size != n_lines:

@@ -33,21 +33,35 @@ A trial's origin lines come first, as many as its scenario has
 (``_n_origin``), so the layout keeps no per-line origin flag.
 A Realization is a view of one trial of a chunk, and ``sample_palm`` is
 the one trial of a ``sample_chunk`` call. One loop draws a chunk's trials,
-each its uniforms raw, as ``Generator.random`` doubles U, and the chunk
-maps them once to ``low + (high - low) * U``: the value
-``Generator.uniform(low, high)`` gives for the same draw, by the same IEEE
-operations. A raw U is k * 2**-53 for an integer k, so the chunk sorts each
-line's points on exact integer keys, one uint64 a point (the line over k),
-in place, and only then scales them to arcs; drawing a chunk peaks near 24
-bytes per point.
+each its uniforms as raw ``Generator.random`` doubles U mapped to
+``low + (high - low) * U``: the value ``Generator.uniform(low, high)``
+gives for the same draw, by the same IEEE operations. The loop is compiled
+C (``_draw.c``), one call a chunk, stepping its own Philox4x64-10 as
+numpy's Philox steps and calling numpy's own Poisson sampler from
+``libnpyrandom.a``; it is built on a machine's first draw into the
+per-user cache and loaded with ctypes (``_compiled_draw``). Where it
+cannot be built, the Python loop ``_draw_python`` draws, the reference
+that gives the same bits. A raw U is k * 2**-53 for an integer k, so the
+chunk sorts each line's points on exact integer keys, one uint64 a point
+(the line over k), in place, and only then scales them to arcs; drawing a
+chunk peaks near 24 bytes per point.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
+import logging
 import math
+import os
+import shutil
+import tempfile
 import threading
+import time
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 # numpy loads its random submodule lazily; import it here so that the cost
@@ -205,6 +219,12 @@ _SCALAR_COUNTS_MAX = 16
 # consecutive lines sort as one block
 _POSITION_BITS = 53
 _SORT_BLOCK = 2**(64 - _POSITION_BITS)
+# the compiled draw: its source, shipped in the package, and its build
+_DRAW_SOURCE = Path(__file__).with_name("_draw.c")
+_BUILD_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_BUILD_TIMEOUT_S = 120
+
+_log = logging.getLogger(__name__)
 
 
 def _thread_philox():
@@ -263,6 +283,12 @@ class ChunkSample:
 
     @property
     def n_trials(self) -> int:
+        """The trials of the chunk: InputError, in the words of
+        ``_check_array``, if ``line_start`` is no ndarray and so gives no
+        count. The solvers refuse any other layout that does not hold
+        (``oracle._check_layout``)."""
+        if not isinstance(self.line_start, np.ndarray):
+            _check_array(self, "line_start")
         return self.line_start.size - 1
 
     @property
@@ -277,6 +303,22 @@ class ChunkSample:
         index does; past either end ``Realization`` raises InputError."""
         t = _check_int(t, "t")
         return Realization(self, t + self.n_trials if -self.n_trials <= t < 0 else t)
+
+
+# the dtype of each array of a chunk, as ``_chunk_sample`` lays it out
+_LAYOUT = {"angle": np.float64, "offset": np.float64, "line_start": np.int64,
+           "arcs": np.float64, "arc_start": np.int64}
+
+
+def _check_array(chunk: ChunkSample, name: str) -> np.ndarray:
+    """The chunk's array ``name``; InputError naming it unless it is a 1-D
+    ndarray of its ``_LAYOUT`` dtype, refused rather than cast."""
+    value, dtype = getattr(chunk, name), _LAYOUT[name]
+    if not (type(value) is np.ndarray and value.ndim == 1 and value.dtype == dtype):
+        got = (f"{value.ndim}-D {value.dtype}" if isinstance(value, np.ndarray)
+               else type(value).__name__)
+        raise InputError(f"{name} must be a 1-D {np.dtype(dtype)} ndarray, got {got}")
+    return value
 
 
 def _n_origin(scenario: PalmScenario) -> int:
@@ -352,25 +394,40 @@ def _draw_chunk(params: ModelParams, scenario: PalmScenario, R: float,
     radius, for a chunk within its cap.
 
     Trial i draws from the Philox stream keyed (master, i mod 2**64),
-    master mod 2**64, in this order, which the loop below holds in its one
-    copy: the second origin angle (intersection only), the background line
-    count n, the raw U of their angles (row 0) and of their offsets (row 1)
-    in one ``random((2, n))`` call, the point count of every line (rate
-    2 mu times its half chord; one scalar call a line up to
-    ``_SCALAR_COUNTS_MAX`` lines, else one array call) and the raw U of the
-    point positions. A raw U is a ``Generator.random`` double, which the
-    chunk maps once to ``low + (high - low) * U``, the value
+    master mod 2**64, in this order: the second origin angle
+    (intersection only), the background line count n, the raw U of their
+    angles and then of their offsets (2n doubles), the point count of every
+    line, its origin lines first (rate 2 mu times its half chord), and the
+    raw U of the point positions. A raw U is a ``Generator.random`` double,
+    which maps to ``low + (high - low) * U``, the value
     ``Generator.uniform(low, high)`` gives for the same draw by the same
     IEEE operations: angles in [0, pi), offsets in [-R, R) and positions in
-    [-1, 1) per unit half chord. The counts take each offset mapped in the
-    loop by the same operations, and its half chord as ``_half_chords``
-    forms it: in scalar arithmetic up to ``_SCALAR_COUNTS_MAX`` lines, else
-    by the helper itself."""
+    [-1, 1) per unit half chord; the counts take each mapped offset p and
+    its half chord ``sqrt(R*R - p*p)``. The compiled loop of ``_draw.c``
+    draws the chunk in one call where ``_compiled_draw`` can build and load
+    it, and the Python loop ``_draw_python``, the reference, everywhere
+    else; both give the same bits."""
     master %= 2**64
+    draw = _compiled_draw()[0]
+    args = (params.lam * _PI * R, 2.0 * params.mu, scenario, R, master, start, stop)
+    fields = _draw_python(*args) if draw is None else _draw_compiled(draw, *args)
+    return _chunk_sample(*fields, scenario, R, master, start % 2**64)
+
+
+def _draw_python(mean_lines, two_mu, scenario, R, master, start, stop):
+    """The draw of ``_draw_chunk`` as one Python loop over the trials,
+    numpy's Philox reset to each trial's key: the origin angles (trials x
+    origin lines), the background line counts, their angles and offsets,
+    the point counts and the positions, the fields ``_chunk_sample`` takes.
+    A trial's uniforms are drawn raw, the line uniforms in one
+    ``random((2, n))`` call, and mapped once per chunk; the point counts
+    take one scalar ``poisson`` call a line up to ``_SCALAR_COUNTS_MAX``
+    lines, else one array call, the offsets and half chords formed in
+    scalar arithmetic or by ``_half_chords``, rounded the same."""
     key, bitgen, rng, fresh = _thread_philox()
     key[0] = master
     random, poisson, sqrt = rng.random, rng.poisson, math.sqrt
-    mean_lines, two_mu, span = params.lam * _PI * R, 2.0 * params.mu, R - -R
+    span = R - -R
     sine = scenario.angle_law is AngleLaw.SIN_WEIGHTED
     n_origin = _n_origin(scenario)
     origin_rates = [two_mu * R] * n_origin
@@ -386,8 +443,6 @@ def _draw_chunk(params: ModelParams, scenario: PalmScenario, R: float,
         n = poisson(mean_lines)
         u = random((2, n))
         if n_origin + n <= _SCALAR_COUNTS_MAX:
-            # the offsets and _half_chords in scalar arithmetic, rounded the
-            # same
             c = list(map(poisson, origin_rates + [
                 two_mu * sqrt(R * R - p * p)
                 for v in u[1].tolist() for p in (-R + span * v,)]))
@@ -402,15 +457,156 @@ def _draw_chunk(params: ModelParams, scenario: PalmScenario, R: float,
     # each field in one array, the per-trial draws let go as they are read
     n_bg = np.array(n_bg, dtype=np.int64)
     angle_u, offset_u = np.concatenate(line_u, axis=1)
-    angle_bg = _uniform(angle_u, 0.0, _PI)
-    offset_bg = _uniform(offset_u, -R, R)
     origin = np.zeros((n_bg.size, n_origin))
     if second:
         origin[:, 1] = second
-    counts = np.array(counts, dtype=np.int64)
-    point_u = _uniform(np.concatenate(point_u), -1.0, 1.0)
-    return _chunk_sample(origin, n_bg, angle_bg, offset_bg, counts, point_u,
-                         scenario, R, master, start % 2**64)
+    return (origin, n_bg, _uniform(angle_u, 0.0, _PI), _uniform(offset_u, -R, R),
+            np.array(counts, dtype=np.int64), _uniform(np.concatenate(point_u), -1.0, 1.0))
+
+
+def _draw_compiled(draw, mean_lines, two_mu, scenario, R, master, start, stop):
+    """The fields of ``_draw_python`` from the compiled ``draw``, one call
+    per fill of its buffers. The buffers hold the chunk's expected lines
+    and points and more (``_buffer_sizes``); a trial that does not fit is
+    drawn again by the next call, into buffers for the trials left (and
+    twice as large again while none fits), since each trial draws from its
+    own stream. The positions, whose buffer becomes the chunk's arcs, are
+    cut to their size in place."""
+    n_origin = _n_origin(scenario)
+    sine = scenario.angle_law is AngleLaw.SIN_WEIGHTED
+    parts, grow = [], 1
+    while start < stop:
+        n = stop - start
+        line_cap, point_cap = (grow * size for size in _buffer_sizes(
+            n, n_origin, mean_lines, two_mu * R))
+        origin, n_bg = np.zeros((n, n_origin)), np.empty(n, dtype=np.int64)
+        angle, offset = np.empty(line_cap), np.empty(line_cap)
+        counts = np.empty(line_cap + n * n_origin, dtype=np.int64)
+        u, used = np.empty(point_cap), np.empty(2, dtype=np.int64)
+        done = draw(master, start % 2**64, n, n_origin, sine, mean_lines, two_mu, R,
+                    *(a.ctypes.data for a in (origin, n_bg, angle, offset, counts)),
+                    line_cap, u.ctypes.data, point_cap, used.ctypes.data)
+        lines, points = used.tolist()
+        u.resize(points, refcheck=False)
+        parts.append((origin[:done], n_bg[:done], angle[:lines], offset[:lines],
+                      counts[:lines + done * n_origin], u))
+        start += done
+        grow = 1 if done else 2 * grow
+    return parts[0] if len(parts) == 1 else [np.concatenate(f) for f in zip(*parts)]
+
+
+def _buffer_sizes(n, n_origin, mean_lines, per_line) -> tuple[int, int]:
+    """(background lines, points) that the buffers of ``n`` trials hold:
+    as many as the trials expect and six standard deviations more, the
+    points' deviation taken as sqrt(points * (1 + per_line)), which bounds
+    it when the rates of the lines vary too."""
+    lines = n * mean_lines
+    points = n * per_line * (n_origin + mean_lines * _PI / 4.0)
+    return (int(lines + 6.0 * math.sqrt(lines) + 16.0),
+            int(points + 6.0 * math.sqrt(points * (1.0 + per_line)) + 16.0))
+
+
+class _NoCompiledDraw(Exception):
+    """Why the compiled draw cannot be built or loaded."""
+
+
+def _draw_library() -> Path:
+    """The shared library of ``_draw.c`` in the per-user cache
+    ``${XDG_CACHE_HOME:-~/.cache}/linecox``, a directory made with mode 0700
+    and refused if another user owns it or may write to it. Its name hashes
+    the C source, the compiler command (sysconfig's ``CC`` and
+    ``_BUILD_FLAGS``), numpy's version and numpy's ``libnpyrandom.a``, so a
+    numpy upgrade builds it again; a missing one is built (``_build``).
+    _NoCompiledDraw names what is missing."""
+    import sysconfig  # only the first draw of a process needs it
+
+    cc = sysconfig.get_config_var("CC")
+    if not cc:
+        raise _NoCompiledDraw("sysconfig names no C compiler")
+    command = [*cc.split(), *_BUILD_FLAGS]
+    numpy_lib = Path(np.random.__file__).parent / "lib" / "libnpyrandom.a"
+    key = hashlib.sha256()
+    try:
+        for part in (_DRAW_SOURCE.read_bytes(), " ".join(command).encode(),
+                     np.__version__.encode(), numpy_lib.read_bytes()):
+            key.update(hashlib.sha256(part).digest())
+    except OSError as exc:
+        raise _NoCompiledDraw(f"cannot read {exc.filename}: {exc.strerror}") from None
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    cache = Path(base, "linecox")
+    if not cache.is_absolute():
+        raise _NoCompiledDraw("no home directory to keep a cache in")
+    try:
+        cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+        owner = cache.stat()
+    except OSError as exc:
+        raise _NoCompiledDraw(f"no cache at {cache}: {exc.strerror}") from None
+    if owner.st_uid != os.getuid() or owner.st_mode & 0o022:
+        raise _NoCompiledDraw(f"the cache {cache} is not private: another user owns it "
+                              "or may write to it")
+    library = cache / f"draw-{key.hexdigest()[:24]}.so"
+    if not library.is_file():
+        _build(command, numpy_lib, library)
+    return library
+
+
+def _build(command, numpy_lib, library):
+    """Compile ``_draw.c`` into ``library`` with ``command``, linking
+    numpy's ``numpy_lib``: into a temporary name in the same directory and
+    then ``os.replace``, so that processes building at once each load a
+    whole file. _NoCompiledDraw if the compiler is not on PATH, fails or
+    takes over ``_BUILD_TIMEOUT_S``."""
+    import subprocess  # only a build needs it
+
+    if shutil.which(command[0]) is None:
+        raise _NoCompiledDraw(f"no C compiler {command[0]} on PATH")
+    started = time.perf_counter()
+    try:
+        fd, partial = tempfile.mkstemp(suffix=".so", dir=library.parent)
+    except OSError as exc:
+        raise _NoCompiledDraw(f"cannot write to {library.parent}: {exc.strerror}") from None
+    os.close(fd)
+    try:
+        proc = subprocess.run([*command, str(_DRAW_SOURCE), str(numpy_lib), "-lm",
+                               "-o", partial], capture_output=True, text=True,
+                              timeout=_BUILD_TIMEOUT_S)
+        if proc.returncode != 0:
+            last = (proc.stderr.strip().splitlines() or ["no message"])[-1]
+            raise _NoCompiledDraw(f"{command[0]} exited {proc.returncode}: {last}")
+        os.replace(partial, library)
+    except subprocess.TimeoutExpired:
+        raise _NoCompiledDraw(f"the build took over {_BUILD_TIMEOUT_S} s") from None
+    except OSError as exc:
+        raise _NoCompiledDraw(f"the build failed: {exc}") from None
+    finally:
+        if os.path.exists(partial):
+            os.unlink(partial)
+    _log.info("sampler: compiled %s in %.2f s", library.name, time.perf_counter() - started)
+
+
+@functools.cache
+def _compiled_draw():
+    """(the compiled chunk draw, "compiled"), or (None, "python (reason)")
+    where ``_draw_library`` cannot give one or it does not load, with one
+    WARNING that names the reason. Resolved on a process's first draw,
+    never at import, and kept for the process; ``run_mc`` resolves it
+    before it starts a pool, so the workers inherit it."""
+    try:
+        draw = ctypes.CDLL(str(_draw_library())).linecox_draw
+    except _NoCompiledDraw as exc:
+        reason = str(exc)
+    except OSError as exc:
+        reason = f"the compiled draw does not load: {exc}"
+    else:
+        i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+        draw.argtypes = [ctypes.c_uint64, ctypes.c_uint64, i64, i64, i64, f64, f64, f64,
+                         ptr, ptr, ptr, ptr, ptr, i64, ptr, i64, ptr]
+        draw.restype = i64
+        return draw, "compiled"
+    _log.warning("sampler: drawing in Python, not compiled: %s", reason)
+    return None, f"python ({reason})"
 
 
 def _uniform(u: np.ndarray, low: float, high: float) -> np.ndarray:

@@ -8,6 +8,7 @@ process.
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -91,6 +92,13 @@ _LINK = RisLinkParams(*[1.0] * 12)
 _HUGE_R_MODEL = ModelParams(1.0 / (math.pi * 1e200), 1e-300)
 _TD = np.timedelta64(1, "s")  # numpy counts it an integer; no entry point takes it
 _HUGE = 10**5000  # past the 4,300 digits Python prints an int with
+
+
+def _listed_line_start():
+    chunk = sample_chunk(_MODEL, typical_point(), 1.0, 1, 0, 2)
+    return dataclasses.replace(chunk, line_start=chunk.line_start.tolist())
+
+
 _BAD_CALLS = {
     "run_mc trials": lambda: run_mc(_MODEL, typical_point(), TurnPolicy.one_turn(), 0, 1.0, 1),
     "run_mc t_max": lambda: run_mc(_MODEL, typical_point(), TurnPolicy.one_turn(), 1, 0.0, 1),
@@ -200,6 +208,9 @@ _BAD_CALLS = {
         sample_chunk(_MODEL, typical_point(), 1.0, 1, 0, 1), 1.5),
     "realization text trial": lambda: Realization(
         sample_chunk(_MODEL, typical_point(), 1.0, 1, 0, 1), "a"),
+    # a hand-built chunk whose line_start is a list gives no trial count
+    "realization list line_start": lambda: Realization(_listed_line_start(), 0),
+    "chunk realization list line_start": lambda: _listed_line_start().realization(0),
     "tol bool": lambda: check_tol(True),
     "thm2 tol bool": lambda: cdf_one_turn_intersection(_MODEL, 0.5, tol=True),
     "bound tol bool": lambda: cdf_two_turn_bound(_MODEL, 0.5, tol=True),
@@ -351,6 +362,18 @@ def test_a_value_repr_cannot_print_is_named_in_the_message(case):
     with pytest.raises(errors.InputError) as exc:
         _BAD_CALLS[case]()
     assert field in str(exc.value) and shown in str(exc.value)
+
+
+@pytest.mark.parametrize("case", ["realization list line_start",
+                                  "chunk realization list line_start"])
+def test_a_chunk_with_no_trial_count_is_refused_in_the_layout_words(case):
+    """A Realization of a chunk whose ``line_start`` is a list, built
+    directly or by ``ChunkSample.realization``, raised AttributeError from
+    the trial count; it is refused in the words of the solvers' layout
+    check."""
+    with pytest.raises(errors.InputError,
+                       match="^line_start must be a 1-D int64 ndarray, got list$"):
+        _BAD_CALLS[case]()
 
 
 def test_an_exact_turn_run_at_the_smallest_t_max_exits_0(monkeypatch, capsys):

@@ -372,7 +372,7 @@ def test_sample_chunk_accepts_every_chunk_run_mc_asks_for(lam, mu, t_max, point)
         return
     size = experiments._chunk_trials(params, scenario, t_max)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sampler, "_thread_philox", _refuse_draw)
+        patch.setattr(sampler, "_compiled_draw", _refuse_draw)
         with pytest.raises(_Drew):
             sampler.sample_chunk(params, scenario, t_max, 0, 0, size)
 

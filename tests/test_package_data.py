@@ -1,5 +1,6 @@
-"""The built package carries the ``thm2`` tables, which the one-turn
-intersection curve loads and never builds.
+"""The built package carries its data files: the ``thm2`` tables, which
+the one-turn intersection curve loads and never builds, and ``_draw.c``,
+which the sampler compiles on a machine's first draw.
 
 ``setup.py build_py`` is the step of a wheel build that copies the
 package's modules and data files, and ``setup.py sdist`` builds the source
@@ -15,6 +16,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TABLES = Path("linecox", "analytic", "_thm2_tables.npz")
+DATA = [TABLES, Path("linecox", "_draw.c")]
 
 
 def _setup(tmp_path, *command):
@@ -29,13 +31,18 @@ def _setup(tmp_path, *command):
 
 
 def test_build_py_ships_the_thm2_tables(tmp_path):
+    """And ``_draw.c``, byte for byte, as every data file."""
     _setup(tmp_path, "build_py", "--build-lib", "out")
-    assert (tmp_path / "out" / TABLES).read_bytes() == (ROOT / "src" / TABLES).read_bytes()
+    for path in DATA:
+        assert (tmp_path / "out" / path).read_bytes() == (ROOT / "src" / path).read_bytes()
 
 
 def test_the_sdist_ships_the_thm2_tables(tmp_path):
+    """And ``_draw.c``, byte for byte, as every data file."""
     _setup(tmp_path, "sdist", "--dist-dir", "out")
     (archive,) = (tmp_path / "out").glob("linecox-*.tar.gz")
     with tarfile.open(archive) as sdist:
-        member = sdist.extractfile(f"{archive.name[:-len('.tar.gz')]}/src/{TABLES.as_posix()}")
-        assert member.read() == (ROOT / "src" / TABLES).read_bytes()
+        for path in DATA:
+            member = sdist.extractfile(
+                f"{archive.name[:-len('.tar.gz')]}/src/{path.as_posix()}")
+            assert member.read() == (ROOT / "src" / path).read_bytes()

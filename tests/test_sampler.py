@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import tracemalloc
 
@@ -16,6 +17,7 @@ from linecox import (
     TurnPolicy,
     cli,
     run_mc,
+    sampler,
     sample_chunk,
     sample_palm,
     shortest_path,
@@ -324,24 +326,35 @@ def _reference_chunk(params, scenario, R, master, start, stop):
     return out
 
 
+def _both_draws(monkeypatch):
+    """Runs the loop body once on the draw the package resolves, the
+    compiled one where a C compiler builds it, and once on the Python loop,
+    the loader patched to fall back."""
+    yield "resolved"
+    monkeypatch.setattr(sampler, "_compiled_draw", lambda: (None, "python (forced)"))
+    yield "python"
+
+
 @pytest.mark.parametrize("lam", [0.5, 2.0, 16.0])
-def test_sample_chunk_equals_slow_reference_bit_for_bit(lam):
-    """Every ChunkSample array equals the one-call-per-field reference.
-    lam 0.5 draws counts by scalar calls, lam 16 by array calls, and lam 2
-    both, with trials of exactly _SCALAR_COUNTS_MAX lines. mu 2 at radius 3
-    gives rates up to 12, so Poisson draws take both numpy branches (below
-    and from rate 10). Masters -7 and 2**64 + 3 wrap to uint64 keys."""
+def test_sample_chunk_equals_slow_reference_bit_for_bit(lam, monkeypatch):
+    """Every ChunkSample array equals the one-call-per-field reference, on
+    both draws. lam 0.5 draws counts by scalar calls, lam 16 by array
+    calls, and lam 2 both, with trials of exactly _SCALAR_COUNTS_MAX lines.
+    mu 2 at radius 3 gives rates up to 12, so Poisson draws take both numpy
+    branches (below and from rate 10). Masters -7 and 2**64 + 3 wrap to
+    uint64 keys."""
     params, R = ModelParams(lam, 2.0), 3.0
     sizes = set()
-    for scenario in (typical_point(), typical_intersection(),
-                     typical_intersection(AngleLaw.SIN_WEIGHTED)):
+    for scenario, draw in itertools.product(
+            (typical_point(), typical_intersection(),
+             typical_intersection(AngleLaw.SIN_WEIGHTED)), _both_draws(monkeypatch)):
         for master, start, n in ((-7, 0, 1), (2**64 + 3, 40, 3), (2024, 1000, 150)):
             chunk = sample_chunk(params, scenario, R, master, start, start + n)
             want = _reference_chunk(params, scenario, R, master, start, start + n)
             for name in _CHUNK_FIELDS:
                 got = _chunk_array(chunk, name)
                 assert got.dtype == want[name].dtype, name
-                assert got.tobytes() == want[name].tobytes(), (name, master, n)
+                assert got.tobytes() == want[name].tobytes(), (name, master, n, draw)
             sizes.update(np.diff(chunk.line_start).tolist())
     if lam == 2.0:
         assert {_SCALAR_COUNTS_MAX - 1, _SCALAR_COUNTS_MAX,
@@ -395,14 +408,70 @@ def test_chunk_sample_sorts_each_line_on_exact_integer_keys():
 DENSE_CHUNK_MD5 = "eabeffefc952e2b45f0ae44f1fff414c"
 
 
-def test_dense_chunk_matches_frozen_digest():
-    chunk = sample_chunk(ModelParams(16.0, 2.0), typical_intersection(), 3.0,
-                         2024, 0, 6)
+def _chunk_md5(chunk) -> str:
     h = hashlib.md5()
     for name in _CHUNK_FIELDS:
         h.update(np.ascontiguousarray(_chunk_array(chunk, name)).tobytes())
-    assert chunk.angle.size > 6 * 100
-    assert h.hexdigest() == DENSE_CHUNK_MD5
+    return h.hexdigest()
+
+
+def test_dense_chunk_matches_frozen_digest(monkeypatch):
+    for _ in _both_draws(monkeypatch):
+        chunk = sample_chunk(ModelParams(16.0, 2.0), typical_intersection(), 3.0,
+                             2024, 0, 6)
+        assert chunk.angle.size > 6 * 100
+        assert _chunk_md5(chunk) == DENSE_CHUNK_MD5
+
+
+# every (scenario, master, start, trials) of this matrix draws at two of
+# these (lam, mu), in turn, so that Poisson draws take both of numpy's
+# branches (below and from rate 10) and line counts from 0 to about 200
+_MATRIX_MODELS = [(0.0, 1.0), (0.5, 0.5), (1.0, 1.0), (2.0, 0.5), (2.0, 2.0),
+                  (1.3, 1.9), (4.0, 1.0), (16.0, 1.0)]
+
+
+def _python_chunk(monkeypatch, *args):
+    """``sample_chunk(*args)`` drawn by the Python loop."""
+    with monkeypatch.context() as patch:
+        patch.setattr(sampler, "_compiled_draw", lambda: (None, "python (forced)"))
+        return sample_chunk(*args)
+
+
+def test_compiled_and_python_draws_agree_on_108_chunks(monkeypatch):
+    """The draw the package resolves and the Python loop give the same
+    bits on 108 chunks: three scenarios, masters that wrap to uint64 keys,
+    starts whose chunk wraps past 2**64, 1- and 150-trial chunks."""
+    scenarios = (typical_point(), typical_intersection(),
+                 typical_intersection(AngleLaw.SIN_WEIGHTED))
+    cells = itertools.product(scenarios, (7, -5, 2**64 + 3), (0, 11, 2**64 - 2), (1, 150))
+    models = itertools.cycle(_MATRIX_MODELS)
+    checked = 0
+    for (scenario, master, start, n), _ in itertools.product(cells, range(2)):
+        args = (ModelParams(*next(models)), scenario, 3.0, master, start, start + n)
+        chunk = sample_chunk(*args)
+        want = _python_chunk(monkeypatch, *args)
+        for name in _CHUNK_FIELDS:
+            got = _chunk_array(chunk, name)
+            assert got.tobytes() == _chunk_array(want, name).tobytes(), (name, args)
+        checked += 1
+    assert checked == 108
+
+
+@pytest.mark.parametrize("cap", ["lines", "trial points"])
+def test_both_draws_agree_at_the_sampler_caps(monkeypatch, cap):
+    """A one-trial chunk just below MAX_EXPECTED_LINES lines, and one just
+    below MAX_TRIAL_POINTS points, draw the same bits on both draws."""
+    R = 3.0
+    if cap == "lines":
+        params = ModelParams(MAX_EXPECTED_LINES * (1 - 1e-9) / (math.pi * R), 0.1)
+    else:
+        mu = MAX_EXPECTED_POINTS / 4.0 / (2.0 * R)
+        lines = MAX_TRIAL_POINTS * (1 - 1e-9) / (2.0 * mu * R)
+        params = ModelParams((lines - 2.0) / (math.pi * R), mu)
+    args = (params, typical_intersection(), R, 3, 0, 1)
+    chunk = sample_chunk(*args)
+    assert chunk.angle.size > (1800 if cap == "lines" else 300)
+    assert _chunk_md5(chunk) == _chunk_md5(_python_chunk(monkeypatch, *args))
 
 
 def test_chunk_keeps_and_draws_in_bounded_memory():

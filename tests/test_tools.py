@@ -92,3 +92,41 @@ def test_a_layer_timing_child_runs_its_row_in_a_new_interpreter():
     assert timing._child(src, timing.thm2_row, ("T corner",)).keys() == {"ms"}
     with pytest.raises(SystemExit):
         timing.main(["--rows", "thm2", "--src", str(TOOLS)])
+
+
+def _canned_run(wall, md5="aa"):
+    """The lines ``perfbench/run.py`` prints, as ``tools/ab.py`` reads them."""
+    return "\n".join([
+        "perfbench workload=mc-sparse seed=1 seconds=24 trace=0",
+        'facts {"cpu": "x", "seed": 1}',
+        f"md5 mc.0 {md5}", "md5 mc.1 bb", "metric wall_s 0.3 s",
+        json.dumps({"correct": True, "attempted": 12, "failed": 0,
+                    "metrics": {"wall_s": {"value": wall, "unit": "s"},
+                                "setup_s": {"value": 0.2, "unit": "s"}}})])
+
+
+def test_ab_summarizes_pairs_by_median_quartiles_and_pairs_lower():
+    """Five canned pairs: the parent's wall_s median 0.30 [0.29, 0.31], the
+    change's 0.11 (-63.3%), lower in 4 of 5 pairs; an equal metric is lower
+    in none; one pair's curve md5 differs in one of its two jobs."""
+    ab = _load(TOOLS / "ab.py")
+    parent = [0.30, 0.32, 0.28, 0.31, 0.29]
+    change = [0.10, 0.11, 0.33, 0.12, 0.09]
+    pairs = [ab.pair_md5s({"workload": "mc-sparse", "seed": s, "first": "parent",
+                           "parent": ab.parse_run(_canned_run(a)),
+                           "change": ab.parse_run(_canned_run(b, "cc" if s == 2 else "aa"))})
+             for s, (a, b) in enumerate(zip(parent, change))]
+    assert pairs[0]["parent"]["facts"] == {"cpu": "x", "seed": 1}
+    assert [(p["md5_jobs"], p["md5_differs"]) for p in pairs] == [(2, 0)] * 2 + [(2, 1)] + [
+        (2, 0)] * 2
+    summary = ab.summarize(pairs)["mc-sparse"]
+    wall = summary["wall_s"]
+    assert (wall["parent_median"], wall["parent_q1"], wall["parent_q3"]) == pytest.approx(
+        (0.30, 0.29, 0.31))
+    assert wall["change_median"] == 0.11 and (wall["lower"], wall["pairs"]) == (4, 5)
+    assert wall["delta_pct"] == pytest.approx(-63.333, abs=1e-3)
+    assert summary["setup_s"]["lower"] == 0 and summary["setup_s"]["delta_pct"] == 0.0
+    assert set(summary) == {"wall_s", "setup_s"}
+    text = ab.report(pairs, ab.summarize(pairs))
+    assert "wall_s       0.3 [0.29, 0.31] -> 0.11  -63.3%  lower in 4/5" in text
+    assert "md5 differs in 1 of 2 MC jobs" in text
