@@ -507,7 +507,13 @@ def _buffer_sizes(n, n_origin, mean_lines, per_line) -> tuple[int, int]:
 
 
 class _NoCompiledDraw(Exception):
-    """Why the compiled draw cannot be built or loaded."""
+    """Why the compiled draw cannot be built: the machine lacks what the
+    build needs (a compiler, numpy's library, a private cache)."""
+
+
+class _BuildFailed(_NoCompiledDraw):
+    """The compiler ran and gave no library: a fault, not a machine
+    without a compiler."""
 
 
 def _draw_library() -> Path:
@@ -556,8 +562,9 @@ def _build(command, numpy_lib, library):
     """Compile ``_draw.c`` into ``library`` with ``command``, linking
     numpy's ``numpy_lib``: into a temporary name in the same directory and
     then ``os.replace``, so that processes building at once each load a
-    whole file. _NoCompiledDraw if the compiler is not on PATH, fails or
-    takes over ``_BUILD_TIMEOUT_S``."""
+    whole file. _NoCompiledDraw if the compiler is not on PATH or the
+    directory takes no file, _BuildFailed if the compiler fails or takes
+    over ``_BUILD_TIMEOUT_S``."""
     import subprocess  # only a build needs it
 
     if shutil.which(command[0]) is None:
@@ -574,12 +581,12 @@ def _build(command, numpy_lib, library):
                               timeout=_BUILD_TIMEOUT_S)
         if proc.returncode != 0:
             last = (proc.stderr.strip().splitlines() or ["no message"])[-1]
-            raise _NoCompiledDraw(f"{command[0]} exited {proc.returncode}: {last}")
+            raise _BuildFailed(f"{command[0]} exited {proc.returncode}: {last}")
         os.replace(partial, library)
     except subprocess.TimeoutExpired:
-        raise _NoCompiledDraw(f"the build took over {_BUILD_TIMEOUT_S} s") from None
+        raise _BuildFailed(f"the build took over {_BUILD_TIMEOUT_S} s") from None
     except OSError as exc:
-        raise _NoCompiledDraw(f"the build failed: {exc}") from None
+        raise _BuildFailed(f"the build failed: {exc}") from None
     finally:
         if os.path.exists(partial):
             os.unlink(partial)
@@ -590,22 +597,25 @@ def _build(command, numpy_lib, library):
 def _compiled_draw():
     """(the compiled chunk draw, "compiled"), or (None, "python (reason)")
     where ``_draw_library`` cannot give one or it does not load, with one
-    WARNING that names the reason. Resolved on a process's first draw,
-    never at import, and kept for the process; ``run_mc`` resolves it
-    before it starts a pool, so the workers inherit it."""
+    record that names the reason: an INFO where the machine lacks what the
+    build needs, since the Python loop is the supported draw there, and a
+    WARNING where the build or the load fails. Resolved on a process's
+    first draw, never at import, and kept for the process; ``run_mc``
+    resolves it before it starts a pool, so the workers inherit it."""
     try:
         draw = ctypes.CDLL(str(_draw_library())).linecox_draw
     except _NoCompiledDraw as exc:
         reason = str(exc)
+        level = logging.WARNING if isinstance(exc, _BuildFailed) else logging.INFO
     except OSError as exc:
-        reason = f"the compiled draw does not load: {exc}"
+        reason, level = f"the compiled draw does not load: {exc}", logging.WARNING
     else:
         i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
         draw.argtypes = [ctypes.c_uint64, ctypes.c_uint64, i64, i64, i64, f64, f64, f64,
                          ptr, ptr, ptr, ptr, ptr, i64, ptr, i64, ptr]
         draw.restype = i64
         return draw, "compiled"
-    _log.warning("sampler: drawing in Python, not compiled: %s", reason)
+    _log.log(level, "sampler: drawing in Python, not compiled: %s", reason)
     return None, f"python ({reason})"
 
 

@@ -1,12 +1,16 @@
 """The compiled chunk draw (``sampler._compiled_draw`` and ``_draw.c``):
 where a C compiler is on PATH it is built once into the per-user cache
 and used; where it cannot be built, the Python loop draws the same bits,
-with one WARNING that names the reason; and ``run_mc`` says which ran."""
+with one record that names the reason; and ``run_mc`` says which ran."""
 
 import logging
+import os
 import shutil
 import stat
+import subprocess
+import sys
 import sysconfig
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,18 +96,22 @@ def _shared_cache(monkeypatch, tmp_path):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "shared"))
 
 
-@pytest.mark.parametrize("failure, reason", [
-    (_break_the_source, "exited"),
-    (_hide_the_compiler, "on PATH"),
-    (_unwritable_cache, "no cache"),
-    (_shared_cache, "not private"),
+@pytest.mark.parametrize("failure, reason, level", [
+    pytest.param(_break_the_source, "exited", logging.WARNING,
+                 marks=pytest.mark.skipif(not _HAS_CC, reason="no C compiler on PATH")),
+    (_hide_the_compiler, "on PATH", logging.INFO),
+    (_unwritable_cache, "no cache", logging.INFO),
+    (_shared_cache, "not private", logging.INFO),
 ], ids=["build fails", "no compiler", "no writable cache", "cache others may write"])
-def test_a_draw_that_cannot_be_built_falls_back_with_one_warning(
-        fresh_loader, monkeypatch, tmp_path, caplog, failure, reason):
+def test_a_draw_that_cannot_be_built_falls_back_and_says_why(
+        fresh_loader, monkeypatch, tmp_path, caplog, failure, reason, level):
     """A build that fails, a compiler missing from PATH, a cache that
     cannot be made and one that others may write each leave the Python
-    loop to draw, with one WARNING per process naming the reason, and the
-    same bits as the compiled draw. No library is left in the cache."""
+    loop to draw, with the same bits as the compiled draw and one record
+    per process naming the reason: a WARNING for the failed build, a
+    fault, and an INFO where the machine lacks what the build needs, so
+    that scripts on such a machine print nothing. No library is left in
+    the cache."""
     want = sample_chunk(*_ARGS)  # compiled where a compiler is
     shutil.rmtree(fresh_loader, ignore_errors=True)
     failure(monkeypatch, tmp_path)
@@ -113,10 +121,28 @@ def test_a_draw_that_cannot_be_built_falls_back_with_one_warning(
         chunk = sample_chunk(*_ARGS)
         sample_chunk(*_ARGS)
     assert draw is None and path.startswith("python (") and reason in path
-    warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
-    assert len(warnings) == 1 and reason in warnings[0].getMessage()
+    said = [r for r in caplog.records if "not compiled" in r.getMessage()]
+    assert [r.levelno for r in said] == [level] and reason in said[0].getMessage()
+    assert not [r for r in caplog.records if r.levelno > level]
     assert _same_bits(chunk, want)
     assert not list(tmp_path.rglob("*.so"))
+
+
+def test_a_script_that_cannot_build_the_draw_prints_nothing(tmp_path):
+    """A fresh interpreter, its logging unconfigured, on a machine where
+    the cache cannot be made: the Python loop draws and nothing reaches
+    stderr, so the demos and the quiet CLI run there as cleanly as with
+    the compiled draw."""
+    (tmp_path / "file").write_text("")
+    src = Path(sampler.__file__).resolve().parent.parent
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "file"), PYTHONPATH=str(src))
+    script = ("from linecox import ModelParams, sample_chunk, sampler, typical_point\n"
+              "sample_chunk(ModelParams(1.0, 1.0), typical_point(), 3.0, 1, 0, 2)\n"
+              "print(sampler._compiled_draw()[1])\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert proc.stdout.startswith("python (no cache at")
 
 
 @pytest.mark.skipif(not _HAS_CC, reason="no C compiler on PATH")

@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import math
+import shutil
+import sysconfig
 import tracemalloc
 
 import numpy as np
@@ -38,6 +40,8 @@ from realizations import crossings_within, intersections, rotate
 
 # point process intensity that keeps realizations almost point-free when a
 # test only cares about the line geometry
+_CC = (sysconfig.get_config_var("CC") or "").split()
+_HAS_CC = bool(_CC) and shutil.which(_CC[0]) is not None
 _NO_POINTS = 1e-9
 
 
@@ -327,10 +331,13 @@ def _reference_chunk(params, scenario, R, master, start, stop):
 
 
 def _both_draws(monkeypatch):
-    """Runs the loop body once on the draw the package resolves, the
-    compiled one where a C compiler builds it, and once on the Python loop,
-    the loader patched to fall back."""
-    yield "resolved"
+    """Runs the loop body once on the draw the package resolves, which must
+    be the compiled one where a C compiler is on PATH, and once on the
+    Python loop, the loader patched to fall back. Iterate it lazily, one
+    pass at a time: the patch lands when the second pass begins."""
+    resolved = sampler._compiled_draw()[1]
+    assert resolved == "compiled" or not _HAS_CC, resolved
+    yield resolved
     monkeypatch.setattr(sampler, "_compiled_draw", lambda: (None, "python (forced)"))
     yield "python"
 
@@ -344,21 +351,26 @@ def test_sample_chunk_equals_slow_reference_bit_for_bit(lam, monkeypatch):
     branches (below and from rate 10). Masters -7 and 2**64 + 3 wrap to
     uint64 keys."""
     params, R = ModelParams(lam, 2.0), 3.0
-    sizes = set()
-    for scenario, draw in itertools.product(
-            (typical_point(), typical_intersection(),
-             typical_intersection(AngleLaw.SIN_WEIGHTED)), _both_draws(monkeypatch)):
-        for master, start, n in ((-7, 0, 1), (2**64 + 3, 40, 3), (2024, 1000, 150)):
-            chunk = sample_chunk(params, scenario, R, master, start, start + n)
-            want = _reference_chunk(params, scenario, R, master, start, start + n)
-            for name in _CHUNK_FIELDS:
-                got = _chunk_array(chunk, name)
-                assert got.dtype == want[name].dtype, name
-                assert got.tobytes() == want[name].tobytes(), (name, master, n, draw)
-            sizes.update(np.diff(chunk.line_start).tolist())
-    if lam == 2.0:
-        assert {_SCALAR_COUNTS_MAX - 1, _SCALAR_COUNTS_MAX,
-                _SCALAR_COUNTS_MAX + 1} <= sizes
+    scenarios = (typical_point(), typical_intersection(),
+                 typical_intersection(AngleLaw.SIN_WEIGHTED))
+    passes = []
+    for draw in _both_draws(monkeypatch):
+        sizes = set()
+        for scenario in scenarios:
+            for master, start, n in ((-7, 0, 1), (2**64 + 3, 40, 3), (2024, 1000, 150)):
+                chunk = sample_chunk(params, scenario, R, master, start, start + n)
+                want = _reference_chunk(params, scenario, R, master, start, start + n)
+                for name in _CHUNK_FIELDS:
+                    got = _chunk_array(chunk, name)
+                    assert got.dtype == want[name].dtype, name
+                    assert got.tobytes() == want[name].tobytes(), (name, master, n, draw)
+                sizes.update(np.diff(chunk.line_start).tolist())
+        if lam == 2.0:
+            assert {_SCALAR_COUNTS_MAX - 1, _SCALAR_COUNTS_MAX,
+                    _SCALAR_COUNTS_MAX + 1} <= sizes, draw
+        passes.append(sampler._compiled_draw()[1])
+    # the patch was in force in the second pass only
+    assert len(passes) == 2 and passes[0] != "python (forced)" == passes[1]
 
 
 def test_chunk_sample_sorts_each_line_on_exact_integer_keys():
@@ -416,7 +428,8 @@ def _chunk_md5(chunk) -> str:
 
 
 def test_dense_chunk_matches_frozen_digest(monkeypatch):
-    for _ in _both_draws(monkeypatch):
+    for draw in _both_draws(monkeypatch):
+        assert sampler._compiled_draw()[1].startswith(draw)
         chunk = sample_chunk(ModelParams(16.0, 2.0), typical_intersection(), 3.0,
                              2024, 0, 6)
         assert chunk.angle.size > 6 * 100

@@ -130,3 +130,18 @@ def test_ab_summarizes_pairs_by_median_quartiles_and_pairs_lower():
     text = ab.report(pairs, ab.summarize(pairs))
     assert "wall_s       0.3 [0.29, 0.31] -> 0.11  -63.3%  lower in 4/5" in text
     assert "md5 differs in 1 of 2 MC jobs" in text
+
+
+def test_ab_runs_every_workload_of_the_benchmark_at_its_run_length(capsys):
+    """``tools/ab.py`` takes its workloads, metrics and run length from
+    ``BENCHMARK.json`` and has no option to run another length or to skip
+    a workload."""
+    ab = _load(TOOLS / "ab.py")
+    spec = json.loads((TOOLS.parent / "BENCHMARK.json").read_text())
+    assert ab.WORKLOADS == tuple(w["name"] for w in spec["workloads"])
+    assert ab.METRICS == tuple(m["name"] for m in spec["end_to_end"])
+    assert ab.RUN_SECONDS == spec["run_seconds"]
+    for knob in (["--seconds", "5"], ["--workload", "mc-sparse"]):
+        with pytest.raises(SystemExit):
+            ab.main(["HEAD", *knob])
+        assert "unrecognized arguments" in capsys.readouterr().err

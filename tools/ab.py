@@ -1,9 +1,11 @@
 """Before/after pairs of the benchmark: a parent revision against a change.
 
-    python3 tools/ab.py PARENT_REV [--rev HEAD] [--workload mc-sparse ...]
-        [--seeds 11 12 ...] [--seconds 24] [--aa] [--label NAME]
+    python3 tools/ab.py PARENT_REV [--rev HEAD] [--seeds 11 12 ...] [--aa]
+        [--label NAME]
 
-Each revision is checked out with ``git archive`` into a fresh directory,
+Every workload of ``BENCHMARK.json`` runs at its ``run_seconds``, the run
+length the benchmark defines, so every claim is made on the benchmark's
+own runs. Each revision is checked out with ``git archive`` into a fresh directory,
 so neither tree holds bytecode, and every run has
 PYTHONDONTWRITEBYTECODE=1. For each workload and seed the two trees run
 ``perfbench/run.py`` one after the other, the tree that goes first turning
@@ -31,8 +33,10 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("mc-sparse", "kturn-dense", "analytic-apps")
-METRICS = ("setup_s", "wall_s", "job_p50_ms", "job_p90_ms", "peak_rss_mb")
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = tuple(w["name"] for w in BENCHMARK["workloads"])
+METRICS = tuple(m["name"] for m in BENCHMARK["end_to_end"])
+RUN_SECONDS = BENCHMARK["run_seconds"]
 RUN_TIMEOUT_S = 1800
 
 
@@ -58,10 +62,10 @@ def parse_run(stdout: str) -> dict:
             "metrics": {name: m["value"] for name, m in last["metrics"].items()}}
 
 
-def bench(tree: Path, workload: str, seed: int, seconds: int) -> dict:
+def bench(tree: Path, workload: str, seed: int) -> dict:
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", str(seconds)],
+                           "--seed", str(seed), "--seconds", str(RUN_SECONDS)],
                           cwd=tree, env=env, capture_output=True, text=True,
                           timeout=RUN_TIMEOUT_S)
     if proc.returncode != 0:
@@ -127,26 +131,22 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", help="the parent revision, as git names it")
     ap.add_argument("--rev", default="HEAD", help="the changed revision (default HEAD)")
-    ap.add_argument("--workload", action="append", choices=WORKLOADS,
-                    help="a workload to run (repeatable; default all three)")
     ap.add_argument("--seeds", type=int, nargs="+", default=list(range(11, 21)))
-    ap.add_argument("--seconds", type=int, default=24)
     ap.add_argument("--aa", action="store_true",
                     help="run --rev against a second copy of itself")
     ap.add_argument("--label", default="ab", help="writes BENCH_<label>.json")
     args = ap.parse_args(argv)
-    workloads = args.workload or list(WORKLOADS)
     parent = args.rev if args.aa else args.parent
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
         trees = {"parent": checkout(parent, Path(tmp, "parent")),
                  "change": checkout(args.rev, Path(tmp, "change"))}
         pairs = []
-        for workload in workloads:
+        for workload in WORKLOADS:
             for i, seed in enumerate(args.seeds):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 pair = {"workload": workload, "seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side] = bench(trees[side], workload, seed, args.seconds)
+                    pair[side] = bench(trees[side], workload, seed)
                 pairs.append(pair_md5s(pair))
                 print(f"{workload} seed {seed}: " + ", ".join(
                     f"{side} wall_s {pair[side]['metrics'].get('wall_s')}"
@@ -158,7 +158,7 @@ def main(argv=None) -> int:
                for side, rev in (("parent", parent), ("change", args.rev))}
     out = Path(f"BENCH_{args.label}.json")
     out.write_text(json.dumps({"parent": parent, "rev": args.rev, "commits": commits,
-                               "aa": args.aa, "seconds": args.seconds,
+                               "aa": args.aa, "seconds": RUN_SECONDS,
                                "summary": summary, "pairs": pairs}, indent=1) + "\n")
     print(f"wrote {out}")
     return 0
