@@ -69,19 +69,18 @@ static double philox_next_double(void *st)
 }
 
 /* Draws trials start .. start + n_trials - 1 until one does not fit its
-   buffers, and returns how many it drew. Per trial: the second origin
-   angle into origin[t * n_origin + 1] (n_origin 2 only), the background
-   line count into n_bg[t], the lines' angles and offsets after those of
-   the trials before, the point count of each line, its origin lines
-   first, and the point positions per unit half chord. used[0] and
-   used[1] return the background lines and the points drawn. counts holds
-   line_cap + n_trials * n_origin entries. */
+   buffers, and returns how many it drew. Per trial, after the lines of
+   the trials before: its line count, origin lines included, into
+   n_lines[t]; each line's angle and offset, its origin lines first (the
+   x-axis, and at n_origin 2 the second origin angle, both at offset 0);
+   each line's point count at the same index of counts; and the raw U of
+   the point positions. used[0] and used[1] return the lines and the
+   points drawn. */
 int64_t linecox_draw(uint64_t master, uint64_t start, int64_t n_trials,
                      int64_t n_origin, int64_t sine, double mean_lines,
-                     double two_mu, double R, double *origin, int64_t *n_bg,
-                     double *angle, double *offset, int64_t *counts,
-                     int64_t line_cap, double *points, int64_t point_cap,
-                     int64_t *used)
+                     double two_mu, double R, int64_t *n_lines, double *angle,
+                     double *offset, int64_t *counts, int64_t line_cap,
+                     double *points, int64_t point_cap, int64_t *used)
 {
     const double pi = 3.141592653589793, span = R - -R;
     philox_t s;
@@ -91,28 +90,32 @@ int64_t linecox_draw(uint64_t master, uint64_t start, int64_t n_trials,
         s.ctr[0] = s.ctr[1] = s.ctr[2] = s.ctr[3] = 0;
         s.key[0] = master, s.key[1] = start + (uint64_t)t;
         s.pos = 4;
+        double second = 0.0;
         if (n_origin == 2) {
             double v = philox_next_double(&s);
-            origin[2 * t + 1] = sine ? acos(1.0 - 2.0 * v) : pi * v;
+            second = sine ? acos(1.0 - 2.0 * v) : pi * v;
         }
-        int64_t n = random_poisson(&g, mean_lines);
+        int64_t n = n_origin + random_poisson(&g, mean_lines), i, total = 0;
         if (n > line_cap - lines)
             break;
         double *a = angle + lines, *p = offset + lines;
-        for (int64_t i = 0; i < n; i++)
+        int64_t *c = counts + lines;
+        a[0] = p[0] = 0.0;
+        if (n_origin == 2)
+            a[1] = second, p[1] = 0.0;
+        for (i = n_origin; i < n; i++)
             a[i] = pi * philox_next_double(&s) + 0.0;
-        for (int64_t i = 0; i < n; i++)
+        for (i = n_origin; i < n; i++)
             p[i] = span * philox_next_double(&s) + -R;
-        int64_t *c = counts + lines + t * n_origin, total = 0;
-        for (int64_t i = 0; i < n_origin; i++)
+        for (i = 0; i < n_origin; i++)
             total += c[i] = random_poisson(&g, two_mu * R);
-        for (int64_t i = 0; i < n; i++)
-            total += c[n_origin + i] = random_poisson(&g, two_mu * sqrt(R * R - p[i] * p[i]));
+        for (; i < n; i++)
+            total += c[i] = random_poisson(&g, two_mu * sqrt(R * R - p[i] * p[i]));
         if (total > point_cap - n_points)
             break;
-        for (int64_t i = 0; i < total; i++)
-            points[n_points + i] = 2.0 * philox_next_double(&s) + -1.0;
-        n_bg[t] = n;
+        for (i = 0; i < total; i++)
+            points[n_points + i] = philox_next_double(&s);
+        n_lines[t] = n;
         lines += n;
         n_points += total;
     }

@@ -33,18 +33,20 @@ A trial's origin lines come first, as many as its scenario has
 (``_n_origin``), so the layout keeps no per-line origin flag.
 A Realization is a view of one trial of a chunk, and ``sample_palm`` is
 the one trial of a ``sample_chunk`` call. One loop draws a chunk's trials,
-each its uniforms as raw ``Generator.random`` doubles U mapped to
-``low + (high - low) * U``: the value ``Generator.uniform(low, high)``
-gives for the same draw, by the same IEEE operations. The loop is compiled
-C (``_draw.c``), one call a chunk, stepping its own Philox4x64-10 as
-numpy's Philox steps and calling numpy's own Poisson sampler from
-``libnpyrandom.a``; it is built on a machine's first draw into the
-per-user cache and loaded with ctypes (``_compiled_draw``). Where it
-cannot be built, the Python loop ``_draw_python`` draws, the reference
-that gives the same bits. A raw U is k * 2**-53 for an integer k, so the
-chunk sorts each line's points on exact integer keys, one uint64 a point
-(the line over k), in place, and only then scales them to arcs; drawing a
-chunk peaks near 24 bytes per point.
+each its uniforms as raw ``Generator.random`` doubles U, the line angles
+and offsets mapped to ``low + (high - low) * U``: the value
+``Generator.uniform(low, high)`` gives for the same draw, by the same IEEE
+operations. The loop is compiled C (``_draw.c``), one call a chunk,
+stepping its own Philox4x64-10 as numpy's Philox steps and calling
+numpy's own Poisson sampler from ``libnpyrandom.a``; it is built on a
+machine's first draw into the per-user cache and loaded with ctypes
+(``_compiled_draw``). Where it cannot be built, the Python loop
+``_draw_python`` draws, the reference that gives the same bits. Both hand
+``_chunk_sample`` the chunk's lines in its own order, origin lines first,
+and the point positions raw. A raw U is k * 2**-53 for an integer k, so
+the chunk sorts each line's points on exact integer keys, one uint64 a
+point (the line over k), in place, and only then maps them to positions
+and scales them to arcs; drawing a chunk peaks near 24 bytes per point.
 """
 
 from __future__ import annotations
@@ -401,12 +403,13 @@ def _draw_chunk(params: ModelParams, scenario: PalmScenario, R: float,
     raw U of the point positions. A raw U is a ``Generator.random`` double,
     which maps to ``low + (high - low) * U``, the value
     ``Generator.uniform(low, high)`` gives for the same draw by the same
-    IEEE operations: angles in [0, pi), offsets in [-R, R) and positions in
-    [-1, 1) per unit half chord; the counts take each mapped offset p and
-    its half chord ``sqrt(R*R - p*p)``. The compiled loop of ``_draw.c``
-    draws the chunk in one call where ``_compiled_draw`` can build and load
-    it, and the Python loop ``_draw_python``, the reference, everywhere
-    else; both give the same bits."""
+    IEEE operations: angles in [0, pi), offsets in [-R, R) and, in
+    ``_chunk_sample``, positions in [-1, 1) per unit half chord; the counts
+    take each mapped offset p and its half chord ``sqrt(R*R - p*p)``. The
+    compiled loop of ``_draw.c`` draws the chunk in one call where
+    ``_compiled_draw`` can build and load it, and the Python loop
+    ``_draw_python``, the reference, everywhere else; both give the same
+    bits, as the fields of ``_chunk_sample``."""
     master %= 2**64
     draw = _compiled_draw()[0]
     args = (params.lam * _PI * R, 2.0 * params.mu, scenario, R, master, start, stop)
@@ -416,22 +419,24 @@ def _draw_chunk(params: ModelParams, scenario: PalmScenario, R: float,
 
 def _draw_python(mean_lines, two_mu, scenario, R, master, start, stop):
     """The draw of ``_draw_chunk`` as one Python loop over the trials,
-    numpy's Philox reset to each trial's key: the origin angles (trials x
-    origin lines), the background line counts, their angles and offsets,
-    the point counts and the positions, the fields ``_chunk_sample`` takes.
-    A trial's uniforms are drawn raw, the line uniforms in one
-    ``random((2, n))`` call, and mapped once per chunk; the point counts
-    take one scalar ``poisson`` call a line up to ``_SCALAR_COUNTS_MAX``
-    lines, else one array call, the offsets and half chords formed in
-    scalar arithmetic or by ``_half_chords``, rounded the same."""
+    numpy's Philox reset to each trial's key: the fields ``_chunk_sample``
+    takes, in chunk order. A trial's line uniforms are drawn raw in one
+    ``random((2, n))`` call, beside the origin lines' columns of raw 0 and
+    1/2, which map to angle 0 and offset +0.0, and mapped once per chunk,
+    after which the second origin angles are written by index; the point
+    counts take one scalar ``poisson`` call a line up to
+    ``_SCALAR_COUNTS_MAX`` lines, else one array call, the offsets and half
+    chords formed in scalar arithmetic or by ``_half_chords``, rounded the
+    same. The positions stay raw."""
     key, bitgen, rng, fresh = _thread_philox()
     key[0] = master
     random, poisson, sqrt = rng.random, rng.poisson, math.sqrt
     span = R - -R
     sine = scenario.angle_law is AngleLaw.SIN_WEIGHTED
     n_origin = _n_origin(scenario)
+    origin_u = np.array([[0.0] * n_origin, [0.5] * n_origin])
     origin_rates = [two_mu * R] * n_origin
-    second, n_bg, line_u, counts, point_u = [], [], [], [], []
+    second, n_lines, line_u, counts, point_u = [], [], [], [], []
     for stream in range(start, stop):
         key[1] = stream % 2**64
         bitgen.state = fresh
@@ -450,18 +455,18 @@ def _draw_python(mean_lines, two_mu, scenario, R, master, start, stop):
             # span*U - R rounds as _uniform's U*span + (-R)
             c = poisson(np.concatenate(
                 (origin_rates, two_mu * _half_chords(span * u[1] - R, R)))).tolist()
-        n_bg.append(n)
-        line_u.append(u)
+        n_lines.append(n_origin + n)
+        line_u += origin_u, u
         counts += c
         point_u.append(random(sum(c)))
     # each field in one array, the per-trial draws let go as they are read
-    n_bg = np.array(n_bg, dtype=np.int64)
+    n_lines = np.array(n_lines, dtype=np.int64)
     angle_u, offset_u = np.concatenate(line_u, axis=1)
-    origin = np.zeros((n_bg.size, n_origin))
+    angle = _uniform(angle_u, 0.0, _PI)
     if second:
-        origin[:, 1] = second
-    return (origin, n_bg, _uniform(angle_u, 0.0, _PI), _uniform(offset_u, -R, R),
-            np.array(counts, dtype=np.int64), _uniform(np.concatenate(point_u), -1.0, 1.0))
+        angle[n_lines.cumsum() - n_lines + 1] = second
+    return (n_lines, angle, _uniform(offset_u, -R, R), np.array(counts, dtype=np.int64),
+            np.concatenate(point_u))
 
 
 def _draw_compiled(draw, mean_lines, two_mu, scenario, R, master, start, stop):
@@ -470,8 +475,8 @@ def _draw_compiled(draw, mean_lines, two_mu, scenario, R, master, start, stop):
     and points and more (``_buffer_sizes``); a trial that does not fit is
     drawn again by the next call, into buffers for the trials left (and
     twice as large again while none fits), since each trial draws from its
-    own stream. The positions, whose buffer becomes the chunk's arcs, are
-    cut to their size in place."""
+    own stream. Each buffer is cut to its size in place, so the chunk
+    keeps no unused tail."""
     n_origin = _n_origin(scenario)
     sine = scenario.angle_law is AngleLaw.SIN_WEIGHTED
     parts, grow = [], 1
@@ -479,30 +484,31 @@ def _draw_compiled(draw, mean_lines, two_mu, scenario, R, master, start, stop):
         n = stop - start
         line_cap, point_cap = (grow * size for size in _buffer_sizes(
             n, n_origin, mean_lines, two_mu * R))
-        origin, n_bg = np.zeros((n, n_origin)), np.empty(n, dtype=np.int64)
+        n_lines, used = np.empty(n, dtype=np.int64), np.empty(2, dtype=np.int64)
         angle, offset = np.empty(line_cap), np.empty(line_cap)
-        counts = np.empty(line_cap + n * n_origin, dtype=np.int64)
-        u, used = np.empty(point_cap), np.empty(2, dtype=np.int64)
+        counts, u = np.empty(line_cap, dtype=np.int64), np.empty(point_cap)
+        fields = n_lines, angle, offset, counts, u
         done = draw(master, start % 2**64, n, n_origin, sine, mean_lines, two_mu, R,
-                    *(a.ctypes.data for a in (origin, n_bg, angle, offset, counts)),
-                    line_cap, u.ctypes.data, point_cap, used.ctypes.data)
+                    *(a.ctypes.data for a in fields[:4]), line_cap, u.ctypes.data,
+                    point_cap, used.ctypes.data)
         lines, points = used.tolist()
-        u.resize(points, refcheck=False)
-        parts.append((origin[:done], n_bg[:done], angle[:lines], offset[:lines],
-                      counts[:lines + done * n_origin], u))
+        for a, size in zip(fields, (done, lines, lines, lines, points)):
+            a.resize(size, refcheck=False)
+        parts.append(fields)
         start += done
         grow = 1 if done else 2 * grow
     return parts[0] if len(parts) == 1 else [np.concatenate(f) for f in zip(*parts)]
 
 
 def _buffer_sizes(n, n_origin, mean_lines, per_line) -> tuple[int, int]:
-    """(background lines, points) that the buffers of ``n`` trials hold:
-    as many as the trials expect and six standard deviations more, the
-    points' deviation taken as sqrt(points * (1 + per_line)), which bounds
-    it when the rates of the lines vary too."""
+    """(lines, points) that the buffers of ``n`` trials hold: their origin
+    lines, as many background lines and points as the trials expect, and
+    six standard deviations more, the points' deviation taken as
+    sqrt(points * (1 + per_line)), which bounds it when the rates of the
+    lines vary too."""
     lines = n * mean_lines
     points = n * per_line * (n_origin + mean_lines * _PI / 4.0)
-    return (int(lines + 6.0 * math.sqrt(lines) + 16.0),
+    return (int(n * n_origin + lines + 6.0 * math.sqrt(lines) + 16.0),
             int(points + 6.0 * math.sqrt(points * (1.0 + per_line)) + 16.0))
 
 
@@ -612,7 +618,7 @@ def _compiled_draw():
     else:
         i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
         draw.argtypes = [ctypes.c_uint64, ctypes.c_uint64, i64, i64, i64, f64, f64, f64,
-                         ptr, ptr, ptr, ptr, ptr, i64, ptr, i64, ptr]
+                         ptr, ptr, ptr, ptr, i64, ptr, i64, ptr]
         draw.restype = i64
         return draw, "compiled"
     _log.log(level, "sampler: drawing in Python, not compiled: %s", reason)
@@ -627,41 +633,33 @@ def _uniform(u: np.ndarray, low: float, high: float) -> np.ndarray:
     return u
 
 
-def _chunk_sample(origin, n_bg, angle_bg, offset_bg, counts, u, scenario,
-                  R, master, first_stream) -> ChunkSample:
+def _chunk_sample(n_lines, angle, offset, counts, u, scenario, R, master,
+                  first_stream) -> ChunkSample:
     """The ChunkSample of trials drawn from the streams (master,
-    first_stream + t): their origin angles (trials x origin lines), the
-    background line count of each trial, the background angles and offsets
-    trial by trial, the point count of every line (a trial's origin lines
-    first) and the point positions per unit half chord, line by line, as
-    -1 + 2U of raw doubles U. ``u`` is the chunk's own array: its buffer
-    becomes the arcs.
+    first_stream + t), from the draw's fields in chunk order: each trial's
+    line count, its origin lines included; the angles and offsets of the
+    lines, trial by trial and a trial's origin lines first; the point count
+    of every line; and the raw doubles U of the point positions, line by
+    line. ``angle`` and ``offset`` become the chunk's, and so does ``u``'s
+    buffer, as the arcs.
 
-    A raw U is k * 2**-53 with an integer k < 2**53, so u is exact and so is
-    k = u * 2**52 + 2**52. A point's sort key is one uint64: its line's
-    index mod ``_SORT_BLOCK`` above k. Sorting the keys of each block of
+    A raw U is k * 2**-53 with an integer k < 2**53, so k = U * 2**53 is
+    exact. A point's sort key is one uint64: its line's index mod
+    ``_SORT_BLOCK`` above k. Sorting the keys of each block of
     ``_SORT_BLOCK`` lines in place orders the block's points by line and
-    then by k, and so by arc, since a line's arcs are its positions times
-    its half chord, a monotone map; equal arcs have equal bits, and a line
-    of half chord 0 has rate 0 and no points. The positions come back from
-    the sorted k by exact operations and only then become arcs."""
-    n_origin = origin.shape[1]
-    line_start = np.zeros(n_bg.size + 1, dtype=np.int64)
-    (n_bg + n_origin).cumsum(out=line_start[1:])
-    through_origin = np.zeros(line_start[-1], dtype=bool)
-    through_origin[line_start[:-1, None] + np.arange(n_origin)] = True
-    background = ~through_origin
-    angle = np.empty(through_origin.size)
-    angle[through_origin] = origin.ravel()
-    angle[background] = angle_bg
-    offset = np.zeros(through_origin.size)
-    offset[background] = offset_bg
+    then by k, and so by arc, since a line's arcs are its positions
+    -1 + 2U times its half chord, a monotone map; equal arcs have equal
+    bits, and a line of half chord 0 has rate 0 and no points. The
+    positions come back from the sorted k by exact operations and only
+    then become arcs. An origin line's half chord is R, set by index:
+    sqrt(R*R) is not R where R*R underflows."""
+    line_start = np.zeros(n_lines.size + 1, dtype=np.int64)
+    n_lines.cumsum(out=line_start[1:])
     half = _half_chords(offset, R)
-    half[through_origin] = R
+    half[line_start[:-1, None] + np.arange(_n_origin(scenario))] = R
     arc_start = np.zeros(counts.size + 1, dtype=np.int64)
     counts.cumsum(out=arc_start[1:])
-    u *= 2.0**52
-    u += 2.0**52
+    u *= 2.0**_POSITION_BITS
     keys = u.astype(np.uint64)
     # a uint64 shift keeps the low 64 bits: the line's index mod _SORT_BLOCK
     keys |= (np.arange(half.size, dtype=np.uint64) << _POSITION_BITS).repeat(counts)

@@ -148,23 +148,23 @@ def test_near_parallel_lines_lose_only_their_own_crossing(monkeypatch, lam,
     oracle still agree bit for bit, and neither pair has a crossing."""
     layout = sampler._chunk_sample
 
-    def crowded(origin, n_bg, angles, offsets, counts, u, *rest):
+    def crowded(n_lines, angles, offsets, counts, u, *rest):
         first_stream = rest[-1]
         extra = []
-        for t in range(n_bg.size):
+        for t in range(n_lines.size):
             rng = np.random.default_rng(first_stream + t)
             theta = rng.uniform(0.0, np.pi - 1.0)
             p = rng.uniform(-1.0, 1.0)
             extra.append(([theta, theta + 1e-13, np.pi - 1e-13], [p, p, 1e-13],
-                          rng.uniform(-1.0, 1.0, size=9)))
+                          rng.random(9)))
         more_angles, more_offsets, more_u = (np.ravel(x) for x in zip(*extra))
-        # after each trial's last background line, its last point
-        line_end = np.cumsum(origin.shape[1] + n_bg)
-        at_line = np.repeat(np.cumsum(n_bg), 3)
+        # after each trial's last line, its last point
+        line_end = np.cumsum(n_lines)
+        at_line = np.repeat(line_end, 3)
         at_point = np.repeat(np.cumsum(counts)[line_end - 1], 9)
-        return layout(origin, n_bg + 3, np.insert(angles, at_line, more_angles),
+        return layout(n_lines + 3, np.insert(angles, at_line, more_angles),
                       np.insert(offsets, at_line, more_offsets),
-                      np.insert(counts, np.repeat(line_end, 3), 3),
+                      np.insert(counts, at_line, 3),
                       np.insert(u, at_point, more_u), *rest)
 
     monkeypatch.setattr(sampler, "_chunk_sample", crowded)

@@ -292,8 +292,10 @@ def _reference_chunk(params, scenario, R, master, start, stop):
     """Trials start..stop-1 drawn the slow way, as a dict of ChunkSample
     fields: a new Philox Generator per trial, one ``rng.uniform`` call per
     field (the second origin angle kept as drawn), and the point counts
-    from one scalar ``rng.poisson`` call per line up to _SCALAR_COUNTS_MAX
-    lines, from one array call above."""
+    of every trial from one array ``rng.poisson`` call. The package draws
+    a trial of up to _SCALAR_COUNTS_MAX lines by one scalar call a line,
+    which gives the same draws, so this checks that branch against the
+    array call rather than copying it."""
     fields = {name: [] for name in _CHUNK_FIELDS}
     for stream in range(start, stop):
         rng = np.random.Generator(np.random.Philox(
@@ -309,11 +311,7 @@ def _reference_chunk(params, scenario, R, master, start, stop):
         offsets = rng.uniform(-R, R, size=n_bg)
         half = np.concatenate((np.full(len(origin), R),
                                np.sqrt(np.maximum(R * R - offsets * offsets, 0.0))))
-        rates = 2.0 * params.mu * half
-        if half.size <= _SCALAR_COUNTS_MAX:
-            counts = np.array([rng.poisson(r) for r in rates], dtype=np.int64)
-        else:
-            counts = rng.poisson(rates)
+        counts = rng.poisson(2.0 * params.mu * half)
         u = rng.uniform(-1.0, 1.0, size=counts.sum())
         n_lines = half.size
         fields["angle"].append(np.concatenate((origin, angles)))
@@ -376,40 +374,41 @@ def test_sample_chunk_equals_slow_reference_bit_for_bit(lam, monkeypatch):
 def test_chunk_sample_sorts_each_line_on_exact_integer_keys():
     """``_chunk_sample`` sorts each line's points on one uint64 key a point,
     the line's index mod 2**11 over k, where U = k * 2**-53 is the point's
-    raw double and u = -1 + 2U its position. Its premises: raw doubles are
-    such k * 2**-53, and u * 2**52 + 2**52 gives k back exactly. Its result
-    equals a per-line ``np.sort`` bit for bit on 2,203 lines, two blocks of
-    2048, with empty lines, a line of one repeated position, the extreme
-    positions, and lines on both sides of the block boundary."""
+    raw double, as the draws hand it over, and -1 + 2U its position. Its
+    premises: raw doubles are such k * 2**-53, and U * 2**53 gives k back
+    exactly. Its result equals a per-line ``np.sort`` bit for bit on 2,203
+    lines, two blocks of 2048, with empty lines, a line of one repeated
+    position, the extreme positions, and lines on both sides of the block
+    boundary."""
     raw = np.random.Generator(np.random.Philox(key=[5, 6])).random(100_000)
     k = raw * 2.0**53
     assert np.array_equal(k, np.floor(k)) and k.max() < 2.0**53
     ends = np.array([0, 1, 2**52 - 1, 2**52, 2**53 - 1], dtype=np.uint64)
-    u = _uniform(ends * 2.0**-53, -1.0, 1.0)
-    assert np.array_equal((u * 2.0**52 + 2.0**52).astype(np.uint64), ends)
+    assert np.array_equal((ends * 2.0**-53 * 2.0**53).astype(np.uint64), ends)
 
     rng = np.random.default_rng(11)
-    R, n_bg = 3.0, np.array([1200, 0, 1000])
-    origin = np.zeros((n_bg.size, 1))
-    angles = _uniform(rng.random(n_bg.sum()), 0.0, math.pi)
-    offsets = _uniform(rng.random(n_bg.sum()), -R, R)
-    n_lines = n_bg.size + n_bg.sum()
-    counts = rng.integers(0, 4, n_lines)
+    R, n_lines = 3.0, np.array([1201, 1, 1001])
+    angles = _uniform(rng.random(n_lines.sum()), 0.0, math.pi)
+    offsets = _uniform(rng.random(n_lines.sum()), -R, R)
+    line_start = np.concatenate(([0], np.cumsum(n_lines)))
+    angles[line_start[:-1]] = offsets[line_start[:-1]] = 0.0  # each trial's x-axis
+    counts = rng.integers(0, 4, n_lines.sum())
     counts[[3, 2047, 2048, 2049]] = [9, 5, 0, 6]
     positions = rng.integers(0, 2**53, counts.sum(), dtype=np.uint64)
     arc_start = np.concatenate(([0], np.cumsum(counts)))
     positions[arc_start[3]:arc_start[4]] = 2**52 + 12345  # one position, repeated
     positions[arc_start[7]:arc_start[7] + 2] = [0, 2**53 - 1]
-    u = _uniform(positions * 2.0**-53, -1.0, 1.0)
-    chunk = _chunk_sample(origin, n_bg, angles, offsets, counts, u.copy(),
+    u = positions * 2.0**-53
+    chunk = _chunk_sample(n_lines, angles, offsets, counts, u.copy(),
                           typical_point(), R, 0, 0)
-    assert chunk.angle.size == n_lines > 2048 and np.any(counts == 0)
+    assert chunk.angle.size == n_lines.sum() > 2048 and np.any(counts == 0)
     half = np.where(_chunk_array(chunk, "through_origin"), R,
                     np.sqrt(R * R - chunk.offset**2))
     want = np.concatenate([np.sort(a) for a in np.split(
-        u * np.repeat(half, counts), arc_start[1:-1])])
+        _uniform(u, -1.0, 1.0) * np.repeat(half, counts), arc_start[1:-1])])
     assert chunk.arcs.tobytes() == want.tobytes()
     assert chunk.arc_start.tobytes() == arc_start.tobytes()
+    assert chunk.line_start.tobytes() == line_start.tobytes()
 
 
 # md5 of every ChunkSample array of sample_chunk(ModelParams(16, 2),

@@ -58,8 +58,8 @@ def test_every_layer_timing_row_returns_the_columns_its_table_prints():
 def test_layer_timing_alternates_trees_and_prints_median_and_range(tmp_path, monkeypatch,
                                                                    capsys):
     """Each round starts one child per tree, the first tree turning with the
-    rounds, and a cell is the median (min-max) of its rounds, or the one
-    value they all print."""
+    rounds, and a cell is the median and interquartile range [q1, q3] of
+    its rounds, or the one value they all print."""
     timing = _load(TOOLS / "layer_timing.py")
     trees = [tmp_path / "a", tmp_path / "b"]
     for tree in trees:
@@ -79,8 +79,19 @@ def test_layer_timing_alternates_trees_and_prints_median_and_range(tmp_path, mon
     assert calls == ["a", "b", "b", "a", "a", "b"]
     assert capsys.readouterr().out.splitlines() == [
         "| src | measurement | ms | n |", "|---|---|---|---|",
-        f"| {trees[0]} | first | 4.0 (1.0-5.0) | 3 |",
-        f"| {trees[1]} | first | 3.0 (2.0-6.0) | 3 |"]
+        f"| {trees[0]} | first | 4.0 [2.5, 4.5] | 3 |",
+        f"| {trees[1]} | first | 3.0 [2.5, 4.5] | 3 |"]
+
+
+def test_a_layer_timing_cell_is_not_moved_by_one_over_read_round():
+    """Six rounds of which one a 4 ms scheduler tick over-reads: the cell
+    prints what it prints with that round read right, where a min-max
+    range would print the outlier."""
+    timing = _load(TOOLS / "layer_timing.py")
+    rounds = [0.3, 0.2, 0.3, 4.2, 0.3, 0.2]
+    assert timing._cell("%.1f", rounds) == "0.3 [0.2, 0.3]"
+    assert timing._cell("%.1f", [0.3 if r == 4.2 else r for r in rounds]) == "0.3 [0.2, 0.3]"
+    assert timing._cell("%d", [3] * 6) == "3"
 
 
 def test_a_layer_timing_child_runs_its_row_in_a_new_interpreter():

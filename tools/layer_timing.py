@@ -8,10 +8,10 @@ starts one new interpreter per ``--src`` tree, one at a time, and the
 tree that goes first turns with the rounds, so drift in the machine's
 speed reaches every tree alike. The child imports ``linecox`` from its
 tree, runs the row once (untimed warm-ups first) and prints its numbers
-as one JSON line. A cell is the median over the rounds with the min-max
-range in parentheses, or the one value when every round prints the same
-(a count, a ``tracemalloc`` peak). Every time is CPU time
-(``time.process_time``).
+as one JSON line. A cell is the median over the rounds with the first
+and third quartiles in brackets, or the one value when every round
+prints the same (a count, a ``tracemalloc`` peak). Every time is CPU
+time (``time.process_time``).
 
 The rows (``--rows``), point scenario, mu = 1 and t_max = 3 unless noted:
 
@@ -232,9 +232,11 @@ def _child(tree, row, args):
 
 
 def _cell(fmt, values):
-    """The median (min-max) of a cell's rounds, or the one value they all print."""
-    low, mid, high = (fmt % v for v in (min(values), statistics.median(values), max(values)))
-    return mid if low == high else f"{mid} ({low}-{high})"
+    """The median [q1, q3] of a cell's rounds, or the one value they all
+    print: one round that a scheduler tick over-reads moves neither
+    number, where it would move a min-max range."""
+    q1, mid, q3 = (fmt % v for v in np.percentile(values, [25, 50, 75]))
+    return mid if len({fmt % v for v in values}) == 1 else f"{mid} [{q1}, {q3}]"
 
 
 def main(argv=None) -> int:
