@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
 from .errors import GridMismatch, InputError, _shown
 from .model import (
     DistributionCurve,
@@ -38,7 +39,6 @@ from .oracle import _chunk_lengths
 from .sampler import (
     _TRIAL_FIXED_COST,
     _check_inputs,
-    _compiled_draw,
     _draw_chunk,
     _expected_lines,
 )
@@ -191,7 +191,7 @@ def run_mc(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
     chunk order, so memory does not grow with ``trials``. Logs one INFO
     line with the trial count, the wall time, the throughput, the mean
     lines per trial, the censored fraction and the draw that ran
-    (``compiled``, or ``python`` and the reason, ``sampler._compiled_draw``,
+    (``compiled``, or ``python`` and the reason, ``_native.library()``,
     resolved before a pool starts so that its workers inherit it); none of
     it enters the curve.
     """
@@ -214,7 +214,7 @@ def run_mc(params: ModelParams, scenario: PalmScenario, policy: TurnPolicy,
         raise InputError(f"workers must be >= 1, got {_shown(workers)}")
     master = _check_int(seed, "seed")
 
-    draw = _compiled_draw()[1]
+    draw = _native.library()[1]
     size = _chunk_trials(params, scenario, t_max)
     chunks = range(0, trials, size)
     tasks = ((params, scenario, policy, t_max, master, lo, min(lo + size, trials))

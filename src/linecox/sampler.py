@@ -38,38 +38,32 @@ and offsets mapped to ``low + (high - low) * U``: the value
 ``Generator.uniform(low, high)`` gives for the same draw, by the same IEEE
 operations. The loop is compiled C (``_draw.c``), one call a chunk,
 stepping its own Philox4x64-10 as numpy's Philox steps and calling
-numpy's own Poisson sampler from ``libnpyrandom.a``; it is built on a
-machine's first draw into the per-user cache and loaded with ctypes
-(``_compiled_draw``). Where it cannot be built, the Python loop
-``_draw_python`` draws, the reference that gives the same bits. Both hand
-``_chunk_sample`` the chunk's lines in its own order, origin lines first,
-and the point positions raw. A raw U is k * 2**-53 for an integer k, so
-the chunk sorts each line's points on exact integer keys, one uint64 a
-point (the line over k), in place, and only then maps them to positions
-and scales them to arcs; drawing a chunk peaks near 24 bytes per point.
+numpy's own Poisson sampler from ``libnpyrandom.a``; ``_native``, the
+package's one module that builds, caches and loads C, builds it on a
+machine's first draw and loads it with ctypes. Where it cannot be built,
+the Python loop ``_draw_python`` draws, the reference that gives the same
+bits. Both hand ``_chunk_sample`` the chunk's lines in its own order,
+origin lines first, and the point positions raw. A raw U is k * 2**-53
+for an integer k, so the chunk sorts each line's points on exact integer
+keys, one uint64 a point (the line over k), in place, and only then maps
+them to positions and scales them to arcs; drawing a chunk peaks near 24
+bytes per point.
 """
 
 from __future__ import annotations
 
 import ctypes
-import functools
-import hashlib
-import logging
 import math
-import os
-import shutil
-import tempfile
 import threading
-import time
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 # numpy loads its random submodule lazily; import it here so that the cost
 # falls on `import linecox` and not on a run's first draw
 from numpy.random import Generator, Philox
 
+from . import _native
 from .errors import InputError, NonPositiveRadius, TooManyLines, TooManyPoints, _shown
 from .model import (
     AngleLaw,
@@ -221,12 +215,10 @@ _SCALAR_COUNTS_MAX = 16
 # consecutive lines sort as one block
 _POSITION_BITS = 53
 _SORT_BLOCK = 2**(64 - _POSITION_BITS)
-# the compiled draw: its source, shipped in the package, and its build
-_DRAW_SOURCE = Path(__file__).with_name("_draw.c")
-_BUILD_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
-_BUILD_TIMEOUT_S = 120
-
-_log = logging.getLogger(__name__)
+# the argument types of _draw.c's linecox_draw, which returns an int64
+_DRAW_ARGTYPES = (ctypes.c_uint64, ctypes.c_uint64, *[ctypes.c_int64] * 3,
+                  *[ctypes.c_double] * 3, *[ctypes.c_void_p] * 4, ctypes.c_int64,
+                  ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p)
 
 
 def _thread_philox():
@@ -407,13 +399,14 @@ def _draw_chunk(params: ModelParams, scenario: PalmScenario, R: float,
     ``_chunk_sample``, positions in [-1, 1) per unit half chord; the counts
     take each mapped offset p and its half chord ``sqrt(R*R - p*p)``. The
     compiled loop of ``_draw.c`` draws the chunk in one call where
-    ``_compiled_draw`` can build and load it, and the Python loop
+    ``_native.library()`` can build and load it, and the Python loop
     ``_draw_python``, the reference, everywhere else; both give the same
     bits, as the fields of ``_chunk_sample``."""
     master %= 2**64
-    draw = _compiled_draw()[0]
+    native = _native.library()[0]
     args = (params.lam * _PI * R, 2.0 * params.mu, scenario, R, master, start, stop)
-    fields = _draw_python(*args) if draw is None else _draw_compiled(draw, *args)
+    fields = (_draw_python(*args) if native is None
+              else _draw_compiled(native.linecox_draw, *args))
     return _chunk_sample(*fields, scenario, R, master, start % 2**64)
 
 
@@ -476,7 +469,10 @@ def _draw_compiled(draw, mean_lines, two_mu, scenario, R, master, start, stop):
     drawn again by the next call, into buffers for the trials left (and
     twice as large again while none fits), since each trial draws from its
     own stream. Each buffer is cut to its size in place, so the chunk
-    keeps no unused tail."""
+    keeps no unused tail. A process's first call declares ``draw``'s C
+    signature, which ctypes then keeps with the loaded library."""
+    if draw.argtypes is None:
+        draw.argtypes, draw.restype = _DRAW_ARGTYPES, ctypes.c_int64
     n_origin = _n_origin(scenario)
     sine = scenario.angle_law is AngleLaw.SIN_WEIGHTED
     parts, grow = [], 1
@@ -510,119 +506,6 @@ def _buffer_sizes(n, n_origin, mean_lines, per_line) -> tuple[int, int]:
     points = n * per_line * (n_origin + mean_lines * _PI / 4.0)
     return (int(n * n_origin + lines + 6.0 * math.sqrt(lines) + 16.0),
             int(points + 6.0 * math.sqrt(points * (1.0 + per_line)) + 16.0))
-
-
-class _NoCompiledDraw(Exception):
-    """Why the compiled draw cannot be built: the machine lacks what the
-    build needs (a compiler, numpy's library, a private cache)."""
-
-
-class _BuildFailed(_NoCompiledDraw):
-    """The compiler ran and gave no library: a fault, not a machine
-    without a compiler."""
-
-
-def _draw_library() -> Path:
-    """The shared library of ``_draw.c`` in the per-user cache
-    ``${XDG_CACHE_HOME:-~/.cache}/linecox``, a directory made with mode 0700
-    and refused if another user owns it or may write to it. Its name hashes
-    the C source, the compiler command (sysconfig's ``CC`` and
-    ``_BUILD_FLAGS``), numpy's version and numpy's ``libnpyrandom.a``, so a
-    numpy upgrade builds it again; a missing one is built (``_build``).
-    _NoCompiledDraw names what is missing."""
-    import sysconfig  # only the first draw of a process needs it
-
-    cc = sysconfig.get_config_var("CC")
-    if not cc:
-        raise _NoCompiledDraw("sysconfig names no C compiler")
-    command = [*cc.split(), *_BUILD_FLAGS]
-    numpy_lib = Path(np.random.__file__).parent / "lib" / "libnpyrandom.a"
-    key = hashlib.sha256()
-    try:
-        for part in (_DRAW_SOURCE.read_bytes(), " ".join(command).encode(),
-                     np.__version__.encode(), numpy_lib.read_bytes()):
-            key.update(hashlib.sha256(part).digest())
-    except OSError as exc:
-        raise _NoCompiledDraw(f"cannot read {exc.filename}: {exc.strerror}") from None
-    base = os.environ.get("XDG_CACHE_HOME", "")
-    if not os.path.isabs(base):
-        base = os.path.join(os.path.expanduser("~"), ".cache")
-    cache = Path(base, "linecox")
-    if not cache.is_absolute():
-        raise _NoCompiledDraw("no home directory to keep a cache in")
-    try:
-        cache.mkdir(mode=0o700, parents=True, exist_ok=True)
-        owner = cache.stat()
-    except OSError as exc:
-        raise _NoCompiledDraw(f"no cache at {cache}: {exc.strerror}") from None
-    if owner.st_uid != os.getuid() or owner.st_mode & 0o022:
-        raise _NoCompiledDraw(f"the cache {cache} is not private: another user owns it "
-                              "or may write to it")
-    library = cache / f"draw-{key.hexdigest()[:24]}.so"
-    if not library.is_file():
-        _build(command, numpy_lib, library)
-    return library
-
-
-def _build(command, numpy_lib, library):
-    """Compile ``_draw.c`` into ``library`` with ``command``, linking
-    numpy's ``numpy_lib``: into a temporary name in the same directory and
-    then ``os.replace``, so that processes building at once each load a
-    whole file. _NoCompiledDraw if the compiler is not on PATH or the
-    directory takes no file, _BuildFailed if the compiler fails or takes
-    over ``_BUILD_TIMEOUT_S``."""
-    import subprocess  # only a build needs it
-
-    if shutil.which(command[0]) is None:
-        raise _NoCompiledDraw(f"no C compiler {command[0]} on PATH")
-    started = time.perf_counter()
-    try:
-        fd, partial = tempfile.mkstemp(suffix=".so", dir=library.parent)
-    except OSError as exc:
-        raise _NoCompiledDraw(f"cannot write to {library.parent}: {exc.strerror}") from None
-    os.close(fd)
-    try:
-        proc = subprocess.run([*command, str(_DRAW_SOURCE), str(numpy_lib), "-lm",
-                               "-o", partial], capture_output=True, text=True,
-                              timeout=_BUILD_TIMEOUT_S)
-        if proc.returncode != 0:
-            last = (proc.stderr.strip().splitlines() or ["no message"])[-1]
-            raise _BuildFailed(f"{command[0]} exited {proc.returncode}: {last}")
-        os.replace(partial, library)
-    except subprocess.TimeoutExpired:
-        raise _BuildFailed(f"the build took over {_BUILD_TIMEOUT_S} s") from None
-    except OSError as exc:
-        raise _BuildFailed(f"the build failed: {exc}") from None
-    finally:
-        if os.path.exists(partial):
-            os.unlink(partial)
-    _log.info("sampler: compiled %s in %.2f s", library.name, time.perf_counter() - started)
-
-
-@functools.cache
-def _compiled_draw():
-    """(the compiled chunk draw, "compiled"), or (None, "python (reason)")
-    where ``_draw_library`` cannot give one or it does not load, with one
-    record that names the reason: an INFO where the machine lacks what the
-    build needs, since the Python loop is the supported draw there, and a
-    WARNING where the build or the load fails. Resolved on a process's
-    first draw, never at import, and kept for the process; ``run_mc``
-    resolves it before it starts a pool, so the workers inherit it."""
-    try:
-        draw = ctypes.CDLL(str(_draw_library())).linecox_draw
-    except _NoCompiledDraw as exc:
-        reason = str(exc)
-        level = logging.WARNING if isinstance(exc, _BuildFailed) else logging.INFO
-    except OSError as exc:
-        reason, level = f"the compiled draw does not load: {exc}", logging.WARNING
-    else:
-        i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
-        draw.argtypes = [ctypes.c_uint64, ctypes.c_uint64, i64, i64, i64, f64, f64, f64,
-                         ptr, ptr, ptr, ptr, i64, ptr, i64, ptr]
-        draw.restype = i64
-        return draw, "compiled"
-    _log.log(level, "sampler: drawing in Python, not compiled: %s", reason)
-    return None, f"python ({reason})"
 
 
 def _uniform(u: np.ndarray, low: float, high: float) -> np.ndarray:

@@ -39,6 +39,9 @@ def test_parse_grid_inclusive_and_truncated():
     g = parse_grid("0:1:0.3")  # 0.3 does not divide 1, stop stays out
     assert g.size == 4 and g[-1] == pytest.approx(0.9)
     assert np.array_equal(parse_grid("2:2:1"), [2.0])
+    # 1e-13 short of a step, outside the 1e-12 window: the quotient
+    # 0.999999999999 plus 1e-12 floors to 1, a step past stop, taken back
+    assert np.array_equal(parse_grid("0:0.0999999999999:0.1"), [0.0])
     for bad in ("0:1", "0:1:0", "1:0:0.5", "0:inf:1", "a:b:c"):
         with pytest.raises(ValueError):
             parse_grid(bad)

@@ -262,6 +262,8 @@ def _laid_out(trial=0, **fields):
     _laid_out(arcs=np.array([0.5, 0.7, 0.4, 0.1, 0.2])),
     _laid_out(line_start=np.array([0, 5])),
     _laid_out(line_start=np.array([0, 3, 2, 3]), trial=1),
+    _laid_out(line_start=np.array([0, -1, 3]), trial=1),
+    _laid_out(line_start=np.array([0, 5, 3]), trial=0),
     _laid_out(offset=np.zeros(2)),
     _laid_out(arc_start=np.array([0, 2, 4])),
     _laid_out(arc_start=np.array([0, 2, 4, 9])),
@@ -282,24 +284,32 @@ def _laid_out(trial=0, **fields):
     _laid_out(angle=np.array([0.0, HPI, math.inf])),
     _laid_out(offset=np.array([0.0, -0.3, math.nan]))],
     ids=["point without lines", "intersection with one line", "unsorted arcs",
-         "line_start past the lines", "decreasing line_start", "short offset",
+         "line_start past the lines", "decreasing line_start",
+         "trial's line_start below 0", "trial's line_start past the lines", "short offset",
          "short arc_start", "arc_start past the points", "decreasing arc_start",
          "float line_start", "float arc_start", "uint64 line_start",
          "uint32 line_start", "float32 angle", "float32 offset", "float32 arcs",
          "2-D angle", "list arcs", "scenario as text", "clip_radius as text",
          "nan clip_radius", "nan arc", "inf angle", "nan offset"])
-def test_both_solvers_refuse_a_trial_without_its_origin_lines(trial):
+def test_both_solvers_refuse_a_trial_without_its_origin_lines(trial, request):
     """The scenario says how many lines open each trial through the
     origin; a trial with fewer lines has no start to search from. Nor does
     either solver search a layout that does not hold: each refusal names
     its field, the same in both: a field of another type, shape or
     dtype than the draw gives it, which the solvers would index, cast or
-    round apart, or an angle, offset or arc that is not finite."""
+    round apart, or an angle, offset or arc that is not finite. A trial
+    whose own lines run outside the line arrays the search refuses as
+    such; the kernel, which checks every trial of the chunk, refuses the
+    chunk's decreasing ``line_start`` first."""
     with pytest.raises(InputError) as by_search:
         shortest_path(trial, TurnPolicy.one_turn(), 1.0)
     with pytest.raises(InputError) as by_kernel:
         chunk_lengths(trial.chunk, TurnPolicy.one_turn(), 1.0)
-    assert str(by_search.value) == str(by_kernel.value)
+    if request.node.callspec.id.startswith("trial's line_start"):
+        assert str(by_search.value) == "line_start runs past the 3 lines"
+        assert str(by_kernel.value).startswith("line_start gives a trial fewer lines")
+    else:
+        assert str(by_search.value) == str(by_kernel.value)
     assert str(by_search.value).startswith(("line_start", "offset", "arc_start", "arcs",
                                             "angle", "scenario", "clip_radius"))
 

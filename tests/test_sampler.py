@@ -1,14 +1,13 @@
 import hashlib
 import itertools
 import math
-import shutil
-import sysconfig
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from draws import HAS_CC, force_python, python_chunk
 from linecox import (
     AngleLaw,
     InputError,
@@ -17,9 +16,9 @@ from linecox import (
     TooManyLines,
     TooManyPoints,
     TurnPolicy,
+    _native,
     cli,
     run_mc,
-    sampler,
     sample_chunk,
     sample_palm,
     shortest_path,
@@ -40,8 +39,6 @@ from realizations import crossings_within, intersections, rotate
 
 # point process intensity that keeps realizations almost point-free when a
 # test only cares about the line geometry
-_CC = (sysconfig.get_config_var("CC") or "").split()
-_HAS_CC = bool(_CC) and shutil.which(_CC[0]) is not None
 _NO_POINTS = 1e-9
 
 
@@ -333,10 +330,10 @@ def _both_draws(monkeypatch):
     be the compiled one where a C compiler is on PATH, and once on the
     Python loop, the loader patched to fall back. Iterate it lazily, one
     pass at a time: the patch lands when the second pass begins."""
-    resolved = sampler._compiled_draw()[1]
-    assert resolved == "compiled" or not _HAS_CC, resolved
+    resolved = _native.library()[1]
+    assert resolved == "compiled" or not HAS_CC, resolved
     yield resolved
-    monkeypatch.setattr(sampler, "_compiled_draw", lambda: (None, "python (forced)"))
+    force_python(monkeypatch)
     yield "python"
 
 
@@ -366,7 +363,7 @@ def test_sample_chunk_equals_slow_reference_bit_for_bit(lam, monkeypatch):
         if lam == 2.0:
             assert {_SCALAR_COUNTS_MAX - 1, _SCALAR_COUNTS_MAX,
                     _SCALAR_COUNTS_MAX + 1} <= sizes, draw
-        passes.append(sampler._compiled_draw()[1])
+        passes.append(_native.library()[1])
     # the patch was in force in the second pass only
     assert len(passes) == 2 and passes[0] != "python (forced)" == passes[1]
 
@@ -428,7 +425,7 @@ def _chunk_md5(chunk) -> str:
 
 def test_dense_chunk_matches_frozen_digest(monkeypatch):
     for draw in _both_draws(monkeypatch):
-        assert sampler._compiled_draw()[1].startswith(draw)
+        assert _native.library()[1].startswith(draw)
         chunk = sample_chunk(ModelParams(16.0, 2.0), typical_intersection(), 3.0,
                              2024, 0, 6)
         assert chunk.angle.size > 6 * 100
@@ -440,13 +437,6 @@ def test_dense_chunk_matches_frozen_digest(monkeypatch):
 # branches (below and from rate 10) and line counts from 0 to about 200
 _MATRIX_MODELS = [(0.0, 1.0), (0.5, 0.5), (1.0, 1.0), (2.0, 0.5), (2.0, 2.0),
                   (1.3, 1.9), (4.0, 1.0), (16.0, 1.0)]
-
-
-def _python_chunk(monkeypatch, *args):
-    """``sample_chunk(*args)`` drawn by the Python loop."""
-    with monkeypatch.context() as patch:
-        patch.setattr(sampler, "_compiled_draw", lambda: (None, "python (forced)"))
-        return sample_chunk(*args)
 
 
 def test_compiled_and_python_draws_agree_on_108_chunks(monkeypatch):
@@ -461,7 +451,7 @@ def test_compiled_and_python_draws_agree_on_108_chunks(monkeypatch):
     for (scenario, master, start, n), _ in itertools.product(cells, range(2)):
         args = (ModelParams(*next(models)), scenario, 3.0, master, start, start + n)
         chunk = sample_chunk(*args)
-        want = _python_chunk(monkeypatch, *args)
+        want = python_chunk(monkeypatch, *args)
         for name in _CHUNK_FIELDS:
             got = _chunk_array(chunk, name)
             assert got.tobytes() == _chunk_array(want, name).tobytes(), (name, args)
@@ -483,7 +473,7 @@ def test_both_draws_agree_at_the_sampler_caps(monkeypatch, cap):
     args = (params, typical_intersection(), R, 3, 0, 1)
     chunk = sample_chunk(*args)
     assert chunk.angle.size > (1800 if cap == "lines" else 300)
-    assert _chunk_md5(chunk) == _chunk_md5(_python_chunk(monkeypatch, *args))
+    assert _chunk_md5(chunk) == _chunk_md5(python_chunk(monkeypatch, *args))
 
 
 def test_chunk_keeps_and_draws_in_bounded_memory():
