@@ -10,6 +10,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +84,15 @@ def _unwritable_cache(monkeypatch, tmp_path):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file"))
 
 
+def _cache_takes_no_directory(monkeypatch, tmp_path):
+    def refuse(**kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    # a compiler on PATH or not, the build stops at its directory
+    monkeypatch.setattr(shutil, "which", lambda name: name)
+    monkeypatch.setattr(tempfile, "TemporaryDirectory", refuse)
+
+
 def _shared_cache(monkeypatch, tmp_path):
     shared = tmp_path / "shared" / "linecox"
     shared.mkdir(parents=True)
@@ -95,12 +105,16 @@ def _shared_cache(monkeypatch, tmp_path):
                  marks=pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")),
     (_hide_the_compiler, "on PATH", logging.INFO),
     (_unwritable_cache, "no cache", logging.INFO),
+    (_cache_takes_no_directory, "cannot write to", logging.INFO),
     (_shared_cache, "not private", logging.INFO),
-], ids=["build fails", "no compiler", "no writable cache", "cache others may write"])
+], ids=["build fails", "no compiler", "no writable cache", "cache takes no build directory",
+        "cache others may write"])
 def test_a_draw_that_cannot_be_built_falls_back_and_says_why(
         fresh_loader, monkeypatch, tmp_path, caplog, failure, reason, level):
     """A build that fails, a compiler missing from PATH, a cache that
-    cannot be made and one that others may write each leave the Python
+    cannot be made, one that takes no build directory (as a full disk or
+    a read-only mount refuses it) and one that others may write each
+    leave the Python
     loop to draw, with the same bits as the compiled draw and one record
     per process naming the reason: a WARNING for the failed build, a
     fault, and an INFO where the machine lacks what the build needs, so
